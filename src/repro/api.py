@@ -248,30 +248,6 @@ class InferenceConfig:
                 "resume continues a checkpointed run: it requires state_dir "
                 "(--state-dir) to name the run directory"
             )
-        if self.state_dir is not None:
-            if self.on_error == "skip":
-                raise UsageError(
-                    "state_dir checkpoints assume every document folds in; "
-                    "on_error='skip' quarantines documents and cannot be "
-                    "combined with it"
-                )
-            if self.shard_deadline is not None:
-                raise UsageError(
-                    "shard_deadline runs the resilient dispatcher, which "
-                    "does not checkpoint; drop it or drop state_dir"
-                )
-            if faults is not None and (
-                faults.worker_crashes
-                or faults.shard_timeouts
-                or faults.corrupt_docs
-                or faults.element_failures
-                or faults.element_failures_hard
-            ):
-                raise UsageError(
-                    "checkpointed runs support only kill_after_shards fault "
-                    "injection; other faults need the resilient dispatcher, "
-                    "which does not checkpoint"
-                )
 
     @property
     def effective_streaming(self) -> bool:
@@ -282,11 +258,12 @@ class InferenceConfig:
 
     @property
     def resilient(self) -> bool:
-        """Whether the run engages the fault-tolerant runtime.
+        """Whether the run reports its degradation.
 
         True for ``on_error="skip"``, an active fault plan, or a shard
-        deadline.  When False — the default — inference takes exactly
-        the code paths it took before the resilience layer existed.
+        deadline: the result then carries a
+        :class:`~repro.runtime.resilience.DegradationReport`.  When
+        False — the default — ``InferenceResult.degradation`` is None.
         """
         return (
             self.on_error == "skip"
@@ -366,32 +343,6 @@ def _require_surviving_documents(
         )
 
 
-def _load_item(
-    item: Document | str,
-    index: int,
-    *,
-    config: InferenceConfig,
-    degradation: "DegradationReport | None",
-    fault_plan: "FaultPlan | None",
-    max_quarantine: int | None,
-    recorder: Recorder,
-) -> Document | None:
-    """One document through the (possibly resilient) loading path."""
-    if degradation is not None:
-        from .runtime.resilience import load_document
-
-        return load_document(
-            item,
-            index,
-            plan=fault_plan,
-            on_error=config.on_error,
-            report=degradation,
-            max_quarantine=max_quarantine,
-            recorder=recorder,
-        )
-    return item if isinstance(item, Document) else parse_file(item, recorder)
-
-
 def _streaming_evidence(
     items: list[Document | str],
     config: InferenceConfig,
@@ -405,10 +356,11 @@ def _streaming_evidence(
     """Fold ``items`` into streaming evidence under ``config``.
 
     The streaming half of :func:`infer`, shared with
-    :meth:`InferenceSession.append`: all-path sources go through the
-    sharded (and, when configured, resilient) extraction pools;
-    anything else folds serially in-process.  ``index_offset`` shifts
-    document indexes on the serial path so a session's fault plan sees
+    :meth:`InferenceSession.append`: one call into the shard runner
+    (:func:`~repro.runtime.parallel.parallel_evidence`), through
+    :mod:`repro.ckpt` when checkpointing.  Parsed documents and XML
+    literals fold on the serial backend.  ``index_offset`` shifts
+    fault-plan document positions so a session's plan sees
     corpus-global positions across appends.
     """
     paths = [item for item in items if isinstance(item, str)]
@@ -436,47 +388,27 @@ def _streaming_evidence(
             backend=config.backend,
             recorder=recorder,
             fault_plan=fault_plan,
-        )
-    if all_paths and config.resilient:
-        from .runtime.resilience import resilient_evidence
-
-        return resilient_evidence(
-            paths,
-            jobs=config.jobs,
-            backend=config.backend,
-            recorder=recorder,
-            plan=fault_plan,
-            policy=config.retry,
+            retry=config.retry,
             on_error=config.on_error,
             max_quarantine=max_quarantine,
             deadline=config.shard_deadline,
             report=degradation,
         )
-    if all_paths:
-        from .runtime.parallel import parallel_evidence
+    from .runtime.parallel import parallel_evidence
 
-        return parallel_evidence(
-            paths,
-            jobs=config.jobs,
-            backend=config.backend,
-            recorder=recorder,
-        )
-    evidence = StreamingEvidence()
-    for index, item in enumerate(items, start=index_offset):
-        document = _load_item(
-            item,
-            index,
-            config=config,
-            degradation=degradation,
-            fault_plan=fault_plan,
-            max_quarantine=max_quarantine,
-            recorder=recorder,
-        )
-        if document is None:
-            continue
-        with recorder.span("extract"):
-            evidence.add_document(document, recorder)
-    return evidence
+    return parallel_evidence(
+        items,
+        config.jobs,
+        config.backend if all_paths else "serial",
+        recorder,
+        index_offset=index_offset,
+        faults=fault_plan,
+        retry=config.retry,
+        on_error=config.on_error,
+        max_quarantine=max_quarantine,
+        deadline=config.shard_deadline,
+        report=degradation,
+    )
 
 
 def infer(
@@ -539,16 +471,18 @@ def infer(
             recorder.count("elements", len(evidence.elements))
         dtd = inferencer._finalize_streaming(evidence)
     else:
+        from .runtime.resilience import load_document
+
         documents = [
             document
             for index, item in enumerate(items)
             if (
-                document := _load_item(
+                document := load_document(
                     item,
                     index,
-                    config=config,
-                    degradation=degradation,
-                    fault_plan=fault_plan,
+                    plan=fault_plan,
+                    on_error=config.on_error,
+                    report=degradation,
                     max_quarantine=config.max_quarantine,
                     recorder=recorder,
                 )

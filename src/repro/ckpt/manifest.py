@@ -10,6 +10,10 @@ evidence.  That is enough to answer both durability questions:
 * *incremental re-run* — a shard is reusable iff its document list
   reappears, byte-for-byte and contiguously, in the new corpus.
 
+Version 2 adds each shard's quarantined documents (``on_error="skip"``
+runs), so a resumed run reproduces the degradation report along with
+the DTD.  Version-1 manifests still load, as shards with no quarantines.
+
 The manifest is rewritten atomically after every shard commit, and a
 state file is referenced only after its own bytes are durable, so a
 reader never sees a manifest pointing at a missing or partial state.
@@ -25,7 +29,7 @@ from ..fsio import atomic_write_text
 from .codec import StateDecodeError, canonical_json
 
 MANIFEST_MAGIC = "repro-ckpt-manifest"
-MANIFEST_VERSION = 1
+MANIFEST_VERSION = 2
 MANIFEST_NAME = "manifest.json"
 SHARD_DIR = "shards"
 
@@ -45,6 +49,8 @@ class ShardEntry:
     documents: tuple[DocumentEntry, ...]
     state_file: str  # relative to RUN/shards/
     digest: str  # full sha256 of the state payload
+    #: ``(offset in shard, cause, byte position)`` per skipped document.
+    quarantined: tuple[tuple[int, str, int | None], ...] = ()
 
 
 @dataclass
@@ -68,6 +74,7 @@ class Manifest:
                     ],
                     "state_file": shard.state_file,
                     "digest": shard.digest,
+                    "quarantined": [list(entry) for entry in shard.quarantined],
                 }
                 for shard in self.shards
             ],
@@ -105,8 +112,23 @@ def _shard_from_document(raw: object) -> ShardEntry:
         ):
             raise StateDecodeError(f"manifest document entry is malformed: {entry!r}")
         documents.append(DocumentEntry(path=entry[0], sha256=entry[1]))
+    quarantined: list[tuple[int, str, int | None]] = []
+    for entry in raw.get("quarantined", []):
+        if not (
+            isinstance(entry, list)
+            and len(entry) == 3
+            and isinstance(entry[0], int)
+            and 0 <= entry[0] < len(documents)
+            and isinstance(entry[1], str)
+            and (entry[2] is None or isinstance(entry[2], int))
+        ):
+            raise StateDecodeError(f"manifest quarantine entry is malformed: {entry!r}")
+        quarantined.append((entry[0], entry[1], entry[2]))
     return ShardEntry(
-        documents=tuple(documents), state_file=state_file, digest=digest
+        documents=tuple(documents),
+        state_file=state_file,
+        digest=digest,
+        quarantined=tuple(quarantined),
     )
 
 
@@ -135,7 +157,7 @@ def load_manifest(run_dir: str | os.PathLike[str]) -> Manifest | None:
             f"{path} lacks the repro-ckpt-manifest magic; refusing to use "
             "this directory as a state dir"
         )
-    if document.get("version") != MANIFEST_VERSION:
+    if document.get("version") not in (1, MANIFEST_VERSION):
         raise StateDecodeError(
             f"unsupported manifest version {document.get('version')!r}"
         )

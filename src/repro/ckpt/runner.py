@@ -1,8 +1,8 @@
 """The checkpointed extraction loop: plan, reuse, dispatch, commit.
 
-:func:`checkpointed_evidence` is a drop-in sibling of
-:func:`repro.runtime.parallel.parallel_evidence` that persists progress
-to a run directory and harvests previous progress from it.
+:func:`checkpointed_evidence` is :func:`repro.runtime.parallel.parallel_evidence`
+plus a run directory: it harvests previous progress from the directory
+and persists new progress to it.
 
 The plan
 --------
@@ -14,17 +14,18 @@ The plan
    matched shard's cached state is loaded and verified; anything else —
    unmatched, corrupt, truncated — is dropped and its documents fall
    through to fresh parsing.
-3. The positions no reused shard covers form contiguous *fresh
-   segments*.  They are sharded with the same cost model as a plain
-   parallel run and dispatched on the same warm pools.
-4. As each fresh shard's evidence lands (in corpus order), it is
-   committed durably: state bytes first (write-tmp + fsync + rename),
-   then the manifest naming them.  A kill at any instant leaves a
-   manifest whose every entry points at a complete state file.
-5. All plan entries — reused and fresh — merge in corpus position
-   order, which is exactly the order a serial pass would fold
-   documents, so the result is byte-identical to an uninterrupted,
-   uncached run (reservoir truncation included).
+3. The shard runner takes the reused shards, shards the positions they
+   leave uncovered with its usual cost model, and dispatches them on
+   the same warm pools under the same retry/quarantine policy.
+4. As each fresh shard's evidence lands (in corpus order), the runner's
+   commit hook persists it durably: state bytes first (write-tmp +
+   fsync + rename), then the manifest naming them and the documents
+   the shard quarantined.  A kill at any instant leaves a manifest
+   whose every entry points at a complete state file.
+5. The runner merges reused and fresh shards in corpus position order,
+   which is exactly the order a serial pass would fold documents, so
+   the result is byte-identical to an uninterrupted, uncached run
+   (reservoir truncation and quarantines included).
 
 Matching on content hashes (not paths) means renames cost nothing, and
 a changed document invalidates only the shard that contained it.
@@ -33,47 +34,24 @@ a changed document invalidates only the shard that contained it.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from contextlib import suppress
 from collections.abc import Sequence
 
-from ..contracts import (
-    check_checkpoint_resume,
-    check_checkpoint_roundtrip,
-    check_merge_commutative,
-    contracts_enabled,
-)
+from ..contracts import check_checkpoint_resume, check_checkpoint_roundtrip, contracts_enabled
 from ..errors import UsageError
 from ..learning.evidence import SAMPLE_CAP, StreamingEvidence
-from ..obs.recorder import NULL_RECORDER, Recorder, Snapshot, StatsRecorder
-from ..runtime.parallel import (
-    BACKENDS,
-    Backend,
-    choose_backend,
-    run_shard_tasks,
-    shard_paths,
+from ..obs.recorder import NULL_RECORDER, Recorder
+from ..runtime.parallel import Backend, Shard, parallel_evidence
+from ..runtime.resilience import (
+    CRASH_EXIT_STATUS,
+    DegradationReport,
+    FaultPlan,
+    QuarantinedDocument,
+    RetryPolicy,
 )
-from ..runtime.resilience import CRASH_EXIT_STATUS, FaultPlan
 from .codec import StateDecodeError, file_sha256, read_state, write_state
 from .lock import RunLock
-from .manifest import (
-    SHARD_DIR,
-    DocumentEntry,
-    Manifest,
-    ShardEntry,
-    load_manifest,
-)
-
-
-@dataclass
-class _PlanEntry:
-    """One contiguous slice of the new corpus and where its state comes from."""
-
-    start: int  # corpus position of the first document
-    documents: tuple[DocumentEntry, ...]
-    evidence: StreamingEvidence | None  # pre-loaded for reused shards
-    shard_entry: ShardEntry | None  # manifest entry for reused shards
-    fresh_index: int | None  # dispatch index for fresh shards
+from .manifest import SHARD_DIR, DocumentEntry, Manifest, ShardEntry, load_manifest
 
 
 def _find_run(
@@ -97,12 +75,15 @@ def _reusable_shards(
     old: Manifest | None,
     entries: Sequence[DocumentEntry],
     recorder: Recorder,
-) -> list[_PlanEntry]:
+    on_error: str,
+) -> list[tuple[Shard, ShardEntry]]:
     """Match old shards against the new corpus, loading cached states.
 
     Greedy and forward-only: old shards committed in corpus order, so
     scanning each against a monotonically advancing position matches
-    every survivable prefix/infix without quadratic rescans.
+    every survivable prefix/infix without quadratic rescans.  A strict
+    run never reuses a shard that quarantined documents: it re-parses
+    them, and raises on the first bad one as a fresh strict run would.
     """
     if old is None:
         return []
@@ -112,9 +93,11 @@ def _reusable_shards(
         recorder.count("ckpt.corrupt", len(old.shards))
         return []
     hashes = [entry.sha256 for entry in entries]
-    reused: list[_PlanEntry] = []
+    reused: list[tuple[Shard, ShardEntry]] = []
     position = 0
     for shard in old.shards:
+        if shard.quarantined and on_error != "skip":
+            continue
         needle = [document.sha256 for document in shard.documents]
         found = _find_run(hashes, needle, position)
         if found is None:
@@ -128,60 +111,30 @@ def _reusable_shards(
         recorder.count("ckpt.load")
         recorder.count("ckpt.hit")
         recorder.count("ckpt.skip", len(shard.documents))
-        reused.append(
-            _PlanEntry(
-                start=found,
-                documents=tuple(entries[found : found + len(needle)]),
-                evidence=evidence,
-                shard_entry=shard,
-                fresh_index=None,
-            )
+        paths = tuple(entry.path for entry in entries[found : found + len(needle)])
+        quarantined = tuple(
+            QuarantinedDocument(path=paths[offset], cause=cause, position=byte)
+            for offset, cause, byte in shard.quarantined
         )
+        reused.append((Shard(found, paths, evidence, quarantined), shard))
         position = found + len(needle)
     return reused
 
 
-def _fresh_segments(
-    entries: Sequence[DocumentEntry], reused: Sequence[_PlanEntry]
-) -> list[tuple[int, list[DocumentEntry]]]:
-    """The contiguous corpus runs no reused shard covers."""
-    covered = [False] * len(entries)
-    for plan in reused:
-        for offset in range(len(plan.documents)):
-            covered[plan.start + offset] = True
-    segments: list[tuple[int, list[DocumentEntry]]] = []
-    index = 0
-    while index < len(entries):
-        if covered[index]:
-            index += 1
-            continue
-        start = index
-        while index < len(entries) and not covered[index]:
-            index += 1
-        segments.append((start, list(entries[start:index])))
-    return segments
+def _document_entry(path: str | os.PathLike[str], on_error: str) -> DocumentEntry:
+    """The manifest's identity for one document: its path and content hash.
 
-
-def _resolve_backend(
-    fresh_documents: int, jobs: int | None, backend: Backend
-) -> tuple[Backend, int]:
-    """Backend selection for the fresh part only (cached shards are free)."""
-    if backend not in BACKENDS:
-        raise UsageError(
-            f"unknown backend {backend!r}; expected one of "
-            f"{', '.join(BACKENDS)}"
-        )
-    if jobs is not None and jobs < 1:
-        raise UsageError(f"jobs must be a positive integer, got {jobs}")
-    cpus = os.cpu_count() or 1
-    if backend == "auto":
-        return choose_backend(fresh_documents, jobs, cpus)
-    if backend == "serial":
-        return "serial", 1
-    shard_count = jobs if jobs is not None else cpus
-    if shard_count <= 1 or fresh_documents <= 1:
-        return "serial", 1
-    return backend, shard_count
+    In skip mode an unreadable file hashes to a path-specific marker, so
+    its shard — and the quarantine it records — is reused for as long as
+    the file stays unreadable.
+    """
+    try:
+        digest = file_sha256(path)
+    except OSError:
+        if on_error != "skip":
+            raise
+        digest = f"unreadable:{os.fspath(path)}"
+    return DocumentEntry(path=os.fspath(path), sha256=digest)
 
 
 def _collect_garbage(run_dir: str, manifest: Manifest, recorder: Recorder) -> None:
@@ -200,7 +153,7 @@ def _collect_garbage(run_dir: str, manifest: Manifest, recorder: Recorder) -> No
 
 
 def checkpointed_evidence(
-    paths: Sequence[str],
+    paths: Sequence[str | os.PathLike[str]],
     *,
     state_dir: str | os.PathLike[str],
     resume: bool = False,
@@ -208,6 +161,11 @@ def checkpointed_evidence(
     backend: Backend = "auto",
     recorder: Recorder = NULL_RECORDER,
     fault_plan: FaultPlan | None = None,
+    retry: RetryPolicy | None = None,
+    on_error: str = "strict",
+    max_quarantine: int | None = None,
+    deadline: float | None = None,
+    report: DegradationReport | None = None,
 ) -> StreamingEvidence:
     """Extract streaming evidence with durable per-shard checkpoints.
 
@@ -218,11 +176,15 @@ def checkpointed_evidence(
     new corpus — which covers both crash recovery (the committed
     prefix matches trivially) and incremental re-runs over edited
     corpora.  Either way the returned evidence is byte-identical to a
-    fresh, uncached run over ``paths``.
+    fresh, uncached run over ``paths``, and ``report`` receives the
+    same quarantines.
 
-    ``fault_plan.kill_after_shards`` hard-kills the process (exit
-    status ``CRASH_EXIT_STATUS``) immediately after the named fresh
-    shard commits — the hook the crash/resume property tests use.
+    The remaining keywords are the shard runner's policy
+    (:func:`~repro.runtime.parallel.parallel_evidence`), with
+    ``fault_plan`` as its ``faults``.  Its shard indexes count fresh
+    shards, and ``fault_plan.kill_after_shards`` hard-kills the process
+    (exit status ``CRASH_EXIT_STATUS``) immediately after the named
+    fresh shard commits — the hook the crash/resume property tests use.
     """
     run_dir = os.fspath(state_dir)
     os.makedirs(os.path.join(run_dir, SHARD_DIR), exist_ok=True)
@@ -234,114 +196,61 @@ def checkpointed_evidence(
                 "pass resume=True (--resume) to continue it, or point "
                 "state_dir at a fresh directory"
             )
-        entries = [
-            DocumentEntry(path=os.fspath(path), sha256=file_sha256(path))
-            for path in paths
-        ]
-        reused = _reusable_shards(run_dir, old if resume else None, entries, recorder)
-        segments = _fresh_segments(entries, reused)
-        fresh_total = sum(len(documents) for _start, documents in segments)
-        chosen, shard_count = _resolve_backend(fresh_total, jobs, backend)
-        if recorder.enabled:
-            recorder.count(f"parallel.backend.{chosen}")
-
-        # Shard each fresh segment proportionally to its share of the
-        # fresh work (ceil, so no segment gets zero shards).
-        plan: list[_PlanEntry] = list(reused)
-        fresh_shards: list[list[str]] = []
-        fresh_documents: list[tuple[DocumentEntry, ...]] = []
-        for start, documents in segments:
-            share = max(
-                1, (len(documents) * shard_count + fresh_total - 1) // fresh_total
-            )
-            offset = start
-            for chunk in shard_paths(
-                [document.path for document in documents], share
-            ):
-                slice_ = tuple(entries[offset : offset + len(chunk)])
-                plan.append(
-                    _PlanEntry(
-                        start=offset,
-                        documents=slice_,
-                        evidence=None,
-                        shard_entry=None,
-                        fresh_index=len(fresh_shards),
-                    )
-                )
-                fresh_shards.append(list(chunk))
-                fresh_documents.append(slice_)
-                offset += len(chunk)
-        plan.sort(key=lambda entry: entry.start)
-
+        entries = [_document_entry(path, on_error) for path in paths]
+        reused = _reusable_shards(run_dir, old, entries, recorder, on_error)
+        durable = {shard.start: entry for shard, entry in reused}
         manifest = Manifest(sample_cap=SAMPLE_CAP)
-        committed: dict[int, ShardEntry] = {}
 
-        def _store_progress() -> None:
+        def store() -> None:
             """Rewrite the manifest from every durable entry, corpus order."""
-            durable: list[tuple[int, ShardEntry]] = []
-            for entry in plan:
-                if entry.shard_entry is not None:
-                    durable.append((entry.start, entry.shard_entry))
-                elif (
-                    entry.fresh_index is not None
-                    and entry.fresh_index in committed
-                ):
-                    durable.append((entry.start, committed[entry.fresh_index]))
-            manifest.shards = [shard for _start, shard in sorted(
-                durable, key=lambda pair: pair[0]
-            )]
+            manifest.shards = [durable[start] for start in sorted(durable)]
             manifest.store(run_dir)
 
-        fresh_evidence: dict[int, StreamingEvidence] = {}
-
-        def _commit(
-            index: int, evidence: StreamingEvidence, snapshot: Snapshot | None
-        ) -> None:
+        def commit(index: int, shard: Shard) -> None:
+            assert shard.evidence is not None  # the runner commits folded shards
             if contracts_enabled():
-                check_checkpoint_roundtrip(evidence)
-            digest = write_state(
-                os.path.join(run_dir, SHARD_DIR, "pending.state"), evidence
-            )
+                check_checkpoint_roundtrip(shard.evidence)
+            pending = os.path.join(run_dir, SHARD_DIR, "pending.state")
+            digest = write_state(pending, shard.evidence)
             name = f"{digest[:16]}.state"
-            os.replace(
-                os.path.join(run_dir, SHARD_DIR, "pending.state"),
-                os.path.join(run_dir, SHARD_DIR, name),
-            )
+            os.replace(pending, os.path.join(run_dir, SHARD_DIR, name))
             recorder.count("ckpt.write")
-            committed[index] = ShardEntry(
-                documents=fresh_documents[index],
+            durable[shard.start] = ShardEntry(
+                documents=tuple(entries[shard.start : shard.start + len(shard.items)]),
                 state_file=name,
                 digest=digest,
+                quarantined=tuple(
+                    (shard.items.index(document.path), document.cause, document.position)
+                    for document in shard.quarantined
+                ),
             )
-            fresh_evidence[index] = evidence
-            if snapshot is not None and isinstance(recorder, StatsRecorder):
-                recorder.merge_snapshot(snapshot, shard=index)
-            _store_progress()
+            store()
             if fault_plan is not None and fault_plan.kills_after(index):
                 os._exit(CRASH_EXIT_STATUS)
 
-        if fresh_shards:
-            run_shard_tasks(chosen, fresh_shards, recorder, on_result=_commit)
-
-        merged = StreamingEvidence()
-        for entry in plan:
-            part = (
-                entry.evidence
-                if entry.evidence is not None
-                else fresh_evidence[entry.fresh_index]  # type: ignore[index]
-            )
-            if contracts_enabled():
-                check_merge_commutative(merged, part)
-            merged.merge(part)
-        if recorder.enabled:
-            recorder.count("shards", len(plan))
-
+        if report is None:
+            report = DegradationReport()
+        merged = parallel_evidence(
+            [entry.path for entry in entries],
+            jobs,
+            backend,
+            recorder,
+            reuse=[shard for shard, _entry in reused],
+            faults=fault_plan,
+            retry=retry,
+            on_error=on_error,
+            max_quarantine=max_quarantine,
+            deadline=deadline,
+            report=report,
+            on_commit=commit,
+        )
         manifest.complete = True
-        _store_progress()
+        store()
         _collect_garbage(run_dir, manifest, recorder)
 
         if contracts_enabled():
             check_checkpoint_roundtrip(merged)
             if reused:
-                check_checkpoint_resume(merged, [entry.path for entry in entries])
+                skipped = {document.path for document in report.quarantined}
+                check_checkpoint_resume(merged, [entry.path for entry in entries], skipped)
         return merged

@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import copy
 import os
-from collections.abc import Iterator
+from collections.abc import Collection, Iterator
 from contextlib import contextmanager
 from typing import TYPE_CHECKING
 
@@ -427,24 +427,26 @@ def check_checkpoint_roundtrip(evidence: StreamingEvidence) -> None:
 
 
 def check_checkpoint_resume(
-    evidence: StreamingEvidence, paths: list[str]
+    evidence: StreamingEvidence, paths: list[str], quarantined: Collection[str] = ()
 ) -> None:
     """Evidence assembled from cached shards must equal a fresh pass.
 
-    Re-extracts the whole corpus serially (expensive — this is why
-    contracts are opt-in) and compares canonical digests.  A mismatch
-    means shard reuse changed the result: stale cache matching, wrong
-    merge order, or reservoir divergence.
+    Re-extracts the corpus serially (expensive — this is why contracts
+    are opt-in), minus the ``quarantined`` paths a skip-mode run left
+    out, and compares canonical digests.  A mismatch means shard reuse
+    changed the result: stale cache matching, wrong merge order, or
+    reservoir divergence.
     """
     from .ckpt.codec import evidence_digest
     from .runtime.parallel import extract_from_paths
 
+    survivors = [path for path in paths if path not in quarantined]
     cached = evidence_digest(evidence)
-    fresh = evidence_digest(extract_from_paths(paths))
+    fresh = evidence_digest(extract_from_paths(survivors))
     if cached != fresh:
         raise _violated(
             "ckpt.resume-equals-fresh",
             f"checkpoint-assembled evidence ({cached[:16]}) differs from a "
-            f"fresh serial pass ({fresh[:16]}) over the same {len(paths)} "
+            f"fresh serial pass ({fresh[:16]}) over the same {len(survivors)} "
             "documents",
         )

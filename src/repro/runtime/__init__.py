@@ -1,9 +1,12 @@
 """Execution backends: sharded, data-parallel corpus processing.
 
-* :func:`parallel_evidence` — map-reduce evidence extraction: shard the
-  corpus, extract+learn per shard in worker processes, merge the (tiny)
-  learner states (and per-shard stats snapshots when a recorder is
-  live).
+* :func:`parallel_evidence` — the one shard runner: plan contiguous
+  shards, extract+learn each on the serial driver or a warm pool, retry
+  failed shards, merge the (tiny) learner states in corpus order (and
+  per-shard stats snapshots when a recorder is live).  Every sharded
+  run goes through it — ``--jobs``/``--streaming``, in-memory
+  documents, session appends, degraded runs and :mod:`repro.ckpt`'s
+  checkpointed runs, which add reloaded shards and a commit hook.
 * :func:`choose_backend` — the adaptive cost model behind
   ``backend="auto"``: serial/thread/process from corpus size and the
   CPU count, shards clamped to the CPUs.
@@ -12,11 +15,10 @@
   down at exit (:func:`shutdown_warm_pools`).
 * :class:`ContentModelCache` — the fingerprint-keyed LRU memoizing the
   per-element finalize step (see :mod:`repro.runtime.cache`).
-* :func:`resilient_evidence` / :class:`FaultPlan` /
-  :class:`RetryPolicy` / :class:`DegradationReport` — the
-  fault-tolerance layer: per-shard deadlines and retries, worker-crash
-  recovery, document quarantine, deterministic fault injection (see
-  :mod:`repro.runtime.resilience`).
+* :class:`FaultPlan` / :class:`RetryPolicy` / :class:`DegradationReport`
+  — the fault-tolerance policies the runner applies: per-shard
+  deadlines and retries, worker-crash recovery, document quarantine,
+  deterministic fault injection (see :mod:`repro.runtime.resilience`).
 * :func:`infer_parallel` — deprecated; use
   ``repro.api.infer(paths, config=InferenceConfig(jobs=N))``.
 """
@@ -49,7 +51,6 @@ from .resilience import (
     QuarantinedDocument,
     RetryPolicy,
     ShardRetry,
-    resilient_evidence,
 )
 
 __all__ = [
@@ -73,7 +74,6 @@ __all__ = [
     "merge_evidence",
     "parallel_evidence",
     "reset_global_content_model_cache",
-    "resilient_evidence",
     "shard_paths",
     "shutdown_warm_pools",
     "warm_pool",

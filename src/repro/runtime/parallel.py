@@ -5,8 +5,8 @@ Both learners keep internal state that is tiny compared to the corpus
 for CRX) and that state merges associatively.  That makes inference
 embarrassingly data-parallel:
 
-* **map** — each worker parses its shard of document *paths* and folds
-  them into a :class:`~repro.learning.evidence.StreamingEvidence` (constant
+* **map** — each worker loads its shard of documents and folds them
+  into a :class:`~repro.learning.evidence.StreamingEvidence` (constant
   memory in shard size; only file paths cross the process boundary on
   the way in, only learner states on the way out);
 * **reduce** — shard states merge in shard order, which reproduces the
@@ -18,12 +18,22 @@ embarrassingly data-parallel:
 The result is byte-identical to batch inference on the same corpus —
 property-tested in ``tests/runtime/test_parallel.py``.
 
-Instrumentation rides the same rails as the evidence: each worker runs
-a private :class:`~repro.obs.recorder.StatsRecorder`, ships its plain
-``snapshot()`` dict back with the evidence, and the driver folds the
-snapshots into its own recorder via ``merge_snapshot`` (tagging each
-with its shard index) — the observability monoid merged alongside the
-evidence monoid.
+One runner, :func:`parallel_evidence`, dispatches every sharded
+extraction: ``--jobs`` and ``--streaming`` runs, in-memory documents,
+session appends, degraded runs and checkpointed runs alike.  Every run
+gets the same worker body (documents load through
+:func:`~repro.runtime.resilience.load_document`), the same retry ladder
+(:class:`~repro.runtime.resilience.RetryPolicy`, optional per-shard
+deadline, serial reshard in the driver as the last resort) and the same
+shard-order merge.  :mod:`repro.ckpt` hands in the shards it reloaded
+from disk and an ``on_commit`` hook that persists each fresh shard.
+
+Instrumentation rides the same rails as the evidence: each pooled
+worker runs a private :class:`~repro.obs.recorder.StatsRecorder`, ships
+its plain ``snapshot()`` dict back with the evidence, and the driver
+folds the snapshots into its own recorder via ``merge_snapshot``
+(tagging each with its shard index) — the observability monoid merged
+alongside the evidence monoid.
 
 Scheduling is adaptive: ``backend="auto"`` (the default) picks
 ``serial``/``thread``/``process`` from the corpus size and
@@ -41,23 +51,45 @@ from __future__ import annotations
 import atexit
 import os
 import threading
-import warnings
 from concurrent.futures import (
     BrokenExecutor,
     Executor,
+    Future,
     ProcessPoolExecutor,
     ThreadPoolExecutor,
 )
+from concurrent.futures import TimeoutError as FuturesTimeout
+from dataclasses import dataclass, replace
+from time import sleep
 from typing import TypeVar
 from collections.abc import Callable, Iterable, Sequence
 
 from ..contracts import check_merge_commutative, contracts_enabled
 from ..core.inference import DTDInferencer, Method
-from ..errors import InternalError, UsageError, legacy_entry_point
+from ..errors import (
+    InternalError,
+    ReproError,
+    ShardTimeout,
+    UsageError,
+    legacy_entry_point,
+)
 from ..obs.recorder import NULL_RECORDER, Recorder, Snapshot, StatsRecorder
 from ..xmlio.dtd import Dtd
 from ..learning.evidence import StreamingEvidence
 from ..xmlio.parser import parse_file
+from ..xmlio.tree import Document
+from .resilience import (
+    CRASH_EXIT_STATUS,
+    DEFAULT_RETRY_POLICY,
+    DegradationReport,
+    FaultPlan,
+    InjectedShardTimeout,
+    InjectedWorkerCrash,
+    QuarantinedDocument,
+    RetryPolicy,
+    ShardRetry,
+    load_document,
+)
 
 Backend = str  # "auto" | "process" | "thread" | "serial"
 
@@ -96,6 +128,31 @@ def choose_backend(
     if documents < PROCESS_CORPUS_FLOOR:
         return "thread", shards
     return "process", shards
+
+
+def _resolve_backend(
+    documents: int, jobs: int | None, backend: Backend
+) -> tuple[Backend, int]:
+    """Validate ``jobs``/``backend`` and pick ``(backend, shards)``.
+
+    ``"auto"`` runs the :func:`choose_backend` cost model; an explicit
+    pool kind takes ``jobs`` shards (the CPU count when ``None``),
+    still degrading to serial at one shard or one document.
+    """
+    if backend not in BACKENDS:
+        raise UsageError(
+            f"unknown backend {backend!r}; expected one of "
+            f"{', '.join(BACKENDS)}"
+        )
+    if jobs is not None and jobs < 1:
+        raise UsageError(f"jobs must be a positive integer, got {jobs}")
+    cpus = os.cpu_count() or 1
+    if backend == "auto":
+        return choose_backend(documents, jobs, cpus)
+    shards = 1 if backend == "serial" else (jobs if jobs is not None else cpus)
+    if shards <= 1 or documents <= 1:
+        return "serial", 1
+    return backend, shards
 
 
 class WorkerPool:
@@ -201,7 +258,10 @@ def shutdown_warm_pools() -> None:
 atexit.register(shutdown_warm_pools)
 
 
-def shard_paths(paths: Sequence[str], shards: int) -> list[list[str]]:
+_ItemT = TypeVar("_ItemT")
+
+
+def shard_paths(paths: Sequence[_ItemT], shards: int) -> list[list[_ItemT]]:
     """Split ``paths`` into at most ``shards`` contiguous chunks.
 
     Chunks are contiguous (not round-robin) and returned in corpus
@@ -214,7 +274,7 @@ def shard_paths(paths: Sequence[str], shards: int) -> list[list[str]]:
         return []
     shards = max(1, min(shards, len(paths)))
     base, extra = divmod(len(paths), shards)
-    chunks: list[list[str]] = []
+    chunks: list[list[_ItemT]] = []
     start = 0
     for index in range(shards):
         size = base + (1 if index < extra else 0)
@@ -226,10 +286,10 @@ def shard_paths(paths: Sequence[str], shards: int) -> list[list[str]]:
 def extract_from_paths(
     paths: Iterable[str], recorder: Recorder = NULL_RECORDER
 ) -> StreamingEvidence:
-    """The map step: parse each file and fold it into streaming state.
+    """Parse each file and fold it into streaming state, serially.
 
     Documents are parsed one at a time and released immediately; the
-    worker's footprint is one document plus the learner states.
+    footprint is one document plus the learner states.
     """
     evidence = StreamingEvidence()
     for path in paths:
@@ -237,135 +297,6 @@ def extract_from_paths(
         with recorder.span("extract", file=str(path)):
             evidence.add_document(document, recorder)
     return evidence
-
-
-def _extract_shard_recorded(
-    task: tuple[int, Sequence[str]],
-) -> tuple[StreamingEvidence, Snapshot]:
-    """Worker body for instrumented runs: evidence plus a stats snapshot.
-
-    Module-level (not a closure) so it pickles into process pools.  The
-    recorder is created inside the worker and only its plain-dict
-    snapshot travels back across the process boundary.
-    """
-    index, paths = task
-    recorder = StatsRecorder()
-    with recorder.span("shard", index=index, files=len(paths)):
-        evidence = extract_from_paths(paths, recorder)
-    return evidence, recorder.snapshot()
-
-
-_TaskT = TypeVar("_TaskT")
-_ResultT = TypeVar("_ResultT")
-
-
-def _pooled_results(
-    pool: WorkerPool,
-    worker: Callable[[_TaskT], _ResultT],
-    work: Sequence[_TaskT],
-    on_result: Callable[[int, _ResultT], None] | None = None,
-) -> list[_ResultT]:
-    """Run ``work`` on the warm pool, surviving one worker death per task.
-
-    The ``executor.map`` this replaces surfaced a dead process-pool
-    worker as ``BrokenProcessPool`` for the *entire* batch.  Here each
-    task's future is gathered individually: a broken pool is healed
-    (:meth:`WorkerPool.executor` rebuilds it) and the task resubmitted
-    once.  A second break on the same task means the failure travels
-    *with the task* — a worker-killing bug, not a transient — and
-    surfaces as :class:`~repro.errors.InternalError` naming the shard.
-    Results come back in submission order, like ``map``.
-
-    Richer policies (bounded retries with backoff, per-shard deadlines,
-    reshard-to-serial, fault injection) live in
-    :func:`repro.runtime.resilience.resilient_evidence`, which callers
-    opt into via ``on_error=`` / fault plans.
-
-    ``on_result`` (when given) fires in the gathering thread, in
-    submission order, as each result becomes available — the hook
-    :mod:`repro.ckpt` uses to commit a durable checkpoint per shard
-    before later shards are even gathered.
-    """
-    futures = [pool.executor().submit(worker, task) for task in work]
-    results: list[_ResultT] = []
-    for index, task in enumerate(work):
-        try:
-            result = futures[index].result()
-        except BrokenExecutor:
-            try:
-                result = pool.executor().submit(worker, task).result()
-            except BrokenExecutor:
-                raise InternalError(
-                    f"worker pool broke twice while processing shard "
-                    f"{index}: the failure reproduces on resubmission, so "
-                    "a worker-killing bug travels with this shard's input"
-                ) from None
-        if on_result is not None:
-            on_result(index, result)
-        results.append(result)
-    return results
-
-
-def run_shard_tasks(
-    chosen: Backend,
-    shards: Sequence[Sequence[str]],
-    recorder: Recorder = NULL_RECORDER,
-    on_result: Callable[[int, StreamingEvidence, Snapshot | None], None]
-    | None = None,
-) -> list[tuple[StreamingEvidence, Snapshot | None]]:
-    """Extract every shard on an already-resolved backend.
-
-    The lower half of :func:`parallel_evidence`, exposed for callers —
-    :func:`repro.ckpt.runner.checkpointed_evidence` — that plan their
-    own shard lists but want the same dispatch machinery: serial runs
-    inline, ``thread``/``process`` use the warm pools with single-retry
-    healing.  Results return in shard (corpus) order; ``on_result``
-    fires once per shard *in that order* as results land, so a caller
-    can durably commit shard ``i`` before shard ``i+1`` is gathered.
-
-    With a live ``recorder`` each shard runs under its own
-    :class:`StatsRecorder` and its snapshot is returned (not merged —
-    the caller owns merge order); otherwise the snapshot slot is None.
-    """
-    if chosen == "serial":
-        results: list[tuple[StreamingEvidence, Snapshot | None]] = []
-        for index, shard in enumerate(shards):
-            if recorder.enabled:
-                evidence, snapshot = _extract_shard_recorded((index, shard))
-            else:
-                evidence, snapshot = extract_from_paths(shard), None
-            if on_result is not None:
-                on_result(index, evidence, snapshot)
-            results.append((evidence, snapshot))
-        return results
-    pool = warm_pool(chosen)
-    if recorder.enabled:
-
-        def recorded_hook(
-            index: int, result: tuple[StreamingEvidence, Snapshot]
-        ) -> None:
-            if on_result is not None:
-                on_result(index, result[0], result[1])
-
-        recorded = _pooled_results(
-            pool,
-            _extract_shard_recorded,
-            list(enumerate(shards)),
-            on_result=recorded_hook,
-        )
-        return [(evidence, snapshot) for evidence, snapshot in recorded]
-
-    def plain_hook(index: int, evidence: StreamingEvidence) -> None:
-        if on_result is not None:
-            on_result(index, evidence, None)
-
-    plain = _pooled_results(
-        pool,
-        extract_from_paths,
-        [list(shard) for shard in shards],
-        on_result=plain_hook,
-    )
-    return [(evidence, None) for evidence in plain]
 
 
 def merge_evidence(parts: Iterable[StreamingEvidence]) -> StreamingEvidence:
@@ -378,100 +309,292 @@ def merge_evidence(parts: Iterable[StreamingEvidence]) -> StreamingEvidence:
     return merged
 
 
+@dataclass(frozen=True)
+class Shard:
+    """A contiguous run of corpus items starting at position ``start``.
+
+    A fresh shard carries only its ``items``.  A folded one — a shard
+    the runner just extracted, or one :mod:`repro.ckpt` reloaded from
+    disk — also carries its ``evidence`` and the documents it
+    ``quarantined``.
+    """
+
+    start: int
+    items: tuple[Document | str, ...]
+    evidence: StreamingEvidence | None = None
+    quarantined: tuple[QuarantinedDocument, ...] = ()
+
+
+@dataclass(frozen=True)
+class _ShardTask:
+    """One attempt at one shard, picklable for process pools."""
+
+    index: int
+    shard: Shard
+    first: int  # fault-plan position of the shard's first document
+    faults: FaultPlan | None
+    on_error: str
+    backend: Backend
+    recorded: bool
+    crash: bool
+    timeout: bool
+
+
+#: A folded shard: its evidence, its quarantines, and the stats
+#: snapshot of the pool worker that folded it (None in the driver).
+_Result = tuple[StreamingEvidence, list[QuarantinedDocument], Snapshot | None]
+
+
+def _extract_shard(task: _ShardTask, recorder: Recorder) -> _Result:
+    """The worker body: load and fold one shard under the error policy.
+
+    Injected crashes take the real exit (``os._exit``) in process
+    workers so the pool genuinely breaks; other backends raise
+    :class:`InjectedWorkerCrash` so the driver exercises the same retry
+    path.  Quarantines are counted here, on the recorder the shard runs
+    under; the driver enforces the corpus-wide cap.
+    """
+    if task.crash:
+        if task.backend == "process":
+            os._exit(CRASH_EXIT_STATUS)
+        raise InjectedWorkerCrash(f"injected fault: worker crash in shard {task.index}")
+    if task.timeout:
+        raise InjectedShardTimeout(f"injected fault: deadline breach in shard {task.index}")
+    evidence = StreamingEvidence()
+    skipped = DegradationReport()
+    for offset, item in enumerate(task.shard.items):
+        document = load_document(
+            item,
+            task.first + offset,
+            plan=task.faults,
+            on_error=task.on_error,
+            report=skipped,
+            recorder=recorder,
+        )
+        if document is not None:
+            with recorder.span("extract", file=item if isinstance(item, str) else None):
+                evidence.add_document(document, recorder)
+    return evidence, skipped.quarantined, None
+
+
+def _pooled_shard(task: _ShardTask) -> _Result:
+    """:func:`_extract_shard` in a pool worker, under a private recorder.
+
+    Module-level (not a closure) so it pickles into process pools; only
+    the recorder's plain-dict snapshot travels back.
+    """
+    if not task.recorded:
+        return _extract_shard(task, NULL_RECORDER)
+    recorder = StatsRecorder()
+    with recorder.span("shard", index=task.index, files=len(task.shard.items)):
+        evidence, quarantined, _ = _extract_shard(task, recorder)
+    return evidence, quarantined, recorder.snapshot()
+
+
 def parallel_evidence(
-    paths: Sequence[str],
+    paths: Sequence[Document | str],
     jobs: int | None = None,
     backend: Backend = "auto",
-    executor: Executor | None = None,
     recorder: Recorder = NULL_RECORDER,
+    *,
+    reuse: Sequence[Shard] = (),
+    index_offset: int = 0,
+    faults: FaultPlan | None = None,
+    retry: RetryPolicy | None = None,
+    on_error: str = "strict",
+    max_quarantine: int | None = None,
+    deadline: float | None = None,
+    report: DegradationReport | None = None,
+    on_commit: Callable[[int, Shard], None] | None = None,
 ) -> StreamingEvidence:
-    """Extract streaming evidence from ``paths`` using ``jobs`` workers.
+    """The shard runner: extract streaming evidence from ``paths``.
 
-    ``backend="auto"`` (the default) runs the :func:`choose_backend`
-    cost model: shard count clamped to the CPUs and to ``jobs``, serial
-    below the :data:`MIN_DOCS_PER_SHARD` work floor, threads for small
-    corpora and the warm process pool for large ones.  An explicit
-    ``backend`` skips the cost model (``jobs=None`` then means the CPU
+    ``paths`` holds file paths or parsed documents (the latter only on
+    the serial backend: documents never cross a process boundary).
+
+    Planning.  ``reuse`` holds already-folded shards (a checkpoint's
+    reloaded states); the runner shards the positions they leave
+    uncovered.  The backend is resolved once, from that fresh work:
+    ``backend="auto"`` runs the :func:`choose_backend` cost model, an
+    explicit ``backend`` skips it (``jobs=None`` then means the CPU
     count, and a single job or single file still degrades to serial).
+    Each uncovered run of positions gets shards in proportion to its
+    share of the work, so a plain run is simply contiguous sharding.
+    ``jobs`` must be positive when given.
 
-    Precedence: a caller-supplied ``executor`` always wins.  Combining
-    one with an explicit (non-``"auto"``) ``backend`` is contradictory
-    and raises a :class:`RuntimeWarning`; the executor is used.
+    Dispatch.  Serial shards run in the driver, pooled ones on the warm
+    pools.  A failed shard attempt — a dead worker, an exceeded
+    ``deadline``, an injected fault from ``faults`` — is retried under
+    ``retry`` (default :data:`DEFAULT_RETRY_POLICY`); a shard that
+    exhausts it is re-run in the driver, except that a strict run
+    whose shard keeps timing out raises
+    :class:`~repro.errors.ShardTimeout`.  ``on_error="skip"``
+    quarantines unreadable documents (at most ``max_quarantine``).
+    Retries and quarantines land in ``report``; fault-plan document
+    positions are ``index_offset`` plus the position in ``paths``, and
+    fault-plan shard indexes count fresh shards.
 
-    ``jobs`` must be positive when given; ``jobs=0`` or negative raises
-    :class:`~repro.errors.UsageError` instead of silently degrading.
+    Commit.  Shards merge strictly in corpus order, so retries change
+    only *when* a shard's evidence lands, never the result.  As each
+    fresh shard lands, ``on_commit(index, shard)`` fires with its
+    dispatch index and the folded shard, in that same order.
 
     With a live ``recorder``, the chosen backend is counted under
-    ``parallel.backend.<name>``, each worker records into its own
-    :class:`StatsRecorder`, and the per-shard snapshots merge into
+    ``parallel.backend.<name>``, each pooled worker records into its
+    own :class:`StatsRecorder`, and the per-shard snapshots merge into
     ``recorder`` in shard order, tagged with their shard index.
     """
-    paths = list(paths)
-    if backend not in BACKENDS:
-        raise UsageError(
-            f"unknown backend {backend!r}; expected one of "
-            f"{', '.join(BACKENDS)}"
-        )
-    if jobs is not None and jobs < 1:
-        raise UsageError(f"jobs must be a positive integer, got {jobs}")
-    if executor is not None and backend != "auto":
-        warnings.warn(
-            f"caller-supplied executor takes precedence over "
-            f"backend={backend!r}; pass backend='auto' (the default) "
-            "when reusing an external pool",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    cpus = os.cpu_count() or 1
-    if executor is not None:
-        chosen = "external"
-        shard_count = jobs if jobs is not None else cpus
-    elif backend == "auto":
-        chosen, shard_count = choose_backend(len(paths), jobs, cpus)
-    elif backend == "serial":
-        chosen, shard_count = "serial", 1
-    else:
-        chosen = backend
-        shard_count = jobs if jobs is not None else cpus
-        if shard_count <= 1 or len(paths) <= 1:
-            chosen, shard_count = "serial", 1
+    items = list(paths)
+    if on_error not in ("strict", "skip"):
+        raise UsageError(f"unknown on_error mode {on_error!r}: expected 'strict' or 'skip'")
+    reuse = sorted(reuse, key=lambda shard: shard.start)
+    gaps: list[tuple[int, int]] = []
+    covered = 0
+    for shard in reuse:
+        if shard.start > covered:
+            gaps.append((covered, shard.start))
+        covered = shard.start + len(shard.items)
+    if covered < len(items):
+        gaps.append((covered, len(items)))
+    work = sum(stop - start for start, stop in gaps)
+    chosen, shard_count = _resolve_backend(work, jobs, backend)
     if recorder.enabled:
         recorder.count(f"parallel.backend.{chosen}")
-    if chosen == "serial":
-        return extract_from_paths(paths, recorder)
-    shards = shard_paths(paths, shard_count)
+    fresh: list[Shard] = []
+    for start, stop in gaps:
+        # Shards in proportion to this run's share of the work, rounded
+        # up so no run gets none; without reuse this is plain sharding.
+        share = ((stop - start) * shard_count + work - 1) // work
+        offset = start
+        for chunk in shard_paths(items[start:stop], share):
+            fresh.append(Shard(offset, tuple(chunk)))
+            offset += len(chunk)
 
-    def _reduce(results: Iterable[object]) -> StreamingEvidence:
-        if not recorder.enabled:
-            return merge_evidence(results)
-        merged = StreamingEvidence()
-        for index, (evidence, snapshot) in enumerate(results):
-            if contracts_enabled():
-                check_merge_commutative(merged, evidence)
-            merged.merge(evidence)
-            recorder.merge_snapshot(snapshot, shard=index)
-            recorder.count("shards")
-        return merged
+    policy = retry if retry is not None else DEFAULT_RETRY_POLICY
+    if report is None:
+        report = DegradationReport()
+    pool = None if chosen == "serial" else warm_pool(chosen)
+    attempts = [0] * len(fresh)
+    failures: dict[int, str] = {}  # first failure reason per shard
 
-    # Both dispatch routes preserve input order, so the reduce sees
-    # shards in corpus order regardless of completion order.  The warm
-    # pools additionally recover from a dead worker (resubmit once,
-    # see _pooled_results); a caller-supplied executor is the caller's
-    # to heal, so it keeps plain map semantics.
-    if executor is not None:
-        if recorder.enabled:
-            return _reduce(
-                executor.map(_extract_shard_recorded, list(enumerate(shards)))
-            )
-        return _reduce(executor.map(extract_from_paths, shards))
-    pool = warm_pool(chosen)
-    if recorder.enabled:
-        return _reduce(
-            _pooled_results(
-                pool, _extract_shard_recorded, list(enumerate(shards))
-            )
+    def task(index: int, faulty: bool = True) -> _ShardTask:
+        attempt = attempts[index]
+        return _ShardTask(
+            index=index,
+            shard=fresh[index],
+            first=index_offset + fresh[index].start,
+            faults=faults,
+            on_error=on_error,
+            backend=chosen,
+            recorded=recorder.enabled,
+            crash=faulty and faults is not None and faults.crashes(index, attempt),
+            timeout=faulty and faults is not None and faults.times_out(index, attempt),
         )
-    return _reduce(_pooled_results(pool, extract_from_paths, shards))
+
+    def submit(index: int) -> Future[_Result] | None:
+        # Serial shards run lazily in the driver, when gathered.
+        if pool is None:
+            return None
+        return pool.executor().submit(_pooled_shard, task(index))
+
+    def settle(index: int, resharded: bool = False) -> None:
+        if attempts[index]:
+            retried = ShardRetry(index, attempts[index] + 1, failures[index], resharded)
+            report.add_retry(retried, recorder)
+
+    def gather(index: int) -> _Result:
+        while True:
+            # Popped, so a merged shard's result is not kept alive.
+            future = futures.pop(index)
+            try:
+                if future is None:
+                    result = _extract_shard(task(index), recorder)
+                else:
+                    result = future.result(timeout=deadline)
+                settle(index)
+                return result
+            except (InjectedWorkerCrash, InjectedShardTimeout) as exc:
+                reason = "worker-crash" if isinstance(exc, InjectedWorkerCrash) else "timeout"
+            except ReproError:
+                raise  # data/engine errors are not transient: propagate
+            except BrokenExecutor:
+                # A crash injected into *another* shard broke the pool
+                # under this one: resubmit it without charging it an
+                # attempt, so its own fault schedule is undisturbed.
+                if (
+                    faults is not None
+                    and faults.worker_crashes
+                    and not faults.crashes(index, attempts[index])
+                ):
+                    if recorder.enabled:
+                        recorder.count("resilience.collateral_resubmits")
+                    futures[index] = submit(index)
+                    continue
+                reason = "worker-crash"
+            except FuturesTimeout:
+                # A hung task cannot be cancelled: deadlines are
+                # best-effort, the retry queues behind it and the serial
+                # reshard below guarantees progress.
+                reason = "timeout"
+            failures.setdefault(index, reason)
+            attempts[index] += 1
+            if recorder.enabled:
+                recorder.count(f"resilience.failures.{reason}")
+            if attempts[index] < policy.max_attempts:
+                delay = policy.delay(index, attempts[index])
+                if delay > 0:
+                    sleep(delay)
+                futures[index] = submit(index)
+                continue
+            if on_error != "skip" and failures[index] == "timeout":
+                settle(index)
+                error = ShardTimeout(
+                    f"shard {index} exceeded its deadline after {attempts[index]} "
+                    f"attempts (deadline={deadline}); rerun with on_error='skip' "
+                    "to degrade instead"
+                )
+                # The report so far travels with the error, so the CLI
+                # and daemon can surface the partial picture.
+                error.degradation = report
+                raise error
+            # Last resort: the shard's documents, in the driver, where
+            # worker-level faults (crash/timeout) no longer apply.
+            if recorder.enabled:
+                recorder.count("resilience.resharded_serial")
+            result = _extract_shard(task(index, faulty=False), recorder)
+            settle(index, resharded=True)
+            return result
+
+    futures = {index: submit(index) for index in range(len(fresh))}
+    merged: StreamingEvidence | None = None
+    plan = sorted([*reuse, *fresh], key=lambda shard: shard.start)
+    dispatched = 0
+    for position, shard in enumerate(plan):
+        index: int | None = None
+        counter: Recorder = NULL_RECORDER  # fresh quarantines counted where loaded
+        if shard.evidence is not None:
+            evidence, quarantined, counter = shard.evidence, shard.quarantined, recorder
+        else:
+            index, dispatched = dispatched, dispatched + 1
+            evidence, loaded, snapshot = gather(index)
+            quarantined = tuple(loaded)
+            if snapshot is not None and isinstance(recorder, StatsRecorder):
+                recorder.merge_snapshot(snapshot, shard=index)
+                recorder.count("shards")
+        for document in quarantined:
+            # The cap is enforced here: corpus-wide, in shard order.
+            report.add_quarantine(
+                replace(document, shard=position), limit=max_quarantine, recorder=counter
+            )
+        if index is not None and on_commit is not None:
+            on_commit(index, replace(shard, evidence=evidence, quarantined=quarantined))
+        if merged is None:
+            merged = evidence  # the accumulator: merging into empty would copy it
+            continue
+        if contracts_enabled():
+            check_merge_commutative(merged, evidence)
+        merged.merge(evidence)
+    return merged if merged is not None else StreamingEvidence()
 
 
 def infer_parallel(
@@ -479,7 +602,6 @@ def infer_parallel(
     jobs: int | None = None,
     method: Method = "auto",
     backend: Backend = "auto",
-    executor: Executor | None = None,
     inferencer: DTDInferencer | None = None,
 ) -> Dtd:
     """Deprecated: use :func:`repro.api.infer` with
@@ -493,10 +615,6 @@ def infer_parallel(
     if inferencer is None:
         inferencer = DTDInferencer(method=method)
     evidence = parallel_evidence(
-        paths,
-        jobs=jobs,
-        backend=backend,
-        executor=executor,
-        recorder=inferencer.recorder,
+        paths, jobs=jobs, backend=backend, recorder=inferencer.recorder
     )
     return inferencer._finalize_streaming(evidence)

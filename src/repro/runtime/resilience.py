@@ -5,7 +5,10 @@ samples the paper's repair rules exist for: crawled documents fail
 strict parsing, worker processes die, and the occasional pathological
 element can blow past any time budget.  Before this module, any one of
 those aborted the whole :func:`repro.api.infer` call.  This module
-makes inference *degrade* instead of abort, along four axes:
+holds the policies that make inference *degrade* instead of abort; the
+one shard runner, :func:`repro.runtime.parallel.parallel_evidence`,
+applies them to every sharded run, checkpointed ones included.  Four
+axes:
 
 * **document quarantine** — in ``on_error="skip"`` mode a document
   that cannot be parsed (malformed XML, bad encoding, missing file) is
@@ -52,30 +55,14 @@ from __future__ import annotations
 
 import json
 import os
-from concurrent.futures import BrokenExecutor, Future
-from concurrent.futures import TimeoutError as FuturesTimeout
 from dataclasses import dataclass, field
 from random import Random
-from time import sleep
-from collections.abc import Iterable, Mapping, Sequence
-from typing import TYPE_CHECKING
+from collections.abc import Iterable, Mapping
 
-from ..contracts import check_merge_commutative, contracts_enabled
-from ..errors import (
-    CorpusError,
-    InternalError,
-    QuarantineExceeded,
-    ReproError,
-    ShardTimeout,
-    UsageError,
-)
-from ..obs.recorder import NULL_RECORDER, Recorder, Snapshot, StatsRecorder
-from ..learning.evidence import StreamingEvidence
+from ..errors import CorpusError, InternalError, QuarantineExceeded, UsageError
+from ..obs.recorder import NULL_RECORDER, Recorder
 from ..xmlio.parser import ParseFailure, parse_file, try_parse_file
 from ..xmlio.tree import Document
-
-if TYPE_CHECKING:
-    from .parallel import WorkerPool
 
 __all__ = [
     "DEFAULT_RETRY_POLICY",
@@ -89,7 +76,6 @@ __all__ = [
     "RetryPolicy",
     "ShardRetry",
     "load_document",
-    "resilient_evidence",
 ]
 
 #: Exit status an injected process-worker crash dies with; chosen to be
@@ -196,12 +182,15 @@ class FaultPlan:
 
     Shard faults (``worker_crashes``, ``shard_timeouts``) name shard
     indices and fire on the first ``attempts`` attempts of that shard,
-    then clear — so retries make progress by construction.  Document
-    faults (``corrupt_docs``) name corpus positions (the index of the
-    document in the expanded source list).  Element faults name element
-    names whose primary learner (``element_failures``: iDTD only) or
-    every learner (``element_failures_hard``) raises, driving the
-    SORE → CHARE → ANY fallback ordering.
+    then clear — so retries make progress by construction.  On
+    checkpointed runs they count fresh shards only.  Document faults
+    (``corrupt_docs``) name corpus positions (the index of the document
+    in the expanded source list); like every fault they act on fresh
+    work, so a resumed run reuses the quarantines its checkpoint
+    recorded.  Element faults name element names whose primary learner
+    (``element_failures``: iDTD only) or every learner
+    (``element_failures_hard``) raises, driving the SORE → CHARE → ANY
+    fallback ordering.
     """
 
     worker_crashes: frozenset[int] = frozenset()
@@ -559,424 +548,3 @@ def load_document(
             recorder=recorder,
         )
         return None
-
-
-# -- the sharded resilient scheduler ------------------------------------------
-
-
-@dataclass(frozen=True)
-class _ShardTask:
-    """Everything one shard attempt needs, picklable for process pools."""
-
-    index: int
-    paths: tuple[str, ...]
-    doc_offset: int
-    on_error: str
-    backend: str
-    recorded: bool
-    inject_crash: bool
-    inject_timeout: bool
-    corrupt: frozenset[int]
-
-
-_ShardResult = tuple[StreamingEvidence, "Snapshot | None", list[QuarantinedDocument]]
-
-
-def _run_shard(task: _ShardTask) -> _ShardResult:
-    """Worker body: extract one shard under the fault plan and policy.
-
-    Module-level (not a closure) so it pickles into process pools.
-    Injected crashes take the real exit (``os._exit``) in process
-    workers so the pool genuinely breaks; other backends raise
-    :class:`InjectedWorkerCrash` so the driver exercises the same
-    retry path.
-    """
-    if task.inject_crash:
-        if task.backend == "process":
-            os._exit(CRASH_EXIT_STATUS)
-        raise InjectedWorkerCrash(
-            f"injected fault: worker crash in shard {task.index}"
-        )
-    if task.inject_timeout:
-        raise InjectedShardTimeout(
-            f"injected fault: deadline breach in shard {task.index}"
-        )
-    recorder: Recorder = StatsRecorder() if task.recorded else NULL_RECORDER
-    quarantined: list[QuarantinedDocument] = []
-    evidence = StreamingEvidence()
-    with recorder.span("shard", index=task.index, files=len(task.paths)):
-        for offset, path in enumerate(task.paths):
-            doc_index = task.doc_offset + offset
-            try:
-                if doc_index in task.corrupt:
-                    if recorder.enabled:
-                        recorder.count("resilience.injected.corrupt")
-                    raise CorpusError(
-                        f"injected fault: corrupt document #{doc_index} "
-                        f"({path})"
-                    )
-                if task.on_error == "skip":
-                    loaded = try_parse_file(path, recorder)
-                    if isinstance(loaded, ParseFailure):
-                        raise CorpusError(loaded.cause)
-                    document = loaded
-                else:
-                    document = parse_file(path, recorder)
-            except (CorpusError, OSError, UnicodeDecodeError) as exc:
-                if task.on_error != "skip":
-                    raise
-                # Not counted here: the driver counts quarantines when
-                # it folds shard results into the report, and worker
-                # counters merge into the driver's (double-count risk).
-                quarantined.append(
-                    QuarantinedDocument(
-                        path=path,
-                        cause=str(exc),
-                        position=getattr(exc, "position", None),
-                        shard=task.index,
-                    )
-                )
-                continue
-            with recorder.span("extract", file=path):
-                evidence.add_document(document, recorder)
-    snapshot = recorder.snapshot() if isinstance(recorder, StatsRecorder) else None
-    return evidence, snapshot, quarantined
-
-
-class _ShardDispatcher:
-    """Drives one resilient sharded run: submit, wait, retry, reshard.
-
-    Results are consumed strictly in shard order so the evidence merge
-    is identical to the fault-free path; retries and reshards only
-    change *when* a shard's evidence materializes, never its value.
-    """
-
-    def __init__(
-        self,
-        shards: Sequence[Sequence[str]],
-        offsets: Sequence[int],
-        backend: str,
-        plan: FaultPlan,
-        policy: RetryPolicy,
-        on_error: str,
-        deadline: float | None,
-        recorder: Recorder,
-        report: DegradationReport,
-    ) -> None:
-        self.shards = [tuple(shard) for shard in shards]
-        self.offsets = list(offsets)
-        self.backend = backend
-        self.plan = plan
-        self.policy = policy
-        self.on_error = on_error
-        self.deadline = deadline
-        self.recorder = recorder
-        self.report = report
-        self.attempts: dict[int, int] = dict.fromkeys(range(len(shards)), 0)
-        self.first_failure: dict[int, str] = {}
-        self.resharded: set[int] = set()
-        self.futures: dict[int, Future[_ShardResult]] = {}
-
-    # -- task construction ----------------------------------------------------
-
-    def _task(self, index: int) -> _ShardTask:
-        if index not in self.attempts:
-            raise InternalError(
-                f"shard {index} missing from dispatch bookkeeping "
-                f"(known shards: 0..{len(self.shards) - 1})"
-            )
-        attempt = self.attempts[index]
-        return _ShardTask(
-            index=index,
-            paths=self.shards[index],
-            doc_offset=self.offsets[index],
-            on_error=self.on_error,
-            backend=self.backend,
-            recorded=self.recorder.enabled,
-            inject_crash=self.plan.crashes(index, attempt),
-            inject_timeout=self.plan.times_out(index, attempt),
-            corrupt=self.plan.corrupt_docs,
-        )
-
-    # -- failure handling ------------------------------------------------------
-
-    def _record_failure(self, index: int, reason: str) -> None:
-        self.first_failure.setdefault(index, reason)
-        self.attempts[index] += 1
-        if self.recorder.enabled:
-            self.recorder.count(f"resilience.failures.{reason}")
-
-    def _exhausted(self, index: int) -> bool:
-        return self.attempts[index] >= self.policy.max_attempts
-
-    def _backoff(self, index: int) -> None:
-        delay = self.policy.delay(index, self.attempts[index])
-        if delay > 0:
-            sleep(delay)
-
-    def _reshard_serial(self, index: int) -> _ShardResult:
-        """Last resort: run the shard per-document in the driver.
-
-        Worker-level faults (crash/timeout injections) model the worker
-        process, so they do not apply here; document-level faults and
-        parse failures behave exactly as in a worker.  In strict mode a
-        repeatedly timing-out shard raises :class:`ShardTimeout`
-        instead — honouring the caller's deadline beats completing
-        arbitrarily late.
-        """
-        if self.on_error != "skip" and self.first_failure.get(index) == "timeout":
-            self._finish_retry(index)
-            error = ShardTimeout(
-                f"shard {index} exceeded its deadline after "
-                f"{self.attempts[index]} attempts "
-                f"(deadline={self.deadline}); rerun with on_error='skip' "
-                "to degrade instead"
-            )
-            # The run aborts, but the report already holds what was
-            # degraded up to this point — travel with the error so the
-            # CLI/daemon can surface the partial picture.
-            error.degradation = self.report
-            raise error
-        self.resharded.add(index)
-        if self.recorder.enabled:
-            self.recorder.count("resilience.resharded_serial")
-        evidence = StreamingEvidence()
-        quarantined: list[QuarantinedDocument] = []
-        for offset, path in enumerate(self.shards[index]):
-            doc_index = self.offsets[index] + offset
-            try:
-                if self.plan.corrupts(doc_index):
-                    if self.recorder.enabled:
-                        self.recorder.count("resilience.injected.corrupt")
-                    raise CorpusError(
-                        f"injected fault: corrupt document #{doc_index} "
-                        f"({path})"
-                    )
-                if self.on_error == "skip":
-                    loaded = try_parse_file(path, self.recorder)
-                    if isinstance(loaded, ParseFailure):
-                        raise CorpusError(loaded.cause)
-                    document = loaded
-                else:
-                    document = parse_file(path, self.recorder)
-            except (CorpusError, OSError, UnicodeDecodeError) as exc:
-                if self.on_error != "skip":
-                    raise
-                quarantined.append(
-                    QuarantinedDocument(
-                        path=path,
-                        cause=str(exc),
-                        position=getattr(exc, "position", None),
-                        shard=index,
-                    )
-                )
-                continue
-            with self.recorder.span("extract", file=path):
-                evidence.add_document(document, self.recorder)
-        return evidence, None, quarantined
-
-    # -- dispatch strategies ---------------------------------------------------
-
-    def run_serial(self) -> list[_ShardResult]:
-        """In-driver execution with the same retry/reshard ladder."""
-        results: list[_ShardResult] = []
-        for index in range(len(self.shards)):
-            while True:
-                try:
-                    results.append(_run_shard(self._task(index)))
-                    break
-                except (InjectedWorkerCrash, InjectedShardTimeout) as exc:
-                    reason = (
-                        "worker-crash"
-                        if isinstance(exc, InjectedWorkerCrash)
-                        else "timeout"
-                    )
-                    self._record_failure(index, reason)
-                if self._exhausted(index):
-                    results.append(self._reshard_serial(index))
-                    break
-                self._backoff(index)
-            self._finish_retry(index)
-        return results
-
-    def run_pooled(self, pool_kind: str) -> list[_ShardResult]:
-        """Submit every shard to the warm pool and gather in order."""
-        from .parallel import warm_pool
-
-        pool = warm_pool(pool_kind)
-        for index in range(len(self.shards)):
-            self.futures[index] = pool.executor().submit(
-                _run_shard, self._task(index)
-            )
-        results: list[_ShardResult] = []
-        for index in range(len(self.shards)):
-            results.append(self._gather(index, pool))
-            self._finish_retry(index)
-        return results
-
-    def _gather(self, index: int, pool: WorkerPool) -> _ShardResult:
-        while True:
-            if index not in self.futures:
-                raise InternalError(
-                    f"shard {index} missing from dispatch bookkeeping: no "
-                    "future was submitted for it"
-                )
-            future = self.futures[index]
-            try:
-                return future.result(timeout=self.deadline)
-            except (InjectedWorkerCrash, InjectedShardTimeout) as exc:
-                reason = (
-                    "worker-crash"
-                    if isinstance(exc, InjectedWorkerCrash)
-                    else "timeout"
-                )
-                self._record_failure(index, reason)
-            except ReproError:
-                raise  # data/engine errors are not transient: propagate
-            except BrokenExecutor:
-                # The pool died under this shard (or a neighbour).  A
-                # crash injected into *another* shard makes this one a
-                # collateral victim: resubmit it without charging it an
-                # attempt, so its own fault schedule is undisturbed.
-                if (
-                    not self._task_was_crash_injected(index)
-                    and self._any_crash_injected()
-                ):
-                    if self.recorder.enabled:
-                        self.recorder.count("resilience.collateral_resubmits")
-                    self.futures[index] = pool.executor().submit(
-                        _run_shard, self._task(index)
-                    )
-                    continue
-                self._record_failure(index, "worker-crash")
-            except FuturesTimeout:
-                # The hung task cannot be cancelled (and shutting the
-                # pool down would block on it): deadline enforcement is
-                # best-effort — the retry queues behind the hung worker
-                # and the reshard-to-serial floor guarantees progress.
-                self._record_failure(index, "timeout")
-            if self._exhausted(index):
-                return self._reshard_serial(index)
-            self._backoff(index)
-            self.futures[index] = pool.executor().submit(
-                _run_shard, self._task(index)
-            )
-
-    def _task_was_crash_injected(self, index: int) -> bool:
-        return self.plan.crashes(index, self.attempts[index])
-
-    def _any_crash_injected(self) -> bool:
-        # Attempt-independent on purpose: by the time a collateral
-        # victim's future raises, the injected shard may already have
-        # burned through its faulty attempts.
-        return bool(self.plan.worker_crashes)
-
-    # -- reporting -------------------------------------------------------------
-
-    def _finish_retry(self, index: int) -> None:
-        """Fold a resolved shard's retry history into the report."""
-        attempts = self.attempts[index]
-        if attempts == 0:
-            return
-        self.report.add_retry(
-            ShardRetry(
-                shard=index,
-                attempts=attempts + 1,
-                reason=self.first_failure.get(index, "worker-crash"),
-                resharded=index in self.resharded,
-            ),
-            self.recorder,
-        )
-
-
-def resilient_evidence(
-    paths: Sequence[str],
-    *,
-    jobs: int | None = None,
-    backend: str = "auto",
-    recorder: Recorder = NULL_RECORDER,
-    plan: FaultPlan | None = None,
-    policy: RetryPolicy | None = None,
-    on_error: str = "strict",
-    max_quarantine: int | None = None,
-    deadline: float | None = None,
-    report: DegradationReport | None = None,
-) -> StreamingEvidence:
-    """Sharded evidence extraction that survives crashes and bad docs.
-
-    The fault-tolerant sibling of
-    :func:`repro.runtime.parallel.parallel_evidence`: same backend cost
-    model, same contiguous sharding, same shard-order merge — so on a
-    clean run the result is byte-identical — plus per-shard
-    deadlines/retries, worker-crash recovery with reshard-to-serial as
-    the last resort, document quarantine under ``on_error="skip"``,
-    and :class:`FaultPlan` injection.  Degradation lands in ``report``.
-    """
-    from .parallel import BACKENDS, choose_backend, shard_paths
-
-    paths = list(paths)
-    if backend not in BACKENDS:
-        raise UsageError(
-            f"unknown backend {backend!r}; expected one of "
-            f"{', '.join(BACKENDS)}"
-        )
-    if jobs is not None and jobs < 1:
-        raise UsageError(f"jobs must be a positive integer, got {jobs}")
-    if on_error not in ("strict", "skip"):
-        raise UsageError(
-            f"unknown on_error mode {on_error!r}: expected 'strict' or 'skip'"
-        )
-    plan = plan if plan is not None else FaultPlan()
-    policy = policy if policy is not None else DEFAULT_RETRY_POLICY
-    report = report if report is not None else DegradationReport()
-    cpus = os.cpu_count() or 1
-    if backend == "auto":
-        chosen, shard_count = choose_backend(len(paths), jobs, cpus)
-    elif backend == "serial":
-        chosen, shard_count = "serial", 1
-    else:
-        chosen = backend
-        shard_count = jobs if jobs is not None else cpus
-        if shard_count <= 1 or len(paths) <= 1:
-            chosen, shard_count = "serial", 1
-    if recorder.enabled:
-        recorder.count(f"parallel.backend.{chosen}")
-    shards = shard_paths(paths, shard_count)
-    if not shards:
-        return StreamingEvidence()
-    offsets: list[int] = []
-    position = 0
-    for shard in shards:
-        offsets.append(position)
-        position += len(shard)
-    dispatcher = _ShardDispatcher(
-        shards=shards,
-        offsets=offsets,
-        backend=chosen,
-        plan=plan,
-        policy=policy,
-        on_error=on_error,
-        deadline=deadline,
-        recorder=recorder,
-        report=report,
-    )
-    if chosen == "serial":
-        results = dispatcher.run_serial()
-    else:
-        results = dispatcher.run_pooled(chosen)
-    merged = StreamingEvidence()
-    for index, (evidence, snapshot, quarantined) in enumerate(results):
-        if contracts_enabled():
-            check_merge_commutative(merged, evidence)
-        merged.merge(evidence)
-        if isinstance(recorder, StatsRecorder) and snapshot is not None:
-            recorder.merge_snapshot(snapshot, shard=index)
-            recorder.count("shards")
-        for document in quarantined:
-            # Quarantines are counted and the cap enforced here — once,
-            # corpus-wide, in deterministic shard order — never in the
-            # workers (their counters merge into this recorder).
-            report.add_quarantine(
-                document, limit=max_quarantine, recorder=recorder
-            )
-    return merged

@@ -2,18 +2,17 @@
 
 Every test here drives :mod:`repro.ckpt` over a small generated
 corpus.  The corpus seed honours ``REPRO_TEST_SEED`` so the CI
-flakiness guard can replay the module under several different corpora,
-and the ambient ``REPRO_FAULTS`` plan the CI resilience job exports is
-stripped — checkpointed runs only accept ``kill_after_shards`` plans,
-which these tests inject explicitly where they want them.
+flakiness guard can replay the module under several different corpora.
+The ambient ``REPRO_FAULTS`` plan the CI resilience job exports stays
+in force: checkpointed runs must recover from its worker crash without
+changing a byte.  Tests that pin exact ``ckpt.*`` counters pass
+``faults={}`` to opt out, and the kill/resume subprocesses strip it.
 """
 
 from __future__ import annotations
 
 import os
 import random
-
-import pytest
 
 from repro.datagen.xmlgen import XmlGenerator, serialize
 from repro.xmlio.dtd import parse_dtd
@@ -25,11 +24,6 @@ DTD_SOURCE = (
     "<!ELEMENT name (#PCDATA)><!ELEMENT price (#PCDATA)>"
     "<!ELEMENT tag EMPTY>"
 )
-
-
-@pytest.fixture(autouse=True)
-def _no_ambient_faults(monkeypatch):
-    monkeypatch.delenv("REPRO_FAULTS", raising=False)
 
 
 def write_corpus(directory, count, seed=None, dtd=DTD_SOURCE, prefix="doc"):

@@ -23,6 +23,13 @@ from repro.ckpt.codec import (
     read_state,
     write_state,
 )
+from repro.ckpt.manifest import (
+    MANIFEST_NAME,
+    DocumentEntry,
+    Manifest,
+    ShardEntry,
+    load_manifest,
+)
 from repro.core.inference import DTDInferencer
 from repro.runtime.parallel import extract_from_paths
 
@@ -119,3 +126,33 @@ class TestFileSha256:
         moved = tmp_path / "after.xml"
         path.rename(moved)
         assert file_sha256(moved) == digest
+
+
+class TestManifestVersions:
+    """Version 2 records per-shard quarantines; version 1 still loads."""
+
+    def _manifest(self, quarantined):
+        documents = (DocumentEntry("a.xml", "0" * 64), DocumentEntry("b.xml", "1" * 64))
+        shard = ShardEntry(documents, "x.state", "2" * 64, quarantined=quarantined)
+        return Manifest(sample_cap=1000, shards=[shard])
+
+    def test_quarantines_roundtrip(self, tmp_path):
+        self._manifest(((1, "unterminated element", None),)).store(tmp_path)
+        (shard,) = load_manifest(tmp_path).shards
+        assert shard.quarantined == ((1, "unterminated element", None),)
+
+    def test_version_one_loads_without_quarantines(self, tmp_path):
+        payload = self._manifest(()).to_document()
+        payload["version"] = 1
+        del payload["shards"][0]["quarantined"]
+        (tmp_path / MANIFEST_NAME).write_text(json.dumps(payload), encoding="utf-8")
+        (shard,) = load_manifest(tmp_path).shards
+        assert shard.quarantined == ()
+
+    @pytest.mark.parametrize("entry", [[2, "cause", None], [0, 7, None], "x", [0, "c"]])
+    def test_malformed_quarantine_is_detected(self, tmp_path, entry):
+        payload = self._manifest(()).to_document()
+        payload["shards"][0]["quarantined"] = [entry]
+        (tmp_path / MANIFEST_NAME).write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(StateDecodeError, match="quarantine"):
+            load_manifest(tmp_path)

@@ -92,7 +92,4 @@ class TestLockThroughFacade:
         state.mkdir()
         with RunLock(state):  # simulate the other live run
             with pytest.raises(UsageError):
-                infer(
-                    paths,
-                    config=InferenceConfig(state_dir=state, faults={}),
-                )
+                infer(paths, config=InferenceConfig(state_dir=state))

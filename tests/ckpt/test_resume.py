@@ -23,7 +23,8 @@ import pytest
 
 from repro.api import InferenceConfig, InferenceSession, infer
 from repro.ckpt.manifest import load_manifest
-from repro.errors import UsageError
+from repro.errors import CorpusError, UsageError
+from repro.obs.recorder import StatsRecorder
 from repro.runtime.resilience import CRASH_EXIT_STATUS
 
 from .conftest import write_corpus
@@ -57,7 +58,7 @@ class TestFreshEqualsPlain:
     ):
         paths = write_corpus(tmp_path, 20)
         plain = infer(
-            paths, config=InferenceConfig(method=method, faults={})
+            paths, config=InferenceConfig(method=method)
         ).render()
         checkpointed = infer(
             paths,
@@ -66,7 +67,6 @@ class TestFreshEqualsPlain:
                 state_dir=tmp_path / "run",
                 jobs=4,
                 backend=backend,
-                faults={},
             ),
         ).render()
         assert checkpointed == plain
@@ -78,11 +78,11 @@ class TestFreshEqualsPlain:
         paths = write_corpus(tmp_path, 16)
         state = tmp_path / "run"
         first = infer(
-            paths, config=InferenceConfig(state_dir=state, faults={})
+            paths, config=InferenceConfig(state_dir=state)
         ).render()
         second = infer(
             paths,
-            config=InferenceConfig(state_dir=state, resume=True, faults={}),
+            config=InferenceConfig(state_dir=state, resume=True),
         ).render()
         assert second == first
 
@@ -173,34 +173,18 @@ class TestGuardRails:
     def test_existing_run_without_resume_is_refused(self, tmp_path):
         paths = write_corpus(tmp_path, 6)
         state = tmp_path / "run"
-        infer(paths, config=InferenceConfig(state_dir=state, faults={}))
+        infer(paths, config=InferenceConfig(state_dir=state))
         with pytest.raises(UsageError, match="resume"):
-            infer(paths, config=InferenceConfig(state_dir=state, faults={}))
+            infer(paths, config=InferenceConfig(state_dir=state))
 
     def test_resume_requires_state_dir(self):
         with pytest.raises(UsageError):
             InferenceConfig(resume=True)
 
-    def test_state_dir_rejects_skip_mode(self, tmp_path):
-        with pytest.raises(UsageError):
-            InferenceConfig(state_dir=tmp_path, on_error="skip", faults={})
-
-    def test_state_dir_rejects_shard_deadline(self, tmp_path):
-        with pytest.raises(UsageError):
-            InferenceConfig(state_dir=tmp_path, shard_deadline=5.0, faults={})
-
-    def test_state_dir_rejects_non_kill_faults(self, tmp_path):
-        with pytest.raises(UsageError):
-            InferenceConfig(
-                state_dir=tmp_path, faults={"worker_crashes": [0]}
-            )
-        # kill_after_shards alone is the supported injection.
-        InferenceConfig(state_dir=tmp_path, faults={"kill_after_shards": [1]})
-
     def test_sessions_reject_state_dir(self, tmp_path):
         with pytest.raises(UsageError):
             InferenceSession(
-                config=InferenceConfig(state_dir=tmp_path, faults={})
+                config=InferenceConfig(state_dir=tmp_path)
             )
 
     def test_state_dir_requires_paths_not_parsed_documents(self, tmp_path):
@@ -211,5 +195,48 @@ class TestGuardRails:
         with pytest.raises(UsageError):
             infer(
                 documents,
-                config=InferenceConfig(state_dir=tmp_path / "run", faults={}),
+                config=InferenceConfig(state_dir=tmp_path / "run"),
             )
+
+
+class TestDegradedCheckpoints:
+    def test_strict_resume_never_reuses_a_shard_with_quarantines(self, tmp_path):
+        paths = write_corpus(tmp_path, 12)
+        (tmp_path / "doc002.xml").write_text("<r><item>", encoding="utf-8")
+        state = tmp_path / "run"
+        infer(paths, config=InferenceConfig(state_dir=state, on_error="skip"))
+        with pytest.raises(CorpusError):
+            infer(paths, config=InferenceConfig(state_dir=state, resume=True))
+
+    def test_missing_file_is_quarantined_and_its_shard_reused(self, tmp_path):
+        paths = write_corpus(tmp_path, 12)
+        os.unlink(paths[5])
+        skip = {"on_error": "skip", "state_dir": tmp_path / "run"}
+        first = infer(paths, config=InferenceConfig(**skip))
+        recorder = StatsRecorder()
+        resumed = infer(
+            paths, config=InferenceConfig(**skip, resume=True, recorder=recorder)
+        )
+        assert "ckpt.write" not in recorder.snapshot()["counters"]  # all reused
+        survivors = paths[:5] + paths[6:]
+        assert resumed.render() == first.render() == infer(survivors).render()
+        for result in (first, resumed):
+            assert [doc.path for doc in result.degradation.quarantined] == [paths[5]]
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            {"shard_deadline": 30.0},
+            {"faults": {"worker_crashes": [0]}},
+            {"faults": {"shard_timeouts": [1]}},
+            {"faults": {"corrupt_docs": [3]}},
+            {"faults": {"element_failures": ["item"]}},
+        ],
+    )
+    def test_every_policy_checkpoints(self, tmp_path, extra):
+        paths = write_corpus(tmp_path, 12)
+        config = {"method": "idtd", "jobs": 2, "backend": "thread", "on_error": "skip", **extra}
+        plain = infer(paths, config=InferenceConfig(**config))
+        checkpointed = infer(paths, config=InferenceConfig(state_dir=tmp_path / "run", **config))
+        assert checkpointed.render() == plain.render()
+        assert checkpointed.degradation.to_dict() == plain.degradation.to_dict()

@@ -145,28 +145,6 @@ class TestParallelEvidence:
         with pytest.raises(UsageError, match="backend"):
             parallel_evidence(paths, backend="cluster")
 
-    def test_executor_with_explicit_backend_warns(self, tmp_path):
-        from concurrent.futures import ThreadPoolExecutor
-
-        paths = write_corpus(tmp_path, DTD_SOURCES[0], 6)
-        with ThreadPoolExecutor(max_workers=2) as executor:
-            with pytest.warns(RuntimeWarning, match="precedence"):
-                evidence = parallel_evidence(
-                    paths, jobs=2, backend="process", executor=executor
-                )
-        assert evidence.document_count == 6
-
-    def test_executor_with_auto_backend_is_silent(self, tmp_path):
-        import warnings
-        from concurrent.futures import ThreadPoolExecutor
-
-        paths = write_corpus(tmp_path, DTD_SOURCES[0], 6)
-        with ThreadPoolExecutor(max_workers=2) as executor:
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                evidence = parallel_evidence(paths, jobs=2, executor=executor)
-        assert evidence.document_count == 6
-
     def test_backend_choice_is_counted(self, tmp_path):
         paths = write_corpus(tmp_path, DTD_SOURCES[0], 6)
         recorder = StatsRecorder()

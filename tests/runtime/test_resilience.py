@@ -32,8 +32,8 @@ from repro.runtime.resilience import (
     QuarantinedDocument,
     RetryPolicy,
     load_document,
-    resilient_evidence,
 )
+from repro.runtime.parallel import parallel_evidence
 from repro.xmlio.dtd import parse_dtd
 from repro.xmlio.parser import parse_document
 
@@ -500,11 +500,11 @@ class TestConfigValidation:
 
     def test_resilient_evidence_validates_inputs(self):
         with pytest.raises(UsageError, match="backend"):
-            resilient_evidence([], backend="gpu")
+            parallel_evidence([], backend="gpu")
         with pytest.raises(UsageError, match="jobs"):
-            resilient_evidence([], jobs=0)
+            parallel_evidence([], jobs=0)
         with pytest.raises(UsageError, match="on_error"):
-            resilient_evidence([], on_error="maybe")
+            parallel_evidence([], on_error="maybe")
 
 
 class TestCli:
