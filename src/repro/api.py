@@ -51,7 +51,7 @@ from .errors import CorpusError, UsageError
 from .obs.recorder import NULL_RECORDER, Recorder
 from .xmlio.diff import ElementDiff, iter_diffs
 from .xmlio.dtd import Dtd, parse_dtd
-from .learning.evidence import StreamingEvidence, extract_evidence
+from .learning.evidence import CorpusEvidence, StreamingEvidence, extract_evidence
 from .xmlio.parser import parse_document, parse_file
 from .xmlio.tree import Document
 from .xmlio.validate import Violation
@@ -94,13 +94,17 @@ class InferenceConfig:
             symbols), ``"sire"`` (SOREs with interleaving ``&``) or
             ``"auto"`` (the paper's sparse/abundant switch between the
             two paper learners; the extensions are opt-in).
-        streaming: fold documents directly into learner states instead
-            of materializing child sequences (constant memory).
+        streaming: count documents into bounded, mergeable per-element
+            evidence instead of keeping the batch sample (bounded
+            memory).
         jobs: shard the corpus across this many worker processes and
-            merge the learner states (map-reduce; implies streaming).
+            merge their evidence (map-reduce; implies streaming).
             Requires file-path sources.  ``None`` means in-process.
         numeric: tighten ``+``/``*`` to numerical bounds (Section 9).
-            Needs the full sample, so it excludes streaming/jobs.
+            Reads each element's distinct child words, so on the
+            streaming path an element whose bag spilled past
+            :data:`~repro.learning.evidence.WORD_CAP` raises
+            :class:`~repro.errors.CorpusError`.
         support_threshold: drop element names seen in fewer than this
             many parent sequences (noise handling, Section 9).  Also
             needs the full sample.
@@ -143,7 +147,7 @@ class InferenceConfig:
             failed shards (``None``: the default bounded-exponential
             policy with deterministic jitter).
         state_dir: checkpoint the run into this directory
-            (:mod:`repro.ckpt`): per-shard learner states are persisted
+            (:mod:`repro.ckpt`): per-shard evidence is persisted
             durably as they complete, together with a content-hash
             manifest of the corpus.  Implies streaming and requires
             file-path sources.
@@ -195,11 +199,6 @@ class InferenceConfig:
         if self.sparse_threshold < 0:
             raise UsageError(
                 f"sparse_threshold must be >= 0, got {self.sparse_threshold}"
-            )
-        if self.effective_streaming and self.numeric:
-            raise UsageError(
-                "numeric (--numeric) needs the full sample: it cannot be "
-                "combined with streaming/jobs (use the batch path)"
             )
         if self.effective_streaming and self.support_threshold > 0:
             raise UsageError(
@@ -457,6 +456,7 @@ def infer(
     if not items:
         raise UsageError("no documents to infer from")
 
+    evidence: CorpusEvidence | StreamingEvidence
     if config.effective_streaming:
         evidence = _streaming_evidence(
             items,
@@ -469,7 +469,6 @@ def infer(
         _require_surviving_documents(degradation, len(items))
         if recorder.enabled:
             recorder.count("elements", len(evidence.elements))
-        dtd = inferencer._finalize_streaming(evidence)
     else:
         from .runtime.resilience import load_document
 
@@ -497,7 +496,7 @@ def infer(
                 apply_support_threshold(
                     evidence, config.support_threshold, recorder
                 )
-        dtd = inferencer._finalize_batch(evidence)
+    dtd = inferencer._finalize(evidence)
     if degradation is not None and contracts_enabled():
         from .contracts import check_degradation_report
 
@@ -768,9 +767,10 @@ class InferenceSession:
     so far, at any point (ALGORITHMS.md §12).
 
     Sessions run the streaming pipeline by definition, so
-    ``numeric`` and ``support_threshold`` — which need the full sample
-    materialized — are rejected up front.  A batch-flavoured config is
-    silently promoted to ``streaming=True``.
+    ``support_threshold`` — which rewrites the full sample before
+    learning — is rejected up front.  ``numeric`` annotates from each
+    element's bag, as on every streaming run.  A batch-flavoured config
+    is silently promoted to ``streaming=True``.
 
     Under ``REPRO_CHECKS=1`` every append re-verifies merge
     commutativity between the accumulated state and the new chunk.
@@ -783,12 +783,6 @@ class InferenceSession:
     def __init__(self, config: InferenceConfig | None = None) -> None:
         if config is None:
             config = InferenceConfig(streaming=True)
-        if config.numeric:
-            raise UsageError(
-                "numeric needs the full sample up front: sessions fold "
-                "documents incrementally — use the one-shot batch "
-                "repro.api.infer"
-            )
         if config.support_threshold > 0:
             raise UsageError(
                 "support_threshold rereads the full sample: sessions fold "
@@ -939,7 +933,7 @@ class InferenceSession:
         inferencer = DTDInferencer(
             method=self.config.method,
             sparse_threshold=self.config.sparse_threshold,
-            numeric=False,
+            numeric=self.config.numeric,
             infer_attributes=self.config.infer_attributes,
             recorder=recorder,
             cache=content_model_cache,
@@ -950,7 +944,7 @@ class InferenceSession:
         )
         if recorder.enabled:
             recorder.count("elements", len(self._evidence.elements))
-        dtd = inferencer._finalize_streaming(self._evidence)
+        dtd = inferencer._finalize(self._evidence)
         if degradation is not None and contracts_enabled():
             from .contracts import check_degradation_report
 

@@ -1,8 +1,8 @@
-"""Versioned, checksummed serialization of streaming learner states.
+"""Versioned, checksummed serialization of streaming evidence.
 
 A state file is two lines of UTF-8:
 
-1. a JSON *header* — ``{"magic": "repro-ckpt-state", "version": 1,
+1. a JSON *header* — ``{"magic": "repro-ckpt-state", "version": 3,
    "payload_sha256": ..., "payload_bytes": N}``;
 2. the JSON *payload* — the canonical serialization of one
    :class:`~repro.learning.evidence.StreamingEvidence`
@@ -33,7 +33,10 @@ MAGIC = "repro-ckpt-state"
 #   2 — adds the kore/sire learner states (evidence payloads from v1
 #       lack them, so hydration would fail; the version gate rejects
 #       them up front with a clear re-run-from-scratch error instead).
-VERSION = 2
+#   3 — per element, the sorted word bag ("words": [[word, count], ...])
+#       unless the bag spilled past WORD_CAP, in which case the four
+#       learner states as in v2; older payloads are re-parsed.
+VERSION = 3
 
 
 class StateDecodeError(CorpusError):

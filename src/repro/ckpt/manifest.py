@@ -13,6 +13,10 @@ evidence.  That is enough to answer both durability questions:
 Version 2 adds each shard's quarantined documents (``on_error="skip"``
 runs), so a resumed run reproduces the degradation report along with
 the DTD.  Version-1 manifests still load, as shards with no quarantines.
+Version 3 records ``word_cap`` next to ``sample_cap``: both build
+constants shape the state bytes, so a run written under other values
+is re-parsed (older manifests load with no ``word_cap``, which never
+matches).
 
 The manifest is rewritten atomically after every shard commit, and a
 state file is referenced only after its own bytes are durable, so a
@@ -29,7 +33,7 @@ from ..fsio import atomic_write_text
 from .codec import StateDecodeError, canonical_json
 
 MANIFEST_MAGIC = "repro-ckpt-manifest"
-MANIFEST_VERSION = 2
+MANIFEST_VERSION = 3
 MANIFEST_NAME = "manifest.json"
 SHARD_DIR = "shards"
 
@@ -58,6 +62,7 @@ class Manifest:
     """The decoded manifest; ``complete`` marks a finished run."""
 
     sample_cap: int
+    word_cap: int | None = None
     shards: list[ShardEntry] = field(default_factory=list)
     complete: bool = False
 
@@ -66,6 +71,7 @@ class Manifest:
             "magic": MANIFEST_MAGIC,
             "version": MANIFEST_VERSION,
             "sample_cap": self.sample_cap,
+            "word_cap": self.word_cap,
             "complete": self.complete,
             "shards": [
                 {
@@ -157,18 +163,22 @@ def load_manifest(run_dir: str | os.PathLike[str]) -> Manifest | None:
             f"{path} lacks the repro-ckpt-manifest magic; refusing to use "
             "this directory as a state dir"
         )
-    if document.get("version") not in (1, MANIFEST_VERSION):
+    if document.get("version") not in (1, 2, MANIFEST_VERSION):
         raise StateDecodeError(
             f"unsupported manifest version {document.get('version')!r}"
         )
     sample_cap = document.get("sample_cap")
     if not isinstance(sample_cap, int):
         raise StateDecodeError("manifest lacks an integer sample_cap")
+    word_cap = document.get("word_cap")
+    if word_cap is not None and not isinstance(word_cap, int):
+        raise StateDecodeError("manifest word_cap is not an integer")
     shards = document.get("shards")
     if not isinstance(shards, list):
         raise StateDecodeError("manifest lacks a shard list")
     return Manifest(
         sample_cap=sample_cap,
+        word_cap=word_cap,
         shards=[_shard_from_document(entry) for entry in shards],
         complete=bool(document.get("complete", False)),
     )

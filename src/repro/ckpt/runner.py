@@ -39,6 +39,7 @@ from collections.abc import Sequence
 
 from ..contracts import check_checkpoint_resume, check_checkpoint_roundtrip, contracts_enabled
 from ..errors import UsageError
+from ..learning import evidence as evidence_module
 from ..learning.evidence import SAMPLE_CAP, StreamingEvidence
 from ..obs.recorder import NULL_RECORDER, Recorder
 from ..runtime.parallel import Backend, Shard, parallel_evidence
@@ -61,12 +62,10 @@ def _find_run(
     length = len(needle)
     if length == 0:
         return None
-    limit = len(hashes) - length
-    position = start
-    while position <= limit:
-        if hashes[position : position + length] == list(needle):
+    wanted = list(needle)
+    for position in range(start, len(hashes) - length + 1):
+        if hashes[position : position + length] == wanted:
             return position
-        position += 1
     return None
 
 
@@ -87,9 +86,9 @@ def _reusable_shards(
     """
     if old is None:
         return []
-    if old.sample_cap != SAMPLE_CAP:
-        # Reservoir truncation depends on the cap; states written under
-        # a different build constant cannot reproduce today's bytes.
+    if old.sample_cap != SAMPLE_CAP or old.word_cap != evidence_module.WORD_CAP:
+        # Reservoir truncation and bag spilling depend on the caps; states
+        # written under other build constants cannot reproduce today's bytes.
         recorder.count("ckpt.corrupt", len(old.shards))
         return []
     hashes = [entry.sha256 for entry in entries]
@@ -199,7 +198,7 @@ def checkpointed_evidence(
         entries = [_document_entry(path, on_error) for path in paths]
         reused = _reusable_shards(run_dir, old, entries, recorder, on_error)
         durable = {shard.start: entry for shard, entry in reused}
-        manifest = Manifest(sample_cap=SAMPLE_CAP)
+        manifest = Manifest(sample_cap=SAMPLE_CAP, word_cap=evidence_module.WORD_CAP)
 
         def store() -> None:
             """Rewrite the manifest from every durable entry, corpus order."""

@@ -250,16 +250,17 @@ def build_parser() -> argparse.ArgumentParser:
     infer.add_argument(
         "--streaming",
         action="store_true",
-        help="fold documents directly into learner states instead of "
-        "materializing child sequences (constant memory in corpus size)",
+        help="count each element's distinct child words in a bounded, "
+        "mergeable bag instead of keeping the batch sample (memory bounded "
+        "by the schema, not the corpus)",
     )
     infer.add_argument(
         "--jobs",
         type=_positive_int,
         default=None,
         metavar="N",
-        help="shard the corpus across N worker processes and merge the "
-        "learner states (map-reduce; implies --streaming)",
+        help="shard the corpus across N worker processes and merge their "
+        "evidence (map-reduce; implies --streaming)",
     )
     infer.add_argument(
         "--backend",
@@ -314,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--state-dir",
         metavar="DIR",
         default=None,
-        help="checkpoint the run into DIR: per-shard learner states are "
+        help="checkpoint the run into DIR: per-shard evidence is "
         "committed durably as they complete, with a content-hash manifest "
         "of the corpus (implies --streaming; requires file paths)",
     )

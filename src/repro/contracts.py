@@ -340,32 +340,19 @@ def check_degradation_report(report: DegradationReport, dtd: Dtd) -> None:
 
 def _learner_fingerprint(
     evidence: StreamingEvidence,
-) -> dict[str, tuple[object, ...]]:
+) -> dict[str, dict[str, object]]:
     """The order-insensitive part of streaming evidence, per element.
 
-    Text/attribute reservoirs are deliberately excluded: they keep the
-    *first* ``SAMPLE_CAP`` values in corpus order, so they are ordered
-    by design and only the learner states form a commutative monoid.
+    The canonical dehydrated form (the sorted bag, or the learner states
+    of a spilled one) minus the text/attribute reservoirs: those keep
+    the *first* ``SAMPLE_CAP`` values in corpus order, so they are
+    ordered by design and only the rest forms a commutative monoid.
     """
-    fingerprint: dict[str, tuple[object, ...]] = {}
+    fingerprint: dict[str, dict[str, object]] = {}
     for name, element in evidence.elements.items():
-        soa = element.soa.soa
-        crx = element.crx.state
-        fingerprint[name] = (
-            frozenset(soa.symbols),
-            frozenset(soa.initial),
-            frozenset(soa.final),
-            frozenset(soa.edges),
-            soa.accepts_empty,
-            frozenset(crx.arrows),
-            frozenset(crx.alphabet),
-            frozenset(crx.profiles.items()),
-            crx.word_count,
-            element.occurrences,
-            element.nonempty_count,
-            element.empty_count,
-            element.has_text,
-        )
+        payload = element.dehydrate()
+        del payload["text_values"], payload["attribute_values"]
+        fingerprint[name] = payload
     return fingerprint
 
 

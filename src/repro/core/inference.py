@@ -35,7 +35,7 @@ survive as deprecated shims over the same engine.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Iterable
 from typing import TYPE_CHECKING, Any, Literal
 
 from ..contracts import (
@@ -54,7 +54,7 @@ from ..learning import evidence as evidence_module
 from ..learning.evidence import (
     CorpusEvidence,
     ElementEvidence,
-    StreamingElementEvidence,
+    LearnerStates,
     StreamingEvidence,
     WordBag,
     extract_evidence,
@@ -224,68 +224,54 @@ class DTDInferencer:
         return regex
 
     def _learn_regex(
-        self,
-        name: str,
-        words: WordBag | Sequence[tuple[str, ...]],
-        method: str | None = None,
-    ) -> tuple[Regex, str]:
-        sample = words if isinstance(words, WordBag) else WordBag(words)
-        if method is None:
-            method = self._pick_method(sample.nonempty_total)
+        self, name: str, sample: WordBag | LearnerStates, method: str
+    ) -> Regex:
+        """Derive ``method``'s expression from a bag or spilled states.
+
+        A bag is learned from its distinct words only: every learner is
+        insensitive to word order, and multiplicities enter CRX and sire
+        through ``add_counted`` and never matter to the SOA triples.  A
+        spilled element's states already hold every word.  Either way
+        the state fingerprints identically, so both evidence kinds share
+        content-model cache entries.
+        """
         recorder = self.recorder
-        # Both learners are insensitive to word order and (for their
-        # structural part) to multiplicities, so learning runs over the
-        # distinct words only — multiplicities enter CRX through
-        # ``add_counted`` and never matter to the SOA triple.
-        if method == "crx":
-            with recorder.span("crx", element=name):
-                state = CrxState()
-                for word, count in sample.distinct():
-                    state.add_counted(word, count)
-                regex = self._memoized(
-                    "crx",
-                    state.canonical_fingerprint,
-                    lambda: state.infer(recorder=recorder),
-                    name,
-                )
-        elif method == "kore":
-            with recorder.span("kore", element=name):
-                kore = IncrementalKore()
-                kore.add_all(sample.distinct_words())
-                regex = self._memoized(
-                    "kore",
-                    kore.canonical_fingerprint,
-                    lambda: kore.infer(recorder=recorder),
-                    name,
-                )
-        elif method == "sire":
-            with recorder.span("sire", element=name):
-                sire = IncrementalSire()
-                for word, count in sample.distinct():
-                    sire.add_counted(word, count)
-                regex = self._memoized(
-                    "sire",
-                    sire.canonical_fingerprint,
-                    lambda: sire.infer(recorder=recorder),
-                    name,
-                )
-        else:
+        if method == "idtd":
             with recorder.span("soa", element=name):
-                soa = tinf(sample.distinct_words(), recorder=recorder)
+                soa = (
+                    sample.soa.soa
+                    if isinstance(sample, LearnerStates)
+                    else tinf(sample.distinct_words(), recorder=recorder)
+                )
 
             def derive_sore() -> Regex:
                 with recorder.span("rewrite", element=name):
                     return idtd_from_soa(soa, recorder=recorder).regex
 
-            regex = self._memoized(
+            return self._memoized(
                 "idtd", soa.canonical_fingerprint, derive_sore, name
             )
-        if self.numeric:
-            # Numeric bounds read the full distinct-word sample, which
-            # the fingerprint deliberately does not cover — annotation
-            # therefore always runs fresh, on top of the cached core.
-            regex = annotate_numeric(regex, sample.distinct_words())
-        return regex, method
+        with recorder.span(method, element=name):
+            state: CrxState | IncrementalKore | IncrementalSire
+            if isinstance(sample, LearnerStates):
+                state = {
+                    "crx": sample.crx.state,
+                    "kore": sample.kore,
+                    "sire": sample.sire,
+                }[method]
+            elif method == "kore":
+                state = IncrementalKore()
+                state.add_all(sample.distinct_words())
+            else:
+                state = CrxState() if method == "crx" else IncrementalSire()
+                for word, count in sample.distinct():
+                    state.add_counted(word, count)
+            return self._memoized(
+                method,
+                state.canonical_fingerprint,
+                lambda: state.infer(recorder=recorder),
+                name,
+            )
 
     def _derive_children(
         self,
@@ -348,124 +334,48 @@ class DTDInferencer:
             return normalize(Opt(regex))
         return regex
 
-    def _content_model(
-        self, evidence: ElementEvidence
-    ) -> Children | Mixed | Empty | AnyContent:
-        sample = evidence.child_sequences
-        has_children = sample.nonempty_total > 0
-        if evidence.has_text and has_children:
-            names = sorted(
-                {name for word, _ in sample.distinct() for name in word}
-            )
-            self.report.method_used[evidence.name] = "mixed"
-            return Mixed(names=tuple(names))
-        if evidence.has_text:
-            self.report.method_used[evidence.name] = "pcdata"
-            self.report.text_types[evidence.name] = sniff_type(
-                evidence.text_values
-            )
-            return Mixed(names=())
-        if not has_children:
-            self.report.method_used[evidence.name] = "empty"
-            return Empty()
-        regex, method = self._derive_children(
-            evidence.name,
-            sample.nonempty_total,
-            lambda chosen: self._learn_regex(evidence.name, sample, chosen)[0],
-        )
-        if regex is None:
-            self.report.method_used[evidence.name] = "any"
-            return AnyContent()
-        regex = self._wrap_optional(regex, sample.has_empty())
-        if contracts_enabled():
-            check_content_model(regex, evidence.name)
-        self.report.method_used[evidence.name] = method
-        return Children(regex=regex)
-
-    def _content_model_streaming(
-        self, evidence: StreamingElementEvidence
-    ) -> Children | Mixed | Empty | AnyContent:
+    def _content_model(self, evidence: ElementEvidence) -> Children | Mixed | Empty | AnyContent:
+        name = evidence.name
+        sample = evidence.sample()
         has_children = evidence.nonempty_count > 0
         if evidence.has_text and has_children:
-            self.report.method_used[evidence.name] = "mixed"
+            self.report.method_used[name] = "mixed"
             return Mixed(names=tuple(sorted(evidence.child_alphabet)))
         if evidence.has_text:
-            self.report.method_used[evidence.name] = "pcdata"
-            self.report.text_types[evidence.name] = sniff_type(
-                evidence.text_values
-            )
+            self.report.method_used[name] = "pcdata"
+            self.report.text_types[name] = sniff_type(evidence.text_values)
             return Mixed(names=())
         if not has_children:
-            self.report.method_used[evidence.name] = "empty"
+            self.report.method_used[name] = "empty"
             return Empty()
-        recorder = self.recorder
-
-        def learn(method: str) -> Regex:
-            if method == "crx":
-
-                def derive_chare() -> Regex:
-                    with recorder.span("crx", element=evidence.name):
-                        return evidence.crx.infer(recorder=recorder)
-
-                return self._memoized(
-                    "crx",
-                    evidence.crx.state.canonical_fingerprint,
-                    derive_chare,
-                    evidence.name,
-                )
-
-            if method == "kore":
-
-                def derive_kore() -> Regex:
-                    with recorder.span("kore", element=evidence.name):
-                        return evidence.kore.infer(recorder=recorder)
-
-                return self._memoized(
-                    "kore",
-                    evidence.kore.canonical_fingerprint,
-                    derive_kore,
-                    evidence.name,
-                )
-
-            if method == "sire":
-
-                def derive_sire() -> Regex:
-                    with recorder.span("sire", element=evidence.name):
-                        return evidence.sire.infer(recorder=recorder)
-
-                return self._memoized(
-                    "sire",
-                    evidence.sire.canonical_fingerprint,
-                    derive_sire,
-                    evidence.name,
-                )
-
-            # The SOA itself was built during extraction (its fold time
-            # shows up under the streaming ``soa`` aggregate spans);
-            # what remains here is the Section 5/6 rewrite + repair.
-            def derive_sore() -> Regex:
-                with recorder.span("rewrite", element=evidence.name):
-                    return evidence.soa.infer(recorder=recorder)
-
-            return self._memoized(
-                "idtd", evidence.soa.soa.canonical_fingerprint, derive_sore, evidence.name
-            )
-
         regex, method = self._derive_children(
-            evidence.name, evidence.nonempty_count, learn
+            name,
+            evidence.nonempty_count,
+            lambda chosen: self._learn_regex(name, sample, chosen),
         )
         if regex is None:
-            self.report.method_used[evidence.name] = "any"
+            self.report.method_used[name] = "any"
             return AnyContent()
+        if self.numeric:
+            # Numeric bounds read the distinct words, which the
+            # fingerprint deliberately does not cover — annotation
+            # therefore always runs fresh, on top of the cached core.
+            if isinstance(sample, LearnerStates):
+                raise CorpusError(
+                    f"numeric bounds need the child words of element "
+                    f"{name!r}, but its streaming evidence passed "
+                    f"{evidence_module.WORD_CAP} distinct words and spilled "
+                    "into learner states; infer with numeric on the batch "
+                    "path (no streaming, jobs or state_dir)"
+                )
+            regex = annotate_numeric(regex, sample.distinct_words())
         regex = self._wrap_optional(regex, evidence.empty_count > 0)
         if contracts_enabled():
-            check_content_model(regex, evidence.name)
-        self.report.method_used[evidence.name] = method
+            check_content_model(regex, name)
+        self.report.method_used[name] = method
         return Children(regex=regex)
 
-    def _attlist(
-        self, evidence: ElementEvidence | StreamingElementEvidence
-    ) -> list[AttributeDef]:
+    def _attlist(self, evidence: ElementEvidence) -> list[AttributeDef]:
         definitions: list[AttributeDef] = []
         for attribute in sorted(evidence.attribute_presence):
             always = (
@@ -486,33 +396,29 @@ class DTDInferencer:
 
     # -- the engine (no deprecation warnings; the façade calls these) ---------
 
-    def _finalize_batch(self, evidence: CorpusEvidence) -> Dtd:
+    def _finalize(self, evidence: CorpusEvidence | StreamingEvidence) -> Dtd:
+        """The one finalize pass, over batch or streaming evidence."""
         dtd = Dtd(start=evidence.majority_root())
         for name in sorted(evidence.elements):
             element_evidence = evidence.elements[name]
             dtd.elements[name] = self._content_model(element_evidence)
             if self.infer_attributes and element_evidence.attribute_presence:
                 dtd.attributes[name] = self._attlist(element_evidence)
-        return dtd
-
-    def _finalize_streaming(self, evidence: StreamingEvidence) -> Dtd:
-        if self.numeric:
-            raise UsageError(
-                "numerical predicates need the full child-sequence sample; "
-                "use the batch path with numeric=True"
+        if self.recorder.enabled:
+            samples = [element.sample() for element in evidence.elements.values()]
+            bags = [sample for sample in samples if isinstance(sample, WordBag)]
+            self.recorder.count(
+                "evidence.words",
+                sum(element.occurrences for element in evidence.elements.values()),
             )
-        dtd = Dtd(start=evidence.majority_root())
-        for name in sorted(evidence.elements):
-            element_evidence = evidence.elements[name]
-            dtd.elements[name] = self._content_model_streaming(element_evidence)
-            if self.infer_attributes and element_evidence.attribute_presence:
-                dtd.attributes[name] = self._attlist(element_evidence)
+            self.recorder.count(
+                "evidence.distinct_words", sum(len(bag.counts) for bag in bags)
+            )
+            self.recorder.count("evidence.spills", len(samples) - len(bags))
         return dtd
 
     def _infer_documents(self, documents: Iterable[Document]) -> Dtd:
-        return self._finalize_batch(
-            extract_evidence(documents, recorder=self.recorder)
-        )
+        return self._finalize(extract_evidence(documents, recorder=self.recorder))
 
     # -- deprecated public API -------------------------------------------------
 
@@ -521,22 +427,20 @@ class DTDInferencer:
         _warn_deprecated(
             "DTDInferencer.infer_from_evidence", "repro.api.infer"
         )
-        return self._finalize_batch(evidence)
+        return self._finalize(evidence)
 
     def infer_from_streaming(self, evidence: StreamingEvidence) -> Dtd:
         """Deprecated: use :func:`repro.api.infer` with
         ``InferenceConfig(streaming=True)``.
 
         Produces exactly the DTD the batch path produces on the same
-        corpus: the learner states fold the same sample and both
-        learners are order- and sharding-insensitive.  Numerical
-        predicates are the one exception — they need the full sample,
-        which streaming evidence deliberately does not retain.
+        corpus: both evidence kinds count the same words and every
+        learner is order- and sharding-insensitive.
         """
         _warn_deprecated(
             "DTDInferencer.infer_from_streaming", "repro.api.infer"
         )
-        return self._finalize_streaming(evidence)
+        return self._finalize(evidence)
 
     def infer(self, documents: Iterable[Document]) -> Dtd:
         """Deprecated: use :func:`repro.api.infer`."""
@@ -572,6 +476,8 @@ def apply_support_threshold(
                 tuple(name for name in sequence if name not in noisy), count
             )
         element.child_sequences = filtered
+        element.nonempty_count = filtered.nonempty_total
+        element.empty_count = filtered.total - filtered.nonempty_total
     for name in noisy:
         evidence.elements.pop(name, None)
 

@@ -19,7 +19,6 @@
 from .evidence import (
     CorpusEvidence,
     ElementEvidence,
-    StreamingElementEvidence,
     StreamingEvidence,
     WordBag,
     child_sequences,
@@ -42,7 +41,6 @@ __all__ = [
     "IncrementalSOA",
     "IncrementalSire",
     "KTestableAutomaton",
-    "StreamingElementEvidence",
     "StreamingEvidence",
     "WeightedSOA",
     "WordBag",

@@ -7,35 +7,34 @@ plus the side information the extensions need (text content for
 datatype sniffing, attribute usage for ATTLIST generation).
 
 Evidence extraction lives in :mod:`repro.learning` (not
-:mod:`repro.xmlio`) because folding a document *is* learning: the
-streaming representation feeds every child sequence straight into the
+:mod:`repro.xmlio`) because a spilled element folds its words into the
 incremental learner states, so this module sits in the layer that owns
 those states.  ``repro.xmlio.extract`` remains as a lazy
 backwards-compatible alias.
 
-Two evidence representations are provided:
+Both corpus representations keep one :class:`ElementEvidence` per
+element name, which counts child words in a :class:`WordBag` (distinct
+words with multiplicities); finalize learns from the distinct words
+only:
 
-* :class:`CorpusEvidence` — the batch representation.  Child-name
-  sequences are kept (deduplicated with multiplicities, see
-  :class:`WordBag`) so any learner, including the numeric-predicate
-  annotator and the noise filter, can re-read the sample.
-* :class:`StreamingEvidence` — the Section 9 representation.  Each
-  document is folded directly into per-element learner states
-  (:class:`~repro.learning.incremental.IncrementalSOA` /
-  :class:`~repro.learning.incremental.IncrementalCRX`) plus bounded
-  text/attribute reservoirs, so memory is bounded by the *schema* size
-  (alphabet, 2-grams, distinct occurrence profiles), not the corpus
-  size.  Streaming states support :meth:`~StreamingEvidence.merge`, so
-  evidence built from disjoint corpus shards combines associatively —
-  the map-reduce property behind :mod:`repro.runtime.parallel`.
+* :class:`CorpusEvidence` — the batch representation, whose bags never
+  spill, so any learner, including the numeric-predicate annotator and
+  the noise filter, can re-read the sample.
+* :class:`StreamingEvidence` — the Section 9 representation: mergeable
+  and dehydratable, with each bag bounded by :data:`WORD_CAP` distinct
+  words; past the cap a bag spills into the incremental learner states
+  (:class:`LearnerStates`), so memory is bounded by the *schema* size,
+  not the corpus size.  :meth:`~StreamingEvidence.merge` combines
+  evidence from disjoint corpus shards associatively — the map-reduce
+  property behind :mod:`repro.runtime.parallel`.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from time import perf_counter  # lint: allow R005 — feeds the recorder only
 from collections.abc import Iterable, Iterator, Mapping
+from typing import TypeVar
 
 from ..errors import CorpusError
 from ..obs.recorder import NULL_RECORDER, Recorder
@@ -56,14 +55,21 @@ Word = tuple[str, ...]
 #: of the evidence constant-size in corpus length.
 SAMPLE_CAP = 1000
 
+#: Distinct child words one element's streaming bag may hold before it
+#: spills into learner states.  Well above the per-element distinct
+#: counts of realistic corpora (the benchmark's 2,000-document
+#: ``medium`` corpus peaks at 1,966), so the cap only binds on corpora
+#: whose word variety itself is unbounded.
+WORD_CAP = 4096
+
 
 class WordBag:
     """A multiset of words, stored deduplicated with multiplicities.
 
     Real corpora repeat the same child-name sequences massively (every
     ``<book>`` with one author produces the same word), so storing a
-    ``Counter`` instead of a list makes batch evidence scale with the
-    number of *distinct* sequences.  Multiplicities are preserved
+    ``Counter`` instead of a list makes evidence, batch and streaming,
+    scale with the number of *distinct* sequences.  Multiplicities are preserved
     because CRX's quantifier inference needs them: iterating a bag
     yields each word once per occurrence, in first-seen order.
     """
@@ -122,71 +128,278 @@ class WordBag:
         return f"WordBag({dict(self.counts)!r})"
 
 
-@dataclass
-class ElementEvidence:
-    """Everything observed about one element name across a corpus."""
+class LearnerStates:
+    """The four Section 9 learner states a spilled bag folds into.
 
-    name: str
-    child_sequences: WordBag = field(default_factory=WordBag)
-    has_text: bool = False
-    occurrences: int = 0
-    attribute_values: dict[str, list[str]] = field(default_factory=dict)
-    attribute_presence: dict[str, int] = field(default_factory=dict)
-    text_values: list[str] = field(default_factory=list)
+    Every state is a union or multiset sum over words, so folding a
+    word's ``count`` occurrences at once equals folding them one by one,
+    and states built from disjoint shards merge into the states of the
+    whole sample.
+    """
+
+    __slots__ = ("soa", "crx", "kore", "sire")
+
+    def __init__(self) -> None:
+        self.soa = IncrementalSOA()
+        self.crx = IncrementalCRX()
+        self.kore = IncrementalKore()
+        self.sire = IncrementalSire()
+
+    def add_counted(self, word: Word, count: int) -> None:
+        self.soa.add_counted(word, count)
+        self.crx.add_counted(word, count)
+        self.kore.add_counted(word, count)
+        self.sire.add_counted(word, count)
+
+    def merge(self, other: "LearnerStates") -> None:
+        self.soa.merge(other.soa)
+        self.crx.merge(other.crx)
+        self.kore.merge(other.kore)
+        self.sire.merge(other.sire)
+
+    def dehydrate(self) -> dict[str, object]:
+        return {
+            "soa": self.soa.dehydrate(),
+            "crx": self.crx.dehydrate(),
+            "kore": self.kore.dehydrate(),
+            "sire": self.sire.dehydrate(),
+        }
+
+    @classmethod
+    def hydrate(cls, payload: Mapping[str, object], name: str) -> "LearnerStates":
+        """Rebuild the states from :meth:`dehydrate` output, all four required."""
+
+        def part(learner: str) -> Mapping[str, object]:
+            value = payload.get(learner)
+            if not isinstance(value, Mapping):
+                raise CorpusError(
+                    f"element evidence for {name!r} lacks its {learner} state"
+                )
+            return value
+
+        states = cls()
+        states.soa = IncrementalSOA.hydrate(part("soa"))
+        states.crx = IncrementalCRX.hydrate(part("crx"))
+        states.kore = IncrementalKore.hydrate(part("kore"))
+        states.sire = IncrementalSire.hydrate(part("sire"))
+        return states
+
+
+_Learner = TypeVar(
+    "_Learner", IncrementalSOA, IncrementalCRX, IncrementalKore, IncrementalSire
+)
+
+
+class ElementEvidence:
+    """Everything observed about one element name across a corpus.
+
+    Child words are counted in a :class:`WordBag`, so an occurrence costs
+    one dictionary update and learners later run once per *distinct*
+    word.  Batch evidence keeps the bag whole; streaming evidence
+    (:class:`StreamingEvidence`) spills a bag past :data:`WORD_CAP`
+    distinct words into :class:`LearnerStates` (:meth:`spill`), after
+    which the element is kept as states and the bag only buffers words
+    between flushes.  Counters and the text/attribute reservoirs are
+    shared by both.
+
+    ``soa``/``crx``/``kore``/``sire`` are read-only views: fresh learner
+    states over every word seen, never part of the dehydrated form.
+    """
+
+    __slots__ = (
+        "name",
+        "child_sequences",
+        "spilled",
+        "nonempty_count",
+        "empty_count",
+        "has_text",
+        "text_values",
+        "attribute_values",
+        "attribute_presence",
+    )
+
+    def __init__(self, name: str) -> None:
+        self.name = name
+        self.child_sequences = WordBag()
+        self.spilled: LearnerStates | None = None
+        self.nonempty_count = 0
+        self.empty_count = 0
+        self.has_text = False
+        self.text_values: list[str] = []
+        self.attribute_values: dict[str, list[str]] = {}
+        self.attribute_presence: dict[str, int] = {}
+
+    def spill(self) -> LearnerStates:
+        """Fold the bag into the learner states (made on first spill)."""
+        if self.spilled is None:
+            self.spilled = LearnerStates()
+        for word, count in self.child_sequences.distinct():
+            self.spilled.add_counted(word, count)
+        self.child_sequences = WordBag()
+        return self.spilled
+
+    def sample(self) -> WordBag | LearnerStates:
+        """What finalize learns from: the bag, or the flushed states."""
+        return self.child_sequences if self.spilled is None else self.spill()
+
+    def _view(self, learner: str, view: _Learner) -> _Learner:
+        if self.spilled is not None:
+            view.merge(getattr(self.spilled, learner))
+        for word, count in self.child_sequences.distinct():
+            view.add_counted(word, count)
+        return view
+
+    @property
+    def soa(self) -> IncrementalSOA:
+        return self._view("soa", IncrementalSOA())
+
+    @property
+    def crx(self) -> IncrementalCRX:
+        return self._view("crx", IncrementalCRX())
+
+    @property
+    def kore(self) -> IncrementalKore:
+        return self._view("kore", IncrementalKore())
+
+    @property
+    def sire(self) -> IncrementalSire:
+        return self._view("sire", IncrementalSire())
+
+    @property
+    def occurrences(self) -> int:
+        return self.nonempty_count + self.empty_count
+
+    @property
+    def child_alphabet(self) -> set[str]:
+        """All child names ever observed below this element."""
+        alphabet = {name for word in self.child_sequences.counts for name in word}
+        if self.spilled is not None:
+            alphabet |= self.spilled.crx.state.alphabet
+        return alphabet
+
+    def observe(self, element: Element) -> None:
+        word = element.child_names()
+        if word:
+            self.nonempty_count += 1
+        else:
+            self.empty_count += 1
+        self.child_sequences.add(word)
+        if element.has_text():
+            self.has_text = True
+            stripped = element.text().strip()
+            if stripped and len(self.text_values) < SAMPLE_CAP:
+                self.text_values.append(stripped)
+        for attribute, value in element.attributes.items():
+            self.attribute_presence[attribute] = self.attribute_presence.get(attribute, 0) + 1
+            samples = self.attribute_values.setdefault(attribute, [])
+            if len(samples) < SAMPLE_CAP:
+                samples.append(value)
 
     def merge(self, other: "ElementEvidence") -> None:
         """Fold evidence about the same element name from another shard.
 
-        Reservoirs concatenate in shard order and re-truncate to
+        Bags add as multisets; spilled states merge, taking this bag
+        along.  Reservoirs concatenate in shard order and re-truncate to
         :data:`SAMPLE_CAP`; with contiguous shards this reproduces the
         batch reservoirs exactly (the first ``SAMPLE_CAP`` values in
         document order).
         """
         self.child_sequences.merge(other.child_sequences)
+        if other.spilled is not None:
+            self.spill().merge(other.spilled)
+        self.nonempty_count += other.nonempty_count
+        self.empty_count += other.empty_count
         self.has_text = self.has_text or other.has_text
-        self.occurrences += other.occurrences
-        _merge_reservoirs(self, other)
+        if len(self.text_values) < SAMPLE_CAP:
+            self.text_values.extend(other.text_values[: SAMPLE_CAP - len(self.text_values)])
+        for attribute, count in other.attribute_presence.items():
+            self.attribute_presence[attribute] = self.attribute_presence.get(attribute, 0) + count
+        for attribute, values in other.attribute_values.items():
+            samples = self.attribute_values.setdefault(attribute, [])
+            if len(samples) < SAMPLE_CAP:
+                samples.extend(values[: SAMPLE_CAP - len(samples)])
 
-    def __post_init__(self) -> None:
-        if isinstance(self.child_sequences, list):
-            self.child_sequences = WordBag(self.child_sequences)
+    def dehydrate(self) -> dict[str, object]:
+        """Everything this evidence holds, as sorted JSON-ready values.
 
+        The canonical form is the sorted bag, or — once spilled — the
+        learner states with the bag flushed in, so the bytes depend on
+        the documents folded, not on shard boundaries or flush timing.
+        Reservoirs keep their order because it *is* part of the state
+        (first-``SAMPLE_CAP``-in-document-order semantics).
+        """
+        payload: dict[str, object] = {
+            "name": self.name,
+            "nonempty_count": self.nonempty_count,
+            "empty_count": self.empty_count,
+            "has_text": self.has_text,
+            "text_values": list(self.text_values),
+            "attribute_values": {
+                attribute: list(values)
+                for attribute, values in sorted(self.attribute_values.items())
+            },
+            "attribute_presence": dict(sorted(self.attribute_presence.items())),
+        }
+        if self.spilled is None:
+            payload["words"] = [
+                [list(word), count]
+                for word, count in sorted(self.child_sequences.counts.items())
+            ]
+        else:
+            payload.update(self.spill().dehydrate())
+        return payload
 
-def _observe_text_and_attributes(
-    evidence: ElementEvidence | StreamingElementEvidence, element: Element
-) -> None:
-    """Shared text/attribute bookkeeping for both evidence flavours."""
-    if element.has_text():
-        evidence.has_text = True
-        stripped = element.text().strip()
-        if stripped and len(evidence.text_values) < SAMPLE_CAP:
-            evidence.text_values.append(stripped)
-    for attribute, value in element.attributes.items():
-        evidence.attribute_presence[attribute] = (
-            evidence.attribute_presence.get(attribute, 0) + 1
-        )
-        samples = evidence.attribute_values.setdefault(attribute, [])
-        if len(samples) < SAMPLE_CAP:
-            samples.append(value)
-
-
-def _merge_reservoirs(
-    evidence: ElementEvidence | StreamingElementEvidence,
-    other: ElementEvidence | StreamingElementEvidence,
-) -> None:
-    """Shared text/attribute merge for both evidence flavours."""
-    if len(evidence.text_values) < SAMPLE_CAP:
-        evidence.text_values.extend(
-            other.text_values[: SAMPLE_CAP - len(evidence.text_values)]
-        )
-    for attribute, count in other.attribute_presence.items():
-        evidence.attribute_presence[attribute] = (
-            evidence.attribute_presence.get(attribute, 0) + count
-        )
-    for attribute, values in other.attribute_values.items():
-        samples = evidence.attribute_values.setdefault(attribute, [])
-        if len(samples) < SAMPLE_CAP:
-            samples.extend(values[: SAMPLE_CAP - len(samples)])
+    @classmethod
+    def hydrate(cls, payload: Mapping[str, object]) -> "ElementEvidence":
+        """Rebuild element evidence from :meth:`dehydrate` output."""
+        name = payload.get("name")
+        if not isinstance(name, str):
+            raise CorpusError("element evidence payload lacks a name")
+        evidence = cls(name)
+        words = payload.get("words")
+        if words is None:
+            evidence.spilled = LearnerStates.hydrate(payload, name)
+        elif isinstance(words, list):
+            for entry in words:
+                if not (
+                    isinstance(entry, list)
+                    and len(entry) == 2
+                    and isinstance(entry[0], list)
+                    and all(isinstance(symbol, str) for symbol in entry[0])
+                    and isinstance(entry[1], int)
+                    and entry[1] > 0
+                ):
+                    raise CorpusError(
+                        f"element evidence for {name!r} has a malformed word: {entry!r}"
+                    )
+                evidence.child_sequences.add(entry[0], entry[1])
+        else:
+            raise CorpusError(f"element evidence for {name!r} has malformed words")
+        evidence.nonempty_count = _payload_int(payload, "nonempty_count")
+        evidence.empty_count = _payload_int(payload, "empty_count")
+        evidence.has_text = bool(payload.get("has_text", False))
+        evidence.text_values = _payload_strings(payload, "text_values")
+        raw_values = payload.get("attribute_values", {})
+        raw_presence = payload.get("attribute_presence", {})
+        if not isinstance(raw_values, Mapping) or not isinstance(
+            raw_presence, Mapping
+        ):
+            raise CorpusError(
+                f"element evidence for {name!r} has malformed attributes"
+            )
+        for attribute, values in raw_values.items():
+            if not isinstance(attribute, str):
+                raise CorpusError(f"attribute name is not a string: {attribute!r}")
+            evidence.attribute_values[attribute] = _payload_strings(
+                raw_values, attribute
+            )
+        for attribute, count in raw_presence.items():
+            if not isinstance(attribute, str) or not isinstance(count, int):
+                raise CorpusError(
+                    f"attribute presence entry is malformed: {attribute!r}"
+                )
+            evidence.attribute_presence[attribute] = count
+        return evidence
 
 
 def _majority(counts: dict[str, int]) -> str | None:
@@ -209,10 +422,7 @@ class CorpusEvidence:
         return self.elements[name]
 
     def add_element(self, element: Element) -> None:
-        evidence = self.evidence_for(element.name)
-        evidence.occurrences += 1
-        evidence.child_sequences.add(element.child_names())
-        _observe_text_and_attributes(evidence, element)
+        self.evidence_for(element.name).observe(element)
 
     def add_document(self, document: Document) -> None:
         self.document_count += 1
@@ -242,226 +452,55 @@ class CorpusEvidence:
         return _majority(Counter(self.roots))
 
 
-class StreamingElementEvidence:
-    """Constant-size evidence about one element name.
-
-    Child-name sequences are *not* retained: each one is folded into an
-    :class:`IncrementalSOA` (for iDTD), an :class:`IncrementalCRX`
-    (for CRX), an :class:`~repro.learning.kore.IncrementalKore` and an
-    :class:`~repro.learning.sire.IncrementalSire`
-    the moment it is observed, together with the counters the
-    DTD layer needs (occurrences, empty/non-empty content splits) and
-    the same bounded text/attribute reservoirs as the batch path.
-    """
-
-    __slots__ = (
-        "name",
-        "soa",
-        "crx",
-        "kore",
-        "sire",
-        "occurrences",
-        "nonempty_count",
-        "empty_count",
-        "has_text",
-        "text_values",
-        "attribute_values",
-        "attribute_presence",
-    )
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.soa = IncrementalSOA()
-        self.crx = IncrementalCRX()
-        self.kore = IncrementalKore()
-        self.sire = IncrementalSire()
-        self.occurrences = 0
-        self.nonempty_count = 0
-        self.empty_count = 0
-        self.has_text = False
-        self.text_values: list[str] = []
-        self.attribute_values: dict[str, list[str]] = {}
-        self.attribute_presence: dict[str, int] = {}
-
-    @property
-    def child_alphabet(self) -> set[str]:
-        """All child names ever observed below this element."""
-        return self.crx.state.alphabet
-
-    def add_sequence(
-        self, word: Word, recorder: Recorder = NULL_RECORDER
-    ) -> None:
-        if recorder.enabled:
-            # Folding runs once per element occurrence — far too hot
-            # for per-call spans, so per-learner time is accumulated
-            # per element name and flushed as aggregate spans.
-            t0 = perf_counter()
-            self.soa.add(word)
-            t1 = perf_counter()
-            self.crx.add(word)
-            t2 = perf_counter()
-            self.kore.add(word)
-            t3 = perf_counter()
-            self.sire.add(word)
-            t4 = perf_counter()
-            recorder.add_time("soa", t1 - t0, element=self.name)
-            recorder.add_time("crx", t2 - t1, element=self.name)
-            recorder.add_time("kore", t3 - t2, element=self.name)
-            recorder.add_time("sire", t4 - t3, element=self.name)
-        else:
-            self.soa.add(word)
-            self.crx.add(word)
-            self.kore.add(word)
-            self.sire.add(word)
-        if word:
-            self.nonempty_count += 1
-        else:
-            self.empty_count += 1
-
-    def observe(
-        self, element: Element, recorder: Recorder = NULL_RECORDER
-    ) -> None:
-        self.occurrences += 1
-        self.add_sequence(element.child_names(), recorder)
-        _observe_text_and_attributes(self, element)
-
-    def merge(self, other: "StreamingElementEvidence") -> None:
-        self.soa.merge(other.soa)
-        self.crx.merge(other.crx)
-        self.kore.merge(other.kore)
-        self.sire.merge(other.sire)
-        self.occurrences += other.occurrences
-        self.nonempty_count += other.nonempty_count
-        self.empty_count += other.empty_count
-        self.has_text = self.has_text or other.has_text
-        _merge_reservoirs(self, other)
-
-    def dehydrate(self) -> dict[str, object]:
-        """Everything this evidence holds, as sorted JSON-ready values.
-
-        Learner states go through their canonical (sorted) forms;
-        reservoirs keep their order because it *is* part of the state
-        (first-``SAMPLE_CAP``-in-document-order semantics).
-        """
-        return {
-            "name": self.name,
-            "soa": self.soa.dehydrate(),
-            "crx": self.crx.dehydrate(),
-            "kore": self.kore.dehydrate(),
-            "sire": self.sire.dehydrate(),
-            "occurrences": self.occurrences,
-            "nonempty_count": self.nonempty_count,
-            "empty_count": self.empty_count,
-            "has_text": self.has_text,
-            "text_values": list(self.text_values),
-            "attribute_values": {
-                attribute: list(values)
-                for attribute, values in sorted(self.attribute_values.items())
-            },
-            "attribute_presence": dict(sorted(self.attribute_presence.items())),
-        }
-
-    @classmethod
-    def hydrate(cls, payload: Mapping[str, object]) -> "StreamingElementEvidence":
-        """Rebuild element evidence from :meth:`dehydrate` output."""
-        name = payload.get("name")
-        if not isinstance(name, str):
-            raise CorpusError("element evidence payload lacks a name")
-        evidence = cls(name)
-        soa_payload = payload.get("soa")
-        crx_payload = payload.get("crx")
-        if not isinstance(soa_payload, Mapping) or not isinstance(
-            crx_payload, Mapping
-        ):
-            raise CorpusError(
-                f"element evidence for {name!r} lacks learner states"
-            )
-        evidence.soa = IncrementalSOA.hydrate(soa_payload)
-        evidence.crx = IncrementalCRX.hydrate(crx_payload)
-        kore_payload = payload.get("kore")
-        sire_payload = payload.get("sire")
-        if not isinstance(kore_payload, Mapping) or not isinstance(
-            sire_payload, Mapping
-        ):
-            # Required, not defaulted: evidence written before the
-            # kore/sire learners existed cannot be resumed silently
-            # (the checkpoint codec version gate rejects it first).
-            raise CorpusError(
-                f"element evidence for {name!r} lacks kore/sire learner states"
-            )
-        evidence.kore = IncrementalKore.hydrate(kore_payload)
-        evidence.sire = IncrementalSire.hydrate(sire_payload)
-        evidence.occurrences = _payload_int(payload, "occurrences")
-        evidence.nonempty_count = _payload_int(payload, "nonempty_count")
-        evidence.empty_count = _payload_int(payload, "empty_count")
-        evidence.has_text = bool(payload.get("has_text", False))
-        evidence.text_values = _payload_strings(payload, "text_values")
-        raw_values = payload.get("attribute_values", {})
-        raw_presence = payload.get("attribute_presence", {})
-        if not isinstance(raw_values, Mapping) or not isinstance(
-            raw_presence, Mapping
-        ):
-            raise CorpusError(
-                f"element evidence for {name!r} has malformed attributes"
-            )
-        for attribute, values in raw_values.items():
-            if not isinstance(attribute, str):
-                raise CorpusError(f"attribute name is not a string: {attribute!r}")
-            evidence.attribute_values[attribute] = _payload_strings(
-                raw_values, attribute
-            )
-        for attribute, count in raw_presence.items():
-            if not isinstance(attribute, str) or not isinstance(count, int):
-                raise CorpusError(
-                    f"attribute presence entry is malformed: {attribute!r}"
-                )
-            evidence.attribute_presence[attribute] = count
-        return evidence
-
-
 class StreamingEvidence:
-    """Corpus evidence folded on the fly into learner states.
+    """Corpus evidence counted on the fly into bounded per-element bags.
 
-    Memory is bounded by the inferred schema's complexity (alphabet
-    sizes, 2-gram sets, distinct CRX occurrence profiles) plus the
-    fixed reservoirs — *not* by the number of documents or element
-    occurrences, which is what Section 9 promises makes both learners
+    Each element keeps at most :data:`WORD_CAP` distinct child words
+    before it spills into learner states, whose size is bounded by the
+    inferred schema's complexity (alphabet sizes, 2-gram sets, distinct
+    CRX occurrence profiles); with the fixed reservoirs, memory is
+    bounded by the schema — *not* by the number of documents or element
+    occurrences, which is what Section 9 promises makes the learners
     incrementally updatable.  ``merge`` combines evidence from disjoint
-    corpus shards associatively, enabling map-reduce inference.
+    corpus shards associatively, enabling map-reduce inference, and
+    :meth:`dehydrate` gives the same bytes however the corpus was
+    sharded.
     """
 
     def __init__(self) -> None:
-        self.elements: dict[str, StreamingElementEvidence] = {}
+        self.elements: dict[str, ElementEvidence] = {}
         self.root_counts: Counter[str] = Counter()
         self.document_count = 0
 
-    def evidence_for(self, name: str) -> StreamingElementEvidence:
+    def evidence_for(self, name: str) -> ElementEvidence:
         if name not in self.elements:
-            self.elements[name] = StreamingElementEvidence(name)
+            self.elements[name] = ElementEvidence(name)
         return self.elements[name]
 
-    def add_document(
-        self, document: Document, recorder: Recorder = NULL_RECORDER
-    ) -> None:
+    def add_document(self, document: Document) -> None:
         self.document_count += 1
         self.root_counts[document.root.name] += 1
-        sequences = 0
         for element in document.iter():
-            self.evidence_for(element.name).observe(element, recorder)
-            sequences += 1
-        if recorder.enabled:
-            recorder.count("child_sequences", sequences)
+            evidence = self.evidence_for(element.name)
+            evidence.observe(element)
+            if len(evidence.child_sequences.counts) > WORD_CAP:
+                evidence.spill()
 
-    def add_documents(
-        self, documents: Iterable[Document], recorder: Recorder = NULL_RECORDER
-    ) -> None:
+    def add_documents(self, documents: Iterable[Document]) -> None:
         for document in documents:
-            self.add_document(document, recorder)
+            self.add_document(document)
 
     def merge(self, other: "StreamingEvidence") -> None:
-        """Fold evidence from another (disjoint) corpus shard in place."""
+        """Fold evidence from another (disjoint) corpus shard in place.
+
+        A merged bag past :data:`WORD_CAP` spills, exactly as folding the
+        same documents serially would have made it spill.
+        """
         for name, element in other.elements.items():
-            self.evidence_for(name).merge(element)
+            evidence = self.evidence_for(name)
+            evidence.merge(element)
+            if len(evidence.child_sequences.counts) > WORD_CAP:
+                evidence.spill()
         self.root_counts.update(other.root_counts)
         self.document_count += other.document_count
 
@@ -497,7 +536,7 @@ class StreamingEvidence:
         for entry in raw_elements:
             if not isinstance(entry, Mapping):
                 raise CorpusError(f"element evidence entry is malformed: {entry!r}")
-            element = StreamingElementEvidence.hydrate(entry)
+            element = ElementEvidence.hydrate(entry)
             if element.name in evidence.elements:
                 raise CorpusError(
                     f"element evidence repeats name {element.name!r}"
@@ -527,27 +566,19 @@ def extract_evidence(
     evidence.add_documents(documents)
     if recorder.enabled:
         recorder.count("elements", len(evidence.elements))
-        recorder.count(
-            "child_sequences",
-            sum(
-                element.child_sequences.total
-                for element in evidence.elements.values()
-            ),
-        )
     return evidence
 
 
 def extract_streaming_evidence(
     documents: Iterable[Document], recorder: Recorder = NULL_RECORDER
 ) -> StreamingEvidence:
-    """Fold a corpus directly into per-element learner states.
+    """Fold a corpus into bounded, mergeable per-element evidence.
 
-    Unlike :func:`extract_evidence` this never materializes the
-    child-sequence sample; documents may come from a lazy iterator and
-    are dropped as soon as they are folded in.
+    Documents may come from a lazy iterator and are dropped as soon as
+    they are folded in.
     """
     evidence = StreamingEvidence()
-    evidence.add_documents(documents, recorder)
+    evidence.add_documents(documents)
     if recorder.enabled:
         recorder.count("elements", len(evidence.elements))
     return evidence

@@ -113,6 +113,10 @@ class IncrementalSOA:
             self._cached = None
         return changed
 
+    def add_counted(self, word: Word, count: int) -> bool:
+        """Fold ``count`` occurrences: the SOA triple is multiplicity-blind."""
+        return count > 0 and self.add(word)
+
     def add_all(self, words: Iterable[Word]) -> bool:
         changed = False
         for word in words:

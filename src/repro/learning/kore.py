@@ -136,6 +136,10 @@ class IncrementalKore:
             self._cached = None
         return changed
 
+    def add_counted(self, word: Word, count: int) -> bool:
+        """Fold ``count`` occurrences: marked SOA and max are multiplicity-blind."""
+        return count > 0 and self.add(word)
+
     def add_all(self, words: Iterable[Word]) -> bool:
         changed = False
         for word in words:

@@ -9,9 +9,8 @@ Two consumers:
   ``summary`` line with counters and memory samples.  The line schema
   is enforced by :mod:`repro.obs.check_trace`.
 
-Phases in the table are span *names*; spans nest (e.g. per-element
-``rewrite`` spans run inside nothing, but streaming ``soa``/``crx``
-fold time is accumulated inside the ``extract`` span), so per-phase
+Phases in the table are span *names*; spans nest (e.g. ``parse`` and
+``extract`` run inside each pooled ``shard`` span), so per-phase
 totals can legitimately sum to more than elapsed wall-clock.
 """
 

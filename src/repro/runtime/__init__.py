@@ -1,8 +1,8 @@
 """Execution backends: sharded, data-parallel corpus processing.
 
 * :func:`parallel_evidence` — the one shard runner: plan contiguous
-  shards, extract+learn each on the serial driver or a warm pool, retry
-  failed shards, merge the (tiny) learner states in corpus order (and
+  shards, extract each on the serial driver or a warm pool, retry
+  failed shards, merge the (bounded) shard evidence in corpus order (and
   per-shard stats snapshots when a recorder is live).  Every sharded
   run goes through it — ``--jobs``/``--streaming``, in-memory
   documents, session appends, degraded runs and :mod:`repro.ckpt`'s

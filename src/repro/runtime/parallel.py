@@ -1,19 +1,23 @@
 """Map-reduce DTD inference over corpus shards (Section 9, scaled out).
 
-Both learners keep internal state that is tiny compared to the corpus
-(the SOA triple for iDTD; the arrow relation plus occurrence profiles
-for CRX) and that state merges associatively.  That makes inference
-embarrassingly data-parallel:
+Per-element evidence is tiny compared to the corpus: a bag of the
+distinct child words with their counts, bounded by
+:data:`~repro.learning.evidence.WORD_CAP` before it spills into the
+learner states (the SOA triple for iDTD; the arrow relation plus
+occurrence profiles for CRX; kore's marked SOA; sire's precedences).
+Bags add as multisets and the states merge associatively, so inference
+is embarrassingly data-parallel:
 
-* **map** — each worker loads its shard of documents and folds them
-  into a :class:`~repro.learning.evidence.StreamingEvidence` (constant
+* **map** — each worker loads its shard of documents and counts them
+  into a :class:`~repro.learning.evidence.StreamingEvidence` (bounded
   memory in shard size; only file paths cross the process boundary on
-  the way in, only learner states on the way out);
-* **reduce** — shard states merge in shard order, which reproduces the
-  batch evidence exactly (including the bounded text/attribute
+  the way in, only the bounded evidence on the way out);
+* **reduce** — shard evidence merges in shard order, which reproduces
+  the batch evidence exactly (including the bounded text/attribute
   reservoirs, because shards are contiguous chunks of the corpus);
 * **finalize** — one :class:`~repro.core.inference.DTDInferencer` pass
-  over the merged states.
+  over the merged evidence, learning each distinct word once, for the
+  method each element's ladder picks.
 
 The result is byte-identical to batch inference on the same corpus —
 property-tested in ``tests/runtime/test_parallel.py``.
@@ -286,16 +290,16 @@ def shard_paths(paths: Sequence[_ItemT], shards: int) -> list[list[_ItemT]]:
 def extract_from_paths(
     paths: Iterable[str], recorder: Recorder = NULL_RECORDER
 ) -> StreamingEvidence:
-    """Parse each file and fold it into streaming state, serially.
+    """Parse each file and fold it into streaming evidence, serially.
 
     Documents are parsed one at a time and released immediately; the
-    footprint is one document plus the learner states.
+    footprint is one document plus the bounded evidence.
     """
     evidence = StreamingEvidence()
     for path in paths:
         document = parse_file(path, recorder)
         with recorder.span("extract", file=str(path)):
-            evidence.add_document(document, recorder)
+            evidence.add_document(document)
     return evidence
 
 
@@ -373,7 +377,7 @@ def _extract_shard(task: _ShardTask, recorder: Recorder) -> _Result:
         )
         if document is not None:
             with recorder.span("extract", file=item if isinstance(item, str) else None):
-                evidence.add_document(document, recorder)
+                evidence.add_document(document)
     return evidence, skipped.quarantined, None
 
 
@@ -617,4 +621,4 @@ def infer_parallel(
     evidence = parallel_evidence(
         paths, jobs=jobs, backend=backend, recorder=inferencer.recorder
     )
-    return inferencer._finalize_streaming(evidence)
+    return inferencer._finalize(evidence)

@@ -47,7 +47,6 @@ if TYPE_CHECKING:
     from ..learning.evidence import (
         CorpusEvidence as CorpusEvidence,
         ElementEvidence as ElementEvidence,
-        StreamingElementEvidence as StreamingElementEvidence,
         StreamingEvidence as StreamingEvidence,
         WordBag as WordBag,
         child_sequences as child_sequences,
@@ -61,7 +60,6 @@ _EVIDENCE_NAMES = frozenset(
     {
         "CorpusEvidence",
         "ElementEvidence",
-        "StreamingElementEvidence",
         "StreamingEvidence",
         "WordBag",
         "child_sequences",
@@ -97,7 +95,6 @@ __all__ = [
     "Empty",
     "Mixed",
     "ParseFailure",
-    "StreamingElementEvidence",
     "StreamingEvidence",
     "Violation",
     "WordBag",

@@ -1,9 +1,8 @@
 """Backwards-compatible alias for :mod:`repro.learning.evidence`.
 
 Evidence extraction used to live here; it moved into
-:mod:`repro.learning` because folding documents into learner states is
-learning-layer work (the streaming representation literally *is* the
-incremental learner state).  Keeping an eager ``from ..learning import
+:mod:`repro.learning` because it is learning-layer work (streaming
+evidence spills into the incremental learner states).  Keeping an eager ``from ..learning import
 …`` re-export would preserve the upward ``xmlio → learning`` import
 this move eliminates, so the aliasing is lazy: attribute access loads
 the real module on first use (import cost only, the objects returned
@@ -23,7 +22,6 @@ if TYPE_CHECKING:
         SAMPLE_CAP as SAMPLE_CAP,
         CorpusEvidence as CorpusEvidence,
         ElementEvidence as ElementEvidence,
-        StreamingElementEvidence as StreamingElementEvidence,
         StreamingEvidence as StreamingEvidence,
         Word as Word,
         WordBag as WordBag,
@@ -36,7 +34,6 @@ __all__ = [
     "SAMPLE_CAP",
     "CorpusEvidence",
     "ElementEvidence",
-    "StreamingElementEvidence",
     "StreamingEvidence",
     "Word",
     "WordBag",

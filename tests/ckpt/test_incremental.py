@@ -16,7 +16,9 @@ import json
 import os
 
 from repro.api import InferenceConfig, infer
+from repro.ckpt import codec
 from repro.ckpt.manifest import MANIFEST_NAME, load_manifest
+from repro.learning import evidence as evidence_module
 from repro.obs.recorder import StatsRecorder
 
 from .conftest import write_corpus
@@ -145,3 +147,38 @@ class TestDegradedCaches:
         assert counters.get("ckpt.hit") is None
         assert counters.get("ckpt.write") == JOBS
         assert rendered == first
+
+
+class TestCodecUpgrade:
+    """A run directory written under codec v2 — four learner states per
+    element, a version-2 manifest — resumes by re-parsing every shard,
+    and still renders the fresh bytes."""
+
+    def resume_v2_run(self, tmp_path, monkeypatch, word_cap):
+        paths = write_corpus(tmp_path, COUNT)
+        state = tmp_path / "run"
+        # A cap of 0 spills every element, which then dehydrates to the
+        # v2 element form: its learner states.
+        with monkeypatch.context() as patch:
+            patch.setattr(evidence_module, "WORD_CAP", 0)
+            patch.setattr(codec, "VERSION", 2)
+            checkpointed(paths, state)
+        manifest_path = os.path.join(state, MANIFEST_NAME)
+        with open(manifest_path, encoding="utf-8") as handle:
+            payload = json.load(handle)
+        payload.update(version=2, word_cap=word_cap)
+        with open(manifest_path, "w", encoding="utf-8") as handle:
+            json.dump(payload, handle)
+
+        rendered, counters = checkpointed(paths, state, resume=True)
+        assert counters.get("ckpt.corrupt") == JOBS
+        assert counters.get("ckpt.hit") is None
+        assert counters.get("ckpt.write") == JOBS
+        assert rendered == fresh_render(paths)
+
+    def test_v2_run_dir_reparses_every_shard(self, tmp_path, monkeypatch):
+        # v2 manifests carry no word_cap, which never matches.
+        self.resume_v2_run(tmp_path, monkeypatch, word_cap=None)
+
+    def test_v2_states_rejected_under_a_matching_word_cap(self, tmp_path, monkeypatch):
+        self.resume_v2_run(tmp_path, monkeypatch, word_cap=evidence_module.WORD_CAP)

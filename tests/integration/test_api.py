@@ -179,13 +179,11 @@ class TestInferenceConfigValidation:
         with pytest.raises(UsageError):
             InferenceConfig(method="magic")
 
-    def test_numeric_excludes_streaming(self):
-        with pytest.raises(UsageError, match="--numeric"):
-            InferenceConfig(streaming=True, numeric=True)
+    def test_numeric_composes_with_streaming(self):
+        assert InferenceConfig(streaming=True, numeric=True).effective_streaming
 
-    def test_numeric_excludes_jobs(self):
-        with pytest.raises(UsageError, match="--numeric"):
-            InferenceConfig(jobs=2, numeric=True)
+    def test_numeric_composes_with_jobs(self):
+        assert InferenceConfig(jobs=2, numeric=True).effective_streaming
 
     def test_support_threshold_excludes_streaming(self):
         with pytest.raises(UsageError, match="--support-threshold"):

@@ -59,9 +59,11 @@ class TestStreamingInfer:
         assert main(["infer", "--format", "xsd", "--jobs", "2", *corpus_files]) == 0
         assert capsys.readouterr().out == batch
 
-    def test_streaming_rejects_numeric(self, corpus_files, capsys):
-        assert main(["infer", "--streaming", "--numeric", *corpus_files]) == 1
-        assert "--numeric" in capsys.readouterr().err
+    def test_streaming_numeric_matches_batch(self, corpus_files, capsys):
+        assert main(["infer", "--numeric", *corpus_files]) == 0
+        batch = capsys.readouterr().out
+        assert main(["infer", "--streaming", "--numeric", *corpus_files]) == 0
+        assert capsys.readouterr().out == batch
 
     def test_streaming_rejects_support_threshold(self, corpus_files, capsys):
         code = main(

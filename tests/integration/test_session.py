@@ -258,9 +258,13 @@ class TestLifecycle:
         with pytest.raises(UsageError, match="append"):
             session.current_dtd()
 
-    def test_numeric_config_rejected(self):
-        with pytest.raises(UsageError, match="numeric"):
-            api.InferenceSession(api.InferenceConfig(numeric=True))
+    def test_numeric_config_matches_batch(self):
+        config = api.InferenceConfig(numeric=True)
+        session = api.InferenceSession(config)
+        for chunk in chunks(corpus(), 3):
+            session.append(chunk)
+        expected = api.infer(corpus(), config=config).render()
+        assert session.current_dtd().render() == expected
 
     def test_support_threshold_config_rejected(self):
         with pytest.raises(UsageError, match="support_threshold"):

@@ -9,7 +9,9 @@ after that shard must replay the quarantine from its manifest.
 * skip-mode runs render the bytes of a fresh batch run over the clean
   remainder and quarantine exactly what the batch skip run does;
 * strict runs on the clean remainder render those same bytes, and on
-  the corrupt corpus raise :class:`~repro.errors.CorpusError`.
+  the corrupt corpus raise :class:`~repro.errors.CorpusError`;
+* ``numeric=True`` renders the batch ``numeric=True`` bytes, or raises
+  its error, in every shape.
 
 The ambient ``REPRO_FAULTS`` plan stays in force for the shapes under
 test (the CI resilience job runs them under a worker crash); only the
@@ -30,7 +32,7 @@ from repro.api import InferenceConfig, infer
 from repro.ckpt.manifest import load_manifest
 from repro.core.inference import METHODS
 from repro.datagen.xmlgen import XmlGenerator, serialize
-from repro.errors import CorpusError
+from repro.errors import CorpusError, UsageError
 from repro.runtime.resilience import CRASH_EXIT_STATUS
 from repro.xmlio.dtd import parse_dtd
 
@@ -91,9 +93,9 @@ def kill_after_first_shard(paths, config):
     )
 
 
-def run(shape, paths, method, mode, state_dir):
+def run(shape, paths, method, mode, state_dir, **options):
     """One inference of ``paths`` in ``shape``; the killed shape resumes."""
-    config = {"method": method, "on_error": mode}
+    config = {"method": method, "on_error": mode, **options}
     if shape == "streaming":
         config["streaming"] = True
     elif shape == "jobs":
@@ -136,3 +138,24 @@ def test_strict_mode_on_clean_and_corrupt_corpora(corpus, tmp_path, shape, metho
     assert result.render() == reference(clean, method)
     with pytest.raises(CorpusError):
         run(shape, paths, method, "strict", tmp_path / "corrupt")
+
+
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("shape", SHAPES)
+def test_numeric_equals_batch(corpus, tmp_path, shape, method):
+    """Same bytes, or the same refusal: annotation needs a single
+    occurrence expression, which kore's repeats are not."""
+
+    def outcome(thunk):
+        try:
+            return thunk().render()
+        except UsageError as error:
+            return f"UsageError: {error}"
+
+    _paths, clean = corpus
+    expected = outcome(
+        lambda: infer(clean, config=InferenceConfig(method=method, numeric=True, faults={}))
+    )
+    assert outcome(
+        lambda: run(shape, clean, method, "strict", tmp_path / "run", numeric=True)
+    ) == expected

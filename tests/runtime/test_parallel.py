@@ -6,7 +6,8 @@ import pytest
 
 from repro.core.inference import DTDInferencer
 from repro.datagen.xmlgen import XmlGenerator, serialize
-from repro.errors import InternalError, UsageError
+from repro.errors import CorpusError, InternalError, UsageError
+from repro.learning import evidence as evidence_module
 from repro.obs.recorder import StatsRecorder
 from repro.runtime.parallel import (
     MIN_DOCS_PER_SHARD,
@@ -154,14 +155,17 @@ class TestParallelEvidence:
         counters = recorder.snapshot()["counters"]
         assert counters["parallel.backend.thread"] == 1
 
-    def test_numeric_rejected_on_streaming_path(self, tmp_path):
-        paths = write_corpus(tmp_path, DTD_SOURCES[0], 4)
-        inferencer = DTDInferencer(numeric=True)
+    def test_numeric_rejected_on_streaming_path(self, tmp_path, monkeypatch):
+        """Numeric bounds read the words, which a spilled bag no longer has."""
+        paths = write_corpus(tmp_path, DTD_SOURCES[0], 8)
+        monkeypatch.setattr(evidence_module, "WORD_CAP", 1)
         evidence = extract_streaming_evidence(
             parse_file(path) for path in paths
         )
-        with pytest.raises(ValueError, match="full child-sequence sample"):
-            inferencer.infer_from_streaming(evidence)
+        assert evidence.elements["r"].spilled is not None
+        inferencer = DTDInferencer(numeric=True)
+        with pytest.raises(CorpusError, match="element 'r'.*batch path"):
+            inferencer._finalize(evidence)
 
 
 class TestChooseBackend:

@@ -387,11 +387,15 @@ class TestSessions:
         expected = api.infer(DOCS, config=api.InferenceConfig(method="crx"))
         assert dtd.payload["dtd"] == expected.render()
 
-    def test_session_rejects_numeric_config(self, app):
-        response = call(
+    def test_session_accepts_numeric_config(self, app):
+        created = call(
             app, "POST", "/sessions", {"config": {"numeric": True}}
         )
-        assert response.status == 400
+        sid = created.payload["session"]
+        call(app, "POST", f"/sessions/{sid}/append", {"documents": DOCS})
+        dtd = call(app, "GET", f"/sessions/{sid}/dtd")
+        expected = api.infer(DOCS, config=api.InferenceConfig(numeric=True))
+        assert dtd.payload["dtd"] == expected.render()
 
     def test_session_stats_opt_in(self, app):
         created = call(app, "POST", "/sessions", {"stats": True})
