@@ -63,6 +63,7 @@ __all__ = [
     "check_gfa",
     "check_merge_commutative",
     "check_content_model",
+    "check_repair_count",
     "check_soa",
     "contracts_active",
     "contracts_enabled",
@@ -186,6 +187,17 @@ def check_gfa(gfa: GFA, context: str = "rewrite") -> None:
                 f"node {node} carries a Kleene star mid-rewrite: {label}; "
                 "stars must stay in (r+)? form until post-processing",
             )
+
+
+def check_repair_count(
+    rule: str, nodes: tuple[int, ...], edges: tuple[tuple[int, int], ...], scored: int
+) -> None:
+    """A repair builds exactly as many edges as its candidate scored."""
+    if len(edges) != scored:
+        raise _violated(
+            f"repair.{rule}.count",
+            f"candidate {nodes} scored {scored} edges but builds {len(edges)}",
+        )
 
 
 # -- emitted-expression invariants (Claim 1, Section 7) ----------------------

@@ -30,7 +30,7 @@ from ..obs.recorder import NULL_RECORDER, Recorder
 from ..regex.ast import Plus, Regex, disj
 from ..regex.normalize import contract_stars, simplify
 from ..regex.printer import to_paper_syntax
-from .repair import Repair, find_repair
+from .repair import Repair, search_repair
 from .rewrite import DEFAULT_ORDER, Application, rewrite_gfa
 
 
@@ -164,16 +164,17 @@ def idtd_from_soa(
         if rounds_left <= 0:
             raise IdtdError("repair ladder did not converge")
         rounds_left -= 1
-        repair = find_repair(gfa, current_k)
-        while repair is None and current_k <= len(gfa.nodes()) + 2:
-            current_k += 1  # Algorithm 2, line 5
-            repair = find_repair(gfa, current_k)
+        closure = result.closure if result.closure is not None else gfa.closure()
+        repair, current_k = search_repair(  # escalates k: Algorithm 2, line 5
+            gfa, closure, current_k, len(gfa.nodes()) + 3, recorder
+        )
         if repair is not None:
             repair.apply(gfa)
             repairs.append(repair)
             if contracts_enabled():
                 check_gfa(gfa, context=f"repair.{repair.rule}")
             recorder.count("repair.firings")
+            recorder.count(f"repair.{repair.rule}")
         elif _contract_scc(gfa):
             if contracts_enabled():
                 check_gfa(gfa, context="repair.scc_contraction")

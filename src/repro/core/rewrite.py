@@ -69,11 +69,14 @@ class RewriteResult:
     ``regex`` is set iff the GFA became final.  ``gfa`` is the (possibly
     stuck) automaton — iDTD resumes from it with repair rules.  ``steps``
     records the rule applications for tracing and the ablation benches.
+    ``closure`` is the ε-closure of ``gfa`` as it was left, from the last
+    rule search (``None`` under ``rng``); iDTD's repair search reuses it.
     """
 
     regex: Regex | None
     gfa: GFA
     steps: list[Application] = field(default_factory=list)
+    closure: Closure | None = None
 
     @property
     def succeeded(self) -> bool:
@@ -339,9 +342,11 @@ def rewrite_gfa(
     if recorder.enabled:
         gfa.recorder = recorder
     steps: list[Application] = []
+    closure: Closure | None = None
     while True:
         if rng is None:
-            application = find_application(gfa, order)
+            closure = gfa.closure()
+            application = find_application(gfa, order, closure)
         else:
             candidates = all_applications(gfa)
             application = rng.choice(candidates) if candidates else None
@@ -359,7 +364,7 @@ def rewrite_gfa(
         regex = contract_stars(simplify(gfa.final_regex()))
         if contracts_enabled():
             check_emitted_sore(regex, context="rewrite")
-    return RewriteResult(regex=regex, gfa=gfa, steps=steps)
+    return RewriteResult(regex=regex, gfa=gfa, steps=steps, closure=closure)
 
 
 def rewrite(

@@ -1,14 +1,15 @@
 """Repair rules of Section 6, including the Figure 2 → Figure 1 case."""
 
-from repro.automata.gfa import GFA, SOURCE
+from repro.automata.gfa import GFA, SINK, SOURCE
 from repro.core.repair import (
     find_enable_disjunction_a,
     find_enable_disjunction_b,
     find_enable_optional_a,
     find_enable_optional_b,
     find_repair,
+    search_repair,
 )
-from repro.core.rewrite import rewrite_gfa
+from repro.core.rewrite import find_application, rewrite_gfa
 from repro.learning.tinf import tinf
 from repro.regex.parser import parse_regex
 from repro.automata.soa import SOA
@@ -142,3 +143,43 @@ class TestEnableOptionalB:
         if not result.succeeded:
             repair = find_repair(gfa, k=2)
             assert repair is not None
+
+
+def stuck_until_k5_gfa() -> GFA:
+    """A stuck graph on which no finder repairs anything below ``k = 5``.
+
+    Nodes 1 and 2 share predecessor 5 and successor 8, but node 2 has
+    five more successors; disjunction (a) accepts the pair from ``k = 5``.
+    """
+    gfa = GFA()
+    for label in ["s0?", "(s1+)?", "(s2+)?", "s3", "s4?", "s5", "s6?", "s7?", "s8?"]:
+        gfa.add_node(parse_regex(label))
+    for tail, head in [
+        (SOURCE, 8), (SOURCE, 6), (1, 8), (2, 0), (2, 3), (2, 7), (2, 8),
+        (3, 6), (5, 1), (5, 2), (5, 4), (5, SINK), (7, 4), (7, SINK),
+    ]:
+        gfa.add_edge(tail, head)
+    return gfa
+
+
+class TestEscalation:
+    def test_graph_is_stuck_and_needs_k5(self):
+        gfa = stuck_until_k5_gfa()
+        assert find_application(gfa) is None
+        assert [find_repair(gfa, k) for k in (2, 3, 4)] == [None, None, None]
+        assert find_repair(gfa, 5) is not None
+
+    def test_search_escalates_three_times(self):
+        """Every escalated k reruns disjunction (a) and optional (b)."""
+        gfa = stuck_until_k5_gfa()
+        repair, k = search_repair(gfa, gfa.closure(), 2, len(gfa.nodes()) + 3)
+        assert k == 5
+        assert repair == find_repair(gfa, 5)
+        assert repair.rule == "enable_disjunction_a"
+        assert repair.nodes == (1, 2)
+        assert repair.new_edges == ((1, SINK), (1, 0), (1, 3), (1, 4), (1, 7))
+
+    def test_search_stops_at_max_k(self):
+        gfa = stuck_until_k5_gfa()
+        assert search_repair(gfa, gfa.closure(), 2, 4) == (None, 4)
+        assert search_repair(gfa, gfa.closure(), 7, 4) == (find_repair(gfa, 7), 7)
