@@ -85,7 +85,7 @@ def test_cached_finalize_speedup(tmp_path, scale, benchmark):
         inferencer = DTDInferencer(
             method="idtd", infer_attributes=False, cache=cache
         )
-        return inferencer._finalize(evidence)
+        return inferencer.finalize(evidence)
 
     reference = finalize(None).render()
     warm_cache = ContentModelCache()

@@ -134,7 +134,7 @@ def test_numeric_predicates(rng, benchmark):
 
 def test_xsd_generation(rng, benchmark):
     """DTD -> XSD with sniffed datatypes (the 85% structural case)."""
-    from repro.core.inference import DTDInferencer
+    from repro.api import infer
     from repro.datagen.xmlgen import XmlGenerator
     from repro.xmlio.dtd import parse_dtd
     from repro.xmlio.xsd import dtd_to_xsd
@@ -153,10 +153,9 @@ def test_xsd_generation(rng, benchmark):
         },
     )
     corpus = generator.corpus(50)
-    inferencer = DTDInferencer()
-    learned = inferencer.infer(corpus)
+    result = infer(corpus)
     xsd = benchmark(
-        lambda: dtd_to_xsd(learned, text_types=inferencer.report.text_types)
+        lambda: dtd_to_xsd(result.dtd, text_types=result.report.text_types)
     )
     print("\nE8e: generated XSD header:")
     print("\n".join(xsd.splitlines()[:12]))

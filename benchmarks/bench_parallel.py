@@ -28,9 +28,9 @@ from repro.api import InferenceConfig, infer
 from repro.datagen.xmlgen import XmlGenerator, serialize
 from repro.evaluation.tables import Table
 from repro.evaluation.timing import timed
+from repro.learning.evidence import extract_evidence
 from repro.runtime.parallel import choose_backend, parallel_evidence
 from repro.xmlio.dtd import parse_dtd
-from repro.xmlio.extract import extract_evidence
 from repro.xmlio.parser import parse_file
 
 CORPUS_DTD = (

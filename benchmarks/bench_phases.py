@@ -106,13 +106,13 @@ def test_disabled_recorder_overhead(corpus_paths, scale):
     """Inference through the façade with the default null recorder must
     cost within 5% of the bare engine path."""
     from repro.core.inference import DTDInferencer
-    from repro.xmlio.extract import extract_evidence
+    from repro.learning.evidence import extract_evidence
     from repro.xmlio.parser import parse_file
 
     def bare():
         documents = [parse_file(path) for path in corpus_paths]
         evidence = extract_evidence(documents)
-        return DTDInferencer()._finalize(evidence).render()
+        return DTDInferencer().finalize(evidence).render()
 
     def facaded():
         # cache=False keeps the comparison apples-to-apples: this

@@ -22,10 +22,8 @@ Quickstart::
 (batch, streaming, sharded); :func:`repro.api.validate` and
 :func:`repro.api.diff` are its companions for the paper's two
 applications, and :class:`repro.api.InferenceSession` folds documents
-in incrementally.  The older per-path entry points (``infer_dtd``,
-``DTDInferencer.infer``, ``infer_parallel``, ...) are still importable
-but deprecated — they warn once per process and refuse to run under
-``REPRO_STRICT_API=1`` (see docs/API.md for the removal schedule).
+in incrementally.  Every pipeline shape — batch, streaming, sharded,
+checkpointed, session — goes through that one façade.
 """
 
 from .api import (
@@ -47,7 +45,6 @@ from .core import (
     crx as infer_chare,
     idtd as infer_sore,
     idtd_from_soa,
-    infer_dtd,
     rewrite,
 )
 from .learning import (
@@ -69,7 +66,6 @@ from .regex import (
     to_dtd_syntax,
     to_paper_syntax,
 )
-from .runtime import infer_parallel
 from .xmlio import (
     Document,
     Dtd,
@@ -103,8 +99,6 @@ __all__ = [
     "idtd_denoised",
     "idtd_from_soa",
     "infer_chare",
-    "infer_dtd",
-    "infer_parallel",
     "infer_sore",
     "is_chare",
     "is_deterministic",

@@ -4,9 +4,8 @@ A small AST linter enforcing conventions that generic tools cannot
 know about, runnable as ``python -m repro.analysis src/repro`` and as
 a CI step.  The rules:
 
-* **R001** — no internal use of the deprecated legacy entry points
-  (``infer_dtd``, ``infer_parallel``, ``DTDInferencer.infer_from_*``);
-  inside ``src`` everything goes through :func:`repro.api.infer`.
+* **R001** — ``repro.serve`` imports only the façade surface
+  (``repro.api``, ``repro.errors``, ``repro.obs``), never the engine.
 * **R002** — every ``raise`` uses the :mod:`repro.errors` hierarchy
   (or an in-module subclass of it); raising bare builtin exceptions
   loses the CLI exit-code mapping.

@@ -13,13 +13,7 @@ from collections.abc import Iterator
 
 from . import Finding, ParsedModule
 
-#: Entry points superseded by :func:`repro.api.infer`.  Referencing any
-#: of these by name inside src is a regression to the pre-façade API.
-LEGACY_NAMES = frozenset({"infer_dtd", "infer_parallel"})
-LEGACY_ATTRIBUTES = frozenset({"infer_from_evidence", "infer_from_streaming"})
-
-#: The daemon speaks only the public façade (R001's second half): a
-#: serve module reaching into repro.core/runtime/xmlio directly would
+#: The daemon speaks only the public façade (R001): a serve module reaching into repro.core/runtime/xmlio directly would
 #: let the HTTP surface drift from the library's semantics.
 SERVE_PACKAGE_MARKER = "repro/serve/"
 SERVE_ALLOWED_PACKAGES = frozenset({"api", "errors", "obs", "serve"})
@@ -104,12 +98,10 @@ class Rule:
             yield finding
 
 
-class NoLegacyEntryPoints(Rule):
-    """R001: inside src, all inference goes through repro.api.infer.
+class ServeImportsFacade(Rule):
+    """R001: the daemon reaches the engine only through the façade.
 
-    Two halves of the same contract.  Everywhere in src, the
-    deprecated pre-façade entry points are off limits.  Additionally,
-    inside ``repro/serve/`` *all* internal imports are confined to the
+    Inside ``repro/serve/`` *all* internal imports are confined to the
     public façade surface (:data:`SERVE_ALLOWED_PACKAGES`): the daemon
     is a transport, and any inference logic it grew by importing
     ``repro.core``/``repro.runtime``/``repro.xmlio`` directly would
@@ -117,9 +109,12 @@ class NoLegacyEntryPoints(Rule):
     """
 
     code = "R001"
-    title = "no internal use of deprecated legacy entry points"
+    title = "repro.serve imports only the façade surface"
 
-    def _serve_findings(self, module: ParsedModule) -> Iterator[Finding]:
+    def check(self, module: ParsedModule) -> Iterator[Finding]:
+        if SERVE_PACKAGE_MARKER not in module.path.replace("\\", "/"):
+            return
+
         def complain(node: ast.AST, imported: str) -> Iterator[Finding]:
             yield from self._emit(
                 module,
@@ -164,52 +159,6 @@ class NoLegacyEntryPoints(Rule):
                         not in SERVE_ALLOWED_PACKAGES
                     ):
                         yield from complain(node, alias.name)
-
-    def check(self, module: ParsedModule) -> Iterator[Finding]:
-        if SERVE_PACKAGE_MARKER in module.path.replace("\\", "/"):
-            yield from self._serve_findings(module)
-        defined_here = {
-            node.name
-            for node in ast.walk(module.tree)
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-        }
-        is_package_init = module.path.endswith("__init__.py")
-        for node in ast.walk(module.tree):
-            if (
-                isinstance(node, ast.Name)
-                and isinstance(node.ctx, ast.Load)
-                and node.id in LEGACY_NAMES
-                and node.id not in defined_here
-            ):
-                yield from self._emit(
-                    module,
-                    node,
-                    f"deprecated entry point {node.id!r} used internally; "
-                    "call repro.api.infer instead",
-                )
-            elif (
-                isinstance(node, ast.Attribute)
-                and node.attr in LEGACY_ATTRIBUTES
-                and node.attr not in defined_here
-            ):
-                yield from self._emit(
-                    module,
-                    node,
-                    f"deprecated entry point .{node.attr}() used internally; "
-                    "call repro.api.infer instead",
-                )
-            elif isinstance(node, ast.ImportFrom) and not is_package_init:
-                # Package __init__ modules re-export the deprecated
-                # names for backwards compatibility; importing them
-                # anywhere else invites internal use.
-                for alias in node.names:
-                    if alias.name in LEGACY_NAMES:
-                        yield from self._emit(
-                            module,
-                            node,
-                            f"import of deprecated entry point {alias.name!r}; "
-                            "call repro.api.infer instead",
-                        )
 
 
 class TypedRaises(Rule):
@@ -410,7 +359,7 @@ class DeterministicCore(Rule):
 
 
 ALL_RULES: tuple[Rule, ...] = (
-    NoLegacyEntryPoints(),
+    ServeImportsFacade(),
     TypedRaises(),
     NoSilentSwallow(),
     NoFrozenMutation(),

@@ -1,10 +1,7 @@
 """The unified inference façade: one entry point for every pipeline.
 
-Historically the repo grew five ways to get from XML to a DTD
-(``DTDInferencer.infer``, ``infer_from_evidence``,
-``infer_from_streaming``, the module-level ``infer_dtd`` and
-``runtime.parallel.infer_parallel``), each with its own argument
-conventions.  This module collapses them behind one function::
+Batch, streaming, sharded and checkpointed runs all go through one
+function::
 
     from repro.api import InferenceConfig, infer
 
@@ -18,14 +15,18 @@ conventions.  This module collapses them behind one function::
 ``infer`` accepts parsed :class:`~repro.xmlio.tree.Document` objects,
 XML literals, file paths, directories (expanded to their sorted
 ``*.xml`` files), or any iterable mixing those.  The configuration is a
-frozen keyword-only dataclass that rejects illegal combinations at
-construction time, before any parsing starts.
+frozen keyword-only dataclass that rejects illegal values at
+construction time, before any parsing starts.  Every option composes
+with every pipeline shape.
 
-Every path through this function produces byte-identical DTDs to the
-legacy entry points — they now all share the same engine
-(:class:`~repro.core.inference.DTDInferencer`'s private finalizers) and
-are property-tested against each other in
-``tests/integration/test_api.py``.
+Every shape folds its documents into one
+:class:`~repro.learning.evidence.StreamingEvidence` — bags kept whole
+on the batch path, bounded by
+:data:`~repro.learning.evidence.WORD_CAP` on the others — and then runs
+the one engine pass, :meth:`~repro.core.inference.DTDInferencer.finalize`,
+so the shapes give byte-identical DTDs (property-tested in
+``tests/integration/test_api.py`` and
+``tests/property/test_config_product.py``).
 """
 
 from __future__ import annotations
@@ -44,14 +45,13 @@ from .core.inference import (
     DTDInferencer,
     InferenceReport,
     Method,
-    apply_support_threshold,
     validate_method,
 )
 from .errors import CorpusError, UsageError
 from .obs.recorder import NULL_RECORDER, Recorder
 from .xmlio.diff import ElementDiff, iter_diffs
 from .xmlio.dtd import Dtd, parse_dtd
-from .learning.evidence import CorpusEvidence, StreamingEvidence, extract_evidence
+from .learning.evidence import StreamingEvidence, extract_evidence
 from .xmlio.parser import parse_document, parse_file
 from .xmlio.tree import Document
 from .xmlio.validate import Violation
@@ -94,9 +94,10 @@ class InferenceConfig:
             symbols), ``"sire"`` (SOREs with interleaving ``&``) or
             ``"auto"`` (the paper's sparse/abundant switch between the
             two paper learners; the extensions are opt-in).
-        streaming: count documents into bounded, mergeable per-element
-            evidence instead of keeping the batch sample (bounded
-            memory).
+        streaming: bound each element's bag of distinct child words by
+            :data:`~repro.learning.evidence.WORD_CAP`, spilling past it
+            into mergeable learner states (memory bounded by the schema,
+            not the corpus).
         jobs: shard the corpus across this many worker processes and
             merge their evidence (map-reduce; implies streaming).
             Requires file-path sources.  ``None`` means in-process.
@@ -106,8 +107,10 @@ class InferenceConfig:
             :data:`~repro.learning.evidence.WORD_CAP` raises
             :class:`~repro.errors.CorpusError`.
         support_threshold: drop element names seen in fewer than this
-            many parent sequences (noise handling, Section 9).  Also
-            needs the full sample.
+            many parent sequences (noise handling, Section 9).  Counts
+            every element's child words, so it runs on every shape and
+            raises :class:`~repro.errors.CorpusError` naming the first
+            element whose bag spilled.
         sparse_threshold: the ``auto``-method cut-over sample size.
         infer_attributes: also generate ``<!ATTLIST>`` declarations.
         cache: memoize the per-element finalize step in the
@@ -200,12 +203,6 @@ class InferenceConfig:
             raise UsageError(
                 f"sparse_threshold must be >= 0, got {self.sparse_threshold}"
             )
-        if self.effective_streaming and self.support_threshold > 0:
-            raise UsageError(
-                "support_threshold (--support-threshold) rereads the sample: "
-                "it cannot be combined with streaming/jobs (use the batch "
-                "path)"
-            )
         if self.on_error not in ("strict", "skip"):
             raise UsageError(
                 f"unknown on_error mode {self.on_error!r}: expected 'strict' "
@@ -288,7 +285,7 @@ class InferenceResult:
     degradation: "DegradationReport | None" = None
 
     def render(self) -> str:
-        """The DTD as text (identical to the legacy ``dtd.render()``)."""
+        """The DTD as text."""
         with self.recorder.span("emit", format="dtd"):
             return self.dtd.render()
 
@@ -296,6 +293,32 @@ class InferenceResult:
         """The schema as XSD, with sniffed simple types (Section 9)."""
         with self.recorder.span("emit", format="xsd"):
             return dtd_to_xsd(self.dtd, text_types=self.report.text_types)
+
+
+def _inferencer(
+    config: InferenceConfig,
+    fault_plan: "FaultPlan | None",
+    degradation: "DegradationReport | None",
+) -> DTDInferencer:
+    """The engine for ``config``, with the process-wide cache unless off."""
+    content_model_cache = None
+    if config.cache:
+        from .runtime.cache import global_content_model_cache
+
+        content_model_cache = global_content_model_cache()
+    return DTDInferencer(
+        method=config.method,
+        sparse_threshold=config.sparse_threshold,
+        numeric=config.numeric,
+        support_threshold=config.support_threshold,
+        infer_attributes=config.infer_attributes,
+        recorder=config.recorder,
+        cache=content_model_cache,
+        fault_plan=fault_plan,
+        # Strict mode fails hard on learner faults; only skip mode may
+        # degrade content models down the SORE → CHARE → ANY ladder.
+        degradation=degradation if config.on_error == "skip" else None,
+    )
 
 
 def _expand_source(source: Source) -> list[Document | str]:
@@ -417,18 +440,12 @@ def infer(
 
     This is *the* entry point: batch and streaming, serial and
     sharded, all learner choices.  Returns an
-    :class:`InferenceResult`; ``result.dtd`` is byte-identical to what
-    the corresponding legacy entry point produced.
+    :class:`InferenceResult`; ``result.dtd`` is byte-identical across
+    pipeline shapes.
     """
     if config is None:
         config = InferenceConfig()
     recorder = config.recorder
-    if config.cache:
-        from .runtime.cache import global_content_model_cache
-
-        content_model_cache = global_content_model_cache()
-    else:
-        content_model_cache = None
     from .regex.language import language_cache_info
 
     language_before = language_cache_info() if recorder.enabled else {}
@@ -440,23 +457,10 @@ def infer(
         degradation = DegradationReport()
         # __post_init__ normalized faults to FaultPlan | None.
         fault_plan = config.faults  # type: ignore[assignment]
-    inferencer = DTDInferencer(
-        method=config.method,
-        sparse_threshold=config.sparse_threshold,
-        numeric=config.numeric,
-        infer_attributes=config.infer_attributes,
-        recorder=recorder,
-        cache=content_model_cache,
-        fault_plan=fault_plan,
-        # Strict mode fails hard on learner faults; only skip mode may
-        # degrade content models down the SORE → CHARE → ANY ladder.
-        degradation=degradation if config.on_error == "skip" else None,
-    )
     items = _expand_source(source)
     if not items:
         raise UsageError("no documents to infer from")
 
-    evidence: CorpusEvidence | StreamingEvidence
     if config.effective_streaming:
         evidence = _streaming_evidence(
             items,
@@ -491,12 +495,8 @@ def infer(
         _require_surviving_documents(degradation, len(items))
         with recorder.span("extract", documents=len(documents)):
             evidence = extract_evidence(documents, recorder=recorder)
-        if config.support_threshold > 0:
-            with recorder.span("filter", threshold=config.support_threshold):
-                apply_support_threshold(
-                    evidence, config.support_threshold, recorder
-                )
-    dtd = inferencer._finalize(evidence)
+    inferencer = _inferencer(config, fault_plan, degradation)
+    dtd = inferencer.finalize(evidence)
     if degradation is not None and contracts_enabled():
         from .contracts import check_degradation_report
 
@@ -766,11 +766,11 @@ class InferenceSession:
     byte-identical to a fresh :func:`infer` over everything appended
     so far, at any point (ALGORITHMS.md §12).
 
-    Sessions run the streaming pipeline by definition, so
-    ``support_threshold`` — which rewrites the full sample before
-    learning — is rejected up front.  ``numeric`` annotates from each
-    element's bag, as on every streaming run.  A batch-flavoured config
-    is silently promoted to ``streaming=True``.
+    Sessions run the streaming pipeline by definition: a batch-flavoured
+    config is silently promoted to ``streaming=True``.  ``numeric`` and
+    ``support_threshold`` read each element's bag at every
+    :meth:`current_dtd`, as on every streaming run, and never rewrite
+    the session state.
 
     Under ``REPRO_CHECKS=1`` every append re-verifies merge
     commutativity between the accumulated state and the new chunk.
@@ -783,12 +783,6 @@ class InferenceSession:
     def __init__(self, config: InferenceConfig | None = None) -> None:
         if config is None:
             config = InferenceConfig(streaming=True)
-        if config.support_threshold > 0:
-            raise UsageError(
-                "support_threshold rereads the full sample: sessions fold "
-                "documents incrementally — use the one-shot batch "
-                "repro.api.infer"
-            )
         if config.state_dir is not None:
             raise UsageError(
                 "state_dir checkpoints one-shot corpus runs; sessions keep "
@@ -916,12 +910,6 @@ class InferenceSession:
             )
         _require_surviving_documents(self._degradation, self._documents)
         recorder = self.config.recorder
-        if self.config.cache:
-            from .runtime.cache import global_content_model_cache
-
-            content_model_cache = global_content_model_cache()
-        else:
-            content_model_cache = None
         # Finalize against a *copy* of the session report: learner
         # fallbacks belong to one derivation, and repeated queries must
         # not accumulate duplicates in the session-wide report.
@@ -930,21 +918,10 @@ class InferenceSession:
             if self._degradation is not None
             else None
         )
-        inferencer = DTDInferencer(
-            method=self.config.method,
-            sparse_threshold=self.config.sparse_threshold,
-            numeric=self.config.numeric,
-            infer_attributes=self.config.infer_attributes,
-            recorder=recorder,
-            cache=content_model_cache,
-            fault_plan=self._fault_plan,
-            degradation=(
-                degradation if self.config.on_error == "skip" else None
-            ),
-        )
+        inferencer = _inferencer(self.config, self._fault_plan, degradation)
         if recorder.enabled:
             recorder.count("elements", len(self._evidence.elements))
-        dtd = inferencer._finalize(self._evidence)
+        dtd = inferencer.finalize(self._evidence)
         if degradation is not None and contracts_enabled():
             from .contracts import check_degradation_report
 

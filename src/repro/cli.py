@@ -250,9 +250,10 @@ def build_parser() -> argparse.ArgumentParser:
     infer.add_argument(
         "--streaming",
         action="store_true",
-        help="count each element's distinct child words in a bounded, "
-        "mergeable bag instead of keeping the batch sample (memory bounded "
-        "by the schema, not the corpus)",
+        help="bound each element's bag of distinct child words, spilling "
+        "past the cap into mergeable learner states (memory bounded by the "
+        "schema, not the corpus); --numeric and --support-threshold then "
+        "fail on an element that spilled",
     )
     infer.add_argument(
         "--jobs",

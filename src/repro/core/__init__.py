@@ -5,18 +5,13 @@
   rules (Section 6, Theorem 2);
 * :func:`crx` — direct CHARE inference (Section 7, Theorems 3-5);
 * :func:`annotate_numeric` — numerical predicates (Section 9);
-* :class:`DTDInferencer` / :func:`infer_dtd` — the end-to-end
-  per-element pipeline over XML corpora.
+* :class:`DTDInferencer` — the end-to-end per-element pipeline's
+  engine, behind :func:`repro.api.infer`.
 """
 
 from .crx import ClassSummary, CrxState, crx, quantifier_for
 from .idtd import IdtdError, IdtdResult, idtd, idtd_from_soa
-from .inference import (
-    DTDInferencer,
-    InferenceReport,
-    apply_support_threshold,
-    infer_dtd,
-)
+from .inference import DTDInferencer, InferenceReport
 from .numeric import annotate_numeric
 from .repair import Repair, find_repair
 from .rewrite import (
@@ -43,14 +38,12 @@ __all__ = [
     "RewriteResult",
     "all_applications",
     "annotate_numeric",
-    "apply_support_threshold",
     "apply_application",
     "crx",
     "find_application",
     "find_repair",
     "idtd",
     "idtd_from_soa",
-    "infer_dtd",
     "quantifier_for",
     "rewrite",
     "rewrite_gfa",

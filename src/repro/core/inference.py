@@ -24,26 +24,28 @@ regimes:
 Mixed content, text-only and empty elements are detected from the
 corpus and mapped to the corresponding DTD content specifications;
 attribute lists are generated from attribute usage.  Numerical
-predicates (Section 9) can be switched on to tighten ``+``/``*``.
+predicates (Section 9) can be switched on to tighten ``+``/``*``, and
+the support filter (Section 9's noise handling) to drop element names
+seen in too few parent sequences.
 
-The preferred entry point is :func:`repro.api.infer`; the historical
-entry points on this class (``infer``, ``infer_from_evidence``,
-``infer_from_streaming``) and the module-level :func:`infer_dtd`
-survive as deprecated shims over the same engine.
+The entry point is :func:`repro.api.infer`; :class:`DTDInferencer` is
+its engine, and :meth:`DTDInferencer.finalize` turns the evidence of
+any pipeline shape into a DTD.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
-from collections.abc import Callable, Iterable
-from typing import TYPE_CHECKING, Any, Literal
+from collections.abc import Callable, Mapping
+from typing import TYPE_CHECKING, Literal
 
 from ..contracts import (
     check_cached_content_model,
     check_content_model,
     contracts_enabled,
 )
-from ..errors import CorpusError, UsageError, legacy_entry_point
+from ..errors import CorpusError, UsageError
 from ..learning.kore import IncrementalKore
 from ..learning.sire import IncrementalSire
 from ..learning.tinf import tinf
@@ -52,17 +54,14 @@ from ..regex.ast import Opt, Regex
 from ..regex.normalize import normalize
 from ..learning import evidence as evidence_module
 from ..learning.evidence import (
-    CorpusEvidence,
     ElementEvidence,
     LearnerStates,
     StreamingEvidence,
     WordBag,
-    extract_evidence,
 )
 from ..xmlio.datatypes import sniff_type
 from ..xmlio.dtd import Any as AnyContent
 from ..xmlio.dtd import AttributeDef, Children, Dtd, Empty, Mixed
-from ..xmlio.tree import Document
 from .crx import CrxState
 from .idtd import idtd_from_soa
 from .numeric import annotate_numeric
@@ -97,8 +96,14 @@ def validate_method(method: str) -> None:
         )
 
 
-def _warn_deprecated(old: str, new: str) -> None:
-    legacy_entry_point(old, new, stacklevel=4)
+def _spilled_error(option: str, name: str) -> CorpusError:
+    """``option`` needs the words of element ``name``, whose bag spilled."""
+    return CorpusError(
+        f"{option} reads the child words of element {name!r}, but its "
+        f"streaming evidence passed {evidence_module.WORD_CAP} distinct words "
+        "and spilled into learner states; infer with "
+        f"{option} on the batch path (no streaming, jobs, state_dir or session)"
+    )
 
 
 @dataclass
@@ -116,6 +121,9 @@ class DTDInferencer:
         method: which learner to use per element (see module docstring).
         sparse_threshold: the auto-mode cut-over sample size.
         numeric: tighten ``+``/``*`` into ``{m,n}`` bounds (Section 9).
+        support_threshold: drop element names mentioned in fewer than
+            this many parent sequences, corpus-wide (Section 9's noise
+            handling); ``0`` keeps every name.
         infer_attributes: also generate ``<!ATTLIST>`` declarations.
         recorder: instrumentation sink (see :mod:`repro.obs`); spans
             ``soa``/``rewrite``/``crx`` are opened per element.
@@ -144,6 +152,7 @@ class DTDInferencer:
         method: Method = "auto",
         sparse_threshold: int = DEFAULT_SPARSE_THRESHOLD,
         numeric: bool = False,
+        support_threshold: int = 0,
         infer_attributes: bool = True,
         recorder: Recorder | None = None,
         cache: ContentModelCache | None = None,
@@ -154,6 +163,7 @@ class DTDInferencer:
         self.method = method
         self.sparse_threshold = sparse_threshold
         self.numeric = numeric
+        self.support_threshold = support_threshold
         self.infer_attributes = infer_attributes
         self.recorder = recorder if recorder is not None else NULL_RECORDER
         self.cache = cache
@@ -291,8 +301,7 @@ class DTDInferencer:
         *before* ``learn`` runs so a warm content-model cache can never
         mask an injected failure.
         """
-        # Lazy: core.inference must not import repro.runtime at module
-        # level (runtime.parallel imports this module right back).
+        # Lazy: repro.runtime sits above repro.core in the layer table.
         from ..runtime.resilience import (
             FALLBACK_ORDER,
             ElementFallback,
@@ -361,13 +370,7 @@ class DTDInferencer:
             # fingerprint deliberately does not cover — annotation
             # therefore always runs fresh, on top of the cached core.
             if isinstance(sample, LearnerStates):
-                raise CorpusError(
-                    f"numeric bounds need the child words of element "
-                    f"{name!r}, but its streaming evidence passed "
-                    f"{evidence_module.WORD_CAP} distinct words and spilled "
-                    "into learner states; infer with numeric on the batch "
-                    "path (no streaming, jobs or state_dir)"
-                )
+                raise _spilled_error("numeric", name)
             regex = annotate_numeric(regex, sample.distinct_words())
         regex = self._wrap_optional(regex, evidence.empty_count > 0)
         if contracts_enabled():
@@ -394,22 +397,31 @@ class DTDInferencer:
             )
         return definitions
 
-    # -- the engine (no deprecation warnings; the façade calls these) ---------
+    # -- the engine ----------------------------------------------------------
 
-    def _finalize(self, evidence: CorpusEvidence | StreamingEvidence) -> Dtd:
-        """The one finalize pass, over batch or streaming evidence."""
+    def finalize(self, evidence: StreamingEvidence) -> Dtd:
+        """The one finalize pass, over the evidence of any pipeline shape.
+
+        Never rewrites ``evidence`` (the support filter reads through
+        copies), so a session may finalize the same evidence again after
+        more appends.
+        """
+        elements: Mapping[str, ElementEvidence] = evidence.elements
+        if self.support_threshold > 0:
+            with self.recorder.span("filter", threshold=self.support_threshold):
+                elements = self._support_filtered(elements)
         dtd = Dtd(start=evidence.majority_root())
-        for name in sorted(evidence.elements):
-            element_evidence = evidence.elements[name]
+        for name in sorted(elements):
+            element_evidence = elements[name]
             dtd.elements[name] = self._content_model(element_evidence)
             if self.infer_attributes and element_evidence.attribute_presence:
                 dtd.attributes[name] = self._attlist(element_evidence)
         if self.recorder.enabled:
-            samples = [element.sample() for element in evidence.elements.values()]
+            samples = [element.sample() for element in elements.values()]
             bags = [sample for sample in samples if isinstance(sample, WordBag)]
             self.recorder.count(
                 "evidence.words",
-                sum(element.occurrences for element in evidence.elements.values()),
+                sum(element.occurrences for element in elements.values()),
             )
             self.recorder.count(
                 "evidence.distinct_words", sum(len(bag.counts) for bag in bags)
@@ -417,76 +429,33 @@ class DTDInferencer:
             self.recorder.count("evidence.spills", len(samples) - len(bags))
         return dtd
 
-    def _infer_documents(self, documents: Iterable[Document]) -> Dtd:
-        return self._finalize(extract_evidence(documents, recorder=self.recorder))
+    def _support_filtered(
+        self, elements: Mapping[str, ElementEvidence]
+    ) -> dict[str, ElementEvidence]:
+        """Noise handling (Section 9): ``elements`` without the names
+        mentioned in fewer than ``support_threshold`` parent sequences,
+        corpus-wide, cut from every child word.
 
-    # -- deprecated public API -------------------------------------------------
-
-    def infer_from_evidence(self, evidence: CorpusEvidence) -> Dtd:
-        """Deprecated: use :func:`repro.api.infer`."""
-        _warn_deprecated(
-            "DTDInferencer.infer_from_evidence", "repro.api.infer"
-        )
-        return self._finalize(evidence)
-
-    def infer_from_streaming(self, evidence: StreamingEvidence) -> Dtd:
-        """Deprecated: use :func:`repro.api.infer` with
-        ``InferenceConfig(streaming=True)``.
-
-        Produces exactly the DTD the batch path produces on the same
-        corpus: both evidence kinds count the same words and every
-        learner is order- and sharding-insensitive.
+        Support counts read every bag, so a spilled element is a
+        :class:`CorpusError` naming it.
         """
-        _warn_deprecated(
-            "DTDInferencer.infer_from_streaming", "repro.api.infer"
-        )
-        return self._finalize(evidence)
-
-    def infer(self, documents: Iterable[Document]) -> Dtd:
-        """Deprecated: use :func:`repro.api.infer`."""
-        _warn_deprecated("DTDInferencer.infer", "repro.api.infer")
-        return self._infer_documents(documents)
-
-
-def apply_support_threshold(
-    evidence: CorpusEvidence,
-    threshold: int,
-    recorder: Recorder = NULL_RECORDER,
-) -> None:
-    """Noise handling (Section 9): drop element names mentioned in
-    fewer than ``threshold`` parent sequences, corpus-wide."""
-    support: dict[str, int] = {}
-    for element in evidence.elements.values():
-        for sequence, count in element.child_sequences.distinct():
-            for name in set(sequence):
-                support[name] = support.get(name, 0) + count
-    noisy = {
-        name
-        for name, count in support.items()
-        if count < threshold and name in evidence.elements
-    }
-    if recorder.enabled:
-        recorder.count("filter.dropped_names", len(noisy))
-    if not noisy:
-        return
-    for element in evidence.elements.values():
-        filtered = WordBag()
-        for sequence, count in element.child_sequences.distinct():
-            filtered.add(
-                tuple(name for name in sequence if name not in noisy), count
-            )
-        element.child_sequences = filtered
-        element.nonempty_count = filtered.nonempty_total
-        element.empty_count = filtered.total - filtered.nonempty_total
-    for name in noisy:
-        evidence.elements.pop(name, None)
-
-
-def infer_dtd(
-    documents: Iterable[Document],
-    method: Method = "auto",
-    **kwargs: Any,
-) -> Dtd:
-    """Deprecated one-shot convenience: use :func:`repro.api.infer`."""
-    _warn_deprecated("infer_dtd", "repro.api.infer")
-    return DTDInferencer(method=method, **kwargs)._infer_documents(documents)
+        support: Counter[str] = Counter()
+        for name in sorted(elements):
+            element = elements[name]
+            if element.spilled is not None:
+                raise _spilled_error("support_threshold", name)
+            for word, count in element.child_sequences.distinct():
+                for child in set(word):
+                    support[child] += count
+        noisy = {
+            name
+            for name, count in support.items()
+            if count < self.support_threshold and name in elements
+        }
+        if self.recorder.enabled:
+            self.recorder.count("filter.dropped_names", len(noisy))
+        return {
+            name: element.without(noisy) if noisy else element
+            for name, element in elements.items()
+            if name not in noisy
+        }

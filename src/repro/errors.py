@@ -22,19 +22,10 @@ error, ``2`` internal error — is encoded *once*, in
 re-deciding per call site.  The HTTP daemon (:mod:`repro.serve`) maps
 the same hierarchy onto status codes the same way — one split, two
 transports.
-
-Deprecation lives here too: :func:`legacy_entry_point` is the single
-gate every legacy shim (``infer_dtd``, ``DTDInferencer.infer*``,
-``infer_parallel``) goes through.  It warns **once per process** per
-entry point, and under ``REPRO_STRICT_API=1`` it raises
-:class:`UsageError` instead — the removal rehearsal mode.
 """
 
 from __future__ import annotations
 
-import os
-import threading
-import warnings
 from typing import Any
 
 EXIT_OK = 0
@@ -105,49 +96,6 @@ def exit_code_for(error: BaseException) -> int:
     return EXIT_INTERNAL
 
 
-#: Entry points that already warned this process (see
-#: :func:`legacy_entry_point`).  One warning per name per process: a
-#: service calling a shim in a hot loop logs one line, not millions.
-_WARNED_LEGACY: set[str] = set()
-_WARNED_LEGACY_LOCK = threading.Lock()
-
-
-def strict_api_enabled() -> bool:
-    """Whether ``REPRO_STRICT_API`` asks legacy shims to raise."""
-    return os.environ.get("REPRO_STRICT_API", "").strip() not in ("", "0")
-
-
-def legacy_entry_point(old: str, new: str, *, stacklevel: int = 3) -> None:
-    """The deprecation gate every legacy shim calls before running.
-
-    Under ``REPRO_STRICT_API=1`` the shim refuses to run at all
-    (:class:`UsageError`, exit 1) — the rehearsal for the scheduled
-    removal (see docs/API.md).  Otherwise a
-    :class:`DeprecationWarning` is emitted the *first* time each entry
-    point is hit in a process and suppressed afterwards.
-    """
-    if strict_api_enabled():
-        raise UsageError(
-            f"{old} is disabled under REPRO_STRICT_API=1 "
-            f"(scheduled for removal); use {new}"
-        )
-    with _WARNED_LEGACY_LOCK:
-        if old in _WARNED_LEGACY:
-            return
-        _WARNED_LEGACY.add(old)
-    warnings.warn(
-        f"{old} is deprecated; use {new}",
-        DeprecationWarning,
-        stacklevel=stacklevel,
-    )
-
-
-def reset_legacy_warnings() -> None:
-    """Forget which shims warned (tests re-assert warn-once behaviour)."""
-    with _WARNED_LEGACY_LOCK:
-        _WARNED_LEGACY.clear()
-
-
 __all__ = [
     "EXIT_INTERNAL",
     "EXIT_OK",
@@ -159,7 +107,4 @@ __all__ = [
     "ShardTimeout",
     "UsageError",
     "exit_code_for",
-    "legacy_entry_point",
-    "reset_legacy_warnings",
-    "strict_api_enabled",
 ]

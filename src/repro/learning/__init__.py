@@ -10,20 +10,17 @@
   beyond-SORE extension learners (k-occurrence REs and interleaving);
 * :class:`WeightedSOA` / :func:`idtd_denoised` — Section 9 noise
   handling with per-edge supports;
-* :mod:`repro.learning.evidence` — corpus evidence extraction: the
-  batch :class:`CorpusEvidence` sample and the shard-mergeable
-  :class:`StreamingEvidence` fold straight into the incremental
-  learner states above.
+* :mod:`repro.learning.evidence` — corpus evidence extraction: one
+  shard-mergeable :class:`StreamingEvidence` per corpus, whose bags
+  spill straight into the incremental learner states above.
 """
 
 from .evidence import (
-    CorpusEvidence,
     ElementEvidence,
     StreamingEvidence,
     WordBag,
     child_sequences,
     extract_evidence,
-    extract_streaming_evidence,
 )
 from .incremental import IncrementalCRX, IncrementalSOA
 from .kore import IncrementalKore
@@ -33,7 +30,6 @@ from .sampling import covering_subsample, reservoir_sample
 from .tinf import KTestableAutomaton, ktinf, sample_two_grams, tinf
 
 __all__ = [
-    "CorpusEvidence",
     "DenoisedResult",
     "ElementEvidence",
     "IncrementalCRX",
@@ -47,7 +43,6 @@ __all__ = [
     "child_sequences",
     "covering_subsample",
     "extract_evidence",
-    "extract_streaming_evidence",
     "idtd_denoised",
     "ktinf",
     "reservoir_sample",

@@ -9,31 +9,26 @@ datatype sniffing, attribute usage for ATTLIST generation).
 Evidence extraction lives in :mod:`repro.learning` (not
 :mod:`repro.xmlio`) because a spilled element folds its words into the
 incremental learner states, so this module sits in the layer that owns
-those states.  ``repro.xmlio.extract`` remains as a lazy
-backwards-compatible alias.
+those states.
 
-Both corpus representations keep one :class:`ElementEvidence` per
-element name, which counts child words in a :class:`WordBag` (distinct
-words with multiplicities); finalize learns from the distinct words
-only:
-
-* :class:`CorpusEvidence` — the batch representation, whose bags never
-  spill, so any learner, including the numeric-predicate annotator and
-  the noise filter, can re-read the sample.
-* :class:`StreamingEvidence` — the Section 9 representation: mergeable
-  and dehydratable, with each bag bounded by :data:`WORD_CAP` distinct
-  words; past the cap a bag spills into the incremental learner states
-  (:class:`LearnerStates`), so memory is bounded by the *schema* size,
-  not the corpus size.  :meth:`~StreamingEvidence.merge` combines
-  evidence from disjoint corpus shards associatively — the map-reduce
-  property behind :mod:`repro.runtime.parallel`.
+One type, :class:`StreamingEvidence`, holds every corpus: one
+:class:`ElementEvidence` per element name, which counts child words in
+a :class:`WordBag` (distinct words with multiplicities); finalize
+learns from the distinct words only.  The pipeline shape picks the
+bound: a batch run (:func:`extract_evidence`) keeps every bag whole,
+while the streaming, sharded, checkpointed and session shapes bound
+each bag by :data:`WORD_CAP` distinct words, past which it spills into
+the incremental learner states (:class:`LearnerStates`), so memory is
+bounded by the *schema* size, not the corpus size.
+:meth:`~StreamingEvidence.merge` combines evidence from disjoint
+corpus shards associatively — the map-reduce property behind
+:mod:`repro.runtime.parallel`.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
-from collections.abc import Iterable, Iterator, Mapping
+from collections.abc import Collection, Iterable, Iterator, Mapping
 from typing import TypeVar
 
 from ..errors import CorpusError
@@ -195,12 +190,11 @@ class ElementEvidence:
 
     Child words are counted in a :class:`WordBag`, so an occurrence costs
     one dictionary update and learners later run once per *distinct*
-    word.  Batch evidence keeps the bag whole; streaming evidence
-    (:class:`StreamingEvidence`) spills a bag past :data:`WORD_CAP`
-    distinct words into :class:`LearnerStates` (:meth:`spill`), after
-    which the element is kept as states and the bag only buffers words
-    between flushes.  Counters and the text/attribute reservoirs are
-    shared by both.
+    word.  Batch evidence keeps the bag whole; bounded evidence spills a
+    bag past :data:`WORD_CAP` distinct words into :class:`LearnerStates`
+    (:meth:`spill`), after which the element is kept as states and the
+    bag only buffers words between flushes.  Counters and the
+    text/attribute reservoirs are the same either way.
 
     ``soa``/``crx``/``kore``/``sire`` are read-only views: fresh learner
     states over every word seen, never part of the dehydrated form.
@@ -319,6 +313,26 @@ class ElementEvidence:
             if len(samples) < SAMPLE_CAP:
                 samples.extend(values[: SAMPLE_CAP - len(samples)])
 
+    def without(self, names: Collection[str]) -> "ElementEvidence":
+        """A copy of unspilled evidence with ``names`` cut from every word.
+
+        Occurrence counts follow the rewritten words; the text and
+        attribute reservoirs are shared with this evidence, which stays
+        untouched.
+        """
+        view = ElementEvidence(self.name)
+        for word, count in self.child_sequences.distinct():
+            view.child_sequences.add(
+                [symbol for symbol in word if symbol not in names], count
+            )
+        view.nonempty_count = view.child_sequences.nonempty_total
+        view.empty_count = view.child_sequences.total - view.nonempty_count
+        view.has_text = self.has_text
+        view.text_values = self.text_values
+        view.attribute_values = self.attribute_values
+        view.attribute_presence = self.attribute_presence
+        return view
+
     def dehydrate(self) -> dict[str, object]:
         """Everything this evidence holds, as sorted JSON-ready values.
 
@@ -402,88 +416,46 @@ class ElementEvidence:
         return evidence
 
 
-def _majority(counts: dict[str, int]) -> str | None:
-    if not counts:
-        return None
-    return max(sorted(counts), key=lambda name: counts[name])
-
-
-@dataclass
-class CorpusEvidence:
-    """Per-element evidence plus corpus-level bookkeeping."""
-
-    elements: dict[str, ElementEvidence] = field(default_factory=dict)
-    roots: list[str] = field(default_factory=list)
-    document_count: int = 0
-
-    def evidence_for(self, name: str) -> ElementEvidence:
-        if name not in self.elements:
-            self.elements[name] = ElementEvidence(name=name)
-        return self.elements[name]
-
-    def add_element(self, element: Element) -> None:
-        self.evidence_for(element.name).observe(element)
-
-    def add_document(self, document: Document) -> None:
-        self.document_count += 1
-        self.roots.append(document.root.name)
-        for element in document.iter():
-            self.add_element(element)
-
-    def add_documents(self, documents: Iterable[Document]) -> None:
-        for document in documents:
-            self.add_document(document)
-
-    def merge(self, other: "CorpusEvidence") -> None:
-        """Fold evidence from another (disjoint) sub-corpus in place."""
-        for name, element in other.elements.items():
-            self.evidence_for(name).merge(element)
-        self.roots.extend(other.roots)
-        self.document_count += other.document_count
-
-    def samples(self) -> dict[str, WordBag]:
-        """Element name → the child-sequence sample for its content model."""
-        return {
-            name: evidence.child_sequences
-            for name, evidence in self.elements.items()
-        }
-
-    def majority_root(self) -> str | None:
-        return _majority(Counter(self.roots))
-
-
 class StreamingEvidence:
-    """Corpus evidence counted on the fly into bounded per-element bags.
+    """Corpus evidence counted on the fly into per-element bags.
 
-    Each element keeps at most :data:`WORD_CAP` distinct child words
-    before it spills into learner states, whose size is bounded by the
-    inferred schema's complexity (alphabet sizes, 2-gram sets, distinct
-    CRX occurrence profiles); with the fixed reservoirs, memory is
-    bounded by the schema — *not* by the number of documents or element
-    occurrences, which is what Section 9 promises makes the learners
-    incrementally updatable.  ``merge`` combines evidence from disjoint
-    corpus shards associatively, enabling map-reduce inference, and
-    :meth:`dehydrate` gives the same bytes however the corpus was
-    sharded.
+    A ``bounded`` evidence (the default, and every shape but batch)
+    keeps at most :data:`WORD_CAP` distinct child words per element
+    before that element spills into learner states, whose size is
+    bounded by the inferred schema's complexity (alphabet sizes, 2-gram
+    sets, distinct CRX occurrence profiles); with the fixed reservoirs,
+    memory is bounded by the schema — *not* by the number of documents
+    or element occurrences, which is what Section 9 promises makes the
+    learners incrementally updatable.  Batch evidence
+    (``bounded=False``) never spills, so finalize can always reread its
+    words.  ``merge`` combines evidence from disjoint corpus shards
+    associatively, enabling map-reduce inference, and :meth:`dehydrate`
+    gives the same bytes however the corpus was sharded.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, *, bounded: bool = True) -> None:
         self.elements: dict[str, ElementEvidence] = {}
         self.root_counts: Counter[str] = Counter()
         self.document_count = 0
+        self.bounded = bounded
 
     def evidence_for(self, name: str) -> ElementEvidence:
         if name not in self.elements:
             self.elements[name] = ElementEvidence(name)
         return self.elements[name]
 
+    def _cap(self) -> int | None:
+        # Read at fold time, so a patched WORD_CAP takes effect.
+        return WORD_CAP if self.bounded else None
+
     def add_document(self, document: Document) -> None:
         self.document_count += 1
         self.root_counts[document.root.name] += 1
+        cap = self._cap()
         for element in document.iter():
             evidence = self.evidence_for(element.name)
             evidence.observe(element)
-            if len(evidence.child_sequences.counts) > WORD_CAP:
+            if cap is not None and len(evidence.child_sequences.counts) > cap:
                 evidence.spill()
 
     def add_documents(self, documents: Iterable[Document]) -> None:
@@ -493,19 +465,23 @@ class StreamingEvidence:
     def merge(self, other: "StreamingEvidence") -> None:
         """Fold evidence from another (disjoint) corpus shard in place.
 
-        A merged bag past :data:`WORD_CAP` spills, exactly as folding the
-        same documents serially would have made it spill.
+        A merged bag past this evidence's cap spills, exactly as folding
+        the same documents serially would have made it spill.
         """
+        cap = self._cap()
         for name, element in other.elements.items():
             evidence = self.evidence_for(name)
             evidence.merge(element)
-            if len(evidence.child_sequences.counts) > WORD_CAP:
+            if cap is not None and len(evidence.child_sequences.counts) > cap:
                 evidence.spill()
         self.root_counts.update(other.root_counts)
         self.document_count += other.document_count
 
     def majority_root(self) -> str | None:
-        return _majority(self.root_counts)
+        counts = self.root_counts
+        if not counts:
+            return None
+        return max(sorted(counts), key=lambda name: counts[name])
 
     def dehydrate(self) -> dict[str, object]:
         """The whole evidence as one canonical JSON-ready document.
@@ -560,24 +536,13 @@ class StreamingEvidence:
 
 def extract_evidence(
     documents: Iterable[Document], recorder: Recorder = NULL_RECORDER
-) -> CorpusEvidence:
-    """Collect per-element evidence from a corpus of documents."""
-    evidence = CorpusEvidence()
-    evidence.add_documents(documents)
-    if recorder.enabled:
-        recorder.count("elements", len(evidence.elements))
-    return evidence
-
-
-def extract_streaming_evidence(
-    documents: Iterable[Document], recorder: Recorder = NULL_RECORDER
 ) -> StreamingEvidence:
-    """Fold a corpus into bounded, mergeable per-element evidence.
+    """Collect a batch run's evidence: every bag kept whole.
 
     Documents may come from a lazy iterator and are dropped as soon as
     they are folded in.
     """
-    evidence = StreamingEvidence()
+    evidence = StreamingEvidence(bounded=False)
     evidence.add_documents(documents)
     if recorder.enabled:
         recorder.count("elements", len(evidence.elements))

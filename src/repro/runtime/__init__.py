@@ -19,8 +19,6 @@
   — the fault-tolerance policies the runner applies: per-shard
   deadlines and retries, worker-crash recovery, document quarantine,
   deterministic fault injection (see :mod:`repro.runtime.resilience`).
-* :func:`infer_parallel` — deprecated; use
-  ``repro.api.infer(paths, config=InferenceConfig(jobs=N))``.
 """
 
 from .cache import (
@@ -36,8 +34,6 @@ from .parallel import (
     WorkerPool,
     choose_backend,
     extract_from_paths,
-    infer_parallel,
-    merge_evidence,
     parallel_evidence,
     shard_paths,
     shutdown_warm_pools,
@@ -70,8 +66,6 @@ __all__ = [
     "choose_backend",
     "extract_from_paths",
     "global_content_model_cache",
-    "infer_parallel",
-    "merge_evidence",
     "parallel_evidence",
     "reset_global_content_model_cache",
     "shard_paths",

@@ -69,16 +69,8 @@ from typing import TypeVar
 from collections.abc import Callable, Iterable, Sequence
 
 from ..contracts import check_merge_commutative, contracts_enabled
-from ..core.inference import DTDInferencer, Method
-from ..errors import (
-    InternalError,
-    ReproError,
-    ShardTimeout,
-    UsageError,
-    legacy_entry_point,
-)
+from ..errors import InternalError, ReproError, ShardTimeout, UsageError
 from ..obs.recorder import NULL_RECORDER, Recorder, Snapshot, StatsRecorder
-from ..xmlio.dtd import Dtd
 from ..learning.evidence import StreamingEvidence
 from ..xmlio.parser import parse_file
 from ..xmlio.tree import Document
@@ -301,16 +293,6 @@ def extract_from_paths(
         with recorder.span("extract", file=str(path)):
             evidence.add_document(document)
     return evidence
-
-
-def merge_evidence(parts: Iterable[StreamingEvidence]) -> StreamingEvidence:
-    """The reduce step: fold shard evidence together, left to right."""
-    merged = StreamingEvidence()
-    for part in parts:
-        if contracts_enabled():
-            check_merge_commutative(merged, part)
-        merged.merge(part)
-    return merged
 
 
 @dataclass(frozen=True)
@@ -600,25 +582,3 @@ def parallel_evidence(
         merged.merge(evidence)
     return merged if merged is not None else StreamingEvidence()
 
-
-def infer_parallel(
-    paths: Sequence[str],
-    jobs: int | None = None,
-    method: Method = "auto",
-    backend: Backend = "auto",
-    inferencer: DTDInferencer | None = None,
-) -> Dtd:
-    """Deprecated: use :func:`repro.api.infer` with
-    ``InferenceConfig(streaming=True, jobs=N)``.
-
-    Produces the same DTD as batch inference over the parsed corpus,
-    with peak memory bounded by learner-state size and wall-clock
-    divided across ``jobs`` workers.
-    """
-    legacy_entry_point("infer_parallel", "repro.api.infer", stacklevel=3)
-    if inferencer is None:
-        inferencer = DTDInferencer(method=method)
-    evidence = parallel_evidence(
-        paths, jobs=jobs, backend=backend, recorder=inferencer.recorder
-    )
-    return inferencer._finalize(evidence)

@@ -10,13 +10,9 @@ Everything is implemented from scratch (no stdlib ``xml`` dependency):
 * :func:`dtd_to_xsd` and :func:`sniff_type` — Section 9's XSD
   generation with datatype heuristics.
 
-Evidence extraction (``extract_evidence``, ``StreamingEvidence``, …)
-moved to :mod:`repro.learning.evidence`; the names remain importable
-from here (and from ``repro.xmlio.extract``) through a lazy alias so
-that ``repro.xmlio`` keeps no eager import of the learning layer.
+Evidence extraction lives one layer up, in
+:mod:`repro.learning.evidence`.
 """
-
-from typing import TYPE_CHECKING, Any as _Any
 
 from .datatypes import sniff_type
 from .diff import ElementDiff, diff_dtds, iter_diffs
@@ -43,47 +39,11 @@ from .tree import Document, Element
 from .validate import Violation, is_valid, validate
 from .xsd import dtd_to_xsd
 
-if TYPE_CHECKING:
-    from ..learning.evidence import (
-        CorpusEvidence as CorpusEvidence,
-        ElementEvidence as ElementEvidence,
-        StreamingEvidence as StreamingEvidence,
-        WordBag as WordBag,
-        child_sequences as child_sequences,
-        extract_evidence as extract_evidence,
-        extract_streaming_evidence as extract_streaming_evidence,
-    )
-
-#: Names that now live in :mod:`repro.learning.evidence`, still
-#: importable from here through the lazy ``__getattr__`` below.
-_EVIDENCE_NAMES = frozenset(
-    {
-        "CorpusEvidence",
-        "ElementEvidence",
-        "StreamingEvidence",
-        "WordBag",
-        "child_sequences",
-        "extract_evidence",
-        "extract_streaming_evidence",
-    }
-)
-
-
-def __getattr__(name: str) -> _Any:
-    if name in _EVIDENCE_NAMES:
-        from ..learning import evidence
-
-        return getattr(evidence, name)
-    # lint: allow R002 — module __getattr__ must raise AttributeError
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 __all__ = [
     "Any",
     "AttributeDef",
     "Children",
     "ContentModel",
-    "CorpusEvidence",
     "Document",
     "Dtd",
     "DtdSyntaxError",
@@ -91,18 +51,12 @@ __all__ = [
     "ElementDiff",
     "diff_dtds",
     "iter_diffs",
-    "ElementEvidence",
     "Empty",
     "Mixed",
     "ParseFailure",
-    "StreamingEvidence",
     "Violation",
-    "WordBag",
     "XmlSyntaxError",
-    "child_sequences",
     "dtd_to_xsd",
-    "extract_evidence",
-    "extract_streaming_evidence",
     "is_valid",
     "parse_bytes",
     "parse_document",

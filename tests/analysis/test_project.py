@@ -276,7 +276,6 @@ GOLDEN_PACKAGE_EDGES = frozenset(
         ("repro", "repro.core"),
         ("repro", "repro.learning"),
         ("repro", "repro.regex"),
-        ("repro", "repro.runtime"),
         ("repro", "repro.xmlio"),
         ("repro.__main__", "repro.cli"),
         ("repro.analysis", "repro.errors"),
@@ -331,7 +330,6 @@ GOLDEN_PACKAGE_EDGES = frozenset(
         ("repro.learning", "repro.xmlio"),
         ("repro.regex", "repro.errors"),
         ("repro.runtime", "repro.contracts"),
-        ("repro.runtime", "repro.core"),
         ("repro.runtime", "repro.errors"),
         ("repro.runtime", "repro.learning"),
         ("repro.runtime", "repro.obs"),
@@ -361,9 +359,8 @@ class TestLiveTreeSnapshot:
         assert not removed, f"stale golden edges: {sorted(removed)}"
 
     def test_no_eager_xmlio_to_learning_edge(self, live_project):
-        # The evidence move's whole point: the XML substrate no longer
-        # eagerly imports the learning layer (the compat shims cross
-        # lazily).
+        # The evidence move's whole point: the XML substrate does not
+        # import the learning layer.
         offending = [
             (e.src, e.dst)
             for e in live_project.import_edges

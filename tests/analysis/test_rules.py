@@ -20,18 +20,18 @@ from repro.analysis.rules import ALL_RULES
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
 #: rule code -> (firing snippet, clean counterexample).  Paths matter
-#: for R001 (package __init__ re-exports are exempt) and R005 (wall
-#: clocks are only banned in core packages), so each fixture carries
-#: the virtual path it is analyzed under.
+#: for R001 (only serve modules are confined to the façade) and R005
+#: (wall clocks are only banned in core packages), so each fixture
+#: carries the virtual path it is analyzed under.
 FIXTURES: dict[str, dict[str, tuple[str, str]]] = {
     "R001": {
         "firing": (
-            "src/repro/core/something.py",
-            "from repro.core.inference import infer_dtd\n"
-            "result = infer_dtd(docs)\n",
+            "src/repro/serve/something.py",
+            "from repro.core.inference import DTDInferencer\n"
+            "result = DTDInferencer().finalize(evidence)\n",
         ),
         "clean": (
-            "src/repro/core/something.py",
+            "src/repro/serve/something.py",
             "from repro.api import infer\n"
             "result = infer(docs)\n",
         ),
@@ -126,11 +126,6 @@ class TestFiringFixtures:
 
 
 class TestRuleDetails:
-    def test_r001_exempts_package_init(self):
-        source = "from .inference import infer_dtd\n"
-        findings = analyze_source("src/repro/core/__init__.py", source)
-        assert not any(f.rule == "R001" for f in findings)
-
     def test_r001_serve_may_not_import_the_engine(self):
         for source in (
             "from ..core.inference import DTDInferencer\n",

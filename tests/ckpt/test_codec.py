@@ -37,7 +37,7 @@ from .conftest import write_corpus
 
 
 def render(evidence) -> str:
-    return DTDInferencer().infer_from_streaming(evidence).render()
+    return DTDInferencer().finalize(evidence).render()
 
 
 def make_evidence(tmp_path, count=12, seed=None):

@@ -30,7 +30,7 @@ from repro.core.crx import crx
 from repro.core.idtd import idtd
 from repro.regex.ast import Opt, Plus, Star, Sym, concat, disj
 from repro.regex.parser import parse_regex
-from repro.xmlio.extract import StreamingEvidence
+from repro.learning.evidence import StreamingEvidence
 from repro.xmlio.parser import parse_document
 
 DOCS = [

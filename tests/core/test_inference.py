@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from repro.core.inference import DTDInferencer, infer_dtd
+from repro.api import InferenceConfig, infer
+from repro.core.inference import DTDInferencer
 from repro.datagen.xmlgen import XmlGenerator
 from repro.regex.normalize import syntactically_equal
 from repro.regex.parser import parse_regex
@@ -17,9 +18,13 @@ def docs(*texts: str):
     return [parse_document(text) for text in texts]
 
 
+def learn(documents, **options):
+    return infer(documents, InferenceConfig(**options)).dtd
+
+
 class TestContentModels:
     def test_element_content(self):
-        dtd = infer_dtd(
+        dtd = learn(
             docs("<r><a/><b/></r>", "<r><a/></r>", "<r><a/><b/><b/></r>")
         )
         model = dtd.elements["r"]
@@ -27,49 +32,50 @@ class TestContentModels:
         assert syntactically_equal(model.regex, parse_regex("a b*"))
 
     def test_empty_elements(self):
-        dtd = infer_dtd(docs("<r><a/></r>"))
+        dtd = learn(docs("<r><a/></r>"))
         assert isinstance(dtd.elements["a"], Empty)
 
     def test_text_only_elements(self):
-        dtd = infer_dtd(docs("<r><a>hello</a></r>"))
+        dtd = learn(docs("<r><a>hello</a></r>"))
         assert dtd.elements["a"] == Mixed(names=())
 
     def test_mixed_content(self):
-        dtd = infer_dtd(docs("<r>text <a/> more <b/> text</r>"))
+        dtd = learn(docs("<r>text <a/> more <b/> text</r>"))
         model = dtd.elements["r"]
         assert isinstance(model, Mixed)
         assert set(model.names) == {"a", "b"}
 
     def test_sometimes_empty_children_become_optional(self):
-        dtd = infer_dtd(docs("<r><a/></r>", "<r></r>"))
+        dtd = learn(docs("<r><a/></r>", "<r></r>"))
         model = dtd.elements["r"]
         assert isinstance(model, Children)
         assert model.regex.nullable()
 
     def test_root_detection(self):
-        dtd = infer_dtd(docs("<r><a/></r>", "<r><a/></r>"))
+        dtd = learn(docs("<r><a/></r>", "<r><a/></r>"))
         assert dtd.start == "r"
 
 
 class TestMethods:
     def test_auto_uses_crx_on_sparse_data(self):
-        inferencer = DTDInferencer(method="auto", sparse_threshold=50)
-        inferencer.infer(docs("<r><a/><b/></r>"))
-        assert inferencer.report.method_used["r"] == "crx"
+        config = InferenceConfig(method="auto", sparse_threshold=50)
+        result = infer(docs("<r><a/><b/></r>"), config)
+        assert result.report.method_used["r"] == "crx"
 
     def test_auto_uses_idtd_on_abundant_data(self):
-        inferencer = DTDInferencer(method="auto", sparse_threshold=2)
-        inferencer.infer(docs("<r><a/></r>", "<r><a/><a/></r>", "<r><a/></r>"))
-        assert inferencer.report.method_used["r"] == "idtd"
+        config = InferenceConfig(method="auto", sparse_threshold=2)
+        result = infer(
+            docs("<r><a/></r>", "<r><a/><a/></r>", "<r><a/></r>"), config
+        )
+        assert result.report.method_used["r"] == "idtd"
 
     def test_bad_method_rejected(self):
         with pytest.raises(ValueError):
             DTDInferencer(method="bogus")  # type: ignore[arg-type]
 
     def test_numeric_mode(self):
-        inferencer = DTDInferencer(method="idtd", numeric=True)
-        dtd = inferencer.infer(
-            docs("<r><a/><a/></r>", "<r><a/><a/></r>")
+        dtd = learn(
+            docs("<r><a/><a/></r>", "<r><a/><a/></r>"), method="idtd", numeric=True
         )
         model = dtd.elements["r"]
         assert isinstance(model, Children)
@@ -78,7 +84,7 @@ class TestMethods:
 
 class TestAttributes:
     def test_required_vs_implied(self):
-        dtd = infer_dtd(
+        dtd = learn(
             docs('<r><a id="1" x="y"/><a id="2"/></r>')
         )
         attributes = {a.name: a for a in dtd.attributes["a"]}
@@ -87,8 +93,7 @@ class TestAttributes:
         assert attributes["id"].attribute_type == "NMTOKEN"
 
     def test_attribute_inference_can_be_disabled(self):
-        inferencer = DTDInferencer(infer_attributes=False)
-        dtd = inferencer.infer(docs('<r><a id="1"/></r>'))
+        dtd = learn(docs('<r><a id="1"/></r>'), infer_attributes=False)
         assert not dtd.attributes
 
 
@@ -109,7 +114,7 @@ class TestRoundTrip:
         )
         generator = XmlGenerator(source, random.Random(11))
         corpus = generator.corpus(40)
-        learned = infer_dtd(corpus, method="idtd")
+        learned = learn(corpus, method="idtd")
         for document in corpus:
             assert not validate(document, learned)
 
@@ -119,7 +124,7 @@ class TestRoundTrip:
             "<!ELEMENT a EMPTY><!ELEMENT b EMPTY><!ELEMENT c EMPTY>"
         )
         corpus = XmlGenerator(source, random.Random(2)).corpus(60)
-        learned = infer_dtd(corpus, method="idtd")
+        learned = learn(corpus, method="idtd")
         model = learned.elements["r"]
         assert isinstance(model, Children)
         assert syntactically_equal(model.regex, parse_regex("a b? c+"))

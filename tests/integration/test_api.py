@@ -1,18 +1,17 @@
-"""The unified façade: equivalence with legacy entry points, validation."""
+"""The unified façade: equivalence with the engine composed by hand, validation."""
 
 import random
-import warnings
 
 import pytest
 
 from repro.api import InferenceConfig, InferenceResult, infer
-from repro.core.inference import DTDInferencer, infer_dtd
+from repro.core.inference import DTDInferencer
 from repro.datagen.xmlgen import XmlGenerator, serialize
 from repro.errors import UsageError
 from repro.obs import StatsRecorder
-from repro.runtime.parallel import infer_parallel
+from repro.learning.evidence import StreamingEvidence, extract_evidence
+from repro.runtime.parallel import parallel_evidence
 from repro.xmlio.dtd import parse_dtd
-from repro.xmlio.extract import extract_evidence, extract_streaming_evidence
 from repro.xmlio.parser import parse_document, parse_file
 
 SCHEMA = (
@@ -37,13 +36,15 @@ def corpus(tmp_path_factory):
 
 def _legacy_batch(paths, **kwargs):
     documents = [parse_file(path) for path in paths]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        return DTDInferencer(**kwargs).infer(documents)
+    return DTDInferencer(**kwargs).finalize(extract_evidence(documents))
 
 
 class TestFacadeMatchesLegacy:
-    """Byte-identical DTD output for every config combination."""
+    """Byte-identical DTD output for every config combination.
+
+    The reference is the pipeline composed by hand, as callers did
+    before the façade: extract evidence, then the engine's finalize.
+    """
 
     @pytest.mark.parametrize("method", ["auto", "idtd", "crx"])
     def test_batch(self, corpus, method):
@@ -53,15 +54,9 @@ class TestFacadeMatchesLegacy:
 
     @pytest.mark.parametrize("method", ["auto", "idtd", "crx"])
     def test_streaming(self, corpus, method):
-        documents = [parse_file(path) for path in corpus]
-        evidence = extract_streaming_evidence(documents)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            expected = (
-                DTDInferencer(method=method)
-                .infer_from_streaming(evidence)
-                .render()
-            )
+        evidence = StreamingEvidence()
+        evidence.add_documents(parse_file(path) for path in corpus)
+        expected = DTDInferencer(method=method).finalize(evidence).render()
         result = infer(
             corpus, config=InferenceConfig(method=method, streaming=True)
         )
@@ -71,9 +66,8 @@ class TestFacadeMatchesLegacy:
 
     @pytest.mark.parametrize("jobs", [1, 2, 3])
     def test_parallel(self, corpus, jobs):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            expected = infer_parallel(corpus, jobs=jobs).render()
+        evidence = parallel_evidence(corpus, jobs=jobs)
+        expected = DTDInferencer().finalize(evidence).render()
         result = infer(corpus, config=InferenceConfig(jobs=jobs))
         assert result.render() == expected
 
@@ -102,10 +96,9 @@ class TestFacadeMatchesLegacy:
     def test_xsd_output_matches_legacy(self, corpus):
         from repro.xmlio.xsd import dtd_to_xsd
 
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            inferencer = DTDInferencer()
-            dtd = inferencer.infer([parse_file(path) for path in corpus])
+        inferencer = DTDInferencer()
+        documents = [parse_file(path) for path in corpus]
+        dtd = inferencer.finalize(extract_evidence(documents))
         expected = dtd_to_xsd(dtd, text_types=inferencer.report.text_types)
         assert infer(corpus).to_xsd() == expected
 
@@ -185,9 +178,17 @@ class TestInferenceConfigValidation:
     def test_numeric_composes_with_jobs(self):
         assert InferenceConfig(jobs=2, numeric=True).effective_streaming
 
-    def test_support_threshold_excludes_streaming(self):
-        with pytest.raises(UsageError, match="--support-threshold"):
-            InferenceConfig(streaming=True, support_threshold=3)
+    def test_support_threshold_composes_with_streaming(self):
+        for shape in ({"streaming": True}, {"jobs": 2}):
+            config = InferenceConfig(support_threshold=3, **shape)
+            assert config.effective_streaming
+        documents = ["<r><a/><a/></r>"] * 9 + ["<r><a/><zz/></r>"]
+        batch = infer(documents, InferenceConfig(support_threshold=3))
+        streamed = infer(
+            documents, InferenceConfig(support_threshold=3, streaming=True)
+        )
+        assert streamed.render() == batch.render()
+        assert "zz" not in batch.render()
 
     def test_nonpositive_jobs(self):
         with pytest.raises(UsageError):
@@ -242,35 +243,3 @@ class TestResultAndRecorder:
         }
         assert shard_tags == {0, 1}
         assert recorder.counters["shards"] == 2
-
-
-class TestDeprecatedShimsStillWork:
-    """Satellite: `from repro import infer_dtd` etc. keep functioning."""
-
-    @pytest.fixture(autouse=True)
-    def _fresh_warnings(self):
-        # Shims warn once per process; each test re-arms the gate so
-        # pytest.warns observes the warning regardless of suite order.
-        from repro.errors import reset_legacy_warnings
-
-        reset_legacy_warnings()
-
-    def test_infer_dtd_shim(self, corpus):
-        documents = [parse_file(path) for path in corpus]
-        with pytest.warns(DeprecationWarning):
-            dtd = infer_dtd(documents)
-        assert dtd.render() == infer(corpus).render()
-
-    def test_infer_from_evidence_shim(self, corpus):
-        documents = [parse_file(path) for path in corpus]
-        evidence = extract_evidence(documents)
-        with pytest.warns(DeprecationWarning):
-            dtd = DTDInferencer().infer_from_evidence(evidence)
-        assert dtd.render() == infer(corpus).render()
-
-    def test_infer_parallel_shim(self, corpus):
-        with pytest.warns(DeprecationWarning):
-            dtd = infer_parallel(corpus, jobs=2)
-        assert dtd.render() == infer(
-            corpus, config=InferenceConfig(jobs=2)
-        ).render()

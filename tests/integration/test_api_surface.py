@@ -1,20 +1,17 @@
-"""The public API surface: façade exports and deprecation contracts.
+"""The public API surface: façade exports, and nothing besides them.
 
-Pins down what ``repro.api`` exports and that every legacy entry point
-(a) still works, (b) warns — once per process — and (c) refuses to run
-under ``REPRO_STRICT_API=1``.  A new name showing up in ``__all__`` or
-a shim silently losing its warning should fail loudly here.
+Pins down what ``repro.api`` exports and which historical names the
+package root keeps.  A new name showing up in ``__all__``, or a removed
+entry point coming back, should fail loudly here.
 """
-
-import pytest
 
 import repro
 import repro.api
-from repro.errors import UsageError, reset_legacy_warnings
+import repro.core
+import repro.runtime
 from repro.xmlio.parser import parse_document
 
 DOCS = [parse_document("<r><x/></r>"), parse_document("<r><x/><x/></r>")]
-
 
 class TestApiSurface:
     def test_api_all_is_exactly_the_facade(self):
@@ -44,9 +41,7 @@ class TestApiSurface:
         assert repro.InferenceSession is repro.api.InferenceSession
         # ... and the historical names still resolve.
         for name in (
-            "infer_dtd",
             "DTDInferencer",
-            "infer_parallel",
             "infer_sore",
             "infer_chare",
             "parse_document",
@@ -55,119 +50,64 @@ class TestApiSurface:
             assert hasattr(repro, name), name
             assert name in repro.__all__
 
-    def test_from_repro_import_infer_dtd_still_works(self):
-        from repro import infer_dtd  # the satellite's explicit contract
+    def test_package_all_is_pinned(self):
+        # The pre-façade per-pipeline entry points are gone: every
+        # pipeline shape goes through repro.api.infer.
+        assert repro.__all__ == [
+            "DTDInferencer",
+            "DiffConfig",
+            "DiffResult",
+            "Document",
+            "Dtd",
+            "InferenceConfig",
+            "InferenceResult",
+            "InferenceSession",
+            "ValidationConfig",
+            "ValidationResult",
+            "diff",
+            "infer",
+            "IncrementalCRX",
+            "IncrementalSOA",
+            "Regex",
+            "SOA",
+            "annotate_numeric",
+            "dtd_to_xsd",
+            "idtd_denoised",
+            "idtd_from_soa",
+            "infer_chare",
+            "infer_sore",
+            "is_chare",
+            "is_deterministic",
+            "is_sore",
+            "language_equivalent",
+            "language_included",
+            "matches",
+            "parse_document",
+            "parse_dtd",
+            "parse_file",
+            "parse_regex",
+            "reservoir_sample",
+            "rewrite",
+            "state_elimination",
+            "tinf",
+            "to_dtd_syntax",
+            "to_paper_syntax",
+            "validate",
+            "__version__",
+        ]
+        for package in (repro.core, repro.runtime):
+            assert not [name for name in package.__all__ if name.startswith("infer")]
 
-        reset_legacy_warnings()
-        with pytest.warns(DeprecationWarning):
-            dtd = infer_dtd(DOCS)
-        assert "<!ELEMENT r (x+)>" in dtd.render()
+    def test_the_engine_has_one_public_method(self):
+        public = [name for name in dir(repro.DTDInferencer) if not name.startswith("_")]
+        assert public == ["finalize"]
 
 
 class TestShimsWarn:
-    """All five legacy entry points emit DeprecationWarning."""
-
-    @pytest.fixture(autouse=True)
-    def _fresh_warnings(self):
-        # Shims warn once per process; each test re-arms the gate so
-        # pytest.warns observes the warning regardless of suite order.
-        reset_legacy_warnings()
-
-    def test_inferencer_infer(self):
-        with pytest.warns(DeprecationWarning, match="repro.api.infer"):
-            repro.DTDInferencer().infer(DOCS)
-
-    def test_inferencer_infer_from_evidence(self):
-        from repro.xmlio.extract import extract_evidence
-
-        evidence = extract_evidence(DOCS)
-        with pytest.warns(DeprecationWarning, match="repro.api.infer"):
-            repro.DTDInferencer().infer_from_evidence(evidence)
-
-    def test_inferencer_infer_from_streaming(self):
-        from repro.xmlio.extract import extract_streaming_evidence
-
-        evidence = extract_streaming_evidence(DOCS)
-        with pytest.warns(DeprecationWarning, match="repro.api.infer"):
-            repro.DTDInferencer().infer_from_streaming(evidence)
-
-    def test_module_level_infer_dtd(self):
-        with pytest.warns(DeprecationWarning, match="repro.api.infer"):
-            repro.infer_dtd(DOCS)
-
-    def test_infer_parallel(self, tmp_path):
-        paths = []
-        for index in range(2):
-            path = tmp_path / f"d{index}.xml"
-            path.write_text("<r><x/></r>", encoding="utf-8")
-            paths.append(str(path))
-        with pytest.warns(DeprecationWarning, match="repro.api.infer"):
-            repro.infer_parallel(paths, jobs=1)
+    """Deprecation warnings: with the shims deleted, nothing warns."""
 
     def test_the_facade_itself_does_not_warn(self, recwarn):
         repro.api.infer(DOCS)
         assert not [
             w for w in recwarn if issubclass(w.category, DeprecationWarning)
         ]
-
-
-class TestWarnOnce:
-    """Each shim warns on first use only; the gate is resettable."""
-
-    @pytest.fixture(autouse=True)
-    def _fresh_warnings(self):
-        reset_legacy_warnings()
-
-    def test_second_call_is_silent(self, recwarn):
-        with pytest.warns(DeprecationWarning):
-            repro.infer_dtd(DOCS)
-        recwarn.clear()
-        repro.infer_dtd(DOCS)
-        assert not [
-            w for w in recwarn if issubclass(w.category, DeprecationWarning)
-        ]
-
-    def test_entry_points_warn_independently(self):
-        # Exhausting one shim's warning must not silence another's.
-        with pytest.warns(DeprecationWarning, match="infer_dtd"):
-            repro.infer_dtd(DOCS)
-        with pytest.warns(DeprecationWarning, match="DTDInferencer.infer "):
-            repro.DTDInferencer().infer(DOCS)
-
-    def test_reset_rearms_the_warning(self):
-        with pytest.warns(DeprecationWarning):
-            repro.infer_dtd(DOCS)
-        reset_legacy_warnings()
-        with pytest.warns(DeprecationWarning):
-            repro.infer_dtd(DOCS)
-
-
-class TestStrictApi:
-    """REPRO_STRICT_API=1 turns every shim into a UsageError."""
-
-    @pytest.fixture(autouse=True)
-    def _strict(self, monkeypatch):
-        monkeypatch.setenv("REPRO_STRICT_API", "1")
-        reset_legacy_warnings()
-
-    def test_infer_dtd_refuses(self):
-        with pytest.raises(UsageError, match="REPRO_STRICT_API"):
-            repro.infer_dtd(DOCS)
-
-    def test_inferencer_infer_refuses(self):
-        with pytest.raises(UsageError, match="repro.api.infer"):
-            repro.DTDInferencer().infer(DOCS)
-
-    def test_infer_parallel_refuses(self, tmp_path):
-        path = tmp_path / "d.xml"
-        path.write_text("<r><x/></r>", encoding="utf-8")
-        with pytest.raises(UsageError, match="scheduled for removal"):
-            repro.infer_parallel([str(path)], jobs=1)
-
-    def test_facade_unaffected(self):
-        assert "<!ELEMENT r" in repro.api.infer(DOCS).render()
-
-    def test_zero_means_off(self, monkeypatch):
-        monkeypatch.setenv("REPRO_STRICT_API", "0")
-        with pytest.warns(DeprecationWarning):
-            repro.infer_dtd(DOCS)

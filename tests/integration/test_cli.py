@@ -65,12 +65,22 @@ class TestStreamingInfer:
         assert main(["infer", "--streaming", "--numeric", *corpus_files]) == 0
         assert capsys.readouterr().out == batch
 
-    def test_streaming_rejects_support_threshold(self, corpus_files, capsys):
-        code = main(
-            ["infer", "--jobs", "2", "--support-threshold", "3", *corpus_files]
-        )
-        assert code == 1
-        assert "--support-threshold" in capsys.readouterr().err
+    def test_streaming_support_threshold_matches_batch(self, tmp_path, capsys):
+        paths = []
+        for index in range(10):
+            path = tmp_path / f"n{index}.xml"
+            path.write_text(
+                "<r><a/><zz/></r>" if index == 4 else "<r><a/><a/></r>",
+                encoding="utf-8",
+            )
+            paths.append(str(path))
+        assert main(["infer", "--support-threshold", "3", *paths]) == 0
+        batch = capsys.readouterr().out
+        assert "zz" not in batch
+        for shape in (["--streaming"], ["--jobs", "2"]):
+            argv = ["infer", *shape, "--support-threshold", "3", *paths]
+            assert main(argv) == 0
+            assert capsys.readouterr().out == batch
 
 
 class TestExitCodes:
@@ -299,6 +309,37 @@ class TestStatsAndTrace:
             if record["type"] == "span"
         }
         assert {"parse", "extract", "soa", "rewrite", "emit"} <= names
+
+    def test_filter_span_and_counter_on_every_shape(self, tmp_path, capsys):
+        import json
+
+        from repro.obs import validate_trace_file
+
+        paths = []
+        for index in range(6):
+            path = tmp_path / f"n{index}.xml"
+            path.write_text(
+                "<r><a/><zz/></r>" if index == 2 else "<r><a/></r>",
+                encoding="utf-8",
+            )
+            paths.append(str(path))
+        shapes = {
+            "batch": [],
+            "streaming": ["--streaming"],
+            "jobs": ["--jobs", "2", "--backend", "thread"],
+            "state_dir": ["--state-dir", str(tmp_path / "state")],
+        }
+        for shape, flags in shapes.items():
+            trace = tmp_path / f"{shape}.jsonl"
+            argv = ["dtd", *flags, "--support-threshold", "2", "--trace", str(trace)]
+            assert main([*argv, *paths]) == 0, shape
+            assert "zz" not in capsys.readouterr().out, shape
+            assert validate_trace_file(str(trace)) == [], shape
+            records = [json.loads(line) for line in trace.read_text().splitlines()]
+            spans = {r["name"] for r in records if r["type"] == "span"}
+            (summary,) = [r for r in records if r["type"] == "summary"]
+            assert "filter" in spans, shape
+            assert summary["counters"]["filter.dropped_names"] == 1, shape
 
     def test_parallel_trace_includes_shards(self, corpus_files, tmp_path, capsys):
         import json

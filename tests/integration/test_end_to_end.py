@@ -2,7 +2,7 @@
 
 import random
 
-from repro.core.inference import DTDInferencer
+from repro.api import InferenceConfig, infer
 from repro.datagen.xmlgen import XmlGenerator, serialize
 from repro.regex.normalize import syntactically_equal
 from repro.regex.parser import parse_regex
@@ -45,14 +45,13 @@ class TestFullLoop:
 
     def test_learned_dtd_validates_corpus(self):
         corpus = generated_corpus()
-        inferencer = DTDInferencer(method="idtd")
-        learned = inferencer.infer(corpus)
+        learned = infer(corpus, InferenceConfig(method="idtd")).dtd
         for document in corpus:
             assert not validate(document, learned)
 
     def test_learned_content_models_match_source(self):
         corpus = generated_corpus(200, seed=13)
-        learned = DTDInferencer(method="idtd").infer(corpus)
+        learned = infer(corpus, InferenceConfig(method="idtd")).dtd
         product = learned.elements["product"]
         assert isinstance(product, Children)
         assert syntactically_equal(
@@ -61,15 +60,13 @@ class TestFullLoop:
 
     def test_price_datatype_sniffed(self):
         corpus = generated_corpus(60, seed=3)
-        inferencer = DTDInferencer()
-        inferencer.infer(corpus)
-        assert inferencer.report.text_types["price"] == "xs:decimal"
+        result = infer(corpus)
+        assert result.report.text_types["price"] == "xs:decimal"
 
     def test_xsd_generation_from_learned_dtd(self):
         corpus = generated_corpus(40, seed=5)
-        inferencer = DTDInferencer()
-        learned = inferencer.infer(corpus)
-        xsd = dtd_to_xsd(learned, text_types=inferencer.report.text_types)
+        result = infer(corpus)
+        xsd = dtd_to_xsd(result.dtd, text_types=result.report.text_types)
         assert xsd.startswith("<?xml")
         assert '<xs:element name="catalog">' in xsd
         assert 'type="xs:decimal"' in xsd
@@ -78,7 +75,7 @@ class TestFullLoop:
         """The paper's motivating scenario: the data is stricter than
         the published DTD, and inference reveals it."""
         corpus = generated_corpus(100, seed=21)
-        learned = DTDInferencer(method="idtd").infer(corpus)
+        learned = infer(corpus, InferenceConfig(method="idtd")).dtd
         from repro.automata.compare import (
             regex_included_in_soa,
         )

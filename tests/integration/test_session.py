@@ -14,6 +14,7 @@ import pytest
 from repro import api
 from repro.contracts import contracts_enabled, set_contracts
 from repro.errors import UsageError
+from repro.obs import StatsRecorder
 
 
 def corpus(count: int = 20) -> list[str]:
@@ -26,6 +27,13 @@ def corpus(count: int = 20) -> list[str]:
         )
         note = "<note/>" if index % 4 == 0 else ""
         documents.append(f"<order><id/>{lines}{note}<total/></order>")
+    return documents
+
+
+def noisy_corpus() -> list[str]:
+    """:func:`corpus` with one intruder, which ``support_threshold=2`` drops."""
+    documents = corpus(20)
+    documents[7] = documents[7].replace("<total/>", "<rare/><total/>")
     return documents
 
 
@@ -74,6 +82,29 @@ class TestByteIdentity:
                 session.current_dtd().render()
                 == api.infer(seen, config=session.config).render()
             )
+
+    def test_support_threshold_identical_at_every_prefix(self):
+        documents = noisy_corpus()
+        config = api.InferenceConfig(support_threshold=2)
+        session = api.InferenceSession(config)
+        seen: list[str] = []
+        for chunk in chunks(documents, 6):
+            session.append(chunk)
+            seen.extend(chunk)
+            expected = api.infer(seen, config=config).render()
+            assert session.current_dtd().render() == expected
+            # Finalize filters a copy: asking again gives the same bytes.
+            assert session.current_dtd().render() == expected
+
+    def test_support_threshold_is_recorded(self):
+        recorder = StatsRecorder()
+        config = api.InferenceConfig(support_threshold=2, recorder=recorder)
+        session = api.InferenceSession(config)
+        session.append(noisy_corpus())
+        session.current_dtd()
+        snapshot = recorder.snapshot()
+        assert "filter" in {span["name"] for span in snapshot["spans"]}
+        assert snapshot["counters"]["filter.dropped_names"] == 1
 
     def test_one_document_at_a_time(self):
         documents = corpus(10)
@@ -266,8 +297,11 @@ class TestLifecycle:
         expected = api.infer(corpus(), config=config).render()
         assert session.current_dtd().render() == expected
 
-    def test_support_threshold_config_rejected(self):
-        with pytest.raises(UsageError, match="support_threshold"):
-            api.InferenceSession(
-                api.InferenceConfig(support_threshold=2)
-            )
+    def test_support_threshold_config_matches_batch(self):
+        config = api.InferenceConfig(support_threshold=2)
+        session = api.InferenceSession(config)
+        for chunk in chunks(noisy_corpus(), 3):
+            session.append(chunk)
+        expected = api.infer(noisy_corpus(), config=config).render()
+        assert "<!ELEMENT rare" not in expected
+        assert session.current_dtd().render() == expected

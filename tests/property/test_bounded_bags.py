@@ -79,6 +79,6 @@ def test_sharded_bags_equal_serial_fold_and_batch(case, cap, method):
                 shard = decode_state(encode_state(shard))
             merged.merge(shard)
         assert _payload(merged) == _payload(serial)
-        streamed = DTDInferencer(method=method)._finalize(merged).render()
+        streamed = DTDInferencer(method=method).finalize(merged).render()
     batch = infer(documents, config=InferenceConfig(method=method, faults={}))
     assert streamed == batch.render()

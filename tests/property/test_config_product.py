@@ -11,7 +11,10 @@ after that shard must replay the quarantine from its manifest.
 * strict runs on the clean remainder render those same bytes, and on
   the corrupt corpus raise :class:`~repro.errors.CorpusError`;
 * ``numeric=True`` renders the batch ``numeric=True`` bytes, or raises
-  its error, in every shape.
+  its error, in every shape;
+* ``support_threshold=2`` renders the batch ``support_threshold=2``
+  bytes, or raises its error, in every shape, on a corpus where the
+  threshold drops a name.
 
 The ambient ``REPRO_FAULTS`` plan stays in force for the shapes under
 test (the CI resilience job runs them under a worker crash); only the
@@ -32,7 +35,7 @@ from repro.api import InferenceConfig, infer
 from repro.ckpt.manifest import load_manifest
 from repro.core.inference import METHODS
 from repro.datagen.xmlgen import XmlGenerator, serialize
-from repro.errors import CorpusError, UsageError
+from repro.errors import CorpusError, ReproError, UsageError
 from repro.runtime.resilience import CRASH_EXIT_STATUS
 from repro.xmlio.dtd import parse_dtd
 
@@ -71,6 +74,15 @@ def corpus(tmp_path_factory):
         path.write_text(text, encoding="utf-8")
         paths.append(str(path))
     return paths, paths[:CORRUPT] + paths[CORRUPT + 1 :]
+
+
+@pytest.fixture(scope="module")
+def noisy(corpus, tmp_path_factory):
+    """The clean remainder with one document carrying a ``gift`` intruder."""
+    _paths, clean = corpus
+    path = tmp_path_factory.mktemp("noisy") / "intruder.xml"
+    path.write_text("<r><item><name>n</name><gift/></item></r>", encoding="utf-8")
+    return [*clean[:3], str(path), *clean[4:]]
 
 
 def reference(paths, method):
@@ -158,4 +170,27 @@ def test_numeric_equals_batch(corpus, tmp_path, shape, method):
     )
     assert outcome(
         lambda: run(shape, clean, method, "strict", tmp_path / "run", numeric=True)
+    ) == expected
+
+
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("shape", SHAPES)
+def test_support_threshold_equals_batch(noisy, tmp_path, shape, method):
+    """The support filter counts the same words in every shape."""
+
+    def outcome(thunk):
+        try:
+            return thunk().render()
+        except ReproError as error:
+            return f"{type(error).__name__}: {error}"
+
+    expected = outcome(
+        lambda: infer(
+            noisy, config=InferenceConfig(method=method, support_threshold=2, faults={})
+        )
+    )
+    assert "gift" not in expected
+    assert "gift" in reference(noisy, method)
+    assert outcome(
+        lambda: run(shape, noisy, method, "strict", tmp_path / "run", support_threshold=2)
     ) == expected

@@ -12,7 +12,7 @@ import random
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core.inference import DTDInferencer
+from repro.api import InferenceConfig, infer
 from repro.datagen.xmlgen import XmlGenerator, serialize
 from repro.regex.ast import Regex
 from repro.regex.printer import to_dtd_syntax
@@ -72,7 +72,7 @@ def test_serialisation_round_trip_preserves_validity(dtd, seed):
 def test_inferred_dtd_validates_the_corpus(dtd, seed, method):
     generator = XmlGenerator(dtd, random.Random(seed))
     corpus = generator.corpus(25)
-    learned = DTDInferencer(method=method).infer(corpus)
+    learned = infer(corpus, InferenceConfig(method=method)).dtd
     for document in corpus:
         violations = validate(document, learned)
         assert not violations, violations
@@ -91,7 +91,7 @@ def test_idtd_exact_on_representative_corpora(dtd, seed):
 
     generator = XmlGenerator(dtd, random.Random(seed))
     corpus = generator.corpus(60)
-    learned = DTDInferencer(method="idtd").infer(corpus)
+    learned = infer(corpus, InferenceConfig(method="idtd")).dtd
     source_model = dtd.content_regex("root")
     learned_model = learned.content_regex("root")
     sequences = [document.root.child_names() for document in corpus]

@@ -157,24 +157,19 @@ class TestKeying:
         assert global_content_model_cache().misses > misses_before
         assert global_content_model_cache().hits == hits_before
 
-    @pytest.mark.filterwarnings("ignore::DeprecationWarning")
     def test_poisoned_entry_trips_the_contract(self, tmp_path):
         paths = write_corpus(tmp_path, DTD_SOURCES[0], 6)
         cache = ContentModelCache(maxsize=16)
         documents = [parse_file(path) for path in paths]
         inferencer = DTDInferencer(method="idtd", cache=cache)
-        inferencer.infer_from_evidence(
-            extract_module.extract_evidence(documents)
-        )
+        inferencer.finalize(extract_module.extract_evidence(documents))
         assert len(cache) > 0
         wrong = idtd([("bogus",)])
         for key in list(cache._entries):
             cache._entries[key] = wrong
         poisoned = DTDInferencer(method="idtd", cache=cache)
         with contracts_active(True), pytest.raises(ContractViolation):
-            poisoned.infer_from_evidence(
-                extract_module.extract_evidence(documents)
-            )
+            poisoned.finalize(extract_module.extract_evidence(documents))
 
 
 class TestWarmPoolReuse:

@@ -1,19 +1,17 @@
 """Regression tests for the concurrency fixes flagged by R007/R008.
 
 The whole-program analyzer found unsynchronized shared state in the
-warm worker pools, the content-model cache, and the legacy-warning
-registry; these tests hammer each from many threads so a reintroduced
-race at least has a chance to fail loudly (``OrderedDict`` corruption,
-duplicate executors, duplicated warnings) rather than silently.
+warm worker pools and the content-model cache; these tests hammer each
+from many threads so a reintroduced race at least has a chance to fail
+loudly (``OrderedDict`` corruption, duplicate executors) rather than
+silently.
 """
 
 from __future__ import annotations
 
 import threading
-import warnings
 from concurrent.futures import CancelledError
 
-from repro.errors import legacy_entry_point, reset_legacy_warnings
 from repro.runtime.cache import (
     ContentModelCache,
     global_content_model_cache,
@@ -141,43 +139,3 @@ class TestWorkerPoolUnderContention:
         failures = run_threads(worker)
         pool.shutdown()
         assert failures == []
-
-
-class TestLegacyWarningRegistry:
-    def test_warns_exactly_once_under_contention(self):
-        reset_legacy_warnings()
-        caught: list[warnings.WarningMessage] = []
-        lock = threading.Lock()
-
-        def worker(index: int) -> None:
-            for _ in range(50):
-                with warnings.catch_warnings(record=True) as batch:
-                    warnings.simplefilter("always")
-                    legacy_entry_point("old_api", "new_api")
-                with lock:
-                    caught.extend(batch)
-
-        try:
-            assert run_threads(worker) == []
-            deprecations = [
-                w
-                for w in caught
-                if issubclass(w.category, DeprecationWarning)
-            ]
-            assert len(deprecations) == 1, (
-                "warn-once registry admitted duplicates under contention"
-            )
-        finally:
-            reset_legacy_warnings()
-
-    def test_reset_allows_warning_again(self):
-        reset_legacy_warnings()
-        with warnings.catch_warnings(record=True) as first:
-            warnings.simplefilter("always")
-            legacy_entry_point("old_api", "new_api")
-        reset_legacy_warnings()
-        with warnings.catch_warnings(record=True) as second:
-            warnings.simplefilter("always")
-            legacy_entry_point("old_api", "new_api")
-        reset_legacy_warnings()
-        assert len(first) == 1 and len(second) == 1

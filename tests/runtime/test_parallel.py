@@ -4,24 +4,23 @@ import random
 
 import pytest
 
+from repro.api import InferenceConfig, infer
 from repro.core.inference import DTDInferencer
 from repro.datagen.xmlgen import XmlGenerator, serialize
 from repro.errors import CorpusError, InternalError, UsageError
 from repro.learning import evidence as evidence_module
+from repro.learning.evidence import StreamingEvidence
 from repro.obs.recorder import StatsRecorder
 from repro.runtime.parallel import (
     MIN_DOCS_PER_SHARD,
     PROCESS_CORPUS_FLOOR,
     choose_backend,
     extract_from_paths,
-    infer_parallel,
-    merge_evidence,
     parallel_evidence,
     shard_paths,
     warm_pool,
 )
 from repro.xmlio.dtd import parse_dtd
-from repro.xmlio.extract import extract_streaming_evidence
 from repro.xmlio.parser import parse_file
 
 DTD_SOURCES = [
@@ -44,8 +43,24 @@ def write_corpus(tmp_path, source, count, seed=3):
 
 
 def batch_dtd(paths, method="auto"):
-    inferencer = DTDInferencer(method=method)
-    return inferencer.infer([parse_file(path) for path in paths]).render()
+    return infer(paths, InferenceConfig(method=method, cache=False)).render()
+
+
+def sharded_dtd(paths, **options):
+    return infer(paths, InferenceConfig(cache=False, **options)).render()
+
+
+def streamed(paths):
+    evidence = StreamingEvidence()
+    evidence.add_documents(parse_file(path) for path in paths)
+    return evidence
+
+
+def merged(parts):
+    evidence = StreamingEvidence()
+    for part in parts:
+        evidence.merge(part)
+    return evidence
 
 
 class TestShardPaths:
@@ -68,26 +83,19 @@ class TestStreamingEqualsBatch:
     @pytest.mark.parametrize("method", ["auto", "idtd", "crx"])
     def test_streamed_dtd_identical(self, tmp_path, source, method):
         paths = write_corpus(tmp_path, source, 12)
-        evidence = extract_streaming_evidence(
-            parse_file(path) for path in paths
-        )
         inferencer = DTDInferencer(method=method)
-        streamed = inferencer.infer_from_streaming(evidence).render()
-        assert streamed == batch_dtd(paths, method)
+        dtd = inferencer.finalize(streamed(paths)).render()
+        assert dtd == batch_dtd(paths, method)
 
     @pytest.mark.parametrize("source", DTD_SOURCES)
     def test_shard_merge_identical(self, tmp_path, source):
         paths = write_corpus(tmp_path, source, 14)
         for shards in (2, 3, 5):
-            merged = merge_evidence(
+            evidence = merged(
                 extract_from_paths(shard)
                 for shard in shard_paths(paths, shards)
             )
-            inferencer = DTDInferencer()
-            assert (
-                inferencer.infer_from_streaming(merged).render()
-                == batch_dtd(paths)
-            )
+            assert DTDInferencer().finalize(evidence).render() == batch_dtd(paths)
 
     def test_randomized_shard_merge_language_equivalence(self, tmp_path):
         """Property: any shard split yields the batch learner states."""
@@ -101,10 +109,10 @@ class TestStreamingEqualsBatch:
                 paths[cut[0] : cut[1]],
                 paths[cut[1] :],
             ]
-            merged = merge_evidence(
+            evidence = merged(
                 extract_from_paths(shard) for shard in shards if shard
             )
-            result = DTDInferencer().infer_from_streaming(merged).render()
+            result = DTDInferencer().finalize(evidence).render()
             assert result == reference
 
 
@@ -116,24 +124,21 @@ class TestParallelEvidence:
 
     def test_thread_backend_identical(self, tmp_path):
         paths = write_corpus(tmp_path, DTD_SOURCES[0], 9)
-        dtd = infer_parallel(paths, jobs=3, backend="thread")
-        assert dtd.render() == batch_dtd(paths)
+        assert sharded_dtd(paths, jobs=3, backend="thread") == batch_dtd(paths)
 
     def test_process_backend_identical(self, tmp_path):
         paths = write_corpus(tmp_path, DTD_SOURCES[2], 10)
-        dtd = infer_parallel(paths, jobs=2)
-        assert dtd.render() == batch_dtd(paths)
+        assert sharded_dtd(paths, jobs=2) == batch_dtd(paths)
 
     def test_single_file(self, tmp_path):
         paths = write_corpus(tmp_path, DTD_SOURCES[0], 1)
-        dtd = infer_parallel(paths, jobs=4)
-        assert dtd.render() == batch_dtd(paths)
+        assert sharded_dtd(paths, jobs=4) == batch_dtd(paths)
 
     def test_methods_respected(self, tmp_path):
         paths = write_corpus(tmp_path, DTD_SOURCES[0], 8)
         for method in ("idtd", "crx"):
-            dtd = infer_parallel(paths, jobs=2, backend="thread", method=method)
-            assert dtd.render() == batch_dtd(paths, method)
+            dtd = sharded_dtd(paths, jobs=2, backend="thread", method=method)
+            assert dtd == batch_dtd(paths, method)
 
     def test_jobs_zero_or_negative_rejected(self, tmp_path):
         paths = write_corpus(tmp_path, DTD_SOURCES[0], 4)
@@ -155,17 +160,24 @@ class TestParallelEvidence:
         counters = recorder.snapshot()["counters"]
         assert counters["parallel.backend.thread"] == 1
 
-    def test_numeric_rejected_on_streaming_path(self, tmp_path, monkeypatch):
-        """Numeric bounds read the words, which a spilled bag no longer has."""
+    @pytest.mark.parametrize(
+        "option",
+        [{"numeric": True}, {"support_threshold": 2}],
+        ids=["numeric", "support_threshold"],
+    )
+    def test_numeric_rejected_on_streaming_path(self, tmp_path, monkeypatch, option):
+        """Numeric bounds and support counts read the words, which a
+        spilled bag no longer has; batch bags never spill."""
         paths = write_corpus(tmp_path, DTD_SOURCES[0], 8)
         monkeypatch.setattr(evidence_module, "WORD_CAP", 1)
-        evidence = extract_streaming_evidence(
-            parse_file(path) for path in paths
-        )
+        evidence = streamed(paths)
         assert evidence.elements["r"].spilled is not None
-        inferencer = DTDInferencer(numeric=True)
+        inferencer = DTDInferencer(**option)
         with pytest.raises(CorpusError, match="element 'r'.*batch path"):
-            inferencer._finalize(evidence)
+            inferencer.finalize(evidence)
+        with pytest.raises(CorpusError, match="element 'r'.*batch path"):
+            sharded_dtd(paths, streaming=True, **option)
+        assert infer(paths, InferenceConfig(cache=False, **option)).dtd.elements
 
 
 class TestChooseBackend:

@@ -35,6 +35,9 @@ DOCS = [
     "<catalog><price/></catalog>",
 ]
 
+#: DOCS plus one intruder (``gift``) that ``support_threshold=2`` drops.
+NOISY = [*DOCS, "<catalog><item/><gift/><price/></catalog>"]
+
 
 def call(
     app: ReproApp,
@@ -169,6 +172,19 @@ class TestInfer:
         )
         expected = api.infer(DOCS, config=api.InferenceConfig(method="crx"))
         assert response.payload["dtd"] == expected.render()
+
+    def test_streaming_support_threshold_matches_batch(self, app):
+        config = {"support_threshold": 2}
+        batch = call(app, "POST", "/infer", {"documents": NOISY, "config": config})
+        response = call(
+            app,
+            "POST",
+            "/infer",
+            {"documents": NOISY, "config": {**config, "streaming": True}},
+        )
+        assert response.status == 200
+        assert response.payload["dtd"] == batch.payload["dtd"]
+        assert "gift" not in response.payload["dtd"]
 
     def test_unknown_config_key_is_400(self, app):
         response = call(
@@ -396,6 +412,22 @@ class TestSessions:
         dtd = call(app, "GET", f"/sessions/{sid}/dtd")
         expected = api.infer(DOCS, config=api.InferenceConfig(numeric=True))
         assert dtd.payload["dtd"] == expected.render()
+
+    def test_session_accepts_support_threshold_config(self, app):
+        config = {"support_threshold": 2}
+        created = call(app, "POST", "/sessions", {"config": config})
+        assert created.status == 201
+        sid = created.payload["session"]
+        for chunk in (NOISY[:2], NOISY[2:]):
+            appended = call(
+                app, "POST", f"/sessions/{sid}/append", {"documents": chunk}
+            )
+            assert appended.status == 200
+        dtd = call(app, "GET", f"/sessions/{sid}/dtd")
+        one_shot = call(app, "POST", "/infer", {"documents": NOISY, "config": config})
+        assert dtd.status == 200
+        assert dtd.payload["dtd"] == one_shot.payload["dtd"]
+        assert "gift" not in dtd.payload["dtd"]
 
     def test_session_stats_opt_in(self, app):
         created = call(app, "POST", "/sessions", {"stats": True})

@@ -1,17 +1,24 @@
 """Evidence extraction from parsed corpora."""
 
-from repro.xmlio.extract import (
+from repro.learning import evidence as evidence_module
+from repro.learning.evidence import (
     SAMPLE_CAP,
+    StreamingEvidence,
     WordBag,
     child_sequences,
     extract_evidence,
-    extract_streaming_evidence,
 )
 from repro.xmlio.parser import parse_document
 
 
 def docs(*texts):
     return [parse_document(text) for text in texts]
+
+
+def streamed(documents):
+    evidence = StreamingEvidence()
+    evidence.add_documents(documents)
+    return evidence
 
 
 class TestChildSequences:
@@ -51,7 +58,7 @@ class TestEvidence:
     def test_empty_corpus(self):
         evidence = extract_evidence([])
         assert evidence.majority_root() is None
-        assert evidence.samples() == {}
+        assert evidence.elements == {}
 
     def test_text_values_collected_for_sniffing(self):
         corpus = docs("<r><y>1999</y><y>2006</y></r>")
@@ -67,6 +74,22 @@ class TestEvidence:
         assert bag.counts[("a", "a")] == 500  # ...with its multiplicity
         assert len(bag) == 500
         assert list(bag) == [("a", "a")] * 500
+
+    def test_batch_bags_never_spill(self, monkeypatch):
+        monkeypatch.setattr(evidence_module, "WORD_CAP", 1)
+        corpus = docs("<r><a/></r>", "<r><b/></r>", "<r/>")
+        assert extract_evidence(corpus).elements["r"].spilled is None
+        assert streamed(corpus).elements["r"].spilled is not None
+
+    def test_without_rewrites_a_copy(self):
+        corpus = docs('<r a="1"><a/><b/></r>', "<r><b/></r>", "<r/>")
+        element = extract_evidence(corpus).elements["r"]
+        view = element.without({"b"})
+        assert view.child_sequences == [("a",), (), ()]
+        assert (view.nonempty_count, view.empty_count) == (1, 2)
+        assert view.attribute_presence == {"a": 1}
+        assert element.child_sequences == [("a", "b"), ("b",), ()]
+        assert (element.nonempty_count, element.empty_count) == (2, 1)
 
     def test_merge_combines_shards(self):
         left = extract_evidence(docs("<r><a/></r>", "<r><a/><b/></r>"))
@@ -109,7 +132,7 @@ class TestWordBag:
 class TestStreamingEvidence:
     def test_constant_size_in_occurrence_count(self):
         corpus = docs(*["<r><a/><a/></r>"] * 300)
-        evidence = extract_streaming_evidence(corpus)
+        evidence = streamed(corpus)
         element = evidence.elements["r"]
         assert element.occurrences == 300
         assert element.nonempty_count == 300
@@ -119,7 +142,7 @@ class TestStreamingEvidence:
 
     def test_counters_and_alphabet(self):
         corpus = docs("<r><a/><b/></r>", "<r/>", "<r>text</r>")
-        element = extract_streaming_evidence(corpus).elements["r"]
+        element = streamed(corpus).elements["r"]
         assert element.nonempty_count == 1
         assert element.empty_count == 2
         assert element.has_text
@@ -127,9 +150,9 @@ class TestStreamingEvidence:
 
     def test_merge_matches_single_pass(self):
         texts = ["<r><a/></r>", "<r><a/><b/></r>", '<r x="1"/>', "<other/>"]
-        whole = extract_streaming_evidence(docs(*texts))
-        left = extract_streaming_evidence(docs(*texts[:2]))
-        right = extract_streaming_evidence(docs(*texts[2:]))
+        whole = streamed(docs(*texts))
+        left = streamed(docs(*texts[:2]))
+        right = streamed(docs(*texts[2:]))
         left.merge(right)
         assert left.document_count == whole.document_count
         assert left.majority_root() == whole.majority_root()
@@ -141,7 +164,7 @@ class TestStreamingEvidence:
             assert one.attribute_presence == two.attribute_presence
 
     def test_reservoirs_capped(self):
-        evidence = extract_streaming_evidence(
+        evidence = streamed(
             docs(*[f"<r><t>v{i}</t></r>" for i in range(SAMPLE_CAP + 5)])
         )
         assert len(evidence.elements["t"].text_values) == SAMPLE_CAP
