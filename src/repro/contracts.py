@@ -7,8 +7,11 @@ never enforces at runtime:
   ``(I, F, S)`` triple only mentions known symbols — Section 4);
 * every rewrite/repair step leaves the GFA well-formed: the adjacency
   maps stay mirrored, no edge enters the source or leaves the sink,
-  labels stay single-occurrence and star-free (Section 5 keeps ``r*``
-  as ``(r+)?`` until post-processing);
+  labels stay single-occurrence, star-free (Section 5 keeps ``r*``
+  as ``(r+)?`` until post-processing) and in normal form;
+* the ε-closure the rewrite loop carries from rule to rule (unchanged
+  across ``optional`` and ``self_loop``, renamed across a merge) equals
+  a fresh one;
 * every emitted expression is in Claim 1 normal form — re-normalizing
   it is a no-op (idempotence);
 * the classifiers agree with the learners: iDTD emits SOREs, CRX emits
@@ -45,7 +48,7 @@ from typing import TYPE_CHECKING
 from .errors import InternalError
 
 if TYPE_CHECKING:
-    from .automata.gfa import GFA
+    from .automata.gfa import GFA, Closure
     from .automata.soa import SOA
     from .regex.ast import Regex
     from .runtime.resilience import DegradationReport
@@ -55,6 +58,7 @@ if TYPE_CHECKING:
 __all__ = [
     "ContractViolation",
     "check_cached_content_model",
+    "check_carried_closure",
     "check_checkpoint_resume",
     "check_checkpoint_roundtrip",
     "check_degradation_report",
@@ -141,10 +145,13 @@ def check_gfa(gfa: GFA, context: str = "rewrite") -> None:
     Checked after every rewrite rule application and every repair:
     adjacency maps mirror each other, the endpoints are intact, and
     the labels are single-occurrence and star-free (during rewriting
-    ``r*`` must stay represented as ``(r+)?``).
+    ``r*`` must stay represented as ``(r+)?``).  Every label is also
+    its own full normalisation, which is what lets the rewrite rules
+    normalise only the top node of a label they build.
     """
     from .automata.gfa import SINK, SOURCE
     from .regex.ast import Star
+    from .regex.normalize import expand_stars, normalize
 
     out_edges = {
         (tail, head) for tail, heads in gfa._out.items() for head in heads
@@ -187,6 +194,28 @@ def check_gfa(gfa: GFA, context: str = "rewrite") -> None:
                 f"node {node} carries a Kleene star mid-rewrite: {label}; "
                 "stars must stay in (r+)? form until post-processing",
             )
+        normal = expand_stars(normalize(label))
+        if normal != label:
+            raise _violated(
+                f"{context}.gfa-normal-form",
+                f"node {node} carries {label}, which normalises to {normal}",
+            )
+
+
+def check_carried_closure(gfa: GFA, closure: Closure, context: str) -> None:
+    """A closure carried across a rule application equals a fresh one."""
+    fresh = gfa.closure()
+    if fresh != closure:
+        stale = sorted(
+            node
+            for node in fresh.succ.keys() | closure.succ.keys()
+            if fresh.succ.get(node) != closure.succ.get(node)
+            or fresh.pred.get(node) != closure.pred.get(node)
+        )
+        raise _violated(
+            f"{context}.closure-carried",
+            f"the carried ε-closure is stale at nodes {stale}",
+        )
 
 
 def check_repair_count(

@@ -24,14 +24,13 @@ from collections.abc import Sequence
 
 from ..automata.gfa import GFA, SINK, SOURCE
 from ..automata.soa import SOA
-from ..contracts import check_emitted_sore, check_gfa, contracts_enabled
+from ..contracts import check_gfa, contracts_enabled
 from ..errors import CorpusError, InternalError
 from ..obs.recorder import NULL_RECORDER, Recorder
 from ..regex.ast import Plus, Regex, disj
-from ..regex.normalize import contract_stars, simplify
 from ..regex.printer import to_paper_syntax
 from .repair import Repair, search_repair
-from .rewrite import DEFAULT_ORDER, Application, rewrite_gfa
+from .rewrite import DEFAULT_ORDER, Application, normalize_label, rewrite_gfa
 
 
 @dataclass
@@ -126,8 +125,8 @@ def _contract_scc(gfa: GFA) -> bool:
         labels = sorted(
             (gfa.labels[node] for node in component), key=to_paper_syntax
         )
-        merged_label = Plus(disj(*labels)) if len(labels) > 1 else Plus(labels[0])
-        merged = gfa.merge(list(component), merged_label)
+        # A lone label may already be r+ or r?: normalise the new top.
+        merged = gfa.merge(list(component), normalize_label(Plus(disj(*labels))))
         if gfa.has_edge(merged, merged):
             gfa.remove_edge(merged, merged)
         return True
@@ -190,10 +189,10 @@ def idtd_from_soa(
             )
         result = rewrite_gfa(gfa, order=order, recorder=recorder)
         steps.extend(result.steps)
-    regex = contract_stars(simplify(gfa.final_regex()))
-    if contracts_enabled():
-        check_emitted_sore(regex, context="idtd")
-    return IdtdResult(regex=regex, steps=steps, repairs=repairs)
+    if result.regex is None:  # pragma: no cover - the loop ends on a final GFA
+        raise IdtdError("the rewrite loop ended on a GFA that is not final")
+    # rewrite_gfa already simplified (and checked) the final label.
+    return IdtdResult(regex=result.regex, steps=steps, repairs=repairs)
 
 
 def idtd(

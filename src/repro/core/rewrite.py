@@ -25,21 +25,32 @@ post-processing step).  Claim 2 (confluence) guarantees that any rule
 order reaches a SORE whenever one exists; the default priority below
 (`optional` first) reproduces the run of Figure 3 and hence the exact
 expressions reported in the paper's tables.
+
+The loop computes the ε-closure once per call and carries it across the
+rules: ``optional`` and ``self_loop`` leave it unchanged, and a merge
+only renames its members.  ``docs/ALGORITHMS.md`` §3 proves both, and
+the bucket index behind the ``disjunction`` finder.
 """
 
 from __future__ import annotations
 
 import random
+from itertools import combinations
 from dataclasses import dataclass, field
 from collections.abc import Callable, Sequence
 
 from ..automata.gfa import GFA, SINK, SOURCE, Closure
 from ..automata.soa import SOA
-from ..contracts import check_emitted_sore, check_gfa, contracts_enabled
+from ..contracts import (
+    check_carried_closure,
+    check_emitted_sore,
+    check_gfa,
+    contracts_enabled,
+)
 from ..errors import InternalError
 from ..obs.recorder import NULL_RECORDER, Recorder
 from ..regex.ast import Opt, Plus, Regex, disj
-from ..regex.normalize import contract_stars, normalize, simplify
+from ..regex.normalize import contract_stars, simplify
 from ..regex.printer import to_paper_syntax
 
 #: Default rule priority.  ``optional`` before ``disjunction`` matches
@@ -83,15 +94,25 @@ class RewriteResult:
         return self.regex is not None
 
 
-def _normalize_label(label: Regex) -> Regex:
-    """Keep labels in the paper's star-free normal form.
+def normalize_label(label: Regex) -> Regex:
+    """Keep labels in the paper's star-free normal form, at the top node.
 
-    ``(s+)+ → s+``, ``s?? → s?``, ``(s?)+ → (s+)?`` — i.e. normalize,
-    then re-expand any star the normalizer introduced back to ``(s+)?``.
+    Every label a rule builds wraps labels that are already in normal
+    form (``check_gfa``'s ``gfa-normal-form`` invariant), so only the
+    new top node can be superfluous: ``r?? → r?``, ``(r+)+ → r+`` and
+    ``(r?)+ → (r+)?``.  The result equals
+    ``expand_stars(normalize(label))`` without rebuilding the tree.
     """
-    from ..regex.normalize import expand_stars
-
-    return expand_stars(normalize(label))
+    if isinstance(label, Opt) and isinstance(label.inner, Opt):
+        return label.inner
+    if isinstance(label, Plus):
+        inner = label.inner
+        if isinstance(inner, Plus):
+            return inner
+        if isinstance(inner, Opt):
+            # ((s+)?)+ is (s+)?: the inner Plus absorbs the outer one.
+            return Opt(normalize_label(Plus(inner.inner)))
+    return label
 
 
 # -- rule detection ----------------------------------------------------------
@@ -169,29 +190,54 @@ def _neighbourhoods_match(
     )
 
 
+def _matching_pairs(nodes: Sequence[int], closure: Closure) -> list[tuple[int, int]]:
+    """The pairs whose neighbourhoods match modulo the pair, sorted.
+
+    With ``A(x) = pred[x] − {x}``, ``pred[f] − {f, s} == pred[s] − {f, s}``
+    exactly when ``{A(f), A(f) ∪ {f}}`` and ``{A(s), A(s) ∪ {s}}``
+    share a set, and likewise for ``succ`` (``docs/ALGORITHMS.md`` §3).
+    So each node is indexed under its four (pred, succ) key
+    combinations; one of each side's two keys is the closure's own set.
+    Two nodes share at most one bucket, so no pair is listed twice.
+    """
+    buckets: dict[tuple[frozenset[int], frozenset[int]], list[int]] = {}
+    for node in nodes:
+        own = (node,)
+        pred, succ = closure.pred[node], closure.succ[node]
+        other_pred = pred.difference(own) if node in pred else pred.union(own)
+        other_succ = succ.difference(own) if node in succ else succ.union(own)
+        for key in (
+            (pred, succ),
+            (pred, other_succ),
+            (other_pred, succ),
+            (other_pred, other_succ),
+        ):
+            buckets.setdefault(key, []).append(node)
+    return sorted(
+        pair
+        for bucket in buckets.values()
+        if len(bucket) > 1
+        for pair in combinations(bucket, 2)
+    )
+
+
 def _find_disjunction(gfa: GFA, closure: Closure) -> Application | None:
     nodes = sorted(gfa.nodes())
-    for index, first in enumerate(nodes):
-        for second in nodes[index + 1 :]:
-            members = {first, second}
-            if not _neighbourhoods_match(closure, members, first, second):
+    for first, second in _matching_pairs(nodes, closure):
+        if _disjunction_case(gfa, closure, (first, second)) is None:
+            continue
+        group = [first, second]
+        for candidate in nodes:
+            if candidate in group:
                 continue
-            if _disjunction_case(gfa, closure, (first, second)) is None:
-                continue
-            group = [first, second]
-            for candidate in nodes:
-                if candidate in group:
-                    continue
-                extended = set(group) | {candidate}
-                if all(
-                    _neighbourhoods_match(closure, extended, member, candidate)
-                    and _neighbourhoods_match(
-                        closure, extended, group[0], member
-                    )
-                    for member in group
-                ) and _disjunction_case(gfa, closure, tuple(extended)) is not None:
-                    group.append(candidate)
-            return Application("disjunction", tuple(group))
+            extended = set(group) | {candidate}
+            if all(
+                _neighbourhoods_match(closure, extended, member, candidate)
+                and _neighbourhoods_match(closure, extended, group[0], member)
+                for member in group
+            ) and _disjunction_case(gfa, closure, tuple(extended)) is not None:
+                group.append(candidate)
+        return Application("disjunction", tuple(group))
     return None
 
 
@@ -282,13 +328,17 @@ def all_applications(gfa: GFA) -> list[Application]:
 # -- rule application --------------------------------------------------------
 
 
-def apply_application(gfa: GFA, application: Application) -> None:
-    """Mutate ``gfa`` by performing one rule application."""
+def apply_application(gfa: GFA, application: Application) -> int | None:
+    """Mutate ``gfa`` by performing one rule application.
+
+    Returns the merged node of a ``disjunction`` or ``concatenation``,
+    and ``None`` for the rules that keep their node.
+    """
     rule, nodes = application.rule, application.nodes
     if rule == "self_loop":
         (node,) = nodes
         gfa.remove_edge(node, node)
-        gfa.relabel(node, _normalize_label(Plus(gfa.labels[node])))
+        gfa.relabel(node, normalize_label(Plus(gfa.labels[node])))
     elif rule == "optional":
         (node,) = nodes
         # Remove the *direct* bypass edges (p, s) with p a graph
@@ -303,12 +353,12 @@ def apply_application(gfa: GFA, application: Application) -> None:
         for predecessor in gfa.predecessors(node) - {node}:
             for successor in bypass_targets:
                 gfa.remove_edge(predecessor, successor)
-        gfa.relabel(node, _normalize_label(Opt(gfa.labels[node])))
+        gfa.relabel(node, normalize_label(Opt(gfa.labels[node])))
     elif rule == "disjunction":
         labels = sorted(
             (gfa.labels[node] for node in nodes), key=to_paper_syntax
         )
-        gfa.merge(list(nodes), _normalize_label(disj(*labels)))
+        return gfa.merge(list(nodes), normalize_label(disj(*labels)))
     elif rule == "concatenation":
         from ..regex.ast import concat
 
@@ -319,9 +369,45 @@ def apply_application(gfa: GFA, application: Application) -> None:
         # remaining internal edge.
         for tail, head in zip(nodes, nodes[1:], strict=False):
             gfa.remove_edge(tail, head)
-        gfa.merge(list(nodes), _normalize_label(label))
+        return gfa.merge(list(nodes), normalize_label(label))
     else:  # pragma: no cover - rule names are internal
         raise InternalError(f"unknown rule {rule!r}")
+    return None
+
+
+def _merged_closure(
+    gfa: GFA, closure: Closure, members: Sequence[int], merged: int
+) -> Closure:
+    """The ε-closure after ``members`` were merged into ``merged``.
+
+    Between the other nodes every closure edge stays as it was
+    (``docs/ALGORITHMS.md`` §3), so each set that held a member now
+    holds ``merged`` instead.  ``merged`` reaches what any member
+    reached, and is reached from where any member was.  It has a
+    closure self-edge iff it has a graph self-loop or a nullable
+    successor reaches it back: a disjunction or concatenation label is
+    never plus-like.
+    """
+    gone = frozenset(members)
+    own = frozenset((merged,))
+
+    def substituted(sets: dict[int, frozenset[int]]) -> dict[int, frozenset[int]]:
+        return {
+            node: values if values.isdisjoint(gone) else (values - gone) | own
+            for node, values in sets.items()
+            if node not in gone
+        }
+
+    succ, pred = substituted(closure.succ), substituted(closure.pred)
+    merged_succ = frozenset().union(*(closure.succ[node] for node in members)) - gone
+    merged_pred = frozenset().union(*(closure.pred[node] for node in members)) - gone
+    if gfa.has_edge(merged, merged) or any(
+        merged in succ[successor] and gfa.labels[successor].nullable()
+        for successor in gfa.successors(merged) - {merged, SINK}
+    ):
+        merged_succ, merged_pred = merged_succ | own, merged_pred | own
+    succ[merged], pred[merged] = merged_succ, merged_pred
+    return Closure(pred=pred, succ=succ)
 
 
 # -- the driver ---------------------------------------------------------------
@@ -345,20 +431,33 @@ def rewrite_gfa(
     closure: Closure | None = None
     while True:
         if rng is None:
-            closure = gfa.closure()
+            if closure is None:
+                closure = gfa.closure()
+                if recorder.enabled:
+                    recorder.count("rewrite.closure_computed")
             application = find_application(gfa, order, closure)
         else:
             candidates = all_applications(gfa)
             application = rng.choice(candidates) if candidates else None
         if application is None:
             break
-        apply_application(gfa, application)
+        merged = apply_application(gfa, application)
         steps.append(application)
+        # optional and self_loop leave the closure as it was; a merge
+        # only renames its members (docs/ALGORITHMS.md §3).
+        if closure is not None and merged is not None:
+            closure = _merged_closure(gfa, closure, application.nodes, merged)
         if contracts_enabled():
-            check_gfa(gfa, context=f"rewrite.{application.rule}")
+            context = f"rewrite.{application.rule}"
+            check_gfa(gfa, context=context)
+            if closure is not None:
+                check_carried_closure(gfa, closure, context=context)
         if recorder.enabled:
             recorder.count("rewrite.steps")
             recorder.count(f"rewrite.{application.rule}")
+            if closure is not None:
+                carried = "updated" if merged is not None else "reused"
+                recorder.count(f"rewrite.closure_{carried}")
     regex = None
     if gfa.is_final():
         regex = contract_stars(simplify(gfa.final_regex()))

@@ -16,6 +16,7 @@ from repro.automata.gfa import GFA, SINK, SOURCE
 from repro.automata.soa import SOA
 from repro.contracts import (
     ContractViolation,
+    check_carried_closure,
     check_content_model,
     check_emitted_chare,
     check_emitted_sore,
@@ -27,7 +28,7 @@ from repro.contracts import (
     set_contracts,
 )
 from repro.core.crx import crx
-from repro.core.idtd import idtd
+from repro.core.idtd import _contract_scc, idtd
 from repro.regex.ast import Opt, Plus, Star, Sym, concat, disj
 from repro.regex.parser import parse_regex
 from repro.learning.evidence import StreamingEvidence
@@ -181,6 +182,40 @@ class TestGfaMutations:
         gfa.relabel(node, Star(Sym("a")))
         with pytest.raises(ContractViolation, match="star-free"):
             check_gfa(gfa)
+
+    @pytest.mark.parametrize("label", ["(a+)+", "(a?)?", "(a?)+", "b (a+)+"])
+    def test_label_outside_normal_form_rejected(self, label):
+        gfa, node = self.make_gfa()
+        gfa.relabel(node, parse_regex(label))
+        with pytest.raises(ContractViolation, match="gfa-normal-form"):
+            check_gfa(gfa)
+
+    def test_scc_contraction_of_a_plus_label_stays_normal(self):
+        """A lone ``a+`` with a self-loop contracts to ``a+``, not ``(a+)+``."""
+        gfa, node = self.make_gfa()
+        gfa.relabel(node, Plus(Sym("a")))
+        gfa.add_edge(node, node)
+        check_gfa(gfa)
+        assert _contract_scc(gfa)
+        assert list(gfa.labels.values()) == [Plus(Sym("a"))]
+        check_gfa(gfa)
+
+    def test_scc_contraction_with_a_plus_member_passes(self):
+        gfa = GFA()
+        first, second = gfa.add_node(Plus(Sym("a"))), gfa.add_node(Sym("b"))
+        for tail, head in [(SOURCE, first), (first, second), (second, first), (second, SINK)]:
+            gfa.add_edge(tail, head)
+        assert _contract_scc(gfa)
+        assert list(gfa.labels.values()) == [parse_regex("(a+ + b)+")]
+        check_gfa(gfa)
+
+    def test_stale_carried_closure_rejected(self):
+        gfa, node = self.make_gfa()
+        closure = gfa.closure()
+        check_carried_closure(gfa, closure, context="rewrite.optional")
+        gfa.relabel(node, Opt(Sym("a")))  # now nullable: source reaches sink
+        with pytest.raises(ContractViolation, match="optional.closure-carried"):
+            check_carried_closure(gfa, closure, context="rewrite.optional")
 
 
 class TestEmittedExpressionMutations:

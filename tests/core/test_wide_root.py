@@ -6,7 +6,9 @@ documents for the 2T-INF automaton to be representative, so iDTD
 repairs the stuck graph 36 times.  The regex, every repair's rule,
 nodes and edge count, and a digest of every added edge were recorded
 before the repair search scored its candidates by count; the search
-must keep choosing the same repairs.  The DTD bytes must also agree
+must keep choosing the same repairs.  A digest of every rewrite step
+was recorded before the rewrite loop carried its closure and bucketed
+its disjunction candidates; the same rules must fire on the same nodes.  The DTD bytes must also agree
 across batch, streaming and ``jobs=2`` for each SORE-based method.
 """
 
@@ -85,6 +87,11 @@ REPAIRS = [
 #: sha256 of ``repr([(rule, nodes, new_edges), ...])``.
 REPAIRS_SHA256 = "bba1b59b3da22d2a46e4b975d770936b04b914af0293afcc234a2c1bae3d9311"
 
+#: sha256 of ``repr([(rule, nodes), ...])`` over the rewrite steps, in
+#: firing order (121 steps), recorded while every rule search still
+#: recomputed the closure and compared all node pairs for disjunction.
+STEPS_SHA256 = "f4caa1b4c39ecaa4e4888b4e797b5b02cef8e95f74100a7b205253e4db2e4ed1"
+
 #: Every SORE-based method routes the root to iDTD: one DTD for all.
 DTD_SHA256 = "affa51c170a07dbc39a56250fec90d11f2eda2859b182ca33b800a7da50e259d"
 
@@ -115,6 +122,9 @@ def test_idtd_repairs_are_pinned(documents):
     assert got == REPAIRS
     full = [(repair.rule, repair.nodes, repair.new_edges) for repair in result.repairs]
     assert hashlib.sha256(repr(full).encode()).hexdigest() == REPAIRS_SHA256
+    steps = [(step.rule, step.nodes) for step in result.steps]
+    assert len(steps) == 121
+    assert hashlib.sha256(repr(steps).encode()).hexdigest() == STEPS_SHA256
 
 
 @pytest.mark.parametrize("method", ["auto", "idtd", "kore"])
@@ -144,7 +154,18 @@ def test_stats_and_trace_explain_the_repairs(paths, tmp_path, capsys):
     assert counters["repair.enable_disjunction_b"] == 35
     assert counters["repair.enable_disjunction_a"] == 1
     assert counters["repair.candidates"] > counters["repair.firings"]
-    printed = dict(line.split() for line in err.splitlines() if line.startswith("repair."))
+    # One closure per rewrite loop, the first and one after each repair;
+    # every step carries it: as it was after optional and self_loop,
+    # renamed after a merge.
+    assert counters["rewrite.closure_computed"] == counters["repair.firings"] + 1
+    assert counters["rewrite.closure_reused"] > 0
+    assert counters["rewrite.closure_updated"] > 0
+    assert (
+        counters["rewrite.closure_reused"] + counters["rewrite.closure_updated"]
+        == counters["rewrite.steps"]
+    )
+    shown = ("repair.", "rewrite.closure_")
+    printed = dict(line.split() for line in err.splitlines() if line.startswith(shown))
     assert printed == {
-        name: str(value) for name, value in counters.items() if name.startswith("repair.")
+        name: str(value) for name, value in counters.items() if name.startswith(shown)
     }
