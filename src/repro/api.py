@@ -19,12 +19,17 @@ frozen keyword-only dataclass that rejects illegal values at
 construction time, before any parsing starts.  Every option composes
 with every pipeline shape.
 
-Every shape folds its documents into one
-:class:`~repro.learning.evidence.StreamingEvidence` — bags kept whole
-on the batch path, bounded by
-:data:`~repro.learning.evidence.WORD_CAP` on the others — and then runs
-the one engine pass, :meth:`~repro.core.inference.DTDInferencer.finalize`,
-so the shapes give byte-identical DTDs (property-tested in
+Every shape builds its evidence in the one shard runner,
+:func:`~repro.runtime.parallel.parallel_evidence` (through
+:mod:`repro.ckpt` when checkpointing), which loads each item — path,
+XML text or parsed document — through
+:func:`~repro.runtime.resilience.load_document` and folds it into one
+:class:`~repro.learning.evidence.StreamingEvidence`.  A batch run is
+one serial shard whose bags are kept whole; the other shapes bound
+them by :data:`~repro.learning.evidence.WORD_CAP`.  Every shape then
+runs the one engine pass,
+:meth:`~repro.core.inference.DTDInferencer.finalize`, so the shapes
+give byte-identical DTDs (property-tested in
 ``tests/integration/test_api.py`` and
 ``tests/property/test_config_product.py``).
 """
@@ -51,15 +56,15 @@ from .errors import CorpusError, UsageError
 from .obs.recorder import NULL_RECORDER, Recorder
 from .xmlio.diff import ElementDiff, iter_diffs
 from .xmlio.dtd import Dtd, parse_dtd
-from .learning.evidence import StreamingEvidence, extract_evidence
-from .xmlio.parser import parse_document, parse_file
+from .learning.evidence import StreamingEvidence
+from .xmlio.parser import is_xml_text, parse_document, parse_file
 from .xmlio.tree import Document
 from .xmlio.validate import Violation
 from .xmlio.validate import validate as _validate_document
 from .xmlio.xsd import dtd_to_xsd
 
 if TYPE_CHECKING:
-    from .runtime.resilience import DegradationReport, FaultPlan, RetryPolicy
+    from .runtime.resilience import DegradationReport, FaultPlan
 
 Source = Document | str | os.PathLike[str] | Iterable["Document | str | os.PathLike[str]"]
 
@@ -100,7 +105,8 @@ class InferenceConfig:
             not the corpus).
         jobs: shard the corpus across this many worker processes and
             merge their evidence (map-reduce; implies streaming).
-            Requires file-path sources.  ``None`` means in-process.
+            Ships file paths or XML text, so above 1 it refuses parsed
+            documents.  ``None`` means in-process.
         numeric: tighten ``+``/``*`` to numerical bounds (Section 9).
             Reads each element's distinct child words, so on the
             streaming path an element whose bag spilled past
@@ -146,14 +152,11 @@ class InferenceConfig:
             the ``REPRO_FAULTS`` environment variable is consulted
             (same JSON shape), so whole test suites can run under a
             canned plan.
-        retry: the :class:`~repro.runtime.resilience.RetryPolicy` for
-            failed shards (``None``: the default bounded-exponential
-            policy with deterministic jitter).
         state_dir: checkpoint the run into this directory
             (:mod:`repro.ckpt`): per-shard evidence is persisted
             durably as they complete, together with a content-hash
             manifest of the corpus.  Implies streaming and requires
-            file-path sources.
+            file paths (XML text and parsed documents are refused).
         resume: with ``state_dir``, reuse every shard of a previous run
             in that directory whose documents are unchanged — crash
             recovery and incremental re-runs over edited corpora.  The
@@ -174,7 +177,6 @@ class InferenceConfig:
     max_quarantine: int | None = None
     shard_deadline: float | None = None
     faults: "FaultPlan | Mapping[str, object] | str | None" = None
-    retry: "RetryPolicy | None" = None
     state_dir: str | os.PathLike[str] | None = None
     resume: bool = False
 
@@ -295,43 +297,17 @@ class InferenceResult:
             return dtd_to_xsd(self.dtd, text_types=self.report.text_types)
 
 
-def _inferencer(
-    config: InferenceConfig,
-    fault_plan: "FaultPlan | None",
-    degradation: "DegradationReport | None",
-) -> DTDInferencer:
-    """The engine for ``config``, with the process-wide cache unless off."""
-    content_model_cache = None
-    if config.cache:
-        from .runtime.cache import global_content_model_cache
-
-        content_model_cache = global_content_model_cache()
-    return DTDInferencer(
-        method=config.method,
-        sparse_threshold=config.sparse_threshold,
-        numeric=config.numeric,
-        support_threshold=config.support_threshold,
-        infer_attributes=config.infer_attributes,
-        recorder=config.recorder,
-        cache=content_model_cache,
-        fault_plan=fault_plan,
-        # Strict mode fails hard on learner faults; only skip mode may
-        # degrade content models down the SORE → CHARE → ANY ladder.
-        degradation=degradation if config.on_error == "skip" else None,
-    )
-
-
 def _expand_source(source: Source) -> list[Document | str]:
-    """Flatten ``source`` into a list of Documents and file paths.
+    """Flatten ``source`` into a list of Documents, XML text and paths.
 
-    Accepts a parsed Document, an XML literal (anything whose first
-    non-blank character is ``<``), a file path, a directory (expanded
-    to its sorted ``*.xml`` files), or an iterable mixing all of those.
+    Accepts a parsed Document, XML text (anything whose first non-blank
+    character is ``<``), a file path, a directory (expanded to its
+    sorted ``*.xml`` files), or an iterable mixing all of those.
+    Nothing is parsed here: :func:`~repro.runtime.resilience.load_document`
+    parses every item under the run's error policy.
     """
-    if isinstance(source, Document):
+    if isinstance(source, Document) or is_xml_text(source):
         return [source]
-    if isinstance(source, str) and source.lstrip()[:1] == "<":
-        return [parse_document(source)]
     if isinstance(source, (str, os.PathLike)):
         path = os.fspath(source)
         # Only paths that plausibly name a directory pay the stat call;
@@ -365,36 +341,32 @@ def _require_surviving_documents(
         )
 
 
-def _streaming_evidence(
+def _evidence(
     items: list[Document | str],
     config: InferenceConfig,
     *,
-    recorder: Recorder,
     degradation: "DegradationReport | None",
     fault_plan: "FaultPlan | None",
     max_quarantine: int | None,
     index_offset: int = 0,
 ) -> StreamingEvidence:
-    """Fold ``items`` into streaming evidence under ``config``.
+    """Fold ``items`` into evidence under ``config``.
 
-    The streaming half of :func:`infer`, shared with
+    The evidence half of :func:`infer`, shared with
     :meth:`InferenceSession.append`: one call into the shard runner
     (:func:`~repro.runtime.parallel.parallel_evidence`), through
-    :mod:`repro.ckpt` when checkpointing.  Parsed documents and XML
-    literals fold on the serial backend.  ``index_offset`` shifts
-    fault-plan document positions so a session's plan sees
-    corpus-global positions across appends.
+    :mod:`repro.ckpt` when checkpointing.  A batch config is one serial
+    shard with whole bags; parsed documents fold on the serial backend.
+    ``index_offset`` shifts fault-plan document positions so a
+    session's plan sees corpus-global positions across appends.
     """
-    paths = [item for item in items if isinstance(item, str)]
-    all_paths = len(paths) == len(items)
-    if config.jobs is not None and config.jobs > 1 and not all_paths:
-        raise UsageError(
-            "jobs > 1 shards file paths across worker processes; "
-            "already-parsed documents and XML literals cannot be "
-            "shipped — pass file paths or drop jobs"
-        )
     if config.state_dir is not None:
-        if not all_paths:
+        paths = [
+            item
+            for item in items
+            if isinstance(item, str) and not is_xml_text(item)
+        ]
+        if len(paths) < len(items):
             raise UsageError(
                 "state_dir checkpoints content-hashed files; "
                 "already-parsed documents and XML literals have no stable "
@@ -408,94 +380,75 @@ def _streaming_evidence(
             resume=config.resume,
             jobs=config.jobs,
             backend=config.backend,
-            recorder=recorder,
+            recorder=config.recorder,
             fault_plan=fault_plan,
-            retry=config.retry,
             on_error=config.on_error,
             max_quarantine=max_quarantine,
             deadline=config.shard_deadline,
             report=degradation,
         )
+    parsed = any(isinstance(item, Document) for item in items)
+    if parsed and config.jobs is not None and config.jobs > 1:
+        raise UsageError(
+            "jobs > 1 ships file paths and XML text to worker processes; "
+            "already-parsed documents cannot be shipped — pass paths or "
+            "XML text, or drop jobs"
+        )
     from .runtime.parallel import parallel_evidence
 
+    streaming = config.effective_streaming
     return parallel_evidence(
         items,
-        config.jobs,
-        config.backend if all_paths else "serial",
-        recorder,
+        config.jobs if streaming else 1,
+        "serial" if parsed else config.backend,
+        config.recorder,
         index_offset=index_offset,
         faults=fault_plan,
-        retry=config.retry,
         on_error=config.on_error,
         max_quarantine=max_quarantine,
         deadline=config.shard_deadline,
         report=degradation,
+        bounded=streaming,
     )
 
 
-def infer(
-    source: Source, config: InferenceConfig | None = None
+def _result(
+    config: InferenceConfig,
+    evidence: StreamingEvidence,
+    fault_plan: "FaultPlan | None",
+    degradation: "DegradationReport | None",
 ) -> InferenceResult:
-    """Infer a DTD from ``source`` under ``config``.
+    """Finalize ``evidence`` into a result: the tail every run shares.
 
-    This is *the* entry point: batch and streaming, serial and
-    sharded, all learner choices.  Returns an
-    :class:`InferenceResult`; ``result.dtd`` is byte-identical across
-    pipeline shapes.
+    Builds the engine (with the process-wide content-model cache unless
+    ``config.cache`` is off), checks the degradation contract under
+    ``REPRO_CHECKS=1`` and, with a live recorder, counts the elements and
+    the regex language caches' hits and misses.
     """
-    if config is None:
-        config = InferenceConfig()
     recorder = config.recorder
     from .regex.language import language_cache_info
 
     language_before = language_cache_info() if recorder.enabled else {}
-    degradation: DegradationReport | None = None
-    fault_plan: FaultPlan | None = None
-    if config.resilient:
-        from .runtime.resilience import DegradationReport
+    if recorder.enabled:
+        recorder.count("elements", len(evidence.elements))
+    content_model_cache = None
+    if config.cache:
+        from .runtime.cache import global_content_model_cache
 
-        degradation = DegradationReport()
-        # __post_init__ normalized faults to FaultPlan | None.
-        fault_plan = config.faults  # type: ignore[assignment]
-    items = _expand_source(source)
-    if not items:
-        raise UsageError("no documents to infer from")
-
-    if config.effective_streaming:
-        evidence = _streaming_evidence(
-            items,
-            config,
-            recorder=recorder,
-            degradation=degradation,
-            fault_plan=fault_plan,
-            max_quarantine=config.max_quarantine,
-        )
-        _require_surviving_documents(degradation, len(items))
-        if recorder.enabled:
-            recorder.count("elements", len(evidence.elements))
-    else:
-        from .runtime.resilience import load_document
-
-        documents = [
-            document
-            for index, item in enumerate(items)
-            if (
-                document := load_document(
-                    item,
-                    index,
-                    plan=fault_plan,
-                    on_error=config.on_error,
-                    report=degradation,
-                    max_quarantine=config.max_quarantine,
-                    recorder=recorder,
-                )
-            )
-            is not None
-        ]
-        _require_surviving_documents(degradation, len(items))
-        with recorder.span("extract", documents=len(documents)):
-            evidence = extract_evidence(documents, recorder=recorder)
-    inferencer = _inferencer(config, fault_plan, degradation)
+        content_model_cache = global_content_model_cache()
+    inferencer = DTDInferencer(
+        method=config.method,
+        sparse_threshold=config.sparse_threshold,
+        numeric=config.numeric,
+        support_threshold=config.support_threshold,
+        infer_attributes=config.infer_attributes,
+        recorder=recorder,
+        cache=content_model_cache,
+        fault_plan=fault_plan,
+        # Strict mode fails hard on learner faults; only skip mode may
+        # degrade content models down the SORE → CHARE → ANY ladder.
+        degradation=degradation if config.on_error == "skip" else None,
+    )
     dtd = inferencer.finalize(evidence)
     if degradation is not None and contracts_enabled():
         from .contracts import check_degradation_report
@@ -516,11 +469,45 @@ def infer(
     )
 
 
+def infer(
+    source: Source, config: InferenceConfig | None = None
+) -> InferenceResult:
+    """Infer a DTD from ``source`` under ``config``.
+
+    This is *the* entry point: batch and streaming, serial and
+    sharded, all learner choices.  Returns an
+    :class:`InferenceResult`; ``result.dtd`` is byte-identical across
+    pipeline shapes.
+    """
+    if config is None:
+        config = InferenceConfig()
+    degradation: DegradationReport | None = None
+    fault_plan: FaultPlan | None = None
+    if config.resilient:
+        from .runtime.resilience import DegradationReport
+
+        degradation = DegradationReport()
+        # __post_init__ normalized faults to FaultPlan | None.
+        fault_plan = config.faults  # type: ignore[assignment]
+    items = _expand_source(source)
+    if not items:
+        raise UsageError("no documents to infer from")
+    evidence = _evidence(
+        items,
+        config,
+        degradation=degradation,
+        fault_plan=fault_plan,
+        max_quarantine=config.max_quarantine,
+    )
+    _require_surviving_documents(degradation, len(items))
+    return _result(config, evidence, fault_plan, degradation)
+
+
 def _coerce_dtd(source: DtdSource, *, role: str = "dtd") -> Dtd:
     """A :class:`Dtd` from a parsed object, DTD text, or a file path."""
     if isinstance(source, Dtd):
         return source
-    if isinstance(source, str) and source.lstrip()[:1] == "<":
+    if is_xml_text(source):
         return parse_dtd(source)
     if isinstance(source, (str, os.PathLike)):
         path = os.fspath(source)
@@ -644,6 +631,9 @@ def validate(
         if isinstance(item, Document):
             label = f"document#{index}"
             document = item
+        elif is_xml_text(item):
+            label = f"document#{index}"
+            document = parse_document(item)
         else:
             label = item
             document = parse_file(item, recorder)
@@ -835,9 +825,9 @@ class InferenceSession:
     def append(self, source: Source) -> AppendReceipt:
         """Fold more documents into the session state.
 
-        ``source`` accepts everything :func:`infer` accepts.  All-path
-        chunks go through the same sharded (and resilient, when
-        configured) extraction pools as a one-shot run.
+        ``source`` accepts everything :func:`infer` accepts, and goes
+        through the same shard runner (and error policy) as a one-shot
+        run.
         """
         self._require_open()
         items = _expand_source(source)
@@ -854,10 +844,9 @@ class InferenceSession:
                     0,
                     remaining_quarantine - len(self._degradation.quarantined),
                 )
-        shard = _streaming_evidence(
+        shard = _evidence(
             items,
             self.config,
-            recorder=self.config.recorder,
             degradation=chunk_report,
             fault_plan=self._fault_plan,
             max_quarantine=remaining_quarantine,
@@ -909,7 +898,6 @@ class InferenceSession:
                 "session has no documents: append() before current_dtd()"
             )
         _require_surviving_documents(self._degradation, self._documents)
-        recorder = self.config.recorder
         # Finalize against a *copy* of the session report: learner
         # fallbacks belong to one derivation, and repeated queries must
         # not accumulate duplicates in the session-wide report.
@@ -918,18 +906,4 @@ class InferenceSession:
             if self._degradation is not None
             else None
         )
-        inferencer = _inferencer(self.config, self._fault_plan, degradation)
-        if recorder.enabled:
-            recorder.count("elements", len(self._evidence.elements))
-        dtd = inferencer.finalize(self._evidence)
-        if degradation is not None and contracts_enabled():
-            from .contracts import check_degradation_report
-
-            check_degradation_report(degradation, dtd)
-        return InferenceResult(
-            dtd=dtd,
-            report=inferencer.report,
-            config=self.config,
-            recorder=recorder,
-            degradation=degradation,
-        )
+        return _result(self.config, self._evidence, self._fault_plan, degradation)

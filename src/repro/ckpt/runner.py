@@ -48,7 +48,6 @@ from ..runtime.resilience import (
     DegradationReport,
     FaultPlan,
     QuarantinedDocument,
-    RetryPolicy,
 )
 from .codec import StateDecodeError, file_sha256, read_state, write_state
 from .lock import RunLock
@@ -160,7 +159,6 @@ def checkpointed_evidence(
     backend: Backend = "auto",
     recorder: Recorder = NULL_RECORDER,
     fault_plan: FaultPlan | None = None,
-    retry: RetryPolicy | None = None,
     on_error: str = "strict",
     max_quarantine: int | None = None,
     deadline: float | None = None,
@@ -236,7 +234,6 @@ def checkpointed_evidence(
             recorder,
             reuse=[shard for shard, _entry in reused],
             faults=fault_plan,
-            retry=retry,
             on_error=on_error,
             max_quarantine=max_quarantine,
             deadline=deadline,

@@ -466,11 +466,11 @@ def check_checkpoint_resume(
     reservoir divergence.
     """
     from .ckpt.codec import evidence_digest
-    from .runtime.parallel import extract_from_paths
+    from .runtime.parallel import parallel_evidence
 
     survivors = [path for path in paths if path not in quarantined]
     cached = evidence_digest(evidence)
-    fresh = evidence_digest(extract_from_paths(survivors))
+    fresh = evidence_digest(parallel_evidence(survivors, 1))
     if cached != fresh:
         raise _violated(
             "ckpt.resume-equals-fresh",

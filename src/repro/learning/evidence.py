@@ -15,8 +15,9 @@ One type, :class:`StreamingEvidence`, holds every corpus: one
 :class:`ElementEvidence` per element name, which counts child words in
 a :class:`WordBag` (distinct words with multiplicities); finalize
 learns from the distinct words only.  The pipeline shape picks the
-bound: a batch run (:func:`extract_evidence`) keeps every bag whole,
-while the streaming, sharded, checkpointed and session shapes bound
+bound: a batch run keeps every bag whole (``bounded=False``, as
+:func:`extract_evidence` builds it from in-memory documents), while the
+streaming, sharded, checkpointed and session shapes bound
 each bag by :data:`WORD_CAP` distinct words, past which it spills into
 the incremental learner states (:class:`LearnerStates`), so memory is
 bounded by the *schema* size, not the corpus size.
@@ -32,7 +33,6 @@ from collections.abc import Collection, Iterable, Iterator, Mapping
 from typing import TypeVar
 
 from ..errors import CorpusError
-from ..obs.recorder import NULL_RECORDER, Recorder
 from ..xmlio.tree import Document, Element
 from .incremental import (
     IncrementalCRX,
@@ -534,9 +534,7 @@ class StreamingEvidence:
         return evidence
 
 
-def extract_evidence(
-    documents: Iterable[Document], recorder: Recorder = NULL_RECORDER
-) -> StreamingEvidence:
+def extract_evidence(documents: Iterable[Document]) -> StreamingEvidence:
     """Collect a batch run's evidence: every bag kept whole.
 
     Documents may come from a lazy iterator and are dropped as soon as
@@ -544,8 +542,6 @@ def extract_evidence(
     """
     evidence = StreamingEvidence(bounded=False)
     evidence.add_documents(documents)
-    if recorder.enabled:
-        recorder.count("elements", len(evidence.elements))
     return evidence
 
 

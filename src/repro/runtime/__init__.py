@@ -2,11 +2,12 @@
 
 * :func:`parallel_evidence` — the one shard runner: plan contiguous
   shards, extract each on the serial driver or a warm pool, retry
-  failed shards, merge the (bounded) shard evidence in corpus order (and
-  per-shard stats snapshots when a recorder is live).  Every sharded
-  run goes through it — ``--jobs``/``--streaming``, in-memory
-  documents, session appends, degraded runs and :mod:`repro.ckpt`'s
-  checkpointed runs, which add reloaded shards and a commit hook.
+  failed shards, merge the shard evidence in corpus order (and
+  per-shard stats snapshots when a recorder is live).  Every run goes
+  through it — batch (one serial shard with whole bags),
+  ``--jobs``/``--streaming``, in-memory documents, session appends,
+  degraded runs and :mod:`repro.ckpt`'s checkpointed runs, which add
+  reloaded shards and a commit hook.
 * :func:`choose_backend` — the adaptive cost model behind
   ``backend="auto"``: serial/thread/process from corpus size and the
   CPU count, shards clamped to the CPUs.
@@ -33,7 +34,6 @@ from .parallel import (
     PROCESS_CORPUS_FLOOR,
     WorkerPool,
     choose_backend,
-    extract_from_paths,
     parallel_evidence,
     shard_paths,
     shutdown_warm_pools,
@@ -64,7 +64,6 @@ __all__ = [
     "ShardRetry",
     "WorkerPool",
     "choose_backend",
-    "extract_from_paths",
     "global_content_model_cache",
     "parallel_evidence",
     "reset_global_content_model_cache",

@@ -10,8 +10,8 @@ is embarrassingly data-parallel:
 
 * **map** — each worker loads its shard of documents and counts them
   into a :class:`~repro.learning.evidence.StreamingEvidence` (bounded
-  memory in shard size; only file paths cross the process boundary on
-  the way in, only the bounded evidence on the way out);
+  memory in shard size; only file paths and XML text cross the process
+  boundary on the way in, only the bounded evidence on the way out);
 * **reduce** — shard evidence merges in shard order, which reproduces
   the batch evidence exactly (including the bounded text/attribute
   reservoirs, because shards are contiguous chunks of the corpus);
@@ -22,15 +22,18 @@ is embarrassingly data-parallel:
 The result is byte-identical to batch inference on the same corpus —
 property-tested in ``tests/runtime/test_parallel.py``.
 
-One runner, :func:`parallel_evidence`, dispatches every sharded
-extraction: ``--jobs`` and ``--streaming`` runs, in-memory documents,
-session appends, degraded runs and checkpointed runs alike.  Every run
-gets the same worker body (documents load through
-:func:`~repro.runtime.resilience.load_document`), the same retry ladder
-(:class:`~repro.runtime.resilience.RetryPolicy`, optional per-shard
-deadline, serial reshard in the driver as the last resort) and the same
-shard-order merge.  :mod:`repro.ckpt` hands in the shards it reloaded
-from disk and an ``on_commit`` hook that persists each fresh shard.
+One runner, :func:`parallel_evidence`, builds the evidence of every
+run: batch, ``--jobs`` and ``--streaming`` runs, in-memory documents,
+session appends, degraded runs and checkpointed runs alike.  A batch
+run is one serial shard whose bags are kept whole (``bounded=False``),
+so it never spills and never holds more than one parsed tree.  Every
+run gets the same worker body (paths, XML text and documents all load
+through :func:`~repro.runtime.resilience.load_document`), the same
+retry ladder (:data:`~repro.runtime.resilience.DEFAULT_RETRY_POLICY`,
+optional per-shard deadline, serial reshard in the driver as the last
+resort) and the same shard-order merge.  :mod:`repro.ckpt` hands in the
+shards it reloaded from disk and an ``on_commit`` hook that persists
+each fresh shard.
 
 Instrumentation rides the same rails as the evidence: each pooled
 worker runs a private :class:`~repro.obs.recorder.StatsRecorder`, ships
@@ -66,13 +69,12 @@ from concurrent.futures import TimeoutError as FuturesTimeout
 from dataclasses import dataclass, replace
 from time import sleep
 from typing import TypeVar
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Sequence
 
 from ..contracts import check_merge_commutative, contracts_enabled
 from ..errors import InternalError, ReproError, ShardTimeout, UsageError
 from ..obs.recorder import NULL_RECORDER, Recorder, Snapshot, StatsRecorder
 from ..learning.evidence import StreamingEvidence
-from ..xmlio.parser import parse_file
 from ..xmlio.tree import Document
 from .resilience import (
     CRASH_EXIT_STATUS,
@@ -82,8 +84,8 @@ from .resilience import (
     InjectedShardTimeout,
     InjectedWorkerCrash,
     QuarantinedDocument,
-    RetryPolicy,
     ShardRetry,
+    document_label,
     load_document,
 )
 
@@ -279,22 +281,6 @@ def shard_paths(paths: Sequence[_ItemT], shards: int) -> list[list[_ItemT]]:
     return chunks
 
 
-def extract_from_paths(
-    paths: Iterable[str], recorder: Recorder = NULL_RECORDER
-) -> StreamingEvidence:
-    """Parse each file and fold it into streaming evidence, serially.
-
-    Documents are parsed one at a time and released immediately; the
-    footprint is one document plus the bounded evidence.
-    """
-    evidence = StreamingEvidence()
-    for path in paths:
-        document = parse_file(path, recorder)
-        with recorder.span("extract", file=str(path)):
-            evidence.add_document(document)
-    return evidence
-
-
 @dataclass(frozen=True)
 class Shard:
     """A contiguous run of corpus items starting at position ``start``.
@@ -321,6 +307,7 @@ class _ShardTask:
     faults: FaultPlan | None
     on_error: str
     backend: Backend
+    bounded: bool
     recorded: bool
     crash: bool
     timeout: bool
@@ -346,19 +333,19 @@ def _extract_shard(task: _ShardTask, recorder: Recorder) -> _Result:
         raise InjectedWorkerCrash(f"injected fault: worker crash in shard {task.index}")
     if task.timeout:
         raise InjectedShardTimeout(f"injected fault: deadline breach in shard {task.index}")
-    evidence = StreamingEvidence()
+    evidence = StreamingEvidence(bounded=task.bounded)
     skipped = DegradationReport()
-    for offset, item in enumerate(task.shard.items):
+    for position, item in enumerate(task.shard.items, task.first):
         document = load_document(
             item,
-            task.first + offset,
+            position,
             plan=task.faults,
             on_error=task.on_error,
             report=skipped,
             recorder=recorder,
         )
         if document is not None:
-            with recorder.span("extract", file=item if isinstance(item, str) else None):
+            with recorder.span("extract", file=document_label(item, position)):
                 evidence.add_document(document)
     return evidence, skipped.quarantined, None
 
@@ -386,17 +373,20 @@ def parallel_evidence(
     reuse: Sequence[Shard] = (),
     index_offset: int = 0,
     faults: FaultPlan | None = None,
-    retry: RetryPolicy | None = None,
     on_error: str = "strict",
     max_quarantine: int | None = None,
     deadline: float | None = None,
     report: DegradationReport | None = None,
     on_commit: Callable[[int, Shard], None] | None = None,
+    bounded: bool = True,
 ) -> StreamingEvidence:
     """The shard runner: extract streaming evidence from ``paths``.
 
-    ``paths`` holds file paths or parsed documents (the latter only on
-    the serial backend: documents never cross a process boundary).
+    ``paths`` holds file paths, XML text or parsed documents (the last
+    only on the serial backend: documents never cross a process
+    boundary).  ``bounded`` caps each shard's bags at
+    :data:`~repro.learning.evidence.WORD_CAP`; a batch run passes
+    ``jobs=1, bounded=False``, one serial shard with whole bags.
 
     Planning.  ``reuse`` holds already-folded shards (a checkpoint's
     reloaded states); the runner shards the positions they leave
@@ -411,10 +401,9 @@ def parallel_evidence(
     Dispatch.  Serial shards run in the driver, pooled ones on the warm
     pools.  A failed shard attempt — a dead worker, an exceeded
     ``deadline``, an injected fault from ``faults`` — is retried under
-    ``retry`` (default :data:`DEFAULT_RETRY_POLICY`); a shard that
-    exhausts it is re-run in the driver, except that a strict run
-    whose shard keeps timing out raises
-    :class:`~repro.errors.ShardTimeout`.  ``on_error="skip"``
+    :data:`DEFAULT_RETRY_POLICY`; a shard that exhausts it is re-run in
+    the driver, except that a strict run whose shard keeps timing out
+    raises :class:`~repro.errors.ShardTimeout`.  ``on_error="skip"``
     quarantines unreadable documents (at most ``max_quarantine``).
     Retries and quarantines land in ``report``; fault-plan document
     positions are ``index_offset`` plus the position in ``paths``, and
@@ -456,7 +445,6 @@ def parallel_evidence(
             fresh.append(Shard(offset, tuple(chunk)))
             offset += len(chunk)
 
-    policy = retry if retry is not None else DEFAULT_RETRY_POLICY
     if report is None:
         report = DegradationReport()
     pool = None if chosen == "serial" else warm_pool(chosen)
@@ -472,6 +460,7 @@ def parallel_evidence(
             faults=faults,
             on_error=on_error,
             backend=chosen,
+            bounded=bounded,
             recorded=recorder.enabled,
             crash=faulty and faults is not None and faults.crashes(index, attempt),
             timeout=faulty and faults is not None and faults.times_out(index, attempt),
@@ -526,8 +515,8 @@ def parallel_evidence(
             attempts[index] += 1
             if recorder.enabled:
                 recorder.count(f"resilience.failures.{reason}")
-            if attempts[index] < policy.max_attempts:
-                delay = policy.delay(index, attempts[index])
+            if attempts[index] < DEFAULT_RETRY_POLICY.max_attempts:
+                delay = DEFAULT_RETRY_POLICY.delay(index, attempts[index])
                 if delay > 0:
                     sleep(delay)
                 futures[index] = submit(index)
@@ -580,5 +569,5 @@ def parallel_evidence(
         if contracts_enabled():
             check_merge_commutative(merged, evidence)
         merged.merge(evidence)
-    return merged if merged is not None else StreamingEvidence()
+    return merged if merged is not None else StreamingEvidence(bounded=bounded)
 

@@ -61,7 +61,13 @@ from collections.abc import Iterable, Mapping
 
 from ..errors import CorpusError, InternalError, QuarantineExceeded, UsageError
 from ..obs.recorder import NULL_RECORDER, Recorder
-from ..xmlio.parser import ParseFailure, parse_file, try_parse_file
+from ..xmlio.parser import (
+    ParseFailure,
+    is_xml_text,
+    parse_document,
+    parse_file,
+    try_parse_file,
+)
 from ..xmlio.tree import Document
 
 __all__ = [
@@ -75,6 +81,7 @@ __all__ = [
     "QuarantinedDocument",
     "RetryPolicy",
     "ShardRetry",
+    "document_label",
     "load_document",
 ]
 
@@ -502,6 +509,13 @@ class DegradationReport:
 # -- document loading with quarantine -----------------------------------------
 
 
+def document_label(item: Document | str, index: int) -> str:
+    """How reports name corpus item ``index``: its path, else its position."""
+    if isinstance(item, Document) or is_xml_text(item):
+        return f"<document #{index}>"
+    return item
+
+
 def load_document(
     item: Document | str,
     index: int,
@@ -514,12 +528,13 @@ def load_document(
 ) -> Document | None:
     """Load one corpus item under the error policy; ``None`` = skipped.
 
-    ``item`` is a parsed :class:`Document` or a file path (the two
-    shapes :func:`repro.api.infer` feeds its pipelines).  Injected
-    corruption (``plan.corrupt_docs``) and real parse failures behave
-    identically: raise in strict mode, quarantine in skip mode.
+    ``item`` is a parsed :class:`Document`, XML text or a file path (the
+    three shapes :func:`repro.api.infer` accepts); this is the one place
+    inference parses them.  Injected corruption (``plan.corrupt_docs``)
+    and real parse failures behave identically for all three: raise in
+    strict mode, quarantine in skip mode.
     """
-    path = item if isinstance(item, str) else f"<document #{index}>"
+    path = document_label(item, index)
     try:
         if plan is not None and plan.corrupts(index):
             if recorder.enabled:
@@ -529,6 +544,9 @@ def load_document(
             )
         if isinstance(item, Document):
             return item
+        if is_xml_text(item):
+            with recorder.span("parse"):
+                return parse_document(item)
         if on_error == "skip":
             loaded = try_parse_file(item, recorder)
             if isinstance(loaded, ParseFailure):

@@ -36,7 +36,7 @@ from ..obs.recorder import NULL_RECORDER, StatsRecorder
 from ..obs.report import summary_dict
 
 #: InferenceConfig fields a request may set (everything serializable;
-#: recorder and retry are process-level concerns the app owns).
+#: the recorder is a process-level concern the app owns).
 CONFIG_KEYS = frozenset(
     {
         "method",

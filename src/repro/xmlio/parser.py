@@ -29,7 +29,7 @@ from __future__ import annotations
 import mmap
 import os
 from dataclasses import dataclass
-from collections.abc import Iterable, Iterator
+from typing import TypeGuard
 
 from ..errors import CorpusError
 from ..obs.recorder import NULL_RECORDER, Recorder
@@ -172,6 +172,15 @@ def _parse_content(scanner: _Scanner, element: Element, depth: int = 0) -> None:
             _parse_content(scanner, child, child_depth)
 
 
+def is_xml_text(source: object) -> TypeGuard[str]:
+    """Whether ``source`` is markup text rather than a file path.
+
+    Markup is a string whose first non-blank character is ``<``; no
+    file path the corpus loaders accept starts that way.
+    """
+    return isinstance(source, str) and source.lstrip()[:1] == "<"
+
+
 def parse_document(text: str) -> Document:
     """Parse one XML document from a string."""
     scanner = _Scanner(normalize_newlines(text))
@@ -295,27 +304,14 @@ def try_parse_file(
     return failure
 
 
-def parse_files(
-    paths: Iterable[str], recorder: Recorder = NULL_RECORDER
-) -> Iterator[Document]:
-    """Parse documents lazily, one at a time.
-
-    The streaming evidence path folds each document in and drops it, so
-    feeding it this generator keeps at most one parsed tree in memory
-    no matter how large the corpus is.
-    """
-    for path in paths:
-        yield parse_file(path, recorder)
-
-
 __all__ = [
     "MAX_ELEMENT_DEPTH",
     "MMAP_MIN_BYTES",
     "ParseFailure",
     "XmlSyntaxError",
+    "is_xml_text",
     "parse_bytes",
     "parse_document",
     "parse_file",
-    "parse_files",
     "try_parse_file",
 ]

@@ -18,7 +18,7 @@ import sys
 
 from repro.core.crx import CrxState
 from repro.learning.incremental import IncrementalSOA
-from repro.runtime.parallel import extract_from_paths
+from repro.runtime.parallel import parallel_evidence
 
 from .conftest import write_corpus
 
@@ -33,10 +33,10 @@ _REPO_SRC = os.path.join(
 _DIGEST_SCRIPT = """
 import sys
 from repro.ckpt.codec import encode_state, evidence_digest
-from repro.runtime.parallel import extract_from_paths
+from repro.runtime.parallel import parallel_evidence
 
 paths = sys.argv[1:]
-evidence = extract_from_paths(paths)
+evidence = parallel_evidence(paths, 1)
 print(evidence_digest(evidence))
 sys.stdout.buffer.write(encode_state(evidence))
 """
@@ -93,7 +93,7 @@ class TestCanonicalForms:
         assert one.canonical_fingerprint() == two.canonical_fingerprint()
 
     def test_dehydrated_payloads_contain_no_unsorted_sets(self, tmp_path):
-        evidence = extract_from_paths(write_corpus(tmp_path, 8))
+        evidence = parallel_evidence(write_corpus(tmp_path, 8), 1)
         payload = evidence.dehydrate()
 
         def walk(node: object) -> None:

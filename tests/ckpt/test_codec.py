@@ -31,7 +31,7 @@ from repro.ckpt.manifest import (
     load_manifest,
 )
 from repro.core.inference import DTDInferencer
-from repro.runtime.parallel import extract_from_paths
+from repro.runtime.parallel import parallel_evidence
 
 from .conftest import write_corpus
 
@@ -41,7 +41,7 @@ def render(evidence) -> str:
 
 
 def make_evidence(tmp_path, count=12, seed=None):
-    return extract_from_paths(write_corpus(tmp_path, count, seed=seed))
+    return parallel_evidence(write_corpus(tmp_path, count, seed=seed), 1)
 
 
 class TestRoundtrip:

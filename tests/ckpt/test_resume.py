@@ -18,6 +18,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -192,11 +193,13 @@ class TestGuardRails:
 
         paths = write_corpus(tmp_path, 3)
         documents = [parse_file(path) for path in paths]
-        with pytest.raises(UsageError):
-            infer(
-                documents,
-                config=InferenceConfig(state_dir=tmp_path / "run"),
-            )
+        literals = [Path(path).read_text(encoding="utf-8") for path in paths]
+        for source in (documents, literals):
+            with pytest.raises(UsageError):
+                infer(
+                    source,
+                    config=InferenceConfig(state_dir=tmp_path / "run"),
+                )
 
 
 class TestDegradedCheckpoints:

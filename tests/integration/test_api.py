@@ -150,6 +150,14 @@ class TestSourceForms:
         with pytest.raises(UsageError):
             infer([document, document], config=InferenceConfig(jobs=2))
 
+    def test_jobs_ship_xml_literals(self, corpus):
+        literals = []
+        for path in corpus:
+            with open(path, encoding="utf-8") as handle:
+                literals.append(handle.read())
+        sharded = infer(literals, config=InferenceConfig(jobs=2, backend="process"))
+        assert sharded.render() == infer(corpus).render()
+
     def test_streaming_accepts_documents_without_jobs(self):
         documents = [
             parse_document("<r><x/></r>"), parse_document("<r><x/><x/></r>")

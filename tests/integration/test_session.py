@@ -96,7 +96,20 @@ class TestByteIdentity:
             # Finalize filters a copy: asking again gives the same bytes.
             assert session.current_dtd().render() == expected
 
-    def test_support_threshold_is_recorded(self):
+    def test_support_threshold_is_recorded(self, monkeypatch):
+        from repro.core.inference import DTDInferencer
+        from repro.regex.language import matches
+        from repro.regex.parser import parse_regex
+
+        finalize = DTDInferencer.finalize
+
+        def probing(self, evidence):
+            # The learners never consult the regex language caches, so
+            # touch one here: the shared finalize tail counts its delta.
+            matches(parse_regex("a b*"), ("a",))
+            return finalize(self, evidence)
+
+        monkeypatch.setattr(DTDInferencer, "finalize", probing)
         recorder = StatsRecorder()
         config = api.InferenceConfig(support_threshold=2, recorder=recorder)
         session = api.InferenceSession(config)
@@ -105,6 +118,8 @@ class TestByteIdentity:
         snapshot = recorder.snapshot()
         assert "filter" in {span["name"] for span in snapshot["spans"]}
         assert snapshot["counters"]["filter.dropped_names"] == 1
+        assert snapshot["counters"]["elements"] == 8
+        assert any(name.startswith("cache.language.automaton.") for name in snapshot["counters"])
 
     def test_one_document_at_a_time(self):
         documents = corpus(10)
@@ -199,8 +214,6 @@ class TestResilientSessions:
         return paths
 
     def test_skip_mode_quarantines_and_matches_one_shot(self, tmp_path):
-        # Quarantine applies on the *loading* path, so the corrupt
-        # document must arrive as a file, not an eager XML literal.
         good = corpus(9)
         texts = good[:4] + ["<broken><unclosed></broken>"] + good[4:]
         paths = self._write_paths(tmp_path, texts)
@@ -214,6 +227,18 @@ class TestResilientSessions:
         assert quarantined.path.endswith("doc04.xml")
         assert result.render() == api.infer(paths, config=config).render()
         assert result.render() == api.infer(good, config=config).render()
+
+    def test_skip_mode_quarantines_a_malformed_literal(self):
+        good = corpus(9)
+        config = api.InferenceConfig(on_error="skip")
+        session = api.InferenceSession(config)
+        session.append(good[:4])
+        session.append(["<broken><unclosed></broken>", *good[4:]])
+        result = session.current_dtd()
+        (quarantined,) = result.degradation.quarantined
+        assert quarantined.path == "<document #4>"
+        assert quarantined.position is not None
+        assert result.render() == api.infer(good, config=session.config).render()
 
     def test_max_quarantine_is_session_wide(self, tmp_path):
         paths = self._write_paths(

@@ -14,7 +14,11 @@ after that shard must replay the quarantine from its manifest.
   its error, in every shape;
 * ``support_threshold=2`` renders the batch ``support_threshold=2``
   bytes, or raises its error, in every shape, on a corpus where the
-  threshold drops a name.
+  threshold drops a name;
+* the same corpus given as XML text, in the shapes that accept it
+  {batch, ``streaming``, ``jobs=2``}, renders the path runs' bytes in
+  both error modes and quarantines the corrupt literal at its corpus
+  position with the path run's cause.
 
 The ambient ``REPRO_FAULTS`` plan stays in force for the shapes under
 test (the CI resilience job runs them under a worker crash); only the
@@ -48,6 +52,7 @@ COUNT = 12
 CORRUPT = 2  # inside shard 0 of a two-shard run
 
 SHAPES = ["batch", "streaming", "jobs", "state_dir", "killed"]
+LITERAL_SHAPES = ["batch", "streaming", "jobs"]  # state_dir needs files
 
 _SRC = os.path.join(
     os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__)))), "src"
@@ -74,6 +79,17 @@ def corpus(tmp_path_factory):
         path.write_text(text, encoding="utf-8")
         paths.append(str(path))
     return paths, paths[:CORRUPT] + paths[CORRUPT + 1 :]
+
+
+@pytest.fixture(scope="module")
+def literals(corpus):
+    """``corpus``'s documents as XML text, the corrupt one included."""
+    paths, _clean = corpus
+    texts = []
+    for path in paths:
+        with open(path, encoding="utf-8") as handle:
+            texts.append(handle.read())
+    return texts
 
 
 @pytest.fixture(scope="module")
@@ -194,3 +210,19 @@ def test_support_threshold_equals_batch(noisy, tmp_path, shape, method):
     assert outcome(
         lambda: run(shape, noisy, method, "strict", tmp_path / "run", support_threshold=2)
     ) == expected
+
+
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("shape", LITERAL_SHAPES)
+def test_xml_literals_equal_paths(corpus, literals, tmp_path, shape, method):
+    paths, clean = corpus
+    skipped = run(shape, literals, method, "skip", tmp_path / "run")
+    assert skipped.render() == reference(clean, method)
+    batch = infer(paths, config=InferenceConfig(method=method, on_error="skip", faults={}))
+    ((_path, cause),) = quarantined(batch)
+    assert quarantined(skipped) == [(f"<document #{CORRUPT}>", cause)]
+    remainder = literals[:CORRUPT] + literals[CORRUPT + 1 :]
+    strict = run(shape, remainder, method, "strict", tmp_path / "clean")
+    assert strict.render() == reference(clean, method)
+    with pytest.raises(CorpusError):
+        run(shape, literals, method, "strict", tmp_path / "corrupt")

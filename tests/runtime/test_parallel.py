@@ -15,7 +15,6 @@ from repro.runtime.parallel import (
     MIN_DOCS_PER_SHARD,
     PROCESS_CORPUS_FLOOR,
     choose_backend,
-    extract_from_paths,
     parallel_evidence,
     shard_paths,
     warm_pool,
@@ -92,7 +91,7 @@ class TestStreamingEqualsBatch:
         paths = write_corpus(tmp_path, source, 14)
         for shards in (2, 3, 5):
             evidence = merged(
-                extract_from_paths(shard)
+                parallel_evidence(shard, 1)
                 for shard in shard_paths(paths, shards)
             )
             assert DTDInferencer().finalize(evidence).render() == batch_dtd(paths)
@@ -110,7 +109,7 @@ class TestStreamingEqualsBatch:
                 paths[cut[1] :],
             ]
             evidence = merged(
-                extract_from_paths(shard) for shard in shards if shard
+                parallel_evidence(shard, 1) for shard in shards if shard
             )
             result = DTDInferencer().finalize(evidence).render()
             assert result == reference

@@ -35,7 +35,7 @@ from repro.runtime.resilience import (
 )
 from repro.runtime.parallel import parallel_evidence
 from repro.xmlio.dtd import parse_dtd
-from repro.xmlio.parser import parse_document
+from repro.xmlio.parser import XmlSyntaxError, parse_document
 
 #: Varied by the CI flakiness guard (three runs, three seeds) so the
 #: resilience machinery is exercised over different generated corpora.
@@ -186,6 +186,13 @@ class TestCrashRecovery:
         assert retry.reason == "worker-crash"
         assert retry.attempts == 2
         assert not retry.resharded
+
+    def test_batch_is_one_shard_that_retries(self, tmp_path):
+        paths = write_corpus(tmp_path, 12)
+        faulty = infer(paths, config=InferenceConfig(faults={"worker_crashes": [0]}))
+        assert faulty.dtd.render() == infer(paths).dtd.render()
+        (retry,) = faulty.degradation.retried_shards
+        assert (retry.shard, retry.reason, retry.attempts) == (0, "worker-crash", 2)
 
     def test_timeout_injection_retries_with_timeout_reason(self, tmp_path):
         paths = write_corpus(tmp_path, 8)
@@ -343,6 +350,25 @@ class TestQuarantine:
         assert doc.path == "<document #1>"
         baseline = infer([docs[0], docs[2]])
         assert result.dtd.render() == baseline.dtd.render()
+
+    @pytest.mark.parametrize(
+        "options",
+        [{}, {"streaming": True}, {"jobs": 2, "backend": "process"}],
+        ids=["batch", "streaming", "jobs"],
+    )
+    def test_malformed_literal_is_quarantined(self, options):
+        docs = [
+            "<r><item><name/></item></r>",
+            "<r><item><name/></r>",
+            "<r><item><name/><price/></item></r>",
+        ]
+        result = infer(docs, config=InferenceConfig(on_error="skip", **options))
+        (doc,) = result.degradation.quarantined
+        with pytest.raises(XmlSyntaxError) as syntax:
+            parse_document(docs[1])
+        assert (doc.path, doc.cause) == ("<document #1>", str(syntax.value))
+        assert doc.position == syntax.value.position
+        assert result.dtd.render() == infer([docs[0], docs[2]]).dtd.render()
 
     def test_load_document_passes_documents_through(self):
         document = parse_document("<r><item><name/></item></r>")

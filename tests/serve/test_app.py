@@ -143,7 +143,11 @@ class TestBasicRoutes:
 
 class TestInfer:
     def test_one_shot_matches_library(self, app):
-        response = call(app, "POST", "/infer", {"documents": DOCS})
+        # An explicit empty plan: an ambient REPRO_FAULTS worker crash
+        # would retry batch's one shard and report a degradation.
+        response = call(
+            app, "POST", "/infer", {"documents": DOCS, "config": {"faults": {}}}
+        )
         assert response.status == 200
         assert response.payload["dtd"] == api.infer(DOCS).render()
         assert response.payload["elements"] == 3
@@ -207,6 +211,18 @@ class TestInfer:
     def test_malformed_xml_is_422(self, app):
         response = call(app, "POST", "/infer", {"documents": ["<a><b></a>"]})
         assert response.status == 422
+
+    def test_malformed_xml_is_quarantined_in_skip_mode(self, app):
+        response = call(
+            app,
+            "POST",
+            "/infer",
+            {"documents": [*DOCS, "<a><b></a>"], "config": {"on_error": "skip"}},
+        )
+        assert response.status == 200
+        assert response.payload["dtd"] == api.infer(DOCS).render()
+        (quarantined,) = response.payload["degradation"]["quarantined"]
+        assert quarantined["path"] == "<document #3>"
 
     def test_bad_json_body_is_400(self, app):
         response = app.handle("POST", "/infer", b"{nope")
