@@ -59,8 +59,7 @@ from .xmlio.dtd import Dtd, parse_dtd
 from .learning.evidence import StreamingEvidence
 from .xmlio.parser import is_xml_text, parse_document, parse_file
 from .xmlio.tree import Document
-from .xmlio.validate import Violation
-from .xmlio.validate import validate as _validate_document
+from .xmlio.validate import CompiledDtd, Violation
 from .xmlio.xsd import dtd_to_xsd
 
 if TYPE_CHECKING:
@@ -422,13 +421,9 @@ def _result(
 
     Builds the engine (with the process-wide content-model cache unless
     ``config.cache`` is off), checks the degradation contract under
-    ``REPRO_CHECKS=1`` and, with a live recorder, counts the elements and
-    the regex language caches' hits and misses.
+    ``REPRO_CHECKS=1`` and, with a live recorder, counts the elements.
     """
     recorder = config.recorder
-    from .regex.language import language_cache_info
-
-    language_before = language_cache_info() if recorder.enabled else {}
     if recorder.enabled:
         recorder.count("elements", len(evidence.elements))
     content_model_cache = None
@@ -454,12 +449,6 @@ def _result(
         from .contracts import check_degradation_report
 
         check_degradation_report(degradation, dtd)
-    if recorder.enabled:
-        for cache_name, stats in language_cache_info().items():
-            for key in ("hits", "misses"):
-                delta = stats[key] - language_before[cache_name][key]
-                if delta:
-                    recorder.count(f"cache.language.{cache_name}.{key}", delta)
     return InferenceResult(
         dtd=dtd,
         report=inferencer.report,
@@ -501,6 +490,36 @@ def infer(
     )
     _require_surviving_documents(degradation, len(items))
     return _result(config, evidence, fault_plan, degradation)
+
+
+def _language_cache_stats(recorder: Recorder) -> dict[str, dict[str, int]]:
+    """The regex language caches' counters, when ``recorder`` is live."""
+    if not recorder.enabled:
+        return {}
+    from .regex.language import language_cache_info
+
+    return language_cache_info()
+
+
+def _count_language_caches(
+    recorder: Recorder, before: dict[str, dict[str, int]]
+) -> None:
+    """Count ``cache.language.<cache>.{hits,misses}`` since ``before``.
+
+    Called around the work that consults the caches: validation
+    compiles content models through ``automaton``, and diff's
+    counterexample search builds its engines through it too.  Another
+    thread consulting them meanwhile is counted as well.
+    """
+    if not recorder.enabled:
+        return
+    from .regex.language import language_cache_info
+
+    for cache, stats in language_cache_info().items():
+        for key in ("hits", "misses"):
+            delta = stats[key] - before[cache][key]
+            if delta:
+                recorder.count(f"cache.language.{cache}.{key}", delta)
 
 
 def _coerce_dtd(source: DtdSource, *, role: str = "dtd") -> Dtd:
@@ -617,7 +636,9 @@ def validate(
     XML literals, paths, directories, iterables); ``dtd`` accepts a
     parsed :class:`~repro.xmlio.dtd.Dtd`, DTD text, or a ``.dtd``
     path.  Violations are collected per document — validation never
-    stops at the first bad document.
+    stops at the first bad document.  The DTD is compiled once per call
+    (:class:`~repro.xmlio.validate.CompiledDtd`), each content model on
+    first use.
     """
     if config is None:
         config = ValidationConfig()
@@ -626,6 +647,8 @@ def validate(
     items = _expand_source(source)
     if not items:
         raise UsageError("no documents to validate")
+    compiled = CompiledDtd(schema)
+    caches_before = _language_cache_stats(recorder)
     results: list[DocumentValidation] = []
     for index, item in enumerate(items):
         if isinstance(item, Document):
@@ -638,7 +661,7 @@ def validate(
             label = item
             document = parse_file(item, recorder)
         with recorder.span("validate", file=label):
-            violations = _validate_document(document, schema)
+            violations = compiled.violations(document)
         if recorder.enabled and violations:
             recorder.count("validate.violations", len(violations))
         kept = violations
@@ -651,6 +674,10 @@ def validate(
                 violation_count=len(violations),
             )
         )
+    if recorder.enabled:
+        recorder.count("validate.models_compiled", compiled.models_compiled)
+        recorder.count("validate.transitions", compiled.transitions)
+        _count_language_caches(recorder, caches_before)
     return ValidationResult(
         documents=tuple(results), dtd=schema, config=config
     )
@@ -722,6 +749,7 @@ def diff(
     recorder = config.recorder
     old_dtd = _coerce_dtd(old, role="old DTD")
     new_dtd = _coerce_dtd(new, role="new DTD")
+    caches_before = _language_cache_stats(recorder)
     with recorder.span("diff"):
         entries = [
             entry
@@ -730,6 +758,7 @@ def diff(
         ]
     if recorder.enabled:
         recorder.count("diff.entries", len(entries))
+        _count_language_caches(recorder, caches_before)
     return DiffResult(entries=tuple(entries), config=config)
 
 

@@ -29,10 +29,43 @@ from .contracts import set_contracts
 from .core.crx import crx
 from .core.idtd import idtd
 from .errors import EXIT_INTERNAL, EXIT_OK, EXIT_USAGE, ReproError, UsageError, exit_code_for
-from .obs.recorder import NULL_RECORDER, StatsRecorder
+from .obs.recorder import NULL_RECORDER, NullRecorder, StatsRecorder
 from .obs.report import format_stats, write_trace_path
 from .regex.printer import to_dtd_syntax, to_paper_syntax
 from .xmlio.dtd import parse_dtd
+
+
+def _stats_recorder(args: argparse.Namespace) -> StatsRecorder | NullRecorder:
+    """A live recorder when ``--stats`` or ``--trace`` asks for one."""
+    return StatsRecorder() if args.stats or args.trace is not None else NULL_RECORDER
+
+
+def _report_stats(
+    args: argparse.Namespace, recorder: StatsRecorder | NullRecorder
+) -> None:
+    """Write the ``--trace`` file and print the ``--stats`` table."""
+    if not isinstance(recorder, StatsRecorder):
+        return
+    snapshot = recorder.snapshot()
+    if args.trace is not None:
+        write_trace_path(snapshot, args.trace)
+    if args.stats:
+        print(format_stats(snapshot), file=sys.stderr)
+
+
+def _add_stats_flags(command: argparse.ArgumentParser) -> None:
+    command.add_argument(
+        "--stats",
+        action="store_true",
+        help="print a per-phase timing/counter table to stderr",
+    )
+    command.add_argument(
+        "--trace",
+        metavar="FILE",
+        default=None,
+        help="write spans and counters as JSON lines to FILE "
+        "(validate with python -m repro.obs.check_trace)",
+    )
 
 
 def _cmd_infer(args: argparse.Namespace) -> int:
@@ -43,8 +76,7 @@ def _cmd_infer(args: argparse.Namespace) -> int:
         # processes (fresh interpreters) also run with contracts on.
         os.environ["REPRO_CHECKS"] = "1"
         set_contracts(True)
-    wants_stats = args.stats or args.trace is not None
-    recorder = StatsRecorder() if wants_stats else NULL_RECORDER
+    recorder = _stats_recorder(args)
     faults = None
     if args.fault_plan is not None:
         from .runtime.resilience import FaultPlan
@@ -76,12 +108,7 @@ def _cmd_infer(args: argparse.Namespace) -> int:
         from .obs.report import format_degradation
 
         print(format_degradation(result.degradation.to_dict()), file=sys.stderr)
-    if wants_stats:
-        snapshot = recorder.snapshot()
-        if args.trace is not None:
-            write_trace_path(snapshot, args.trace)
-        if args.stats:
-            print(format_stats(snapshot), file=sys.stderr)
+    _report_stats(args, recorder)
     return EXIT_OK
 
 
@@ -104,10 +131,11 @@ def _cmd_sample(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
+    recorder = _stats_recorder(args)
     result = api.validate(
         args.files,
         args.dtd,
-        api.ValidationConfig(max_violations=args.max_violations),
+        api.ValidationConfig(max_violations=args.max_violations, recorder=recorder),
     )
     for document in result.documents:
         if document.valid:
@@ -119,6 +147,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
             )
             for violation in document.violations:
                 print(f"  {violation}")
+    _report_stats(args, recorder)
     return EXIT_OK if result.valid else EXIT_USAGE
 
 
@@ -333,18 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="enable debug-mode invariant contracts (repro.contracts) for "
         "this run; equivalent to REPRO_CHECKS=1",
     )
-    infer.add_argument(
-        "--stats",
-        action="store_true",
-        help="print a per-phase timing/counter table to stderr",
-    )
-    infer.add_argument(
-        "--trace",
-        metavar="FILE",
-        default=None,
-        help="write spans and counters as JSON lines to FILE "
-        "(validate with python -m repro.obs.check_trace)",
-    )
+    _add_stats_flags(infer)
     infer.set_defaults(handler=_cmd_infer)
 
     sample = commands.add_parser(
@@ -364,6 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     check.add_argument(
         "--max-violations", type=int, default=20, help="violations shown per file"
     )
+    _add_stats_flags(check)
     check.set_defaults(handler=_cmd_validate)
 
     diff = commands.add_parser(

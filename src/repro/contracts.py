@@ -19,6 +19,8 @@ never enforces at runtime:
   (one-unambiguous) as the XML specification requires;
 * the streaming fold is a commutative monoid: merging shard states in
   either order yields the same learner state (Section 9).
+* validation's compiled content models agree with the language: every
+  verdict of a lazily built transition table equals ``matches()``.
 
 Checks are **off by default** and compile down to a single predicate
 call (:func:`contracts_enabled`) at each call site, so production runs
@@ -41,7 +43,7 @@ from __future__ import annotations
 
 import copy
 import os
-from collections.abc import Collection, Iterator
+from collections.abc import Collection, Iterator, Sequence
 from contextlib import contextmanager
 from typing import TYPE_CHECKING
 
@@ -61,6 +63,7 @@ __all__ = [
     "check_carried_closure",
     "check_checkpoint_resume",
     "check_checkpoint_roundtrip",
+    "check_compiled_verdict",
     "check_degradation_report",
     "check_emitted_chare",
     "check_emitted_sore",
@@ -308,6 +311,30 @@ def check_cached_content_model(
             f"cached content model for element {element!r} ({cached}) "
             f"differs from a fresh derivation ({fresh}); the cache "
             "fingerprint does not cover every learner input",
+        )
+
+
+# -- validation invariants ----------------------------------------------------
+
+
+def check_compiled_verdict(
+    regex: Regex, word: Sequence[str], verdict: bool, element: str
+) -> None:
+    """A compiled matcher's verdict equals a fresh :func:`matches` run.
+
+    Validation reuses one lazily built transition table per content
+    model across every element of a run; a transition memoised under
+    the wrong state would accept or reject words the expression does
+    not.
+    """
+    from .regex.language import matches
+
+    if matches(regex, word) != verdict:
+        raise _violated(
+            "validate.compiled-verdict",
+            f"the compiled content model of {element!r} "
+            f"{'accepts' if verdict else 'rejects'} children "
+            f"{' '.join(word) or '(none)'}, but {regex} does not",
         )
 
 

@@ -15,10 +15,10 @@ bridge between the two worlds of the paper:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 
 from ..errors import InternalError, UsageError
-from .ast import Concat, Disj, Inter, Opt, Plus, Regex, Repeat, Star, Sym
+from .ast import Concat, Disj, Inter, Opt, Plus, Regex, Repeat, Star, Sym, concat
 
 
 class InterleavingUnsupported(UsageError):
@@ -48,24 +48,6 @@ class Glushkov:
     last: frozenset[int]
     follow: tuple[frozenset[int], ...]
     nullable: bool
-
-    # -- language operations -------------------------------------------------
-
-    def accepts(self, word: Sequence[str]) -> bool:
-        """Simulate the automaton on ``word`` (a sequence of symbols)."""
-        if not word:
-            return self.nullable
-        current = {p for p in self.first if self.labels[p] == word[0]}
-        for symbol in word[1:]:
-            if not current:
-                return False
-            nxt: set[int] = set()
-            for position in current:
-                for successor in self.follow[position]:
-                    if self.labels[successor] == symbol:
-                        nxt.add(successor)
-            current = nxt
-        return any(position in self.last for position in current)
 
     def is_deterministic(self) -> bool:
         """One-unambiguity test (Brüggemann-Klein & Wood).
@@ -129,19 +111,18 @@ def _desugar_repeat(node: Repeat) -> Regex:
     if high is None:
         if low == 0:
             return Star(inner)
-        parts: list[Regex] = [inner] * (low - 1) + [Plus(inner)]
-        return parts[0] if len(parts) == 1 else Concat(tuple(parts))
+        return concat(*[inner] * (low - 1), Plus(inner))
     optional_tail: Regex | None = None
     for _ in range(high - low):
         if optional_tail is None:
             optional_tail = Opt(inner)
         else:
-            optional_tail = Opt(Concat((inner, optional_tail)))
+            optional_tail = Opt(concat(inner, optional_tail))
     required: list[Regex] = [inner] * low
     pieces = required + ([optional_tail] if optional_tail is not None else [])
     if not pieces:
         raise UsageError("Repeat(r, 0, 0) denotes only epsilon; not representable")
-    return pieces[0] if len(pieces) == 1 else Concat(tuple(pieces))
+    return concat(*pieces)
 
 
 class _Builder:

@@ -50,31 +50,27 @@ class InterleavingBudgetError(CorpusError):
 
 
 @lru_cache(maxsize=4096)
-def _automaton(regex: Regex) -> Glushkov:
+def _automaton(regex: Regex) -> Glushkov | None:
+    """The Glushkov automaton of ``regex``; ``None`` if it interleaves."""
+    if any(isinstance(node, Inter) for node in regex.walk()):
+        return None
     return glushkov(regex)
 
 
-@lru_cache(maxsize=4096)
-def _contains_inter(regex: Regex) -> bool:
-    return any(isinstance(node, Inter) for node in regex.walk())
-
-
 def _step(automaton: Glushkov, state: _State, symbol: str) -> frozenset:
+    labels = automaton.labels
     if state is None:
-        return frozenset(
-            p for p in automaton.first if automaton.labels[p] == symbol
-        )
+        return frozenset([p for p in automaton.first if labels[p] == symbol])
+    follow = automaton.follow
     return frozenset(
-        q
-        for p in state
-        for q in automaton.follow[p]
-        if automaton.labels[q] == symbol
+        [q for p in state for q in follow[p] if labels[q] == symbol]
     )
+
 
 def _accepting(automaton: Glushkov, state: _State) -> bool:
     if state is None:
         return automaton.nullable
-    return any(p in automaton.last for p in state)
+    return not automaton.last.isdisjoint(state)
 
 
 class _GlushkovEngine:
@@ -82,9 +78,9 @@ class _GlushkovEngine:
 
     __slots__ = ("_automaton", "alphabet")
 
-    def __init__(self, regex: Regex) -> None:
-        self._automaton = _automaton(regex)
-        self.alphabet: list[str] = sorted(set(self._automaton.labels))
+    def __init__(self, automaton: Glushkov) -> None:
+        self._automaton = automaton
+        self.alphabet: list[str] = sorted(set(automaton.labels))
 
     def start(self) -> object:
         return None
@@ -145,16 +141,66 @@ _Engine = _GlushkovEngine | _DerivativeEngine
 
 
 def _engine(regex: Regex) -> _Engine:
-    if _contains_inter(regex):
+    automaton = _automaton(regex)
+    if automaton is None:
         return _DerivativeEngine(regex)
-    return _GlushkovEngine(regex)
+    return _GlushkovEngine(automaton)
 
 
 def matches(regex: Regex, word: Sequence[str]) -> bool:
     """Does ``word`` (a sequence of element names) belong to ``L(regex)``?"""
-    if _contains_inter(regex):
+    automaton = _automaton(regex)
+    if automaton is None:
         return matches_by_derivatives(regex, word)
-    return _automaton(regex).accepts(word)
+    state: _State = None
+    for symbol in word:
+        state = _step(automaton, state, symbol)
+        if not state:
+            return False
+    return _accepting(automaton, state)
+
+
+class Matcher:
+    """Membership in ``L(regex)`` for many words, compiled once.
+
+    Inter-free expressions run the subset construction of
+    :func:`matches` lazily and keep it: each ``(state, symbol)``
+    transition is computed by :func:`_step` once and memoised, so a
+    word costs one dict lookup per symbol once its transitions exist.
+    For a deterministic expression every reachable state is a single
+    position.  Expressions with interleaving keep the derivative
+    engine, uncached.
+
+    Not thread-safe: build one per validation run.
+    """
+
+    __slots__ = ("_regex", "_automaton", "_table")
+
+    def __init__(self, regex: Regex) -> None:
+        self._regex = regex
+        self._automaton = _automaton(regex)
+        self._table: dict[tuple[_State, str], frozenset[int]] = {}
+
+    @property
+    def transitions(self) -> int:
+        """``(state, symbol)`` entries built so far."""
+        return len(self._table)
+
+    def accepts(self, word: Sequence[str]) -> bool:
+        automaton = self._automaton
+        if automaton is None:
+            return matches_by_derivatives(self._regex, word)
+        table = self._table
+        state: _State = None
+        for symbol in word:
+            key = (state, symbol)
+            target = table.get(key)
+            if target is None:
+                target = table[key] = _step(automaton, state, symbol)
+            if not target:
+                return False
+            state = target
+        return _accepting(automaton, state)
 
 
 def counterexample(
@@ -213,8 +259,9 @@ def language_cache_info() -> dict[str, dict[str, int]]:
 
     Keys: ``automaton`` (the Glushkov construction cache) and
     ``inclusion`` (the memoized inclusion verdicts).  The API layer
-    diffs these around an inference run to surface ``--stats``
-    counters without threading a recorder through pure functions.
+    diffs these around the calls that consult them (validation and
+    diff, both through ``automaton``) to surface ``--stats`` counters
+    without threading a recorder through pure functions.
     """
     info: dict[str, dict[str, int]] = {}
     for name, fn in (("automaton", _automaton), ("inclusion", _included_cached)):
@@ -232,7 +279,6 @@ def clear_language_caches() -> None:
     """Drop the language-level LRUs (explicit invalidation hook)."""
     _automaton.cache_clear()
     _included_cached.cache_clear()
-    _contains_inter.cache_clear()
 
 
 def enumerate_words(

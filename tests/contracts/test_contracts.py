@@ -32,7 +32,9 @@ from repro.core.idtd import _contract_scc, idtd
 from repro.regex.ast import Opt, Plus, Star, Sym, concat, disj
 from repro.regex.parser import parse_regex
 from repro.learning.evidence import StreamingEvidence
+from repro.xmlio.dtd import parse_dtd
 from repro.xmlio.parser import parse_document
+from repro.xmlio.validate import CompiledDtd
 
 DOCS = [
     "<r><a/><a/><b/></r>",
@@ -277,6 +279,38 @@ class TestMergeMutations:
         before = (left.document_count, right.document_count)
         check_merge_commutative(left, right)
         assert (left.document_count, right.document_count) == before
+
+
+class TestValidationMutations:
+    DTD = "<!ELEMENT r (a, b?)><!ELEMENT a EMPTY><!ELEMENT b EMPTY>"
+    DOCUMENT = "<r><a/><b/></r>"
+
+    def corrupted(self):
+        """A compiled DTD whose transition on ``b`` leads to the dead state."""
+        compiled = CompiledDtd(parse_dtd(self.DTD))
+        document = parse_document(self.DOCUMENT)
+        assert compiled.violations(document) == []
+        table = compiled._rules["r"].matcher._table
+        (key,) = [key for key in table if key[1] == "b"]
+        table[key] = frozenset()
+        return compiled, document
+
+    def test_corrupted_transition_rejected(self):
+        compiled, document = self.corrupted()
+        with contracts_active(), pytest.raises(ContractViolation, match="compiled-verdict"):
+            compiled.violations(document)
+
+    def test_same_corruption_passes_silently_when_disabled(self):
+        compiled, document = self.corrupted()
+        assert not contracts_enabled()
+        assert [v.kind for v in compiled.violations(document)] == ["bad-content"]
+
+    def test_live_validation_satisfies_the_contract(self):
+        dtd = parse_dtd(self.DTD + "<!ELEMENT s (a & b?)>")
+        compiled = CompiledDtd(dtd)
+        with contracts_active():
+            for text in ("<r><a/><b/></r>", "<r><b/></r>", "<r/>", "<s><b/><a/></s>"):
+                compiled.violations(parse_document(text))
 
 
 class TestWiring:

@@ -4,7 +4,9 @@ import random
 
 import pytest
 
+from repro import api
 from repro.api import InferenceConfig, InferenceResult, infer
+from repro.contracts import contracts_active
 from repro.core.inference import DTDInferencer
 from repro.datagen.xmlgen import XmlGenerator, serialize
 from repro.errors import UsageError
@@ -251,3 +253,45 @@ class TestResultAndRecorder:
         }
         assert shard_tags == {0, 1}
         assert recorder.counters["shards"] == 2
+
+
+class TestValidateAndDiffCounters:
+    """Validate and diff count the regex language caches they consult."""
+
+    DTD = "<!ELEMENT r (a, b?)><!ELEMENT a (#PCDATA)><!ELEMENT b (a+)>"
+
+    def test_validate_counts_compilation(self):
+        recorder = StatsRecorder()
+        documents = ["<r><a/><b><a/></b></r>", "<r><a/></r>", "<r><b/></r>"]
+        # Contracts off: their cross-check runs matches(), which looks
+        # the automaton up once more per element.
+        with contracts_active(False):
+            result = api.validate(documents, self.DTD, api.ValidationConfig(recorder=recorder))
+        assert [document.valid for document in result.documents] == [True, True, False]
+        counters = recorder.counters
+        # r and b are element content; a is mixed and needs no matcher.
+        assert counters["validate.models_compiled"] == 2
+        # r: (start, a), (a, b), (start, b); b: (start, a).
+        assert counters["validate.transitions"] == 4
+        # <r><b/></r>: r's children and the empty b are both bad content.
+        assert counters["validate.violations"] == 2
+        lookups = sum(
+            counters.get(f"cache.language.automaton.{key}", 0) for key in ("hits", "misses")
+        )
+        assert lookups == 2  # one automaton lookup per compiled model
+        assert not any(name.startswith("cache.language.inclusion.") for name in counters)
+
+    def test_diff_counts_its_automaton_lookups(self):
+        recorder = StatsRecorder()
+        result = api.diff(
+            self.DTD,
+            self.DTD.replace("(a+)", "(a*)"),
+            api.DiffConfig(recorder=recorder),
+        )
+        assert [entry.relation for entry in result.entries] == ["looser"]
+        counters = recorder.counters
+        lookups = sum(
+            counters.get(f"cache.language.automaton.{key}", 0) for key in ("hits", "misses")
+        )
+        # r and b are compared both ways, each search building two engines.
+        assert lookups == 8

@@ -283,6 +283,24 @@ class TestStatsAndTrace:
         ) == 0
         assert "crx" in capsys.readouterr().err
 
+    def test_validate_stats_and_trace(self, corpus_files, tmp_path, capsys):
+        from repro.obs import validate_trace_file
+
+        dtd_path = tmp_path / "schema.dtd"
+        dtd_path.write_text(
+            "<!ELEMENT r (a, b?)><!ELEMENT a (#PCDATA)><!ELEMENT b EMPTY>",
+            encoding="utf-8",
+        )
+        trace = tmp_path / "validate.jsonl"
+        assert main(
+            ["validate", "-d", str(dtd_path), "--stats", "--trace", str(trace), *corpus_files]
+        ) == 0
+        captured = capsys.readouterr()
+        assert "valid" in captured.out
+        assert "validate.models_compiled" in captured.err
+        assert "validate.transitions" in captured.err
+        assert validate_trace_file(str(trace)) == []
+
     def test_trace_is_valid_jsonl(self, corpus_files, tmp_path, capsys):
         from repro.obs import validate_trace_file
 

@@ -3,6 +3,7 @@
 from hypothesis import given, settings
 
 from repro.regex.glushkov import glushkov
+from repro.regex.language import Matcher, matches
 from repro.regex.parser import parse_regex
 
 from ..conftest import sores
@@ -35,25 +36,30 @@ class TestConstruction:
         assert not glushkov(parse_regex("a")).nullable
 
     def test_repeat_desugaring(self):
-        automaton = glushkov(parse_regex("a{2,3}"))
-        assert not automaton.accepts(("a",))
-        assert automaton.accepts(("a", "a"))
-        assert automaton.accepts(("a", "a", "a"))
-        assert not automaton.accepts(("a", "a", "a", "a"))
+        expression = parse_regex("a{2,3}")
+        assert not matches(expression, ("a",))
+        assert matches(expression, ("a", "a"))
+        assert matches(expression, ("a", "a", "a"))
+        assert not matches(expression, ("a", "a", "a", "a"))
 
     def test_repeat_unbounded(self):
-        automaton = glushkov(parse_regex("a{2,}"))
-        assert not automaton.accepts(("a",))
-        assert automaton.accepts(tuple("a" * 7))
+        expression = parse_regex("a{2,}")
+        assert not matches(expression, ("a",))
+        assert matches(expression, tuple("a" * 7))
 
 
 class TestAcceptance:
     def test_accepts_examples(self):
-        automaton = glushkov(parse_regex("((b? (a + c))+ d)+ e"))
+        # The same words through the one-word simulation and through a
+        # compiled matcher reused across words.
+        expression = parse_regex("((b? (a + c))+ d)+ e")
+        matcher = Matcher(expression)
         for word in ["bacacdacde", "cbacdbacde", "abccaadcde", "ade"]:
-            assert automaton.accepts(tuple(word)), word
+            assert matches(expression, tuple(word)), word
+            assert matcher.accepts(tuple(word)), word
         for word in ["", "e", "ae", "adde"]:
-            assert not automaton.accepts(tuple(word)), word
+            assert not matches(expression, tuple(word)), word
+            assert not matcher.accepts(tuple(word)), word
 
 
 class TestSingleOccurrence:

@@ -1,7 +1,9 @@
 """DTD validation."""
 
+from repro import api
 from repro.xmlio.dtd import parse_dtd
 from repro.xmlio.parser import parse_document
+from repro.xmlio.tree import Document, Element
 from repro.xmlio.validate import is_valid, validate
 
 DTD = parse_dtd(
@@ -92,3 +94,25 @@ class TestViolations:
             v for v in validate(document, DTD) if v.element == "book"
         ][0]
         assert violation.path == "/library/book[0]"
+
+
+class TestDeepTrees:
+    def test_deep_document_validates_without_recursion(self):
+        # Parsed documents are capped at 256 levels, but api.validate
+        # also takes Documents built in code; the walk is iterative.
+        depth = 5_000
+        root = node = Element("a")
+        for _ in range(depth - 2):
+            node = node.append(Element("a"))
+        node.append(Element("b"))
+        dtd = parse_dtd("<!ELEMENT a (a?)>")
+        result = api.validate(Document(root), dtd)
+        (verdict,) = result.documents
+        assert [v.kind for v in verdict.violations] == [
+            "bad-content",
+            "undeclared-element",
+        ]
+        deepest = verdict.violations[-1]
+        assert deepest.element == "b"
+        assert deepest.path == "/a" + "/a[0]" * (depth - 2) + "/b[0]"
+        assert deepest.path.count("/") == depth
