@@ -34,8 +34,9 @@ a changed document invalidates only the shard that contained it.
 from __future__ import annotations
 
 import os
+from bisect import bisect_left
 from contextlib import suppress
-from collections.abc import Sequence
+from collections.abc import Mapping, Sequence
 
 from ..contracts import check_checkpoint_resume, check_checkpoint_roundtrip, contracts_enabled
 from ..errors import UsageError
@@ -55,15 +56,30 @@ from .manifest import SHARD_DIR, DocumentEntry, Manifest, ShardEntry, load_manif
 
 
 def _find_run(
-    hashes: Sequence[str], needle: Sequence[str], start: int
+    hashes: Sequence[str],
+    starts: Mapping[str, Sequence[int]],
+    needle: Sequence[str],
+    start: int,
 ) -> int | None:
-    """First position >= ``start`` where ``needle`` occurs contiguously."""
+    """First position >= ``start`` where ``needle`` occurs contiguously.
+
+    ``starts`` maps each hash to its ascending positions in ``hashes``,
+    so only the places where ``needle``'s first hash occurs are tried,
+    each compared in place up to its first mismatch.
+    """
     length = len(needle)
     if length == 0:
         return None
-    wanted = list(needle)
-    for position in range(start, len(hashes) - length + 1):
-        if hashes[position : position + length] == wanted:
+    last = len(hashes) - length
+    positions = starts.get(needle[0], ())
+    for candidate in range(bisect_left(positions, start), len(positions)):
+        position = positions[candidate]
+        if position > last:
+            return None
+        offset = 1
+        while offset < length and hashes[position + offset] == needle[offset]:
+            offset += 1
+        if offset == length:
             return position
     return None
 
@@ -91,13 +107,16 @@ def _reusable_shards(
         recorder.count("ckpt.corrupt", len(old.shards))
         return []
     hashes = [entry.sha256 for entry in entries]
+    starts: dict[str, list[int]] = {}
+    for position, digest in enumerate(hashes):
+        starts.setdefault(digest, []).append(position)
     reused: list[tuple[Shard, ShardEntry]] = []
     position = 0
     for shard in old.shards:
         if shard.quarantined and on_error != "skip":
             continue
         needle = [document.sha256 for document in shard.documents]
-        found = _find_run(hashes, needle, position)
+        found = _find_run(hashes, starts, needle, position)
         if found is None:
             continue
         state_path = os.path.join(run_dir, SHARD_DIR, shard.state_file)

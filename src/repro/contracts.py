@@ -20,7 +20,9 @@ never enforces at runtime:
 * the streaming fold is a commutative monoid: merging shard states in
   either order yields the same learner state (Section 9).
 * validation's compiled content models agree with the language: every
-  verdict of a lazily built transition table equals ``matches()``.
+  verdict of a lazily built transition table equals ``matches()``;
+* folding a document's scanned element records gives the evidence that
+  parsing it into a tree and folding the tree gives.
 
 Checks are **off by default** and compile down to a single predicate
 call (:func:`contracts_enabled`) at each call site, so production runs
@@ -56,6 +58,7 @@ if TYPE_CHECKING:
     from .runtime.resilience import DegradationReport
     from .xmlio.dtd import Dtd
     from .learning.evidence import StreamingEvidence
+    from .xmlio.tree import ElementRecords
 
 __all__ = [
     "ContractViolation",
@@ -71,6 +74,7 @@ __all__ = [
     "check_merge_commutative",
     "check_content_model",
     "check_repair_count",
+    "check_scanned_fold",
     "check_soa",
     "contracts_active",
     "contracts_enabled",
@@ -335,6 +339,40 @@ def check_compiled_verdict(
             f"the compiled content model of {element!r} "
             f"{'accepts' if verdict else 'rejects'} children "
             f"{' '.join(word) or '(none)'}, but {regex} does not",
+        )
+
+
+# -- extraction invariants -----------------------------------------------------
+
+#: The shard runner re-checks the documents at every corpus position
+#: divisible by this stride.
+SCANNED_FOLD_STRIDE = 8
+
+
+def check_scanned_fold(records: ElementRecords, item: str, bounded: bool) -> None:
+    """Folding scanned records equals folding the parsed tree.
+
+    The shard runner folds a path or text item's element records
+    straight into the evidence; :func:`~repro.xmlio.parser.parse_document`
+    links the same scan into a tree that
+    :meth:`~repro.learning.evidence.StreamingEvidence.add_document`
+    walks back into records.  ``item`` is re-parsed that second way and
+    both folds, each into fresh evidence, must dehydrate alike.
+    """
+    from .learning.evidence import StreamingEvidence
+    from .xmlio.parser import is_xml_text, parse_document, parse_file
+
+    scanned = StreamingEvidence(bounded=bounded)
+    scanned.add_records(records)
+    parsed = StreamingEvidence(bounded=bounded)
+    parsed.add_document(
+        parse_document(item) if is_xml_text(item) else parse_file(item)
+    )
+    if scanned.dehydrate() != parsed.dehydrate():
+        raise _violated(
+            "extract.scanned-fold",
+            f"folding the scanned records of {item[:60]!r} gives other "
+            "evidence than folding its parsed tree",
         )
 
 

@@ -33,7 +33,7 @@ from collections.abc import Collection, Iterable, Iterator, Mapping
 from typing import TypeVar
 
 from ..errors import CorpusError
-from ..xmlio.tree import Document, Element
+from ..xmlio.tree import Document, ElementRecords
 from .incremental import (
     IncrementalCRX,
     IncrementalSOA,
@@ -271,19 +271,24 @@ class ElementEvidence:
             alphabet |= self.spilled.crx.state.alphabet
         return alphabet
 
-    def observe(self, element: Element) -> None:
-        word = element.child_names()
+    def observe(
+        self, word: Word, chunks: list[str], attributes: Mapping[str, str]
+    ) -> None:
+        """Count one occurrence: its child word, text chunks and attributes."""
         if word:
             self.nonempty_count += 1
         else:
             self.empty_count += 1
         self.child_sequences.add(word)
-        if element.has_text():
-            self.has_text = True
-            stripped = element.text().strip()
-            if stripped and len(self.text_values) < SAMPLE_CAP:
-                self.text_values.append(stripped)
-        for attribute, value in element.attributes.items():
+        if chunks:
+            # Some chunk has non-whitespace exactly when the joined text
+            # does, so one strip serves both the flag and the sample.
+            stripped = "".join(chunks).strip()
+            if stripped:
+                self.has_text = True
+                if len(self.text_values) < SAMPLE_CAP:
+                    self.text_values.append(stripped)
+        for attribute, value in attributes.items():
             self.attribute_presence[attribute] = self.attribute_presence.get(attribute, 0) + 1
             samples = self.attribute_values.setdefault(attribute, [])
             if len(samples) < SAMPLE_CAP:
@@ -448,15 +453,28 @@ class StreamingEvidence:
         # Read at fold time, so a patched WORD_CAP takes effect.
         return WORD_CAP if self.bounded else None
 
-    def add_document(self, document: Document) -> None:
+    def add_records(self, document: ElementRecords) -> None:
+        """Fold one document's element records: the one fold body.
+
+        Records come in pre-order, the order the text and attribute
+        reservoirs keep their first :data:`SAMPLE_CAP` values in.
+        """
+        records = document.records
         self.document_count += 1
-        self.root_counts[document.root.name] += 1
+        self.root_counts[records[0][0]] += 1
         cap = self._cap()
-        for element in document.iter():
-            evidence = self.evidence_for(element.name)
-            evidence.observe(element)
+        elements = self.elements
+        for name, attributes, kids, chunks, _ in records:
+            evidence = elements.get(name)
+            if evidence is None:
+                evidence = elements[name] = ElementEvidence(name)
+            evidence.observe(tuple(kids), chunks, attributes)
             if cap is not None and len(evidence.child_sequences.counts) > cap:
                 evidence.spill()
+
+    def add_document(self, document: Document) -> None:
+        """Fold an already-built tree, walked into the same records."""
+        self.add_records(ElementRecords.of(document))
 
     def add_documents(self, documents: Iterable[Document]) -> None:
         for document in documents:

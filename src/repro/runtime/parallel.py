@@ -71,11 +71,16 @@ from time import sleep
 from typing import TypeVar
 from collections.abc import Callable, Sequence
 
-from ..contracts import check_merge_commutative, contracts_enabled
+from ..contracts import (
+    SCANNED_FOLD_STRIDE,
+    check_merge_commutative,
+    check_scanned_fold,
+    contracts_enabled,
+)
 from ..errors import InternalError, ReproError, ShardTimeout, UsageError
 from ..obs.recorder import NULL_RECORDER, Recorder, Snapshot, StatsRecorder
 from ..learning.evidence import StreamingEvidence
-from ..xmlio.tree import Document
+from ..xmlio.tree import Document, ElementRecords
 from .resilience import (
     CRASH_EXIT_STATUS,
     DEFAULT_RETRY_POLICY,
@@ -335,8 +340,9 @@ def _extract_shard(task: _ShardTask, recorder: Recorder) -> _Result:
         raise InjectedShardTimeout(f"injected fault: deadline breach in shard {task.index}")
     evidence = StreamingEvidence(bounded=task.bounded)
     skipped = DegradationReport()
+    checking = contracts_enabled()
     for position, item in enumerate(task.shard.items, task.first):
-        document = load_document(
+        loaded = load_document(
             item,
             position,
             plan=task.faults,
@@ -344,9 +350,20 @@ def _extract_shard(task: _ShardTask, recorder: Recorder) -> _Result:
             report=skipped,
             recorder=recorder,
         )
-        if document is not None:
-            with recorder.span("extract", file=document_label(item, position)):
-                evidence.add_document(document)
+        if loaded is None:
+            continue
+        with recorder.span("extract", file=document_label(item, position)):
+            if isinstance(loaded, Document):
+                evidence.add_document(loaded)
+            else:
+                evidence.add_records(loaded)
+        if (
+            checking
+            and position % SCANNED_FOLD_STRIDE == 0
+            and isinstance(loaded, ElementRecords)
+            and isinstance(item, str)
+        ):
+            check_scanned_fold(loaded, item, task.bounded)
     return evidence, skipped.quarantined, None
 
 

@@ -64,11 +64,11 @@ from ..obs.recorder import NULL_RECORDER, Recorder
 from ..xmlio.parser import (
     ParseFailure,
     is_xml_text,
-    parse_document,
-    parse_file,
-    try_parse_file,
+    scan_document,
+    scan_file,
+    try_scan_file,
 )
-from ..xmlio.tree import Document
+from ..xmlio.tree import Document, ElementRecords
 
 __all__ = [
     "DEFAULT_RETRY_POLICY",
@@ -525,12 +525,14 @@ def load_document(
     report: DegradationReport | None = None,
     max_quarantine: int | None = None,
     recorder: Recorder = NULL_RECORDER,
-) -> Document | None:
+) -> Document | ElementRecords | None:
     """Load one corpus item under the error policy; ``None`` = skipped.
 
     ``item`` is a parsed :class:`Document`, XML text or a file path (the
     three shapes :func:`repro.api.infer` accepts); this is the one place
-    inference parses them.  Injected corruption (``plan.corrupt_docs``)
+    inference parses them.  A document passes through; text and paths
+    are scanned into :class:`ElementRecords`, which evidence folds
+    without building a tree.  Injected corruption (``plan.corrupt_docs``)
     and real parse failures behave identically for all three: raise in
     strict mode, quarantine in skip mode.
     """
@@ -546,13 +548,13 @@ def load_document(
             return item
         if is_xml_text(item):
             with recorder.span("parse"):
-                return parse_document(item)
+                return scan_document(item)
         if on_error == "skip":
-            loaded = try_parse_file(item, recorder)
+            loaded = try_scan_file(item, recorder)
             if isinstance(loaded, ParseFailure):
                 raise CorpusError(loaded.cause)
             return loaded
-        return parse_file(item, recorder)
+        return scan_file(item, recorder)
     except (CorpusError, OSError, UnicodeDecodeError) as exc:
         if on_error != "skip" or report is None:
             raise

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import re
 import threading
 import time
 from collections.abc import Callable
@@ -54,6 +55,12 @@ CONFIG_KEYS = frozenset(
         "faults",
     }
 )
+
+#: What ``documents`` entries must look like: the markup test of
+#: :func:`repro.xmlio.parser.is_xml_text`, which decides for the
+#: façade whether a string is a literal or a path (whitespace or a
+#: byte-order mark, then ``<``).
+_XML_LITERAL = re.compile(r"[\s\ufeff]*<")
 
 
 class NotFoundError(UsageError):
@@ -187,7 +194,7 @@ def _source_from(body: dict[str, Any]) -> list[str]:
         ):
             raise UsageError(f"{name} must be a list of strings")
     for document in documents:
-        if not document.lstrip().startswith("<"):
+        if _XML_LITERAL.match(document) is None:
             raise UsageError(
                 "documents must be XML literals; use 'paths' for "
                 "server-local files"

@@ -17,23 +17,31 @@ references, non-XML whitespace between tokens) because schema
 inference from a broken tree would silently learn garbage;
 noisy-but-well-formed input is the job of :mod:`repro.learning.noise`.
 
-This module owns the *grammar*: the recursive-descent element/content
-structure, DOCTYPE handling, and the file-level API with its failure
-contract.  The *tokenizer* — bulk ``str.find`` runs, the precompiled
-regex dispatch table, entity decoding, newline normalization — lives
-in :mod:`repro.xmlio.scan`.
+This module owns the *grammar*: one iterative scan loop that keeps the
+open elements on an explicit stack and writes each element, as its
+start tag is read, into :class:`~repro.xmlio.tree.ElementRecords`
+(:func:`scan_document`, :func:`scan_file`); DOCTYPE handling; and the
+file-level API with its failure contract.  :func:`parse_document` and
+:func:`parse_file` link the records into an
+:class:`~repro.xmlio.tree.Element` tree; evidence extraction folds the
+records without building one.  The *tokenizer* — bulk ``str.find``
+runs, the precompiled regex dispatch table, entity decoding, newline
+normalization — lives in :mod:`repro.xmlio.scan`.
 """
 
 from __future__ import annotations
 
 import mmap
 import os
+import re
+from collections.abc import Callable
 from dataclasses import dataclass
-from typing import TypeGuard
+from typing import TypeGuard, TypeVar
 
 from ..errors import CorpusError
 from ..obs.recorder import NULL_RECORDER, Recorder
 from .scan import (
+    PLAIN_TAG,
     Scanner as _Scanner,
     XmlSyntaxError,
     decode_entities as _decode_entities,
@@ -42,14 +50,14 @@ from .scan import (
     scan_internal_subset,
     scan_start_tag,
 )
-from .tree import Document, Element
+from .tree import Document, ElementRecord, ElementRecords
 
-#: Maximum element nesting the parser accepts.  The recursive-descent
-#: element/content pair costs about two Python frames per level, so an
-#: adversarial "depth bomb" (<a><a><a>…) would otherwise hit the
-#: interpreter's recursion limit as an unhelpful ``RecursionError``;
-#: capping well below it turns the bomb into an ordinary, precisely
-#: located :class:`XmlSyntaxError`.  No sane schema nests this deep.
+#: Maximum element nesting the parser accepts — a policy limit, not a
+#: recursion guard: the scan loop keeps open elements on a list, so
+#: depth costs no Python frames.  It bounds what an adversarial "depth
+#: bomb" (<a><a><a>…) can make every later tree walk handle, and turns
+#: one into an ordinary, precisely located :class:`XmlSyntaxError`.
+#: No sane schema nests this deep.
 MAX_ELEMENT_DEPTH = 256
 
 #: Files at least this large are decoded straight from an ``mmap`` of
@@ -59,6 +67,11 @@ MAX_ELEMENT_DEPTH = 256
 #: syscalls, which only pay for themselves once the copy it avoids is
 #: substantially bigger than a page.
 MMAP_MIN_BYTES = 1 << 20
+
+#: Markup: optional leading whitespace or byte-order marks, then ``<``.
+_XML_TEXT = re.compile(r"[\s\ufeff]*<")
+
+_Loaded = TypeVar("_Loaded", Document, ElementRecords)
 
 
 def _parse_doctype(scanner: _Scanner) -> tuple[str, str | None]:
@@ -98,93 +111,136 @@ def _skip_misc(scanner: _Scanner) -> None:
             return
 
 
-def _parse_element(scanner: _Scanner, depth: int = 0) -> Element:
-    if depth >= MAX_ELEMENT_DEPTH:
-        raise scanner.error(
-            f"element nesting deeper than {MAX_ELEMENT_DEPTH} levels"
-        )
-    name, attributes, self_closed = scan_start_tag(scanner)
-    element = Element(name=name, attributes=attributes)
-    if self_closed:
-        return element
-    _parse_content(scanner, element, depth)
-    return element
+def _scan_elements(scanner: _Scanner, records: list[ElementRecord]) -> None:
+    """Scan the root element and everything inside it into ``records``.
 
-
-def _parse_content(scanner: _Scanner, element: Element, depth: int = 0) -> None:
-    """Children, text runs and the end tag of an open ``element``.
-
-    One dispatch per content item: a text run is jumped in a single
-    ``find("<")``, everything else is routed on the character after
-    ``<``.  Only chunks containing ``&`` pay for entity decoding; all
-    other text lands in the tree as a zero-copy slice.  Child elements
-    are opened inline (rather than through :func:`_parse_element`) so
-    each nesting level costs one Python frame, not three.
+    One loop with the open elements on an explicit stack.  Each turn
+    first tries :data:`~repro.xmlio.scan.PLAIN_TAG`, which takes a text
+    run free of ``&`` together with the tag after it in one regex match:
+    a bare start tag, a leaf with its text and end tag, or the expected
+    end tag is settled right there, any other tag it found goes to
+    :func:`scan_start_tag` or :func:`scan_end_tag`.  Everything else —
+    references in text, comments, CDATA, processing instructions, tags
+    that do not open with an ASCII name — is dispatched on the character
+    after ``<``.  The tokenizer helpers own every error message.  Each
+    start tag appends its record and its name to the parent's child
+    names; the record's lists keep filling until the matching end tag
+    pops it.
     """
     text = scanner.text
     length = scanner.length
-    chunks = element.text_chunks
-    children_append = element.children.append
-    child_depth = depth + 1
+    limit = MAX_ELEMENT_DEPTH
+    plain = PLAIN_TAG.match
+    append = records.append
+    name, attributes, self_closed = scan_start_tag(scanner)
+    kids: list[str] = []
+    chunks: list[str] = []
+    append((name, attributes, kids, chunks, -1))
+    if self_closed:
+        return
+    # The open elements: (record index, name, child names, text chunks).
+    stack = [(0, name, kids, chunks)]
+    current = 0
+    pos = scanner.pos
     while True:
-        pos = scanner.pos
-        if pos >= length:
-            raise scanner.error(f"unterminated element <{element.name}>")
-        if text[pos] != "<":
-            next_tag = text.find("<", pos)
-            if next_tag < 0:
-                raise scanner.error(f"unterminated element <{element.name}>")
-            raw = text[pos:next_tag]
-            scanner.pos = next_tag
-            if "&" in raw:
-                raw = _decode_entities(raw, scanner)
-            if raw:
-                chunks.append(raw)
-            continue
-        marker = text[pos + 1] if pos + 1 < length else ""
-        if marker == "/":
-            scan_end_tag(scanner, element.name)
-            return
-        if marker == "!":
-            if text.startswith("<!--", pos):
-                scanner.pos = pos + 4
-                scanner.read_until("-->", "unterminated comment")
-            elif text.startswith("<![CDATA[", pos):
-                scanner.pos = pos + 9
-                chunks.append(
-                    scanner.read_until("]]>", "unterminated CDATA section")
-                )
+        match = plain(text, pos)
+        if match is not None:
+            chunk, end_name, end_close, tag, empty, opened, leaf = match.groups()
+            if chunk:
+                chunks.append(chunk)
+            end = match.end()
+            scanner.pos = match.end(1)
+            closing = end_name is not None
+            if closing:
+                bare = end_close is not None and end_name == name
             else:
-                children_append(_parse_element(scanner, child_depth))
+                bare = empty is not None or opened is not None
+        else:
+            if pos >= length:
+                scanner.pos = pos
+                raise scanner.error(f"unterminated element <{name}>")
+            if text[pos] != "<":
+                next_tag = text.find("<", pos)
+                if next_tag < 0:
+                    scanner.pos = pos
+                    raise scanner.error(f"unterminated element <{name}>")
+                raw = text[pos:next_tag]
+                pos = scanner.pos = next_tag
+                if "&" in raw:
+                    raw = _decode_entities(raw, scanner)
+                if raw:
+                    chunks.append(raw)
+                continue
+            marker = text[pos + 1 : pos + 2]
+            if marker == "!":
+                if text.startswith("<!--", pos):
+                    scanner.pos = pos + 4
+                    scanner.read_until("-->", "unterminated comment")
+                    pos = scanner.pos
+                    continue
+                if text.startswith("<![CDATA[", pos):
+                    scanner.pos = pos + 9
+                    chunks.append(
+                        scanner.read_until("]]>", "unterminated CDATA section")
+                    )
+                    pos = scanner.pos
+                    continue
+                # Anything else after "<!" fails as a start tag, below.
+            elif marker == "?":
+                scanner.pos = pos + 2
+                scanner.read_until("?>", "unterminated processing instruction")
+                pos = scanner.pos
+                continue
+            end = scanner.pos = pos
+            closing = marker == "/"
+            bare = False
+        if closing:
+            if bare:
+                pos = end
+            else:
+                scan_end_tag(scanner, name)
+                pos = scanner.pos
+            stack.pop()
+            if not stack:
+                scanner.pos = pos
+                return
+            current, name, kids, chunks = stack[-1]
             continue
-        if marker == "?":
-            scanner.pos = pos + 2
-            scanner.read_until("?>", "unterminated processing instruction")
-            continue
-        if child_depth >= MAX_ELEMENT_DEPTH:
-            raise scanner.error(
-                f"element nesting deeper than {MAX_ELEMENT_DEPTH} levels"
-            )
-        name, attributes, self_closed = scan_start_tag(scanner)
-        child = Element(name=name, attributes=attributes)
-        children_append(child)
+        if len(stack) >= limit:
+            raise scanner.error(f"element nesting deeper than {limit} levels")
+        child_chunks: list[str] = []
+        if bare:
+            pos = end
+            attributes = {}
+            if leaf:
+                child_chunks.append(leaf)
+            self_closed = opened is None or leaf is not None
+        else:
+            tag, attributes, self_closed = scan_start_tag(scanner)
+            pos = scanner.pos
+        kids.append(tag)
+        child_kids: list[str] = []
+        index = len(records)
+        append((tag, attributes, child_kids, child_chunks, current))
         if not self_closed:
-            _parse_content(scanner, child, child_depth)
+            current, name, kids, chunks = index, tag, child_kids, child_chunks
+            stack.append((current, name, kids, chunks))
 
 
 def is_xml_text(source: object) -> TypeGuard[str]:
     """Whether ``source`` is markup text rather than a file path.
 
-    Markup is a string whose first non-blank character is ``<``; no
-    file path the corpus loaders accept starts that way.
+    Markup is a string whose first character other than whitespace and
+    a byte-order mark is ``<``; no file path the corpus loaders accept
+    starts that way.
     """
-    return isinstance(source, str) and source.lstrip()[:1] == "<"
+    return isinstance(source, str) and _XML_TEXT.match(source) is not None
 
 
-def parse_document(text: str) -> Document:
-    """Parse one XML document from a string."""
+def scan_document(text: str) -> ElementRecords:
+    """Scan one XML document from a string into element records."""
     scanner = _Scanner(normalize_newlines(text))
-    if scanner.startswith("﻿"):
+    if scanner.startswith("\ufeff"):
         scanner.pos += 1
     _skip_misc(scanner)
     doctype_name: str | None = None
@@ -194,13 +250,17 @@ def parse_document(text: str) -> Document:
         _skip_misc(scanner)
     if not scanner.startswith("<"):
         raise scanner.error("expected the root element")
-    root = _parse_element(scanner)
+    records: list[ElementRecord] = []
+    _scan_elements(scanner, records)
     _skip_misc(scanner)
     if not scanner.eof():
         raise scanner.error("content after the root element")
-    return Document(
-        root=root, doctype_name=doctype_name, internal_subset=internal_subset
-    )
+    return ElementRecords(records, doctype_name, internal_subset)
+
+
+def parse_document(text: str) -> Document:
+    """Parse one XML document from a string."""
+    return scan_document(text).link()
 
 
 def parse_bytes(data: bytes | bytearray | memoryview) -> Document:
@@ -237,6 +297,24 @@ def _read_file_text(path: str, use_mmap: bool | None) -> tuple[str, int, bool]:
         return data.decode("utf-8"), len(data), False
 
 
+def _load_file(
+    path: str,
+    recorder: Recorder,
+    use_mmap: bool | None,
+    load: Callable[[str], _Loaded],
+) -> _Loaded:
+    with recorder.span("parse", file=str(path)):
+        text, byte_size, mapped = _read_file_text(path, use_mmap)
+        loaded = load(text)
+    if recorder.enabled:
+        recorder.count("documents")
+        recorder.count("parse.chars", len(text))
+        recorder.count("parse.bytes", byte_size)
+        if mapped:
+            recorder.count("parse.mmap")
+    return loaded
+
+
 def parse_file(
     path: str,
     recorder: Recorder = NULL_RECORDER,
@@ -251,16 +329,17 @@ def parse_file(
     the ``parse.chars``/``parse.bytes`` counters, which together with
     the ``parse`` span time give corpus-level parse throughput.
     """
-    with recorder.span("parse", file=str(path)):
-        text, byte_size, mapped = _read_file_text(path, use_mmap)
-        document = parse_document(text)
-    if recorder.enabled:
-        recorder.count("documents")
-        recorder.count("parse.chars", len(text))
-        recorder.count("parse.bytes", byte_size)
-        if mapped:
-            recorder.count("parse.mmap")
-    return document
+    return _load_file(path, recorder, use_mmap, parse_document)
+
+
+def scan_file(
+    path: str,
+    recorder: Recorder = NULL_RECORDER,
+    *,
+    use_mmap: bool | None = None,
+) -> ElementRecords:
+    """:func:`parse_file`, stopping at the element records."""
+    return _load_file(path, recorder, use_mmap, scan_document)
 
 
 @dataclass(frozen=True)
@@ -277,6 +356,22 @@ class ParseFailure:
     position: int | None = None
 
 
+def _try_load(
+    load: Callable[[str, Recorder], _Loaded], path: str, recorder: Recorder
+) -> _Loaded | ParseFailure:
+    try:
+        return load(path, recorder)
+    except XmlSyntaxError as exc:
+        failure = ParseFailure(
+            path=str(path), cause=str(exc), position=exc.position
+        )
+    except (CorpusError, OSError, UnicodeDecodeError) as exc:
+        failure = ParseFailure(path=str(path), cause=str(exc))
+    if recorder.enabled:
+        recorder.count("parse.failures")
+    return failure
+
+
 def try_parse_file(
     path: str, recorder: Recorder = NULL_RECORDER
 ) -> Document | ParseFailure:
@@ -291,17 +386,14 @@ def try_parse_file(
     :class:`MemoryError`, an engine bug) still raises: recoverable
     mode degrades on *bad input*, never on bad engine state.
     """
-    try:
-        return parse_file(path, recorder)
-    except XmlSyntaxError as exc:
-        failure = ParseFailure(
-            path=str(path), cause=str(exc), position=exc.position
-        )
-    except (CorpusError, OSError, UnicodeDecodeError) as exc:
-        failure = ParseFailure(path=str(path), cause=str(exc))
-    if recorder.enabled:
-        recorder.count("parse.failures")
-    return failure
+    return _try_load(parse_file, path, recorder)
+
+
+def try_scan_file(
+    path: str, recorder: Recorder = NULL_RECORDER
+) -> ElementRecords | ParseFailure:
+    """:func:`try_parse_file`, stopping at the element records."""
+    return _try_load(scan_file, path, recorder)
 
 
 __all__ = [
@@ -313,5 +405,8 @@ __all__ = [
     "parse_bytes",
     "parse_document",
     "parse_file",
+    "scan_document",
+    "scan_file",
     "try_parse_file",
+    "try_scan_file",
 ]

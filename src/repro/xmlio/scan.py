@@ -89,6 +89,23 @@ _ATTRIBUTE = re.compile(
 #: token) missed, i.e. when there is whitespace before the close.
 _TAG_CLOSE = re.compile(r"[ \t\r\n]*(/?)>")
 
+#: The parser's fast lane, anchored after the previous token: a text
+#: run free of ``&`` (possibly empty), then the next tag if it opens
+#: with an ASCII name.  Groups: 1 the text run; 2 an end tag's name and
+#: 3 its ``>`` right after the name; 4 a start tag's name, then 5 its
+#: ``/>`` or 6 its ``>`` right after the name, and 7 — a leaf — the
+#: reference-free text between that ``>`` and the matching ``</name>``.
+#: A tag whose 3 or 5/6 did not match has more after its name
+#: (attributes, whitespace, a non-ASCII name character) and is left to
+#: :func:`scan_start_tag` / :func:`scan_end_tag`.
+PLAIN_TAG = re.compile(
+    r"""([^<&]*)<(?:
+        /([A-Za-z_:][A-Za-z0-9_:.\-]*)(>)?
+        |([A-Za-z_:][A-Za-z0-9_:.\-]*)(?:(/>)|(>)(?:([^<&]*)</\4>)?)?
+    )""",
+    re.VERBOSE,
+)
+
 #: A complete end tag ``</name >`` with an ASCII name.
 _END_TAG = re.compile(r"</([A-Za-z_:][A-Za-z0-9_:.\-]*)[ \t\r\n]*>")
 
@@ -480,6 +497,7 @@ def _scan_markup_declaration(scanner: Scanner, pos: int) -> int:
 
 
 __all__ = [
+    "PLAIN_TAG",
     "Scanner",
     "XML_WHITESPACE",
     "XmlSyntaxError",

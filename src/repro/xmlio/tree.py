@@ -5,6 +5,12 @@ order, attributes and character data.  Elements are plain mutable
 objects with helpers for traversal; there is deliberately no namespace
 machinery (DTDs predate namespaces — prefixed names are treated as
 opaque element names, which is also what the XML 1.0 + DTD spec does).
+
+The parser's own output is flatter: :class:`ElementRecords`, one tuple
+per element in document order.  Evidence extraction folds those
+records directly; :meth:`ElementRecords.link` turns them into the
+:class:`Element` tree everything else works on, and
+:meth:`ElementRecords.of` walks a tree back into the same records.
 """
 
 from __future__ import annotations
@@ -13,7 +19,7 @@ from dataclasses import dataclass, field
 from collections.abc import Iterator
 
 
-@dataclass
+@dataclass(slots=True)
 class Element:
     """An XML element: name, attributes, and ordered children.
 
@@ -77,3 +83,66 @@ class Document:
 
     def iter(self) -> Iterator[Element]:
         return self.root.iter()
+
+
+#: One element as the parser records it: name, attributes, child-element
+#: names, the text chunks directly inside it, and the index of its
+#: parent's record (``-1`` for the root).
+ElementRecord = tuple[str, dict[str, str], list[str], list[str], int]
+
+
+class ElementRecords:
+    """A document as element records in document order.
+
+    Record ``i`` is the ``i``-th start tag of the document, so the list
+    is the tree's pre-order and every parent precedes its children.
+    """
+
+    __slots__ = ("records", "doctype_name", "internal_subset")
+
+    def __init__(
+        self,
+        records: list[ElementRecord],
+        doctype_name: str | None = None,
+        internal_subset: str | None = None,
+    ) -> None:
+        self.records = records
+        self.doctype_name = doctype_name
+        self.internal_subset = internal_subset
+
+    @classmethod
+    def of(cls, document: Document) -> "ElementRecords":
+        """The records of an already-built tree (the parser's, or one
+        made in code)."""
+        records: list[ElementRecord] = []
+        append = records.append
+        stack = [(document.root, -1)]
+        pop = stack.pop
+        while stack:
+            element, parent = pop()
+            children = element.children
+            index = len(records)
+            append(
+                (
+                    element.name,
+                    element.attributes,
+                    [child.name for child in children],
+                    element.text_chunks,
+                    parent,
+                )
+            )
+            if children:
+                stack.extend([(child, index) for child in reversed(children)])
+        return cls(records, document.doctype_name, document.internal_subset)
+
+    def link(self) -> Document:
+        """The :class:`Element` tree; it shares the records' attribute
+        dicts and text-chunk lists."""
+        elements: list[Element] = []
+        append = elements.append
+        for name, attributes, _, chunks, parent in self.records:
+            element = Element(name, attributes, [], chunks)
+            if parent >= 0:
+                elements[parent].children.append(element)
+            append(element)
+        return Document(elements[0], self.doctype_name, self.internal_subset)

@@ -22,6 +22,7 @@ from repro.contracts import (
     check_emitted_sore,
     check_gfa,
     check_merge_commutative,
+    check_scanned_fold,
     check_soa,
     contracts_active,
     contracts_enabled,
@@ -33,7 +34,8 @@ from repro.regex.ast import Opt, Plus, Star, Sym, concat, disj
 from repro.regex.parser import parse_regex
 from repro.learning.evidence import StreamingEvidence
 from repro.xmlio.dtd import parse_dtd
-from repro.xmlio.parser import parse_document
+from repro.xmlio.parser import parse_document, scan_document
+from repro.xmlio.tree import ElementRecords
 from repro.xmlio.validate import CompiledDtd
 
 DOCS = [
@@ -311,6 +313,50 @@ class TestValidationMutations:
         with contracts_active():
             for text in ("<r><a/><b/></r>", "<r><b/></r>", "<r/>", "<s><b/><a/></s>"):
                 compiled.violations(parse_document(text))
+
+
+class TestScannedFoldMutations:
+    TEXT = '<r k="v"><a>one</a><a/><b>two<![CDATA[ three]]></b></r>'
+
+    @staticmethod
+    def without_text(records: ElementRecords) -> ElementRecords:
+        """The same records with every text chunk dropped."""
+        return ElementRecords(
+            [(name, attributes, kids, [], parent)
+             for name, attributes, kids, _, parent in records.records],
+            records.doctype_name,
+            records.internal_subset,
+        )
+
+    @pytest.mark.parametrize("bounded", [False, True])
+    def test_scanned_records_pass(self, bounded, tmp_path):
+        check_scanned_fold(scan_document(self.TEXT), self.TEXT, bounded)
+        path = tmp_path / "doc.xml"
+        path.write_text(self.TEXT, encoding="utf-8")
+        check_scanned_fold(scan_document(self.TEXT), str(path), bounded)
+
+    def test_records_of_another_document_rejected(self):
+        with pytest.raises(ContractViolation, match="scanned-fold"):
+            check_scanned_fold(scan_document("<r><a/></r>"), self.TEXT, False)
+
+    def test_lost_text_rejected(self):
+        records = self.without_text(scan_document(self.TEXT))
+        with pytest.raises(ContractViolation, match="scanned-fold"):
+            check_scanned_fold(records, self.TEXT, True)
+
+    def test_live_runner_checks_scanned_documents(self, monkeypatch):
+        import importlib
+
+        resilience = importlib.import_module("repro.runtime.resilience")
+        monkeypatch.setattr(
+            resilience,
+            "scan_document",
+            lambda text: self.without_text(scan_document(text)),
+        )
+        with contracts_active(), pytest.raises(ContractViolation, match="scanned-fold"):
+            infer([self.TEXT])
+        assert not contracts_enabled()
+        assert "#PCDATA" not in infer([self.TEXT]).dtd.render()
 
 
 class TestWiring:

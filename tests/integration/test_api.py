@@ -5,7 +5,7 @@ import random
 import pytest
 
 from repro import api
-from repro.api import InferenceConfig, InferenceResult, infer
+from repro.api import InferenceConfig, InferenceResult, infer, validate
 from repro.contracts import contracts_active
 from repro.core.inference import DTDInferencer
 from repro.datagen.xmlgen import XmlGenerator, serialize
@@ -109,6 +109,20 @@ class TestSourceForms:
     def test_xml_literal(self):
         result = infer("<r><x/><y/></r>")
         assert "<!ELEMENT r (x,y)>" in result.render()
+
+    def test_xml_literal_with_a_byte_order_mark(self):
+        # U+FEFF before the markup is a BOM, not the start of a path.
+        literal = "\ufeff<r><x/><y/></r>"
+        assert infer(literal).render() == infer(literal[1:]).render()
+        assert infer([literal, "\ufeff\n<r><x/></r>"]).render() == infer(
+            ["<r><x/><y/></r>", "<r><x/></r>"]
+        ).render()
+
+    def test_validate_xml_literal_with_a_byte_order_mark(self):
+        dtd = "<!ELEMENT r (x, y)>\n<!ELEMENT x EMPTY>\n<!ELEMENT y EMPTY>"
+        result = validate(["\ufeff<r><x/><y/></r>", "\ufeff<r><y/></r>"], dtd)
+        assert [document.valid for document in result.documents] == [True, False]
+        assert result.documents[0].source == "document#0"
 
     def test_parsed_document(self):
         document = parse_document("<r><x/></r>")

@@ -208,6 +208,14 @@ class TestInfer:
         assert response.status == 400
         assert "paths" in response.payload["error"]["message"]
 
+    def test_byte_order_mark_literal_is_xml(self, app):
+        documents = ["\ufeff" + document for document in DOCS]
+        response = call(
+            app, "POST", "/infer", {"documents": documents, "config": {"faults": {}}}
+        )
+        assert response.status == 200
+        assert response.payload["dtd"] == api.infer(DOCS).render()
+
     def test_malformed_xml_is_422(self, app):
         response = call(app, "POST", "/infer", {"documents": ["<a><b></a>"]})
         assert response.status == 422
