@@ -14,10 +14,9 @@ plus one shard's parse instead of the whole corpus:
 * **accounting** — ``ckpt.*`` reuse counters land in
   ``BENCH_phases.json`` under the ``ckpt`` section.
 
-Shards are deliberately many (documents/8) so the invalidated slice is
-small; a real run sizes shards by backend, but the *ratio* under test
-is reuse vs re-parse, not pool throughput — the serial path keeps the
-numbers stable on 1-CPU runners.
+Shards are deliberately many (``jobs = max(8, documents // 10)``) so the
+invalidated slice is small; ``jobs`` is the shard count on every host,
+and the *ratio* under test is reuse vs re-parse, not pool throughput.
 """
 
 from __future__ import annotations
@@ -59,7 +58,6 @@ def checkpointed_config(state, jobs, resume=False, recorder=None):
         state_dir=state,
         resume=resume,
         jobs=jobs,
-        backend="thread",
         recorder=recorder or StatsRecorder(),
         faults={},
     )

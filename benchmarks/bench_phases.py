@@ -68,14 +68,11 @@ def _profile(paths, config_kwargs):
 
 def test_phase_breakdown_written(corpus_paths):
     """Record per-phase wall-clock + peak RSS for every pipeline shape."""
-    # backend="thread" pins the map-reduce shape: on small hosts the
-    # auto cost model would degrade jobs=2 to serial and there would be
-    # no shard phase to profile.
     sections = {
         "batch": {},
         "batch_idtd": {"method": "idtd"},
         "streaming": {"streaming": True},
-        "mapreduce_2_jobs": {"jobs": 2, "backend": "thread"},
+        "mapreduce_2_jobs": {"jobs": 2},
     }
     table = Table(
         headers=("pipeline", "wall s", "peak RSS kB", "top phase"),

@@ -565,9 +565,9 @@ class Project:
                 external = dotted
         if not targets:
             # Method-name fallback: works for dotted receivers and for
-            # complex ones alike (``pools[kind].heal()``,
-            # ``warm_pool(kind).executor()``) — the receiver expression
-            # carries no type either way, only the method name does.
+            # complex ones alike (``pools[kind].heal()``) — the
+            # receiver expression carries no type either way, only the
+            # method name does.
             if (
                 isinstance(func, ast.Attribute)
                 and func.attr not in _BUILTIN_METHOD_NAMES

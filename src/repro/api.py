@@ -102,10 +102,14 @@ class InferenceConfig:
             :data:`~repro.learning.evidence.WORD_CAP`, spilling past it
             into mergeable learner states (memory bounded by the schema,
             not the corpus).
-        jobs: shard the corpus across this many worker processes and
-            merge their evidence (map-reduce; implies streaming).
-            Ships file paths or XML text, so above 1 it refuses parsed
-            documents.  ``None`` means in-process.
+        jobs: split the corpus into this many contiguous shards, fold
+            them on up to ``os.cpu_count()`` worker processes and merge
+            their evidence (map-reduce; implies streaming).  The shard
+            count is the same on every host; a 1-CPU host or a corpus
+            under :data:`~repro.runtime.parallel.PROCESS_CORPUS_FLOOR`
+            documents folds the shards in-process.  Ships file paths or
+            XML text, so above 1 it refuses parsed documents.  ``None``
+            means one shard per CPU where the pool runs, else one.
         numeric: tighten ``+``/``*`` to numerical bounds (Section 9).
             Reads each element's distinct child words, so on the
             streaming path an element whose bag spilled past
@@ -122,11 +126,6 @@ class InferenceConfig:
             process-wide fingerprint-keyed LRU
             (:mod:`repro.runtime.cache`).  Hits are byte-identical to
             fresh derivations; disable to force every derivation fresh.
-        backend: worker-pool choice for sharded extraction —
-            ``"auto"`` (cost model picks serial/thread/process from
-            corpus size and CPUs), or an explicit ``"serial"``,
-            ``"thread"``, ``"process"``.  Only meaningful with
-            streaming/jobs.
         recorder: instrumentation sink (:mod:`repro.obs`); the default
             no-op recorder costs nearly nothing.
         on_error: ``"strict"`` (the default) aborts on the first bad
@@ -140,11 +139,11 @@ class InferenceConfig:
             that may be quarantined before the run aborts with
             :class:`~repro.errors.QuarantineExceeded` (``None``: no
             cap).
-        shard_deadline: per-shard processing deadline in seconds for
-            pooled extraction; breaches are retried and, in strict
-            mode, eventually raise
-            :class:`~repro.errors.ShardTimeout`.  Best-effort on
-            thread pools (a hung thread cannot be interrupted).
+        shard_deadline: per-shard processing deadline in seconds,
+            enforced only on shards folded on the process pool (shards
+            the driver folds have none); breaches are retried and, in
+            strict mode, eventually raise
+            :class:`~repro.errors.ShardTimeout`.
         faults: a deterministic fault-injection plan — a
             :class:`~repro.runtime.resilience.FaultPlan`, a mapping or
             JSON string of its fields, or ``None``.  When ``None``,
@@ -170,7 +169,6 @@ class InferenceConfig:
     sparse_threshold: int = DEFAULT_SPARSE_THRESHOLD
     infer_attributes: bool = True
     cache: bool = True
-    backend: str = "auto"
     recorder: Recorder = NULL_RECORDER
     on_error: str = "strict"
     max_quarantine: int | None = None
@@ -183,19 +181,6 @@ class InferenceConfig:
         validate_method(self.method)
         if self.jobs is not None and self.jobs < 1:
             raise UsageError(f"jobs must be >= 1, got {self.jobs}")
-        from .runtime.parallel import BACKENDS
-
-        if self.backend not in BACKENDS:
-            raise UsageError(
-                f"unknown backend {self.backend!r}: expected one of "
-                f"{', '.join(BACKENDS)}"
-            )
-        if self.backend != "auto" and not self.effective_streaming:
-            raise UsageError(
-                "backend= selects the sharded-extraction pool: combine it "
-                "with streaming=True or jobs= (batch inference is always "
-                "serial)"
-            )
         if self.support_threshold < 0:
             raise UsageError(
                 f"support_threshold must be >= 0, got {self.support_threshold}"
@@ -355,7 +340,7 @@ def _evidence(
     :meth:`InferenceSession.append`: one call into the shard runner
     (:func:`~repro.runtime.parallel.parallel_evidence`), through
     :mod:`repro.ckpt` when checkpointing.  A batch config is one serial
-    shard with whole bags; parsed documents fold on the serial backend.
+    shard with whole bags; parsed documents fold in one shard in-process.
     ``index_offset`` shifts fault-plan document positions so a
     session's plan sees corpus-global positions across appends.
     """
@@ -378,7 +363,6 @@ def _evidence(
             state_dir=config.state_dir,
             resume=config.resume,
             jobs=config.jobs,
-            backend=config.backend,
             recorder=config.recorder,
             fault_plan=fault_plan,
             on_error=config.on_error,
@@ -398,8 +382,7 @@ def _evidence(
     streaming = config.effective_streaming
     return parallel_evidence(
         items,
-        config.jobs if streaming else 1,
-        "serial" if parsed else config.backend,
+        config.jobs if streaming and not parsed else 1,
         config.recorder,
         index_offset=index_offset,
         faults=fault_plan,

@@ -15,8 +15,8 @@ The plan
    unmatched, corrupt, truncated — is dropped and its documents fall
    through to fresh parsing.
 3. The shard runner takes the reused shards, shards the positions they
-   leave uncovered with its usual cost model, and dispatches them on
-   the same warm pools under the same retry/quarantine policy.
+   leave uncovered with its usual shard plan, and runs them under the
+   same retry/quarantine policy.
 4. As each fresh shard's evidence lands (in corpus order), the runner's
    commit hook persists it durably: state bytes first (write-tmp +
    fsync + rename), then the manifest naming them and the documents
@@ -43,7 +43,7 @@ from ..errors import UsageError
 from ..learning import evidence as evidence_module
 from ..learning.evidence import SAMPLE_CAP, StreamingEvidence
 from ..obs.recorder import NULL_RECORDER, Recorder
-from ..runtime.parallel import Backend, Shard, parallel_evidence
+from ..runtime.parallel import Shard, parallel_evidence
 from ..runtime.resilience import (
     CRASH_EXIT_STATUS,
     DegradationReport,
@@ -175,7 +175,6 @@ def checkpointed_evidence(
     state_dir: str | os.PathLike[str],
     resume: bool = False,
     jobs: int | None = None,
-    backend: Backend = "auto",
     recorder: Recorder = NULL_RECORDER,
     fault_plan: FaultPlan | None = None,
     on_error: str = "strict",
@@ -249,7 +248,6 @@ def checkpointed_evidence(
         merged = parallel_evidence(
             [entry.path for entry in entries],
             jobs,
-            backend,
             recorder,
             reuse=[shard for shard, _entry in reused],
             faults=fault_plan,

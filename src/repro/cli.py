@@ -90,7 +90,6 @@ def _cmd_infer(args: argparse.Namespace) -> int:
         support_threshold=args.support_threshold,
         infer_attributes=not args.no_attributes,
         cache=not args.no_cache,
-        backend=args.backend,
         recorder=recorder,
         on_error=args.on_error,
         max_quarantine=args.max_quarantine,
@@ -289,16 +288,9 @@ def build_parser() -> argparse.ArgumentParser:
         type=_positive_int,
         default=None,
         metavar="N",
-        help="shard the corpus across N worker processes and merge their "
-        "evidence (map-reduce; implies --streaming)",
-    )
-    infer.add_argument(
-        "--backend",
-        choices=("auto", "serial", "thread", "process"),
-        default="auto",
-        help="worker-pool choice for sharded extraction: auto (cost "
-        "model picks from corpus size and CPU count), or force "
-        "serial/thread/process; only meaningful with --streaming/--jobs",
+        help="split the corpus into N contiguous shards, folded on up to "
+        "cpu_count worker processes, and merge their evidence (map-reduce; "
+        "implies --streaming)",
     )
     infer.add_argument(
         "--no-cache",
@@ -327,8 +319,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=None,
         metavar="SECONDS",
-        help="per-shard processing deadline for pooled extraction; "
-        "breaches are retried, then raise ShardTimeout (strict) or "
+        help="per-shard processing deadline for shards folded on the "
+        "process pool; breaches are retried, then raise ShardTimeout (strict) or "
         "reshard serially (skip)",
     )
     infer.add_argument(

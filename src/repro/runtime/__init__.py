@@ -1,19 +1,20 @@
-"""Execution backends: sharded, data-parallel corpus processing.
+"""Sharded, data-parallel corpus processing.
 
 * :func:`parallel_evidence` — the one shard runner: plan contiguous
-  shards, extract each on the serial driver or a warm pool, retry
+  shards, extract each in the driver or on the warm process pool, retry
   failed shards, merge the shard evidence in corpus order (and
   per-shard stats snapshots when a recorder is live).  Every run goes
   through it — batch (one serial shard with whole bags),
   ``--jobs``/``--streaming``, in-memory documents, session appends,
   degraded runs and :mod:`repro.ckpt`'s checkpointed runs, which add
   reloaded shards and a commit hook.
-* :func:`choose_backend` — the adaptive cost model behind
-  ``backend="auto"``: serial/thread/process from corpus size and the
-  CPU count, shards clamped to the CPUs.
-* :class:`WorkerPool` / :func:`warm_pool` — process-wide warm executor
-  pools, lazily created, reused across ``api.infer`` calls and shut
-  down at exit (:func:`shutdown_warm_pools`).
+* :func:`choose_backend` — the one shard plan: ``jobs`` shards on every
+  host (the CPU count when the pool runs and ``jobs`` is unset), folded
+  on the process pool for large enough corpora on multi-CPU hosts and
+  in the driver otherwise.
+* :class:`WorkerPool` / :data:`WARM_POOL` — the process-wide warm
+  process pool, lazily created, reused across ``api.infer`` calls and
+  shut down at exit (:func:`shutdown_warm_pools`).
 * :class:`ContentModelCache` — the fingerprint-keyed LRU memoizing the
   per-element finalize step (see :mod:`repro.runtime.cache`).
 * :class:`FaultPlan` / :class:`RetryPolicy` / :class:`DegradationReport`
@@ -29,15 +30,13 @@ from .cache import (
     reset_global_content_model_cache,
 )
 from .parallel import (
-    BACKENDS,
-    MIN_DOCS_PER_SHARD,
     PROCESS_CORPUS_FLOOR,
+    WARM_POOL,
     WorkerPool,
     choose_backend,
     parallel_evidence,
     shard_paths,
     shutdown_warm_pools,
-    warm_pool,
 )
 from .resilience import (
     DEFAULT_RETRY_POLICY,
@@ -50,11 +49,10 @@ from .resilience import (
 )
 
 __all__ = [
-    "BACKENDS",
     "DEFAULT_CACHE_SIZE",
     "DEFAULT_RETRY_POLICY",
-    "MIN_DOCS_PER_SHARD",
     "PROCESS_CORPUS_FLOOR",
+    "WARM_POOL",
     "ContentModelCache",
     "DegradationReport",
     "ElementFallback",
@@ -69,5 +67,4 @@ __all__ = [
     "reset_global_content_model_cache",
     "shard_paths",
     "shutdown_warm_pools",
-    "warm_pool",
 ]

@@ -42,15 +42,18 @@ folds the snapshots into its own recorder via ``merge_snapshot``
 (tagging each with its shard index) — the observability monoid merged
 alongside the evidence monoid.
 
-Scheduling is adaptive: ``backend="auto"`` (the default) picks
-``serial``/``thread``/``process`` from the corpus size and
-``os.cpu_count()`` (:func:`choose_backend`), clamps the shard count to
-the CPUs, and falls back to serial when shards would hold fewer than
-:data:`MIN_DOCS_PER_SHARD` documents — on small corpora pool dispatch
-costs more than it saves.  Worker pools are *warm*: one process pool
-and one thread pool per interpreter, lazily created, reused across
-``api.infer`` calls and shut down at exit (:class:`WorkerPool`), so
-repeated inferences stop paying pool startup.
+Scheduling is one plan (:func:`choose_backend`).  ``jobs`` is the
+shard count on every host, capped at the document count; it is the unit
+of checkpointing, retry and fault-plan indexing, so the same ``jobs``
+gives the same shards and the same checkpoint files on any machine.
+Where the shards run is a cost decision only: the warm process pool
+folds them when there is more than one shard, more than one CPU and at
+least :data:`PROCESS_CORPUS_FLOOR` documents; otherwise the driver folds
+the same shards in order.  The pool gets one task per worker, a
+contiguous group of shards, so ``jobs`` above the CPU count costs no
+extra pool round trips.  The pool is *warm*: one per interpreter,
+lazily created, reused across ``api.infer`` calls and shut down at exit
+(:class:`WorkerPool`), so repeated inferences stop paying pool startup.
 """
 
 from __future__ import annotations
@@ -58,13 +61,7 @@ from __future__ import annotations
 import atexit
 import os
 import threading
-from concurrent.futures import (
-    BrokenExecutor,
-    Executor,
-    Future,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-)
+from concurrent.futures import BrokenExecutor, Future, ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeout
 from dataclasses import dataclass, replace
 from time import sleep
@@ -77,7 +74,7 @@ from ..contracts import (
     check_scanned_fold,
     contracts_enabled,
 )
-from ..errors import InternalError, ReproError, ShardTimeout, UsageError
+from ..errors import ReproError, ShardTimeout, UsageError
 from ..obs.recorder import NULL_RECORDER, Recorder, Snapshot, StatsRecorder
 from ..learning.evidence import StreamingEvidence
 from ..xmlio.tree import Document, ElementRecords
@@ -94,72 +91,40 @@ from .resilience import (
     load_document,
 )
 
-Backend = str  # "auto" | "process" | "thread" | "serial"
-
-#: Every value ``backend=`` accepts, public for CLI/config validation.
-BACKENDS = ("auto", "process", "thread", "serial")
-
-#: The minimum-work threshold: below this many documents per shard the
-#: adaptive scheduler runs serial — dispatch and state transfer cost
-#: more than the parallelism recovers on corpora this small.
-MIN_DOCS_PER_SHARD = 8
-
-#: Below this many documents the adaptive scheduler prefers the thread
-#: pool: threads overlap file I/O during parsing at near-zero startup
-#: cost, while a process pool's spawn/transfer overhead needs a larger
-#: corpus to amortize (see ``benchmarks/bench_cache.py``).
+#: Below this many fresh documents the driver folds every shard itself:
+#: feeding worker processes costs more than the fold they spread.  On a
+#: 2-CPU host (warm pool, ``jobs=2``, the benchmark's medium corpus) the
+#: pool took 1.2-1.4x the driver's time at 64 documents, broke even near
+#: 300 and saved 3-6% at 500-1000.  The floor stays at 64 until a
+#: benchmark workload sits on each side of it.
 PROCESS_CORPUS_FLOOR = 64
 
 
 def choose_backend(
     documents: int, jobs: int | None = None, cpus: int | None = None
-) -> tuple[Backend, int]:
-    """The cost model: pick ``(backend, shards)`` for ``documents``.
+) -> tuple[str, int]:
+    """The one plan: ``("serial" | "process", shards)`` for ``documents``.
 
-    ``jobs`` caps the shard count (``None`` means "up to the CPU
-    count"); the result is additionally clamped to ``cpus`` — more
-    workers than CPUs only adds scheduling overhead — and to the
-    :data:`MIN_DOCS_PER_SHARD` work floor.  One CPU, one shard, or a
-    tiny corpus all collapse to ``("serial", 1)``.
+    ``jobs`` is the shard count on every host, capped at the document
+    count; ``None`` means the CPU count when the pool runs and one shard
+    otherwise.  The warm process pool runs the shards only when there
+    is more than one, more than one CPU and at least
+    :data:`PROCESS_CORPUS_FLOOR` documents; otherwise the driver folds
+    the same shards in order (``"serial"``).  ``jobs`` must be positive
+    when given.
     """
-    if cpus is None:
-        cpus = os.cpu_count() or 1
-    requested = jobs if jobs is not None else cpus
-    shards = max(1, min(requested, cpus, documents // MIN_DOCS_PER_SHARD))
-    if cpus <= 1 or shards <= 1:
-        return "serial", 1
-    if documents < PROCESS_CORPUS_FLOOR:
-        return "thread", shards
-    return "process", shards
-
-
-def _resolve_backend(
-    documents: int, jobs: int | None, backend: Backend
-) -> tuple[Backend, int]:
-    """Validate ``jobs``/``backend`` and pick ``(backend, shards)``.
-
-    ``"auto"`` runs the :func:`choose_backend` cost model; an explicit
-    pool kind takes ``jobs`` shards (the CPU count when ``None``),
-    still degrading to serial at one shard or one document.
-    """
-    if backend not in BACKENDS:
-        raise UsageError(
-            f"unknown backend {backend!r}; expected one of "
-            f"{', '.join(BACKENDS)}"
-        )
     if jobs is not None and jobs < 1:
         raise UsageError(f"jobs must be a positive integer, got {jobs}")
-    cpus = os.cpu_count() or 1
-    if backend == "auto":
-        return choose_backend(documents, jobs, cpus)
-    shards = 1 if backend == "serial" else (jobs if jobs is not None else cpus)
-    if shards <= 1 or documents <= 1:
-        return "serial", 1
-    return backend, shards
+    if cpus is None:
+        cpus = os.cpu_count() or 1
+    shards = max(1, min(cpus if jobs is None else jobs, documents))
+    if shards > 1 and cpus > 1 and documents >= PROCESS_CORPUS_FLOOR:
+        return "process", shards
+    return "serial", shards if jobs is not None else 1
 
 
 class WorkerPool:
-    """A lazily-created warm executor of one kind, reused across calls.
+    """A lazily-created warm process pool, reused across calls.
 
     The pool is created on first :meth:`executor` call (sized to the
     CPU count), healed transparently if a worker death broke it, and
@@ -174,14 +139,9 @@ class WorkerPool:
     shut down).
     """
 
-    def __init__(self, kind: Backend) -> None:
-        if kind not in ("process", "thread"):
-            raise UsageError(
-                f"warm pools exist for 'process' and 'thread', not {kind!r}"
-            )
-        self.kind = kind
+    def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._executor: Executor | None = None
+        self._executor: ProcessPoolExecutor | None = None
 
     @property
     def live(self) -> bool:
@@ -190,14 +150,11 @@ class WorkerPool:
             self._executor, "_broken", False
         )
 
-    def executor(self, max_workers: int | None = None) -> Executor:
+    def executor(self) -> ProcessPoolExecutor:
         """The warm executor, creating (or healing) it if necessary.
 
-        ``max_workers`` only matters at creation time; both executor
-        kinds spawn workers lazily up to the bound, so sizing once at
-        creation covers every later shard plan.  The default sizing is
-        the CPU count for process pools and the stdlib's I/O-friendly
-        ``min(32, cpus + 4)`` for thread pools.
+        Workers spawn lazily up to the CPU count, so sizing once at
+        creation covers every later shard plan.
         """
         with self._lock:
             if self._executor is not None and getattr(
@@ -206,15 +163,9 @@ class WorkerPool:
                 self._executor.shutdown(wait=False, cancel_futures=True)
                 self._executor = None
             if self._executor is None:
-                cpus = os.cpu_count() or 1
-                if self.kind == "thread":
-                    workers = (
-                        max_workers if max_workers else min(32, cpus + 4)
-                    )
-                    self._executor = ThreadPoolExecutor(max_workers=workers)
-                else:
-                    workers = max_workers if max_workers else cpus
-                    self._executor = ProcessPoolExecutor(max_workers=workers)
+                self._executor = ProcessPoolExecutor(
+                    max_workers=os.cpu_count() or 1
+                )
             return self._executor
 
     def shutdown(self) -> None:
@@ -225,37 +176,16 @@ class WorkerPool:
             executor.shutdown(wait=True, cancel_futures=True)
 
 
-_WARM_POOLS: dict[str, WorkerPool] = {
-    "process": WorkerPool("process"),
-    "thread": WorkerPool("thread"),
-}
-
-
-def warm_pool(kind: Backend) -> WorkerPool:
-    """The process-wide warm pool for ``kind`` (``process``/``thread``).
-
-    Every caller resolves ``kind`` through validated backend selection
-    first, so a miss here is runtime bookkeeping gone wrong (a shard
-    scheduled against a pool kind that was never provisioned), not a
-    user mistake — hence :class:`~repro.errors.InternalError`.
-    """
-    try:
-        return _WARM_POOLS[kind]
-    except KeyError:
-        raise InternalError(
-            f"no warm pool provisioned for backend {kind!r} (pools exist "
-            f"for: {', '.join(sorted(_WARM_POOLS))}); backend selection "
-            "should have rejected this kind before dispatch"
-        ) from None
+#: The process-wide warm pool every pooled shard runs on.
+WARM_POOL = WorkerPool()
 
 
 def shutdown_warm_pools() -> None:
-    """Shut down every warm pool (registered to run at exit).
+    """Shut down the warm pool (registered to run at exit).
 
-    Safe to call repeatedly; pools recreate lazily on next use.
+    Safe to call repeatedly; the pool recreates lazily on next use.
     """
-    for pool in _WARM_POOLS.values():
-        pool.shutdown()
+    WARM_POOL.shutdown()
 
 
 atexit.register(shutdown_warm_pools)
@@ -311,7 +241,6 @@ class _ShardTask:
     first: int  # fault-plan position of the shard's first document
     faults: FaultPlan | None
     on_error: str
-    backend: Backend
     bounded: bool
     recorded: bool
     crash: bool
@@ -326,15 +255,13 @@ _Result = tuple[StreamingEvidence, list[QuarantinedDocument], Snapshot | None]
 def _extract_shard(task: _ShardTask, recorder: Recorder) -> _Result:
     """The worker body: load and fold one shard under the error policy.
 
-    Injected crashes take the real exit (``os._exit``) in process
-    workers so the pool genuinely breaks; other backends raise
-    :class:`InjectedWorkerCrash` so the driver exercises the same retry
-    path.  Quarantines are counted here, on the recorder the shard runs
+    An injected crash raises :class:`InjectedWorkerCrash` here, in the
+    driver (pool workers take the real exit first, in
+    :func:`_pooled_shard`), so both reach the same retry path.
+    Quarantines are counted here, on the recorder the shard runs
     under; the driver enforces the corpus-wide cap.
     """
     if task.crash:
-        if task.backend == "process":
-            os._exit(CRASH_EXIT_STATUS)
         raise InjectedWorkerCrash(f"injected fault: worker crash in shard {task.index}")
     if task.timeout:
         raise InjectedShardTimeout(f"injected fault: deadline breach in shard {task.index}")
@@ -371,8 +298,11 @@ def _pooled_shard(task: _ShardTask) -> _Result:
     """:func:`_extract_shard` in a pool worker, under a private recorder.
 
     Module-level (not a closure) so it pickles into process pools; only
-    the recorder's plain-dict snapshot travels back.
+    the recorder's plain-dict snapshot travels back.  An injected crash
+    takes the real exit (``os._exit``), so the pool genuinely breaks.
     """
+    if task.crash:
+        os._exit(CRASH_EXIT_STATUS)
     if not task.recorded:
         return _extract_shard(task, NULL_RECORDER)
     recorder = StatsRecorder()
@@ -381,10 +311,31 @@ def _pooled_shard(task: _ShardTask) -> _Result:
     return evidence, quarantined, recorder.snapshot()
 
 
+#: One shard's slot in a pool task's outcomes: its result or its error.
+_Outcome = _Result | ReproError
+
+
+def _pooled_shards(tasks: list[_ShardTask]) -> list[_Outcome]:
+    """Fold a contiguous group of shards in one pool worker, in order.
+
+    The pool gets one task per worker, not one per shard, so ``jobs``
+    above the CPU count costs no extra pool round trips.  A shard whose
+    fold raises a :class:`~repro.errors.ReproError` (an injected fault
+    or a data error) returns it in its slot, so the driver handles it
+    for that shard alone, in shard order, as if the shard ran by itself.
+    """
+    outcomes: list[_Outcome] = []
+    for task in tasks:
+        try:
+            outcomes.append(_pooled_shard(task))
+        except ReproError as exc:
+            outcomes.append(exc)
+    return outcomes
+
+
 def parallel_evidence(
     paths: Sequence[Document | str],
     jobs: int | None = None,
-    backend: Backend = "auto",
     recorder: Recorder = NULL_RECORDER,
     *,
     reuse: Sequence[Shard] = (),
@@ -400,41 +351,42 @@ def parallel_evidence(
     """The shard runner: extract streaming evidence from ``paths``.
 
     ``paths`` holds file paths, XML text or parsed documents (the last
-    only on the serial backend: documents never cross a process
-    boundary).  ``bounded`` caps each shard's bags at
+    only with ``jobs=1``: documents never cross a process boundary).
+    ``bounded`` caps each shard's bags at
     :data:`~repro.learning.evidence.WORD_CAP`; a batch run passes
     ``jobs=1, bounded=False``, one serial shard with whole bags.
 
     Planning.  ``reuse`` holds already-folded shards (a checkpoint's
     reloaded states); the runner shards the positions they leave
-    uncovered.  The backend is resolved once, from that fresh work:
-    ``backend="auto"`` runs the :func:`choose_backend` cost model, an
-    explicit ``backend`` skips it (``jobs=None`` then means the CPU
-    count, and a single job or single file still degrades to serial).
-    Each uncovered run of positions gets shards in proportion to its
-    share of the work, so a plain run is simply contiguous sharding.
-    ``jobs`` must be positive when given.
+    uncovered.  :func:`choose_backend` plans that fresh work once: the
+    shard count and whether the warm process pool or the driver folds
+    the shards.  Each uncovered run of positions gets shards in
+    proportion to its share of the work, so a plain run is simply
+    contiguous sharding.  ``jobs`` must be positive when given.
 
-    Dispatch.  Serial shards run in the driver, pooled ones on the warm
-    pools.  A failed shard attempt — a dead worker, an exceeded
-    ``deadline``, an injected fault from ``faults`` — is retried under
-    :data:`DEFAULT_RETRY_POLICY`; a shard that exhausts it is re-run in
-    the driver, except that a strict run whose shard keeps timing out
-    raises :class:`~repro.errors.ShardTimeout`.  ``on_error="skip"``
-    quarantines unreadable documents (at most ``max_quarantine``).
-    Retries and quarantines land in ``report``; fault-plan document
-    positions are ``index_offset`` plus the position in ``paths``, and
-    fault-plan shard indexes count fresh shards.
+    Dispatch.  Serial shards run in the driver.  Pooled ones go to the
+    warm process pool as one task per worker, a contiguous group of
+    shards; ``deadline`` bounds the wait per pooled shard (the driver's
+    shards have none).  A failed shard attempt — a dead worker, an
+    exceeded ``deadline``, an injected fault from ``faults`` — is
+    retried alone under :data:`DEFAULT_RETRY_POLICY`; a shard that
+    exhausts it is re-run in the driver, except that a strict run whose
+    shard keeps timing out raises :class:`~repro.errors.ShardTimeout`.
+    ``on_error="skip"`` quarantines unreadable documents (at most
+    ``max_quarantine``).  Retries and quarantines land in ``report``;
+    fault-plan document positions are ``index_offset`` plus the position
+    in ``paths``, and fault-plan shard indexes count fresh shards.
 
     Commit.  Shards merge strictly in corpus order, so retries change
     only *when* a shard's evidence lands, never the result.  As each
     fresh shard lands, ``on_commit(index, shard)`` fires with its
     dispatch index and the folded shard, in that same order.
 
-    With a live ``recorder``, the chosen backend is counted under
-    ``parallel.backend.<name>``, each pooled worker records into its
-    own :class:`StatsRecorder`, and the per-shard snapshots merge into
-    ``recorder`` in shard order, tagged with their shard index.
+    With a live ``recorder``, where the shards ran is counted under
+    ``parallel.backend.<serial|process>``, each pooled worker records
+    into its own :class:`StatsRecorder`, and the per-shard snapshots
+    merge into ``recorder`` in shard order, tagged with their shard
+    index.
     """
     items = list(paths)
     if on_error not in ("strict", "skip"):
@@ -449,7 +401,7 @@ def parallel_evidence(
     if covered < len(items):
         gaps.append((covered, len(items)))
     work = sum(stop - start for start, stop in gaps)
-    chosen, shard_count = _resolve_backend(work, jobs, backend)
+    chosen, shard_count = choose_backend(work, jobs)
     if recorder.enabled:
         recorder.count(f"parallel.backend.{chosen}")
     fresh: list[Shard] = []
@@ -464,7 +416,7 @@ def parallel_evidence(
 
     if report is None:
         report = DegradationReport()
-    pool = None if chosen == "serial" else warm_pool(chosen)
+    pooled = chosen == "process"
     attempts = [0] * len(fresh)
     failures: dict[int, str] = {}  # first failure reason per shard
 
@@ -476,18 +428,26 @@ def parallel_evidence(
             first=index_offset + fresh[index].start,
             faults=faults,
             on_error=on_error,
-            backend=chosen,
             bounded=bounded,
             recorded=recorder.enabled,
             crash=faulty and faults is not None and faults.crashes(index, attempt),
             timeout=faulty and faults is not None and faults.times_out(index, attempt),
         )
 
-    def submit(index: int) -> Future[_Result] | None:
-        # Serial shards run lazily in the driver, when gathered.
-        if pool is None:
-            return None
-        return pool.executor().submit(_pooled_shard, task(index))
+    # Each fresh shard's pending pool task, its slot in that task's
+    # outcomes and the task's deadline (``deadline`` per shard in it);
+    # serial shards (None) run lazily in the driver, when gathered.
+    futures: dict[int, tuple[Future[list[_Outcome]], int, float | None] | None] = {}
+
+    def submit(*indexes: int) -> None:
+        if not pooled:
+            futures.update(dict.fromkeys(indexes))
+            return
+        tasks = [task(index) for index in indexes]
+        future = WARM_POOL.executor().submit(_pooled_shards, tasks)
+        timeout = None if deadline is None else deadline * len(indexes)
+        for slot, index in enumerate(indexes):
+            futures[index] = (future, slot, timeout)
 
     def settle(index: int, resharded: bool = False) -> None:
         if attempts[index]:
@@ -496,13 +456,17 @@ def parallel_evidence(
 
     def gather(index: int) -> _Result:
         while True:
-            # Popped, so a merged shard's result is not kept alive.
-            future = futures.pop(index)
+            # Popped, so a merged group's results are not kept alive.
+            pending = futures.pop(index)
             try:
-                if future is None:
+                if pending is None:
                     result = _extract_shard(task(index), recorder)
                 else:
-                    result = future.result(timeout=deadline)
+                    future, slot, timeout = pending
+                    outcome = future.result(timeout=timeout)[slot]
+                    if isinstance(outcome, ReproError):
+                        raise outcome
+                    result = outcome
                 settle(index)
                 return result
             except (InjectedWorkerCrash, InjectedShardTimeout) as exc:
@@ -520,7 +484,7 @@ def parallel_evidence(
                 ):
                     if recorder.enabled:
                         recorder.count("resilience.collateral_resubmits")
-                    futures[index] = submit(index)
+                    submit(index)
                     continue
                 reason = "worker-crash"
             except FuturesTimeout:
@@ -536,7 +500,7 @@ def parallel_evidence(
                 delay = DEFAULT_RETRY_POLICY.delay(index, attempts[index])
                 if delay > 0:
                     sleep(delay)
-                futures[index] = submit(index)
+                submit(index)
                 continue
             if on_error != "skip" and failures[index] == "timeout":
                 settle(index)
@@ -557,7 +521,10 @@ def parallel_evidence(
             settle(index, resharded=True)
             return result
 
-    futures = {index: submit(index) for index in range(len(fresh))}
+    # One pool task per worker, each a contiguous group of shards.
+    workers = (os.cpu_count() or 1) if pooled else len(fresh)
+    for group in shard_paths(range(len(fresh)), workers):
+        submit(*group)
     merged: StreamingEvidence | None = None
     plan = sorted([*reuse, *fresh], key=lambda shard: shard.start)
     dispatched = 0

@@ -105,11 +105,11 @@ FALLBACK_ORDER: dict[str, tuple[str, ...]] = {
 
 
 class InjectedWorkerCrash(InternalError):
-    """A :class:`FaultPlan`-injected worker crash (thread/serial form).
+    """A :class:`FaultPlan`-injected worker crash (driver form).
 
-    Process-pool workers crash for real (``os._exit``); backends that
-    share the driver's process signal the same fault with this
-    exception so every backend exercises the same recovery path.
+    Process-pool workers crash for real (``os._exit``); shards folded
+    in the driver signal the same fault with this exception so both
+    exercise the same recovery path.
     """
 
 

@@ -48,7 +48,6 @@ CONFIG_KEYS = frozenset(
         "sparse_threshold",
         "infer_attributes",
         "cache",
-        "backend",
         "on_error",
         "max_quarantine",
         "shard_deadline",

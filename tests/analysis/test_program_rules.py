@@ -240,7 +240,7 @@ class TestRuleDetails:
         assert findings == []
 
     def test_r008_sees_instances_inside_container_literals(self):
-        # The `_WARM_POOLS = {"thread": WorkerPool("thread")}` shape:
+        # The `POOLS = {"thread": Pool()}` shape:
         # a module-level dict literal shares its element instances just
         # as much as a bare `POOL = WorkerPool()` does.
         findings = run_rule(

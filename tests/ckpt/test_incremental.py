@@ -23,7 +23,7 @@ from repro.obs.recorder import StatsRecorder
 
 from .conftest import write_corpus
 
-#: 40 documents over 4 thread shards: 10 per shard, so reuse counts
+#: 40 documents over 4 shards: 10 per shard, so reuse counts
 #: below are exact (sharding is by document count, not content).
 COUNT = 40
 JOBS = 4
@@ -37,7 +37,6 @@ def checkpointed(paths, state, resume=False):
             state_dir=state,
             resume=resume,
             jobs=JOBS,
-            backend="thread",
             recorder=recorder,
             faults={},
         ),

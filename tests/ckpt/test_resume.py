@@ -2,7 +2,8 @@
 
 The headline guarantee of :mod:`repro.ckpt`: a run killed after any
 committed shard, then resumed, renders the *same bytes* as a run that
-was never interrupted — across backends and learner methods, with
+was never interrupted — in the driver and on the process pool, across
+learner methods, with
 contracts (``REPRO_CHECKS=1``) verifying the roundtrip and
 resume-equals-fresh invariants in-process.
 
@@ -26,6 +27,7 @@ from repro.api import InferenceConfig, InferenceSession, infer
 from repro.ckpt.manifest import load_manifest
 from repro.errors import CorpusError, UsageError
 from repro.obs.recorder import StatsRecorder
+from repro.runtime.parallel import PROCESS_CORPUS_FLOOR
 from repro.runtime.resilience import CRASH_EXIT_STATUS
 
 from .conftest import write_corpus
@@ -52,28 +54,52 @@ def run_cli(*argv: str) -> subprocess.CompletedProcess[str]:
 
 
 class TestFreshEqualsPlain:
-    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("backend", ["serial", "process"])
     @pytest.mark.parametrize("method", ["idtd", "crx"])
     def test_checkpointed_run_matches_uncheckpointed(
-        self, tmp_path, backend, method
+        self, tmp_path, monkeypatch, backend, method
     ):
-        paths = write_corpus(tmp_path, 20)
+        if backend == "process":
+            monkeypatch.setattr(os, "cpu_count", lambda: 2)
+            paths = write_corpus(tmp_path, PROCESS_CORPUS_FLOOR)
+        else:
+            paths = write_corpus(tmp_path, 20)
         plain = infer(
             paths, config=InferenceConfig(method=method)
         ).render()
+        recorder = StatsRecorder()
         checkpointed = infer(
             paths,
             config=InferenceConfig(
                 method=method,
                 state_dir=tmp_path / "run",
                 jobs=4,
-                backend=backend,
+                recorder=recorder,
             ),
         ).render()
         assert checkpointed == plain
+        assert recorder.snapshot()["counters"][f"parallel.backend.{backend}"] == 1
         manifest = load_manifest(tmp_path / "run")
         assert manifest is not None and manifest.complete
         assert sum(len(s.documents) for s in manifest.shards) == len(paths)
+
+    def test_shard_count_is_jobs_on_any_host(self, tmp_path, monkeypatch):
+        # The driver folds at 1 CPU, the pool at 8: same shards, same
+        # state files.
+        paths = write_corpus(tmp_path, PROCESS_CORPUS_FLOOR)
+        manifests = []
+        for cpus in (1, 8):
+            monkeypatch.setattr(os, "cpu_count", lambda cpus=cpus: cpus)
+            state = tmp_path / f"run{cpus}"
+            config = InferenceConfig(state_dir=state, jobs=4, faults={})
+            infer(paths, config=config)
+            manifest = load_manifest(state)
+            assert manifest is not None and manifest.complete
+            manifests.append(
+                [(s.documents, s.state_file, s.digest) for s in manifest.shards]
+            )
+        assert len(manifests[0]) == 4
+        assert manifests[0] == manifests[1]
 
     def test_resume_over_unchanged_corpus_reparses_nothing(self, tmp_path):
         paths = write_corpus(tmp_path, 16)
@@ -93,7 +119,7 @@ class TestKillAndResume:
     def test_kill_then_resume_is_byte_identical(self, tmp_path, kill_after):
         paths = write_corpus(tmp_path, 24)
         state = tmp_path / "run"
-        common = ("--jobs", "4", "--backend", "thread", "--check")
+        common = ("--jobs", "4", "--check")
 
         clean = run_cli("infer", *paths, *common)
         assert clean.returncode == 0, clean.stderr
@@ -125,7 +151,7 @@ class TestKillAndResume:
     def test_kill_resume_across_methods(self, tmp_path, method):
         paths = write_corpus(tmp_path, 18)
         state = tmp_path / "run"
-        common = ("--method", method, "--jobs", "3", "--backend", "thread")
+        common = ("--method", method, "--jobs", "3")
         clean = run_cli("infer", *paths, *common)
         killed = run_cli(
             "infer",
@@ -149,7 +175,7 @@ class TestKillAndResume:
         # with the clean run.
         paths = write_corpus(tmp_path, 24)
         state = tmp_path / "run"
-        common = ("--jobs", "4", "--backend", "thread")
+        common = ("--jobs", "4")
         clean = run_cli("infer", *paths, *common)
         flags = ["--state-dir", str(state)]
         for attempt in range(4):
@@ -238,7 +264,7 @@ class TestDegradedCheckpoints:
     )
     def test_every_policy_checkpoints(self, tmp_path, extra):
         paths = write_corpus(tmp_path, 12)
-        config = {"method": "idtd", "jobs": 2, "backend": "thread", "on_error": "skip", **extra}
+        config = {"method": "idtd", "jobs": 2, "on_error": "skip", **extra}
         plain = infer(paths, config=InferenceConfig(**config))
         checkpointed = infer(paths, config=InferenceConfig(state_dir=tmp_path / "run", **config))
         assert checkpointed.render() == plain.render()

@@ -9,6 +9,7 @@ worst case.
 
 from __future__ import annotations
 
+import os
 import random
 
 import pytest
@@ -83,3 +84,11 @@ def word_samples(draw: st.DrawFn) -> list[tuple[str, ...]]:
 @pytest.fixture
 def rng() -> random.Random:
     return random.Random(20060912)  # the paper's conference date
+
+
+@pytest.fixture
+def two_cpus(monkeypatch: pytest.MonkeyPatch) -> None:
+    """Report two CPUs, so that a run of at least
+    :data:`~repro.runtime.parallel.PROCESS_CORPUS_FLOOR` documents and
+    ``jobs=2`` folds on the warm process pool on any host."""
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)

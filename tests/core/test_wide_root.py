@@ -129,7 +129,7 @@ def test_idtd_repairs_are_pinned(documents):
 
 @pytest.mark.parametrize("method", ["auto", "idtd", "kore"])
 def test_dtd_bytes_equal_across_shapes(paths, method):
-    shapes = [{}, {"streaming": True}, {"jobs": 2, "backend": "thread"}]
+    shapes = [{}, {"streaming": True}, {"jobs": 2}]
     for options in shapes:
         # cache=False: each shape learns the root afresh
         config = InferenceConfig(method=method, cache=False, **options)

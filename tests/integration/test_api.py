@@ -12,7 +12,7 @@ from repro.datagen.xmlgen import XmlGenerator, serialize
 from repro.errors import UsageError
 from repro.obs import StatsRecorder
 from repro.learning.evidence import StreamingEvidence, extract_evidence
-from repro.runtime.parallel import parallel_evidence
+from repro.runtime.parallel import PROCESS_CORPUS_FLOOR, parallel_evidence
 from repro.xmlio.dtd import parse_dtd
 from repro.xmlio.parser import parse_document, parse_file
 
@@ -24,16 +24,25 @@ SCHEMA = (
 )
 
 
-@pytest.fixture(scope="module")
-def corpus(tmp_path_factory):
-    root = tmp_path_factory.mktemp("api-corpus")
+def write_corpus(root, count):
     generator = XmlGenerator(parse_dtd(SCHEMA), random.Random(7))
     paths = []
-    for index, document in enumerate(generator.corpus(12)):
+    for index, document in enumerate(generator.corpus(count)):
         path = root / f"doc{index}.xml"
         path.write_text(serialize(document), encoding="utf-8")
         paths.append(str(path))
     return paths
+
+
+@pytest.fixture(scope="module")
+def corpus(tmp_path_factory):
+    return write_corpus(tmp_path_factory.mktemp("api-corpus"), 12)
+
+
+@pytest.fixture(scope="module")
+def pool_corpus(tmp_path_factory):
+    """Enough documents for ``jobs=2`` to reach the process pool."""
+    return write_corpus(tmp_path_factory.mktemp("pool-corpus"), PROCESS_CORPUS_FLOOR)
 
 
 def _legacy_batch(paths, **kwargs):
@@ -166,13 +175,15 @@ class TestSourceForms:
         with pytest.raises(UsageError):
             infer([document, document], config=InferenceConfig(jobs=2))
 
-    def test_jobs_ship_xml_literals(self, corpus):
+    def test_jobs_ship_xml_literals(self, pool_corpus, two_cpus):
         literals = []
-        for path in corpus:
+        for path in pool_corpus:
             with open(path, encoding="utf-8") as handle:
                 literals.append(handle.read())
-        sharded = infer(literals, config=InferenceConfig(jobs=2, backend="process"))
-        assert sharded.render() == infer(corpus).render()
+        recorder = StatsRecorder()
+        sharded = infer(literals, config=InferenceConfig(jobs=2, recorder=recorder))
+        assert recorder.counters["parallel.backend.process"] == 1
+        assert sharded.render() == infer(pool_corpus).render()
 
     def test_streaming_accepts_documents_without_jobs(self):
         documents = [
@@ -251,16 +262,9 @@ class TestResultAndRecorder:
         assert {"parse", "extract", "soa", "rewrite", "emit"} <= names
         assert recorder.counters["documents"] == len(corpus)
 
-    def test_recorder_sees_shards_when_parallel(self, corpus):
-        # backend="thread": the auto cost model rightly picks serial for
-        # a corpus this small; this test is about shard snapshot merging.
+    def test_recorder_sees_shards_when_parallel(self, pool_corpus, two_cpus):
         recorder = StatsRecorder()
-        infer(
-            corpus,
-            config=InferenceConfig(
-                jobs=2, backend="thread", recorder=recorder
-            ),
-        )
+        infer(pool_corpus, config=InferenceConfig(jobs=2, recorder=recorder))
         spans = recorder.snapshot()["spans"]
         shard_tags = {
             span["shard"] for span in spans if span["shard"] is not None

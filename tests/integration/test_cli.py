@@ -9,18 +9,22 @@ from repro.datagen.xmlgen import XmlGenerator, serialize
 from repro.xmlio.dtd import parse_dtd
 
 
-@pytest.fixture
-def corpus_files(tmp_path):
+def write_corpus(directory, count):
     dtd = parse_dtd(
         "<!ELEMENT r (a, b?)><!ELEMENT a (#PCDATA)><!ELEMENT b EMPTY>"
     )
     generator = XmlGenerator(dtd, random.Random(1))
     paths = []
-    for index, document in enumerate(generator.corpus(8)):
-        path = tmp_path / f"doc{index}.xml"
+    for index, document in enumerate(generator.corpus(count)):
+        path = directory / f"doc{index}.xml"
         path.write_text(serialize(document), encoding="utf-8")
         paths.append(str(path))
     return paths
+
+
+@pytest.fixture
+def corpus_files(tmp_path):
+    return write_corpus(tmp_path, 8)
 
 
 class TestInfer:
@@ -101,19 +105,6 @@ class TestExitCodes:
             with pytest.raises(SystemExit) as excinfo:
                 main(["infer", "--jobs", jobs, *corpus_files])
             assert excinfo.value.code == 1
-
-    def test_unknown_backend_is_usage_error(self, corpus_files, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["infer", "--backend", "cluster", *corpus_files])
-        assert excinfo.value.code == 1
-
-    def test_backend_without_streaming_is_usage_error(
-        self, corpus_files, capsys
-    ):
-        # An explicit pool choice on the batch path is contradictory:
-        # rejected by InferenceConfig, not silently ignored.
-        assert main(["infer", "--backend", "thread", *corpus_files]) == 1
-        assert "backend" in capsys.readouterr().err
 
     def test_nonexistent_input_path(self, tmp_path, capsys):
         missing = str(tmp_path / "nope.xml")
@@ -344,7 +335,7 @@ class TestStatsAndTrace:
         shapes = {
             "batch": [],
             "streaming": ["--streaming"],
-            "jobs": ["--jobs", "2", "--backend", "thread"],
+            "jobs": ["--jobs", "2"],
             "state_dir": ["--state-dir", str(tmp_path / "state")],
         }
         for shape, flags in shapes.items():
@@ -359,18 +350,15 @@ class TestStatsAndTrace:
             assert "filter" in spans, shape
             assert summary["counters"]["filter.dropped_names"] == 1, shape
 
-    def test_parallel_trace_includes_shards(self, corpus_files, tmp_path, capsys):
+    def test_parallel_trace_includes_shards(self, tmp_path, capsys, two_cpus):
         import json
 
         from repro.obs import validate_trace_file
+        from repro.runtime.parallel import PROCESS_CORPUS_FLOOR
 
+        paths = write_corpus(tmp_path, PROCESS_CORPUS_FLOOR)
         trace = tmp_path / "trace.jsonl"
-        # --backend thread: the auto cost model rightly picks serial for
-        # a corpus this small; this test is about shard span merging.
-        assert main(
-            ["dtd", "--jobs", "2", "--backend", "thread",
-             "--trace", str(trace), *corpus_files]
-        ) == 0
+        assert main(["dtd", "--jobs", "2", "--trace", str(trace), *paths]) == 0
         capsys.readouterr()
         assert validate_trace_file(str(trace)) == []
         records = [

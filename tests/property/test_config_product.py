@@ -127,11 +127,11 @@ def run(shape, paths, method, mode, state_dir, **options):
     if shape == "streaming":
         config["streaming"] = True
     elif shape == "jobs":
-        config.update(jobs=2, backend="thread")
+        config.update(jobs=2)
     elif shape == "state_dir":
         config["state_dir"] = str(state_dir)
     elif shape == "killed":
-        config.update(jobs=2, backend="thread", state_dir=str(state_dir))
+        config.update(jobs=2, state_dir=str(state_dir))
         killed = kill_after_first_shard(paths, config)
         if mode == "strict" and len(paths) == COUNT:
             # Strict mode never commits the shard holding the corrupt

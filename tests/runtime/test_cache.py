@@ -24,7 +24,7 @@ from repro.runtime.cache import (
     global_content_model_cache,
     reset_global_content_model_cache,
 )
-from repro.runtime.parallel import warm_pool
+from repro.runtime.parallel import PROCESS_CORPUS_FLOOR, WARM_POOL
 from repro.xmlio.dtd import parse_dtd
 from repro.xmlio.parser import parse_file
 
@@ -174,20 +174,19 @@ class TestKeying:
 
 class TestWarmPoolReuse:
     def test_two_infer_calls_reuse_the_pool_and_merge_snapshots(
-        self, tmp_path
+        self, tmp_path, two_cpus
     ):
-        paths = write_corpus(tmp_path, DTD_SOURCES[2], 12)
-        pool = warm_pool("thread")
-        executor = pool.executor()
+        paths = write_corpus(tmp_path, DTD_SOURCES[2], PROCESS_CORPUS_FLOOR)
+        executor = WARM_POOL.executor()
         renders = []
         for _ in range(2):
             recorder = StatsRecorder()
             renders.append(
                 infer(
                     paths,
-                    config=InferenceConfig(
-                        jobs=2, backend="thread", recorder=recorder
-                    ),
+                    # faults={}: an ambient crash plan would break the
+                    # pool and so replace the executor.
+                    config=InferenceConfig(jobs=2, recorder=recorder, faults={}),
                 ).render()
             )
             snapshot = recorder.snapshot()
@@ -198,16 +197,15 @@ class TestWarmPoolReuse:
             }
             assert shard_tags == {0, 1}
             assert snapshot["counters"]["shards"] == 2
-            assert snapshot["counters"]["parallel.backend.thread"] == 1
+            assert snapshot["counters"]["parallel.backend.process"] == 1
         assert renders[0] == renders[1]
-        assert pool.live
-        assert pool.executor() is executor
+        assert WARM_POOL.live
+        assert WARM_POOL.executor() is executor
 
     def test_shutdown_then_lazy_recreation(self):
-        pool = warm_pool("thread")
-        first = pool.executor()
-        pool.shutdown()
-        assert not pool.live
-        second = pool.executor()
+        first = WARM_POOL.executor()
+        WARM_POOL.shutdown()
+        assert not WARM_POOL.live
+        second = WARM_POOL.executor()
         assert second is not first
-        pool.shutdown()
+        WARM_POOL.shutdown()

@@ -1,7 +1,7 @@
 """Regression tests for the concurrency fixes flagged by R007/R008.
 
 The whole-program analyzer found unsynchronized shared state in the
-warm worker pools and the content-model cache; these tests hammer each
+warm worker pool and the content-model cache; these tests hammer each
 from many threads so a reintroduced race at least has a chance to fail
 loudly (``OrderedDict`` corruption, duplicate executors) rather than
 silently.
@@ -97,13 +97,13 @@ class TestCacheUnderContention:
 
 
 class TestWorkerPoolUnderContention:
-    def test_concurrent_executor_calls_create_one_executor(self):
-        pool = WorkerPool("thread")
+    def test_concurrent_executor_calls_create_one_executor(self, two_cpus):
+        pool = WorkerPool()
         seen: list[int] = []
         lock = threading.Lock()
 
         def worker(index: int) -> None:
-            executor = pool.executor(max_workers=2)
+            executor = pool.executor()
             with lock:
                 seen.append(id(executor))
 
@@ -116,8 +116,8 @@ class TestWorkerPoolUnderContention:
             pool.shutdown()
         assert not pool.live
 
-    def test_shutdown_races_with_use(self):
-        pool = WorkerPool("thread")
+    def test_shutdown_races_with_use(self, two_cpus):
+        pool = WorkerPool()
 
         def worker(index: int) -> None:
             for _ in range(20):
@@ -125,9 +125,7 @@ class TestWorkerPoolUnderContention:
                     pool.shutdown()
                 else:
                     try:
-                        future = pool.executor(max_workers=2).submit(
-                            int, "7"
-                        )
+                        future = pool.executor().submit(int, "7")
                         assert future.result(timeout=10) == 7
                     except (RuntimeError, CancelledError):
                         # The submit (or its future) lost the race

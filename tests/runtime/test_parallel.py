@@ -7,17 +7,16 @@ import pytest
 from repro.api import InferenceConfig, infer
 from repro.core.inference import DTDInferencer
 from repro.datagen.xmlgen import XmlGenerator, serialize
-from repro.errors import CorpusError, InternalError, UsageError
+from repro.errors import CorpusError, UsageError
 from repro.learning import evidence as evidence_module
 from repro.learning.evidence import StreamingEvidence
 from repro.obs.recorder import StatsRecorder
 from repro.runtime.parallel import (
-    MIN_DOCS_PER_SHARD,
     PROCESS_CORPUS_FLOOR,
+    WARM_POOL,
     choose_backend,
     parallel_evidence,
     shard_paths,
-    warm_pool,
 )
 from repro.xmlio.dtd import parse_dtd
 from repro.xmlio.parser import parse_file
@@ -118,16 +117,19 @@ class TestStreamingEqualsBatch:
 class TestParallelEvidence:
     def test_serial_backend(self, tmp_path):
         paths = write_corpus(tmp_path, DTD_SOURCES[0], 8)
-        evidence = parallel_evidence(paths, jobs=4, backend="serial")
+        evidence = parallel_evidence(paths, jobs=4)
         assert evidence.document_count == 8
 
-    def test_thread_backend_identical(self, tmp_path):
+    def test_driver_shards_identical(self, tmp_path):
+        # Below the floor, the driver folds all three shards in order.
         paths = write_corpus(tmp_path, DTD_SOURCES[0], 9)
-        assert sharded_dtd(paths, jobs=3, backend="thread") == batch_dtd(paths)
+        assert sharded_dtd(paths, jobs=3) == batch_dtd(paths)
 
-    def test_process_backend_identical(self, tmp_path):
-        paths = write_corpus(tmp_path, DTD_SOURCES[2], 10)
-        assert sharded_dtd(paths, jobs=2) == batch_dtd(paths)
+    def test_process_backend_identical(self, tmp_path, two_cpus):
+        paths = write_corpus(tmp_path, DTD_SOURCES[2], PROCESS_CORPUS_FLOOR)
+        recorder = StatsRecorder()
+        assert sharded_dtd(paths, jobs=2, recorder=recorder) == batch_dtd(paths)
+        assert recorder.snapshot()["counters"]["parallel.backend.process"] == 1
 
     def test_single_file(self, tmp_path):
         paths = write_corpus(tmp_path, DTD_SOURCES[0], 1)
@@ -136,7 +138,7 @@ class TestParallelEvidence:
     def test_methods_respected(self, tmp_path):
         paths = write_corpus(tmp_path, DTD_SOURCES[0], 8)
         for method in ("idtd", "crx"):
-            dtd = sharded_dtd(paths, jobs=2, backend="thread", method=method)
+            dtd = sharded_dtd(paths, jobs=2, method=method)
             assert dtd == batch_dtd(paths, method)
 
     def test_jobs_zero_or_negative_rejected(self, tmp_path):
@@ -145,19 +147,12 @@ class TestParallelEvidence:
             with pytest.raises(UsageError, match="positive"):
                 parallel_evidence(paths, jobs=jobs)
 
-    def test_unknown_backend_rejected(self, tmp_path):
-        paths = write_corpus(tmp_path, DTD_SOURCES[0], 2)
-        with pytest.raises(UsageError, match="backend"):
-            parallel_evidence(paths, backend="cluster")
-
     def test_backend_choice_is_counted(self, tmp_path):
         paths = write_corpus(tmp_path, DTD_SOURCES[0], 6)
         recorder = StatsRecorder()
-        parallel_evidence(
-            paths, jobs=2, backend="thread", recorder=recorder
-        )
+        parallel_evidence(paths, jobs=2, recorder=recorder)
         counters = recorder.snapshot()["counters"]
-        assert counters["parallel.backend.thread"] == 1
+        assert counters["parallel.backend.serial"] == 1
 
     @pytest.mark.parametrize(
         "option",
@@ -179,34 +174,51 @@ class TestParallelEvidence:
         assert infer(paths, InferenceConfig(cache=False, **option)).dtd.elements
 
 
+#: ``(documents, jobs, cpus) -> plan`` on both sides of the floor.
+PLANS = [
+    ((PROCESS_CORPUS_FLOOR - 1, None, 1), ("serial", 1)),
+    ((PROCESS_CORPUS_FLOOR, None, 1), ("serial", 1)),
+    ((PROCESS_CORPUS_FLOOR - 1, 4, 1), ("serial", 4)),
+    ((PROCESS_CORPUS_FLOOR, 4, 1), ("serial", 4)),
+    ((PROCESS_CORPUS_FLOOR - 1, None, 2), ("serial", 1)),
+    ((PROCESS_CORPUS_FLOOR, None, 2), ("process", 2)),
+    ((PROCESS_CORPUS_FLOOR - 1, 4, 2), ("serial", 4)),
+    ((PROCESS_CORPUS_FLOOR, 4, 2), ("process", 4)),
+    ((PROCESS_CORPUS_FLOOR, 1, 2), ("serial", 1)),
+    ((PROCESS_CORPUS_FLOOR - 1, None, 8), ("serial", 1)),
+    ((PROCESS_CORPUS_FLOOR, None, 8), ("process", 8)),
+    ((PROCESS_CORPUS_FLOOR - 1, 4, 8), ("serial", 4)),
+    ((PROCESS_CORPUS_FLOOR, 4, 8), ("process", 4)),
+    ((PROCESS_CORPUS_FLOOR, 100, 8), ("process", PROCESS_CORPUS_FLOOR)),
+    ((3, 4, 8), ("serial", 3)),
+    ((0, 4, 8), ("serial", 1)),
+]
+
+
 class TestChooseBackend:
-    """The adaptive cost model: serial/thread/process from size × CPUs."""
+    """The one plan: ``jobs`` shards on every host; the process pool
+    folds them only past the corpus floor on a multi-CPU host."""
+
+    @pytest.mark.parametrize(("inputs", "plan"), PLANS)
+    def test_plan(self, inputs, plan):
+        documents, jobs, cpus = inputs
+        assert choose_backend(documents, jobs=jobs, cpus=cpus) == plan
 
     def test_one_cpu_is_always_serial(self):
-        assert choose_backend(10_000, jobs=8, cpus=1) == ("serial", 1)
+        assert choose_backend(10_000, jobs=8, cpus=1) == ("serial", 8)
+        assert choose_backend(10_000, jobs=None, cpus=1) == ("serial", 1)
 
     def test_tiny_corpus_is_serial(self):
-        # Below the per-shard work floor, dispatch costs more than it
+        # Below the corpus floor, pool dispatch costs more than it
         # saves, whatever the CPU count.
-        docs = MIN_DOCS_PER_SHARD * 2 - 1
+        docs = PROCESS_CORPUS_FLOOR - 1
         assert choose_backend(docs, jobs=None, cpus=16) == ("serial", 1)
-
-    def test_small_corpus_prefers_threads(self):
-        backend, shards = choose_backend(
-            PROCESS_CORPUS_FLOOR - 1, jobs=None, cpus=4
-        )
-        assert backend == "thread"
-        assert 2 <= shards <= 4
 
     def test_large_corpus_prefers_processes(self):
         backend, shards = choose_backend(
             PROCESS_CORPUS_FLOOR * 4, jobs=None, cpus=4
         )
         assert backend == "process"
-        assert shards == 4
-
-    def test_shards_clamped_to_cpus(self):
-        _, shards = choose_backend(10_000, jobs=64, cpus=4)
         assert shards == 4
 
     def test_jobs_caps_shards(self):
@@ -217,16 +229,13 @@ class TestChooseBackend:
         _, shards = choose_backend(10_000, jobs=None, cpus=8)
         assert shards == 8
 
-    def test_work_floor_limits_shards(self):
-        # 3 shards' worth of documents cannot justify 8 shards.
-        _, shards = choose_backend(
-            MIN_DOCS_PER_SHARD * 3, jobs=8, cpus=8
-        )
-        assert shards == 3
+    def test_jobs_must_be_positive(self):
+        with pytest.raises(UsageError, match="positive"):
+            choose_backend(10, jobs=0, cpus=2)
 
     def test_auto_serial_fallback_end_to_end(self, tmp_path):
-        # On any host, 4 documents sit below the work floor: the auto
-        # backend must run serial (no shard spans, backend counted).
+        # On any host, 4 documents sit below the corpus floor: the
+        # driver folds the one shard (no shard spans, choice counted).
         paths = write_corpus(tmp_path, DTD_SOURCES[0], 4)
         recorder = StatsRecorder()
         evidence = parallel_evidence(paths, recorder=recorder)
@@ -237,17 +246,37 @@ class TestChooseBackend:
 
 
 class TestWarmPool:
-    def test_warm_pool_requires_known_kind(self):
-        # Reaching warm_pool with a non-pooled kind means backend
-        # selection failed upstream: an engine bug, not a usage error.
-        with pytest.raises(InternalError, match="serial"):
-            warm_pool("serial")
+    def test_pool_reused_across_parallel_evidence_calls(self, tmp_path, two_cpus):
+        paths = write_corpus(tmp_path, DTD_SOURCES[0], PROCESS_CORPUS_FLOOR)
+        recorder = StatsRecorder()
+        first = parallel_evidence(paths, jobs=2, recorder=recorder)
+        executor = WARM_POOL.executor()
+        second = parallel_evidence(paths, jobs=2)
+        assert first.document_count == second.document_count == PROCESS_CORPUS_FLOOR
+        assert WARM_POOL.executor() is executor
+        assert recorder.snapshot()["counters"]["shards"] == 2
 
-    def test_pool_reused_across_parallel_evidence_calls(self, tmp_path):
-        paths = write_corpus(tmp_path, DTD_SOURCES[0], 8)
-        pool = warm_pool("thread")
-        executor = pool.executor()
-        first = parallel_evidence(paths, jobs=2, backend="thread")
-        second = parallel_evidence(paths, jobs=2, backend="thread")
-        assert first.document_count == second.document_count == 8
-        assert pool.executor() is executor
+    def test_one_pool_task_per_worker(self, tmp_path, two_cpus, monkeypatch):
+        # jobs=4 on two CPUs: four shards (the checkpoint and retry unit)
+        # in two pool tasks, one contiguous group of shards per worker.
+        paths = write_corpus(tmp_path, DTD_SOURCES[1], PROCESS_CORPUS_FLOOR)
+        executor = WARM_POOL.executor()
+        groups = []
+
+        def submit(fn, tasks):
+            groups.append([task.index for task in tasks])
+            return type(executor).submit(executor, fn, tasks)
+
+        monkeypatch.setattr(executor, "submit", submit)
+        commits = []
+        recorder = StatsRecorder()
+        evidence = parallel_evidence(
+            paths,
+            jobs=4,
+            recorder=recorder,
+            on_commit=lambda index, shard: commits.append((index, shard.start)),
+        )
+        assert groups == [[0, 1], [2, 3]]
+        assert commits == [(0, 0), (1, 16), (2, 32), (3, 48)]
+        assert recorder.snapshot()["counters"]["shards"] == 4
+        assert DTDInferencer().finalize(evidence).render() == batch_dtd(paths)

@@ -33,7 +33,7 @@ from repro.runtime.resilience import (
     RetryPolicy,
     load_document,
 )
-from repro.runtime.parallel import parallel_evidence
+from repro.runtime.parallel import PROCESS_CORPUS_FLOOR, parallel_evidence
 from repro.xmlio.dtd import parse_dtd
 from repro.xmlio.parser import XmlSyntaxError, parse_document
 
@@ -163,28 +163,60 @@ class TestRetryPolicy:
 
 
 class TestCrashRecovery:
-    @pytest.mark.parametrize("backend", ["thread", "process", "serial"])
-    def test_injected_crash_recovers_byte_identically(self, tmp_path, backend):
-        paths = write_corpus(tmp_path, 12)
-        jobs = None if backend == "serial" else 2
-        baseline = infer(
-            paths, config=InferenceConfig(streaming=True, jobs=jobs, backend=backend)
-        )
+    @pytest.mark.parametrize("backend", ["process", "serial"])
+    def test_injected_crash_recovers_byte_identically(
+        self, tmp_path, monkeypatch, backend
+    ):
+        # The process leg crashes a real pool worker (``os._exit``), so
+        # the warm pool breaks and heals.
+        if backend == "process":
+            monkeypatch.setattr(os, "cpu_count", lambda: 2)
+            paths, jobs = write_corpus(tmp_path, PROCESS_CORPUS_FLOOR), 2
+        else:
+            paths, jobs = write_corpus(tmp_path, 12), None
+        baseline = infer(paths, config=InferenceConfig(streaming=True, jobs=jobs))
+        recorder = StatsRecorder()
         faulty = infer(
             paths,
             config=InferenceConfig(
                 streaming=True,
                 jobs=jobs,
-                backend=backend,
+                recorder=recorder,
                 faults={"worker_crashes": [0]},
             ),
         )
+        assert recorder.snapshot()["counters"][f"parallel.backend.{backend}"] == 1
         assert faulty.dtd.render() == baseline.dtd.render()
         assert faulty.degradation is not None
         (retry,) = faulty.degradation.retried_shards
         assert retry.shard == 0
         assert retry.reason == "worker-crash"
         assert retry.attempts == 2
+        assert not retry.resharded
+
+    @pytest.mark.parametrize(
+        "faults, shard, reason",
+        [({"shard_timeouts": [1]}, 1, "timeout"), ({"worker_crashes": [3]}, 3, "worker-crash")],
+        ids=["timeout", "crash"],
+    )
+    def test_fault_in_a_pool_group_retries_that_shard_alone(
+        self, tmp_path, two_cpus, faults, shard, reason
+    ):
+        # jobs=4 on two CPUs: each pool worker folds a group of two
+        # shards.  The timeout hits the first group's second shard, the
+        # real crash (``os._exit``) the second group's second shard,
+        # after its first shard was folded.
+        paths = write_corpus(tmp_path, PROCESS_CORPUS_FLOOR)
+        recorder = StatsRecorder()
+        faulty = infer(
+            paths,
+            config=InferenceConfig(streaming=True, jobs=4, recorder=recorder, faults=faults),
+        )
+        assert recorder.snapshot()["counters"]["parallel.backend.process"] == 1
+        baseline = infer(paths, config=InferenceConfig(streaming=True, jobs=4))
+        assert faulty.dtd.render() == baseline.dtd.render()
+        (retry,) = faulty.degradation.retried_shards
+        assert (retry.shard, retry.reason, retry.attempts) == (shard, reason, 2)
         assert not retry.resharded
 
     def test_batch_is_one_shard_that_retries(self, tmp_path):
@@ -201,7 +233,6 @@ class TestCrashRecovery:
             config=InferenceConfig(
                 streaming=True,
                 jobs=2,
-                backend="thread",
                 faults={"shard_timeouts": [1]},
             ),
         )
@@ -220,7 +251,6 @@ class TestCrashRecovery:
             config=InferenceConfig(
                 streaming=True,
                 jobs=2,
-                backend="thread",
                 faults={"worker_crashes": [0], "attempts": 3},
             ),
         )
@@ -238,7 +268,6 @@ class TestCrashRecovery:
                 config=InferenceConfig(
                     streaming=True,
                     jobs=2,
-                    backend="thread",
                     faults={"shard_timeouts": [0], "attempts": 3},
                 ),
             )
@@ -250,7 +279,6 @@ class TestCrashRecovery:
             config=InferenceConfig(
                 streaming=True,
                 jobs=2,
-                backend="thread",
                 on_error="skip",
                 faults={"shard_timeouts": [0], "attempts": 3},
             ),
@@ -263,7 +291,7 @@ class TestCrashRecovery:
         result = infer(
             paths,
             config=InferenceConfig(
-                streaming=True, jobs=2, backend="thread", shard_deadline=60.0
+                streaming=True, jobs=2, shard_deadline=60.0
             ),
         )
         assert result.degradation is not None
@@ -278,7 +306,7 @@ class TestQuarantine:
         result = infer(
             paths,
             config=InferenceConfig(
-                streaming=True, jobs=2, backend="thread", on_error="skip"
+                streaming=True, jobs=2, on_error="skip"
             ),
         )
         (doc,) = result.degradation.quarantined
@@ -308,7 +336,6 @@ class TestQuarantine:
         config = InferenceConfig(
             streaming=True,
             jobs=2,
-            backend="thread",
             on_error="skip",
             max_quarantine=1,
             faults={"corrupt_docs": [0, 3, 5]},
@@ -352,23 +379,31 @@ class TestQuarantine:
         assert result.dtd.render() == baseline.dtd.render()
 
     @pytest.mark.parametrize(
-        "options",
-        [{}, {"streaming": True}, {"jobs": 2, "backend": "process"}],
+        "options, backend",
+        [({}, "serial"), ({"streaming": True}, "process"), ({"jobs": 2}, "process")],
         ids=["batch", "streaming", "jobs"],
     )
-    def test_malformed_literal_is_quarantined(self, options):
-        docs = [
-            "<r><item><name/></item></r>",
-            "<r><item><name/></r>",
-            "<r><item><name/><price/></item></r>",
-        ]
-        result = infer(docs, config=InferenceConfig(on_error="skip", **options))
+    def test_malformed_literal_is_quarantined(self, two_cpus, options, backend):
+        # The streaming and jobs legs fold on two real pool workers: the
+        # quarantine, with its syntax-error cause and position, and its
+        # counter travel back from the worker that parsed the literal.
+        good = ["<r><item><name/></item></r>", "<r><item><name/><price/></item></r>"]
+        docs = [good[index % 2] for index in range(PROCESS_CORPUS_FLOOR)]
+        docs[1] = "<r><item><name/></r>"
+        recorder = StatsRecorder()
+        result = infer(
+            docs,
+            config=InferenceConfig(on_error="skip", recorder=recorder, **options),
+        )
+        counters = recorder.snapshot()["counters"]
+        assert counters[f"parallel.backend.{backend}"] == 1
+        assert counters["resilience.quarantined"] == 1
         (doc,) = result.degradation.quarantined
         with pytest.raises(XmlSyntaxError) as syntax:
             parse_document(docs[1])
         assert (doc.path, doc.cause) == ("<document #1>", str(syntax.value))
         assert doc.position == syntax.value.position
-        assert result.dtd.render() == infer([docs[0], docs[2]]).dtd.render()
+        assert result.dtd.render() == infer(docs[:1] + docs[2:]).dtd.render()
 
     def test_load_document_passes_documents_through(self):
         document = parse_document("<r><item><name/></item></r>")
@@ -468,7 +503,6 @@ class TestCounters:
             config=InferenceConfig(
                 streaming=True,
                 jobs=2,
-                backend="thread",
                 on_error="skip",
                 recorder=recorder,
                 faults={"worker_crashes": [0], "corrupt_docs": [1, 6]},
@@ -479,7 +513,7 @@ class TestCounters:
         assert counters["resilience.quarantined"] == 2
         assert counters["resilience.retried_shards"] == 1
         assert counters["resilience.failures.worker-crash"] == 1
-        assert counters["parallel.backend.thread"] == 1
+        assert counters["parallel.backend.serial"] == 1
 
 
 class TestConfigValidation:
@@ -525,8 +559,6 @@ class TestConfigValidation:
         assert not explicit.faults.corrupts(0)
 
     def test_resilient_evidence_validates_inputs(self):
-        with pytest.raises(UsageError, match="backend"):
-            parallel_evidence([], backend="gpu")
         with pytest.raises(UsageError, match="jobs"):
             parallel_evidence([], jobs=0)
         with pytest.raises(UsageError, match="on_error"):
@@ -625,7 +657,6 @@ class TestAcceptanceScenario:
         config = InferenceConfig(
             streaming=True,
             jobs=2,
-            backend="thread",
             on_error="skip",
             recorder=recorder,
             faults={"worker_crashes": [0], "corrupt_docs": [5, 17]},
@@ -642,7 +673,7 @@ class TestAcceptanceScenario:
             if index not in (5, 17)
         ]
         baseline = infer(
-            clean, config=InferenceConfig(streaming=True, jobs=2, backend="thread")
+            clean, config=InferenceConfig(streaming=True, jobs=2)
         )
         assert result.dtd.render() == baseline.dtd.render()
 
@@ -654,7 +685,6 @@ class TestAcceptanceScenario:
                 config=InferenceConfig(
                     streaming=True,
                     jobs=2,
-                    backend="thread",
                     faults={"worker_crashes": [0], "corrupt_docs": [5, 17]},
                 ),
             )
@@ -669,7 +699,6 @@ class TestReportShape:
                 method="idtd",
                 streaming=True,
                 jobs=2,
-                backend="thread",
                 on_error="skip",
                 faults={
                     "worker_crashes": [1],

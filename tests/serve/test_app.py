@@ -191,14 +191,13 @@ class TestInfer:
         assert "gift" not in response.payload["dtd"]
 
     def test_unknown_config_key_is_400(self, app):
-        response = call(
-            app,
-            "POST",
-            "/infer",
-            {"documents": DOCS, "config": {"recorder": "mine"}},
-        )
-        assert response.status == 400
-        assert "unknown config keys" in response.payload["error"]["message"]
+        # ``backend`` is no key: the shard plan decides where shards run.
+        for config in ({"recorder": "mine"}, {"backend": "thread"}):
+            response = call(
+                app, "POST", "/infer", {"documents": DOCS, "config": config}
+            )
+            assert response.status == 400
+            assert "unknown config keys" in response.payload["error"]["message"]
 
     def test_empty_source_is_400(self, app):
         assert call(app, "POST", "/infer", {}).status == 400
