@@ -5,6 +5,8 @@
 * :class:`GFA` — generalized finite automata with SORE state labels,
   the data structure the rewrite system of Section 5 operates on,
   including its ε-closure;
+* :mod:`repro.automata.scc` — the one iterative Tarjan, behind CRX's
+  classes, Trang's contracted blocks and iDTD's SCC contraction;
 * :func:`state_elimination` — the classical automaton→RE translation
   used as the conciseness anti-baseline (expression (†));
 * exact language comparisons between SOAs and regular expressions.

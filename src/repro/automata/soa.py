@@ -88,33 +88,17 @@ class SOA:
         self.edges |= other.edges
         self.accepts_empty = self.accepts_empty or other.accepts_empty
 
-    def fingerprint(self) -> tuple[object, ...]:
-        """A stable, hashable digest of the ``(I, F, S)`` triple.
-
-        Two SOAs with equal fingerprints denote the same language and
-        — because :func:`repro.core.idtd.idtd_from_soa` is a
-        deterministic function of the triple — produce the same SORE.
-        That makes the fingerprint a sound memoization key for the
-        per-element finalize step (:mod:`repro.runtime.cache`).
-        """
-        return (
-            frozenset(self.symbols),
-            frozenset(self.initial),
-            frozenset(self.final),
-            frozenset(self.edges),
-            self.accepts_empty,
-        )
-
     def canonical_fingerprint(self) -> tuple[object, ...]:
-        """The fingerprint in sorted-tuple form: stable across processes.
+        """A hashable digest of the ``(I, F, S)`` triple, in sorted tuples.
 
-        :meth:`fingerprint` builds on frozensets, whose *iteration
-        order* depends on ``PYTHONHASHSEED`` — fine for in-memory dict
-        keys (equality is order-blind) but wrong for anything that
-        serializes or digests the value: two processes would derive
-        different bytes for the same automaton.  On-disk keys —
-        checkpoint state digests, manifests (:mod:`repro.ckpt`) — must
-        go through this form instead.
+        Two SOAs with equal fingerprints denote the same language and,
+        because :func:`repro.core.idtd.idtd_from_soa` is a deterministic
+        function of the triple, produce the same SORE.  That makes the
+        fingerprint a sound key for the per-element finalize step
+        (:mod:`repro.runtime.cache`).  Every level is sorted, so the
+        value, and any serialization or digest of it, is the same in
+        every process whatever ``PYTHONHASHSEED`` is: checkpoint state
+        digests and manifests (:mod:`repro.ckpt`) rely on that.
         """
         return (
             tuple(sorted(self.symbols)),

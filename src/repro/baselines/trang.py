@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
+from ..automata.scc import strongly_connected_components
 from ..automata.soa import SOA
 from ..errors import CorpusError
 from ..learning.tinf import tinf
@@ -83,60 +84,18 @@ def _contiguous_presentation(words: Sequence[Word], components: list[set[str]]) 
     return True
 
 
-def _sccs(symbols: set[str], edges: set[tuple[str, str]]) -> list[tuple[str, ...]]:
-    graph = {symbol: set() for symbol in symbols}
-    for a, b in edges:
-        if a in symbols and b in symbols:
-            graph[a].add(b)
-    index_of: dict[str, int] = {}
-    low: dict[str, int] = {}
-    on_stack: set[str] = set()
-    stack: list[str] = []
-    out: list[tuple[str, ...]] = []
-    counter = 0
-    for root in sorted(symbols):
-        if root in index_of:
-            continue
-        work = [(root, iter(sorted(graph[root])))]
-        index_of[root] = low[root] = counter
-        counter += 1
-        stack.append(root)
-        on_stack.add(root)
-        while work:
-            node, successors = work[-1]
-            advanced = False
-            for successor in successors:
-                if successor not in index_of:
-                    index_of[successor] = low[successor] = counter
-                    counter += 1
-                    stack.append(successor)
-                    on_stack.add(successor)
-                    work.append((successor, iter(sorted(graph[successor]))))
-                    advanced = True
-                    break
-                if successor in on_stack:
-                    low[node] = min(low[node], index_of[successor])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                low[work[-1][0]] = min(low[work[-1][0]], low[node])
-            if low[node] == index_of[node]:
-                component: list[str] = []
-                while True:
-                    member = stack.pop()
-                    on_stack.discard(member)
-                    component.append(member)
-                    if member == node:
-                        break
-                out.append(tuple(sorted(component)))
-    return out
-
-
 def _chain_for_component(soa: SOA, component: set[str]) -> Regex:
     """Linearise one component's DAG of contracted SCCs."""
     edges = {(a, b) for (a, b) in soa.edges if a in component and b in component}
-    blocks = _sccs(component, edges)
+    successors: dict[str, set[str]] = {symbol: set() for symbol in component}
+    for a, b in edges:
+        successors[a].add(b)
+    blocks = [
+        tuple(sorted(block))
+        for block in strongly_connected_components(
+            sorted(component), lambda symbol: sorted(successors[symbol])
+        )
+    ]
     block_of = {
         symbol: index for index, members in enumerate(blocks) for symbol in members
     }

@@ -287,10 +287,6 @@ def _strip_opt(regex: Regex) -> Regex:
     return regex.inner if isinstance(regex, Opt) else regex
 
 
-class _Epsilon:
-    pass
-
-
 _EPSILON_MARKER: Regex = None  # type: ignore[assignment]
 
 

@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import copy
 import os
-from collections.abc import Collection, Iterator, Sequence
+from collections.abc import Collection, Iterable, Iterator, Sequence
 from contextlib import contextmanager
 from typing import TYPE_CHECKING
 
@@ -146,7 +146,9 @@ def check_soa(soa: SOA, context: str = "tinf") -> None:
 # -- GFA invariants (Section 5) ----------------------------------------------
 
 
-def check_gfa(gfa: GFA, context: str = "rewrite") -> None:
+def check_gfa(
+    gfa: GFA, context: str = "rewrite", built: Iterable[int] | None = None
+) -> None:
     """Well-formedness of a (mid-rewrite) generalized automaton.
 
     Checked after every rewrite rule application and every repair:
@@ -154,7 +156,10 @@ def check_gfa(gfa: GFA, context: str = "rewrite") -> None:
     the labels are single-occurrence and star-free (during rewriting
     ``r*`` must stay represented as ``(r+)?``).  Every label is also
     its own full normalisation, which is what lets the rewrite rules
-    normalise only the top node of a label they build.
+    normalise only the top node of a label they build.  A rule step
+    passes the nodes whose labels it built as ``built``, and only those
+    labels are checked for stars and normal form: the step left every
+    other label as it was.
     """
     from .automata.gfa import SINK, SOURCE
     from .regex.ast import Star
@@ -194,7 +199,8 @@ def check_gfa(gfa: GFA, context: str = "rewrite") -> None:
             "some alphabet symbol occurs in more than one label (or twice "
             "in one)",
         )
-    for node, label in gfa.labels.items():
+    for node in gfa.labels if built is None else built:
+        label = gfa.labels[node]
         if any(isinstance(part, Star) for part in label.walk()):
             raise _violated(
                 f"{context}.gfa-star-free",

@@ -30,6 +30,7 @@ from collections import Counter
 from dataclasses import dataclass
 from collections.abc import Iterable, Sequence
 
+from ..automata.scc import strongly_connected_components
 from ..contracts import check_emitted_chare, contracts_enabled
 from ..errors import CorpusError
 from ..obs.recorder import NULL_RECORDER, Recorder
@@ -101,8 +102,8 @@ class CrxState:
         for word in words:
             self.add(word)
 
-    def fingerprint(self) -> tuple[object, ...]:
-        """A stable, hashable digest of everything ``infer`` reads.
+    def canonical_fingerprint(self) -> tuple[object, ...]:
+        """A hashable digest of everything ``infer`` reads, in sorted tuples.
 
         Algorithm 3 is a deterministic function of the arrow relation,
         the alphabet and the occurrence-profile multiset, so two states
@@ -111,23 +112,10 @@ class CrxState:
         (:mod:`repro.runtime.cache`).  Profile multiplicities are
         included conservatively: the current emitter only reads the
         distinct profiles, but multiplicity-sensitive extensions (e.g.
-        numeric bounds) must never alias.
-        """
-        return (
-            frozenset(self.alphabet),
-            frozenset(self.arrows),
-            frozenset(self.profiles.items()),
-        )
-
-    def canonical_fingerprint(self) -> tuple[object, ...]:
-        """The fingerprint in sorted-tuple form: stable across processes.
-
-        :meth:`fingerprint` is frozenset-based, so its iteration order
-        (hence any serialization or digest of it) varies with
-        ``PYTHONHASHSEED``.  Anything leaving the process — checkpoint
-        state digests and manifests (:mod:`repro.ckpt`) — must use this
-        canonical form, which sorts every level including the occurrence
-        profiles themselves.
+        numeric bounds) must never alias.  Every level is sorted, the
+        occurrence profiles themselves included, so the value is the
+        same in every process whatever ``PYTHONHASHSEED`` is, as
+        checkpoint state digests and manifests (:mod:`repro.ckpt`) need.
         """
         return (
             tuple(sorted(self.alphabet)),
@@ -161,50 +149,10 @@ class CrxState:
         graph = {symbol: set() for symbol in self.alphabet}
         for a, b in self.arrows:
             graph[a].add(b)
-        index_of: dict[str, int] = {}
-        low: dict[str, int] = {}
-        on_stack: set[str] = set()
-        stack: list[str] = []
-        components: list[tuple[str, ...]] = []
-        counter = 0
-        for root in sorted(self.alphabet):
-            if root in index_of:
-                continue
-            work = [(root, iter(sorted(graph[root])))]
-            index_of[root] = low[root] = counter
-            counter += 1
-            stack.append(root)
-            on_stack.add(root)
-            while work:
-                node, successors = work[-1]
-                advanced = False
-                for successor in successors:
-                    if successor not in index_of:
-                        index_of[successor] = low[successor] = counter
-                        counter += 1
-                        stack.append(successor)
-                        on_stack.add(successor)
-                        work.append((successor, iter(sorted(graph[successor]))))
-                        advanced = True
-                        break
-                    if successor in on_stack:
-                        low[node] = min(low[node], index_of[successor])
-                if advanced:
-                    continue
-                work.pop()
-                if work:
-                    parent = work[-1][0]
-                    low[parent] = min(low[parent], low[node])
-                if low[node] == index_of[node]:
-                    component: list[str] = []
-                    while True:
-                        member = stack.pop()
-                        on_stack.discard(member)
-                        component.append(member)
-                        if member == node:
-                            break
-                    components.append(tuple(sorted(component)))
-        return components
+        components = strongly_connected_components(
+            sorted(self.alphabet), lambda symbol: sorted(graph[symbol])
+        )
+        return [tuple(sorted(component)) for component in components]
 
     def _hasse(
         self, classes: list[tuple[str, ...]]

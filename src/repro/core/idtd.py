@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 from collections.abc import Sequence
 
 from ..automata.gfa import GFA, SINK, SOURCE
+from ..automata.scc import strongly_connected_components
 from ..automata.soa import SOA
 from ..contracts import check_gfa, contracts_enabled
 from ..errors import CorpusError, InternalError
@@ -51,63 +52,6 @@ class IdtdError(InternalError):
     """Internal failure of the repair ladder (should be unreachable)."""
 
 
-def _strongly_connected_components(gfa: GFA) -> list[list[int]]:
-    """Tarjan's algorithm over the labelled nodes (iterative)."""
-    index_of: dict[int, int] = {}
-    low: dict[int, int] = {}
-    on_stack: set[int] = set()
-    stack: list[int] = []
-    components: list[list[int]] = []
-    counter = 0
-
-    for root in sorted(gfa.nodes()):
-        if root in index_of:
-            continue
-        work: list[tuple[int, list[int]]] = [
-            (root, [n for n in gfa.successors(root) if n not in (SOURCE, SINK)])
-        ]
-        index_of[root] = low[root] = counter
-        counter += 1
-        stack.append(root)
-        on_stack.add(root)
-        while work:
-            node, successors = work[-1]
-            if successors:
-                successor = successors.pop()
-                if successor not in index_of:
-                    index_of[successor] = low[successor] = counter
-                    counter += 1
-                    stack.append(successor)
-                    on_stack.add(successor)
-                    work.append(
-                        (
-                            successor,
-                            [
-                                n
-                                for n in gfa.successors(successor)
-                                if n not in (SOURCE, SINK)
-                            ],
-                        )
-                    )
-                elif successor in on_stack:
-                    low[node] = min(low[node], index_of[successor])
-            else:
-                work.pop()
-                if work:
-                    parent = work[-1][0]
-                    low[parent] = min(low[parent], low[node])
-                if low[node] == index_of[node]:
-                    component: list[int] = []
-                    while True:
-                        member = stack.pop()
-                        on_stack.discard(member)
-                        component.append(member)
-                        if member == node:
-                            break
-                    components.append(component)
-    return components
-
-
 def _contract_scc(gfa: GFA) -> bool:
     """Fallback repair: contract one non-trivial SCC to ``(r1+...+rn)+``.
 
@@ -115,7 +59,14 @@ def _contract_scc(gfa: GFA) -> bool:
     generalisation of last resort — it always reduces the node count,
     so the iDTD loop terminates even on adversarial inputs.
     """
-    for component in _strongly_connected_components(gfa):
+
+    def successors(node: int) -> list[int]:
+        # Reverse set order: it decides which looping component the
+        # search completes, and so contracts, first (pinned in
+        # tests/property/test_scc_pins.py).
+        return [n for n in gfa.successors(node) if n not in (SOURCE, SINK)][::-1]
+
+    for component in strongly_connected_components(sorted(gfa.nodes()), successors):
         has_loop = len(component) > 1 or gfa.has_edge(component[0], component[0])
         if not has_loop:
             continue

@@ -449,7 +449,8 @@ def rewrite_gfa(
             closure = _merged_closure(gfa, closure, application.nodes, merged)
         if contracts_enabled():
             context = f"rewrite.{application.rule}"
-            check_gfa(gfa, context=context)
+            built = application.nodes if merged is None else (merged,)
+            check_gfa(gfa, context=context, built=built)
             if closure is not None:
                 check_carried_closure(gfa, closure, context=context)
         if recorder.enabled:
@@ -458,6 +459,8 @@ def rewrite_gfa(
             if closure is not None:
                 carried = "updated" if merged is not None else "reused"
                 recorder.count(f"rewrite.closure_{carried}")
+    if contracts_enabled():
+        check_gfa(gfa, context="rewrite")
     regex = None
     if gfa.is_final():
         regex = contract_stars(simplify(gfa.final_regex()))

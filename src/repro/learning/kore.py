@@ -155,13 +155,6 @@ class IncrementalKore:
             self._cached = None
         return changed
 
-    def fingerprint(self) -> tuple[object, ...]:
-        return (
-            "kore",
-            self.soa.soa.fingerprint(),
-            min(self.max_dup, K_CAP),
-        )
-
     def canonical_fingerprint(self) -> tuple[object, ...]:
         """Sorted-tuple digest, stable across ``PYTHONHASHSEED``."""
         return (

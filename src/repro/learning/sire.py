@@ -133,13 +133,6 @@ class IncrementalSire:
         self.before |= other.before
         self._cached = None
 
-    def fingerprint(self) -> tuple[object, ...]:
-        return (
-            "sire",
-            self.crx.state.fingerprint(),
-            frozenset(self.before),
-        )
-
     def canonical_fingerprint(self) -> tuple[object, ...]:
         """Sorted-tuple digest, stable across ``PYTHONHASHSEED``."""
         return (

@@ -52,12 +52,13 @@ from ..regex.ast import Regex
 #: A content-model cache key: ``(method, reservoir cap, state
 #: fingerprint)``, extended with the fault plan's learner salt when a
 #: plan injects element failures.  The fingerprint component comes from
-#: :meth:`repro.automata.soa.SOA.fingerprint` or
-#: :meth:`repro.core.crx.CrxState.fingerprint`.
+#: :meth:`repro.automata.soa.SOA.canonical_fingerprint` or
+#: :meth:`repro.core.crx.CrxState.canonical_fingerprint`: sorted tuples,
+#: equal in every process.
 CacheKey = tuple[object, ...]
 
 #: Default entry bound of the process-wide cache.  Entries are
-#: schema-sized (one regex plus frozensets over the element alphabet),
+#: schema-sized (one regex plus sorted tuples over the element alphabet),
 #: so even the default bound is a few megabytes at most.
 DEFAULT_CACHE_SIZE = 4096
 

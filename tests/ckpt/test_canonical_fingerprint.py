@@ -1,13 +1,13 @@
 """Hash-randomization independence of the on-disk fingerprints.
 
-The original durability bug: ``SOA.fingerprint()`` and
-``CrxState.fingerprint()`` build on frozensets, whose iteration order
-varies with ``PYTHONHASHSEED``.  Two processes (a run and its resume,
-or two CI workers) would digest the same learner state to different
-bytes, so content-addressed state files never matched.  The
-``canonical_fingerprint`` forms sort every level; these tests pin that
-in-process, and the subprocess test pins the whole codec path across
-*actually different* hash seeds — the scenario the bug shipped in.
+The original durability bug: the learner states were digested as
+frozensets, whose iteration order varies with ``PYTHONHASHSEED``.  Two
+processes (a run and its resume, or two CI workers) would digest the
+same learner state to different bytes, so content-addressed state files
+never matched.  ``canonical_fingerprint`` sorts every level, and it is
+now the only state digest; these tests pin that in-process, and the
+subprocess test pins the whole codec path across *actually different*
+hash seeds — the scenario the bug shipped in.
 """
 
 from __future__ import annotations
@@ -78,8 +78,6 @@ class TestCanonicalForms:
             return not isinstance(node, (set, frozenset, dict))
 
         assert fully_sorted(canonical)
-        # Equal automata agree; the plain fingerprint only promises
-        # *equality*, the canonical form promises equal *structure*.
         again = IncrementalSOA()
         again.add_all([("b", "a"), ("a",), ("b", "a", "b")])
         assert again.soa.canonical_fingerprint() == canonical
