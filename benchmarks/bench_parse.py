@@ -23,8 +23,6 @@ from __future__ import annotations
 
 import random
 
-import pytest
-
 from perf_record import update_bench_json
 from repro.datagen.xmlgen import XmlGenerator, serialize
 from repro.evaluation.tables import Table
@@ -152,8 +150,7 @@ def test_mmap_and_read_paths_parse_identically(tmp_path):
     assert shape(mapped.root) == shape(plain.root) == shape(in_memory.root)
 
 
-@pytest.mark.parametrize("pipeline", ["batch", "streaming"])
-def test_throughput_counters_surface_in_stats(tmp_path, pipeline):
+def test_throughput_counters_surface_in_stats(tmp_path):
     """parse.bytes / parse.chars land in --stats for throughput math."""
     from repro.api import InferenceConfig, infer
 
@@ -163,10 +160,7 @@ def test_throughput_counters_surface_in_stats(tmp_path, pipeline):
         path.write_text(document, encoding="utf-8")
         paths.append(str(path))
     recorder = StatsRecorder()
-    config = InferenceConfig(
-        recorder=recorder, streaming=pipeline == "streaming"
-    )
-    infer(paths, config=config)
+    infer(paths, config=InferenceConfig(recorder=recorder))
     counters = recorder.snapshot()["counters"]
     assert counters["parse.bytes"] > 0
     assert counters["parse.chars"] > 0

@@ -3,7 +3,7 @@
 Two questions about the observability layer (``repro.obs``):
 
 * **where does the time go?** — run the full pipeline (batch and
-  streaming map-reduce) under a :class:`StatsRecorder` and record the
+  sharded map-reduce) under a :class:`StatsRecorder` and record the
   per-phase wall-clock and peak-RSS breakdown into
   ``BENCH_phases.json`` (machine-readable, one section per pipeline);
 * **what does it cost when off?** — the whole point of the
@@ -71,7 +71,6 @@ def test_phase_breakdown_written(corpus_paths):
     sections = {
         "batch": {},
         "batch_idtd": {"method": "idtd"},
-        "streaming": {"streaming": True},
         "mapreduce_2_jobs": {"jobs": 2},
     }
     table = Table(

@@ -19,11 +19,11 @@ Quickstart::
     print(infer("<r><x/><y/></r>").render())
 
 :func:`repro.api.infer` is the entry point for whole-corpus inference
-(batch, streaming, sharded); :func:`repro.api.validate` and
+(batch, sharded, checkpointed); :func:`repro.api.validate` and
 :func:`repro.api.diff` are its companions for the paper's two
 applications, and :class:`repro.api.InferenceSession` folds documents
-in incrementally.  Every pipeline shape — batch, streaming, sharded,
-checkpointed, session — goes through that one façade.
+in incrementally.  Every pipeline shape — batch, sharded, checkpointed,
+session — goes through that one façade.
 """
 
 from .api import (
@@ -39,14 +39,10 @@ from .api import (
     validate,
 )
 from .automata import SOA, state_elimination
-from .core import (
-    DTDInferencer,
-    annotate_numeric,
-    crx as infer_chare,
-    idtd as infer_sore,
-    idtd_from_soa,
-    rewrite,
-)
+from .core import DTDInferencer, annotate_numeric, idtd_from_soa
+from .core.crx import crx as infer_chare
+from .core.idtd import idtd as infer_sore
+from .core.rewrite import rewrite
 from .learning import (
     IncrementalCRX,
     IncrementalSOA,

@@ -1,6 +1,6 @@
 """The unified inference façade: one entry point for every pipeline.
 
-Batch, streaming, sharded and checkpointed runs all go through one
+Batch, sharded, checkpointed and session runs all go through one
 function::
 
     from repro.api import InferenceConfig, infer
@@ -9,7 +9,7 @@ function::
     print(result.dtd.render())
 
     result = infer("corpus/", config=InferenceConfig(
-        method="idtd", streaming=True, jobs=4,
+        method="idtd", jobs=4,
     ))
 
 ``infer`` accepts parsed :class:`~repro.xmlio.tree.Document` objects,
@@ -25,8 +25,10 @@ Every shape builds its evidence in the one shard runner,
 XML text or parsed document — through
 :func:`~repro.runtime.resilience.load_document` and folds it into one
 :class:`~repro.learning.evidence.StreamingEvidence`.  A batch run is
-one serial shard whose bags are kept whole; the other shapes bound
-them by :data:`~repro.learning.evidence.WORD_CAP`.  Every shape then
+one serial shard.  The config alone decides the bound on every shape:
+each bag is capped at :data:`~repro.learning.evidence.WORD_CAP` unless
+``numeric`` or ``support_threshold`` reads the words, which keeps the
+bags whole.  Every shape then
 runs the one engine pass,
 :meth:`~repro.core.inference.DTDInferencer.finalize`, so the shapes
 give byte-identical DTDs (property-tested in
@@ -98,28 +100,23 @@ class InferenceConfig:
             symbols), ``"sire"`` (SOREs with interleaving ``&``) or
             ``"auto"`` (the paper's sparse/abundant switch between the
             two paper learners; the extensions are opt-in).
-        streaming: bound each element's bag of distinct child words by
-            :data:`~repro.learning.evidence.WORD_CAP`, spilling past it
-            into mergeable learner states (memory bounded by the schema,
-            not the corpus).
         jobs: split the corpus into this many contiguous shards, fold
             them on up to ``os.cpu_count()`` worker processes and merge
-            their evidence (map-reduce; implies streaming).  The shard
-            count is the same on every host; a 1-CPU host or a corpus
-            under :data:`~repro.runtime.parallel.PROCESS_CORPUS_FLOOR`
-            documents folds the shards in-process.  Ships file paths or
-            XML text, so above 1 it refuses parsed documents.  ``None``
-            means one shard per CPU where the pool runs, else one.
+            their evidence (map-reduce).  The shard count is the same on
+            every host; a 1-CPU host, a corpus under
+            :data:`~repro.runtime.parallel.PROCESS_CORPUS_FLOOR`
+            documents or parsed documents (which never cross a process
+            boundary) fold the shards in-process.  ``None`` means one
+            shard, except with ``state_dir``, where it means one shard
+            per CPU where the pool runs, else one.
         numeric: tighten ``+``/``*`` to numerical bounds (Section 9).
-            Reads each element's distinct child words, so on the
-            streaming path an element whose bag spilled past
-            :data:`~repro.learning.evidence.WORD_CAP` raises
-            :class:`~repro.errors.CorpusError`.
+            Reads each element's distinct child words, so the run keeps
+            every bag whole instead of capping it at
+            :data:`~repro.learning.evidence.WORD_CAP`.
         support_threshold: drop element names seen in fewer than this
             many parent sequences (noise handling, Section 9).  Counts
-            every element's child words, so it runs on every shape and
-            raises :class:`~repro.errors.CorpusError` naming the first
-            element whose bag spilled.
+            every element's child words, so above 0 the run keeps every
+            bag whole, as ``numeric`` does.
         sparse_threshold: the ``auto``-method cut-over sample size.
         infer_attributes: also generate ``<!ATTLIST>`` declarations.
         cache: memoize the per-element finalize step in the
@@ -153,8 +150,8 @@ class InferenceConfig:
         state_dir: checkpoint the run into this directory
             (:mod:`repro.ckpt`): per-shard evidence is persisted
             durably as they complete, together with a content-hash
-            manifest of the corpus.  Implies streaming and requires
-            file paths (XML text and parsed documents are refused).
+            manifest of the corpus.  Requires file paths (XML text and
+            parsed documents are refused).
         resume: with ``state_dir``, reuse every shard of a previous run
             in that directory whose documents are unchanged — crash
             recovery and incremental re-runs over edited corpora.  The
@@ -162,7 +159,6 @@ class InferenceConfig:
     """
 
     method: Method = "auto"
-    streaming: bool = False
     jobs: int | None = None
     numeric: bool = False
     support_threshold: int = 0
@@ -233,10 +229,8 @@ class InferenceConfig:
 
     @property
     def effective_streaming(self) -> bool:
-        """Whether the run uses the streaming pipeline (jobs implies it)."""
-        return (
-            self.streaming or self.jobs is not None or self.state_dir is not None
-        )
+        """Whether the run names a shard plan (``jobs`` or ``state_dir``)."""
+        return self.jobs is not None or self.state_dir is not None
 
     @property
     def resilient(self) -> bool:
@@ -325,6 +319,11 @@ def _require_surviving_documents(
         )
 
 
+def _bounded(config: InferenceConfig) -> bool:
+    """Whether ``config`` caps bags at ``WORD_CAP``: not if an option reads the words."""
+    return not config.numeric and config.support_threshold == 0
+
+
 def _evidence(
     items: list[Document | str],
     config: InferenceConfig,
@@ -339,10 +338,10 @@ def _evidence(
     The evidence half of :func:`infer`, shared with
     :meth:`InferenceSession.append`: one call into the shard runner
     (:func:`~repro.runtime.parallel.parallel_evidence`), through
-    :mod:`repro.ckpt` when checkpointing.  A batch config is one serial
-    shard with whole bags; parsed documents fold in one shard in-process.
-    ``index_offset`` shifts fault-plan document positions so a
-    session's plan sees corpus-global positions across appends.
+    :mod:`repro.ckpt` when checkpointing, under the config's bound.
+    Without ``jobs`` the run is one shard.  ``index_offset`` shifts
+    fault-plan document positions so a session's plan sees
+    corpus-global positions across appends.
     """
     if config.state_dir is not None:
         paths = [
@@ -369,20 +368,13 @@ def _evidence(
             max_quarantine=max_quarantine,
             deadline=config.shard_deadline,
             report=degradation,
-        )
-    parsed = any(isinstance(item, Document) for item in items)
-    if parsed and config.jobs is not None and config.jobs > 1:
-        raise UsageError(
-            "jobs > 1 ships file paths and XML text to worker processes; "
-            "already-parsed documents cannot be shipped — pass paths or "
-            "XML text, or drop jobs"
+            bounded=_bounded(config),
         )
     from .runtime.parallel import parallel_evidence
 
-    streaming = config.effective_streaming
     return parallel_evidence(
         items,
-        config.jobs if streaming and not parsed else 1,
+        config.jobs or 1,
         config.recorder,
         index_offset=index_offset,
         faults=fault_plan,
@@ -390,7 +382,7 @@ def _evidence(
         max_quarantine=max_quarantine,
         deadline=config.shard_deadline,
         report=degradation,
-        bounded=streaming,
+        bounded=_bounded(config),
     )
 
 
@@ -446,8 +438,8 @@ def infer(
 ) -> InferenceResult:
     """Infer a DTD from ``source`` under ``config``.
 
-    This is *the* entry point: batch and streaming, serial and
-    sharded, all learner choices.  Returns an
+    This is *the* entry point: batch, sharded and checkpointed, all
+    learner choices.  Returns an
     :class:`InferenceResult`; ``result.dtd`` is byte-identical across
     pipeline shapes.
     """
@@ -760,7 +752,7 @@ class AppendReceipt:
 class InferenceSession:
     """A long-lived inference state that grows one append at a time.
 
-    Each :meth:`append` extracts streaming evidence from the new
+    Each :meth:`append` extracts evidence from the new
     documents and folds it into the session's accumulated per-element
     learner states via the same merge monoid the sharded pipeline
     uses; because contiguous-chunk merges reproduce the sequential
@@ -768,11 +760,9 @@ class InferenceSession:
     byte-identical to a fresh :func:`infer` over everything appended
     so far, at any point (ALGORITHMS.md §12).
 
-    Sessions run the streaming pipeline by definition: a batch-flavoured
-    config is silently promoted to ``streaming=True``.  ``numeric`` and
-    ``support_threshold`` read each element's bag at every
-    :meth:`current_dtd`, as on every streaming run, and never rewrite
-    the session state.
+    The session folds under the config's bound, as :func:`infer` does;
+    ``numeric`` and ``support_threshold`` read each element's whole bag
+    at every :meth:`current_dtd` and never rewrite the session state.
 
     Under ``REPRO_CHECKS=1`` every append re-verifies merge
     commutativity between the accumulated state and the new chunk.
@@ -784,17 +774,15 @@ class InferenceSession:
 
     def __init__(self, config: InferenceConfig | None = None) -> None:
         if config is None:
-            config = InferenceConfig(streaming=True)
+            config = InferenceConfig()
         if config.state_dir is not None:
             raise UsageError(
                 "state_dir checkpoints one-shot corpus runs; sessions keep "
                 "their state in memory across appends — use repro.api.infer "
                 "with state_dir for resumable runs"
             )
-        if not config.effective_streaming:
-            config = replace(config, streaming=True)
         self.config = config
-        self._evidence = StreamingEvidence()
+        self._evidence = StreamingEvidence(bounded=_bounded(config))
         self._documents = 0
         self._closed = False
         self._degradation: DegradationReport | None = None

@@ -13,10 +13,9 @@ evidence.  That is enough to answer both durability questions:
 Version 2 adds each shard's quarantined documents (``on_error="skip"``
 runs), so a resumed run reproduces the degradation report along with
 the DTD.  Version-1 manifests still load, as shards with no quarantines.
-Version 3 records ``word_cap`` next to ``sample_cap``: both build
-constants shape the state bytes, so a run written under other values
-is re-parsed (older manifests load with no ``word_cap``, which never
-matches).
+Version 3 records ``word_cap`` next to ``sample_cap``: the run's bag
+bound (``null`` for whole bags) and the reservoir cap shape the state
+bytes, so a run written under other values is re-parsed.
 
 The manifest is rewritten atomically after every shard commit, and a
 state file is referenced only after its own bytes are durable, so a
@@ -62,6 +61,7 @@ class Manifest:
     """The decoded manifest; ``complete`` marks a finished run."""
 
     sample_cap: int
+    #: The bag bound the shards were folded under; ``None``: whole bags.
     word_cap: int | None = None
     shards: list[ShardEntry] = field(default_factory=list)
     complete: bool = False

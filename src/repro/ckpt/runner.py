@@ -90,6 +90,7 @@ def _reusable_shards(
     entries: Sequence[DocumentEntry],
     recorder: Recorder,
     on_error: str,
+    word_cap: int | None,
 ) -> list[tuple[Shard, ShardEntry]]:
     """Match old shards against the new corpus, loading cached states.
 
@@ -98,12 +99,15 @@ def _reusable_shards(
     every survivable prefix/infix without quadratic rescans.  A strict
     run never reuses a shard that quarantined documents: it re-parses
     them, and raises on the first bad one as a fresh strict run would.
+    ``word_cap`` is this run's bound (``None``: whole bags).
     """
     if old is None:
         return []
-    if old.sample_cap != SAMPLE_CAP or old.word_cap != evidence_module.WORD_CAP:
+    if old.sample_cap != SAMPLE_CAP or old.word_cap != word_cap:
         # Reservoir truncation and bag spilling depend on the caps; states
-        # written under other build constants cannot reproduce today's bytes.
+        # folded under another bound cannot reproduce this run's bytes.
+        # (v1/v2 manifests load without a word_cap, but their states
+        # predate codec v3 and never decode.)
         recorder.count("ckpt.corrupt", len(old.shards))
         return []
     hashes = [entry.sha256 for entry in entries]
@@ -125,6 +129,8 @@ def _reusable_shards(
         except StateDecodeError:
             recorder.count("ckpt.corrupt")
             continue
+        # Hydrated evidence is capped; a whole-bag run's shards must not be.
+        evidence.bounded = word_cap is not None
         recorder.count("ckpt.load")
         recorder.count("ckpt.hit")
         recorder.count("ckpt.skip", len(shard.documents))
@@ -181,8 +187,9 @@ def checkpointed_evidence(
     max_quarantine: int | None = None,
     deadline: float | None = None,
     report: DegradationReport | None = None,
+    bounded: bool = True,
 ) -> StreamingEvidence:
-    """Extract streaming evidence with durable per-shard checkpoints.
+    """Extract evidence with durable per-shard checkpoints.
 
     ``resume=False`` demands a pristine directory: finding a manifest
     raises :class:`~repro.errors.UsageError` rather than silently
@@ -194,10 +201,12 @@ def checkpointed_evidence(
     fresh, uncached run over ``paths``, and ``report`` receives the
     same quarantines.
 
-    The remaining keywords are the shard runner's policy
+    The remaining keywords are the shard runner's policy and bound
     (:func:`~repro.runtime.parallel.parallel_evidence`), with
-    ``fault_plan`` as its ``faults``.  Its shard indexes count fresh
-    shards, and ``fault_plan.kill_after_shards`` hard-kills the process
+    ``fault_plan`` as its ``faults``.  The manifest records the bound,
+    so a resume never reuses a shard folded under the other one.  Its
+    shard indexes count fresh shards, and
+    ``fault_plan.kill_after_shards`` hard-kills the process
     (exit status ``CRASH_EXIT_STATUS``) immediately after the named
     fresh shard commits — the hook the crash/resume property tests use.
     """
@@ -212,9 +221,10 @@ def checkpointed_evidence(
                 "state_dir at a fresh directory"
             )
         entries = [_document_entry(path, on_error) for path in paths]
-        reused = _reusable_shards(run_dir, old, entries, recorder, on_error)
+        word_cap = evidence_module.WORD_CAP if bounded else None
+        reused = _reusable_shards(run_dir, old, entries, recorder, on_error, word_cap)
         durable = {shard.start: entry for shard, entry in reused}
-        manifest = Manifest(sample_cap=SAMPLE_CAP, word_cap=evidence_module.WORD_CAP)
+        manifest = Manifest(sample_cap=SAMPLE_CAP, word_cap=word_cap)
 
         def store() -> None:
             """Rewrite the manifest from every durable entry, corpus order."""
@@ -256,6 +266,7 @@ def checkpointed_evidence(
             deadline=deadline,
             report=report,
             on_commit=commit,
+            bounded=bounded,
         )
         manifest.complete = True
         store()

@@ -84,7 +84,6 @@ def _cmd_infer(args: argparse.Namespace) -> int:
         faults = FaultPlan.from_cli(args.fault_plan)
     config = InferenceConfig(
         method=args.method,
-        streaming=args.streaming,
         jobs=args.jobs,
         numeric=args.numeric,
         support_threshold=args.support_threshold,
@@ -276,21 +275,12 @@ def build_parser() -> argparse.ArgumentParser:
         "than N parent sequences (Section 9)",
     )
     infer.add_argument(
-        "--streaming",
-        action="store_true",
-        help="bound each element's bag of distinct child words, spilling "
-        "past the cap into mergeable learner states (memory bounded by the "
-        "schema, not the corpus); --numeric and --support-threshold then "
-        "fail on an element that spilled",
-    )
-    infer.add_argument(
         "--jobs",
         type=_positive_int,
         default=None,
         metavar="N",
         help="split the corpus into N contiguous shards, folded on up to "
-        "cpu_count worker processes, and merge their evidence (map-reduce; "
-        "implies --streaming)",
+        "cpu_count worker processes, and merge their evidence (map-reduce)",
     )
     infer.add_argument(
         "--no-cache",
@@ -339,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="checkpoint the run into DIR: per-shard evidence is "
         "committed durably as they complete, with a content-hash manifest "
-        "of the corpus (implies --streaming; requires file paths)",
+        "of the corpus (requires file paths)",
     )
     infer.add_argument(
         "--resume",

@@ -541,7 +541,7 @@ def check_checkpoint_resume(
 
     survivors = [path for path in paths if path not in quarantined]
     cached = evidence_digest(evidence)
-    fresh = evidence_digest(parallel_evidence(survivors, 1))
+    fresh = evidence_digest(parallel_evidence(survivors, 1, bounded=evidence.bounded))
     if cached != fresh:
         raise _violated(
             "ckpt.resume-equals-fresh",

@@ -97,12 +97,16 @@ def validate_method(method: str) -> None:
 
 
 def _spilled_error(option: str, name: str) -> CorpusError:
-    """``option`` needs the words of element ``name``, whose bag spilled."""
+    """``option`` needs the words of element ``name``, whose bag spilled.
+
+    :func:`repro.api.infer` keeps bags whole whenever ``option`` is set,
+    so only evidence a caller folds itself with a bound can spill.
+    """
     return CorpusError(
-        f"{option} reads the child words of element {name!r}, but its "
-        f"streaming evidence passed {evidence_module.WORD_CAP} distinct words "
-        "and spilled into learner states; infer with "
-        f"{option} on the batch path (no streaming, jobs, state_dir or session)"
+        f"{option} reads the child words of element {name!r}, but its bag "
+        f"passed WORD_CAP={evidence_module.WORD_CAP} distinct words and "
+        f"spilled into learner states; fold with whole bags "
+        f"(StreamingEvidence(bounded=False)) to use {option}"
     )
 
 

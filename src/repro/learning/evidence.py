@@ -14,13 +14,13 @@ those states.
 One type, :class:`StreamingEvidence`, holds every corpus: one
 :class:`ElementEvidence` per element name, which counts child words in
 a :class:`WordBag` (distinct words with multiplicities); finalize
-learns from the distinct words only.  The pipeline shape picks the
-bound: a batch run keeps every bag whole (``bounded=False``, as
-:func:`extract_evidence` builds it from in-memory documents), while the
-streaming, sharded, checkpointed and session shapes bound
-each bag by :data:`WORD_CAP` distinct words, past which it spills into
-the incremental learner states (:class:`LearnerStates`), so memory is
-bounded by the *schema* size, not the corpus size.
+learns from the distinct words only.  The run's config picks the
+bound, the same for every pipeline shape: each bag is capped at
+:data:`WORD_CAP` distinct words, past which it spills into the
+incremental learner states (:class:`LearnerStates`), so memory is
+bounded by the *schema* size, not the corpus size; only options that
+read the words (numerical predicates, support thresholds) keep every
+bag whole (``bounded=False``, as :func:`extract_evidence` builds it).
 :meth:`~StreamingEvidence.merge` combines evidence from disjoint
 corpus shards associatively — the map-reduce property behind
 :mod:`repro.runtime.parallel`.
@@ -50,7 +50,7 @@ Word = tuple[str, ...]
 #: of the evidence constant-size in corpus length.
 SAMPLE_CAP = 1000
 
-#: Distinct child words one element's streaming bag may hold before it
+#: Distinct child words one element's bounded bag may hold before it
 #: spills into learner states.  Well above the per-element distinct
 #: counts of realistic corpora (the benchmark's 2,000-document
 #: ``medium`` corpus peaks at 1,966), so the cap only binds on corpora
@@ -63,7 +63,7 @@ class WordBag:
 
     Real corpora repeat the same child-name sequences massively (every
     ``<book>`` with one author produces the same word), so storing a
-    ``Counter`` instead of a list makes evidence, batch and streaming,
+    ``Counter`` instead of a list makes evidence, whole or bounded,
     scale with the number of *distinct* sequences.  Multiplicities are preserved
     because CRX's quantifier inference needs them: iterating a bag
     yields each word once per occurrence, in first-seen order.
@@ -424,14 +424,15 @@ class ElementEvidence:
 class StreamingEvidence:
     """Corpus evidence counted on the fly into per-element bags.
 
-    A ``bounded`` evidence (the default, and every shape but batch)
-    keeps at most :data:`WORD_CAP` distinct child words per element
-    before that element spills into learner states, whose size is
+    A ``bounded`` evidence (the default, and every run that neither
+    tightens numerical bounds nor thresholds support) keeps at most
+    :data:`WORD_CAP` distinct child words per element before that
+    element spills into learner states, whose size is
     bounded by the inferred schema's complexity (alphabet sizes, 2-gram
     sets, distinct CRX occurrence profiles); with the fixed reservoirs,
     memory is bounded by the schema — *not* by the number of documents
     or element occurrences, which is what Section 9 promises makes the
-    learners incrementally updatable.  Batch evidence
+    learners incrementally updatable.  Whole-bag evidence
     (``bounded=False``) never spills, so finalize can always reread its
     words.  ``merge`` combines evidence from disjoint corpus shards
     associatively, enabling map-reduce inference, and :meth:`dehydrate`
@@ -553,8 +554,10 @@ class StreamingEvidence:
 
 
 def extract_evidence(documents: Iterable[Document]) -> StreamingEvidence:
-    """Collect a batch run's evidence: every bag kept whole.
+    """Fold parsed documents into whole-bag evidence (``bounded=False``).
 
+    The in-memory fold tests and benchmark probes compare against;
+    :func:`repro.api.infer` builds its evidence in the shard runner.
     Documents may come from a lazy iterator and are dropped as soon as
     they are folded in.
     """

@@ -4,8 +4,8 @@
   shards, extract each in the driver or on the warm process pool, retry
   failed shards, merge the shard evidence in corpus order (and
   per-shard stats snapshots when a recorder is live).  Every run goes
-  through it — batch (one serial shard with whole bags),
-  ``--jobs``/``--streaming``, in-memory documents, session appends,
+  through it — batch (one serial shard), ``--jobs``, in-memory
+  documents, session appends,
   degraded runs and :mod:`repro.ckpt`'s checkpointed runs, which add
   reloaded shards and a commit hook.
 * :func:`choose_backend` — the one shard plan: ``jobs`` shards on every

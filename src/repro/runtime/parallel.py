@@ -23,10 +23,10 @@ The result is byte-identical to batch inference on the same corpus —
 property-tested in ``tests/runtime/test_parallel.py``.
 
 One runner, :func:`parallel_evidence`, builds the evidence of every
-run: batch, ``--jobs`` and ``--streaming`` runs, in-memory documents,
-session appends, degraded runs and checkpointed runs alike.  A batch
-run is one serial shard whose bags are kept whole (``bounded=False``),
-so it never spills and never holds more than one parsed tree.  Every
+run: batch and ``--jobs`` runs, in-memory documents, session appends,
+degraded runs and checkpointed runs alike.  A batch run is one serial
+shard, so it never holds more than one parsed tree.  Whether bags are
+capped (``bounded``) is the caller's choice, made from its config.  Every
 run gets the same worker body (paths, XML text and documents all load
 through :func:`~repro.runtime.resilience.load_document`), the same
 retry ladder (:data:`~repro.runtime.resilience.DEFAULT_RETRY_POLICY`,
@@ -350,11 +350,11 @@ def parallel_evidence(
 ) -> StreamingEvidence:
     """The shard runner: extract streaming evidence from ``paths``.
 
-    ``paths`` holds file paths, XML text or parsed documents (the last
-    only with ``jobs=1``: documents never cross a process boundary).
-    ``bounded`` caps each shard's bags at
-    :data:`~repro.learning.evidence.WORD_CAP`; a batch run passes
-    ``jobs=1, bounded=False``, one serial shard with whole bags.
+    ``paths`` holds file paths, XML text or parsed documents; documents
+    never cross a process boundary, so a plan with any folds its shards
+    in the driver.  ``bounded`` caps each bag at
+    :data:`~repro.learning.evidence.WORD_CAP`; reused shards must carry
+    the same bound, since the first shard becomes the merged result.
 
     Planning.  ``reuse`` holds already-folded shards (a checkpoint's
     reloaded states); the runner shards the positions they leave
@@ -402,6 +402,8 @@ def parallel_evidence(
         gaps.append((covered, len(items)))
     work = sum(stop - start for start, stop in gaps)
     chosen, shard_count = choose_backend(work, jobs)
+    if chosen == "process" and any(isinstance(item, Document) for item in items):
+        chosen = "serial"
     if recorder.enabled:
         recorder.count(f"parallel.backend.{chosen}")
     fresh: list[Shard] = []

@@ -41,7 +41,6 @@ from ..obs.report import summary_dict
 CONFIG_KEYS = frozenset(
     {
         "method",
-        "streaming",
         "jobs",
         "numeric",
         "support_threshold",

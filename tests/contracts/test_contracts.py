@@ -104,7 +104,7 @@ class TestPipelineSatisfiesContracts:
 
     def test_streaming_inference(self):
         with contracts_active():
-            result = infer(DOCS, config=InferenceConfig(streaming=True))
+            result = infer(DOCS, config=InferenceConfig(jobs=2))
         assert "r" in result.dtd.elements
 
     def test_both_learners(self):

@@ -9,7 +9,7 @@ before the repair search scored its candidates by count; the search
 must keep choosing the same repairs.  A digest of every rewrite step
 was recorded before the rewrite loop carried its closure and bucketed
 its disjunction candidates; the same rules must fire on the same nodes.  The DTD bytes must also agree
-across batch, streaming and ``jobs=2`` for each SORE-based method.
+across batch and ``jobs=2`` for each SORE-based method.
 """
 
 import hashlib
@@ -129,7 +129,7 @@ def test_idtd_repairs_are_pinned(documents):
 
 @pytest.mark.parametrize("method", ["auto", "idtd", "kore"])
 def test_dtd_bytes_equal_across_shapes(paths, method):
-    shapes = [{}, {"streaming": True}, {"jobs": 2}]
+    shapes = [{}, {"jobs": 2}]
     for options in shapes:
         # cache=False: each shape learns the root afresh
         config = InferenceConfig(method=method, cache=False, **options)

@@ -11,6 +11,7 @@ from repro.core.inference import DTDInferencer
 from repro.datagen.xmlgen import XmlGenerator, serialize
 from repro.errors import UsageError
 from repro.obs import StatsRecorder
+from repro.learning import evidence as evidence_module
 from repro.learning.evidence import StreamingEvidence, extract_evidence
 from repro.runtime.parallel import PROCESS_CORPUS_FLOOR, parallel_evidence
 from repro.xmlio.dtd import parse_dtd
@@ -65,14 +66,13 @@ class TestFacadeMatchesLegacy:
 
     @pytest.mark.parametrize("method", ["auto", "idtd", "crx"])
     def test_streaming(self, corpus, method):
+        # The capped fold composed by hand: what a default run folds.
         evidence = StreamingEvidence()
         evidence.add_documents(parse_file(path) for path in corpus)
         expected = DTDInferencer(method=method).finalize(evidence).render()
-        result = infer(
-            corpus, config=InferenceConfig(method=method, streaming=True)
-        )
+        result = infer(corpus, config=InferenceConfig(method=method))
         assert result.render() == expected
-        # ... and streaming output equals batch output on this corpus.
+        # ... and equals the whole-bag fold on this corpus.
         assert result.render() == _legacy_batch(corpus, method=method).render()
 
     @pytest.mark.parametrize("jobs", [1, 2, 3])
@@ -170,10 +170,15 @@ class TestSourceForms:
         with pytest.raises(UsageError):
             infer([])
 
-    def test_jobs_require_paths(self):
-        document = parse_document("<r><x/></r>")
-        with pytest.raises(UsageError):
-            infer([document, document], config=InferenceConfig(jobs=2))
+    def test_jobs_fold_parsed_documents_in_the_driver(self, pool_corpus, two_cpus):
+        # Documents never cross a process boundary: the shards that would
+        # go to the pool fold in the driver, in shard order.
+        documents = [parse_file(path) for path in pool_corpus]
+        recorder = StatsRecorder()
+        sharded = infer(documents, config=InferenceConfig(jobs=2, recorder=recorder))
+        assert recorder.counters["parallel.backend.serial"] == 1
+        assert "parallel.backend.process" not in recorder.counters
+        assert sharded.render() == infer(pool_corpus).render()
 
     def test_jobs_ship_xml_literals(self, pool_corpus, two_cpus):
         literals = []
@@ -185,12 +190,28 @@ class TestSourceForms:
         assert recorder.counters["parallel.backend.process"] == 1
         assert sharded.render() == infer(pool_corpus).render()
 
-    def test_streaming_accepts_documents_without_jobs(self):
+    def test_streaming_accepts_documents_without_jobs(self, monkeypatch):
+        # The capped fold takes parsed documents in one shard; under a
+        # cap of one word every bag spills, and the bytes stay batch's.
         documents = [
-            parse_document("<r><x/></r>"), parse_document("<r><x/><x/></r>")
+            parse_document("<r><x/></r>"), parse_document("<r><x/><y/></r>")
         ]
-        result = infer(documents, config=InferenceConfig(streaming=True))
-        assert "<!ELEMENT r (x+)>" in result.render()
+        batch = infer(documents).render()
+        assert "<!ELEMENT r (x,y?)>" in batch
+        monkeypatch.setattr(evidence_module, "WORD_CAP", 1)
+        assert infer(documents).render() == batch
+
+    @pytest.mark.parametrize(
+        "option", [{}, {"numeric": True}, {"support_threshold": 2}],
+        ids=["plain", "numeric", "support"],
+    )
+    def test_documents_compose_with_jobs(self, option):
+        documents = [parse_document("<r><x/></r>"), parse_document("<r><x/><x/></r>")]
+        mixed = [*documents, "<r><x/><x/><x/></r>"]
+        batch = infer(mixed, config=InferenceConfig(**option)).render()
+        assert "<!ELEMENT r (x" in batch
+        for jobs in (2, 3):
+            assert infer(mixed, config=InferenceConfig(jobs=jobs, **option)).render() == batch
 
 
 class TestInferenceConfigValidation:
@@ -208,21 +229,21 @@ class TestInferenceConfigValidation:
             InferenceConfig(method="magic")
 
     def test_numeric_composes_with_streaming(self):
-        assert InferenceConfig(streaming=True, numeric=True).effective_streaming
+        documents = ["<r><a/><a/></r>", "<r><a/></r>", "<r><a/><a/><a/></r>"]
+        batch = infer(documents, InferenceConfig(numeric=True)).render()
+        with api.InferenceSession(InferenceConfig(numeric=True)) as session:
+            for document in documents:
+                session.append(document)
+            assert session.current_dtd().render() == batch
 
     def test_numeric_composes_with_jobs(self):
         assert InferenceConfig(jobs=2, numeric=True).effective_streaming
 
     def test_support_threshold_composes_with_streaming(self):
-        for shape in ({"streaming": True}, {"jobs": 2}):
-            config = InferenceConfig(support_threshold=3, **shape)
-            assert config.effective_streaming
         documents = ["<r><a/><a/></r>"] * 9 + ["<r><a/><zz/></r>"]
         batch = infer(documents, InferenceConfig(support_threshold=3))
-        streamed = infer(
-            documents, InferenceConfig(support_threshold=3, streaming=True)
-        )
-        assert streamed.render() == batch.render()
+        sharded = infer(documents, InferenceConfig(support_threshold=3, jobs=2))
+        assert sharded.render() == batch.render()
         assert "zz" not in batch.render()
 
     def test_nonpositive_jobs(self):
@@ -236,7 +257,12 @@ class TestInferenceConfigValidation:
     def test_jobs_imply_streaming(self):
         assert InferenceConfig(jobs=2).effective_streaming
         assert not InferenceConfig().effective_streaming
-        assert InferenceConfig(streaming=True).effective_streaming
+        assert not InferenceConfig(numeric=True).effective_streaming
+        assert InferenceConfig(state_dir="run").effective_streaming
+
+    def test_streaming_is_no_option(self):
+        with pytest.raises(TypeError):
+            InferenceConfig(streaming=True)
 
 
 class TestResultAndRecorder:

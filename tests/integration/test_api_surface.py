@@ -5,9 +5,14 @@ package root keeps.  A new name showing up in ``__all__``, or a removed
 entry point coming back, should fail loudly here.
 """
 
+import importlib
+
+import pytest
+
 import repro
 import repro.api
 import repro.core
+import repro.core.rewrite
 import repro.runtime
 from repro.xmlio.parser import parse_document
 
@@ -97,6 +102,19 @@ class TestApiSurface:
         ]
         for package in (repro.core, repro.runtime):
             assert not [name for name in package.__all__ if name.startswith("infer")]
+
+    @pytest.mark.parametrize("name", ["crx", "idtd", "rewrite"])
+    def test_core_submodules_are_not_shadowed(self, name):
+        # The learners of the same names stay public at the package root.
+        module = importlib.import_module(f"repro.core.{name}")
+        assert getattr(repro.core, name) is module
+        assert name not in repro.core.__all__
+
+    def test_dotted_patch_reaches_the_rewrite_module(self, monkeypatch):
+        assert importlib.import_module("repro.core.rewrite") is repro.core.rewrite
+        marker = object()
+        monkeypatch.setattr("repro.core.rewrite.check_gfa", marker)
+        assert vars(importlib.import_module("repro.core.rewrite"))["check_gfa"] is marker
 
     def test_the_engine_has_one_public_method(self):
         public = [name for name in dir(repro.DTDInferencer) if not name.startswith("_")]

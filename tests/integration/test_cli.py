@@ -45,10 +45,10 @@ class TestInfer:
 
 
 class TestStreamingInfer:
-    def test_streaming_output_identical_to_batch(self, corpus_files, capsys):
+    def test_streaming_output_identical_to_batch(self, corpus_files, tmp_path, capsys):
         assert main(["infer", *corpus_files]) == 0
         batch = capsys.readouterr().out
-        assert main(["infer", "--streaming", *corpus_files]) == 0
+        assert main(["infer", "--state-dir", str(tmp_path / "run"), *corpus_files]) == 0
         assert capsys.readouterr().out == batch
 
     def test_parallel_output_identical_to_batch(self, corpus_files, capsys):
@@ -66,7 +66,7 @@ class TestStreamingInfer:
     def test_streaming_numeric_matches_batch(self, corpus_files, capsys):
         assert main(["infer", "--numeric", *corpus_files]) == 0
         batch = capsys.readouterr().out
-        assert main(["infer", "--streaming", "--numeric", *corpus_files]) == 0
+        assert main(["infer", "--jobs", "2", "--numeric", *corpus_files]) == 0
         assert capsys.readouterr().out == batch
 
     def test_streaming_support_threshold_matches_batch(self, tmp_path, capsys):
@@ -81,7 +81,7 @@ class TestStreamingInfer:
         assert main(["infer", "--support-threshold", "3", *paths]) == 0
         batch = capsys.readouterr().out
         assert "zz" not in batch
-        for shape in (["--streaming"], ["--jobs", "2"]):
+        for shape in (["--jobs", "2"], ["--state-dir", str(tmp_path / "run")]):
             argv = ["infer", *shape, "--support-threshold", "3", *paths]
             assert main(argv) == 0
             assert capsys.readouterr().out == batch
@@ -114,8 +114,14 @@ class TestExitCodes:
 
     def test_nonexistent_path_streaming(self, tmp_path, capsys):
         missing = str(tmp_path / "nope.xml")
-        assert main(["infer", "--streaming", missing]) == 1
+        assert main(["infer", "--jobs", "2", missing]) == 1
         assert "error" in capsys.readouterr().err
+
+    def test_streaming_flag_is_gone(self, corpus_files, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["infer", "--streaming", *corpus_files])
+        assert excinfo.value.code == 1
+        assert "unrecognized arguments: --streaming" in capsys.readouterr().err
 
     def test_malformed_xml(self, tmp_path, capsys):
         path = tmp_path / "broken.xml"
@@ -135,7 +141,7 @@ class TestExitCodes:
     def test_single_document_with_nonrepeating_root(self, tmp_path, capsys):
         path = tmp_path / "solo.xml"
         path.write_text("<solo><a/><b/></solo>", encoding="utf-8")
-        for extra in ([], ["--streaming"], ["--method", "idtd"]):
+        for extra in ([], ["--jobs", "2"], ["--method", "idtd"]):
             assert main(["infer", *extra, str(path)]) == 0
             assert "<!ELEMENT solo (a,b)>" in capsys.readouterr().out
 
@@ -307,7 +313,7 @@ class TestStatsAndTrace:
         # --no-cache: a warm content-model cache legitimately skips the
         # rewrite phase, and this test asserts a fresh derivation.
         code = main(
-            ["dtd", "--streaming", "--method", "idtd", "--no-cache",
+            ["dtd", "--jobs", "2", "--method", "idtd", "--no-cache",
              "--trace", str(trace), *corpus_files]
         )
         assert code == 0
@@ -334,7 +340,6 @@ class TestStatsAndTrace:
             paths.append(str(path))
         shapes = {
             "batch": [],
-            "streaming": ["--streaming"],
             "jobs": ["--jobs", "2"],
             "state_dir": ["--state-dir", str(tmp_path / "state")],
         }
@@ -375,7 +380,7 @@ class TestStatsAndTrace:
         self, corpus_files, capsys
     ):
         assert main(
-            ["infer", "--streaming", "--stats", *corpus_files]
+            ["infer", "--jobs", "2", "--stats", *corpus_files]
         ) == 0
         err = capsys.readouterr().err
         assert "cache.content_model" in err

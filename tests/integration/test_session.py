@@ -63,7 +63,7 @@ class TestByteIdentity:
     @pytest.mark.parametrize("method", ["auto", "idtd", "crx"])
     def test_ten_chunks_match_one_shot(self, method):
         documents = corpus(20)
-        config = api.InferenceConfig(method=method, streaming=True)
+        config = api.InferenceConfig(method=method)
         session = api.InferenceSession(config)
         for chunk in chunks(documents, 10):
             session.append(chunk)
@@ -125,20 +125,25 @@ class TestByteIdentity:
             path = tmp_path / f"doc{index:02d}.xml"
             path.write_text(text)
             paths.append(str(path))
-        config = api.InferenceConfig(streaming=True, jobs=2)
+        config = api.InferenceConfig(jobs=2)
         session = api.InferenceSession(config)
         for chunk in chunks(paths, 4):
             session.append(chunk)
         expected = api.infer(paths, config=config)
         assert session.current_dtd().render() == expected.render()
 
-    def test_batch_config_promoted_to_streaming(self):
+    @pytest.mark.parametrize(
+        "option", [{}, {"numeric": True}, {"support_threshold": 2}],
+        ids=["plain", "numeric", "support"],
+    )
+    def test_session_keeps_its_config(self, option):
         documents = corpus(8)
-        session = api.InferenceSession(api.InferenceConfig(streaming=False))
-        assert session.config.streaming is True
+        config = api.InferenceConfig(**option)
+        session = api.InferenceSession(config)
+        assert session.config is config
         for chunk in chunks(documents, 4):
             session.append(chunk)
-        expected = api.infer(documents, config=session.config)
+        expected = api.infer(documents, config=config)
         assert session.current_dtd().render() == expected.render()
 
     def test_xsd_rendering_matches_too(self):
@@ -158,9 +163,7 @@ class TestResilientSessions:
             path = tmp_path / f"doc{index:02d}.xml"
             path.write_text(text)
             paths.append(str(path))
-        config = api.InferenceConfig(
-            streaming=True, jobs=2, faults={"worker_crashes": [0]}
-        )
+        config = api.InferenceConfig(jobs=2, faults={"worker_crashes": [0]})
         session = api.InferenceSession(config)
         for chunk in chunks(paths, 3):
             session.append(chunk)
@@ -179,7 +182,6 @@ class TestResilientSessions:
             path.write_text(text)
             paths.append(str(path))
         config = api.InferenceConfig(
-            streaming=True,
             jobs=2,
             on_error="skip",
             faults={"worker_crashes": [0]},
@@ -206,7 +208,7 @@ class TestResilientSessions:
         good = corpus(9)
         texts = good[:4] + ["<broken><unclosed></broken>"] + good[4:]
         paths = self._write_paths(tmp_path, texts)
-        config = api.InferenceConfig(streaming=True, on_error="skip")
+        config = api.InferenceConfig(on_error="skip")
         session = api.InferenceSession(config)
         for chunk in chunks(paths, 5):
             session.append(chunk)
@@ -233,9 +235,7 @@ class TestResilientSessions:
         paths = self._write_paths(
             tmp_path, ["<a/>", "<broken><unclosed>", "<also><broken>"]
         )
-        config = api.InferenceConfig(
-            streaming=True, on_error="skip", max_quarantine=1
-        )
+        config = api.InferenceConfig(on_error="skip", max_quarantine=1)
         session = api.InferenceSession(config)
         session.append(paths[:2])
         with pytest.raises(Exception, match="quarantine"):
@@ -247,7 +247,7 @@ class TestResilientSessions:
         paths = self._write_paths(
             tmp_path, corpus(6) + ["<broken><unclosed>"]
         )
-        config = api.InferenceConfig(streaming=True, on_error="skip")
+        config = api.InferenceConfig(on_error="skip")
         session = api.InferenceSession(config)
         session.append(paths)
         first = session.current_dtd()

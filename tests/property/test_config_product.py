@@ -1,7 +1,7 @@
 """The config product: every pipeline shape composes with every error mode.
 
-Shapes {batch, ``streaming``, ``jobs=2`` on threads, ``state_dir``,
-``state_dir`` killed after its first shard and then resumed} cross
+Shapes {batch, ``jobs=2``, ``state_dir``, ``state_dir`` killed after its
+first shard and then resumed, a session fed in two appends} cross
 error modes {strict, skip} and every method.  One corpus holds a single
 corrupt document inside the first shard, so a skip-mode run killed
 after that shard must replay the quarantine from its manifest.
@@ -10,14 +10,19 @@ after that shard must replay the quarantine from its manifest.
   remainder and quarantine exactly what the batch skip run does;
 * strict runs on the clean remainder render those same bytes, and on
   the corrupt corpus raise :class:`~repro.errors.CorpusError`;
-* ``numeric=True`` renders the batch ``numeric=True`` bytes, or raises
-  its error, in every shape;
+* ``numeric=True`` renders the batch ``numeric=True`` bytes in every
+  shape (kore, whose repeats take no numerical bounds, raises the batch
+  run's :class:`~repro.errors.UsageError` in every shape);
 * ``support_threshold=2`` renders the batch ``support_threshold=2``
-  bytes, or raises its error, in every shape, on a corpus where the
-  threshold drops a name;
+  bytes in every shape, on a corpus where the threshold drops a name;
+* with :data:`~repro.learning.evidence.WORD_CAP` patched to 1, so that
+  every capped bag spills, both options still render the unpatched
+  batch bytes in every shape: they keep the bags whole;
+* a resume that turns ``numeric`` on over shards folded under the cap
+  re-parses them and renders the batch ``numeric=True`` bytes;
 * the same corpus given as XML text, in the shapes that accept it
-  {batch, ``streaming``, ``jobs=2``}, renders the path runs' bytes in
-  both error modes and quarantines the corrupt literal at its corpus
+  {batch, ``jobs=2``, session}, renders the path runs' bytes in both
+  error modes and quarantines the corrupt literal at its corpus
   position with the path run's cause.
 
 The ambient ``REPRO_FAULTS`` plan stays in force for the shapes under
@@ -35,11 +40,13 @@ import sys
 
 import pytest
 
-from repro.api import InferenceConfig, infer
+from repro.api import InferenceConfig, InferenceSession, infer
 from repro.ckpt.manifest import load_manifest
 from repro.core.inference import METHODS
 from repro.datagen.xmlgen import XmlGenerator, serialize
-from repro.errors import CorpusError, ReproError, UsageError
+from repro.errors import CorpusError, UsageError
+from repro.learning import evidence as evidence_module
+from repro.obs.recorder import StatsRecorder
 from repro.runtime.resilience import CRASH_EXIT_STATUS
 from repro.xmlio.dtd import parse_dtd
 
@@ -51,8 +58,8 @@ DTD_SOURCE = (
 COUNT = 12
 CORRUPT = 2  # inside shard 0 of a two-shard run
 
-SHAPES = ["batch", "streaming", "jobs", "state_dir", "killed"]
-LITERAL_SHAPES = ["batch", "streaming", "jobs"]  # state_dir needs files
+SHAPES = ["batch", "jobs", "state_dir", "killed", "session"]
+LITERAL_SHAPES = ["batch", "jobs", "session"]  # state_dir needs files
 
 _SRC = os.path.join(
     os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__)))), "src"
@@ -122,11 +129,16 @@ def kill_after_first_shard(paths, config):
 
 
 def run(shape, paths, method, mode, state_dir, **options):
-    """One inference of ``paths`` in ``shape``; the killed shape resumes."""
+    """One inference of ``paths`` in ``shape``; the killed shape resumes
+    and the session appends the two halves."""
     config = {"method": method, "on_error": mode, **options}
-    if shape == "streaming":
-        config["streaming"] = True
-    elif shape == "jobs":
+    if shape == "session":
+        session = InferenceSession(InferenceConfig(**config))
+        half = len(paths) // 2
+        session.append(paths[:half])
+        session.append(paths[half:])
+        return session.current_dtd()
+    if shape == "jobs":
         config.update(jobs=2)
     elif shape == "state_dir":
         config["state_dir"] = str(state_dir)
@@ -171,8 +183,8 @@ def test_strict_mode_on_clean_and_corrupt_corpora(corpus, tmp_path, shape, metho
 @pytest.mark.parametrize("method", METHODS)
 @pytest.mark.parametrize("shape", SHAPES)
 def test_numeric_equals_batch(corpus, tmp_path, shape, method):
-    """Same bytes, or the same refusal: annotation needs a single
-    occurrence expression, which kore's repeats are not."""
+    """Same bytes, or kore's refusal in batch too: annotation needs a
+    single occurrence expression, which kore's repeats are not."""
 
     def outcome(thunk):
         try:
@@ -184,6 +196,7 @@ def test_numeric_equals_batch(corpus, tmp_path, shape, method):
     expected = outcome(
         lambda: infer(clean, config=InferenceConfig(method=method, numeric=True, faults={}))
     )
+    assert expected.startswith("UsageError") == (method == "kore")
     assert outcome(
         lambda: run(shape, clean, method, "strict", tmp_path / "run", numeric=True)
     ) == expected
@@ -193,23 +206,62 @@ def test_numeric_equals_batch(corpus, tmp_path, shape, method):
 @pytest.mark.parametrize("shape", SHAPES)
 def test_support_threshold_equals_batch(noisy, tmp_path, shape, method):
     """The support filter counts the same words in every shape."""
-
-    def outcome(thunk):
-        try:
-            return thunk().render()
-        except ReproError as error:
-            return f"{type(error).__name__}: {error}"
-
-    expected = outcome(
-        lambda: infer(
-            noisy, config=InferenceConfig(method=method, support_threshold=2, faults={})
-        )
-    )
+    expected = infer(
+        noisy, config=InferenceConfig(method=method, support_threshold=2, faults={})
+    ).render()
     assert "gift" not in expected
     assert "gift" in reference(noisy, method)
-    assert outcome(
-        lambda: run(shape, noisy, method, "strict", tmp_path / "run", support_threshold=2)
-    ) == expected
+    result = run(shape, noisy, method, "strict", tmp_path / "run", support_threshold=2)
+    assert result.render() == expected
+
+
+WORD_CAP_SHAPES = ["batch", "jobs", "killed", "session"]
+
+
+@pytest.mark.parametrize(
+    "option", [{"numeric": True}, {"support_threshold": 2}], ids=["numeric", "support"]
+)
+@pytest.mark.parametrize("shape", WORD_CAP_SHAPES)
+def test_word_reading_options_keep_bags_whole(noisy, tmp_path, monkeypatch, shape, option):
+    """Under a cap of one word every capped bag spills; the options that
+    read the words keep every bag whole, so no shape refuses them.  The
+    killed shape resumes a shard its child folded whole: the reused
+    shard becomes the merge accumulator and must not take the cap."""
+    expected = infer(noisy, config=InferenceConfig(method="idtd", faults={}, **option)).render()
+    monkeypatch.setattr(evidence_module, "WORD_CAP", 1)
+    recorder = StatsRecorder()
+    infer(noisy, config=InferenceConfig(method="idtd", recorder=recorder, faults={}))
+    assert recorder.counters["evidence.spills"] > 0
+    result = run(shape, noisy, "idtd", "strict", tmp_path / "run", **option)
+    assert result.render() == expected
+
+
+def test_resume_turning_numeric_on_reparses_capped_shards(corpus, tmp_path, monkeypatch):
+    """Shards folded under the cap spilled; the manifest records the cap,
+    so a whole-bag resume re-parses them instead of reusing them."""
+    _paths, clean = corpus
+    expected = infer(clean, config=InferenceConfig(method="idtd", numeric=True, faults={}))
+    monkeypatch.setattr(evidence_module, "WORD_CAP", 1)
+    state = tmp_path / "run"
+    infer(clean, config=InferenceConfig(method="idtd", jobs=2, state_dir=str(state)))
+    assert load_manifest(state).word_cap == 1
+    recorder = StatsRecorder()
+    resumed = infer(
+        clean,
+        config=InferenceConfig(
+            method="idtd",
+            numeric=True,
+            jobs=2,
+            state_dir=str(state),
+            resume=True,
+            recorder=recorder,
+            faults={},
+        ),
+    )
+    assert resumed.render() == expected.render()
+    assert recorder.counters["ckpt.corrupt"] == 2
+    assert "ckpt.hit" not in recorder.counters
+    assert load_manifest(state).word_cap is None
 
 
 @pytest.mark.parametrize("method", METHODS)

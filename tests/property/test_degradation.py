@@ -75,7 +75,7 @@ def test_property_holds_on_the_streaming_path(case):
     degraded = infer(
         documents,
         config=InferenceConfig(
-            streaming=True,
+            jobs=3,
             on_error="skip",
             faults={"corrupt_docs": sorted(drops)},
         ),
@@ -85,6 +85,6 @@ def test_property_holds_on_the_streaming_path(case):
         for index, document in enumerate(documents)
         if index not in drops
     ]
-    baseline = infer(survivors, config=_baseline_config(streaming=True))
+    baseline = infer(survivors, config=_baseline_config(jobs=3))
     assert degraded.dtd.render() == baseline.dtd.render()
     assert len(degraded.degradation.quarantined) == len(drops)

@@ -128,7 +128,7 @@ class TestPipelineByteIdentity:
         paths = write_documents(tmp_path, corpus_words(kind))
         batch = infer(paths, config=InferenceConfig(method=method)).render()
         streaming = infer(
-            paths, config=InferenceConfig(method=method, streaming=True)
+            paths, config=InferenceConfig(method=method, state_dir=str(tmp_path / "run"))
         ).render()
         sharded = infer(
             paths, config=InferenceConfig(method=method, jobs=2)

@@ -2,7 +2,7 @@
 
 The load-bearing property is byte-identity: inference with a cold
 cache, a warm cache, or no cache at all must render the same DTD, on
-both learners and both pipelines (batch and streaming).  Everything
+both learners and both evidence bounds (capped and whole bags).  Everything
 else here — keying, invalidation, eviction, the poisoned-entry
 contract — supports that property.
 """
@@ -99,10 +99,12 @@ class TestCachedEqualsUncached:
 
     @pytest.mark.parametrize("source", DTD_SOURCES)
     @pytest.mark.parametrize("method", ["idtd", "crx"])
-    @pytest.mark.parametrize("streaming", [False, True])
+    @pytest.mark.parametrize("whole_bags", [False, True])
     def test_byte_identical_across_randomized_corpora(
-        self, tmp_path, source, method, streaming
+        self, tmp_path, source, method, whole_bags
     ):
+        # numeric reads the words, so it folds whole bags; the default
+        # run caps them.
         for seed in (3, 11):
             paths = write_corpus(
                 tmp_path, source, 10, seed=seed
@@ -110,10 +112,10 @@ class TestCachedEqualsUncached:
             uncached = infer(
                 paths,
                 config=InferenceConfig(
-                    method=method, streaming=streaming, cache=False
+                    method=method, numeric=whole_bags, cache=False
                 ),
             ).render()
-            config = InferenceConfig(method=method, streaming=streaming)
+            config = InferenceConfig(method=method, numeric=whole_bags)
             cold = infer(paths, config=config).render()
             warm = infer(paths, config=config).render()
             assert cold == uncached
@@ -128,13 +130,13 @@ class TestCachedEqualsUncached:
             assert infer(paths).render() == cold
 
     def test_batch_and_streaming_share_entries(self, tmp_path):
-        # Both pipelines cache the learner output before optionality
-        # wrapping and numeric annotation, so the same merged state
-        # produces the same key regardless of pipeline.
+        # Capped and whole-bag runs cache the learner output before
+        # optionality wrapping and numeric annotation, so the same merged
+        # state produces the same key regardless of the bound.
         paths = write_corpus(tmp_path, DTD_SOURCES[0], 8)
         infer(paths, config=InferenceConfig(method="idtd"))
         entries_after_batch = len(global_content_model_cache())
-        infer(paths, config=InferenceConfig(method="idtd", streaming=True))
+        infer(paths, config=InferenceConfig(method="idtd", numeric=True, jobs=2))
         assert len(global_content_model_cache()) == entries_after_batch
         assert global_content_model_cache().hits > 0
 

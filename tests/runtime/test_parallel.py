@@ -159,19 +159,20 @@ class TestParallelEvidence:
         [{"numeric": True}, {"support_threshold": 2}],
         ids=["numeric", "support_threshold"],
     )
-    def test_numeric_rejected_on_streaming_path(self, tmp_path, monkeypatch, option):
+    def test_word_reading_options_compose_with_jobs(self, tmp_path, monkeypatch, option):
         """Numeric bounds and support counts read the words, which a
-        spilled bag no longer has; batch bags never spill."""
+        spilled bag no longer has: a hand-folded capped evidence is
+        refused, while ``infer`` keeps the bags whole on every shape."""
         paths = write_corpus(tmp_path, DTD_SOURCES[0], 8)
+        batch = infer(paths, InferenceConfig(cache=False, **option)).render()
         monkeypatch.setattr(evidence_module, "WORD_CAP", 1)
         evidence = streamed(paths)
         assert evidence.elements["r"].spilled is not None
         inferencer = DTDInferencer(**option)
-        with pytest.raises(CorpusError, match="element 'r'.*batch path"):
+        with pytest.raises(CorpusError, match="element 'r'.*WORD_CAP=1"):
             inferencer.finalize(evidence)
-        with pytest.raises(CorpusError, match="element 'r'.*batch path"):
-            sharded_dtd(paths, streaming=True, **option)
-        assert infer(paths, InferenceConfig(cache=False, **option)).dtd.elements
+        assert sharded_dtd(paths, jobs=2, **option) == batch
+        assert sharded_dtd(paths, **option) == batch
 
 
 #: ``(documents, jobs, cpus) -> plan`` on both sides of the floor.

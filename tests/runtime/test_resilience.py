@@ -174,12 +174,11 @@ class TestCrashRecovery:
             paths, jobs = write_corpus(tmp_path, PROCESS_CORPUS_FLOOR), 2
         else:
             paths, jobs = write_corpus(tmp_path, 12), None
-        baseline = infer(paths, config=InferenceConfig(streaming=True, jobs=jobs))
+        baseline = infer(paths, config=InferenceConfig(jobs=jobs))
         recorder = StatsRecorder()
         faulty = infer(
             paths,
             config=InferenceConfig(
-                streaming=True,
                 jobs=jobs,
                 recorder=recorder,
                 faults={"worker_crashes": [0]},
@@ -210,10 +209,10 @@ class TestCrashRecovery:
         recorder = StatsRecorder()
         faulty = infer(
             paths,
-            config=InferenceConfig(streaming=True, jobs=4, recorder=recorder, faults=faults),
+            config=InferenceConfig(jobs=4, recorder=recorder, faults=faults),
         )
         assert recorder.snapshot()["counters"]["parallel.backend.process"] == 1
-        baseline = infer(paths, config=InferenceConfig(streaming=True, jobs=4))
+        baseline = infer(paths, config=InferenceConfig(jobs=4))
         assert faulty.dtd.render() == baseline.dtd.render()
         (retry,) = faulty.degradation.retried_shards
         assert (retry.shard, retry.reason, retry.attempts) == (shard, reason, 2)
@@ -231,7 +230,6 @@ class TestCrashRecovery:
         result = infer(
             paths,
             config=InferenceConfig(
-                streaming=True,
                 jobs=2,
                 faults={"shard_timeouts": [1]},
             ),
@@ -249,12 +247,11 @@ class TestCrashRecovery:
         result = infer(
             paths,
             config=InferenceConfig(
-                streaming=True,
                 jobs=2,
                 faults={"worker_crashes": [0], "attempts": 3},
             ),
         )
-        baseline = infer(paths, config=InferenceConfig(streaming=True, jobs=2))
+        baseline = infer(paths, config=InferenceConfig(jobs=2))
         assert result.dtd.render() == baseline.dtd.render()
         (retry,) = result.degradation.retried_shards
         # 3 crashed pool attempts + the final serial pass = 4
@@ -266,7 +263,6 @@ class TestCrashRecovery:
             infer(
                 paths,
                 config=InferenceConfig(
-                    streaming=True,
                     jobs=2,
                     faults={"shard_timeouts": [0], "attempts": 3},
                 ),
@@ -277,7 +273,6 @@ class TestCrashRecovery:
         result = infer(
             paths,
             config=InferenceConfig(
-                streaming=True,
                 jobs=2,
                 on_error="skip",
                 faults={"shard_timeouts": [0], "attempts": 3},
@@ -291,7 +286,7 @@ class TestCrashRecovery:
         result = infer(
             paths,
             config=InferenceConfig(
-                streaming=True, jobs=2, shard_deadline=60.0
+                jobs=2, shard_deadline=60.0
             ),
         )
         assert result.degradation is not None
@@ -306,7 +301,7 @@ class TestQuarantine:
         result = infer(
             paths,
             config=InferenceConfig(
-                streaming=True, jobs=2, on_error="skip"
+                jobs=2, on_error="skip"
             ),
         )
         (doc,) = result.degradation.quarantined
@@ -314,7 +309,7 @@ class TestQuarantine:
         assert doc.cause
         survivors = [path for path in paths if path != str(broken)]
         baseline = infer(
-            survivors, config=InferenceConfig(streaming=True, jobs=2)
+            survivors, config=InferenceConfig(jobs=2)
         )
         assert result.dtd.render() == baseline.dtd.render()
 
@@ -322,7 +317,7 @@ class TestQuarantine:
         paths = write_corpus(tmp_path, 4)
         (tmp_path / "doc001.xml").write_text("not xml", encoding="utf-8")
         with pytest.raises(CorpusError):
-            infer(paths, config=InferenceConfig(streaming=True, jobs=2))
+            infer(paths, config=InferenceConfig(jobs=2))
         with pytest.raises(CorpusError):
             infer(paths)  # batch path, same strictness
 
@@ -334,7 +329,6 @@ class TestQuarantine:
     def test_max_quarantine_caps_skips(self, tmp_path):
         paths = write_corpus(tmp_path, 8)
         config = InferenceConfig(
-            streaming=True,
             jobs=2,
             on_error="skip",
             max_quarantine=1,
@@ -380,11 +374,11 @@ class TestQuarantine:
 
     @pytest.mark.parametrize(
         "options, backend",
-        [({}, "serial"), ({"streaming": True}, "process"), ({"jobs": 2}, "process")],
-        ids=["batch", "streaming", "jobs"],
+        [({}, "serial"), ({"jobs": 2}, "process")],
+        ids=["batch", "jobs"],
     )
     def test_malformed_literal_is_quarantined(self, two_cpus, options, backend):
-        # The streaming and jobs legs fold on two real pool workers: the
+        # The jobs leg folds on two real pool workers: the
         # quarantine, with its syntax-error cause and position, and its
         # counter travel back from the worker that parsed the literal.
         good = ["<r><item><name/></item></r>", "<r><item><name/><price/></item></r>"]
@@ -501,7 +495,6 @@ class TestCounters:
         result = infer(
             paths,
             config=InferenceConfig(
-                streaming=True,
                 jobs=2,
                 on_error="skip",
                 recorder=recorder,
@@ -529,7 +522,7 @@ class TestConfigValidation:
 
     def test_shard_deadline_must_be_positive(self):
         with pytest.raises(UsageError, match="shard_deadline"):
-            InferenceConfig(streaming=True, shard_deadline=0.0)
+            InferenceConfig(shard_deadline=0.0)
 
     def test_faults_type_is_checked(self):
         with pytest.raises(UsageError, match="faults"):
@@ -655,7 +648,6 @@ class TestAcceptanceScenario:
         paths = write_corpus(tmp_path, 200)
         recorder = StatsRecorder()
         config = InferenceConfig(
-            streaming=True,
             jobs=2,
             on_error="skip",
             recorder=recorder,
@@ -673,7 +665,7 @@ class TestAcceptanceScenario:
             if index not in (5, 17)
         ]
         baseline = infer(
-            clean, config=InferenceConfig(streaming=True, jobs=2)
+            clean, config=InferenceConfig(jobs=2)
         )
         assert result.dtd.render() == baseline.dtd.render()
 
@@ -683,7 +675,6 @@ class TestAcceptanceScenario:
             infer(
                 paths,
                 config=InferenceConfig(
-                    streaming=True,
                     jobs=2,
                     faults={"worker_crashes": [0], "corrupt_docs": [5, 17]},
                 ),
@@ -697,7 +688,6 @@ class TestReportShape:
             paths,
             config=InferenceConfig(
                 method="idtd",
-                streaming=True,
                 jobs=2,
                 on_error="skip",
                 faults={

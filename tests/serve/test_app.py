@@ -184,15 +184,16 @@ class TestInfer:
             app,
             "POST",
             "/infer",
-            {"documents": NOISY, "config": {**config, "streaming": True}},
+            {"documents": NOISY, "config": {**config, "jobs": 2}},
         )
         assert response.status == 200
         assert response.payload["dtd"] == batch.payload["dtd"]
         assert "gift" not in response.payload["dtd"]
 
     def test_unknown_config_key_is_400(self, app):
-        # ``backend`` is no key: the shard plan decides where shards run.
-        for config in ({"recorder": "mine"}, {"backend": "thread"}):
+        # ``backend`` is no key: the shard plan decides where shards run;
+        # nor is ``streaming``: the config decides the evidence bound.
+        for config in ({"recorder": "mine"}, {"backend": "thread"}, {"streaming": True}):
             response = call(
                 app, "POST", "/infer", {"documents": DOCS, "config": config}
             )
@@ -262,7 +263,6 @@ class TestInfer:
                 "paths": paths,
                 "config": {
                     "jobs": 2,
-                    "streaming": True,
                     "faults": {"shard_timeouts": [0], "attempts": 99},
                 },
             },

@@ -310,7 +310,6 @@ class TestDeadlines:
                     "paths": paths,
                     "config": {
                         "jobs": 2,
-                        "streaming": True,
                         "faults": {"shard_timeouts": [0], "attempts": 99},
                     },
                 },
