@@ -4,7 +4,8 @@
   automata for 2-testable languages (Sections 3–4);
 * :class:`GFA` — generalized finite automata with SORE state labels,
   the data structure the rewrite system of Section 5 operates on,
-  including its ε-closure;
+  including its ε-closure (one int mask per node: :func:`node_bit`,
+  read back with :func:`mask_nodes`);
 * :mod:`repro.automata.scc` — the one iterative Tarjan, behind CRX's
   classes, Trang's contracted blocks and iDTD's SCC contraction;
 * :func:`state_elimination` — the classical automaton→RE translation
@@ -22,7 +23,7 @@ from .compare import (
     soa_vs_regex_counterexample,
 )
 from .elimination import state_elimination
-from .gfa import GFA, SINK, SOURCE, Closure
+from .gfa import GFA, SINK, SOURCE, Closure, mask_nodes, node_bit
 from .soa import NotSingleOccurrenceError, SOA
 
 __all__ = [
@@ -36,8 +37,10 @@ __all__ = [
     "NotSingleOccurrenceError",
     "gfa_to_dot",
     "isomorphic",
+    "mask_nodes",
     "minimal_dfa_size",
     "minimize",
+    "node_bit",
     "regex_included_in_soa",
     "regex_vs_soa_counterexample",
     "soa_equivalent_to_regex",

@@ -18,7 +18,7 @@ unlabeled endpoints (:data:`SOURCE` and :data:`SINK`) plus the
 from __future__ import annotations
 
 from dataclasses import dataclass
-from collections.abc import Sequence
+from collections.abc import Collection, Iterator, Sequence
 
 from ..errors import UsageError
 from ..obs.recorder import NULL_RECORDER, Recorder
@@ -37,17 +37,63 @@ def _is_plus_like(label: Regex) -> bool:
     return isinstance(label, Opt) and isinstance(label.inner, Plus)
 
 
+def node_bit(node: int) -> int:
+    """The bit of ``node`` in a closure mask: bit ``node + 2``.
+
+    The sink (−2) is bit 0, the source (−1) bit 1 and labelled node
+    ``n`` bit ``n + 2``, so ascending bits are ascending node ids.
+    """
+    return 1 << (node + 2)
+
+
+def mask_nodes(mask: int) -> Iterator[int]:
+    """The nodes of ``mask`` in ascending order (that is, sorted)."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 3
+        mask ^= low
+
+
+def _reach(adjacency: dict[int, set[int]], nullable: int) -> dict[int, int]:
+    """Per node, the nodes one edge away, then on through nullable ones."""
+    direct: dict[int, int] = {}
+    for node, heads in adjacency.items():
+        mask = 0
+        for head in heads:
+            mask |= 1 << (head + 2)
+        direct[node] = mask
+    through: dict[int, int] = {}  # what a nullable node reaches
+    for node in mask_nodes(nullable):
+        reach, done = direct[node], 0
+        pending = reach & nullable
+        while pending:
+            low = pending & -pending
+            done |= low
+            reach |= direct[low.bit_length() - 3]
+            pending = reach & nullable & ~done
+        through[node] = reach
+    reach_of: dict[int, int] = {}
+    for node, mask in direct.items():
+        reach = mask
+        for hop in mask_nodes(mask & nullable):
+            reach |= through[hop]
+        reach_of[node] = reach
+    return reach_of
+
+
 @dataclass(frozen=True, slots=True)
 class Closure:
-    """The ε-closure ``G*``: predecessor and successor sets per node.
+    """The ε-closure ``G*``: predecessor and successor masks per node.
 
-    Sets may contain :data:`SOURCE` (in predecessors) and :data:`SINK`
+    ``succ[r]`` has the bit (:func:`node_bit`) of every ``r′`` with a
+    closure edge ``(r, r′)``, ``pred[r′]`` the bit of every such ``r``.
+    Masks may hold :data:`SOURCE` (in predecessors) and :data:`SINK`
     (in successors); the distinguished endpoints themselves also have
     entries.
     """
 
-    pred: dict[int, frozenset[int]]
-    succ: dict[int, frozenset[int]]
+    pred: dict[int, int]
+    succ: dict[int, int]
 
 
 class GFA:
@@ -177,6 +223,10 @@ class GFA:
     def predecessors(self, node: int) -> set[int]:
         return set(self._in[node])
 
+    def edges_among(self, nodes: Collection[int]) -> int:
+        """How many graph edges (self-loops included) run between ``nodes``."""
+        return sum(len(self._out[node].intersection(nodes)) for node in nodes)
+
     def edge_list(self) -> list[tuple[int, int]]:
         return [
             (tail, head) for tail, heads in self._out.items() for head in heads
@@ -217,34 +267,25 @@ class GFA:
     # -- ε-closure (Section 5) -------------------------------------------------
 
     def closure(self) -> Closure:
-        nullable = {
-            node for node, label in self.labels.items() if label.nullable()
-        }
-        succ: dict[int, set[int]] = {}
-        every_node = [SOURCE, SINK, *self.labels]
-        for start in every_node:
-            reachable: set[int] = set()
-            frontier = list(self._out[start])
-            visited_through: set[int] = set()
-            while frontier:
-                node = frontier.pop()
-                if node not in reachable:
-                    reachable.add(node)
-                    if node in nullable and node not in visited_through:
-                        visited_through.add(node)
-                        frontier.extend(self._out[node])
-            succ[start] = reachable
+        """The ε-closure, computed from scratch.
+
+        A closure edge ``(r, r′)`` is a graph edge followed by any
+        number of graph edges through nullable nodes, so ``r``'s
+        successors are its graph successors plus what each nullable one
+        reaches in turn; predecessors are the mirror image.  Plus-like
+        labels add their self-edge last: it extends no path.
+        """
+        nullable = 0
+        for node, label in self.labels.items():
+            if label.nullable():
+                nullable |= node_bit(node)
+        succ = _reach(self._out, nullable)
+        pred = _reach(self._in, nullable)
         for node, label in self.labels.items():
             if _is_plus_like(label):
-                succ[node].add(node)
-        pred: dict[int, set[int]] = {node: set() for node in every_node}
-        for tail, heads in succ.items():
-            for head in heads:
-                pred[head].add(tail)
-        return Closure(
-            pred={node: frozenset(values) for node, values in pred.items()},
-            succ={node: frozenset(values) for node, values in succ.items()},
-        )
+                succ[node] |= node_bit(node)
+                pred[node] |= node_bit(node)
+        return Closure(pred=pred, succ=succ)
 
     # -- language ---------------------------------------------------------------
 

@@ -10,8 +10,9 @@ never enforces at runtime:
   labels stay single-occurrence, star-free (Section 5 keeps ``r*``
   as ``(r+)?`` until post-processing) and in normal form;
 * the ε-closure the rewrite loop carries from rule to rule (unchanged
-  across ``optional`` and ``self_loop``, renamed across a merge) equals
-  a fresh one;
+  across ``optional`` and ``self_loop``, renamed across a merge) and
+  iDTD carries across a repair (extended by each added edge) equals a
+  fresh one;
 * every emitted expression is in Claim 1 normal form — re-normalizing
   it is a no-op (idempotence);
 * the classifiers agree with the learners: iDTD emits SOREs, CRX emits
@@ -311,9 +312,10 @@ def check_cached_content_model(
 
     The content-model cache (:mod:`repro.runtime.cache`) keys on a
     fingerprint of the merged learner state, which *should* determine
-    the learner output exactly; under contracts every hit re-derives
-    the expression and compares.  A mismatch means the fingerprint is
-    missing an input the learner actually reads — an engine bug.
+    the learner output exactly; under contracts the first hit on each
+    entry (and on each replaced value) re-derives the expression and
+    compares.  A mismatch means the fingerprint is missing an input the
+    learner actually reads — an engine bug.
     """
     if cached != fresh:
         raise _violated(

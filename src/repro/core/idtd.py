@@ -22,10 +22,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from collections.abc import Sequence
 
-from ..automata.gfa import GFA, SINK, SOURCE
+from ..automata.gfa import GFA, SINK, SOURCE, Closure, mask_nodes, node_bit
 from ..automata.scc import strongly_connected_components
 from ..automata.soa import SOA
-from ..contracts import check_gfa, contracts_enabled
+from ..contracts import check_carried_closure, check_gfa, contracts_enabled
 from ..errors import CorpusError, InternalError
 from ..obs.recorder import NULL_RECORDER, Recorder
 from ..regex.ast import Plus, Regex, disj
@@ -84,6 +84,30 @@ def _contract_scc(gfa: GFA) -> bool:
     return False
 
 
+def _carried_closure(gfa: GFA, closure: Closure, repair: Repair) -> Closure:
+    """``gfa``'s ε-closure after ``repair`` added its edges.
+
+    A closure path that uses a new edge ``(p, m)`` does so once after
+    shortening, so adding the edge adds exactly ``X × Y``, with
+    ``X = {p}`` plus ``pred[p]`` if ``p`` is nullable and ``Y = {m}``
+    plus ``succ[m]`` if ``m`` is nullable (``docs/ALGORITHMS.md`` §4).
+    Edges are added one at a time, each on the closure the ones before
+    it left.
+    """
+    pred, succ = dict(closure.pred), dict(closure.succ)
+    for tail, head in repair.new_edges:
+        tails, heads = node_bit(tail), node_bit(head)
+        if tail >= 0 and gfa.labels[tail].nullable():
+            tails |= pred[tail]
+        if head >= 0 and gfa.labels[head].nullable():
+            heads |= succ[head]
+        for node in mask_nodes(tails):
+            succ[node] |= heads
+        for node in mask_nodes(heads):
+            pred[node] |= tails
+    return Closure(pred=pred, succ=succ)
+
+
 def idtd_from_soa(
     soa: SOA,
     k: int = 2,
@@ -118,14 +142,18 @@ def idtd_from_soa(
         repair, current_k = search_repair(  # escalates k: Algorithm 2, line 5
             gfa, closure, current_k, len(gfa.nodes()) + 3, recorder
         )
+        carried: Closure | None = None
         if repair is not None:
             repair.apply(gfa)
             repairs.append(repair)
+            carried = _carried_closure(gfa, closure, repair)
             if contracts_enabled():
-                check_gfa(gfa, context=f"repair.{repair.rule}")
+                context = f"repair.{repair.rule}"
+                check_gfa(gfa, context=context)
+                check_carried_closure(gfa, carried, context=context)
             recorder.count("repair.firings")
             recorder.count(f"repair.{repair.rule}")
-        elif _contract_scc(gfa):
+        elif _contract_scc(gfa):  # the closure is computed afresh
             if contracts_enabled():
                 check_gfa(gfa, context="repair.scc_contraction")
             recorder.count("repair.scc_contractions")
@@ -138,7 +166,7 @@ def idtd_from_soa(
                 "no repair applicable on an acyclic GFA; "
                 "this indicates a bug in the repair preconditions"
             )
-        result = rewrite_gfa(gfa, order=order, recorder=recorder)
+        result = rewrite_gfa(gfa, order=order, recorder=recorder, closure=carried)
         steps.extend(result.steps)
     if result.regex is None:  # pragma: no cover - the loop ends on a final GFA
         raise IdtdError("the rewrite loop ended on a GFA that is not final")

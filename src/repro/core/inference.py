@@ -219,19 +219,22 @@ class DTDInferencer:
         """``derive()`` through the content-model cache, if one is set.
 
         The fingerprint is only computed when a cache is attached, so
-        the uncached engine pays nothing.  Under contracts every hit
-        re-derives fresh and compares
+        the uncached engine pays nothing.  Under contracts the first hit
+        on an entry re-derives fresh and compares
         (:func:`repro.contracts.check_cached_content_model`), so
         ``REPRO_CHECKS=1`` runs prove cached-vs-fresh agreement on the
-        live workload.
+        live workload.  The check is recorded against the entry's key
+        and value: a warm cache is not re-derived on every hit, and a
+        replaced value is checked again.
         """
         if self.cache is None:
             return derive()
         key = self._cache_key(method, fingerprint())
         cached = self.cache.get(key, self.recorder)
         if cached is not None:
-            if contracts_enabled():
+            if contracts_enabled() and not self.cache.verified(key, cached):
                 check_cached_content_model(cached, derive(), name)
+                self.cache.mark_verified(key, cached)
             return cached
         regex = derive()
         self.cache.put(key, regex, self.recorder)

@@ -36,7 +36,7 @@ from __future__ import annotations
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 
-from ..automata.gfa import GFA, SINK, SOURCE, Closure
+from ..automata.gfa import GFA, SINK, SOURCE, Closure, mask_nodes, node_bit
 from ..contracts import check_repair_count, contracts_enabled
 from ..obs.recorder import NULL_RECORDER, Recorder
 
@@ -56,21 +56,22 @@ class Repair:
 
 def _equalising_gaps(
     closure: Closure, members: tuple[int, ...]
-) -> list[tuple[int, frozenset[int], frozenset[int]]]:
-    """Per member, the closure predecessors and successors it lacks.
+) -> list[tuple[int, int, int]]:
+    """Per member, the masks of the closure predecessors and successors it lacks.
 
     Each member's neighbourhood is raised to the union of the members'
     neighbourhoods outside the set itself (never from the sink, never
     to the source).
     """
-    member_set = frozenset(members)
-    preds = frozenset().union(*(closure.pred[m] for m in members)) - member_set - {SINK}
-    succs = frozenset().union(*(closure.succ[m] for m in members)) - member_set - {SOURCE}
-    return [(m, preds - closure.pred[m], succs - closure.succ[m]) for m in members]
-
-
-def _internal_edges(gfa: GFA, members: tuple[int, ...]) -> int:
-    return sum(len(gfa.successors(m).intersection(members)) for m in members)
+    pred, succ = closure.pred, closure.succ
+    preds = succs = member_mask = 0
+    for member in members:
+        preds |= pred[member]
+        succs |= succ[member]
+        member_mask |= node_bit(member)
+    preds &= ~(member_mask | node_bit(SINK))
+    succs &= ~(member_mask | node_bit(SOURCE))
+    return [(m, preds & ~pred[m], succs & ~succ[m]) for m in members]
 
 
 def _equalising_edges(
@@ -90,9 +91,12 @@ def _equalising_edges(
     additions = {
         edge
         for member, preds, succs in _equalising_gaps(closure, members)
-        for edge in [*((p, member) for p in preds), *((member, s) for s in succs)]
+        for edge in [
+            *((p, member) for p in mask_nodes(preds)),
+            *((member, s) for s in mask_nodes(succs)),
+        ]
     }
-    if _internal_edges(gfa, members):
+    if gfa.edges_among(members):
         additions.update(
             (tail, head)
             for tail in members
@@ -109,8 +113,8 @@ def _equalising_count(gfa: GFA, closure: Closure, members: tuple[int, ...]) -> i
     internal clique edges are disjoint, so each part counts on its own.
     """
     gaps = _equalising_gaps(closure, members)
-    count = sum(len(preds) + len(succs) for _member, preds, succs in gaps)
-    internal = _internal_edges(gfa, members)
+    count = sum(preds.bit_count() + succs.bit_count() for _member, preds, succs in gaps)
+    internal = gfa.edges_among(members)
     return count + len(members) ** 2 - internal if internal else count
 
 
@@ -154,24 +158,27 @@ def find_enable_disjunction_b(
     clique greedily through the sorted common neighbours, and prefer
     the candidate needing the fewest new edges (ties keep the first).
     Since the closure's ``pred`` is the transpose of its ``succ``, ``u``
-    and ``v`` are mutual exactly when ``v ∈ succ[u] ∩ pred[u]``.
+    and ``v`` are mutual exactly when ``v ∈ succ[u] ∩ pred[u]``.  Sets
+    are masks; a mask's lowest bit is its smallest node.
     """
-    adjacent = {u: (closure.succ[u] & closure.pred[u]) - {u} for u in gfa.nodes()}
+    adjacent = {
+        u: closure.succ[u] & closure.pred[u] & ~node_bit(u) for u in gfa.nodes()
+    }
 
     def cliques() -> Iterator[tuple[int, ...]]:
-        seen: set[tuple[int, ...]] = set()
+        seen: set[int] = set()
         for u in sorted(adjacent):
-            for v in sorted(w for w in adjacent[u] if w > u):
-                clique = [u, v]
+            above_u = -node_bit(u + 1)  # the bits of the nodes after u
+            for v in mask_nodes(adjacent[u] & above_u):
+                clique = node_bit(u) | node_bit(v)
                 common = adjacent[u] & adjacent[v]
-                for candidate in sorted(common):
-                    if candidate in common:
-                        clique.append(candidate)
-                        common &= adjacent[candidate]
-                members = tuple(sorted(clique))
-                if members not in seen:  # an equal set scores equal: a tie
-                    seen.add(members)
-                    yield members
+                while common:  # the smallest common neighbour joins
+                    low = common & -common
+                    clique |= low
+                    common &= adjacent[low.bit_length() - 3]
+                if clique not in seen:  # an equal set scores equal: a tie
+                    seen.add(clique)
+                    yield tuple(mask_nodes(clique))
 
     return _cheapest(
         "enable_disjunction_b",
@@ -197,16 +204,16 @@ def find_enable_disjunction_a(
     """
 
     def similar(u: int, v: int) -> bool:
-        pair = {u, v}
-        pred_u, pred_v = closure.pred[u] - pair, closure.pred[v] - pair
-        succ_u, succ_v = closure.succ[u] - pair, closure.succ[v] - pair
+        pair = ~(node_bit(u) | node_bit(v))
+        pred_u, pred_v = closure.pred[u] & pair, closure.pred[v] & pair
+        succ_u, succ_v = closure.succ[u] & pair, closure.succ[v] & pair
         if not (pred_u & pred_v) or not (succ_u & succ_v):
             return False
         if (
-            len(pred_u - pred_v) > k
-            or len(pred_v - pred_u) > k
-            or len(succ_u - succ_v) > k
-            or len(succ_v - succ_u) > k
+            (pred_u & ~pred_v).bit_count() > k
+            or (pred_v & ~pred_u).bit_count() > k
+            or (succ_u & ~succ_v).bit_count() > k
+            or (succ_v & ~succ_u).bit_count() > k
         ):
             return False
         # a one-directional edge: sequenced, not interchangeable
@@ -227,27 +234,35 @@ def find_enable_disjunction_a(
     )
 
 
+def _bypass_sides(closure: Closure, node: int) -> tuple[int, int]:
+    """The masks of Pred(node) and Succ(node), less the node and endpoints."""
+    own = node_bit(node)
+    return (
+        closure.pred[node] & ~(own | node_bit(SINK)),
+        closure.succ[node] & ~(own | node_bit(SOURCE)),
+    )
+
+
 def _bypass_edges(closure: Closure, node: int) -> tuple[tuple[int, int], ...]:
     """All missing Pred(node) × (Succ(node) \\ {node}) edges.
 
     A graph edge is always a closure edge, so the closure decides.
+    Ascending bits in both loops list the edges sorted.
     """
-    successors = closure.succ[node] - {node, SOURCE}
+    predecessors, successors = _bypass_sides(closure, node)
     return tuple(
-        sorted(
-            (predecessor, successor)
-            for predecessor in closure.pred[node] - {node, SINK}
-            for successor in successors - closure.succ[predecessor]
-        )
+        (predecessor, successor)
+        for predecessor in mask_nodes(predecessors)
+        for successor in mask_nodes(successors & ~closure.succ[predecessor])
     )
 
 
 def _bypass_count(closure: Closure, node: int) -> int:
     """``len(_bypass_edges(closure, node))``, without the edges."""
-    successors = closure.succ[node] - {node, SOURCE}
+    predecessors, successors = _bypass_sides(closure, node)
     return sum(
-        len(successors - closure.succ[predecessor])
-        for predecessor in closure.pred[node] - {node, SINK}
+        (successors & ~closure.succ[predecessor]).bit_count()
+        for predecessor in mask_nodes(predecessors)
     )
 
 
@@ -264,11 +279,11 @@ def find_enable_optional_a(
     """
 
     def has_bypass(node: int) -> bool:
-        successors = closure.succ[node] - {node}
+        successors = closure.succ[node] & ~node_bit(node)
         return any(
-            gfa.has_edge(predecessor, successor)
-            for predecessor in closure.pred[node]
-            for successor in successors
+            successors & node_bit(successor)
+            for predecessor in mask_nodes(closure.pred[node])
+            for successor in gfa.successors(predecessor)
         )
 
     return _cheapest(
@@ -291,10 +306,12 @@ def find_enable_optional_b(
 
     def chained(node: int) -> bool:
         predecessors = closure.pred[node]
-        if gfa.labels[node].nullable() or len(predecessors) != 1:
+        if gfa.labels[node].nullable() or predecessors.bit_count() != 1:
             return False
-        (sole,) = predecessors
-        return sole not in (SOURCE, SINK) and len(closure.succ[sole] - {node, sole}) <= k
+        (sole,) = mask_nodes(predecessors)
+        return sole not in (SOURCE, SINK) and (
+            closure.succ[sole] & ~(node_bit(node) | node_bit(sole))
+        ).bit_count() <= k
 
     return _cheapest(
         "enable_optional_b",

@@ -26,10 +26,12 @@ order reaches a SORE whenever one exists; the default priority below
 (`optional` first) reproduces the run of Figure 3 and hence the exact
 expressions reported in the paper's tables.
 
-The loop computes the ε-closure once per call and carries it across the
-rules: ``optional`` and ``self_loop`` leave it unchanged, and a merge
-only renames its members.  ``docs/ALGORITHMS.md`` §3 proves both, and
-the bucket index behind the ``disjunction`` finder.
+The closure is one int mask per node (:func:`repro.automata.gfa.node_bit`).
+The loop computes it once per call, or takes the one iDTD carried
+across a repair, and carries it across the rules: ``optional`` and
+``self_loop`` leave it unchanged, and a merge only renames its members.
+``docs/ALGORITHMS.md`` §3 proves both, and the bucket index behind the
+``disjunction`` finder.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from itertools import combinations
 from dataclasses import dataclass, field
 from collections.abc import Callable, Sequence
 
-from ..automata.gfa import GFA, SINK, SOURCE, Closure
+from ..automata.gfa import GFA, SINK, SOURCE, Closure, mask_nodes, node_bit
 from ..automata.soa import SOA
 from ..contracts import (
     check_carried_closure,
@@ -145,9 +147,9 @@ def _find_optional(gfa: GFA, closure: Closure) -> Application | None:
         if not predecessors:
             continue
         successors = closure.succ[node]
-        if all(
-            successors <= closure.succ[predecessor]
-            for predecessor in predecessors
+        if not any(
+            successors & ~closure.succ[predecessor]
+            for predecessor in mask_nodes(predecessors)
         ):
             return Application("optional", (node,))
     return None
@@ -169,24 +171,28 @@ def _disjunction_case(
     )
     if not internal:
         return False
-    if all(head in closure.succ[tail] for tail in members for head in members):
+    member_mask = 0
+    for member in members:
+        member_mask |= node_bit(member)
+    if all(member_mask & ~closure.succ[tail] == 0 for tail in members):
         return True
     return None
 
 
 def _neighbourhoods_match(
-    closure: Closure, members: set[int], first: int, second: int
+    closure: Closure, members: int, first: int, second: int
 ) -> bool:
     """Equal predecessor/successor sets, compared modulo the set itself.
 
-    Members are excluded from the comparison because closure self-edges
-    (a ``s+`` label, rule (i) of the ε-closure) and intra-set edges
-    otherwise make the sets trivially unequal; the case dichotomy of
-    :func:`_disjunction_case` accounts for the intra-set structure.
+    ``members`` is the set's mask.  Members are excluded from the
+    comparison because closure self-edges (a ``s+`` label, rule (i) of
+    the ε-closure) and intra-set edges otherwise make the sets trivially
+    unequal; the case dichotomy of :func:`_disjunction_case` accounts
+    for the intra-set structure.
     """
-    return (
-        closure.pred[first] - members == closure.pred[second] - members
-        and closure.succ[first] - members == closure.succ[second] - members
+    return not (
+        (closure.pred[first] ^ closure.pred[second]) & ~members
+        or (closure.succ[first] ^ closure.succ[second]) & ~members
     )
 
 
@@ -197,15 +203,15 @@ def _matching_pairs(nodes: Sequence[int], closure: Closure) -> list[tuple[int, i
     exactly when ``{A(f), A(f) ∪ {f}}`` and ``{A(s), A(s) ∪ {s}}``
     share a set, and likewise for ``succ`` (``docs/ALGORITHMS.md`` §3).
     So each node is indexed under its four (pred, succ) key
-    combinations; one of each side's two keys is the closure's own set.
-    Two nodes share at most one bucket, so no pair is listed twice.
+    combinations; one of each side's two keys is the closure's own mask,
+    the other that mask with the node's bit flipped.  Two nodes share at
+    most one bucket, so no pair is listed twice.
     """
-    buckets: dict[tuple[frozenset[int], frozenset[int]], list[int]] = {}
+    buckets: dict[tuple[int, int], list[int]] = {}
     for node in nodes:
-        own = (node,)
+        own = node_bit(node)
         pred, succ = closure.pred[node], closure.succ[node]
-        other_pred = pred.difference(own) if node in pred else pred.union(own)
-        other_succ = succ.difference(own) if node in succ else succ.union(own)
+        other_pred, other_succ = pred ^ own, succ ^ own
         for key in (
             (pred, succ),
             (pred, other_succ),
@@ -227,16 +233,18 @@ def _find_disjunction(gfa: GFA, closure: Closure) -> Application | None:
         if _disjunction_case(gfa, closure, (first, second)) is None:
             continue
         group = [first, second]
+        group_mask = node_bit(first) | node_bit(second)
         for candidate in nodes:
             if candidate in group:
                 continue
-            extended = set(group) | {candidate}
+            extended = group_mask | node_bit(candidate)
             if all(
                 _neighbourhoods_match(closure, extended, member, candidate)
                 and _neighbourhoods_match(closure, extended, group[0], member)
                 for member in group
-            ) and _disjunction_case(gfa, closure, tuple(extended)) is not None:
+            ) and _disjunction_case(gfa, closure, (*group, candidate)) is not None:
                 group.append(candidate)
+                group_mask = extended
         return Application("disjunction", tuple(group))
     return None
 
@@ -388,21 +396,27 @@ def _merged_closure(
     successor reaches it back: a disjunction or concatenation label is
     never plus-like.
     """
-    gone = frozenset(members)
-    own = frozenset((merged,))
+    gone = 0
+    for node in members:
+        gone |= node_bit(node)
+    own = node_bit(merged)
 
-    def substituted(sets: dict[int, frozenset[int]]) -> dict[int, frozenset[int]]:
+    def substituted(masks: dict[int, int]) -> dict[int, int]:
         return {
-            node: values if values.isdisjoint(gone) else (values - gone) | own
-            for node, values in sets.items()
-            if node not in gone
+            node: mask & ~gone | own if mask & gone else mask
+            for node, mask in masks.items()
+            if node not in members
         }
 
     succ, pred = substituted(closure.succ), substituted(closure.pred)
-    merged_succ = frozenset().union(*(closure.succ[node] for node in members)) - gone
-    merged_pred = frozenset().union(*(closure.pred[node] for node in members)) - gone
+    merged_succ = merged_pred = 0
+    for node in members:
+        merged_succ |= closure.succ[node]
+        merged_pred |= closure.pred[node]
+    merged_succ &= ~gone
+    merged_pred &= ~gone
     if gfa.has_edge(merged, merged) or any(
-        merged in succ[successor] and gfa.labels[successor].nullable()
+        succ[successor] & own and gfa.labels[successor].nullable()
         for successor in gfa.successors(merged) - {merged, SINK}
     ):
         merged_succ, merged_pred = merged_succ | own, merged_pred | own
@@ -418,17 +432,22 @@ def rewrite_gfa(
     order: Sequence[str] = DEFAULT_ORDER,
     rng: random.Random | None = None,
     recorder: Recorder = NULL_RECORDER,
+    *,
+    closure: Closure | None = None,
 ) -> RewriteResult:
     """Run rewrite rules on ``gfa`` (mutated in place) to exhaustion.
 
     With ``rng`` given, each step picks uniformly among *all* enabled
     rules instead of following ``order`` — the Claim 2 confluence
     experiments use this to show any order reaches an equivalent SORE.
+    ``closure``, when given, must be ``gfa``'s ε-closure: iDTD passes
+    the one it carried across a repair instead of having it recomputed.
     """
     if recorder.enabled:
         gfa.recorder = recorder
+        if closure is not None:
+            recorder.count("rewrite.closure_carried")
     steps: list[Application] = []
-    closure: Closure | None = None
     while True:
         if rng is None:
             if closure is None:

@@ -18,7 +18,8 @@ The cache is therefore *legal* exactly when the fingerprint matches:
 byte-identical output is guaranteed by construction, and additionally
 property-tested (``tests/runtime/test_cache.py``) and contract-checked
 (``repro.contracts.check_cached_content_model`` recomputes fresh on
-every hit under ``REPRO_CHECKS=1``).
+the first hit of every entry under ``REPRO_CHECKS=1``, and again
+whenever the entry's value was replaced).
 
 Keys embed the learner method and the active reservoir cap alongside
 the state fingerprint, so runs that differ in either never share
@@ -89,6 +90,9 @@ class ContentModelCache:
         self.maxsize = maxsize
         self._lock = threading.Lock()
         self._entries: OrderedDict[CacheKey, Regex] = OrderedDict()
+        # Under contracts: the value each key's entry held when a hit
+        # last re-derived it (see ``DTDInferencer._memoized``).
+        self._verified: dict[CacheKey, Regex] = {}
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -123,7 +127,8 @@ class ContentModelCache:
             self._entries[key] = regex
             self._entries.move_to_end(key)
             while len(self._entries) > self.maxsize:
-                self._entries.popitem(last=False)
+                gone, _regex = self._entries.popitem(last=False)
+                self._verified.pop(gone, None)
                 self.evictions += 1
                 evicted += 1
         if recorder.enabled:
@@ -139,7 +144,19 @@ class ContentModelCache:
         with self._lock:
             dropped = len(self._entries)
             self._entries.clear()
+            self._verified.clear()
         return dropped
+
+    def verified(self, key: CacheKey, regex: Regex) -> bool:
+        """Whether a hit already checked ``regex`` as ``key``'s entry."""
+        with self._lock:
+            return self._verified.get(key) is regex
+
+    def mark_verified(self, key: CacheKey, regex: Regex) -> None:
+        """Record that ``regex``, ``key``'s entry, agreed with a fresh run."""
+        with self._lock:
+            if self._entries.get(key) is regex:
+                self._verified[key] = regex
 
     def info(self) -> dict[str, int]:
         """A plain-dict summary (for ``--stats`` consumers and tests)."""

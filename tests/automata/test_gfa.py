@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.automata.gfa import GFA, SINK, SOURCE
+from repro.automata.gfa import GFA, SINK, SOURCE, Closure, mask_nodes, node_bit
 from repro.automata.soa import SOA
 from repro.regex.ast import Opt, Plus, Sym
 from repro.regex.parser import parse_regex
@@ -92,16 +92,36 @@ class TestStructure:
         assert len(gfa.nodes()) == 2
 
 
+def closure_sets(closure: Closure):
+    """Per-node closure successors and predecessors, read as sets."""
+    return (
+        lambda node: set(mask_nodes(closure.succ[node])),
+        lambda node: set(mask_nodes(closure.pred[node])),
+    )
+
+
 class TestClosure:
+    def test_masks_hold_bit_node_plus_two(self):
+        gfa = GFA()
+        a = gfa.add_node(Sym("a"))
+        gfa.add_edge(SOURCE, a)
+        gfa.add_edge(a, SINK)
+        closure = gfa.closure()
+        assert closure.succ[SOURCE] == node_bit(a) == 1 << (a + 2)
+        assert closure.succ[a] == node_bit(SINK) == 1
+        assert closure.pred[a] == node_bit(SOURCE) == 2
+        assert closure.pred[SOURCE] == closure.succ[SINK] == 0
+
     def test_plus_like_nodes_get_self_edges(self):
         gfa = GFA()
         plus = gfa.add_node(Plus(Sym("a")))
         optional_plus = gfa.add_node(Opt(Plus(Sym("b"))))
         plain = gfa.add_node(Sym("c"))
         closure = gfa.closure()
-        assert plus in closure.succ[plus]
-        assert optional_plus in closure.succ[optional_plus]
-        assert plain not in closure.succ[plain]
+        succ, pred = closure_sets(closure)
+        assert plus in succ(plus)
+        assert optional_plus in succ(optional_plus)
+        assert plain not in succ(plain)
 
     def test_paths_through_nullable_nodes(self):
         gfa = GFA()
@@ -113,12 +133,13 @@ class TestClosure:
         gfa.add_edge(b, c)
         gfa.add_edge(c, SINK)
         closure = gfa.closure()
-        assert c in closure.succ[a]  # through nullable b
-        assert a in closure.pred[c]
-        assert c in closure.succ[b]  # direct edge
-        assert SINK in closure.succ[c]
-        assert SINK not in closure.succ[b]  # c is not nullable
-        assert SOURCE in closure.pred[a]
+        succ, pred = closure_sets(closure)
+        assert c in succ(a)  # through nullable b
+        assert a in pred(c)
+        assert c in succ(b)  # direct edge
+        assert SINK in succ(c)
+        assert SINK not in succ(b)  # c is not nullable
+        assert SOURCE in pred(a)
 
     def test_non_nullable_nodes_block_paths(self):
         gfa = GFA()
@@ -128,7 +149,8 @@ class TestClosure:
         gfa.add_edge(a, b)
         gfa.add_edge(b, c)
         closure = gfa.closure()
-        assert c not in closure.succ[a]
+        succ, pred = closure_sets(closure)
+        assert c not in succ(a)
 
 
 class TestAcceptance:

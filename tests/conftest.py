@@ -81,6 +81,23 @@ def word_samples(draw: st.DrawFn) -> list[tuple[str, ...]]:
     return words
 
 
+@st.composite
+def wide_samples(draw: st.DrawFn) -> list[tuple[str, ...]]:
+    """Random words over an alphabet of 4 to 16 symbols.
+
+    Too few words for 2T-INF to be representative, so iDTD repairs.
+    """
+    size = draw(st.integers(min_value=4, max_value=16))
+    alphabet = [f"s{index}" for index in range(size)]
+    return draw(
+        st.lists(
+            st.lists(st.sampled_from(alphabet), min_size=1, max_size=12).map(tuple),
+            min_size=2,
+            max_size=20,
+        )
+    )
+
+
 @pytest.fixture
 def rng() -> random.Random:
     return random.Random(20060912)  # the paper's conference date

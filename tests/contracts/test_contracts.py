@@ -221,6 +221,17 @@ class TestGfaMutations:
         with pytest.raises(ContractViolation, match="optional.closure-carried"):
             check_carried_closure(gfa, closure, context="rewrite.optional")
 
+    def test_closure_not_carried_across_a_repair_rejected(self):
+        gfa, node = self.make_gfa()
+        closure = gfa.closure()
+        gfa.add_edge(node, node)  # a repair's self-loop, closure left as it was
+        with pytest.raises(
+            ContractViolation, match=r"enable_disjunction_b\.closure-carried"
+        ):
+            check_carried_closure(
+                gfa, closure, context="repair.enable_disjunction_b"
+            )
+
 
 class TestEmittedExpressionMutations:
     def test_sore_in_normal_form_passes(self):
@@ -378,6 +389,20 @@ class TestWiring:
         )
         with contracts_active(), pytest.raises(ContractViolation):
             idtd([("a",), ("a", "a")])
+
+    def test_idtd_checks_the_closure_it_carries_across_a_repair(self, monkeypatch):
+        import importlib
+
+        idtd_module = importlib.import_module("repro.core.idtd")
+        # ab and ba: one repair adds a self-loop on each symbol.
+        words = [("a", "b"), ("b", "a")]
+        monkeypatch.setattr(
+            idtd_module, "_carried_closure", lambda gfa, closure, repair: closure
+        )
+        with contracts_active(), pytest.raises(
+            ContractViolation, match=r"repair\.enable_disjunction_b\.closure-carried"
+        ):
+            idtd(words)
 
     def test_same_corruption_passes_silently_when_disabled(self, monkeypatch):
         import importlib

@@ -1,4 +1,4 @@
-"""API-level rewrite helpers: explicit closure reuse, enumeration."""
+"""API-level rewrite helpers: explicit and carried closures, enumeration."""
 
 from hypothesis import given, settings
 
@@ -8,8 +8,10 @@ from repro.core.rewrite import (
     all_applications,
     apply_application,
     find_application,
+    rewrite_gfa,
 )
 from repro.learning.tinf import tinf
+from repro.obs.recorder import StatsRecorder
 from repro.regex.language import matches
 
 from ..conftest import sores
@@ -24,6 +26,18 @@ class TestFindApplication:
         first = find_application(gfa, closure=closure)
         second = find_application(gfa)  # computes its own closure
         assert first == second
+
+    def test_given_closure_is_carried_not_computed(self):
+        computed, carried = StatsRecorder(), StatsRecorder()
+        fresh = rewrite_gfa(GFA.from_soa(tinf(FIGURE1_WORDS)), recorder=computed)
+        gfa = GFA.from_soa(tinf(FIGURE1_WORDS))
+        given = rewrite_gfa(gfa, recorder=carried, closure=gfa.closure())
+        assert given.regex == fresh.regex and given.steps == fresh.steps
+        assert given.closure == gfa.closure()
+        assert computed.snapshot()["counters"]["rewrite.closure_computed"] == 1
+        counters = carried.snapshot()["counters"]
+        assert counters["rewrite.closure_carried"] == 1
+        assert "rewrite.closure_computed" not in counters
 
     def test_custom_priority_changes_first_rule(self):
         gfa = GFA.from_soa(tinf(FIGURE1_WORDS))

@@ -154,10 +154,11 @@ def test_stats_and_trace_explain_the_repairs(paths, tmp_path, capsys):
     assert counters["repair.enable_disjunction_b"] == 35
     assert counters["repair.enable_disjunction_a"] == 1
     assert counters["repair.candidates"] > counters["repair.firings"]
-    # One closure per rewrite loop, the first and one after each repair;
-    # every step carries it: as it was after optional and self_loop,
-    # renamed after a merge.
-    assert counters["rewrite.closure_computed"] == counters["repair.firings"] + 1
+    # One closure per run: every repair carries it into the next rewrite
+    # loop, and every step carries it on: as it was after optional and
+    # self_loop, renamed after a merge.
+    assert counters["rewrite.closure_computed"] == 1
+    assert counters["rewrite.closure_carried"] == counters["repair.firings"]
     assert counters["rewrite.closure_reused"] > 0
     assert counters["rewrite.closure_updated"] > 0
     assert (

@@ -12,15 +12,16 @@ and ``search_repair`` must return the reference ladder's repair and
 ``k``, from iDTD's own ``k`` and from ``k = 0``, which forces
 escalation.  For every candidate, not only the winner, the current edge
 functions must build the reference's edges and the counts must equal
-their size.
+their size.  The references keep their set algebra on the set-valued
+reference closure; the current finders read the mask closure, carried
+across each repair as iDTD carries it.
 """
 
 from hypothesis import HealthCheck, given, settings
-from hypothesis import strategies as st
 
 from repro.automata.gfa import GFA, SINK, SOURCE, Closure
 from repro.contracts import contracts_active
-from repro.core.idtd import _contract_scc
+from repro.core.idtd import _carried_closure, _contract_scc
 from repro.core.repair import (
     Repair,
     _bypass_count,
@@ -36,6 +37,9 @@ from repro.core.repair import (
 from repro.core.rewrite import rewrite_gfa
 from repro.learning.tinf import tinf
 
+from ..conftest import wide_samples
+from .test_closure_bits import SetClosure, as_sets, reference_closure
+
 SETTINGS = settings(
     max_examples=60,
     deadline=None,
@@ -48,7 +52,7 @@ def _has_internal_edge(gfa: GFA, members: tuple[int, ...]) -> bool:
 
 
 def reference_equalising_edges(
-    gfa: GFA, closure: Closure, members: tuple[int, ...]
+    gfa: GFA, closure: SetClosure, members: tuple[int, ...]
 ) -> tuple[tuple[int, int], ...]:
     member_set = set(members)
     pred_union = set().union(*(closure.pred[m] for m in members)) - member_set
@@ -70,7 +74,7 @@ def reference_equalising_edges(
 
 
 def reference_bypass_edges(
-    gfa: GFA, closure: Closure, node: int
+    gfa: GFA, closure: SetClosure, node: int
 ) -> tuple[tuple[int, int], ...]:
     additions = [
         (predecessor, successor)
@@ -84,7 +88,7 @@ def reference_bypass_edges(
     return tuple(sorted(set(additions)))
 
 
-def reference_enable_disjunction_b(gfa: GFA, closure: Closure) -> Repair | None:
+def reference_enable_disjunction_b(gfa: GFA, closure: SetClosure) -> Repair | None:
     """Precondition (b): a set of mutually adjacent states.
 
     Every member must be a closure-predecessor *and* -successor of every
@@ -124,7 +128,7 @@ def reference_enable_disjunction_b(gfa: GFA, closure: Closure) -> Repair | None:
 
 
 def reference_enable_disjunction_a(
-    gfa: GFA, closure: Closure, k: int
+    gfa: GFA, closure: SetClosure, k: int
 ) -> Repair | None:
     nodes = sorted(gfa.nodes())
     best: Repair | None = None
@@ -154,7 +158,7 @@ def reference_enable_disjunction_a(
     return best
 
 
-def reference_enable_optional_a(gfa: GFA, closure: Closure) -> Repair | None:
+def reference_enable_optional_a(gfa: GFA, closure: SetClosure) -> Repair | None:
     best: Repair | None = None
     for node in sorted(gfa.nodes()):
         if gfa.labels[node].nullable():
@@ -176,7 +180,7 @@ def reference_enable_optional_a(gfa: GFA, closure: Closure) -> Repair | None:
     return best
 
 
-def reference_enable_optional_b(gfa: GFA, closure: Closure, k: int) -> Repair | None:
+def reference_enable_optional_b(gfa: GFA, closure: SetClosure, k: int) -> Repair | None:
     best: Repair | None = None
     for node in sorted(gfa.nodes()):
         if gfa.labels[node].nullable():
@@ -198,7 +202,7 @@ def reference_enable_optional_b(gfa: GFA, closure: Closure, k: int) -> Repair | 
 
 
 def reference_find_repair(gfa: GFA, k: int) -> Repair | None:
-    closure = gfa.closure()
+    closure = reference_closure(gfa)
     for finder in (
         lambda: reference_enable_disjunction_b(gfa, closure),
         lambda: reference_enable_disjunction_a(gfa, closure, k),
@@ -220,34 +224,20 @@ def reference_search(gfa: GFA, current_k: int) -> tuple[Repair | None, int]:
     return repair, current_k
 
 
-@st.composite
-def wide_samples(draw: st.DrawFn) -> list[tuple[str, ...]]:
-    """Random words over an alphabet of 4 to 16 symbols."""
-    size = draw(st.integers(min_value=4, max_value=16))
-    alphabet = [f"s{index}" for index in range(size)]
-    return draw(
-        st.lists(
-            st.lists(st.sampled_from(alphabet), min_size=1, max_size=12).map(tuple),
-            min_size=2,
-            max_size=20,
-        )
-    )
-
-
 def assert_counts_match_builds(
-    gfa: GFA, closure: Closure, clique: Repair | None
+    gfa: GFA, closure: Closure, sets: SetClosure, clique: Repair | None
 ) -> None:
     """Every candidate builds the reference's edges, and scores their number."""
     nodes = sorted(gfa.nodes())
     for node in nodes:
-        edges = reference_bypass_edges(gfa, closure, node)
+        edges = reference_bypass_edges(gfa, sets, node)
         assert _bypass_edges(closure, node) == edges
         assert _bypass_count(closure, node) == len(edges)
     candidates = [(u, v) for index, u in enumerate(nodes) for v in nodes[index + 1 :]]
     if clique is not None:
         candidates.append(clique.nodes)
     for members in candidates:
-        edges = reference_equalising_edges(gfa, closure, members)
+        edges = reference_equalising_edges(gfa, sets, members)
         assert _equalising_edges(gfa, closure, members) == edges
         assert _equalising_count(gfa, closure, members) == len(edges)
 
@@ -265,25 +255,30 @@ def test_finders_match_the_old_ladder_at_every_round(words):
             assert rounds_left >= 0
             closure = gfa.closure()
             assert result.closure == closure  # the stuck graph's closure
-            clique = reference_enable_disjunction_b(gfa, closure)
+            sets = reference_closure(gfa)
+            assert as_sets(closure) == sets
+            clique = reference_enable_disjunction_b(gfa, sets)
             assert find_enable_disjunction_b(gfa, closure) == clique
             assert find_enable_disjunction_a(gfa, closure, k) == (
-                reference_enable_disjunction_a(gfa, closure, k)
+                reference_enable_disjunction_a(gfa, sets, k)
             )
             assert find_enable_optional_a(gfa, closure) == (
-                reference_enable_optional_a(gfa, closure)
+                reference_enable_optional_a(gfa, sets)
             )
             assert find_enable_optional_b(gfa, closure, k) == (
-                reference_enable_optional_b(gfa, closure, k)
+                reference_enable_optional_b(gfa, sets, k)
             )
-            assert_counts_match_builds(gfa, closure, clique)
+            assert_counts_match_builds(gfa, closure, sets, clique)
             max_k = len(gfa.nodes()) + 3
             assert search_repair(gfa, closure, 0, max_k) == reference_search(gfa, 0)
             reference = reference_search(gfa, k)
             repair, k = search_repair(gfa, closure, k, max_k)
             assert (repair, k) == reference
-            if repair is not None:
+            if repair is not None:  # carried as iDTD carries it
                 repair.apply(gfa)
+                result = rewrite_gfa(
+                    gfa, closure=_carried_closure(gfa, closure, repair)
+                )
             else:
                 assert _contract_scc(gfa)
-            result = rewrite_gfa(gfa)
+                result = rewrite_gfa(gfa)

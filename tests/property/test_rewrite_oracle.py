@@ -2,12 +2,15 @@
 
 ``reference_find_disjunction`` is the ``disjunction`` finder as it stood
 before candidates were bucketed by neighbourhood: it compares every
-node pair.  ``reference_normalize_label`` is the full label normaliser
-that ran after every rule before only the new top node was normalised.
-On random samples (2T-INF over random words of 4–16 symbols) iDTD runs
+node pair, with the set algebra of the set-valued closure
+(``reference_neighbourhoods_match``, ``reference_disjunction_case``).
+``reference_normalize_label`` is the full label normaliser that ran
+after every rule before only the new top node was normalised.  On
+random samples (2T-INF over random words of 4–16 symbols) iDTD runs
 with its repairs, and at every rule search of every ``rewrite_gfa``
-call the closure the loop hands to the finders must equal a fresh
-``gfa.closure()``, the bucketed finder must return the reference's
+call the closure the loop hands to the finders (carried across rules
+and repairs) must equal a fresh ``gfa.closure()`` and the set-valued
+reference closure, the bucketed finder must return the reference's
 ``Application`` and pick its candidates from exactly the pairs the
 pairwise test accepts; every label a rule or an SCC contraction builds
 must equal its full normalisation.  A table of unary wrappings pins the
@@ -21,21 +24,16 @@ from unittest import mock
 import pytest
 from hypothesis import HealthCheck, given, settings
 
-from repro.automata.gfa import GFA, Closure
+from repro.automata.gfa import GFA
 from repro.core.idtd import idtd_from_soa
-from repro.core.rewrite import (
-    Application,
-    _disjunction_case,
-    _find_disjunction,
-    _matching_pairs,
-    _neighbourhoods_match,
-)
+from repro.core.rewrite import Application, _find_disjunction, _matching_pairs
 from repro.learning.tinf import tinf
 from repro.regex.ast import Opt, Plus, Regex
 from repro.regex.normalize import expand_stars, normalize
 from repro.regex.parser import parse_regex
 
-from .test_repair_oracle import wide_samples
+from ..conftest import wide_samples
+from .test_closure_bits import SetClosure, as_sets, reference_closure
 
 # repro.core re-exports the functions ``idtd`` and ``rewrite``, which
 # shadow the submodule attributes; patch the modules themselves.
@@ -49,14 +47,36 @@ SETTINGS = settings(
 )
 
 
-def reference_find_disjunction(gfa: GFA, closure: Closure) -> Application | None:
+def reference_disjunction_case(
+    gfa: GFA, closure: SetClosure, members: tuple[int, ...]
+) -> bool | None:
+    internal = any(
+        gfa.has_edge(tail, head) for tail in members for head in members
+    )
+    if not internal:
+        return False
+    if all(head in closure.succ[tail] for tail in members for head in members):
+        return True
+    return None
+
+
+def reference_neighbourhoods_match(
+    closure: SetClosure, members: set[int], first: int, second: int
+) -> bool:
+    return (
+        closure.pred[first] - members == closure.pred[second] - members
+        and closure.succ[first] - members == closure.succ[second] - members
+    )
+
+
+def reference_find_disjunction(gfa: GFA, closure: SetClosure) -> Application | None:
     nodes = sorted(gfa.nodes())
     for index, first in enumerate(nodes):
         for second in nodes[index + 1 :]:
             members = {first, second}
-            if not _neighbourhoods_match(closure, members, first, second):
+            if not reference_neighbourhoods_match(closure, members, first, second):
                 continue
-            if _disjunction_case(gfa, closure, (first, second)) is None:
+            if reference_disjunction_case(gfa, closure, (first, second)) is None:
                 continue
             group = [first, second]
             for candidate in nodes:
@@ -64,12 +84,14 @@ def reference_find_disjunction(gfa: GFA, closure: Closure) -> Application | None
                     continue
                 extended = set(group) | {candidate}
                 if all(
-                    _neighbourhoods_match(closure, extended, member, candidate)
-                    and _neighbourhoods_match(
+                    reference_neighbourhoods_match(closure, extended, member, candidate)
+                    and reference_neighbourhoods_match(
                         closure, extended, group[0], member
                     )
                     for member in group
-                ) and _disjunction_case(gfa, closure, tuple(extended)) is not None:
+                ) and reference_disjunction_case(
+                    gfa, closure, tuple(extended)
+                ) is not None:
                     group.append(candidate)
             return Application("disjunction", tuple(group))
     return None
@@ -93,16 +115,18 @@ def checked_rewrite_loop():
     def checked_find(gfa, order, closure=None):
         assert closure is not None
         assert closure == gfa.closure()
+        sets = reference_closure(gfa)
+        assert as_sets(closure) == sets
         nodes = sorted(gfa.nodes())
         pairwise = [
             (first, second)
             for index, first in enumerate(nodes)
             for second in nodes[index + 1 :]
-            if _neighbourhoods_match(closure, {first, second}, first, second)
+            if reference_neighbourhoods_match(sets, {first, second}, first, second)
         ]
         assert _matching_pairs(nodes, closure) == pairwise
         assert _find_disjunction(gfa, closure) == reference_find_disjunction(
-            gfa, closure
+            gfa, sets
         )
         checked.append("search")
         return find_application(gfa, order, closure)

@@ -173,6 +173,46 @@ class TestKeying:
         with contracts_active(True), pytest.raises(ContractViolation):
             poisoned.finalize(extract_module.extract_evidence(documents))
 
+    def test_entry_poisoned_after_a_verified_hit_trips_the_contract(self, tmp_path):
+        paths = write_corpus(tmp_path, DTD_SOURCES[0], 6)
+        cache = ContentModelCache(maxsize=16)
+        evidence = extract_module.extract_evidence([parse_file(path) for path in paths])
+        DTDInferencer(method="idtd", cache=cache).finalize(evidence)
+        with contracts_active(True):  # every entry's first hit: verified
+            DTDInferencer(method="idtd", cache=cache).finalize(evidence)
+        assert all(cache.verified(key, value) for key, value in cache._entries.items())
+        wrong = idtd([("bogus",)])
+        for key in list(cache._entries):
+            cache._entries[key] = wrong
+        with contracts_active(True), pytest.raises(ContractViolation):
+            DTDInferencer(method="idtd", cache=cache).finalize(evidence)
+
+    def test_warm_hits_are_verified_once_per_entry(self, tmp_path, monkeypatch):
+        import repro.core.inference as inference_module
+
+        checked = []
+        check = inference_module.check_cached_content_model
+
+        def counted(cached, fresh, element):
+            checked.append(element)
+            check(cached, fresh, element)
+
+        monkeypatch.setattr(inference_module, "check_cached_content_model", counted)
+        paths = write_corpus(tmp_path, DTD_SOURCES[0], 6)
+        cache = ContentModelCache(maxsize=16)
+        evidence = extract_module.extract_evidence([parse_file(path) for path in paths])
+        with contracts_active(True):
+            for _ in range(3):
+                DTDInferencer(method="idtd", cache=cache).finalize(evidence)
+        entries = len(cache)
+        assert cache.hits == 2 * entries > 0
+        assert len(checked) == entries
+        cache.invalidate()  # drops the records with the entries
+        with contracts_active(True):
+            for _ in range(2):
+                DTDInferencer(method="idtd", cache=cache).finalize(evidence)
+        assert len(checked) == 2 * entries
+
 
 class TestWarmPoolReuse:
     def test_two_infer_calls_reuse_the_pool_and_merge_snapshots(
