@@ -59,8 +59,8 @@ from .obs.recorder import NULL_RECORDER, Recorder
 from .xmlio.diff import ElementDiff, iter_diffs
 from .xmlio.dtd import Dtd, parse_dtd
 from .learning.evidence import StreamingEvidence
-from .xmlio.parser import is_xml_text, parse_document, parse_file
-from .xmlio.tree import Document
+from .xmlio.parser import XmlSyntaxError, is_xml_text, scan_document, scan_file
+from .xmlio.tree import Document, ElementRecords
 from .xmlio.validate import CompiledDtd, Violation
 from .xmlio.xsd import dtd_to_xsd
 
@@ -610,8 +610,9 @@ def validate(
     ``source`` accepts everything :func:`infer` accepts (documents,
     XML literals, paths, directories, iterables); ``dtd`` accepts a
     parsed :class:`~repro.xmlio.dtd.Dtd`, DTD text, or a ``.dtd``
-    path.  Violations are collected per document — validation never
-    stops at the first bad document.  The DTD is compiled once per call
+    path.  An invalid document does not stop the run; a malformed one
+    raises, naming the document.  Paths and literals are scanned into
+    element records, and the DTD is compiled once per call
     (:class:`~repro.xmlio.validate.CompiledDtd`), each content model on
     first use.
     """
@@ -626,15 +627,21 @@ def validate(
     caches_before = _language_cache_stats(recorder)
     results: list[DocumentValidation] = []
     for index, item in enumerate(items):
-        if isinstance(item, Document):
-            label = f"document#{index}"
-            document = item
-        elif is_xml_text(item):
-            label = f"document#{index}"
-            document = parse_document(item)
-        else:
-            label = item
-            document = parse_file(item, recorder)
+        label = f"document#{index}"
+        document: Document | ElementRecords
+        try:
+            if isinstance(item, Document):
+                document = item
+            elif is_xml_text(item):
+                document = scan_document(item)
+            else:
+                label, document = item, scan_file(item, recorder)
+        except XmlSyntaxError as exc:
+            # Imported here: the runtime package loads the process pool.
+            from .runtime.resilience import document_label
+
+            exc.in_document(document_label(item, index))
+            raise
         with recorder.span("validate", file=label):
             violations = compiled.violations(document)
         if recorder.enabled and violations:

@@ -62,11 +62,10 @@ from collections.abc import Iterable, Mapping
 from ..errors import CorpusError, InternalError, QuarantineExceeded, UsageError
 from ..obs.recorder import NULL_RECORDER, Recorder
 from ..xmlio.parser import (
-    ParseFailure,
+    XmlSyntaxError,
     is_xml_text,
     scan_document,
     scan_file,
-    try_scan_file,
 )
 from ..xmlio.tree import Document, ElementRecords
 
@@ -534,7 +533,7 @@ def load_document(
     are scanned into :class:`ElementRecords`, which evidence folds
     without building a tree.  Injected corruption (``plan.corrupt_docs``)
     and real parse failures behave identically for all three: raise in
-    strict mode, quarantine in skip mode.
+    strict mode (a syntax error names the document), else quarantine.
     """
     path = document_label(item, index)
     try:
@@ -549,14 +548,11 @@ def load_document(
         if is_xml_text(item):
             with recorder.span("parse"):
                 return scan_document(item)
-        if on_error == "skip":
-            loaded = try_scan_file(item, recorder)
-            if isinstance(loaded, ParseFailure):
-                raise CorpusError(loaded.cause)
-            return loaded
         return scan_file(item, recorder)
     except (CorpusError, OSError, UnicodeDecodeError) as exc:
         if on_error != "skip" or report is None:
+            if isinstance(exc, XmlSyntaxError):
+                exc.in_document(path)
             raise
         report.add_quarantine(
             QuarantinedDocument(

@@ -356,11 +356,22 @@ class ParseFailure:
     position: int | None = None
 
 
-def _try_load(
-    load: Callable[[str, Recorder], _Loaded], path: str, recorder: Recorder
-) -> _Loaded | ParseFailure:
+def try_parse_file(
+    path: str, recorder: Recorder = NULL_RECORDER
+) -> Document | ParseFailure:
+    """Recoverable-mode parsing: a Document, or *why* there isn't one.
+
+    Everything that makes a real-world document unreadable — malformed
+    XML, a non-UTF-8 or truncated byte stream, a vanished file — comes
+    back as a :class:`ParseFailure` carrying the exact cause, instead
+    of an exception unwinding the whole corpus pass; the resilient
+    runtime (:mod:`repro.runtime.resilience`) quarantines the same
+    causes.  Anything else (e.g. a :class:`MemoryError`, an engine bug)
+    still raises: recoverable mode degrades on *bad input*, never on
+    bad engine state.
+    """
     try:
-        return load(path, recorder)
+        return parse_file(path, recorder)
     except XmlSyntaxError as exc:
         failure = ParseFailure(
             path=str(path), cause=str(exc), position=exc.position
@@ -370,30 +381,6 @@ def _try_load(
     if recorder.enabled:
         recorder.count("parse.failures")
     return failure
-
-
-def try_parse_file(
-    path: str, recorder: Recorder = NULL_RECORDER
-) -> Document | ParseFailure:
-    """Recoverable-mode parsing: a Document, or *why* there isn't one.
-
-    The quarantine primitive of the resilient runtime
-    (:mod:`repro.runtime.resilience`): everything that makes a
-    real-world document unreadable — malformed XML, a non-UTF-8 or
-    truncated byte stream, a vanished file — comes back as a
-    :class:`ParseFailure` carrying the exact cause, instead of an
-    exception unwinding the whole corpus pass.  Anything else (e.g. a
-    :class:`MemoryError`, an engine bug) still raises: recoverable
-    mode degrades on *bad input*, never on bad engine state.
-    """
-    return _try_load(parse_file, path, recorder)
-
-
-def try_scan_file(
-    path: str, recorder: Recorder = NULL_RECORDER
-) -> ElementRecords | ParseFailure:
-    """:func:`try_parse_file`, stopping at the element records."""
-    return _try_load(scan_file, path, recorder)
 
 
 __all__ = [
@@ -408,5 +395,4 @@ __all__ = [
     "scan_document",
     "scan_file",
     "try_parse_file",
-    "try_scan_file",
 ]

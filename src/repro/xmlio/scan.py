@@ -43,6 +43,7 @@ character-level tokenizer):
 
 from __future__ import annotations
 
+import copyreg
 import re
 
 from ..errors import CorpusError
@@ -128,6 +129,14 @@ class XmlSyntaxError(CorpusError):
         self.position = position
         self.line = line
         self.column = column
+
+    def in_document(self, label: str) -> None:
+        """Name the document the error is in: ``label: message``."""
+        self.args = (f"{label}: {self.args[0]}",)
+
+    def __reduce__(self) -> tuple[object, ...]:
+        # Unpickle without re-running __init__ (out of a pool worker).
+        return copyreg.__newobj__, (type(self), *self.args), self.__dict__
 
 
 def is_name_start(char: str) -> bool:

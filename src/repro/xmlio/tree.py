@@ -8,9 +8,9 @@ opaque element names, which is also what the XML 1.0 + DTD spec does).
 
 The parser's own output is flatter: :class:`ElementRecords`, one tuple
 per element in document order.  Evidence extraction folds those
-records directly; :meth:`ElementRecords.link` turns them into the
-:class:`Element` tree everything else works on, and
-:meth:`ElementRecords.of` walks a tree back into the same records.
+records and validation checks them, with no tree; for the callers
+that want one, :meth:`ElementRecords.link` builds the :class:`Element`
+tree, and :meth:`ElementRecords.of` walks a tree back into records.
 """
 
 from __future__ import annotations

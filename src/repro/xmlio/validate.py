@@ -8,18 +8,17 @@ a walk meets it; ``Children`` content models become a
 Glushkov automaton costs one table lookup per child.  Every violation
 is reported with the element path, so the noisy-XHTML experiment can
 count and classify errors rather than stop at the first one.  The walk
-is iterative, so document depth is not bounded by the interpreter's
-recursion limit (ALGORITHMS.md §15).
+is one loop over the parser's element records, the document's
+pre-order, with no tree linked (ALGORITHMS.md §15).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TypeAlias
 
 from ..regex.language import Matcher
 from .dtd import AttributeDef, Children, ContentModel, Dtd, Empty, Mixed
-from .tree import Document, Element
+from .tree import Document, ElementRecord, ElementRecords
 
 
 @dataclass(frozen=True)
@@ -52,10 +51,6 @@ class _Rule:
     required: tuple[str, ...]
 
 
-#: A walk entry: (element, index among its siblings, parent entry).
-_Entry: TypeAlias = tuple[Element, int, "_Entry | None"]
-
-
 class CompiledDtd:
     """A DTD prepared for validating many documents.
 
@@ -69,17 +64,16 @@ class CompiledDtd:
     def __init__(self, dtd: Dtd) -> None:
         self.dtd = dtd
         self._rules: dict[str, _Rule] = {}
-        self._matchers: list[Matcher] = []
 
     @property
     def models_compiled(self) -> int:
         """``Children`` content models compiled into matchers so far."""
-        return len(self._matchers)
+        return sum(rule.matcher is not None for rule in self._rules.values())
 
     @property
     def transitions(self) -> int:
         """Transition-table entries the matchers have built so far."""
-        return sum(matcher.transitions for matcher in self._matchers)
+        return sum(rule.matcher.transitions for rule in self._rules.values() if rule.matcher)
 
     def _compile(self, name: str) -> _Rule:
         model = self.dtd.elements.get(name)
@@ -87,7 +81,6 @@ class CompiledDtd:
         allowed: frozenset[str] = frozenset()
         if isinstance(model, Children):
             matcher = Matcher(model.regex)
-            self._matchers.append(matcher)
         elif isinstance(model, Mixed):
             allowed = frozenset(model.names)
         definitions = self.dtd.attributes.get(name)
@@ -103,68 +96,59 @@ class CompiledDtd:
         rule = self._rules[name] = _Rule(model, matcher, allowed, declared, required)
         return rule
 
-    def violations(self, document: Document) -> list[Violation]:
+    def violations(self, document: Document | ElementRecords) -> list[Violation]:
         """All DTD violations in ``document``, in document order.
 
-        A wrong root comes first; then each element's own violations
-        (content, then attributes) precede its descendants'.  An
-        element's path is built only when it has a violation.
+        One pass over the document's element records (a
+        :class:`Document` is walked into records first).  A wrong root
+        comes first; then each element's own violations (content, then
+        attributes) precede its descendants'.  An element's path is
+        built only when it has a violation.
         """
         from ..contracts import check_compiled_verdict, contracts_enabled
 
+        if isinstance(document, Document):
+            document = ElementRecords.of(document)
+        records = document.records
         checking = contracts_enabled()
-        root = document.root
         found: list[Violation] = []
+        root = records[0][0]
         start = self.dtd.start
-        if start is not None and root.name != start:
-            found.append(
-                Violation(
-                    path=f"/{root.name}",
-                    element=root.name,
-                    kind="bad-root",
-                    detail=f"root is {root.name!r}, DTD expects {start!r}",
-                )
-            )
+        if start is not None and root != start:
+            detail = f"root is {root!r}, DTD expects {start!r}"
+            found.append(Violation(path=f"/{root}", element=root, kind="bad-root", detail=detail))
         rules = self._rules
         pending: list[tuple[str, str]] = []
-        # Pre-order walk.  An entry is (element, sibling index, parent
-        # entry): the chain up to the root is the element's path, built
-        # only when the element has a violation.
-        stack: list[_Entry] = [(root, 0, None)]
-        while stack:
-            entry = stack.pop()
-            element = entry[0]
-            name = element.name
+        positions: list[int] | None = None
+        for index, (name, attributes, children, chunks, _) in enumerate(records):
             rule = rules.get(name) or self._compile(name)
-            children = element.children
             model = rule.model
             matcher = rule.matcher
             if matcher is not None:
                 assert isinstance(model, Children)
-                if element.text_chunks and element.has_text():
+                if chunks and "".join(chunks).strip():
                     detail = f"element {name!r} has element content but contains character data"
                     pending.append(("unexpected-text", detail))
-                word = [child.name for child in children]
-                verdict = matcher.accepts(word)
+                verdict = matcher.accepts(children)
                 if checking:
-                    check_compiled_verdict(model.regex, word, verdict, name)
+                    check_compiled_verdict(model.regex, children, verdict, name)
                 if not verdict:
-                    detail = f"children {' '.join(word) or '(none)'} do not match {model.render()}"
+                    shown = " ".join(children) or "(none)"
+                    detail = f"children {shown} do not match {model.render()}"
                     pending.append(("bad-content", detail))
             elif isinstance(model, Mixed):
                 for child in children:
-                    if child.name not in rule.allowed:
-                        detail = f"child {child.name!r} not allowed in mixed content of {name!r}"
+                    if child not in rule.allowed:
+                        detail = f"child {child!r} not allowed in mixed content of {name!r}"
                         pending.append(("bad-content", detail))
             elif model is None:
                 pending.append(("undeclared-element", f"element {name!r} is not declared"))
             elif isinstance(model, Empty):
-                if children or element.has_text():
+                if children or "".join(chunks).strip():
                     pending.append(("bad-content", f"element {name!r} is declared EMPTY"))
             # Any: nothing to check.
             declared = rule.declared
             if declared is not None:
-                attributes = element.attributes
                 for attribute in attributes:
                     if attribute not in declared:
                         detail = f"attribute {attribute!r} not declared on {name!r}"
@@ -174,36 +158,44 @@ class CompiledDtd:
                         detail = f"required attribute {attribute!r} missing on {name!r}"
                         pending.append(("missing-attribute", detail))
             if pending:
-                path = _path(entry)
+                if positions is None:
+                    positions = _sibling_positions(records)
+                path = _path(records, positions, index)
                 found.extend(
                     Violation(path=path, element=name, kind=kind, detail=detail)
                     for kind, detail in pending
                 )
                 pending.clear()
-            if children:
-                index = len(children)
-                for child in reversed(children):
-                    index -= 1
-                    stack.append((child, index, entry))
         return found
 
 
-def _path(entry: _Entry) -> str:
-    """``/root/child[i]/...`` for the element of ``entry``."""
+def _sibling_positions(records: list[ElementRecord]) -> list[int]:
+    """Each record's index among its parent's children, in one pass."""
+    seen = [0] * (len(records) + 1)  # the root's parent, -1, is the spare last slot
+    positions = []
+    for record in records:
+        parent = record[4]
+        positions.append(seen[parent])
+        seen[parent] += 1
+    return positions
+
+
+def _path(records: list[ElementRecord], positions: list[int], index: int) -> str:
+    """``/root/child[i]/...`` for record ``index``."""
     steps: list[str] = []
-    parent = entry[2]
-    while parent is not None:
-        steps.append(f"/{entry[0].name}[{entry[1]}]")
-        entry, parent = parent, parent[2]
-    steps.append(f"/{entry[0].name}")
+    while index:  # only the root, record 0, has no parent
+        name, _, _, _, parent = records[index]
+        steps.append(f"/{name}[{positions[index]}]")
+        index = parent
+    steps.append(f"/{records[0][0]}")
     return "".join(reversed(steps))
 
 
-def validate(document: Document, dtd: Dtd) -> list[Violation]:
+def validate(document: Document | ElementRecords, dtd: Dtd) -> list[Violation]:
     """All DTD violations in the document (empty list = valid)."""
     return CompiledDtd(dtd).violations(document)
 
 
-def is_valid(document: Document, dtd: Dtd) -> bool:
+def is_valid(document: Document | ElementRecords, dtd: Dtd) -> bool:
     """Convenience wrapper: does the document satisfy the DTD?"""
     return not validate(document, dtd)

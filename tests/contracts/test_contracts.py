@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.api import InferenceConfig, infer
+from repro.api import InferenceConfig, infer, validate
 from repro.automata.gfa import GFA, SINK, SOURCE
 from repro.automata.soa import SOA
 from repro.contracts import (
@@ -31,6 +31,7 @@ from repro.contracts import (
 from repro.core.crx import crx
 from repro.core.idtd import _contract_scc, idtd
 from repro.regex.ast import Opt, Plus, Star, Sym, concat, disj
+from repro.regex.language import Matcher
 from repro.regex.parser import parse_regex
 from repro.learning.evidence import StreamingEvidence
 from repro.xmlio.dtd import parse_dtd
@@ -317,6 +318,23 @@ class TestValidationMutations:
         compiled, document = self.corrupted()
         assert not contracts_enabled()
         assert [v.kind for v in compiled.violations(document)] == ["bad-content"]
+
+    @pytest.mark.parametrize("form", ["path", "literal", "document"])
+    def test_wrong_verdicts_rejected_on_every_input_form(self, form, monkeypatch, tmp_path):
+        # Paths and literals are checked from their scan records, a
+        # Document from the records it is walked into: the contract
+        # must see the verdicts of all three.
+        accepts = Matcher.accepts
+        monkeypatch.setattr(Matcher, "accepts", lambda self, word: not accepts(self, word))
+        source = {"literal": self.DOCUMENT, "document": parse_document(self.DOCUMENT)}
+        path = tmp_path / "doc.xml"
+        path.write_text(self.DOCUMENT, encoding="utf-8")
+        source["path"] = str(path)
+        assert [v.kind for v in validate(source[form], self.DTD).documents[0].violations] == [
+            "bad-content"
+        ]
+        with contracts_active(), pytest.raises(ContractViolation, match="compiled-verdict"):
+            validate(source[form], self.DTD)
 
     def test_live_validation_satisfies_the_contract(self):
         dtd = parse_dtd(self.DTD + "<!ELEMENT s (a & b?)>")

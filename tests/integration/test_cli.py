@@ -129,6 +129,18 @@ class TestExitCodes:
         assert main(["infer", str(path)]) == 1
         assert "mismatched end tag" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["dtd", "validate"])
+    def test_malformed_xml_names_the_file(self, command, corpus_files, tmp_path, capsys):
+        broken = tmp_path / "broken.xml"
+        broken.write_text("<r><a></r>", encoding="utf-8")
+        files = [*corpus_files[:2], str(broken), *corpus_files[2:]]
+        schema = tmp_path / "r.dtd"
+        schema.write_text("<!ELEMENT r (a, b?)><!ELEMENT a (#PCDATA)><!ELEMENT b EMPTY>")
+        argv = ["dtd", *files] if command == "dtd" else ["validate", "-d", str(schema), *files]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert f"error: {broken}: mismatched end tag </r> for <a> (line 1, column 10)" in err
+
     def test_directory_as_input(self, tmp_path, capsys):
         assert main(["infer", str(tmp_path)]) == 1
         assert "error" in capsys.readouterr().err

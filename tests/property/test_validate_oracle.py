@@ -7,9 +7,12 @@ declared-attribute map for every element.  On hypothesis-generated DTDs
 and trees the compiled walk must return the same ``Violation`` list,
 order included, whether a :class:`CompiledDtd` is fresh or reused across
 documents (its transition tables carry over), and ``api.validate`` must
-truncate it the same way under ``max_violations``.  One matcher reused
-across many words must agree with the derivative engine on every word,
-so a transition memoised under the wrong state cannot hide.
+truncate it the same way under ``max_violations``.  The same trees,
+serialized and handed over as XML literals and as files, are checked
+from the parser's element records with no tree linked, and must give
+the same lists.  One matcher reused across many words must agree with
+the derivative engine on every word, so a transition memoised under the
+wrong state cannot hide.
 
 The generated DTDs cover ``Children`` models with and without ``&`` and
 with bounded repetition, ``EMPTY``, ``ANY`` and mixed content, names
@@ -20,6 +23,9 @@ whitespace, which ``str.strip`` treats as no text.
 
 from __future__ import annotations
 
+import importlib
+import os
+import tempfile
 from collections.abc import Iterator
 from itertools import product
 
@@ -27,12 +33,17 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import api
+from repro.datagen.xmlgen import serialize
 from repro.regex.ast import Opt, Plus, Regex, Repeat, Star, Sym, concat, disj, inter
 from repro.regex.derivatives import matches_by_derivatives
 from repro.regex.language import Matcher, matches
 from repro.xmlio.dtd import Any, AttributeDef, Children, Dtd, Empty, Mixed
-from repro.xmlio.tree import Document, Element
+from repro.xmlio.parser import scan_document, scan_file
+from repro.xmlio.tree import Document, Element, ElementRecords
 from repro.xmlio.validate import CompiledDtd, Violation, validate
+
+#: The module, which ``repro.xmlio`` shadows with its ``validate`` function.
+validate_module = importlib.import_module("repro.xmlio.validate")
 
 SETTINGS = settings(
     max_examples=100,
@@ -245,6 +256,65 @@ def test_api_validate_truncates_like_the_oracle(dtd, documents, cap):
         expected = reference_validate(document, dtd)
         assert verdict.violation_count == len(expected)
         assert list(verdict.violations) == expected[:cap]
+
+
+@SETTINGS
+@given(dtds(), documents, st.integers(min_value=0, max_value=3), st.booleans())
+def test_records_walk_on_serialized_input_equals_recursive_walk(dtd, documents, cap, indent):
+    texts = [serialize(document, indent=indent) for document in documents]
+    expected = [reference_validate(document, dtd) for document in documents]
+    with tempfile.TemporaryDirectory() as folder:
+        paths = []
+        for index, text in enumerate(texts):
+            paths.append(os.path.join(folder, f"doc{index}.xml"))
+            with open(paths[-1], "w", encoding="utf-8") as handle:
+                handle.write(text)
+        reused = CompiledDtd(dtd)
+        for text, path, want in zip(texts, paths, expected, strict=True):
+            assert CompiledDtd(dtd).violations(scan_document(text)) == want
+            assert reused.violations(scan_document(text)) == want
+            assert reused.violations(scan_file(path)) == want
+        config = api.ValidationConfig(max_violations=cap)
+        for source in (texts, paths):
+            result = api.validate(source, dtd, config)
+            for verdict, want in zip(result.documents, expected, strict=True):
+                assert verdict.violation_count == len(want)
+                assert list(verdict.violations) == want[:cap]
+
+
+def test_api_validate_never_links_a_tree(monkeypatch, tmp_path):
+    def refuse(self):
+        raise AssertionError("validation linked a tree")
+
+    monkeypatch.setattr(ElementRecords, "link", refuse)
+    dtd = Dtd(elements={"r": Children(Star(Sym("a"))), "a": Empty()})
+    path = tmp_path / "doc.xml"
+    path.write_text("<r><a/><b/></r>", encoding="utf-8")
+    result = api.validate(["<r><a/><a/></r>", "<r><a>t</a></r>", str(path)], dtd)
+    assert [verdict.violation_count for verdict in result.documents] == [0, 1, 2]
+
+
+def test_many_violations_pay_one_positions_pass(monkeypatch):
+    calls = []
+    positions = validate_module._sibling_positions
+
+    def counted(records):
+        calls.append(len(records))
+        return positions(records)
+
+    monkeypatch.setattr(validate_module, "_sibling_positions", counted)
+    dtd = Dtd(elements={"r": Any()})
+    text = "<r>" + "<x/>" * 5000 + "</r>"
+    (verdict,) = api.validate(text, dtd).documents
+    paths = [violation.path for violation in verdict.violations]
+    assert paths == [f"/r/x[{index}]" for index in range(5000)]
+    assert paths[-1] == "/r/x[4999]"
+    assert {violation.kind for violation in verdict.violations} == {"undeclared-element"}
+    assert calls == [5001]
+    # A valid document never computes positions.
+    calls.clear()
+    assert api.validate("<r/>", dtd).valid
+    assert calls == []
 
 
 @SETTINGS

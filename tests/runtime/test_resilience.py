@@ -399,6 +399,54 @@ class TestQuarantine:
         assert doc.position == syntax.value.position
         assert result.dtd.render() == infer(docs[:1] + docs[2:]).dtd.render()
 
+    @pytest.mark.parametrize(
+        "options, backend",
+        [({}, "serial"), ({"jobs": 2}, "process")],
+        ids=["batch", "jobs"],
+    )
+    def test_strict_syntax_error_names_the_document(self, two_cpus, options, backend):
+        # The jobs leg raises in a pool worker: the error must pickle
+        # back whole, not break the pool and retry as a worker crash.
+        good = ["<r><item><name/></item></r>", "<r><item><name/><price/></item></r>"]
+        docs = [good[index % 2] for index in range(PROCESS_CORPUS_FLOOR)]
+        docs[1] = "<r><item><name/></r>"
+        with pytest.raises(XmlSyntaxError) as plain:
+            parse_document(docs[1])
+        recorder = StatsRecorder()
+        with pytest.raises(XmlSyntaxError) as raised:
+            infer(docs, config=InferenceConfig(recorder=recorder, **options))
+        assert str(raised.value) == f"<document #1>: {plain.value}"
+        error = raised.value
+        assert (error.line, error.column, error.position) == (
+            plain.value.line,
+            plain.value.column,
+            plain.value.position,
+        )
+        counters = recorder.snapshot()["counters"]
+        assert counters[f"parallel.backend.{backend}"] == 1
+        assert not any(name.startswith("resilience.") for name in counters)
+
+    def test_strict_syntax_error_names_the_file(self, tmp_path):
+        paths = write_corpus(tmp_path, 3)
+        with open(paths[2], "w", encoding="utf-8") as handle:
+            handle.write("<r><item></r>")
+        with pytest.raises(XmlSyntaxError) as raised:
+            infer(paths)
+        assert str(raised.value).startswith(f"{paths[2]}: mismatched end tag")
+
+    def test_malformed_file_quarantined_with_its_position(self, tmp_path):
+        # Like a literal's: the cause does not repeat the path its entry
+        # carries, and the byte offset of the syntax error is kept.
+        paths = write_corpus(tmp_path, 3)
+        with open(paths[2], "w", encoding="utf-8") as handle:
+            handle.write("<r><item></r>")
+        with pytest.raises(XmlSyntaxError) as syntax:
+            parse_document("<r><item></r>")
+        result = infer(paths, config=InferenceConfig(on_error="skip"))
+        (doc,) = result.degradation.quarantined
+        assert (doc.path, doc.cause) == (paths[2], str(syntax.value))
+        assert doc.position == syntax.value.position
+
     def test_load_document_passes_documents_through(self):
         document = parse_document("<r><item><name/></item></r>")
         report = DegradationReport()
