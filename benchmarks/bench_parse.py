@@ -29,7 +29,7 @@ from repro.evaluation.tables import Table
 from repro.evaluation.timing import best_of
 from repro.obs import StatsRecorder
 from repro.xmlio.dtd import parse_dtd
-from repro.xmlio.parser import parse_document, parse_file
+from repro.xmlio.parser import MMAP_MIN_BYTES, parse_document, parse_file
 
 CORPUS_DTD = (
     "<!ELEMENT r (meta?, item+)>"
@@ -131,12 +131,23 @@ def test_parse_throughput_recorded(tmp_path, scale):
 
 
 def test_mmap_and_read_paths_parse_identically(tmp_path):
-    """The mmap fast path must be invisible in the parsed tree."""
+    """The mmap fast path must be invisible in the parsed tree.
+
+    A file of at least ``MMAP_MIN_BYTES`` takes the mapped path (the
+    padding after the root is whitespace the parser skips), a small
+    file of the same document the plain read.
+    """
     text = _medium_document(400)
-    path = tmp_path / "doc.xml"
-    path.write_text(text, encoding="utf-8")
-    mapped = parse_file(str(path), use_mmap=True)
-    plain = parse_file(str(path), use_mmap=False)
+    large = tmp_path / "large.xml"
+    large.write_text(text + "\n" * MMAP_MIN_BYTES, encoding="utf-8")
+    small = tmp_path / "small.xml"
+    small.write_text(text, encoding="utf-8")
+    assert len(text) < MMAP_MIN_BYTES
+    recorder = StatsRecorder()
+    mapped = parse_file(str(large), recorder)
+    assert recorder.snapshot()["counters"]["parse.mmap"] == 1
+    plain = parse_file(str(small), recorder)
+    assert recorder.snapshot()["counters"]["parse.mmap"] == 1
     in_memory = parse_document(text)
 
     def shape(element):

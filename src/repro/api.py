@@ -24,7 +24,12 @@ Every shape builds its evidence in the one shard runner,
 :mod:`repro.ckpt` when checkpointing), which loads each item — path,
 XML text or parsed document — through
 :func:`~repro.runtime.resilience.load_document` and folds it into one
-:class:`~repro.learning.evidence.StreamingEvidence`.  A batch run is
+:class:`~repro.learning.evidence.StreamingEvidence`.  That loader and
+:func:`validate` read every item through the one corpus reader,
+:func:`~repro.xmlio.parser.read_document`, so a document that cannot be
+read — malformed XML, bytes that are not UTF-8, a missing file — is a
+:class:`~repro.errors.CorpusError` that starts with the same label
+(the path, or ``<document #i>``) on every entry point.  A batch run is
 one serial shard.  The config alone decides the bound on every shape:
 each bag is capped at :data:`~repro.learning.evidence.WORD_CAP` unless
 ``numeric`` or ``support_threshold`` reads the words, which keeps the
@@ -59,8 +64,8 @@ from .obs.recorder import NULL_RECORDER, Recorder
 from .xmlio.diff import ElementDiff, iter_diffs
 from .xmlio.dtd import Dtd, parse_dtd
 from .learning.evidence import StreamingEvidence
-from .xmlio.parser import XmlSyntaxError, is_xml_text, scan_document, scan_file
-from .xmlio.tree import Document, ElementRecords
+from .xmlio.parser import document_label, is_xml_text, read_document, read_text
+from .xmlio.tree import Document
 from .xmlio.validate import CompiledDtd, Violation
 from .xmlio.xsd import dtd_to_xsd
 
@@ -281,8 +286,8 @@ def _expand_source(source: Source) -> list[Document | str]:
     Accepts a parsed Document, XML text (anything whose first non-blank
     character is ``<``), a file path, a directory (expanded to its
     sorted ``*.xml`` files), or an iterable mixing all of those.
-    Nothing is parsed here: :func:`~repro.runtime.resilience.load_document`
-    parses every item under the run's error policy.
+    Nothing is read here: :func:`~repro.xmlio.parser.read_document`
+    reads every item, under the run's error policy when inferring.
     """
     if isinstance(source, Document) or is_xml_text(source):
         return [source]
@@ -504,12 +509,7 @@ def _coerce_dtd(source: DtdSource, *, role: str = "dtd") -> Dtd:
     if is_xml_text(source):
         return parse_dtd(source)
     if isinstance(source, (str, os.PathLike)):
-        path = os.fspath(source)
-        try:
-            text = Path(path).read_text(encoding="utf-8")
-        except OSError as exc:
-            raise CorpusError(f"cannot read {role} {path}: {exc}") from exc
-        return parse_dtd(text)
+        return parse_dtd(read_text(os.fspath(source)))
     raise UsageError(
         f"cannot use {type(source).__name__} as a {role}: expected a Dtd, "
         "DTD text, or a file path"
@@ -542,6 +542,8 @@ class ValidationConfig:
 class DocumentValidation:
     """One document's verdict against the DTD.
 
+    ``source`` is the document's path, or ``<document #i>`` for a
+    literal or a parsed document at corpus position ``i``.
     ``violations`` holds at most ``max_violations`` entries;
     ``violation_count`` is the true total (so callers can report
     "INVALID (n violations)" without keeping all n).
@@ -610,9 +612,12 @@ def validate(
     ``source`` accepts everything :func:`infer` accepts (documents,
     XML literals, paths, directories, iterables); ``dtd`` accepts a
     parsed :class:`~repro.xmlio.dtd.Dtd`, DTD text, or a ``.dtd``
-    path.  An invalid document does not stop the run; a malformed one
-    raises, naming the document.  Paths and literals are scanned into
-    element records, and the DTD is compiled once per call
+    path.  An invalid document does not stop the run; one that cannot
+    be read raises a :class:`~repro.errors.CorpusError` that starts
+    with its :func:`~repro.xmlio.parser.document_label`, the same label
+    as its ``source``.  Paths and literals are scanned into element
+    records by :func:`~repro.xmlio.parser.read_document`, without
+    importing :mod:`repro.runtime`, and the DTD is compiled once per call
     (:class:`~repro.xmlio.validate.CompiledDtd`), each content model on
     first use.
     """
@@ -627,21 +632,8 @@ def validate(
     caches_before = _language_cache_stats(recorder)
     results: list[DocumentValidation] = []
     for index, item in enumerate(items):
-        label = f"document#{index}"
-        document: Document | ElementRecords
-        try:
-            if isinstance(item, Document):
-                document = item
-            elif is_xml_text(item):
-                document = scan_document(item)
-            else:
-                label, document = item, scan_file(item, recorder)
-        except XmlSyntaxError as exc:
-            # Imported here: the runtime package loads the process pool.
-            from .runtime.resilience import document_label
-
-            exc.in_document(document_label(item, index))
-            raise
+        label = document_label(item, index)
+        document = read_document(item, index, recorder)
         with recorder.span("validate", file=label):
             violations = compiled.violations(document)
         if recorder.enabled and violations:

@@ -77,6 +77,7 @@ from ..contracts import (
 from ..errors import ReproError, ShardTimeout, UsageError
 from ..obs.recorder import NULL_RECORDER, Recorder, Snapshot, StatsRecorder
 from ..learning.evidence import StreamingEvidence
+from ..xmlio.parser import document_label
 from ..xmlio.tree import Document, ElementRecords
 from .resilience import (
     CRASH_EXIT_STATUS,
@@ -87,7 +88,6 @@ from .resilience import (
     InjectedWorkerCrash,
     QuarantinedDocument,
     ShardRetry,
-    document_label,
     load_document,
 )
 

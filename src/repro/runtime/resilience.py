@@ -61,12 +61,7 @@ from collections.abc import Iterable, Mapping
 
 from ..errors import CorpusError, InternalError, QuarantineExceeded, UsageError
 from ..obs.recorder import NULL_RECORDER, Recorder
-from ..xmlio.parser import (
-    XmlSyntaxError,
-    is_xml_text,
-    scan_document,
-    scan_file,
-)
+from ..xmlio.parser import document_label, read_document
 from ..xmlio.tree import Document, ElementRecords
 
 __all__ = [
@@ -80,7 +75,6 @@ __all__ = [
     "QuarantinedDocument",
     "RetryPolicy",
     "ShardRetry",
-    "document_label",
     "load_document",
 ]
 
@@ -508,13 +502,6 @@ class DegradationReport:
 # -- document loading with quarantine -----------------------------------------
 
 
-def document_label(item: Document | str, index: int) -> str:
-    """How reports name corpus item ``index``: its path, else its position."""
-    if isinstance(item, Document) or is_xml_text(item):
-        return f"<document #{index}>"
-    return item
-
-
 def load_document(
     item: Document | str,
     index: int,
@@ -525,15 +512,13 @@ def load_document(
     max_quarantine: int | None = None,
     recorder: Recorder = NULL_RECORDER,
 ) -> Document | ElementRecords | None:
-    """Load one corpus item under the error policy; ``None`` = skipped.
+    """Read one corpus item under the error policy; ``None`` = skipped.
 
-    ``item`` is a parsed :class:`Document`, XML text or a file path (the
-    three shapes :func:`repro.api.infer` accepts); this is the one place
-    inference parses them.  A document passes through; text and paths
-    are scanned into :class:`ElementRecords`, which evidence folds
-    without building a tree.  Injected corruption (``plan.corrupt_docs``)
-    and real parse failures behave identically for all three: raise in
-    strict mode (a syntax error names the document), else quarantine.
+    :func:`~repro.xmlio.parser.read_document` reads the item; this adds
+    the fault plan and the quarantine.  Injected corruption
+    (``plan.corrupts``) and real read failures behave identically: raise
+    in strict mode, else quarantine.  The entry's ``path`` names the
+    document, so its ``cause`` drops the reader's leading label.
     """
     path = document_label(item, index)
     try:
@@ -543,21 +528,14 @@ def load_document(
             raise CorpusError(
                 f"injected fault: corrupt document #{index} ({path})"
             )
-        if isinstance(item, Document):
-            return item
-        if is_xml_text(item):
-            with recorder.span("parse"):
-                return scan_document(item)
-        return scan_file(item, recorder)
-    except (CorpusError, OSError, UnicodeDecodeError) as exc:
+        return read_document(item, index, recorder)
+    except CorpusError as exc:
         if on_error != "skip" or report is None:
-            if isinstance(exc, XmlSyntaxError):
-                exc.in_document(path)
             raise
         report.add_quarantine(
             QuarantinedDocument(
                 path=path,
-                cause=str(exc),
+                cause=str(exc).removeprefix(f"{path}: "),
                 position=getattr(exc, "position", None),
             ),
             limit=max_quarantine,

@@ -4,6 +4,10 @@ Everything is implemented from scratch (no stdlib ``xml`` dependency):
 
 * :func:`parse_document` / :func:`parse_file` — a strict XML 1.0
   subset parser that captures DOCTYPE internal subsets;
+* :func:`read_document` — the corpus reader inference and validation
+  share: a document, XML text or a path in, element records out, and
+  every failure a :class:`~repro.errors.CorpusError` that names the
+  document;
 * :class:`Dtd` with :func:`parse_dtd` — content models (EMPTY / ANY /
   mixed / element content regexes) and ATTLISTs, parsing and printing;
 * :func:`validate` — DTD validation with per-violation reports;
@@ -27,14 +31,7 @@ from .dtd import (
     Mixed,
     parse_dtd,
 )
-from .parser import (
-    ParseFailure,
-    XmlSyntaxError,
-    parse_bytes,
-    parse_document,
-    parse_file,
-    try_parse_file,
-)
+from .parser import XmlSyntaxError, parse_document, parse_file, read_document
 from .tree import Document, Element
 from .validate import Violation, is_valid, validate
 from .xsd import dtd_to_xsd
@@ -53,16 +50,14 @@ __all__ = [
     "iter_diffs",
     "Empty",
     "Mixed",
-    "ParseFailure",
     "Violation",
     "XmlSyntaxError",
     "dtd_to_xsd",
     "is_valid",
-    "parse_bytes",
     "parse_document",
     "parse_dtd",
     "parse_file",
+    "read_document",
     "sniff_type",
-    "try_parse_file",
     "validate",
 ]

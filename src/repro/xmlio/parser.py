@@ -21,10 +21,14 @@ This module owns the *grammar*: one iterative scan loop that keeps the
 open elements on an explicit stack and writes each element, as its
 start tag is read, into :class:`~repro.xmlio.tree.ElementRecords`
 (:func:`scan_document`, :func:`scan_file`); DOCTYPE handling; and the
-file-level API with its failure contract.  :func:`parse_document` and
-:func:`parse_file` link the records into an
-:class:`~repro.xmlio.tree.Element` tree; evidence extraction folds the
-records without building one.  The *tokenizer* — bulk ``str.find``
+corpus reader.  :func:`read_document` is the one function that turns a
+corpus item — a parsed document, XML text or a file path — into
+records, for inference and validation alike, and every failure it
+raises is a :class:`~repro.errors.CorpusError` named by
+:func:`document_label`.  :func:`parse_document` and :func:`parse_file`
+link the records into an :class:`~repro.xmlio.tree.Element` tree;
+evidence extraction and validation walk the records without building
+one.  The *tokenizer* — bulk ``str.find``
 runs, the precompiled regex dispatch table, entity decoding, newline
 normalization — lives in :mod:`repro.xmlio.scan`.
 """
@@ -35,7 +39,6 @@ import mmap
 import os
 import re
 from collections.abc import Callable
-from dataclasses import dataclass
 from typing import TypeGuard, TypeVar
 
 from ..errors import CorpusError
@@ -263,48 +266,32 @@ def parse_document(text: str) -> Document:
     return scan_document(text).link()
 
 
-def parse_bytes(data: bytes | bytearray | memoryview) -> Document:
-    """Parse one XML document from a UTF-8 byte buffer.
-
-    Accepts anything with the buffer protocol (``bytes``, a
-    ``memoryview``, an ``mmap``) and performs exactly one decode.
-    """
-    return parse_document(str(data, "utf-8"))
-
-
-def _read_file_text(path: str, use_mmap: bool | None) -> tuple[str, int, bool]:
+def _read_file_text(path: str) -> tuple[str, int, bool]:
     """``(decoded text, byte size, mmap taken)`` for the file.
 
-    ``use_mmap=None`` (the default) maps files of at least
-    :data:`MMAP_MIN_BYTES`; ``True``/``False`` force the choice.  The
-    mapped branch decodes straight from the OS page cache — a single
-    UTF-8 decode, no intermediate ``bytes`` object.  Empty files and
-    filesystems that refuse to map fall back to a plain read.
+    Files of at least :data:`MMAP_MIN_BYTES` are decoded straight from
+    an ``mmap`` of the OS page cache — a single UTF-8 decode, no
+    intermediate ``bytes`` object.  Smaller files, and files on a
+    filesystem that refuses to map, take a plain read.
     """
     with open(path, "rb") as handle:
-        if use_mmap or (
-            use_mmap is None
-            and os.fstat(handle.fileno()).st_size >= MMAP_MIN_BYTES
-        ):
+        if os.fstat(handle.fileno()).st_size >= MMAP_MIN_BYTES:
             try:
-                with mmap.mmap(
-                    handle.fileno(), 0, access=mmap.ACCESS_READ
-                ) as mapped:
-                    return str(mapped, "utf-8"), len(mapped), True
+                mapped = mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
             except (ValueError, OSError):
-                handle.seek(0)  # zero-length or unmappable: plain read
+                pass  # unmappable, or emptied since the stat: plain read
+            else:
+                with mapped:
+                    return str(mapped, "utf-8"), len(mapped), True
         data = handle.read()
         return data.decode("utf-8"), len(data), False
 
 
 def _load_file(
-    path: str,
-    recorder: Recorder,
-    use_mmap: bool | None,
-    load: Callable[[str], _Loaded],
+    path: str, recorder: Recorder, load: Callable[[str], _Loaded]
 ) -> _Loaded:
     with recorder.span("parse", file=str(path)):
-        text, byte_size, mapped = _read_file_text(path, use_mmap)
+        text, byte_size, mapped = _read_file_text(path)
         loaded = load(text)
     if recorder.enabled:
         recorder.count("documents")
@@ -315,84 +302,83 @@ def _load_file(
     return loaded
 
 
-def parse_file(
-    path: str,
-    recorder: Recorder = NULL_RECORDER,
-    *,
-    use_mmap: bool | None = None,
-) -> Document:
+def parse_file(path: str, recorder: Recorder = NULL_RECORDER) -> Document:
     """Parse an XML document from a file path (UTF-8).
 
-    Large files (>= :data:`MMAP_MIN_BYTES`) are memory-mapped and
-    decoded in a single pass; pass ``use_mmap=True``/``False`` to
-    force either path.  Under a live recorder the byte volume lands in
-    the ``parse.chars``/``parse.bytes`` counters, which together with
-    the ``parse`` span time give corpus-level parse throughput.
+    Files of at least :data:`MMAP_MIN_BYTES` are memory-mapped and
+    decoded in a single pass.  Under a live recorder the byte volume
+    lands in the ``parse.chars``/``parse.bytes`` counters, which
+    together with the ``parse`` span time give corpus-level parse
+    throughput.  A failed read raises the ``OSError`` or
+    ``UnicodeDecodeError`` as is; :func:`read_document` is the reader
+    that names the document.
     """
-    return _load_file(path, recorder, use_mmap, parse_document)
+    return _load_file(path, recorder, parse_document)
 
 
-def scan_file(
-    path: str,
-    recorder: Recorder = NULL_RECORDER,
-    *,
-    use_mmap: bool | None = None,
-) -> ElementRecords:
+def scan_file(path: str, recorder: Recorder = NULL_RECORDER) -> ElementRecords:
     """:func:`parse_file`, stopping at the element records."""
-    return _load_file(path, recorder, use_mmap, scan_document)
+    return _load_file(path, recorder, scan_document)
 
 
-@dataclass(frozen=True)
-class ParseFailure:
-    """Why a document failed to parse in recoverable mode.
-
-    ``cause`` is the precise human-readable reason (syntax error with
-    line/column, decode error, missing file); ``position`` is the byte
-    offset of a syntax error when one is known, else ``None``.
-    """
-
-    path: str
-    cause: str
-    position: int | None = None
+def document_label(item: Document | str, index: int) -> str:
+    """How reports name corpus item ``index``: its path, else its position."""
+    if isinstance(item, Document) or is_xml_text(item):
+        return f"<document #{index}>"
+    return item
 
 
-def try_parse_file(
-    path: str, recorder: Recorder = NULL_RECORDER
-) -> Document | ParseFailure:
-    """Recoverable-mode parsing: a Document, or *why* there isn't one.
+def read_text(path: str) -> str:
+    """The UTF-8 text of the file at ``path``.
 
-    Everything that makes a real-world document unreadable — malformed
-    XML, a non-UTF-8 or truncated byte stream, a vanished file — comes
-    back as a :class:`ParseFailure` carrying the exact cause, instead
-    of an exception unwinding the whole corpus pass; the resilient
-    runtime (:mod:`repro.runtime.resilience`) quarantines the same
-    causes.  Anything else (e.g. a :class:`MemoryError`, an engine bug)
-    still raises: recoverable mode degrades on *bad input*, never on
-    bad engine state.
+    A missing or unreadable file, or bytes that are not UTF-8, raise a
+    :class:`CorpusError` whose message starts with the path, chained to
+    the original error.
     """
     try:
-        return parse_file(path, recorder)
+        return _read_file_text(path)[0]
+    except (OSError, UnicodeDecodeError) as exc:
+        raise CorpusError(f"{path}: {exc}") from exc
+
+
+def read_document(
+    item: Document | str, index: int, recorder: Recorder = NULL_RECORDER
+) -> Document | ElementRecords:
+    """Read corpus item ``index``: the one reader of inference and validation.
+
+    ``item`` is a parsed :class:`Document`, XML text or a file path.  A
+    document passes through; text is scanned under a ``parse`` span and
+    a path through :func:`scan_file`, both into
+    :class:`ElementRecords`.  Every failure is a :class:`CorpusError`
+    whose message starts with :func:`document_label`: an
+    :class:`XmlSyntaxError` keeps its type, line, column and position,
+    and an ``OSError`` or ``UnicodeDecodeError`` (a missing file, bytes
+    that are not UTF-8) is re-raised as one, chained to the original.
+    """
+    if isinstance(item, Document):
+        return item
+    try:
+        if is_xml_text(item):
+            with recorder.span("parse"):
+                return scan_document(item)
+        return scan_file(item, recorder)
     except XmlSyntaxError as exc:
-        failure = ParseFailure(
-            path=str(path), cause=str(exc), position=exc.position
-        )
-    except (CorpusError, OSError, UnicodeDecodeError) as exc:
-        failure = ParseFailure(path=str(path), cause=str(exc))
-    if recorder.enabled:
-        recorder.count("parse.failures")
-    return failure
+        exc.in_document(document_label(item, index))
+        raise
+    except (OSError, UnicodeDecodeError) as exc:
+        raise CorpusError(f"{document_label(item, index)}: {exc}") from exc
 
 
 __all__ = [
     "MAX_ELEMENT_DEPTH",
     "MMAP_MIN_BYTES",
-    "ParseFailure",
     "XmlSyntaxError",
+    "document_label",
     "is_xml_text",
-    "parse_bytes",
     "parse_document",
     "parse_file",
+    "read_document",
+    "read_text",
     "scan_document",
     "scan_file",
-    "try_parse_file",
 ]

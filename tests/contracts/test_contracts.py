@@ -35,7 +35,7 @@ from repro.regex.language import Matcher
 from repro.regex.parser import parse_regex
 from repro.learning.evidence import StreamingEvidence
 from repro.xmlio.dtd import parse_dtd
-from repro.xmlio.parser import parse_document, scan_document
+from repro.xmlio.parser import parse_document, read_document, scan_document
 from repro.xmlio.tree import ElementRecords
 from repro.xmlio.validate import CompiledDtd
 
@@ -379,8 +379,10 @@ class TestScannedFoldMutations:
         resilience = importlib.import_module("repro.runtime.resilience")
         monkeypatch.setattr(
             resilience,
-            "scan_document",
-            lambda text: self.without_text(scan_document(text)),
+            "read_document",
+            lambda item, index, recorder: self.without_text(
+                read_document(item, index, recorder)
+            ),
         )
         with contracts_active(), pytest.raises(ContractViolation, match="scanned-fold"):
             infer([self.TEXT])

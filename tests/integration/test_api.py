@@ -1,6 +1,9 @@
 """The unified façade: equivalence with the engine composed by hand, validation."""
 
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -9,7 +12,7 @@ from repro.api import InferenceConfig, InferenceResult, infer, validate
 from repro.contracts import contracts_active
 from repro.core.inference import DTDInferencer
 from repro.datagen.xmlgen import XmlGenerator, serialize
-from repro.errors import UsageError
+from repro.errors import CorpusError, UsageError
 from repro.obs import StatsRecorder
 from repro.learning import evidence as evidence_module
 from repro.learning.evidence import StreamingEvidence, extract_evidence
@@ -131,7 +134,7 @@ class TestSourceForms:
         dtd = "<!ELEMENT r (x, y)>\n<!ELEMENT x EMPTY>\n<!ELEMENT y EMPTY>"
         result = validate(["\ufeff<r><x/><y/></r>", "\ufeff<r><y/></r>"], dtd)
         assert [document.valid for document in result.documents] == [True, False]
-        assert result.documents[0].source == "document#0"
+        assert result.documents[0].source == "<document #0>"
 
     def test_parsed_document(self):
         document = parse_document("<r><x/></r>")
@@ -212,6 +215,56 @@ class TestSourceForms:
         assert "<!ELEMENT r (x" in batch
         for jobs in (2, 3):
             assert infer(mixed, config=InferenceConfig(jobs=jobs, **option)).render() == batch
+
+
+class TestUnreadableInput:
+    """Every entry point reads through one reader and names what it cannot read."""
+
+    DTD = "<!ELEMENT r (x*)>\n<!ELEMENT x EMPTY>"
+
+    @pytest.mark.parametrize("kind", ["latin-1", "missing"])
+    @pytest.mark.parametrize("entry", ["infer", "validate"])
+    def test_unreadable_path_is_a_named_corpus_error(self, tmp_path, entry, kind):
+        path = tmp_path / "unreadable.xml"
+        if kind == "latin-1":
+            path.write_bytes("<r><x>café</x></r>".encode("latin-1"))
+        source = ["<r><x/></r>", str(path)]
+        with pytest.raises(CorpusError) as raised:
+            if entry == "infer":
+                infer(source, config=InferenceConfig(faults={}))
+            else:
+                validate(source, self.DTD)
+        assert str(raised.value).startswith(f"{path}: ")
+        cause = UnicodeDecodeError if kind == "latin-1" else FileNotFoundError
+        assert isinstance(raised.value.__cause__, cause)
+
+    def test_validate_labels_literals_as_its_errors_do(self):
+        literals = ["<r><x/></r>", "<r><y/></r>", "<r/>"]
+        result = validate(literals, self.DTD)
+        sources = [document.source for document in result.documents]
+        assert sources == ["<document #0>", "<document #1>", "<document #2>"]
+        with pytest.raises(CorpusError) as raised:
+            validate([literals[0], "<r><x></r>", literals[2]], self.DTD)
+        assert str(raised.value).startswith(f"{sources[1]}: mismatched end tag")
+
+    def test_validate_does_not_import_the_runtime(self, tmp_path):
+        # The runtime package loads the process pool; a validate call
+        # must not pay for importing it.
+        path = tmp_path / "doc.xml"
+        path.write_text("<r><x/></r>", encoding="utf-8")
+        script = (
+            "import sys\n"
+            "from repro import api\n"
+            f"result = api.validate([{str(path)!r}, '<r><y/></r>'], {self.DTD!r})\n"
+            "assert [d.valid for d in result.documents] == [True, False]\n"
+            "assert 'repro.runtime' not in sys.modules, sorted(sys.modules)\n"
+        )
+        source_root = os.path.dirname(os.path.dirname(api.__file__))
+        env = {**os.environ, "PYTHONPATH": source_root}
+        completed = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True
+        )
+        assert completed.returncode == 0, completed.stderr
 
 
 class TestInferenceConfigValidation:

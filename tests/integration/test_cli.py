@@ -141,6 +141,25 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert f"error: {broken}: mismatched end tag </r> for <a> (line 1, column 10)" in err
 
+    @pytest.mark.parametrize("kind", ["latin-1", "missing"])
+    @pytest.mark.parametrize("command", ["dtd", "validate"])
+    def test_unreadable_file_is_named(self, command, kind, corpus_files, tmp_path, capsys):
+        unreadable = tmp_path / "unreadable.xml"
+        if kind == "latin-1":
+            unreadable.write_bytes("<r><a>café</a></r>".encode("latin-1"))
+        files = [*corpus_files[:2], str(unreadable), *corpus_files[2:]]
+        schema = tmp_path / "r.dtd"
+        schema.write_text("<!ELEMENT r (a, b?)><!ELEMENT a (#PCDATA)><!ELEMENT b EMPTY>")
+        argv = ["dtd", *files] if command == "dtd" else ["validate", "-d", str(schema), *files]
+        assert main(argv) == 1
+        assert f"error: {unreadable}: " in capsys.readouterr().err
+
+    def test_undecodable_dtd_is_named(self, corpus_files, tmp_path, capsys):
+        schema = tmp_path / "latin.dtd"
+        schema.write_bytes("<!-- café -->\n<!ELEMENT r (a)>".encode("latin-1"))
+        assert main(["validate", "-d", str(schema), corpus_files[0]]) == 1
+        assert f"error: {schema}: 'utf-8' codec can't decode" in capsys.readouterr().err
+
     def test_directory_as_input(self, tmp_path, capsys):
         assert main(["infer", str(tmp_path)]) == 1
         assert "error" in capsys.readouterr().err

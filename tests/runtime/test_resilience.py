@@ -434,6 +434,35 @@ class TestQuarantine:
             infer(paths)
         assert str(raised.value).startswith(f"{paths[2]}: mismatched end tag")
 
+    @pytest.mark.parametrize(
+        "options, backend",
+        [({}, "serial"), ({"jobs": 2}, "process")],
+        ids=["batch", "jobs"],
+    )
+    @pytest.mark.parametrize("kind", ["latin-1", "missing"])
+    def test_strict_read_error_names_the_file(
+        self, tmp_path, two_cpus, kind, options, backend
+    ):
+        # Like a syntax error: a CorpusError led by the path, also when
+        # a pool worker raised it.
+        paths = write_corpus(tmp_path, PROCESS_CORPUS_FLOOR)
+        bad = paths[1]
+        if kind == "latin-1":
+            with open(bad, "wb") as handle:
+                handle.write("<r><item>café</item></r>".encode("latin-1"))
+        else:
+            os.remove(bad)
+        recorder = StatsRecorder()
+        with pytest.raises(CorpusError) as raised:
+            infer(paths, config=InferenceConfig(recorder=recorder, faults={}, **options))
+        assert str(raised.value).startswith(f"{bad}: ")
+        assert ("codec can't decode" if kind == "latin-1" else "No such file") in str(
+            raised.value
+        )
+        counters = recorder.snapshot()["counters"]
+        assert counters[f"parallel.backend.{backend}"] == 1
+        assert not any(name.startswith("resilience.") for name in counters)
+
     def test_malformed_file_quarantined_with_its_position(self, tmp_path):
         # Like a literal's: the cause does not repeat the path its entry
         # carries, and the byte offset of the syntax error is kept.

@@ -339,6 +339,52 @@ class TestValidate:
         assert response.status == 422
 
 
+class TestUnreadableInput:
+    """A file that cannot be read is bad input, 422, and the error names it."""
+
+    @staticmethod
+    def _unreadable(tmp_path, kind):
+        path = tmp_path / "unreadable.xml"
+        if kind == "latin-1":
+            path.write_bytes("<catalog><item>café</item></catalog>".encode("latin-1"))
+        return str(path)
+
+    @pytest.mark.parametrize("kind", ["latin-1", "missing"])
+    @pytest.mark.parametrize("route", ["/infer", "/validate"])
+    def test_unreadable_path_is_422(self, app, tmp_path, route, kind):
+        path = self._unreadable(tmp_path, kind)
+        body: dict[str, Any] = {"documents": DOCS, "paths": [path]}
+        body.update({"dtd": TestValidate.DTD} if route == "/validate" else {"config": {"faults": {}}})
+        response = call(app, "POST", route, body)
+        assert response.status == 422
+        assert response.payload["error"]["message"].startswith(f"{path}: ")
+
+    @pytest.mark.parametrize("route", ["/validate", "/diff"])
+    def test_undecodable_dtd_path_is_422(self, app, tmp_path, route):
+        path = tmp_path / "latin.dtd"
+        path.write_bytes(("<!-- café -->\n" + TestValidate.DTD).encode("latin-1"))
+        body = (
+            {"documents": DOCS, "dtd": str(path)}
+            if route == "/validate"
+            else {"old": str(path), "new": TestValidate.DTD}
+        )
+        response = call(app, "POST", route, body)
+        assert response.status == 422
+        assert response.payload["error"]["message"].startswith(f"{path}: ")
+
+    def test_validate_source_is_the_label_of_its_syntax_error(self, app):
+        body = {"documents": DOCS, "dtd": TestValidate.DTD}
+        sources = [
+            document["source"]
+            for document in call(app, "POST", "/validate", body).payload["documents"]
+        ]
+        assert sources == ["<document #0>", "<document #1>", "<document #2>"]
+        body["documents"] = [DOCS[0], "<catalog><item></catalog>", DOCS[2]]
+        response = call(app, "POST", "/validate", body)
+        assert response.status == 422
+        assert response.payload["error"]["message"].startswith(f"{sources[1]}: ")
+
+
 class TestDiff:
     OLD = "<!ELEMENT a (b, c)>\n<!ELEMENT b EMPTY>\n<!ELEMENT c EMPTY>\n"
     NEW = "<!ELEMENT a (b, c?)>\n<!ELEMENT b EMPTY>\n<!ELEMENT c EMPTY>\n"

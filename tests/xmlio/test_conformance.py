@@ -22,7 +22,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from repro.xmlio.parser import XmlSyntaxError, parse_bytes, parse_document
+from repro.xmlio.parser import XmlSyntaxError, parse_document
 from repro.xmlio.scan import normalize_newlines
 
 
@@ -310,11 +310,3 @@ class TestDifferentialFuzz:
             ours = parse_document(markup)
             theirs = ET.fromstring(markup)
             assert _shape(ours.root) == _et_shape(theirs)
-
-    def test_bytes_path_agrees_with_text_path(self):
-        rng = random.Random(3)
-        for _ in range(25):
-            markup = _generate(rng)
-            via_text = parse_document(markup)
-            via_bytes = parse_bytes(markup.encode("utf-8"))
-            assert _shape(via_text.root) == _shape(via_bytes.root)

@@ -1,28 +1,37 @@
-"""Recoverable-mode parsing against hostile and broken inputs.
+"""Recoverable reading against hostile and broken inputs.
 
-:func:`try_parse_file` is the quarantine primitive of the resilient
-runtime: every way a real-world document can be unreadable — truncated
-bytes, bad encodings, mismatched tags, pathological nesting, entity
-tricks, a vanished file — must come back as a :class:`ParseFailure`
-with a precise cause (or parse fine), never hang, recurse without
-bound, or blow up memory.
+:func:`~repro.runtime.resilience.load_document` in skip mode is the
+quarantine primitive of the resilient runtime: every way a real-world
+document can be unreadable — truncated bytes, bad encodings, mismatched
+tags, pathological nesting, entity tricks, a vanished file — must come
+back as a :class:`QuarantinedDocument` with a precise cause (or read
+fine), never hang, recurse without bound, or blow up memory.  In strict
+mode the one corpus reader, :func:`~repro.xmlio.parser.read_document`,
+raises the same failures as a :class:`CorpusError` that names the
+document.
 """
 
+import mmap
 import sys
 
 import pytest
 
-from repro.obs.recorder import StatsRecorder
+from repro.errors import CorpusError
+from repro.obs.recorder import NULL_RECORDER, StatsRecorder
+from repro.runtime.resilience import (
+    DegradationReport,
+    QuarantinedDocument,
+    load_document,
+)
 from repro.xmlio.parser import (
     MAX_ELEMENT_DEPTH,
     MMAP_MIN_BYTES,
-    ParseFailure,
     XmlSyntaxError,
     parse_document,
     parse_file,
-    try_parse_file,
+    read_document,
 )
-from repro.xmlio.tree import Document
+from repro.xmlio.tree import ElementRecords
 
 
 def _write(tmp_path, name, text):
@@ -31,52 +40,96 @@ def _write(tmp_path, name, text):
     return str(path)
 
 
+def _write_latin1(tmp_path):
+    path = tmp_path / "latin.xml"
+    path.write_bytes("<r>café</r>".encode("latin-1"))
+    return str(path)
+
+
+def _skip(item, recorder=NULL_RECORDER):
+    """Read ``item`` in skip mode: its records, or its quarantine entry."""
+    report = DegradationReport()
+    loaded = load_document(
+        item, 0, on_error="skip", report=report, recorder=recorder
+    )
+    if loaded is None:
+        (entry,) = report.quarantined
+        return entry
+    assert not report.degraded
+    return loaded
+
+
+def _shape(element):
+    return (
+        element.name,
+        element.attributes,
+        element.text_chunks,
+        [_shape(child) for child in element.children],
+    )
+
+
 class TestTryParseFile:
+    """Skip-mode reading of one file: records, or a quarantine entry
+    whose ``path`` names the file and whose ``cause`` does not."""
+
     def test_valid_file_returns_document(self, tmp_path):
         path = _write(tmp_path, "ok.xml", "<r><a/></r>")
-        result = try_parse_file(path)
-        assert isinstance(result, Document)
-        assert result.root.name == "r"
+        result = _skip(path)
+        assert isinstance(result, ElementRecords)
+        assert result.link().root.name == "r"
 
     def test_truncated_file_fails_with_position(self, tmp_path):
         path = _write(tmp_path, "trunc.xml", "<r><a>cut off mid-eleme")
-        failure = try_parse_file(path)
-        assert isinstance(failure, ParseFailure)
+        with pytest.raises(XmlSyntaxError) as syntax:
+            parse_document("<r><a>cut off mid-eleme")
+        failure = _skip(path)
+        assert isinstance(failure, QuarantinedDocument)
         assert failure.path == path
         assert "unterminated" in failure.cause
-        assert failure.position is not None
+        assert failure.cause == str(syntax.value)
+        assert failure.position == syntax.value.position is not None
 
     def test_mismatched_tags_fail_with_both_names(self, tmp_path):
         path = _write(tmp_path, "mismatch.xml", "<r><a></b></r>")
-        failure = try_parse_file(path)
-        assert isinstance(failure, ParseFailure)
+        failure = _skip(path)
+        assert isinstance(failure, QuarantinedDocument)
         assert "</b>" in failure.cause and "<a>" in failure.cause
+        assert not failure.cause.startswith(path)
 
     def test_invalid_utf8_bytes_fail_cleanly(self, tmp_path):
         path = tmp_path / "bad-encoding.xml"
         path.write_bytes(b"<r>\xff\xfe\x9c</r>")
-        failure = try_parse_file(str(path))
-        assert isinstance(failure, ParseFailure)
-        assert failure.cause  # the decode error, verbatim
+        with pytest.raises(UnicodeDecodeError) as decode:
+            parse_file(str(path))
+        failure = _skip(str(path))
+        assert isinstance(failure, QuarantinedDocument)
+        assert failure.cause == str(decode.value)  # the decode error, verbatim
+        assert failure.position is None
 
     def test_empty_file_fails(self, tmp_path):
         path = _write(tmp_path, "empty.xml", "")
-        assert isinstance(try_parse_file(path), ParseFailure)
+        assert isinstance(_skip(path), QuarantinedDocument)
 
     def test_missing_file_fails_with_oserror_cause(self, tmp_path):
-        failure = try_parse_file(str(tmp_path / "nope.xml"))
-        assert isinstance(failure, ParseFailure)
+        path = str(tmp_path / "nope.xml")
+        with pytest.raises(FileNotFoundError) as missing:
+            parse_file(path)
+        failure = _skip(path)
+        assert isinstance(failure, QuarantinedDocument)
         assert "nope.xml" in failure.cause
+        assert failure.cause == str(missing.value)
+        assert failure.position is None
 
     def test_directory_path_fails(self, tmp_path):
-        assert isinstance(try_parse_file(str(tmp_path)), ParseFailure)
+        assert isinstance(_skip(str(tmp_path)), QuarantinedDocument)
 
     def test_failures_are_counted(self, tmp_path):
         recorder = StatsRecorder()
-        try_parse_file(_write(tmp_path, "bad.xml", "<r"), recorder)
-        try_parse_file(_write(tmp_path, "ok.xml", "<r/>"), recorder)
+        _skip(_write(tmp_path, "bad.xml", "<r"), recorder)
+        _skip(_write(tmp_path, "ok.xml", "<r/>"), recorder)
         counters = recorder.snapshot()["counters"]
-        assert counters["parse.failures"] == 1
+        assert counters["resilience.quarantined"] == 1
+        assert counters["documents"] == 1
 
     def test_engine_errors_still_raise(self, tmp_path, monkeypatch):
         # Recoverable mode degrades on bad *input*; a bug in the engine
@@ -86,17 +139,68 @@ class TestTryParseFile:
         def boom(path, recorder):
             raise ZeroDivisionError("engine bug")
 
-        monkeypatch.setattr(parser_module, "parse_file", boom)
+        monkeypatch.setattr(parser_module, "scan_file", boom)
         with pytest.raises(ZeroDivisionError):
-            try_parse_file(_write(tmp_path, "any.xml", "<r/>"))
+            _skip(_write(tmp_path, "any.xml", "<r/>"))
+
+
+class TestReadDocument:
+    """Strict reading: every failure is a CorpusError led by the label."""
+
+    @pytest.mark.parametrize(
+        "kind, chained",
+        [
+            ("syntax", None),
+            ("literal", None),
+            ("latin-1", UnicodeDecodeError),
+            ("missing", FileNotFoundError),
+            ("directory", IsADirectoryError),
+        ],
+    )
+    def test_failure_names_the_document(self, tmp_path, kind, chained):
+        item = {
+            "syntax": lambda: _write(tmp_path, "bad.xml", "<r><a></r>"),
+            "literal": lambda: "<r><a></r>",
+            "latin-1": lambda: _write_latin1(tmp_path),
+            "missing": lambda: str(tmp_path / "nope.xml"),
+            "directory": lambda: str(tmp_path),
+        }[kind]()
+        label = "<document #3>" if kind == "literal" else item
+        with pytest.raises(CorpusError) as raised:
+            read_document(item, 3)
+        message = str(raised.value)
+        assert message.startswith(f"{label}: ")
+        if chained is None:
+            with pytest.raises(XmlSyntaxError) as plain:
+                parse_document("<r><a></r>")
+            error = raised.value
+            assert isinstance(error, XmlSyntaxError)
+            assert message == f"{label}: {plain.value}"
+            assert (error.line, error.column, error.position) == (
+                plain.value.line,
+                plain.value.column,
+                plain.value.position,
+            )
+        else:
+            assert isinstance(raised.value.__cause__, chained)
+            assert message == f"{label}: {raised.value.__cause__}"
+
+    def test_documents_pass_through_and_text_is_scanned(self):
+        document = parse_document("<r><a/></r>")
+        assert read_document(document, 0) is document
+        recorder = StatsRecorder()
+        records = read_document("<r><a/></r>", 0, recorder)
+        assert _shape(records.link().root) == _shape(document.root)
+        spans = recorder.snapshot()["spans"]
+        assert [span["name"] for span in spans] == ["parse"]
 
 
 class TestDepthBomb:
     def test_nesting_past_the_cap_is_a_syntax_error(self, tmp_path):
         depth = MAX_ELEMENT_DEPTH + 10
         path = _write(tmp_path, "deep.xml", "<a>" * depth + "</a>" * depth)
-        failure = try_parse_file(path)
-        assert isinstance(failure, ParseFailure)
+        failure = _skip(path)
+        assert isinstance(failure, QuarantinedDocument)
         assert "nesting deeper" in failure.cause
         assert failure.position is not None
 
@@ -113,27 +217,37 @@ class TestDepthBomb:
             parse_document("<a>" * 100_000 + "</a>" * 100_000)
 
 
+def _large(text):
+    """``text`` padded after the root to take the mapped path."""
+    return text + "\n" * MMAP_MIN_BYTES
+
+
 class TestMmapPath:
     """The large-file mmap input path must change performance, never
-    behavior: same trees, same failure modes, same counters."""
+    behavior: same trees, same failure modes, same counters.  Files of
+    at least MMAP_MIN_BYTES take it, smaller ones a plain read."""
 
     def test_forced_mmap_equals_plain_read(self, tmp_path):
         body = "".join(f"<item n='{i}'>text {i}</item>" for i in range(200))
-        path = _write(tmp_path, "doc.xml", f"<r>{body}</r>")
-        mapped = parse_file(path, use_mmap=True)
-        plain = parse_file(path, use_mmap=False)
-        assert mapped.root.child_names() == plain.root.child_names()
-        assert [c.attributes for c in mapped.root.children] == [
-            c.attributes for c in plain.root.children
-        ]
+        text = f"<r>{body}</r>"
+        large = _write(tmp_path, "large.xml", _large(text))
+        small = _write(tmp_path, "small.xml", text)
+        recorder = StatsRecorder()
+        mapped = parse_file(large, recorder)
+        assert recorder.snapshot()["counters"]["parse.mmap"] == 1
+        plain = parse_file(small, recorder)
+        assert recorder.snapshot()["counters"]["parse.mmap"] == 1
+        assert _shape(mapped.root) == _shape(plain.root)
+        assert _shape(plain.root) == _shape(parse_document(text).root)
 
     def test_mmap_counter_recorded(self, tmp_path):
-        path = _write(tmp_path, "doc.xml", "<r><a/></r>")
+        text = _large("<r><a/></r>")
+        path = _write(tmp_path, "doc.xml", text)
         recorder = StatsRecorder()
-        parse_file(path, recorder, use_mmap=True)
+        parse_file(path, recorder)
         counters = recorder.snapshot()["counters"]
         assert counters["parse.mmap"] == 1
-        assert counters["parse.bytes"] == len("<r><a/></r>")
+        assert counters["parse.bytes"] == len(text)
 
     def test_small_files_skip_mmap_by_default(self, tmp_path):
         path = _write(tmp_path, "doc.xml", "<r/>")
@@ -149,21 +263,32 @@ class TestMmapPath:
         assert document.root.text() == filler
         assert recorder.snapshot()["counters"]["parse.mmap"] == 1
 
-    def test_empty_file_with_forced_mmap_falls_back(self, tmp_path):
-        # mmap refuses zero-length maps; the fallback read must turn
-        # this into the ordinary empty-document syntax error.
-        path = _write(tmp_path, "empty.xml", "")
+    def test_empty_file_with_forced_mmap_falls_back(self, tmp_path, monkeypatch):
+        # A large file the OS refuses to map takes the plain read and
+        # parses the same; an empty file is the ordinary syntax error.
+        text = "<r><a/></r>"
+        path = _write(tmp_path, "doc.xml", _large(text))
+
+        def refuse(*args, **kwargs):
+            raise OSError("mmap refused")
+
+        monkeypatch.setattr(mmap, "mmap", refuse)
+        recorder = StatsRecorder()
+        document = parse_file(path, recorder)
+        assert _shape(document.root) == _shape(parse_document(text).root)
+        assert "parse.mmap" not in recorder.snapshot()["counters"]
         with pytest.raises(XmlSyntaxError):
-            parse_file(path, use_mmap=True)
+            parse_file(_write(tmp_path, "empty.xml", ""))
 
     def test_bad_utf8_on_mmap_path_is_quarantinable(self, tmp_path):
         path = tmp_path / "bad.xml"
-        path.write_bytes(b"<r>" + b"\xff\xfe" * 100 + b"</r>")
-        with pytest.raises(UnicodeDecodeError):
-            parse_file(str(path), use_mmap=True)
-        # and through the quarantine primitive, a ParseFailure
-        failure = try_parse_file(str(path))
-        assert isinstance(failure, ParseFailure)
+        path.write_bytes(b"<r>" + b"\xff\xfe" * 100 + b"</r>" + b"\n" * MMAP_MIN_BYTES)
+        with pytest.raises(UnicodeDecodeError) as decode:
+            parse_file(str(path))
+        # and through the quarantine primitive, the same cause
+        failure = _skip(str(path))
+        assert isinstance(failure, QuarantinedDocument)
+        assert failure.cause == str(decode.value)
 
 
 class TestEntityTricks:
@@ -177,19 +302,19 @@ class TestEntityTricks:
             "<r>&lol3;</r>"
         )
         path = _write(tmp_path, "laughs.xml", text)
-        document = try_parse_file(path)
+        records = _skip(path)
         # Undeclared general entities stay verbatim (size-capped by
         # construction): the reference is data, not a macro expansion.
-        assert isinstance(document, Document)
+        assert isinstance(records, ElementRecords)
 
     def test_overflowing_character_reference_is_quarantinable(self, tmp_path):
         path = _write(tmp_path, "charref.xml", "<r>&#99999999999;</r>")
-        failure = try_parse_file(path)
-        assert isinstance(failure, ParseFailure)
+        failure = _skip(path)
+        assert isinstance(failure, QuarantinedDocument)
         assert "character reference" in failure.cause
 
     def test_unterminated_entity_fails(self, tmp_path):
         path = _write(tmp_path, "entity.xml", "<r>&amp no semicolon</r>")
-        failure = try_parse_file(path)
-        assert isinstance(failure, ParseFailure)
+        failure = _skip(path)
+        assert isinstance(failure, QuarantinedDocument)
         assert "entity" in failure.cause
