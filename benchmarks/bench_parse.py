@@ -27,7 +27,7 @@ from perf_record import update_bench_json
 from repro.datagen.xmlgen import XmlGenerator, serialize
 from repro.evaluation.tables import Table
 from repro.evaluation.timing import best_of
-from repro.obs import StatsRecorder
+from repro.obs.recorder import StatsRecorder
 from repro.xmlio.dtd import parse_dtd
 from repro.xmlio.parser import MMAP_MIN_BYTES, parse_document, parse_file
 

@@ -24,7 +24,8 @@ from repro.api import InferenceConfig, infer
 from repro.datagen.xmlgen import XmlGenerator, serialize
 from repro.evaluation.tables import Table
 from repro.evaluation.timing import best_of
-from repro.obs import StatsRecorder, summary_dict
+from repro.obs.recorder import StatsRecorder
+from repro.obs.report import summary_dict
 from repro.xmlio.dtd import parse_dtd
 
 CORPUS_DTD = (

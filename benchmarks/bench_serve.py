@@ -1,6 +1,6 @@
 """Daemon throughput benchmark: requests per second through repro.serve.
 
-Drives a live :class:`~repro.serve.ServerThread` over a unix socket —
+Drives a live :class:`~repro.serve.daemon.ServerThread` over a unix socket —
 the full stack (HTTP parse, admission, thread-pool dispatch, façade
 inference, JSON render) with no TCP port allocation flakiness — and
 records the ``serve`` section of ``BENCH_serve.json``:
@@ -30,7 +30,7 @@ from typing import Any
 from perf_record import update_bench_json
 from repro.datagen.xmlgen import XmlGenerator, serialize
 from repro.evaluation.tables import Table
-from repro.serve import ServeConfig, ServerThread
+from repro.serve.daemon import ServeConfig, ServerThread
 from repro.xmlio.dtd import parse_dtd
 
 BENCH_SERVE_JSON = os.path.join(

@@ -16,7 +16,7 @@ Run:  python examples/noisy_xhtml.py
 import random
 
 from repro import infer_chare, to_paper_syntax
-from repro.datagen import inject_intruders
+from repro.datagen.noise import inject_intruders
 from repro.datagen.strings import padded_sample
 from repro.learning.noise import idtd_denoised
 from repro.regex.parser import parse_regex
@@ -45,7 +45,8 @@ print("   ", to_paper_syntax(naive)[:100], "...")
 
 # Diff the inferred schema against the official one — the paper's
 # "uniform view of the kind of errors":
-from repro.xmlio import Children, Dtd, diff_dtds
+from repro.xmlio.diff import diff_dtds
+from repro.xmlio.dtd import Children, Dtd
 
 official_dtd = Dtd(elements={"p": Children(regex=OFFICIAL)}, start="p")
 crawl_dtd = Dtd(elements={"p": Children(regex=naive)}, start="p")

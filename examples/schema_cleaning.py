@@ -19,7 +19,7 @@ Run:  python examples/schema_cleaning.py
 import random
 
 from repro import infer_chare, infer_sore, language_included, parse_regex
-from repro.datagen import REFINFO_ELEMENT_NAMES, table1_row
+from repro.datagen.corpora import REFINFO_ELEMENT_NAMES, table1_row
 from repro.datagen.strings import padded_sample
 from repro.regex.printer import to_paper_syntax
 

@@ -14,7 +14,8 @@ Run:  python examples/web_service_inference.py
 
 from repro import matches, parse_document, to_paper_syntax
 from repro.api import InferenceConfig, infer
-from repro.xmlio import Children, validate
+from repro.xmlio.dtd import Children
+from repro.xmlio.validate import validate
 
 REPLIES = [
     "<quote><base>EUR</base><rate>1.27</rate><rate>1.31</rate></quote>",

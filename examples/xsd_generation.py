@@ -12,8 +12,8 @@ Run:  python examples/xsd_generation.py
 import random
 
 from repro.api import InferenceConfig, infer
-from repro.datagen import XmlGenerator
-from repro.xmlio import parse_dtd
+from repro.datagen.xmlgen import XmlGenerator
+from repro.xmlio.dtd import parse_dtd
 
 SOURCE = parse_dtd(
     """

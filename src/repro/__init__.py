@@ -38,38 +38,27 @@ from .api import (
     infer,
     validate,
 )
-from .automata import SOA, state_elimination
-from .core import DTDInferencer, annotate_numeric, idtd_from_soa
+from .automata.elimination import state_elimination
+from .automata.soa import SOA
 from .core.crx import crx as infer_chare
 from .core.idtd import idtd as infer_sore
+from .core.idtd import idtd_from_soa
+from .core.inference import DTDInferencer
+from .core.numeric import annotate_numeric
 from .core.rewrite import rewrite
-from .learning import (
-    IncrementalCRX,
-    IncrementalSOA,
-    idtd_denoised,
-    reservoir_sample,
-    tinf,
-)
-from .regex import (
-    Regex,
-    is_chare,
-    is_deterministic,
-    is_sore,
-    language_equivalent,
-    language_included,
-    matches,
-    parse_regex,
-    to_dtd_syntax,
-    to_paper_syntax,
-)
-from .xmlio import (
-    Document,
-    Dtd,
-    dtd_to_xsd,
-    parse_document,
-    parse_dtd,
-    parse_file,
-)
+from .learning.incremental import IncrementalCRX, IncrementalSOA
+from .learning.noise import idtd_denoised
+from .learning.sampling import reservoir_sample
+from .learning.tinf import tinf
+from .regex.ast import Regex
+from .regex.classify import is_chare, is_deterministic, is_sore
+from .regex.language import language_equivalent, language_included, matches
+from .regex.parser import parse_regex
+from .regex.printer import to_dtd_syntax, to_paper_syntax
+from .xmlio.dtd import Dtd, parse_dtd
+from .xmlio.parser import parse_document, parse_file
+from .xmlio.tree import Document
+from .xmlio.xsd import dtd_to_xsd
 
 __version__ = "1.0.0"
 

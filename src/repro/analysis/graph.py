@@ -13,8 +13,9 @@ Nothing here knows about Python source; it is pure graph machinery:
   returning both the closure and a ``provenance`` map from each
   reached node to the root that first reached it (rules use it to
   name the offending async root in a finding message);
-* :meth:`DiGraph.strongly_connected_components` — Tarjan's algorithm,
-  iterative so deep import chains cannot blow the recursion limit;
+* :meth:`DiGraph.strongly_connected_components` — the learners' own
+  iterative Tarjan (:mod:`repro.automata.scc`), so deep import chains
+  cannot blow the recursion limit;
 * :meth:`DiGraph.cycles` — the non-trivial SCCs (size two or more,
   or a self-loop), which is exactly the "has a cycle" question both
   R007 (lock order) and R010 (import cycles) ask.
@@ -23,6 +24,8 @@ Nothing here knows about Python source; it is pure graph machinery:
 from __future__ import annotations
 
 from collections import deque
+
+from ..automata.scc import strongly_connected_components
 
 __all__ = ["DiGraph", "Reachability"]
 
@@ -107,53 +110,11 @@ class DiGraph:
         return Reachability(reached, provenance)
 
     def strongly_connected_components(self) -> list[list[str]]:
-        """Tarjan's SCCs, iterative; components and members sorted."""
-        index: dict[str, int] = {}
-        lowlink: dict[str, int] = {}
-        on_stack: set[str] = set()
-        stack: list[str] = []
-        components: list[list[str]] = []
-        counter = 0
-
-        for start in self.nodes():
-            if start in index:
-                continue
-            # Each frame is (node, iterator position over successors).
-            work: list[tuple[str, int]] = [(start, 0)]
-            while work:
-                node, pos = work.pop()
-                if pos == 0:
-                    index[node] = lowlink[node] = counter
-                    counter += 1
-                    stack.append(node)
-                    on_stack.add(node)
-                successors = self.successors(node)
-                recursed = False
-                for offset in range(pos, len(successors)):
-                    succ = successors[offset]
-                    if succ not in index:
-                        work.append((node, offset + 1))
-                        work.append((succ, 0))
-                        recursed = True
-                        break
-                    if succ in on_stack:
-                        lowlink[node] = min(lowlink[node], index[succ])
-                if recursed:
-                    continue
-                if lowlink[node] == index[node]:
-                    component: list[str] = []
-                    while True:
-                        member = stack.pop()
-                        on_stack.discard(member)
-                        component.append(member)
-                        if member == node:
-                            break
-                    components.append(sorted(component))
-                if work:
-                    parent = work[-1][0]
-                    lowlink[parent] = min(lowlink[parent], lowlink[node])
-        components.sort()
-        return components
+        """Tarjan's SCCs (:mod:`repro.automata.scc`); components and members sorted."""
+        return sorted(
+            sorted(component)
+            for component in strongly_connected_components(self.nodes(), self.successors)
+        )
 
     def cycles(self) -> list[list[str]]:
         """Non-trivial SCCs: size >= 2, or a single node with a self-loop."""

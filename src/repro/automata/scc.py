@@ -3,7 +3,8 @@
 CRX's ``≈W`` classes are the SCCs of the sibling relation (Algorithm 3),
 Trang contracts the SCCs of the 2T-INF automaton (Section 8.1), and
 iDTD's repair of last resort contracts an SCC of the stuck GFA.  All
-three call :func:`strongly_connected_components`.
+three call :func:`strongly_connected_components`, and so does the
+analyzer's import and lock-order graph (:mod:`repro.analysis.graph`).
 """
 
 from __future__ import annotations

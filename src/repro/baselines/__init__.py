@@ -1,19 +1,9 @@
 """Baseline systems the paper compares against, re-implemented.
 
-* :func:`xtract` — the XTRACT pipeline (generalize / factor / MDL),
-  with its reported blow-up and capacity behaviour;
-* :func:`trang` — Trang's inference mode (2T-INF, SCC contraction,
-  DAG linearisation), including the documented input-order
-  sensitivity.
+* :func:`repro.baselines.xtract.xtract` — the XTRACT pipeline
+  (generalize / factor / MDL), with its reported blow-up and capacity
+  behaviour;
+* :func:`repro.baselines.trang.trang` — Trang's inference mode (2T-INF,
+  SCC contraction, DAG linearisation), including the documented
+  input-order sensitivity.
 """
-
-from .trang import TrangInference, trang
-from .xtract import DEFAULT_CAPACITY, XtractCapacityError, xtract
-
-__all__ = [
-    "DEFAULT_CAPACITY",
-    "TrangInference",
-    "XtractCapacityError",
-    "trang",
-    "xtract",
-]

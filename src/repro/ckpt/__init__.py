@@ -23,23 +23,9 @@ All writes are crash-safe (write-tmp + fsync + atomic rename, see
 :mod:`repro.fsio`); a shard state file is referenced by the manifest
 only after the state bytes themselves are durable, so a kill at any
 point leaves a consistent prefix of the run on disk.
+
+The modules: :mod:`repro.ckpt.runner` (``checkpointed_evidence``, which
+runs the checkpointed pass), :mod:`repro.ckpt.manifest` (the shard plan),
+:mod:`repro.ckpt.codec` (the state file format) and
+:mod:`repro.ckpt.lock` (the run lock).
 """
-
-from .codec import StateDecodeError, decode_state, encode_state, evidence_digest
-from .lock import RunLock, StateDirLocked
-from .manifest import DocumentEntry, Manifest, ShardEntry, load_manifest
-from .runner import checkpointed_evidence
-
-__all__ = [
-    "DocumentEntry",
-    "Manifest",
-    "RunLock",
-    "ShardEntry",
-    "StateDecodeError",
-    "StateDirLocked",
-    "checkpointed_evidence",
-    "decode_state",
-    "encode_state",
-    "evidence_digest",
-    "load_manifest",
-]

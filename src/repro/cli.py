@@ -169,7 +169,7 @@ def _cmd_diff(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    from .serve import DEFAULT_PORT, ServeConfig, run_blocking
+    from .serve.daemon import DEFAULT_PORT, ServeConfig, run_blocking
 
     if args.check:
         import os

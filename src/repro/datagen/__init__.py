@@ -1,67 +1,16 @@
 """Data generation: the ToXgene substitute plus the paper's corpora.
 
-* :func:`random_word` / :func:`sample_words` — random draws from an RE;
-* :func:`representative_sample` — deterministic 2-gram-covering
-  samples (what "all relevant examples present" means operationally);
-* :data:`TABLE1` / :data:`TABLE2` / :data:`FIGURE4_TARGETS` — the
-  paper's concrete expressions with expected learner outputs;
-* :class:`XmlGenerator` — random XML documents from a DTD;
-* noise injection for the Section 9 experiments;
+* :mod:`repro.datagen.strings` — random draws from an RE
+  (``random_word`` / ``sample_words``) and deterministic 2-gram-covering
+  samples (``representative_sample``: what "all relevant examples
+  present" means operationally);
+* :mod:`repro.datagen.corpora` — ``TABLE1`` / ``TABLE2`` /
+  ``FIGURE4_TARGETS``, the paper's concrete expressions with expected
+  learner outputs;
+* :class:`repro.datagen.xmlgen.XmlGenerator` — random XML documents
+  from a DTD;
+* :mod:`repro.datagen.noise` — noise injection for the Section 9
+  experiments;
 * :mod:`repro.datagen.occurrences` — seeded repeated-symbol and
   shuffled/interleaved corpora for the beyond-SORE learners.
 """
-
-from .corpora import (
-    FIGURE4_DAGGER,
-    FIGURE4_TARGETS,
-    REFINFO_ELEMENT_NAMES,
-    TABLE1,
-    TABLE2,
-    Table1Row,
-    Table2Row,
-    table1_row,
-    table2_row,
-)
-from .noise import NoisyCorpus, inject_intruders, perturb
-from .occurrences import (
-    fuzz_corpus,
-    repeated_symbol_corpus,
-    repeated_symbol_target,
-    shuffled_corpus,
-    shuffled_target,
-)
-from .strings import (
-    padded_sample,
-    random_word,
-    representative_sample,
-    riffle,
-    sample_words,
-)
-from .xmlgen import XmlGenerator, serialize
-
-__all__ = [
-    "FIGURE4_DAGGER",
-    "FIGURE4_TARGETS",
-    "NoisyCorpus",
-    "REFINFO_ELEMENT_NAMES",
-    "TABLE1",
-    "TABLE2",
-    "Table1Row",
-    "Table2Row",
-    "XmlGenerator",
-    "fuzz_corpus",
-    "inject_intruders",
-    "padded_sample",
-    "perturb",
-    "random_word",
-    "repeated_symbol_corpus",
-    "repeated_symbol_target",
-    "representative_sample",
-    "riffle",
-    "sample_words",
-    "serialize",
-    "shuffled_corpus",
-    "shuffled_target",
-    "table1_row",
-    "table2_row",
-]

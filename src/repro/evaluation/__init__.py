@@ -1,34 +1,8 @@
-"""Evaluation machinery: metrics, the Figure 4 protocol, timing, tables."""
+"""Evaluation machinery: metrics, the Figure 4 protocol, timing, tables.
 
-from .criticality import (
-    LEARNERS,
-    CurvePoint,
-    SuccessCurve,
-    figure4_panel,
-    learner_reference,
-    rewrite_learner,
-    success_curve,
-)
-from .metrics import Fit, conciseness_ratio, equivalent, language_fit, token_count
-from .tables import Table, ascii_curve
-from .timing import Timed, best_of, timed
-
-__all__ = [
-    "CurvePoint",
-    "Fit",
-    "LEARNERS",
-    "SuccessCurve",
-    "Table",
-    "Timed",
-    "ascii_curve",
-    "best_of",
-    "conciseness_ratio",
-    "equivalent",
-    "figure4_panel",
-    "language_fit",
-    "learner_reference",
-    "rewrite_learner",
-    "success_curve",
-    "timed",
-    "token_count",
-]
+* :mod:`repro.evaluation.metrics` — language fit, equivalence and
+  conciseness measures;
+* :mod:`repro.evaluation.criticality` — the Figure 4 success curves;
+* :mod:`repro.evaluation.timing` and :mod:`repro.evaluation.tables` —
+  best-of timing and the text tables and curves of the reports.
+"""

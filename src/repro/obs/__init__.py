@@ -2,54 +2,17 @@
 
 The instrumentation substrate of the pipeline (see ``docs/API.md``):
 
-* :class:`Recorder` — the protocol every instrumented layer accepts;
-* :data:`NULL_RECORDER` / :class:`NullRecorder` — the near-free
-  default used whenever no recorder is passed;
-* :class:`StatsRecorder` — collects hierarchical spans, counters,
+* :mod:`repro.obs.recorder` — the ``Recorder`` protocol every
+  instrumented layer accepts; ``NULL_RECORDER`` / ``NullRecorder``, the
+  near-free default used whenever no recorder is passed; and
+  ``StatsRecorder``, which collects hierarchical spans, counters,
   aggregated hot-loop timings and peak-RSS samples, with picklable
   snapshots that merge across map-reduce shards;
-* :func:`format_stats` / :func:`write_trace` — the ``--stats`` table
-  and ``--trace`` JSON-lines renderings;
-* :func:`validate_trace_lines` — the trace schema check used by tests
-  and the CI smoke step.
+* :mod:`repro.obs.report` — ``format_stats`` / ``write_trace``, the
+  ``--stats`` table and ``--trace`` JSON-lines renderings;
+* :mod:`repro.obs.check_trace` — ``validate_trace_lines``, the trace
+  schema check used by tests and the CI smoke step.
 
 Deliberately dependency-free within repro, so every layer (including
 ``xmlio`` and ``automata``) can import it without cycles.
 """
-
-from .check_trace import validate_trace_file, validate_trace_lines
-from .recorder import (
-    NULL_RECORDER,
-    NullRecorder,
-    Recorder,
-    Snapshot,
-    StatsRecorder,
-    peak_rss_kb,
-)
-from .report import (
-    PHASE_ORDER,
-    format_stats,
-    iter_trace_lines,
-    peak_rss_of,
-    phase_totals,
-    summary_dict,
-    write_trace,
-)
-
-__all__ = [
-    "NULL_RECORDER",
-    "NullRecorder",
-    "PHASE_ORDER",
-    "Recorder",
-    "Snapshot",
-    "StatsRecorder",
-    "format_stats",
-    "iter_trace_lines",
-    "peak_rss_kb",
-    "peak_rss_of",
-    "phase_totals",
-    "summary_dict",
-    "validate_trace_file",
-    "validate_trace_lines",
-    "write_trace",
-]

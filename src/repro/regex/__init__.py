@@ -1,91 +1,14 @@
 """Regular expression engine: the paper's RE grammar and decision procedures.
 
-Public surface:
+Public surface, one module each:
 
 * AST nodes and smart constructors (:mod:`repro.regex.ast`),
-* parsing (:func:`parse_regex`) and printing (paper / DTD syntax),
+* parsing (:mod:`repro.regex.parser`) and printing in paper and DTD
+  syntax (:mod:`repro.regex.printer`),
 * normal forms and canonical comparison (:mod:`repro.regex.normalize`),
 * SORE / CHARE / determinism classifiers (:mod:`repro.regex.classify`),
-* Glushkov position automata (:func:`glushkov`),
+* Glushkov position automata (:mod:`repro.regex.glushkov`),
 * language-level decisions: matching, inclusion, equivalence,
-  enumeration (:mod:`repro.regex.language`).
+  enumeration (:mod:`repro.regex.language`), and matching by
+  Brzozowski derivatives (:mod:`repro.regex.derivatives`).
 """
-
-from .ast import (
-    Concat,
-    Disj,
-    Opt,
-    Plus,
-    Regex,
-    Repeat,
-    Star,
-    Sym,
-    chain_factor,
-    concat,
-    disj,
-    sym,
-    syms,
-)
-from .derivatives import matches_by_derivatives
-from .classify import (
-    is_chare,
-    is_deterministic,
-    is_single_occurrence,
-    is_sore,
-)
-from .glushkov import Glushkov, glushkov
-from .language import (
-    counterexample,
-    enumerate_words,
-    language_equivalent,
-    language_included,
-    matches,
-)
-from .normalize import (
-    canonical,
-    contract_stars,
-    expand_stars,
-    normalize,
-    simplify,
-    syntactically_equal,
-)
-from .parser import RegexSyntaxError, parse_regex
-from .printer import to_dtd_syntax, to_paper_syntax
-
-__all__ = [
-    "Concat",
-    "Disj",
-    "Glushkov",
-    "Opt",
-    "Plus",
-    "Regex",
-    "RegexSyntaxError",
-    "Repeat",
-    "Star",
-    "Sym",
-    "canonical",
-    "chain_factor",
-    "concat",
-    "contract_stars",
-    "counterexample",
-    "disj",
-    "enumerate_words",
-    "expand_stars",
-    "glushkov",
-    "is_chare",
-    "is_deterministic",
-    "is_single_occurrence",
-    "is_sore",
-    "language_equivalent",
-    "language_included",
-    "matches",
-    "matches_by_derivatives",
-    "normalize",
-    "parse_regex",
-    "simplify",
-    "sym",
-    "syms",
-    "syntactically_equal",
-    "to_dtd_syntax",
-    "to_paper_syntax",
-]

@@ -75,6 +75,6 @@ def to_dtd_syntax(regex: Regex) -> str:
 
     Note: a full ``<!ELEMENT>`` declaration requires the body to be
     wrapped in parentheses when it is not already; that is handled by
-    :mod:`repro.xmlio.dtdprint`.
+    :mod:`repro.xmlio.dtd`.
     """
     return _render(regex, _PREC_DISJ, ",", "|")

@@ -61,11 +61,11 @@ from __future__ import annotations
 import atexit
 import os
 import threading
-from concurrent.futures import BrokenExecutor, Future, ProcessPoolExecutor
+from concurrent.futures import BrokenExecutor, Future
 from concurrent.futures import TimeoutError as FuturesTimeout
 from dataclasses import dataclass, replace
 from time import sleep
-from typing import TypeVar
+from typing import TYPE_CHECKING, TypeVar
 from collections.abc import Callable, Sequence
 
 from ..contracts import (
@@ -90,6 +90,9 @@ from .resilience import (
     ShardRetry,
     load_document,
 )
+
+if TYPE_CHECKING:
+    from concurrent.futures import ProcessPoolExecutor
 
 #: Below this many fresh documents the driver folds every shard itself:
 #: feeding worker processes costs more than the fold they spread.  On a
@@ -163,6 +166,9 @@ class WorkerPool:
                 self._executor.shutdown(wait=False, cancel_futures=True)
                 self._executor = None
             if self._executor is None:
+                # Imported here so a serial run never loads the pool.
+                from concurrent.futures import ProcessPoolExecutor
+
                 self._executor = ProcessPoolExecutor(
                     max_workers=os.cpu_count() or 1
                 )

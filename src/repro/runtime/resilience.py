@@ -518,24 +518,24 @@ def load_document(
     the fault plan and the quarantine.  Injected corruption
     (``plan.corrupts``) and real read failures behave identically: raise
     in strict mode, else quarantine.  The entry's ``path`` names the
-    document, so its ``cause`` drops the reader's leading label.
+    document, so its ``cause`` drops the reader's leading label; an
+    ``OSError``'s cause is that error's own text.
     """
     path = document_label(item, index)
     try:
         if plan is not None and plan.corrupts(index):
             if recorder.enabled:
                 recorder.count("resilience.injected.corrupt")
-            raise CorpusError(
-                f"injected fault: corrupt document #{index} ({path})"
-            )
+            raise CorpusError(f"{path}: injected fault: corrupt document #{index}")
         return read_document(item, index, recorder)
     except CorpusError as exc:
         if on_error != "skip" or report is None:
             raise
+        cause = exc.__cause__ if isinstance(exc.__cause__, OSError) else exc
         report.add_quarantine(
             QuarantinedDocument(
                 path=path,
-                cause=str(exc).removeprefix(f"{path}: "),
+                cause=str(cause).removeprefix(f"{path}: "),
                 position=getattr(exc, "position", None),
             ),
             limit=max_quarantine,

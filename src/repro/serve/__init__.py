@@ -7,7 +7,7 @@ repeated inference/validation requests skip process startup entirely.
 
 Start it from the CLI (``repro-infer serve --port 8273``) or embed it::
 
-    from repro.serve import ServeConfig, ServerThread
+    from repro.serve.daemon import ServeConfig, ServerThread
 
     with ServerThread(ServeConfig(port=0)) as server:
         ...  # speak HTTP to 127.0.0.1:<server.port>
@@ -18,28 +18,3 @@ its own — lint rule R001 confines these modules to the façade
 (:mod:`repro.api`), :mod:`repro.errors` and :mod:`repro.obs` — so the
 HTTP surface can never drift from the library's semantics.
 """
-
-from .app import ReproApp, Response, SessionStore, UnknownSessionError, status_for
-from .daemon import (
-    DEFAULT_PORT,
-    ReproServer,
-    ServeConfig,
-    ServerThread,
-    run_blocking,
-)
-from .http import ProtocolError, Request
-
-__all__ = [
-    "DEFAULT_PORT",
-    "ProtocolError",
-    "ReproApp",
-    "ReproServer",
-    "Request",
-    "Response",
-    "ServeConfig",
-    "ServerThread",
-    "SessionStore",
-    "UnknownSessionError",
-    "run_blocking",
-    "status_for",
-]

@@ -365,7 +365,11 @@ def read_document(
     except XmlSyntaxError as exc:
         exc.in_document(document_label(item, index))
         raise
-    except (OSError, UnicodeDecodeError) as exc:
+    except OSError as exc:
+        # The label already names the file: drop the ``: 'path'`` tail.
+        detail = f"[Errno {exc.errno}] {exc.strerror}" if exc.strerror else str(exc)
+        raise CorpusError(f"{document_label(item, index)}: {detail}") from exc
+    except UnicodeDecodeError as exc:
         raise CorpusError(f"{document_label(item, index)}: {exc}") from exc
 
 

@@ -278,6 +278,7 @@ GOLDEN_PACKAGE_EDGES = frozenset(
         ("repro", "repro.regex"),
         ("repro", "repro.xmlio"),
         ("repro.__main__", "repro.cli"),
+        ("repro.analysis", "repro.automata"),
         ("repro.analysis", "repro.errors"),
         ("repro.analysis", "repro.fsio"),
         ("repro.ckpt", "repro.contracts"),

@@ -1,6 +1,6 @@
 """A pinned iDTD run on a wide root: 51 symbols, 36 repairs.
 
-The root's children are drawn by :class:`repro.datagen.XmlGenerator`
+The root's children are drawn by :class:`repro.datagen.xmlgen.XmlGenerator`
 from two wide disjunctions around a short sequence, over too few
 documents for the 2T-INF automaton to be representative, so iDTD
 repairs the stuck graph 36 times.  The regex, every repair's rule,
@@ -20,7 +20,7 @@ import pytest
 
 from repro.api import InferenceConfig, infer
 from repro.core.idtd import idtd_from_soa
-from repro.datagen import XmlGenerator, serialize
+from repro.datagen.xmlgen import XmlGenerator, serialize
 from repro.learning.evidence import child_sequences
 from repro.learning.tinf import tinf
 from repro.regex.printer import to_paper_syntax
@@ -139,7 +139,7 @@ def test_dtd_bytes_equal_across_shapes(paths, method):
 
 def test_stats_and_trace_explain_the_repairs(paths, tmp_path, capsys):
     from repro.cli import main
-    from repro.obs import validate_trace_file
+    from repro.obs.check_trace import validate_trace_file
 
     trace = tmp_path / "trace.jsonl"
     code = main(

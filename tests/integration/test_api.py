@@ -13,7 +13,7 @@ from repro.contracts import contracts_active
 from repro.core.inference import DTDInferencer
 from repro.datagen.xmlgen import XmlGenerator, serialize
 from repro.errors import CorpusError, UsageError
-from repro.obs import StatsRecorder
+from repro.obs.recorder import StatsRecorder
 from repro.learning import evidence as evidence_module
 from repro.learning.evidence import StreamingEvidence, extract_evidence
 from repro.runtime.parallel import PROCESS_CORPUS_FLOOR, parallel_evidence
@@ -259,12 +259,39 @@ class TestUnreadableInput:
             "assert [d.valid for d in result.documents] == [True, False]\n"
             "assert 'repro.runtime' not in sys.modules, sorted(sys.modules)\n"
         )
-        source_root = os.path.dirname(os.path.dirname(api.__file__))
-        env = {**os.environ, "PYTHONPATH": source_root}
-        completed = subprocess.run(
-            [sys.executable, "-c", script], env=env, capture_output=True, text=True
+        run_fresh_interpreter(script)
+
+    def test_serial_infer_does_not_import_unused_modules(self, tmp_path):
+        # Comparison, rendering and trace-checking modules, and the
+        # process pool, load only when something calls them.
+        path = tmp_path / "doc.xml"
+        path.write_text("<r><x/></r>", encoding="utf-8")
+        unused = [
+            "repro.automata.compare",
+            "repro.automata.dfa",
+            "repro.automata.dot",
+            "repro.obs.check_trace",
+            "repro.obs.report",
+            "concurrent.futures.process",
+        ]
+        script = (
+            "import sys\n"
+            "import repro.api\n"
+            f"result = repro.api.infer([{str(path)!r}, '<r><x/><x/></r>'])\n"
+            "assert result.dtd.render()\n"
+            f"loaded = [m for m in {unused!r} if m in sys.modules]\n"
+            "assert not loaded, loaded\n"
         )
-        assert completed.returncode == 0, completed.stderr
+        run_fresh_interpreter(script)
+
+
+def run_fresh_interpreter(script):
+    source_root = os.path.dirname(os.path.dirname(api.__file__))
+    env = {**os.environ, "PYTHONPATH": source_root}
+    completed = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True
+    )
+    assert completed.returncode == 0, completed.stderr
 
 
 class TestInferenceConfigValidation:

@@ -312,7 +312,7 @@ class TestStatsAndTrace:
         assert "crx" in capsys.readouterr().err
 
     def test_validate_stats_and_trace(self, corpus_files, tmp_path, capsys):
-        from repro.obs import validate_trace_file
+        from repro.obs.check_trace import validate_trace_file
 
         dtd_path = tmp_path / "schema.dtd"
         dtd_path.write_text(
@@ -330,7 +330,7 @@ class TestStatsAndTrace:
         assert validate_trace_file(str(trace)) == []
 
     def test_trace_is_valid_jsonl(self, corpus_files, tmp_path, capsys):
-        from repro.obs import validate_trace_file
+        from repro.obs.check_trace import validate_trace_file
 
         trace = tmp_path / "trace.jsonl"
         assert main(["dtd", "--trace", str(trace), *corpus_files]) == 0
@@ -359,7 +359,7 @@ class TestStatsAndTrace:
     def test_filter_span_and_counter_on_every_shape(self, tmp_path, capsys):
         import json
 
-        from repro.obs import validate_trace_file
+        from repro.obs.check_trace import validate_trace_file
 
         paths = []
         for index in range(6):
@@ -389,7 +389,7 @@ class TestStatsAndTrace:
     def test_parallel_trace_includes_shards(self, tmp_path, capsys, two_cpus):
         import json
 
-        from repro.obs import validate_trace_file
+        from repro.obs.check_trace import validate_trace_file
         from repro.runtime.parallel import PROCESS_CORPUS_FLOOR
 
         paths = write_corpus(tmp_path, PROCESS_CORPUS_FLOOR)

@@ -14,7 +14,7 @@ import pytest
 from repro import api
 from repro.contracts import contracts_enabled, set_contracts
 from repro.errors import UsageError
-from repro.obs import StatsRecorder
+from repro.obs.recorder import StatsRecorder
 
 
 def corpus(count: int = 20) -> list[str]:

@@ -4,16 +4,13 @@ import io
 import json
 import pickle
 
-from repro.obs import (
-    NULL_RECORDER,
-    NullRecorder,
-    Recorder,
-    StatsRecorder,
+from repro.obs.check_trace import validate_trace_lines
+from repro.obs.recorder import NULL_RECORDER, NullRecorder, Recorder, StatsRecorder
+from repro.obs.report import (
     format_stats,
     iter_trace_lines,
     phase_totals,
     summary_dict,
-    validate_trace_lines,
     write_trace,
 )
 

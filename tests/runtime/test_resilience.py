@@ -369,6 +369,7 @@ class TestQuarantine:
         )
         (doc,) = result.degradation.quarantined
         assert doc.path == "<document #1>"
+        assert doc.cause == "injected fault: corrupt document #1"
         baseline = infer([docs[0], docs[2]])
         assert result.dtd.render() == baseline.dtd.render()
 
@@ -456,9 +457,10 @@ class TestQuarantine:
         with pytest.raises(CorpusError) as raised:
             infer(paths, config=InferenceConfig(recorder=recorder, faults={}, **options))
         assert str(raised.value).startswith(f"{bad}: ")
-        assert ("codec can't decode" if kind == "latin-1" else "No such file") in str(
-            raised.value
-        )
+        if kind == "latin-1":
+            assert "codec can't decode" in str(raised.value)
+        else:
+            assert str(raised.value) == f"{bad}: [Errno 2] No such file or directory"
         counters = recorder.snapshot()["counters"]
         assert counters[f"parallel.backend.{backend}"] == 1
         assert not any(name.startswith("resilience.") for name in counters)
@@ -748,7 +750,7 @@ class TestAcceptanceScenario:
 
     def test_same_plan_in_strict_mode_aborts(self, tmp_path):
         paths = write_corpus(tmp_path, 20)
-        with pytest.raises(CorpusError, match="corrupt document #5"):
+        with pytest.raises(CorpusError) as raised:
             infer(
                 paths,
                 config=InferenceConfig(
@@ -756,6 +758,8 @@ class TestAcceptanceScenario:
                     faults={"worker_crashes": [0], "corrupt_docs": [5, 17]},
                 ),
             )
+        # Led by the document's label, like every real read failure.
+        assert str(raised.value) == f"{paths[5]}: injected fault: corrupt document #5"
 
 
 class TestReportShape:

@@ -20,7 +20,8 @@ import pytest
 
 from repro import api
 from repro.errors import UsageError
-from repro.serve import ReproApp, Response, ServeConfig, ServerThread
+from repro.serve.app import ReproApp, Response
+from repro.serve.daemon import ServeConfig, ServerThread
 
 DOCS = [
     "<catalog><item/><item/><price/></catalog>",

@@ -181,9 +181,16 @@ class TestReadDocument:
                 plain.value.column,
                 plain.value.position,
             )
-        else:
+        elif chained is UnicodeDecodeError:
             assert isinstance(raised.value.__cause__, chained)
             assert message == f"{label}: {raised.value.__cause__}"
+        else:
+            # The label names the file; the OS error's text does not
+            # repeat it.
+            cause = raised.value.__cause__
+            assert isinstance(cause, chained)
+            assert message == f"{label}: [Errno {cause.errno}] {cause.strerror}"
+            assert message.count(item) == 1
 
     def test_documents_pass_through_and_text_is_scanned(self):
         document = parse_document("<r><a/></r>")
