@@ -17,8 +17,8 @@ unlabeled endpoints (:data:`SOURCE` and :data:`SINK`) plus the
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from collections.abc import Collection, Iterator, Sequence
+from dataclasses import dataclass, field
+from collections.abc import Collection, Iterator, Sequence, Set
 
 from ..errors import UsageError
 from ..obs.recorder import NULL_RECORDER, Recorder
@@ -81,7 +81,7 @@ def _reach(adjacency: dict[int, set[int]], nullable: int) -> dict[int, int]:
     return reach_of
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Closure:
     """The ε-closure ``G*``: predecessor and successor masks per node.
 
@@ -89,11 +89,18 @@ class Closure:
     closure edge ``(r, r′)``, ``pred[r′]`` the bit of every such ``r``.
     Masks may hold :data:`SOURCE` (in predecessors) and :data:`SINK`
     (in successors); the distinguished endpoints themselves also have
-    entries.
+    entries.  The masks are never changed once built: a step that
+    changes ``G*`` builds a new ``Closure``.  So the two indexes
+    :mod:`repro.core.rewrite` fills on first use, which read the masks
+    alone, hold for the object's whole life.
     """
 
     pred: dict[int, int]
     succ: dict[int, int]
+    optional_mask: int | None = field(default=None, compare=False, repr=False)
+    disjunction_pairs: list[tuple[int, int]] | None = field(
+        default=None, compare=False, repr=False
+    )
 
 
 class GFA:
@@ -217,11 +224,13 @@ class GFA:
     def has_edge(self, tail: int, head: int) -> bool:
         return head in self._out.get(tail, ())
 
-    def successors(self, node: int) -> set[int]:
-        return set(self._out[node])
+    def successors(self, node: int) -> Set[int]:
+        """``node``'s graph successors: the live set, to be read only."""
+        return self._out[node]
 
-    def predecessors(self, node: int) -> set[int]:
-        return set(self._in[node])
+    def predecessors(self, node: int) -> Set[int]:
+        """``node``'s graph predecessors: the live set, to be read only."""
+        return self._in[node]
 
     def edges_among(self, nodes: Collection[int]) -> int:
         """How many graph edges (self-loops included) run between ``nodes``."""

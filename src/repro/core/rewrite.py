@@ -31,7 +31,8 @@ The loop computes it once per call, or takes the one iDTD carried
 across a repair, and carries it across the rules: ``optional`` and
 ``self_loop`` leave it unchanged, and a merge only renames its members.
 ``docs/ALGORITHMS.md`` §3 proves both, and the bucket index behind the
-``disjunction`` finder.
+``disjunction`` finder.  What the finders read of the closure alone is
+indexed once per ``Closure`` (:func:`_optional_mask` and the pairs).
 """
 
 from __future__ import annotations
@@ -127,10 +128,29 @@ def _find_self_loop(gfa: GFA, closure: Closure) -> Application | None:
     return None
 
 
+def _optional_mask(closure: Closure) -> int:
+    """The nodes where the closure half of ``optional`` holds, as a mask.
+
+    That half, ``pred[r]`` nonempty and ``succ[r] ⊆ succ[p]`` for every
+    ``p ∈ pred[r]``, reads the closure alone, so each ``Closure`` works
+    it out once, on first use.
+    """
+    if closure.optional_mask is None:
+        mask = 0
+        for node, predecessors in closure.pred.items():
+            successors = closure.succ[node]
+            if node >= 0 and predecessors and not any(
+                successors & ~closure.succ[predecessor]
+                for predecessor in mask_nodes(predecessors)
+            ):
+                mask |= node_bit(node)
+        closure.optional_mask = mask
+    return closure.optional_mask
+
+
 def _find_optional(gfa: GFA, closure: Closure) -> Application | None:
-    for node in sorted(gfa.nodes()):
-        nullable = gfa.labels[node].nullable()
-        if nullable:
+    for node in mask_nodes(_optional_mask(closure)):
+        if gfa.labels[node].nullable():
             # Re-applying ``?`` is a no-op on the label (``r??`` is not
             # normalized), so for progress the step must remove at
             # least one direct bypass edge.  This arises after repairs
@@ -143,15 +163,7 @@ def _find_optional(gfa: GFA, closure: Closure) -> Application | None:
             )
             if not has_bypass:
                 continue
-        predecessors = closure.pred[node]
-        if not predecessors:
-            continue
-        successors = closure.succ[node]
-        if not any(
-            successors & ~closure.succ[predecessor]
-            for predecessor in mask_nodes(predecessors)
-        ):
-            return Application("optional", (node,))
+        return Application("optional", (node,))
     return None
 
 
@@ -229,7 +241,10 @@ def _matching_pairs(nodes: Sequence[int], closure: Closure) -> list[tuple[int, i
 
 def _find_disjunction(gfa: GFA, closure: Closure) -> Application | None:
     nodes = sorted(gfa.nodes())
-    for first, second in _matching_pairs(nodes, closure):
+    if closure.disjunction_pairs is None:
+        # The pairs read the closure alone (its nodes are gfa's).
+        closure.disjunction_pairs = _matching_pairs(nodes, closure)
+    for first, second in closure.disjunction_pairs:
         if _disjunction_case(gfa, closure, (first, second)) is None:
             continue
         group = [first, second]

@@ -14,6 +14,8 @@ criterion of the Figure 4 experiments, Theorem 5).
 
 from __future__ import annotations
 
+from operator import is_
+
 from .ast import (
     Concat,
     Disj,
@@ -32,6 +34,9 @@ from .printer import to_paper_syntax
 
 
 def _rebuild(regex: Regex, children: list[Regex]) -> Regex:
+    """``regex`` over new ``children``; ``regex`` itself if none changed."""
+    if all(map(is_, children, regex.children())):
+        return regex
     if isinstance(regex, Concat):
         return concat(*children)
     if isinstance(regex, Disj):
@@ -164,6 +169,8 @@ def contract_repeats(regex: Regex) -> Regex:
             run = interval
             run_parts.append(part)
     flush()
+    if len(out) == len(rebuilt.parts):  # no run collapsed: the same parts
+        return rebuilt
     return concat(*out)
 
 

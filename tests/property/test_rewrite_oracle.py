@@ -4,17 +4,22 @@
 before candidates were bucketed by neighbourhood: it compares every
 node pair, with the set algebra of the set-valued closure
 (``reference_neighbourhoods_match``, ``reference_disjunction_case``).
-``reference_normalize_label`` is the full label normaliser that ran
-after every rule before only the new top node was normalised.  On
-random samples (2T-INF over random words of 4–16 symbols) iDTD runs
-with its repairs, and at every rule search of every ``rewrite_gfa``
-call the closure the loop hands to the finders (carried across rules
-and repairs) must equal a fresh ``gfa.closure()`` and the set-valued
-reference closure, the bucketed finder must return the reference's
-``Application`` and pick its candidates from exactly the pairs the
-pairwise test accepts; every label a rule or an SCC contraction builds
-must equal its full normalisation.  A table of unary wrappings pins the
-top-node normaliser on shapes random samples rarely reach.
+``reference_find_optional`` is the ``optional`` finder as it stood
+before the closure half of its test was indexed once per closure: it
+checks every node in turn.  ``reference_normalize_label`` is the full
+label normaliser that ran after every rule before only the new top node
+was normalised.  On random samples (2T-INF over random words of 4–16
+symbols) iDTD runs with its repairs, and at every rule search of every
+``rewrite_gfa`` call the closure the loop hands to the finders (carried
+across rules and repairs) must equal a fresh ``gfa.closure()`` and the
+set-valued reference closure; the indexes it carries from an earlier
+search (the ``optional`` mask and the disjunction pairs) must equal
+those of a fresh closure; both finders must return the reference's
+``Application``, and the bucketed one must pick its candidates from
+exactly the pairs the pairwise test accepts; every label a rule or an
+SCC contraction builds must equal its full normalisation.  A table of
+unary wrappings pins the top-node normaliser on shapes random samples
+rarely reach.
 """
 
 import importlib
@@ -26,7 +31,13 @@ from hypothesis import HealthCheck, given, settings
 
 from repro.automata.gfa import GFA
 from repro.core.idtd import idtd_from_soa
-from repro.core.rewrite import Application, _find_disjunction, _matching_pairs
+from repro.core.rewrite import (
+    Application,
+    _find_disjunction,
+    _find_optional,
+    _matching_pairs,
+    _optional_mask,
+)
 from repro.learning.tinf import tinf
 from repro.regex.ast import Opt, Plus, Regex
 from repro.regex.normalize import expand_stars, normalize
@@ -97,6 +108,25 @@ def reference_find_disjunction(gfa: GFA, closure: SetClosure) -> Application | N
     return None
 
 
+def reference_find_optional(gfa: GFA, closure: SetClosure) -> Application | None:
+    for node in sorted(gfa.nodes()):
+        if gfa.labels[node].nullable():
+            direct_succ = gfa.successors(node) - {node}
+            if not any(
+                gfa.has_edge(predecessor, successor)
+                for predecessor in gfa.predecessors(node) - {node}
+                for successor in direct_succ
+            ):
+                continue
+        predecessors = closure.pred[node]
+        if predecessors and all(
+            closure.succ[node] <= closure.succ[predecessor]
+            for predecessor in predecessors
+        ):
+            return Application("optional", (node,))
+    return None
+
+
 def reference_normalize_label(label: Regex) -> Regex:
     return expand_stars(normalize(label))
 
@@ -105,8 +135,9 @@ def reference_normalize_label(label: Regex) -> Regex:
 def checked_rewrite_loop():
     """Patch the rewrite loop's rule search and normaliser with oracles.
 
-    Yields a list that collects one entry per checked rule search and
-    one per checked label, so a test can tell the checks really ran.
+    Yields a list that collects one entry per checked rule search, one
+    per search that found indexes on its closure and one per checked
+    label, so a test can tell the checks really ran.
     """
     checked: list[str] = []
     find_application = rewrite_module.find_application
@@ -114,7 +145,8 @@ def checked_rewrite_loop():
 
     def checked_find(gfa, order, closure=None):
         assert closure is not None
-        assert closure == gfa.closure()
+        fresh = gfa.closure()
+        assert closure == fresh
         sets = reference_closure(gfa)
         assert as_sets(closure) == sets
         nodes = sorted(gfa.nodes())
@@ -124,10 +156,17 @@ def checked_rewrite_loop():
             for second in nodes[index + 1 :]
             if reference_neighbourhoods_match(sets, {first, second}, first, second)
         ]
-        assert _matching_pairs(nodes, closure) == pairwise
+        assert _matching_pairs(nodes, fresh) == pairwise
+        if closure.optional_mask is not None:
+            checked.append("carried")
+        # The finders run on the loop's closure, so they read any index
+        # an earlier search built on it; it must equal a fresh one.
+        assert _find_optional(gfa, closure) == reference_find_optional(gfa, sets)
         assert _find_disjunction(gfa, closure) == reference_find_disjunction(
             gfa, sets
         )
+        assert closure.optional_mask == _optional_mask(fresh)
+        assert closure.disjunction_pairs == pairwise
         checked.append("search")
         return find_application(gfa, order, closure)
 
@@ -149,8 +188,13 @@ def test_incremental_rewrite_matches_the_recomputing_one(words):
     with checked_rewrite_loop() as checked:
         result = idtd_from_soa(tinf(words))
     # One search per step plus the failed one ending each rewrite_gfa
-    # call; one label per step plus one per SCC contraction.
+    # call; one label per step plus one per SCC contraction.  optional
+    # and self_loop keep the closure, so the search after each of them
+    # reads the indexes the search before it built.
     assert checked.count("search") > len(result.steps)
+    assert checked.count("carried") == sum(
+        step.rule in ("optional", "self_loop") for step in result.steps
+    )
     assert checked.count("label") >= len(result.steps)
 
 

@@ -3,7 +3,8 @@
 import pytest
 from hypothesis import given, settings
 
-from repro.regex.ast import Opt, Plus, Star, Sym
+from repro.datagen.corpora import TABLE2
+from repro.regex.ast import Concat, Opt, Plus, Star, Sym
 from repro.regex.language import language_equivalent
 from repro.regex.normalize import (
     canonical,
@@ -18,6 +19,17 @@ from repro.regex.parser import parse_regex
 from repro.regex.printer import to_paper_syntax
 
 from ..conftest import sores
+from ..property.test_rewrite_oracle import NORMAL_LABELS
+
+#: The rewrite loop's normal labels and every Table 2 expression.
+IDENTITY_LABELS = [
+    *NORMAL_LABELS,
+    *(
+        text
+        for row in TABLE2
+        for text in (row.original_dtd, row.expected_crx, row.expected_idtd)
+    ),
+]
 
 
 class TestOperatorNormalForm:
@@ -153,3 +165,38 @@ class TestContractRepeats:
     @given(sores())
     def test_language_preserved_on_random_sores(self, expression):
         assert language_equivalent(contract_repeats(expression), expression)
+
+
+class TestUnchangedSubtreesAreKept:
+    """A normaliser returns a node itself when it changes nothing below it."""
+
+    @pytest.mark.parametrize("text", IDENTITY_LABELS)
+    def test_normal_label_comes_back_itself(self, text):
+        # NORMAL_LABELS spell r* as (r+)?; normalize contracts that.
+        regex = contract_stars(parse_regex(text))
+        assert normalize(regex) is regex
+        assert contract_stars(regex) is regex
+        simplified = simplify(regex)
+        if simplified == regex:
+            assert simplified is regex
+        assert simplify(simplified) is simplified
+        contracted = contract_repeats(regex)
+        if contracted == regex:
+            assert contracted is regex
+
+    @pytest.mark.parametrize("text", IDENTITY_LABELS)
+    def test_changed_child_yields_a_new_node(self, text):
+        superfluous = Opt(Opt(contract_stars(parse_regex(text))))
+        regex = Concat((Sym("zz"), superfluous))
+        normal = normalize(regex)
+        assert normal is not regex
+        assert normal == Concat((Sym("zz"), normalize(superfluous)))
+        assert normal.parts[0] is regex.parts[0]
+
+    def test_changed_grandchild_rebuilds_only_its_path(self):
+        regex = parse_regex("(b?? c)+ d")
+        normal = normalize(regex)
+        assert normal == parse_regex("(b? c)+ d")
+        assert normal.parts[0] is not regex.parts[0]
+        assert normal.parts[0].inner.parts[1] is regex.parts[0].inner.parts[1]
+        assert normal.parts[1] is regex.parts[1]
