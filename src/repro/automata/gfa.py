@@ -18,7 +18,7 @@ unlabeled endpoints (:data:`SOURCE` and :data:`SINK`) plus the
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from collections.abc import Collection, Iterator, Sequence, Set
+from collections.abc import Iterator, Sequence
 
 from ..errors import UsageError
 from ..obs.recorder import NULL_RECORDER, Recorder
@@ -54,14 +54,8 @@ def mask_nodes(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def _reach(adjacency: dict[int, set[int]], nullable: int) -> dict[int, int]:
+def _reach(direct: dict[int, int], nullable: int) -> dict[int, int]:
     """Per node, the nodes one edge away, then on through nullable ones."""
-    direct: dict[int, int] = {}
-    for node, heads in adjacency.items():
-        mask = 0
-        for head in heads:
-            mask |= 1 << (head + 2)
-        direct[node] = mask
     through: dict[int, int] = {}  # what a nullable node reaches
     for node in mask_nodes(nullable):
         reach, done = direct[node], 0
@@ -108,12 +102,15 @@ class GFA:
 
     Nodes are integer ids mapped to their :class:`Regex` labels; the
     unlabeled endpoints are the module constants ``SOURCE``/``SINK``.
+    Adjacency is one mask per node in the closure's :func:`node_bit`
+    layout: ``_out[r]`` has the bit of every graph successor of ``r``,
+    ``_in[r]`` that of every graph predecessor.
     """
 
     def __init__(self) -> None:
         self.labels: dict[int, Regex] = {}
-        self._out: dict[int, set[int]] = {SOURCE: set(), SINK: set()}
-        self._in: dict[int, set[int]] = {SOURCE: set(), SINK: set()}
+        self._out: dict[int, int] = {SOURCE: 0, SINK: 0}
+        self._in: dict[int, int] = {SOURCE: 0, SINK: 0}
         self._next_id = 0
         #: Instrumentation sink; :func:`repro.core.rewrite.rewrite_gfa`
         #: attaches a live one so state merges are counted where they
@@ -146,8 +143,8 @@ class GFA:
     def copy(self) -> "GFA":
         clone = GFA()
         clone.labels = dict(self.labels)
-        clone._out = {node: set(succ) for node, succ in self._out.items()}
-        clone._in = {node: set(pred) for node, pred in self._in.items()}
+        clone._out = dict(self._out)
+        clone._in = dict(self._in)
         clone._next_id = self._next_id
         clone.recorder = self.recorder
         return clone
@@ -158,15 +155,16 @@ class GFA:
         node = self._next_id
         self._next_id += 1
         self.labels[node] = label
-        self._out[node] = set()
-        self._in[node] = set()
+        self._out[node] = 0
+        self._in[node] = 0
         return node
 
     def remove_node(self, node: int) -> None:
-        for successor in list(self._out[node]):
-            self.remove_edge(node, successor)
-        for predecessor in list(self._in[node]):
-            self.remove_edge(predecessor, node)
+        own = node_bit(node)
+        for successor in mask_nodes(self._out[node]):
+            self._in[successor] &= ~own
+        for predecessor in mask_nodes(self._in[node]):
+            self._out[predecessor] &= ~own
         del self.labels[node]
         del self._out[node]
         del self._in[node]
@@ -174,12 +172,12 @@ class GFA:
     def add_edge(self, tail: int, head: int) -> None:
         self._check_endpoint(tail)
         self._check_endpoint(head)
-        self._out[tail].add(head)
-        self._in[head].add(tail)
+        self._out[tail] |= node_bit(head)
+        self._in[head] |= node_bit(tail)
 
     def remove_edge(self, tail: int, head: int) -> None:
-        self._out[tail].discard(head)
-        self._in[head].discard(tail)
+        self._out[tail] &= ~node_bit(head)
+        self._in[head] &= ~node_bit(tail)
 
     def relabel(self, node: int, label: Regex) -> None:
         if node in (SOURCE, SINK):
@@ -193,21 +191,27 @@ class GFA:
         new node; edges *between* merged nodes (including self-loops)
         become a self-loop on the new node.  Returns the new node id.
         """
-        merged = set(nodes)
+        merged = 0
+        for node in nodes:
+            merged |= node_bit(node)
         if self.recorder.enabled:
-            self.recorder.count("soa.states_eliminated", len(merged) - 1)
+            self.recorder.count("soa.states_eliminated", merged.bit_count() - 1)
+        heads = tails = 0
+        for node in nodes:
+            del self.labels[node]
+            heads |= self._out.pop(node)
+            tails |= self._in.pop(node)
         new_node = self.add_node(label)
-        for node in nodes:
-            for successor in list(self._out[node]):
-                self.add_edge(
-                    new_node, new_node if successor in merged else successor
-                )
-            for predecessor in list(self._in[node]):
-                self.add_edge(
-                    new_node if predecessor in merged else predecessor, new_node
-                )
-        for node in nodes:
-            self.remove_node(node)
+        own = node_bit(new_node)
+        loop = own if heads & merged else 0
+        heads &= ~merged
+        tails &= ~merged
+        for head in mask_nodes(heads):
+            self._in[head] = self._in[head] & ~merged | own
+        for tail in mask_nodes(tails):
+            self._out[tail] = self._out[tail] & ~merged | own
+        self._out[new_node] = heads | loop
+        self._in[new_node] = tails | loop
         return new_node
 
     def _check_endpoint(self, node: int) -> None:
@@ -222,23 +226,27 @@ class GFA:
         return list(self.labels)
 
     def has_edge(self, tail: int, head: int) -> bool:
-        return head in self._out.get(tail, ())
+        return bool(self._out.get(tail, 0) & node_bit(head))
 
-    def successors(self, node: int) -> Set[int]:
-        """``node``'s graph successors: the live set, to be read only."""
+    def successors(self, node: int) -> int:
+        """The mask of ``node``'s graph successors."""
         return self._out[node]
 
-    def predecessors(self, node: int) -> Set[int]:
-        """``node``'s graph predecessors: the live set, to be read only."""
+    def predecessors(self, node: int) -> int:
+        """The mask of ``node``'s graph predecessors."""
         return self._in[node]
 
-    def edges_among(self, nodes: Collection[int]) -> int:
-        """How many graph edges (self-loops included) run between ``nodes``."""
-        return sum(len(self._out[node].intersection(nodes)) for node in nodes)
+    def edges_among(self, members: int) -> int:
+        """How many graph edges (self-loops included) run within the mask ``members``."""
+        return sum(
+            (self._out[node] & members).bit_count() for node in mask_nodes(members)
+        )
 
     def edge_list(self) -> list[tuple[int, int]]:
         return [
-            (tail, head) for tail, heads in self._out.items() for head in heads
+            (tail, head)
+            for tail, heads in self._out.items()
+            for head in mask_nodes(heads)
         ]
 
     def is_final(self) -> bool:
@@ -246,11 +254,12 @@ class GFA:
         if len(self.labels) != 1:
             return False
         (node,) = self.labels
+        own = node_bit(node)
         return (
-            self._out[SOURCE] == {node}
-            and self._in[node] == {SOURCE}
-            and self._out[node] == {SINK}
-            and self._in[SINK] == {node}
+            self._out[SOURCE] == own
+            and self._in[node] == node_bit(SOURCE)
+            and self._out[node] == node_bit(SINK)
+            and self._in[SINK] == own
         )
 
     def final_regex(self) -> Regex:
@@ -313,7 +322,7 @@ class GFA:
             node, index = frontier.pop()
             if index == length and self.has_edge(node, SINK):
                 return True
-            for successor in self._out[node]:
+            for successor in mask_nodes(self._out[node]):
                 if successor == SINK:
                     continue
                 label = self.labels[successor]

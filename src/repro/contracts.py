@@ -162,18 +162,25 @@ def check_gfa(
     labels are checked for stars and normal form: the step left every
     other label as it was.
     """
-    from .automata.gfa import SINK, SOURCE
+    from .automata.gfa import SINK, SOURCE, mask_nodes, node_bit
     from .regex.ast import Star
     from .regex.normalize import expand_stars, normalize
 
-    out_edges = {
-        (tail, head) for tail, heads in gfa._out.items() for head in heads
-    }
-    in_edges = {
-        (tail, head) for head, tails in gfa._in.items() for tail in tails
-    }
-    if out_edges != in_edges:
-        mismatch = out_edges.symmetric_difference(in_edges)
+    # The in-masks must be the transpose of the out-masks.
+    transposed = dict.fromkeys(gfa._in, 0)
+    for tail, heads in gfa._out.items():
+        bit = node_bit(tail)
+        while heads:
+            low = heads & -heads
+            head = low.bit_length() - 3
+            transposed[head] = transposed.get(head, 0) | bit
+            heads ^= low
+    if transposed != gfa._in:
+        mismatch = [
+            (tail, head)
+            for head in transposed.keys() | gfa._in.keys()
+            for tail in mask_nodes(transposed.get(head, 0) ^ gfa._in.get(head, 0))
+        ]
         raise _violated(
             f"{context}.gfa-adjacency",
             f"_out/_in adjacency maps disagree on edges {sorted(mismatch)}",
@@ -187,12 +194,12 @@ def check_gfa(
     if gfa._in[SOURCE]:
         raise _violated(
             f"{context}.gfa-endpoints",
-            f"the source has incoming edges from {sorted(gfa._in[SOURCE])}",
+            f"the source has incoming edges from {list(mask_nodes(gfa._in[SOURCE]))}",
         )
     if gfa._out[SINK]:
         raise _violated(
             f"{context}.gfa-endpoints",
-            f"the sink has outgoing edges to {sorted(gfa._out[SINK])}",
+            f"the sink has outgoing edges to {list(mask_nodes(gfa._out[SINK]))}",
         )
     if not gfa.is_single_occurrence():
         raise _violated(

@@ -60,11 +60,13 @@ def _contract_scc(gfa: GFA) -> bool:
     so the iDTD loop terminates even on adversarial inputs.
     """
 
+    endpoints = node_bit(SOURCE) | node_bit(SINK)
+
     def successors(node: int) -> list[int]:
-        # Reverse set order: it decides which looping component the
+        # Descending node order: it decides which looping component the
         # search completes, and so contracts, first (pinned in
         # tests/property/test_scc_pins.py).
-        return [n for n in gfa.successors(node) if n not in (SOURCE, SINK)][::-1]
+        return list(mask_nodes(gfa.successors(node) & ~endpoints))[::-1]
 
     for component in strongly_connected_components(sorted(gfa.nodes()), successors):
         has_loop = len(component) > 1 or gfa.has_edge(component[0], component[0])

@@ -54,28 +54,26 @@ class Repair:
             gfa.add_edge(tail, head)
 
 
-def _equalising_gaps(
-    closure: Closure, members: tuple[int, ...]
-) -> list[tuple[int, int, int]]:
+def _equalising_gaps(closure: Closure, members: int) -> Iterator[tuple[int, int, int]]:
     """Per member, the masks of the closure predecessors and successors it lacks.
 
-    Each member's neighbourhood is raised to the union of the members'
-    neighbourhoods outside the set itself (never from the sink, never
-    to the source).
+    ``members`` is the set's mask.  Each member's neighbourhood is
+    raised to the union of the members' neighbourhoods outside the set
+    itself (never from the sink, never to the source).
     """
     pred, succ = closure.pred, closure.succ
-    preds = succs = member_mask = 0
-    for member in members:
+    preds = succs = 0
+    for member in mask_nodes(members):
         preds |= pred[member]
         succs |= succ[member]
-        member_mask |= node_bit(member)
-    preds &= ~(member_mask | node_bit(SINK))
-    succs &= ~(member_mask | node_bit(SOURCE))
-    return [(m, preds & ~pred[m], succs & ~succ[m]) for m in members]
+    preds &= ~(members | node_bit(SINK))
+    succs &= ~(members | node_bit(SOURCE))
+    for member in mask_nodes(members):
+        yield member, preds & ~pred[member], succs & ~succ[member]
 
 
 def _equalising_edges(
-    gfa: GFA, closure: Closure, members: tuple[int, ...]
+    gfa: GFA, closure: Closure, members: int
 ) -> tuple[tuple[int, int], ...]:
     """The minimal edge additions enabling ``disjunction`` on ``members``.
 
@@ -99,40 +97,51 @@ def _equalising_edges(
     if gfa.edges_among(members):
         additions.update(
             (tail, head)
-            for tail in members
-            for head in members
-            if not gfa.has_edge(tail, head)
+            for tail in mask_nodes(members)
+            for head in mask_nodes(members & ~gfa.successors(tail))
         )
     return tuple(sorted(additions))
 
 
-def _equalising_count(gfa: GFA, closure: Closure, members: tuple[int, ...]) -> int:
+def _equalising_count(gfa: GFA, closure: Closure, members: int) -> int:
     """``len(_equalising_edges(gfa, closure, members))``, without the edges.
 
     External predecessor additions, external successor additions and
     internal clique edges are disjoint, so each part counts on its own.
+    One pass over the members gathers their neighbourhoods and counts
+    the graph edges among them; a second counts each member's gaps.
     """
-    gaps = _equalising_gaps(closure, members)
-    count = sum(preds.bit_count() + succs.bit_count() for _member, preds, succs in gaps)
-    internal = gfa.edges_among(members)
-    return count + len(members) ** 2 - internal if internal else count
+    pred, succ, successors = closure.pred, closure.succ, gfa.successors
+    nodes = list(mask_nodes(members))
+    preds = succs = internal = 0
+    for member in nodes:
+        preds |= pred[member]
+        succs |= succ[member]
+        internal += (successors(member) & members).bit_count()
+    preds &= ~(members | node_bit(SINK))
+    succs &= ~(members | node_bit(SOURCE))
+    count = 0
+    for member in nodes:
+        count += (preds & ~pred[member]).bit_count() + (succs & ~succ[member]).bit_count()
+    return count + len(nodes) ** 2 - internal if internal else count
 
 
 def _cheapest(
     rule: str,
-    candidates: Iterable[tuple[int, ...]],
-    count: Callable[[tuple[int, ...]], int],
-    build: Callable[[tuple[int, ...]], tuple[tuple[int, int], ...]],
+    candidates: Iterable[int],
+    count: Callable[[int], int],
+    build: Callable[[int], tuple[tuple[int, int], ...]],
     recorder: Recorder,
     keep_empty: bool = False,
 ) -> Repair | None:
     """The first candidate adding the fewest edges, whose edges alone are built.
 
-    Candidates are ranked by ``count`` with a strict ``<``, so ties keep
-    the first; one adding no edge is passed over unless ``keep_empty``.
+    Each candidate is a node mask.  Candidates are ranked by ``count``
+    with a strict ``<``, so ties keep the first; one adding no edge is
+    passed over unless ``keep_empty``.
     """
     scored = 0
-    best: tuple[int, ...] | None = None
+    best: int | None = None
     best_count = 0
     for nodes in candidates:
         scored += 1
@@ -142,10 +151,11 @@ def _cheapest(
     recorder.count("repair.candidates", scored)
     if best is None:
         return None
+    members = tuple(mask_nodes(best))
     edges = build(best)
     if contracts_enabled():
-        check_repair_count(rule, best, edges, best_count)
-    return Repair(rule, best, edges)
+        check_repair_count(rule, members, edges, best_count)
+    return Repair(rule, members, edges)
 
 
 def find_enable_disjunction_b(
@@ -165,7 +175,7 @@ def find_enable_disjunction_b(
         u: closure.succ[u] & closure.pred[u] & ~node_bit(u) for u in gfa.nodes()
     }
 
-    def cliques() -> Iterator[tuple[int, ...]]:
+    def cliques() -> Iterator[int]:
         seen: set[int] = set()
         for u in sorted(adjacent):
             above_u = -node_bit(u + 1)  # the bits of the nodes after u
@@ -178,7 +188,7 @@ def find_enable_disjunction_b(
                     common &= adjacent[low.bit_length() - 3]
                 if clique not in seen:  # an equal set scores equal: a tie
                     seen.add(clique)
-                    yield tuple(mask_nodes(clique))
+                    yield clique
 
     return _cheapest(
         "enable_disjunction_b",
@@ -223,7 +233,7 @@ def find_enable_disjunction_a(
     return _cheapest(
         "enable_disjunction_a",
         (
-            (u, v)
+            node_bit(u) | node_bit(v)
             for index, u in enumerate(nodes)
             for v in nodes[index + 1 :]
             if similar(u, v)
@@ -234,22 +244,25 @@ def find_enable_disjunction_a(
     )
 
 
-def _bypass_sides(closure: Closure, node: int) -> tuple[int, int]:
-    """The masks of Pred(node) and Succ(node), less the node and endpoints."""
-    own = node_bit(node)
+def _bypass_sides(closure: Closure, own: int) -> tuple[int, int]:
+    """The masks of Pred(node) and Succ(node), less the node and endpoints.
+
+    ``own`` is the node's bit.
+    """
+    node = own.bit_length() - 3
     return (
         closure.pred[node] & ~(own | node_bit(SINK)),
         closure.succ[node] & ~(own | node_bit(SOURCE)),
     )
 
 
-def _bypass_edges(closure: Closure, node: int) -> tuple[tuple[int, int], ...]:
+def _bypass_edges(closure: Closure, own: int) -> tuple[tuple[int, int], ...]:
     """All missing Pred(node) × (Succ(node) \\ {node}) edges.
 
     A graph edge is always a closure edge, so the closure decides.
     Ascending bits in both loops list the edges sorted.
     """
-    predecessors, successors = _bypass_sides(closure, node)
+    predecessors, successors = _bypass_sides(closure, own)
     return tuple(
         (predecessor, successor)
         for predecessor in mask_nodes(predecessors)
@@ -257,9 +270,9 @@ def _bypass_edges(closure: Closure, node: int) -> tuple[tuple[int, int], ...]:
     )
 
 
-def _bypass_count(closure: Closure, node: int) -> int:
-    """``len(_bypass_edges(closure, node))``, without the edges."""
-    predecessors, successors = _bypass_sides(closure, node)
+def _bypass_count(closure: Closure, own: int) -> int:
+    """``len(_bypass_edges(closure, own))``, without the edges."""
+    predecessors, successors = _bypass_sides(closure, own)
     return sum(
         (successors & ~closure.succ[predecessor]).bit_count()
         for predecessor in mask_nodes(predecessors)
@@ -281,20 +294,19 @@ def find_enable_optional_a(
     def has_bypass(node: int) -> bool:
         successors = closure.succ[node] & ~node_bit(node)
         return any(
-            successors & node_bit(successor)
+            gfa.successors(predecessor) & successors
             for predecessor in mask_nodes(closure.pred[node])
-            for successor in gfa.successors(predecessor)
         )
 
     return _cheapest(
         "enable_optional_a",
         (
-            (node,)
+            node_bit(node)
             for node in sorted(gfa.nodes())
             if not gfa.labels[node].nullable() and has_bypass(node)
         ),
-        lambda single: _bypass_count(closure, *single),
-        lambda single: _bypass_edges(closure, *single),
+        lambda own: _bypass_count(closure, own),
+        lambda own: _bypass_edges(closure, own),
         recorder,
     )
 
@@ -315,9 +327,9 @@ def find_enable_optional_b(
 
     return _cheapest(
         "enable_optional_b",
-        ((node,) for node in sorted(gfa.nodes()) if chained(node)),
-        lambda single: _bypass_count(closure, *single),
-        lambda single: _bypass_edges(closure, *single),
+        (node_bit(node) for node in sorted(gfa.nodes()) if chained(node)),
+        lambda own: _bypass_count(closure, own),
+        lambda own: _bypass_edges(closure, own),
         recorder,
     )
 

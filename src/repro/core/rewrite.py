@@ -42,7 +42,7 @@ from itertools import combinations
 from dataclasses import dataclass, field
 from collections.abc import Callable, Sequence
 
-from ..automata.gfa import GFA, SINK, SOURCE, Closure, mask_nodes, node_bit
+from ..automata.gfa import GFA, SINK, Closure, mask_nodes, node_bit
 from ..automata.soa import SOA
 from ..contracts import (
     check_carried_closure,
@@ -122,10 +122,8 @@ def normalize_label(label: Regex) -> Regex:
 
 
 def _find_self_loop(gfa: GFA, closure: Closure) -> Application | None:
-    for node in sorted(gfa.nodes()):
-        if gfa.has_edge(node, node):
-            return Application("self_loop", (node,))
-    return None
+    looping = [node for node in gfa.nodes() if gfa.successors(node) & node_bit(node)]
+    return Application("self_loop", (min(looping),)) if looping else None
 
 
 def _optional_mask(closure: Closure) -> int:
@@ -155,13 +153,12 @@ def _find_optional(gfa: GFA, closure: Closure) -> Application | None:
             # normalized), so for progress the step must remove at
             # least one direct bypass edge.  This arises after repairs
             # re-introduce bypass edges around an optional state.
-            direct_succ = gfa.successors(node) - {node}
-            has_bypass = any(
-                gfa.has_edge(predecessor, successor)
-                for predecessor in gfa.predecessors(node) - {node}
-                for successor in direct_succ
-            )
-            if not has_bypass:
+            own = node_bit(node)
+            direct_succ = gfa.successors(node) & ~own
+            if not any(
+                gfa.successors(predecessor) & direct_succ
+                for predecessor in mask_nodes(gfa.predecessors(node) & ~own)
+            ):
                 continue
         return Application("optional", (node,))
     return None
@@ -178,14 +175,11 @@ def _disjunction_case(
     merge with a self-loop; ``None`` when neither holds, in which case
     the rule is not applicable.
     """
-    internal = any(
-        gfa.has_edge(tail, head) for tail in members for head in members
-    )
-    if not internal:
-        return False
     member_mask = 0
     for member in members:
         member_mask |= node_bit(member)
+    if not any(gfa.successors(tail) & member_mask for tail in members):
+        return False
     if all(member_mask & ~closure.succ[tail] == 0 for tail in members):
         return True
     return None
@@ -264,22 +258,19 @@ def _find_disjunction(gfa: GFA, closure: Closure) -> Application | None:
     return None
 
 
+def _sole_node(mask: int) -> int | None:
+    """The labelled node whose bit is all of ``mask``, if there is one."""
+    if mask & (mask - 1) or mask < node_bit(0):  # several bits, or an endpoint
+        return None
+    return mask.bit_length() - 3
+
+
 def _find_concatenation(gfa: GFA, closure: Closure) -> Application | None:
     def unique_out(node: int) -> int | None:
-        successors = gfa.successors(node)
-        if len(successors) == 1:
-            (successor,) = successors
-            if successor not in (SOURCE, SINK):
-                return successor
-        return None
+        return _sole_node(gfa.successors(node))
 
     def unique_in(node: int) -> int | None:
-        predecessors = gfa.predecessors(node)
-        if len(predecessors) == 1:
-            (predecessor,) = predecessors
-            if predecessor not in (SOURCE, SINK):
-                return predecessor
-        return None
+        return _sole_node(gfa.predecessors(node))
 
     def chainable(tail: int, head: int) -> bool:
         return (
@@ -372,9 +363,10 @@ def apply_application(gfa: GFA, application: Application) -> int | None:
         # applying optional never disables a disjunction candidate set.
         # (Removing closure-level bypasses instead is unsound: a removed
         # pair's justification path can itself have been removed.)
-        bypass_targets = gfa.successors(node) - {node}
-        for predecessor in gfa.predecessors(node) - {node}:
-            for successor in bypass_targets:
+        own = node_bit(node)
+        bypass_targets = gfa.successors(node) & ~own
+        for predecessor in mask_nodes(gfa.predecessors(node) & ~own):
+            for successor in mask_nodes(gfa.successors(predecessor) & bypass_targets):
                 gfa.remove_edge(predecessor, successor)
         gfa.relabel(node, normalize_label(Opt(gfa.labels[node])))
     elif rule == "disjunction":
@@ -430,9 +422,10 @@ def _merged_closure(
         merged_pred |= closure.pred[node]
     merged_succ &= ~gone
     merged_pred &= ~gone
-    if gfa.has_edge(merged, merged) or any(
+    heads = gfa.successors(merged)
+    if heads & own or any(
         succ[successor] & own and gfa.labels[successor].nullable()
-        for successor in gfa.successors(merged) - {merged, SINK}
+        for successor in mask_nodes(heads & ~node_bit(SINK))
     ):
         merged_succ, merged_pred = merged_succ | own, merged_pred | own
     succ[merged], pred[merged] = merged_succ, merged_pred

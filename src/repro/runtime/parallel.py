@@ -61,8 +61,6 @@ from __future__ import annotations
 import atexit
 import os
 import threading
-from concurrent.futures import BrokenExecutor, Future
-from concurrent.futures import TimeoutError as FuturesTimeout
 from dataclasses import dataclass, replace
 from time import sleep
 from typing import TYPE_CHECKING, TypeVar
@@ -92,7 +90,7 @@ from .resilience import (
 )
 
 if TYPE_CHECKING:
-    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures import Future, ProcessPoolExecutor
 
 #: Below this many fresh documents the driver folds every shard itself:
 #: feeding worker processes costs more than the fold they spread.  On a
@@ -320,6 +318,46 @@ def _pooled_shard(task: _ShardTask) -> _Result:
 #: One shard's slot in a pool task's outcomes: its result or its error.
 _Outcome = _Result | ReproError
 
+#: A submitted pool task, a shard's slot in its outcomes, and its deadline.
+_Pending = tuple["Future[list[_Outcome]]", int, "float | None"]
+
+
+class _PoolAttemptFailed(Exception):
+    """The pool failed a shard attempt: a worker died or the wait timed out.
+
+    ``reason`` is ``"worker-crash"`` or ``"timeout"``.
+    """
+
+    def __init__(self, reason: str) -> None:
+        super().__init__(reason)
+        self.reason = reason
+
+
+def _await_pooled(pending: _Pending) -> _Result:
+    """A pooled shard's result, waiting at most its deadline.
+
+    A broken pool or an exceeded deadline raises
+    :class:`_PoolAttemptFailed`; the shard's own error is re-raised.
+    ``concurrent.futures`` is imported here, where the pool already
+    loaded it, so serial runs never import it.
+    """
+    from concurrent.futures import BrokenExecutor
+    from concurrent.futures import TimeoutError as FuturesTimeout
+
+    future, slot, timeout = pending
+    try:
+        outcome = future.result(timeout=timeout)[slot]
+    except BrokenExecutor:
+        raise _PoolAttemptFailed("worker-crash") from None
+    except FuturesTimeout:
+        # A hung task cannot be cancelled: deadlines are best-effort,
+        # the retry queues behind it and the serial reshard guarantees
+        # progress.
+        raise _PoolAttemptFailed("timeout") from None
+    if isinstance(outcome, ReproError):
+        raise outcome
+    return outcome
+
 
 def _pooled_shards(tasks: list[_ShardTask]) -> list[_Outcome]:
     """Fold a contiguous group of shards in one pool worker, in order.
@@ -445,7 +483,7 @@ def parallel_evidence(
     # Each fresh shard's pending pool task, its slot in that task's
     # outcomes and the task's deadline (``deadline`` per shard in it);
     # serial shards (None) run lazily in the driver, when gathered.
-    futures: dict[int, tuple[Future[list[_Outcome]], int, float | None] | None] = {}
+    futures: dict[int, _Pending | None] = {}
 
     def submit(*indexes: int) -> None:
         if not pooled:
@@ -470,23 +508,20 @@ def parallel_evidence(
                 if pending is None:
                     result = _extract_shard(task(index), recorder)
                 else:
-                    future, slot, timeout = pending
-                    outcome = future.result(timeout=timeout)[slot]
-                    if isinstance(outcome, ReproError):
-                        raise outcome
-                    result = outcome
+                    result = _await_pooled(pending)
                 settle(index)
                 return result
             except (InjectedWorkerCrash, InjectedShardTimeout) as exc:
                 reason = "worker-crash" if isinstance(exc, InjectedWorkerCrash) else "timeout"
             except ReproError:
                 raise  # data/engine errors are not transient: propagate
-            except BrokenExecutor:
+            except _PoolAttemptFailed as exc:
                 # A crash injected into *another* shard broke the pool
                 # under this one: resubmit it without charging it an
                 # attempt, so its own fault schedule is undisturbed.
                 if (
-                    faults is not None
+                    exc.reason == "worker-crash"
+                    and faults is not None
                     and faults.worker_crashes
                     and not faults.crashes(index, attempts[index])
                 ):
@@ -494,12 +529,7 @@ def parallel_evidence(
                         recorder.count("resilience.collateral_resubmits")
                     submit(index)
                     continue
-                reason = "worker-crash"
-            except FuturesTimeout:
-                # A hung task cannot be cancelled: deadlines are
-                # best-effort, the retry queues behind it and the serial
-                # reshard below guarantees progress.
-                reason = "timeout"
+                reason = exc.reason
             failures.setdefault(index, reason)
             attempts[index] += 1
             if recorder.enabled:

@@ -53,7 +53,6 @@ served to fault-free runs.
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass, field
 from random import Random
@@ -349,6 +348,8 @@ class FaultPlan:
 
     @classmethod
     def from_json(cls, text: str) -> FaultPlan:
+        import json  # only a plan given as JSON text needs it
+
         try:
             data = json.loads(text)
         except json.JSONDecodeError as exc:

@@ -1,5 +1,7 @@
 """GFA mechanics: mutation, merge semantics, ε-closure, acceptance."""
 
+import random
+
 import pytest
 
 from repro.automata.gfa import GFA, SINK, SOURCE, Closure, mask_nodes, node_bit
@@ -181,3 +183,136 @@ class TestAcceptance:
         gfa.add_node(Sym("z"))
         with pytest.raises(ValueError):
             gfa.final_regex()
+
+
+class SetGraph:
+    """The GFA's reference model: labels and one set of edge pairs."""
+
+    def __init__(self) -> None:
+        self.labels: dict[int, object] = {}
+        self.edges: set[tuple[int, int]] = set()
+        self.next_id = 0
+
+    def add_node(self, label) -> int:
+        node = self.next_id
+        self.next_id += 1
+        self.labels[node] = label
+        return node
+
+    def remove_node(self, node: int) -> None:
+        del self.labels[node]
+        self.edges = {edge for edge in self.edges if node not in edge}
+
+    def merge(self, nodes: list[int], label) -> int:
+        new_node = self.add_node(label)
+        renamed = {node: new_node for node in nodes}
+        self.edges = {
+            (renamed.get(tail, tail), renamed.get(head, head)) for tail, head in self.edges
+        }
+        for node in nodes:
+            del self.labels[node]
+        return new_node
+
+    def is_final(self) -> bool:
+        if len(self.labels) != 1:
+            return False
+        (node,) = self.labels
+        return self.edges == {(SOURCE, node), (node, SINK)}
+
+    def closure(self) -> tuple[dict[int, set[int]], dict[int, set[int]]]:
+        """Successors and predecessors in the ε-closure, by graph search."""
+        nullable = {node for node, label in self.labels.items() if label.nullable()}
+        every_node = [SOURCE, SINK, *self.labels]
+        succ: dict[int, set[int]] = {}
+        for start in every_node:
+            reached: set[int] = set()
+            frontier = [head for tail, head in self.edges if tail == start]
+            while frontier:
+                node = frontier.pop()
+                if node not in reached:
+                    reached.add(node)
+                    if node in nullable:
+                        frontier.extend(head for tail, head in self.edges if tail == node)
+            succ[start] = reached
+        for node, label in self.labels.items():
+            if isinstance(label, Plus) or (
+                isinstance(label, Opt) and isinstance(label.inner, Plus)
+            ):
+                succ[node].add(node)
+        pred: dict[int, set[int]] = {node: set() for node in every_node}
+        for tail, heads in succ.items():
+            for head in heads:
+                pred[head].add(tail)
+        return succ, pred
+
+
+def random_label(rng, symbol: str):
+    shape = rng.randrange(4)
+    if shape == 0:
+        return Sym(symbol)
+    if shape == 1:
+        return Opt(Sym(symbol))
+    if shape == 2:
+        return Plus(Sym(symbol))
+    return Opt(Plus(Sym(symbol)))
+
+
+def assert_gfa_matches(gfa: GFA, model: SetGraph, rng) -> None:
+    assert sorted(gfa.nodes()) == sorted(model.labels)
+    every_node = [SOURCE, SINK, *model.labels]
+    for tail in every_node:
+        for head in every_node:
+            assert gfa.has_edge(tail, head) == ((tail, head) in model.edges)
+    assert sorted(gfa.edge_list()) == sorted(model.edges)
+    assert gfa.is_final() == model.is_final()
+    for _ in range(3):
+        members = {node for node in every_node if rng.random() < 0.5}
+        mask = sum(node_bit(node) for node in members)
+        expected = sum(1 for tail, head in model.edges if tail in members and head in members)
+        assert gfa.edges_among(mask) == expected
+    closure = gfa.closure()
+    succ, pred = model.closure()
+    assert {node: set(mask_nodes(mask)) for node, mask in closure.succ.items()} == succ
+    assert {node: set(mask_nodes(mask)) for node, mask in closure.pred.items()} == pred
+
+
+GFA_SEEDS = range(240)
+
+
+@pytest.mark.parametrize("first", range(0, len(GFA_SEEDS), 40), ids=lambda s: f"{s}-{s + 39}")
+def test_mask_adjacency_matches_a_set_model(first):
+    """Random mutation sequences keep the masks equal to a set-valued model."""
+    finals = 0
+    for seed in GFA_SEEDS[first : first + 40]:
+        rng = random.Random(seed)
+        gfa, model = GFA(), SetGraph()
+        symbols = (f"s{index}" for index in range(10_000))
+        for _ in range(rng.randint(1, 5)):
+            label = random_label(rng, next(symbols))
+            assert gfa.add_node(label) == model.add_node(label)
+        for _ in range(40):
+            nodes = sorted(model.labels)
+            operation = rng.randrange(10) if nodes else 9
+            if operation < 5:  # add_edge, the most frequent
+                tail = rng.choice([SOURCE, *nodes])
+                head = rng.choice([SINK, *nodes])
+                gfa.add_edge(tail, head)
+                model.edges.add((tail, head))
+            elif operation < 7:
+                tail, head = rng.choice(sorted(model.edges) or [(SOURCE, SINK)])
+                gfa.remove_edge(tail, head)
+                model.edges.discard((tail, head))
+            elif operation == 7:
+                members = rng.sample(nodes, rng.randint(1, min(3, len(nodes))))
+                label = random_label(rng, next(symbols))
+                assert gfa.merge(members, label) == model.merge(members, label)
+            elif operation == 8:
+                node = rng.choice(nodes)
+                gfa.remove_node(node)
+                model.remove_node(node)
+            else:
+                label = random_label(rng, next(symbols))
+                assert gfa.add_node(label) == model.add_node(label)
+            assert_gfa_matches(gfa, model, rng)
+            finals += model.is_final()
+    assert finals  # both outcomes of is_final were compared

@@ -12,7 +12,7 @@ from __future__ import annotations
 import pytest
 
 from repro.api import InferenceConfig, infer, validate
-from repro.automata.gfa import GFA, SINK, SOURCE
+from repro.automata.gfa import GFA, SINK, SOURCE, node_bit
 from repro.automata.soa import SOA
 from repro.contracts import (
     ContractViolation,
@@ -163,14 +163,20 @@ class TestGfaMutations:
 
     def test_broken_adjacency_mirror_rejected(self):
         gfa, node = self.make_gfa()
-        gfa._out[node].add(node)  # bypass add_edge: _in not updated
-        with pytest.raises(ContractViolation, match="gfa-adjacency"):
+        gfa._out[node] |= node_bit(node)  # bypass add_edge: _in not updated
+        with pytest.raises(ContractViolation, match="gfa-adjacency") as caught:
             check_gfa(gfa)
+        assert f"edges [({node}, {node})]" in str(caught.value)
+        gfa, node = self.make_gfa()
+        gfa._in[SINK] |= node_bit(SOURCE)  # bypass add_edge: _out not updated
+        with pytest.raises(ContractViolation, match="gfa-adjacency") as caught:
+            check_gfa(gfa)
+        assert f"edges [({SOURCE}, {SINK})]" in str(caught.value)
 
     def test_edge_into_source_rejected(self):
         gfa, node = self.make_gfa()
-        gfa._out[node].add(SOURCE)
-        gfa._in[SOURCE].add(node)
+        gfa._out[node] |= node_bit(SOURCE)
+        gfa._in[SOURCE] |= node_bit(node)
         with pytest.raises(ContractViolation, match="gfa-endpoints"):
             check_gfa(gfa)
 

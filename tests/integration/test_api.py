@@ -262,8 +262,8 @@ class TestUnreadableInput:
         run_fresh_interpreter(script)
 
     def test_serial_infer_does_not_import_unused_modules(self, tmp_path):
-        # Comparison, rendering and trace-checking modules, and the
-        # process pool, load only when something calls them.
+        # Comparison, rendering and trace-checking modules, the process
+        # pool and the JSON codec load only when something calls them.
         path = tmp_path / "doc.xml"
         path.write_text("<r><x/></r>", encoding="utf-8")
         unused = [
@@ -273,6 +273,9 @@ class TestUnreadableInput:
             "repro.obs.check_trace",
             "repro.obs.report",
             "concurrent.futures.process",
+            "concurrent.futures",
+            "logging",
+            "json",
         ]
         script = (
             "import sys\n"

@@ -63,7 +63,7 @@ def reference_closure(gfa: GFA) -> SetClosure:
     every_node = [SOURCE, SINK, *gfa.labels]
     for start in every_node:
         reachable: set[int] = set()
-        frontier = list(gfa.successors(start))
+        frontier = list(mask_nodes(gfa.successors(start)))
         visited_through: set[int] = set()
         while frontier:
             node = frontier.pop()
@@ -71,7 +71,7 @@ def reference_closure(gfa: GFA) -> SetClosure:
                 reachable.add(node)
                 if node in nullable and node not in visited_through:
                     visited_through.add(node)
-                    frontier.extend(gfa.successors(node))
+                    frontier.extend(mask_nodes(gfa.successors(node)))
         succ[start] = reachable
     for node, label in gfa.labels.items():
         if _is_plus_like(label):

@@ -19,7 +19,7 @@ across each repair as iDTD carries it.
 
 from hypothesis import HealthCheck, given, settings
 
-from repro.automata.gfa import GFA, SINK, SOURCE, Closure
+from repro.automata.gfa import GFA, SINK, SOURCE, Closure, node_bit
 from repro.contracts import contracts_active
 from repro.core.idtd import _carried_closure, _contract_scc
 from repro.core.repair import (
@@ -231,15 +231,16 @@ def assert_counts_match_builds(
     nodes = sorted(gfa.nodes())
     for node in nodes:
         edges = reference_bypass_edges(gfa, sets, node)
-        assert _bypass_edges(closure, node) == edges
-        assert _bypass_count(closure, node) == len(edges)
+        assert _bypass_edges(closure, node_bit(node)) == edges
+        assert _bypass_count(closure, node_bit(node)) == len(edges)
     candidates = [(u, v) for index, u in enumerate(nodes) for v in nodes[index + 1 :]]
     if clique is not None:
         candidates.append(clique.nodes)
     for members in candidates:
         edges = reference_equalising_edges(gfa, sets, members)
-        assert _equalising_edges(gfa, closure, members) == edges
-        assert _equalising_count(gfa, closure, members) == len(edges)
+        mask = sum(node_bit(member) for member in members)
+        assert _equalising_edges(gfa, closure, mask) == edges
+        assert _equalising_count(gfa, closure, mask) == len(edges)
 
 
 @SETTINGS

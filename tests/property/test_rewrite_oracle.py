@@ -29,7 +29,7 @@ from unittest import mock
 import pytest
 from hypothesis import HealthCheck, given, settings
 
-from repro.automata.gfa import GFA
+from repro.automata.gfa import GFA, mask_nodes
 from repro.core.idtd import idtd_from_soa
 from repro.core.rewrite import (
     Application,
@@ -111,10 +111,10 @@ def reference_find_disjunction(gfa: GFA, closure: SetClosure) -> Application | N
 def reference_find_optional(gfa: GFA, closure: SetClosure) -> Application | None:
     for node in sorted(gfa.nodes()):
         if gfa.labels[node].nullable():
-            direct_succ = gfa.successors(node) - {node}
+            direct_succ = set(mask_nodes(gfa.successors(node))) - {node}
             if not any(
                 gfa.has_edge(predecessor, successor)
-                for predecessor in gfa.predecessors(node) - {node}
+                for predecessor in set(mask_nodes(gfa.predecessors(node))) - {node}
                 for successor in direct_succ
             ):
                 continue

@@ -11,6 +11,7 @@ from repro.errors import CorpusError, UsageError
 from repro.learning import evidence as evidence_module
 from repro.learning.evidence import StreamingEvidence
 from repro.obs.recorder import StatsRecorder
+from repro.runtime import parallel as parallel_module
 from repro.runtime.parallel import (
     PROCESS_CORPUS_FLOOR,
     WARM_POOL,
@@ -119,6 +120,18 @@ class TestParallelEvidence:
         paths = write_corpus(tmp_path, DTD_SOURCES[0], 8)
         evidence = parallel_evidence(paths, jobs=4)
         assert evidence.document_count == 8
+
+    def test_driver_shard_error_propagates_unchanged(self, tmp_path, monkeypatch):
+        # A driver shard's own error passes every pool-failure clause of
+        # the retry loop as itself: none names an unloaded class.
+        paths = write_corpus(tmp_path, DTD_SOURCES[0], 4)
+
+        def broken(task, recorder):
+            raise LookupError("shard fold failed")
+
+        monkeypatch.setattr(parallel_module, "_extract_shard", broken)
+        with pytest.raises(LookupError, match="shard fold failed"):
+            parallel_evidence(paths, jobs=2)
 
     def test_driver_shards_identical(self, tmp_path):
         # Below the floor, the driver folds all three shards in order.
