@@ -11,6 +11,7 @@
 
 import random
 
+from repro.api import InferenceConfig, infer
 from repro.core.crx import crx
 from repro.core.numeric import annotate_numeric
 from repro.datagen.noise import inject_intruders
@@ -18,7 +19,6 @@ from repro.datagen.strings import padded_sample, sample_words
 from repro.evaluation.tables import Table
 from repro.evaluation.timing import timed
 from repro.learning.incremental import IncrementalCRX, IncrementalSOA
-from repro.learning.noise import idtd_denoised
 from repro.regex.language import language_equivalent
 from repro.regex.parser import parse_regex
 from repro.regex.printer import to_paper_syntax
@@ -91,9 +91,13 @@ def test_noise_xhtml_paragraph_scenario(rng, scale, benchmark):
 
     threshold = max(8, len(clean) // 25)
     naive = crx(noisy.words)
-    denoised = benchmark(
-        lambda: idtd_denoised(noisy.words, symbol_threshold=threshold)
-    )
+    documents = [
+        "<p>" + "".join(f"<{name}/>" for name in word) + "</p>"
+        for word in noisy.words
+    ]
+    config = InferenceConfig(method="idtd", support_threshold=threshold)
+    result = benchmark(lambda: infer(documents, config))
+    denoised = result.dtd.elements["p"].regex
     table = Table(
         headers=("approach", "alphabet", "intruders kept", "target recovered"),
         title=f"E8c: noisy XHTML paragraphs "
@@ -108,13 +112,13 @@ def test_noise_xhtml_paragraph_scenario(rng, scale, benchmark):
     )
     table.add(
         "support threshold + iDTD",
-        len(denoised.regex.alphabet()),
-        len(denoised.regex.alphabet() & intruders),
-        language_equivalent(denoised.regex, target),
+        len(denoised.alphabet()),
+        len(denoised.alphabet() & intruders),
+        language_equivalent(denoised, target),
     )
     table.show()
-    assert not denoised.regex.alphabet() & intruders
-    assert language_equivalent(denoised.regex, target)
+    assert not denoised.alphabet() & intruders
+    assert language_equivalent(denoised, target)
 
 
 def test_numeric_predicates(rng, benchmark):

@@ -16,9 +16,9 @@ Run:  python examples/noisy_xhtml.py
 import random
 
 from repro import infer_chare, to_paper_syntax
+from repro.api import InferenceConfig, infer
 from repro.datagen.noise import inject_intruders
 from repro.datagen.strings import padded_sample
-from repro.learning.noise import idtd_denoised
 from repro.regex.parser import parse_regex
 
 # The official content model of <p>: a big repeated disjunction of
@@ -55,14 +55,24 @@ for entry in diff_dtds(official_dtd, crawl_dtd):
         print("    diff:", entry)
 
 # 2. support-thresholded inference recovers the official model -------------
-result = idtd_denoised(crawl.words, symbol_threshold=30)
+# Each word becomes one <p> document; names seen in fewer than 30 <p>
+# occurrences are cut from the words before the iDTD learner runs.
+documents = [
+    "<p>" + "".join(f"<{name}/>" for name in word) + "</p>"
+    for word in crawl.words
+]
+result = infer(documents, InferenceConfig(method="idtd", support_threshold=30))
+denoised = result.dtd.elements["p"].regex
 print("\ndenoised model (support threshold 30):")
-print("   ", to_paper_syntax(result.regex))
-print("    dropped element names:", result.dropped_symbols)
+print("   ", to_paper_syntax(denoised))
+print(
+    "    dropped element names:",
+    sorted(naive.alphabet() - denoised.alphabet()),
+)
 
 from repro import language_equivalent
 
 print(
     "    equals the official content model:",
-    language_equivalent(result.regex, OFFICIAL),
+    language_equivalent(denoised, OFFICIAL),
 )

@@ -47,7 +47,6 @@ from .core.inference import DTDInferencer
 from .core.numeric import annotate_numeric
 from .core.rewrite import rewrite
 from .learning.incremental import IncrementalCRX, IncrementalSOA
-from .learning.noise import idtd_denoised
 from .learning.sampling import reservoir_sample
 from .learning.tinf import tinf
 from .regex.ast import Regex
@@ -81,7 +80,6 @@ __all__ = [
     "SOA",
     "annotate_numeric",
     "dtd_to_xsd",
-    "idtd_denoised",
     "idtd_from_soa",
     "infer_chare",
     "infer_sore",

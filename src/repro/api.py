@@ -119,9 +119,9 @@ class InferenceConfig:
             every bag whole instead of capping it at
             :data:`~repro.learning.evidence.WORD_CAP`.
         support_threshold: drop element names seen in fewer than this
-            many parent sequences (noise handling, Section 9).  Counts
-            every element's child words, so above 0 the run keeps every
-            bag whole, as ``numeric`` does.
+            many parent sequences (noise handling, Section 9), never the
+            start element.  Counts every element's child words, so above
+            0 the run keeps every bag whole, as ``numeric`` does.
         sparse_threshold: the ``auto``-method cut-over sample size.
         infer_attributes: also generate ``<!ATTLIST>`` declarations.
         cache: memoize the per-element finalize step in the

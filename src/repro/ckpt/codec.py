@@ -34,8 +34,10 @@ MAGIC = "repro-ckpt-state"
 #       lack them, so hydration would fail; the version gate rejects
 #       them up front with a clear re-run-from-scratch error instead).
 #   3 — per element, the sorted word bag ("words": [[word, count], ...])
-#       unless the bag spilled past WORD_CAP, in which case the four
-#       learner states as in v2; older payloads are re-parsed.
+#       unless the bag spilled past WORD_CAP, in which case its kore and
+#       sire learner states (the soa and crx states derive from them);
+#       older payloads are re-parsed.  v3 files that also carry the soa
+#       and crx states still load: hydration reads only kore and sire.
 VERSION = 3
 
 

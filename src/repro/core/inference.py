@@ -271,11 +271,7 @@ class DTDInferencer:
         with recorder.span(method, element=name):
             state: CrxState | IncrementalKore | IncrementalSire
             if isinstance(sample, LearnerStates):
-                state = {
-                    "crx": sample.crx.state,
-                    "kore": sample.kore,
-                    "sire": sample.sire,
-                }[method]
+                state = sample.crx.state if method == "crx" else getattr(sample, method)
             elif method == "kore":
                 state = IncrementalKore()
                 state.add_all(sample.distinct_words())
@@ -414,10 +410,10 @@ class DTDInferencer:
         more appends.
         """
         elements: Mapping[str, ElementEvidence] = evidence.elements
+        dtd = Dtd(start=evidence.majority_root())
         if self.support_threshold > 0:
             with self.recorder.span("filter", threshold=self.support_threshold):
-                elements = self._support_filtered(elements)
-        dtd = Dtd(start=evidence.majority_root())
+                elements = self._support_filtered(elements, dtd.start)
         for name in sorted(elements):
             element_evidence = elements[name]
             dtd.elements[name] = self._content_model(element_evidence)
@@ -437,11 +433,12 @@ class DTDInferencer:
         return dtd
 
     def _support_filtered(
-        self, elements: Mapping[str, ElementEvidence]
+        self, elements: Mapping[str, ElementEvidence], start: str | None
     ) -> dict[str, ElementEvidence]:
         """Noise handling (Section 9): ``elements`` without the names
         mentioned in fewer than ``support_threshold`` parent sequences,
-        corpus-wide, cut from every child word.
+        corpus-wide, cut from every child word.  The ``start`` element
+        is never dropped, however rarely it occurs as a child.
 
         Support counts read every bag, so a spilled element is a
         :class:`CorpusError` naming it.
@@ -458,6 +455,7 @@ class DTDInferencer:
             name
             for name, count in support.items()
             if count < self.support_threshold and name in elements
+            and name != start
         }
         if self.recorder.enabled:
             self.recorder.count("filter.dropped_names", len(noisy))

@@ -3,9 +3,8 @@
 The paper's XHTML study found a dozen disallowed element names inside
 ``<p>`` content, each in a handful of the 30 000+ occurrences.  To
 reproduce that scenario we corrupt a clean sample with low-rate
-intruder symbols and random edits, with exact bookkeeping of which
-words were touched so precision/recall of the denoisers can be
-measured.
+intruder symbols, with exact bookkeeping of which words were touched
+so the support threshold's precision/recall can be measured.
 """
 
 from __future__ import annotations
@@ -59,30 +58,3 @@ def inject_intruders(
         intruder_symbols=tuple(intruders),
     )
 
-
-def perturb(
-    words: Sequence[Word],
-    rate: float,
-    rng: random.Random,
-) -> NoisyCorpus:
-    """Randomly delete or duplicate one symbol in a fraction of words.
-
-    Structural noise (as opposed to vocabulary noise): the corrupted
-    words usually introduce unseen 2-grams, which is what the
-    support-aware iDTD prunes.
-    """
-    corrupted: list[Word] = []
-    touched: set[int] = set()
-    for index, word in enumerate(words):
-        word = tuple(word)
-        if word and rng.random() < rate:
-            position = rng.randrange(len(word))
-            if rng.random() < 0.5:
-                word = word[:position] + word[position + 1 :]
-            else:
-                word = word[: position + 1] + word[position:]
-            touched.add(index)
-        corrupted.append(word)
-    return NoisyCorpus(
-        words=corrupted, corrupted_indexes=touched, intruder_symbols=()
-    )

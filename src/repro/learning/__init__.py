@@ -1,4 +1,4 @@
-"""Learning substrate: automaton inference, sampling, incremental, noise.
+"""Learning substrate: automaton inference, sampling, incremental.
 
 * :mod:`repro.learning.tinf` — 2T-INF (Garcia & Vidal), Section 4; plus
   the k-testable generalisation ``ktinf``;
@@ -9,8 +9,6 @@
   ``IncrementalCRX``, Section 9 incremental computation;
 * :mod:`repro.learning.kore` / :mod:`repro.learning.sire` — the
   beyond-SORE extension learners (k-occurrence REs and interleaving);
-* :mod:`repro.learning.noise` — ``WeightedSOA`` / ``idtd_denoised``,
-  Section 9 noise handling with per-edge supports;
 * :mod:`repro.learning.evidence` — corpus evidence extraction: one
   shard-mergeable ``StreamingEvidence`` per corpus, whose bags spill
   straight into the incremental learner states above.

@@ -124,45 +124,45 @@ class WordBag:
 
 
 class LearnerStates:
-    """The four Section 9 learner states a spilled bag folds into.
+    """The Section 9 learner states a spilled bag folds into.
 
+    Only kore and sire fold words: erasing the occurrence marks of
+    kore's SOA gives the plain 2T-INF SOA, and sire's embedded CRX
+    state is CRX's, so ``soa`` and ``crx`` are derived from them.
     Every state is a union or multiset sum over words, so folding a
     word's ``count`` occurrences at once equals folding them one by one,
     and states built from disjoint shards merge into the states of the
     whole sample.
     """
 
-    __slots__ = ("soa", "crx", "kore", "sire")
+    __slots__ = ("kore", "sire")
 
     def __init__(self) -> None:
-        self.soa = IncrementalSOA()
-        self.crx = IncrementalCRX()
         self.kore = IncrementalKore()
         self.sire = IncrementalSire()
 
+    @property
+    def soa(self) -> IncrementalSOA:
+        return self.kore.unmarked()
+
+    @property
+    def crx(self) -> IncrementalCRX:
+        return self.sire.crx
+
     def add_counted(self, word: Word, count: int) -> None:
-        self.soa.add_counted(word, count)
-        self.crx.add_counted(word, count)
         self.kore.add_counted(word, count)
         self.sire.add_counted(word, count)
 
     def merge(self, other: "LearnerStates") -> None:
-        self.soa.merge(other.soa)
-        self.crx.merge(other.crx)
         self.kore.merge(other.kore)
         self.sire.merge(other.sire)
 
     def dehydrate(self) -> dict[str, object]:
-        return {
-            "soa": self.soa.dehydrate(),
-            "crx": self.crx.dehydrate(),
-            "kore": self.kore.dehydrate(),
-            "sire": self.sire.dehydrate(),
-        }
+        return {"kore": self.kore.dehydrate(), "sire": self.sire.dehydrate()}
 
     @classmethod
     def hydrate(cls, payload: Mapping[str, object], name: str) -> "LearnerStates":
-        """Rebuild the states from :meth:`dehydrate` output, all four required."""
+        """Rebuild the states from :meth:`dehydrate` output, both required."""
 
         def part(learner: str) -> Mapping[str, object]:
             value = payload.get(learner)
@@ -173,8 +173,6 @@ class LearnerStates:
             return value
 
         states = cls()
-        states.soa = IncrementalSOA.hydrate(part("soa"))
-        states.crx = IncrementalCRX.hydrate(part("crx"))
         states.kore = IncrementalKore.hydrate(part("kore"))
         states.sire = IncrementalSire.hydrate(part("sire"))
         return states

@@ -83,8 +83,8 @@ class IncrementalSOA:
     inferred expression is invalidated only in that case.
     """
 
-    def __init__(self) -> None:
-        self.soa = SOA()
+    def __init__(self, soa: SOA | None = None) -> None:
+        self.soa = soa if soa is not None else SOA()
         self._cached: Regex | None = None
 
     def add(self, word: Word) -> bool:
@@ -176,15 +176,15 @@ class IncrementalSOA:
     @classmethod
     def hydrate(cls, payload: Mapping[str, object]) -> "IncrementalSOA":
         """Rebuild a learner from :meth:`dehydrate` output."""
-        learner = cls()
-        learner.soa = SOA(
-            symbols=set(_payload_strings(payload, "symbols")),
-            initial=set(_payload_strings(payload, "initial")),
-            final=set(_payload_strings(payload, "final")),
-            edges=set(_payload_pairs(payload, "edges")),
-            accepts_empty=bool(payload.get("accepts_empty", False)),
+        return cls(
+            SOA(
+                symbols=set(_payload_strings(payload, "symbols")),
+                initial=set(_payload_strings(payload, "initial")),
+                final=set(_payload_strings(payload, "final")),
+                edges=set(_payload_pairs(payload, "edges")),
+                accepts_empty=bool(payload.get("accepts_empty", False)),
+            )
         )
-        return learner
 
 
 class IncrementalCRX:

@@ -67,11 +67,11 @@ def mark_word(word: Word, k: int = K_CAP) -> list[str]:
 
 def _clamp_name(name: str, k: int) -> str:
     base, _, index = name.rpartition(_MARK)
-    return f"{base}{_MARK}{min(int(index), k)}"
+    return f"{base}{_MARK}{min(int(index), k)}" if k else base
 
 
 def _clamp_soa(soa: SOA, k: int) -> SOA:
-    """The clamp-``k`` homomorphic image of a clamp-:data:`K_CAP` SOA."""
+    """The clamp-``k`` homomorphic image of a clamp-:data:`K_CAP` SOA (``k = 0`` erases marks)."""
     return SOA(
         symbols={_clamp_name(s, k) for s in soa.symbols},
         initial={_clamp_name(s, k) for s in soa.initial},
@@ -154,6 +154,10 @@ class IncrementalKore:
         if changed:
             self._cached = None
         return changed
+
+    def unmarked(self) -> IncrementalSOA:
+        """The plain 2T-INF state of the words folded in (marks erased)."""
+        return IncrementalSOA(_clamp_soa(self.soa.soa, 0))
 
     def canonical_fingerprint(self) -> tuple[object, ...]:
         """Sorted-tuple digest, stable across ``PYTHONHASHSEED``."""

@@ -15,7 +15,8 @@ It is intentionally strict about well-formedness (mismatched tags,
 unterminated constructs, stray ``<``, non-``Char`` character
 references, non-XML whitespace between tokens) because schema
 inference from a broken tree would silently learn garbage;
-noisy-but-well-formed input is the job of :mod:`repro.learning.noise`.
+noisy-but-well-formed input is the job of the support threshold
+(``InferenceConfig.support_threshold``).
 
 This module owns the *grammar*: one iterative scan loop that keeps the
 open elements on an explicit stack and writes each element, as its

@@ -11,11 +11,13 @@ length — is *detected*, never silently folded in.
 from __future__ import annotations
 
 import json
+from unittest import mock
 
 import pytest
 
 from repro.ckpt.codec import (
     StateDecodeError,
+    canonical_json,
     decode_state,
     encode_state,
     evidence_digest,
@@ -31,6 +33,8 @@ from repro.ckpt.manifest import (
     load_manifest,
 )
 from repro.core.inference import DTDInferencer
+from repro.learning import evidence as evidence_module
+from repro.learning.evidence import StreamingEvidence
 from repro.runtime.parallel import parallel_evidence
 
 from .conftest import write_corpus
@@ -68,6 +72,20 @@ class TestRoundtrip:
         element = evidence.elements["name"]
         restored = decode_state(encode_state(evidence)).elements["name"]
         assert restored.text_values == element.text_values
+
+    def test_spilled_payload_with_soa_and_crx_states_still_loads(self, tmp_path):
+        # Spilled elements once also carried the soa and crx states;
+        # those payloads hydrate to the same evidence as kore + sire.
+        with mock.patch.object(evidence_module, "WORD_CAP", 0):
+            evidence = make_evidence(tmp_path)
+        payload = evidence.dehydrate()
+        for element, entry in zip(evidence.elements.values(), payload["elements"]):
+            assert element.spilled is not None
+            entry["soa"] = element.spilled.soa.dehydrate()
+            entry["crx"] = element.spilled.crx.dehydrate()
+        restored = StreamingEvidence.hydrate(json.loads(canonical_json(payload)))
+        assert evidence_digest(restored) == evidence_digest(evidence)
+        assert render(restored) == render(evidence)
 
     def test_write_read_state_file(self, tmp_path):
         evidence = make_evidence(tmp_path)

@@ -7,6 +7,8 @@ import pytest
 from repro.api import InferenceConfig, infer
 from repro.core.inference import DTDInferencer
 from repro.datagen.xmlgen import XmlGenerator
+from repro.learning.evidence import extract_evidence
+from repro.obs.recorder import StatsRecorder
 from repro.regex.normalize import syntactically_equal
 from repro.regex.parser import parse_regex
 from repro.xmlio.dtd import Children, Empty, Mixed, parse_dtd
@@ -80,6 +82,59 @@ class TestMethods:
         model = dtd.elements["r"]
         assert isinstance(model, Children)
         assert "{2" in model.render()
+
+
+class TestSupportFilter:
+    """Section 9's noise handling: ``support_threshold`` drops element
+    names mentioned in too few parent sequences."""
+
+    def test_threshold_one_keeps_every_child(self):
+        documents = docs("<r><a/><b/></r>", "<r><a/></r>", "<r><b/><a/></r>")
+        assert (
+            learn(documents, support_threshold=1).render()
+            == learn(documents).render()
+        )
+
+    def test_support_counts_parent_sequences_not_occurrences(self):
+        # b occurs in two parent sequences here, so it has support 2 ...
+        kept = learn(docs("<r><a><b/></a><a><b/></a></r>"), support_threshold=2)
+        assert "b" in kept.elements
+        # ... and here in one, however often it repeats there.
+        dropped = learn(
+            docs("<r><a><b/><b/><b/></a></r>", "<r><a/></r>"), support_threshold=2
+        )
+        assert "b" not in dropped.elements
+        assert isinstance(dropped.elements["a"], Empty)
+
+    def test_dropped_name_is_cut_from_every_word(self):
+        documents = docs(*["<r><a/><b/></r>"] * 10, "<r><a/><z/><b/></r>")
+        dtd = learn(documents, method="idtd", support_threshold=2)
+        assert "z" not in dtd.elements
+        model = dtd.elements["r"]
+        assert isinstance(model, Children)
+        assert syntactically_equal(model.regex, parse_regex("a b"))
+
+    def test_every_child_below_threshold_leaves_start_empty(self):
+        dtd = learn(docs("<r><a/></r>"), support_threshold=10)
+        assert dtd.start == "r"
+        assert set(dtd.elements) == {"r"}
+        assert isinstance(dtd.elements["r"], Empty)
+
+    def test_finalize_leaves_evidence_untouched(self):
+        evidence = extract_evidence(
+            docs(*["<r><a/><b/></r>"] * 10, "<r><a/><z/><b/></r>")
+        )
+        unfiltered = DTDInferencer().finalize(evidence).render()
+        filtered = DTDInferencer(support_threshold=2).finalize(evidence)
+        assert "z" not in filtered.elements
+        assert DTDInferencer().finalize(evidence).render() == unfiltered
+        assert "z" in unfiltered
+
+    def test_dropped_names_are_counted(self):
+        recorder = StatsRecorder()
+        documents = docs(*["<r><a/></r>"] * 5, "<r><y/><z/></r>")
+        learn(documents, support_threshold=2, recorder=recorder)
+        assert recorder.counters["filter.dropped_names"] == 2
 
 
 class TestAttributes:

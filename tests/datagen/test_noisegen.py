@@ -2,7 +2,7 @@
 
 import random
 
-from repro.datagen.noise import inject_intruders, perturb
+from repro.datagen.noise import inject_intruders
 
 
 class TestIntruders:
@@ -34,20 +34,3 @@ class TestIntruders:
         assert noisy.words == words
         assert noisy.noise_rate == 0.0
 
-
-class TestPerturb:
-    def test_corruption_changes_length(self):
-        rng = random.Random(4)
-        words = [("a", "b", "c")] * 200
-        noisy = perturb(words, rate=0.5, rng=rng)
-        for index in noisy.corrupted_indexes:
-            assert len(noisy.words[index]) in (2, 4)
-
-    def test_empty_words_skipped(self):
-        rng = random.Random(5)
-        noisy = perturb([()] * 10, rate=1.0, rng=rng)
-        assert not noisy.corrupted_indexes
-
-    def test_empty_corpus(self):
-        noisy = perturb([], rate=0.5, rng=random.Random(0))
-        assert noisy.noise_rate == 0.0

@@ -11,9 +11,13 @@ from repro import api
 from repro.api import InferenceConfig, InferenceResult, infer, validate
 from repro.contracts import contracts_active
 from repro.core.inference import DTDInferencer
+from repro.datagen.noise import inject_intruders
+from repro.datagen.strings import padded_sample
 from repro.datagen.xmlgen import XmlGenerator, serialize
 from repro.errors import CorpusError, UsageError
 from repro.obs.recorder import StatsRecorder
+from repro.regex.language import language_equivalent
+from repro.regex.parser import parse_regex
 from repro.learning import evidence as evidence_module
 from repro.learning.evidence import StreamingEvidence, extract_evidence
 from repro.runtime.parallel import PROCESS_CORPUS_FLOOR, parallel_evidence
@@ -328,6 +332,34 @@ class TestInferenceConfigValidation:
         sharded = infer(documents, InferenceConfig(support_threshold=3, jobs=2))
         assert sharded.render() == batch.render()
         assert "zz" not in batch.render()
+
+    @pytest.mark.parametrize("jobs", [None, 2], ids=["batch", "jobs2"])
+    def test_support_threshold_keeps_start_element(self, jobs):
+        # r is the root of 50 documents but a child only once: it is the
+        # start element, so it must stay declared however rare as a child.
+        documents = ["<r><a/></r>"] * 50 + ["<a><r/></a>"]
+        result = infer(documents, InferenceConfig(support_threshold=5, jobs=jobs))
+        assert result.dtd.start == "r"
+        assert result.render() == "<!ELEMENT r (a?)>\n<!ELEMENT a (r?)>\n"
+
+    @pytest.mark.parametrize("seed", [4, 5, 6])
+    def test_support_threshold_removes_xhtml_intruders(self, seed):
+        """The paper's <p> case: rare disallowed children disappear."""
+        rng = random.Random(seed)
+        target = parse_regex("(a + b + c + d)*")
+        clean = padded_sample(target, 400, rng)
+        noisy = inject_intruders(clean, ["table", "h1"], rate=0.01, rng=rng)
+        assert noisy.corrupted_indexes
+        documents = [
+            "<p>" + "".join(f"<{name}/>" for name in word) + "</p>"
+            for word in noisy.words
+        ]
+        dtd = infer(
+            documents, InferenceConfig(method="idtd", support_threshold=10)
+        ).dtd
+        model = dtd.elements["p"].regex
+        assert not {"table", "h1"} & (set(dtd.elements) | model.alphabet())
+        assert language_equivalent(model, target)
 
     def test_nonpositive_jobs(self):
         with pytest.raises(UsageError):

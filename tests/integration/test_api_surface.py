@@ -83,7 +83,6 @@ class TestApiSurface:
             "SOA",
             "annotate_numeric",
             "dtd_to_xsd",
-            "idtd_denoised",
             "idtd_from_soa",
             "infer_chare",
             "infer_sore",

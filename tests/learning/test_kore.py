@@ -9,6 +9,7 @@ import pytest
 from repro.core.idtd import idtd
 from repro.datagen.occurrences import repeated_symbol_corpus
 from repro.errors import CorpusError
+from repro.learning.tinf import tinf
 from repro.learning.kore import (
     K_CAP,
     IncrementalKore,
@@ -44,6 +45,10 @@ class TestMarking:
         clamped = _clamp_soa(learner.soa.soa, 2)
         assert clamped.symbols == {"a#1", "a#2"}
         assert ("a#2", "a#2") in clamped.edges
+
+    def test_unmarked_is_the_plain_2tinf_soa(self):
+        words = [("a", "b", "a"), ("b",), (), ("a", "a", "a", "a", "a", "c")]
+        assert learner_for(words).unmarked().soa == tinf(words)
 
 
 class TestInference:
