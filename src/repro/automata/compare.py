@@ -1,9 +1,11 @@
 """Language comparisons across representations (SOA vs RE).
 
 A SOA is deterministic when read as an acceptor — the state after a
-prefix is just its last symbol — so comparing it against a regular
-expression is a product breadth-first search between that DFA and the
-on-the-fly subset construction of the expression's Glushkov automaton.
+prefix is just its last symbol — so it steps like the expression
+engines of :mod:`repro.regex.language`, and comparing it against a
+regular expression is that module's product breadth-first search
+(:func:`~repro.regex.language.product_counterexample`), in either
+direction.
 
 These checks are exact and power both the test suite (e.g. Theorem 2's
 ``L(A) ⊆ L(iDTD(A))``) and the evaluation metrics.
@@ -11,88 +13,60 @@ These checks are exact and power both the test suite (e.g. Theorem 2's
 
 from __future__ import annotations
 
-from collections import deque
 from collections.abc import Iterable
 
 from ..regex.ast import Regex
-from ..regex.glushkov import glushkov
-from ..regex.language import _accepting, _step
+from ..regex.language import product_counterexample, regex_engine
 from .soa import SOA
 
 # DFA view of a SOA: None = start state, "" = dead state, else a symbol.
 _DEAD = ""
 
 
-def _soa_step(soa: SOA, state: str | None, symbol: str) -> str | None:
-    if state == _DEAD:
-        return _DEAD
-    if state is None:
-        return symbol if symbol in soa.initial else _DEAD
-    return symbol if (state, symbol) in soa.edges else _DEAD
+class _SOAEngine:
+    """Stepping engine over a SOA read as a DFA."""
 
+    __slots__ = ("_soa", "alphabet")
 
-def _soa_accepting(soa: SOA, state: str | None) -> bool:
-    if state == _DEAD:
-        return False
-    if state is None:
-        return soa.accepts_empty
-    return state in soa.final
+    def __init__(self, soa: SOA, alphabet: Iterable[str] | None = None) -> None:
+        self._soa = soa
+        self.alphabet: list[str] = sorted(
+            set(alphabet) if alphabet is not None else soa.symbols
+        )
+
+    def start(self) -> object:
+        return None
+
+    def step(self, state: object, symbol: str) -> object:
+        if state == _DEAD:
+            return _DEAD
+        if state is None:
+            return symbol if symbol in self._soa.initial else _DEAD
+        return symbol if (state, symbol) in self._soa.edges else _DEAD
+
+    def accepting(self, state: object) -> bool:
+        if state == _DEAD:
+            return False
+        if state is None:
+            return self._soa.accepts_empty
+        return state in self._soa.final
+
+    def alive(self, state: object) -> bool:
+        return state != _DEAD
 
 
 def soa_vs_regex_counterexample(
     soa: SOA, regex: Regex, alphabet: Iterable[str] | None = None
 ) -> tuple[str, ...] | None:
     """A shortest word in ``L(soa) \\ L(regex)``, or ``None`` if included."""
-    automaton = glushkov(regex)
-    symbols = sorted(set(alphabet) if alphabet is not None else soa.symbols)
-    start = (None, None)
-    seen = {start}
-    queue: deque[tuple[str | None, object, tuple[str, ...]]] = deque(
-        [(None, None, ())]
-    )
-    while queue:
-        soa_state, re_state, word = queue.popleft()
-        if _soa_accepting(soa, soa_state) and not _accepting(automaton, re_state):
-            return word
-        for symbol in symbols:
-            next_soa = _soa_step(soa, soa_state, symbol)
-            if next_soa == _DEAD:
-                continue
-            next_re = _step(automaton, re_state, symbol)
-            key = (next_soa, next_re)
-            if key not in seen:
-                seen.add(key)
-                queue.append((next_soa, next_re, word + (symbol,)))
-    return None
+    return product_counterexample(_SOAEngine(soa, alphabet), regex_engine(regex))
 
 
 def regex_vs_soa_counterexample(
     regex: Regex, soa: SOA
 ) -> tuple[str, ...] | None:
     """A shortest word in ``L(regex) \\ L(soa)``, or ``None`` if included."""
-    automaton = glushkov(regex)
-    symbols = sorted(set(automaton.labels))
-    start = (None, None)
-    seen = {start}
-    queue: deque[tuple[object, str | None, tuple[str, ...]]] = deque(
-        [(None, None, ())]
-    )
-    while queue:
-        re_state, soa_state, word = queue.popleft()
-        if _accepting(automaton, re_state) and not _soa_accepting(soa, soa_state):
-            return word
-        for symbol in symbols:
-            next_re = _step(automaton, re_state, symbol)
-            if re_state is not None and not next_re:
-                continue
-            if re_state is None and not next_re:
-                continue
-            next_soa = _soa_step(soa, soa_state, symbol)
-            key = (next_re, next_soa)
-            if key not in seen:
-                seen.add(key)
-                queue.append((next_re, next_soa, word + (symbol,)))
-    return None
+    return product_counterexample(regex_engine(regex), _SOAEngine(soa))
 
 
 def soa_included_in_regex(soa: SOA, regex: Regex) -> bool:

@@ -45,9 +45,14 @@ class DFA:
 
 
 def from_regex(regex: Regex) -> DFA:
-    """Subset construction over the Glushkov automaton."""
+    """Subset construction over the Glushkov automaton.
+
+    States are numbered in discovery order over the sorted alphabet, so
+    the table does not depend on ``PYTHONHASHSEED``.
+    """
     automaton = glushkov(regex)
     alphabet = frozenset(automaton.labels)
+    symbols = sorted(alphabet)
     # Subset states: None is the pre-first-symbol state.
     start: frozenset[int] | None = None
     index_of: dict[object, int] = {start: 0}
@@ -60,7 +65,7 @@ def from_regex(regex: Regex) -> DFA:
     while frontier:
         state = frontier.pop()
         state_index = index_of[state]
-        for symbol in alphabet:
+        for symbol in symbols:
             if state is None:
                 positions = frozenset(
                     p for p in automaton.first if automaton.labels[p] == symbol
@@ -102,6 +107,7 @@ def minimize(dfa: DFA) -> DFA:
     for state in states:
         partition[0 if state in accepting else 1].add(state)
     partition = [block for block in partition if block]
+    symbols = sorted(dfa.alphabet)
 
     changed = True
     while changed:
@@ -114,8 +120,7 @@ def minimize(dfa: DFA) -> DFA:
 
         def signature(state: int) -> tuple:
             return tuple(
-                block_of[dfa.step(state, symbol)]
-                for symbol in sorted(dfa.alphabet)
+                block_of[dfa.step(state, symbol)] for symbol in symbols
             )
 
         refined: list[set[int]] = []

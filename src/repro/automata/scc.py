@@ -3,8 +3,11 @@
 CRX's ``≈W`` classes are the SCCs of the sibling relation (Algorithm 3),
 Trang contracts the SCCs of the 2T-INF automaton (Section 8.1), and
 iDTD's repair of last resort contracts an SCC of the stuck GFA.  All
-three call :func:`strongly_connected_components`, and so does the
-analyzer's import and lock-order graph (:mod:`repro.analysis.graph`).
+three call :func:`strongly_connected_components`.  So does the repo's
+development linter, which lives outside the installed package
+(``src/repro_lint``): its import and lock-order graph
+(``repro_lint.graph``) imports this module rather than carry a second
+Tarjan.
 """
 
 from __future__ import annotations

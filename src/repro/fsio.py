@@ -1,8 +1,8 @@
 """Crash-safe artifact writing: write-tmp + fsync + atomic rename.
 
 Several parts of the system persist JSON (or JSON-lines) artifacts
-that other tooling later *trusts*: benchmark baselines, analysis
-baselines, obs traces, and — most critically — the checkpoint state
+that other tooling later *trusts*: benchmark baselines, obs traces,
+and — most critically — the checkpoint state
 files and manifests of :mod:`repro.ckpt`.  A plain ``open(path, "w")``
 + ``json.dump`` leaves a truncated file behind if the process dies
 mid-write, and the next reader sees corrupt data where a file used to
@@ -80,12 +80,11 @@ def atomic_write_json(
     payload: Any,
     *,
     indent: int | None = 2,
-    sort_keys: bool = True,
 ) -> None:
     """Serialize ``payload`` as JSON and write it atomically.
 
     The rendered document always ends in a newline so shell tooling
     (``diff``, ``cat``) treats the artifact as a well-formed text file.
     """
-    text = json.dumps(payload, indent=indent, sort_keys=sort_keys)
+    text = json.dumps(payload, indent=indent, sort_keys=True)
     atomic_write_text(path, text + "\n")

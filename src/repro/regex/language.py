@@ -1,6 +1,7 @@
 """Decision procedures on the languages denoted by regular expressions.
 
-Two stepping engines back everything here:
+Every decision here is a breadth-first search over stepping engines
+(:class:`Engine`).  Two of them run regular expressions:
 
 * Inter-free expressions compile to a Glushkov automaton and run
   through an on-the-fly subset construction, which is cheap for the
@@ -13,6 +14,9 @@ Two stepping engines back everything here:
   a query raises :class:`InterleavingBudgetError` rather than running
   without bound — inclusion over ``&`` is decided within that budget.
 
+:mod:`repro.automata.compare` adds a third, over a SOA read as a DFA,
+and runs it through the same :func:`product_counterexample`.
+
 Words are sequences of element names (``tuple[str, ...]`` or
 ``list[str]``), *not* character strings: DTD content models speak about
 children element sequences.
@@ -23,6 +27,7 @@ from __future__ import annotations
 from collections import deque
 from functools import lru_cache
 from collections.abc import Iterator, Sequence
+from typing import Protocol
 
 from ..errors import CorpusError
 from .ast import Inter, Regex
@@ -71,6 +76,24 @@ def _accepting(automaton: Glushkov, state: _State) -> bool:
     if state is None:
         return automaton.nullable
     return not automaton.last.isdisjoint(state)
+
+
+class Engine(Protocol):
+    """A deterministic stepping view of a language over ``alphabet``.
+
+    ``step`` from a state that is not ``alive`` stays not alive, and no
+    such state is ``accepting``.
+    """
+
+    alphabet: list[str]
+
+    def start(self) -> object: ...
+
+    def step(self, state: object, symbol: str) -> object: ...
+
+    def accepting(self, state: object) -> bool: ...
+
+    def alive(self, state: object) -> bool: ...
 
 
 class _GlushkovEngine:
@@ -137,10 +160,8 @@ class _DerivativeEngine:
         return state is not EMPTY
 
 
-_Engine = _GlushkovEngine | _DerivativeEngine
-
-
-def _engine(regex: Regex) -> _Engine:
+def regex_engine(regex: Regex) -> Engine:
+    """A fresh stepping engine for ``regex`` (one per query)."""
     automaton = _automaton(regex)
     if automaton is None:
         return _DerivativeEngine(regex)
@@ -210,8 +231,18 @@ def counterexample(
 
     ``None`` therefore means ``L(narrower) ⊆ L(wider)``.
     """
-    left = _engine(narrower)
-    right = _engine(wider)
+    return product_counterexample(regex_engine(narrower), regex_engine(wider))
+
+
+def product_counterexample(
+    left: Engine, right: Engine
+) -> tuple[str, ...] | None:
+    """A shortest word ``left`` accepts and ``right`` rejects, or ``None``.
+
+    Breadth-first over the product of the two engines, symbols in the
+    order of ``left.alphabet``, so the witness is the first such word in
+    shortlex order over that alphabet.
+    """
     alphabet = left.alphabet
     start = (left.start(), right.start())
     seen: set[tuple[object, object]] = {start}
@@ -295,7 +326,7 @@ def enumerate_words(
     """
     if limit is not None and limit <= 0:
         return
-    engine = _engine(regex)
+    engine = regex_engine(regex)
     alphabet = engine.alphabet
     produced = 0
     queue: deque[tuple[object, tuple[str, ...]]] = deque([(engine.start(), ())])

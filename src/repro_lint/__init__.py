@@ -1,12 +1,13 @@
 """Repo-specific static analysis for the repro codebase.
 
-A small AST linter enforcing conventions that generic tools cannot
-know about, runnable as ``python -m repro.analysis src/repro`` and as
-a CI step.  The rules:
+A development tool, not part of the installed ``repro`` distribution:
+a small AST linter enforcing conventions that generic tools cannot
+know about, runnable as ``python -m repro_lint src/repro`` and as a
+CI step.  The rules:
 
 * **R001** — ``repro.serve`` imports only the façade surface
   (``repro.api``, ``repro.errors``, ``repro.obs``), never the engine.
-* **R002** — every ``raise`` uses the :mod:`repro.errors` hierarchy
+* **R002** — every ``raise`` uses the ``repro.errors`` hierarchy
   (or an in-module subclass of it); raising bare builtin exceptions
   loses the CLI exit-code mapping.
 * **R003** — no bare ``except:`` / ``except Exception:`` that swallows
@@ -18,30 +19,28 @@ a CI step.  The rules:
   ``object.__setattr__`` outside ``__post_init__``.
 * **R005** — no nondeterminism in the core pipeline: no module-level
   ``random.*`` calls (inject a ``random.Random``), no wall-clock
-  imports outside :mod:`repro.obs`.
+  imports outside ``repro.obs``.
 
-Beyond the per-file rules, :mod:`repro.analysis.project` builds a
+Beyond the per-file rules, :mod:`repro_lint.project` builds a
 whole-program model (module import graph, conservative call graph,
-async/thread execution domains) and :mod:`repro.analysis.program_rules`
+async/thread execution domains) and :mod:`repro_lint.program_rules`
 runs the program-level family on top of it:
 
 * **R006** — no blocking calls reachable from async code;
 * **R007** — lock discipline (``with`` only, no ``await`` under a
   sync lock, globally consistent acquisition order);
 * **R008** — shared mutable state is written under a lock;
-* **R009** — raises resolve through :mod:`repro.errors`; serve thread
+* **R009** — raises resolve through ``repro.errors``; serve thread
   entries catch broadly;
 * **R010** — eager imports respect the declared layer DAG.
 
 Allowlisting: append ``# lint: allow R00X — reason`` to the offending
-line (or put it on the line directly above).  The pragma should name
-the rule code(s); a bare ``# lint: allow`` still works as a
-suppress-everything wildcard for backward compatibility, but each one
-is reported as a warning — scope it.  Findings serialize to JSON or
-SARIF (``--format``) for machine consumption, and a baseline file
-(``--baseline``) can suppress known findings with a recorded reason.
+line (or put it on the line directly above).  The pragma must name the
+rule code(s) it suppresses; a bare ``# lint: allow`` suppresses
+nothing.  Findings serialize to SARIF (``--format sarif``) for machine
+consumption.
 
-Adding a rule: subclass :class:`Rule` in :mod:`repro.analysis.rules`
+Adding a rule: subclass :class:`Rule` in :mod:`repro_lint.rules`
 (per-file) or :class:`~.program_rules.ProgramRule` (whole-program),
 give it a ``code``/``title`` and a ``check`` method yielding
 :class:`Finding` objects, and append it to ``ALL_RULES`` /
@@ -57,11 +56,12 @@ import io
 import re
 import tokenize
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
+    from .program_rules import ProgramRule
     from .rules import Rule
 
 __all__ = [
@@ -75,12 +75,8 @@ __all__ = [
 ]
 
 #: ``lint: allow R001`` or ``lint: allow R001,R003 — reason`` inside a
-#: comment.  The bare form with no codes is a legacy wildcard: it
-#: suppresses every rule on that line but is reported as a warning.
+#: comment.  A pragma that names no code suppresses nothing.
 ALLOW_PRAGMA = re.compile(r"#\s*lint:\s*allow\b[ \t]*([A-Z0-9, ]*)")
-
-#: Pragma code meaning "suppress every rule" (the bare legacy form).
-WILDCARD = "*"
 
 
 @dataclass(frozen=True, slots=True)
@@ -92,9 +88,6 @@ class Finding:
     line: int
     column: int
     message: str
-
-    def to_dict(self) -> dict[str, object]:
-        return dict(asdict(self))
 
     def __str__(self) -> str:
         return f"{self.path}:{self.line}:{self.column}: {self.rule} {self.message}"
@@ -114,7 +107,6 @@ class ParsedModule:
         self.lines = source.splitlines()
         self.tree = ast.parse(source, filename=path)
         self.pragmas: dict[int, frozenset[str]] = {}
-        self.warnings: list[str] = []
         for number, comment in self._iter_comments(source):
             match = ALLOW_PRAGMA.search(comment)
             if match:
@@ -123,14 +115,8 @@ class ParsedModule:
                     for code in match.group(1).split(",")
                     if code.strip()
                 )
-                if not codes:
-                    codes = frozenset({WILDCARD})
-                    self.warnings.append(
-                        f"{path}:{number}: bare '# lint: allow' suppresses "
-                        "every rule on this line; scope it to specific "
-                        "codes, e.g. '# lint: allow R003 — reason'"
-                    )
-                self.pragmas[number] = codes
+                if codes:
+                    self.pragmas[number] = codes
 
     @staticmethod
     def _iter_comments(source: str) -> Iterator[tuple[int, str]]:
@@ -151,11 +137,10 @@ class ParsedModule:
 
     def allowed(self, rule: str, line: int) -> bool:
         """Whether ``rule`` is allowlisted at ``line`` (same or previous)."""
-        for candidate in (line, line - 1):
-            codes = self.pragmas.get(candidate)
-            if codes and (rule in codes or WILDCARD in codes):
-                return True
-        return False
+        return any(
+            rule in self.pragmas.get(candidate, ())
+            for candidate in (line, line - 1)
+        )
 
     def finding(
         self, rule: str, node: ast.AST, message: str
@@ -180,49 +165,36 @@ def iter_python_files(paths: Iterable[str | Path]) -> Iterator[Path]:
             yield path
 
 
+def _sorted(findings: list[Finding]) -> list[Finding]:
+    findings.sort(key=lambda f: (f.path, f.line, f.column, f.rule))
+    return findings
+
+
 def analyze_source(
-    path: str,
-    source: str,
-    rules: Sequence[Rule] | None = None,
-    warnings: list[str] | None = None,
+    path: str, source: str, rules: Sequence[Rule] | None = None
 ) -> list[Finding]:
     """Run the rules over one in-memory module (fixture tests use this)."""
     from .rules import ALL_RULES
 
     module = ParsedModule(path, source)
-    if warnings is not None:
-        warnings.extend(module.warnings)
     active = rules if rules is not None else ALL_RULES
-    findings: list[Finding] = []
-    for rule in active:
-        findings.extend(rule.check(module))
-    findings.sort(key=lambda f: (f.path, f.line, f.column, f.rule))
-    return findings
+    return _sorted([f for rule in active for f in rule.check(module)])
 
 
 def analyze_paths(
-    paths: Iterable[str | Path],
-    rules: Sequence[Rule] | None = None,
-    warnings: list[str] | None = None,
+    paths: Iterable[str | Path], rules: Sequence[Rule] | None = None
 ) -> list[Finding]:
     """Run the per-file rules over files and directories."""
     findings: list[Finding] = []
     for path in iter_python_files(paths):
         findings.extend(
-            analyze_source(
-                str(path),
-                path.read_text(encoding="utf-8"),
-                rules,
-                warnings,
-            )
+            analyze_source(str(path), path.read_text(encoding="utf-8"), rules)
         )
     return findings
 
 
 def analyze_project(
-    paths: Iterable[str | Path],
-    rules: Sequence[object] | None = None,
-    warnings: list[str] | None = None,
+    paths: Iterable[str | Path], rules: Sequence[ProgramRule] | None = None
 ) -> list[Finding]:
     """Run the whole-program rules (R006-R010) over a source tree.
 
@@ -230,17 +202,9 @@ def analyze_project(
     program-rule family over it.  Combine with :func:`analyze_paths`
     for the full R001-R010 report (the CLI does exactly that).
     """
-    from .program_rules import PROGRAM_RULES, ProgramRule
+    from .program_rules import PROGRAM_RULES
     from .project import Project
 
     project = Project.from_paths(paths)
-    if warnings is not None:
-        for parsed in project.modules.values():
-            warnings.extend(parsed.warnings)
     active = rules if rules is not None else PROGRAM_RULES
-    findings: list[Finding] = []
-    for rule in active:
-        assert isinstance(rule, ProgramRule)
-        findings.extend(rule.check(project))
-    findings.sort(key=lambda f: (f.path, f.line, f.column, f.rule))
-    return findings
+    return _sorted([f for rule in active for f in rule.check(project)])

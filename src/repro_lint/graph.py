@@ -14,7 +14,7 @@ Nothing here knows about Python source; it is pure graph machinery:
   reached node to the root that first reached it (rules use it to
   name the offending async root in a finding message);
 * :meth:`DiGraph.strongly_connected_components` — the learners' own
-  iterative Tarjan (:mod:`repro.automata.scc`), so deep import chains
+  iterative Tarjan (``repro.automata.scc``), so deep import chains
   cannot blow the recursion limit;
 * :meth:`DiGraph.cycles` — the non-trivial SCCs (size two or more,
   or a self-loop), which is exactly the "has a cycle" question both
@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from collections import deque
 
-from ..automata.scc import strongly_connected_components
+from repro.automata.scc import strongly_connected_components
 
 __all__ = ["DiGraph", "Reachability"]
 

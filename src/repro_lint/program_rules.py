@@ -776,7 +776,6 @@ LAYERS: dict[str, int] = {
     "repro.api": 9,
     "repro.serve": 10,
     "repro.cli": 11,
-    "repro.analysis": 12,
     "repro": 12,
 }
 

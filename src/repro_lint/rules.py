@@ -1,8 +1,8 @@
-"""The rule implementations of :mod:`repro.analysis`.
+"""The rule implementations of :mod:`repro_lint`.
 
 Each rule is a stateless object with a ``code``, a ``title`` and a
 ``check(module)`` generator.  Rules work purely on the AST plus the
-shared pragma index in :class:`~repro.analysis.ParsedModule`; none of
+shared pragma index in :class:`~repro_lint.ParsedModule`; none of
 them import the modules they inspect.
 """
 

@@ -1,7 +1,7 @@
 """SARIF 2.1.0 serialization of analyzer findings.
 
 Static Analysis Results Interchange Format is what GitHub code
-scanning ingests; CI runs ``python -m repro.analysis --format sarif``
+scanning ingests; CI runs ``python -m repro_lint --format sarif``
 and uploads the result, so findings annotate pull-request diffs
 instead of hiding in a job log.  Only the small stable core of the
 spec is emitted: one run, one driver, one rule descriptor per
@@ -70,7 +70,7 @@ def to_sarif(
             {
                 "tool": {
                     "driver": {
-                        "name": "repro.analysis",
+                        "name": "repro_lint",
                         "rules": descriptors,
                     }
                 },

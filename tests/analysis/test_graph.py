@@ -1,4 +1,4 @@
-"""Unit tests for the analyzer's graph substrate (:mod:`repro.analysis.graph`).
+"""Unit tests for the analyzer's graph substrate (:mod:`repro_lint.graph`).
 
 The whole-program rules lean on three graph operations — BFS
 reachability with provenance, Tarjan SCCs, and cycle extraction — so
@@ -8,7 +8,7 @@ orders (rule output ordering depends on it).
 
 from __future__ import annotations
 
-from repro.analysis.graph import DiGraph
+from repro_lint.graph import DiGraph
 
 
 def build(edges: list[tuple[str, str]], nodes: tuple[str, ...] = ()) -> DiGraph:

@@ -14,10 +14,10 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import Finding, analyze_project
-from repro.analysis.program_rules import PROGRAM_RULES, ProgramRule
-from repro.analysis.project import Project, module_name_for_path
-from repro.analysis.rules import ALL_RULES
+from repro_lint import Finding, analyze_project
+from repro_lint.program_rules import PROGRAM_RULES, ProgramRule
+from repro_lint.project import Project, module_name_for_path
+from repro_lint.rules import ALL_RULES
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 

@@ -1,4 +1,4 @@
-"""Tests for the whole-program model (:mod:`repro.analysis.project`).
+"""Tests for the whole-program model (:mod:`repro_lint.project`).
 
 Covers module naming, import-edge classification, alias-aware call
 resolution (including the builtin-method denylist that keeps
@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis.project import (
+from repro_lint.project import (
     Project,
     dotted_text,
     module_name_for_path,
@@ -278,9 +278,6 @@ GOLDEN_PACKAGE_EDGES = frozenset(
         ("repro", "repro.regex"),
         ("repro", "repro.xmlio"),
         ("repro.__main__", "repro.cli"),
-        ("repro.analysis", "repro.automata"),
-        ("repro.analysis", "repro.errors"),
-        ("repro.analysis", "repro.fsio"),
         ("repro.ckpt", "repro.contracts"),
         ("repro.ckpt", "repro.errors"),
         ("repro.ckpt", "repro.fsio"),

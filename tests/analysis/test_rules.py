@@ -1,21 +1,25 @@
-"""Fixture tests for the repo linter (:mod:`repro.analysis`).
+"""Fixture tests for the repo linter (:mod:`repro_lint`).
 
 Every registered rule gets (at least) one snippet that fires it and one
 clean counterexample; a meta-test enforces that coverage so a new rule
 cannot land without fixtures.  The final test runs the linter over the
 live ``src/repro`` tree — the acceptance criterion that CI replays via
-``python -m repro.analysis src/repro``.
+``python -m repro_lint src/repro``.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import json
 import subprocess
 import sys
 from pathlib import Path
 
-from repro.analysis import analyze_paths, analyze_source
-from repro.analysis.rules import ALL_RULES
+import pytest
+
+from repro_lint import analyze_paths, analyze_source
+from repro_lint.__main__ import main
+from repro_lint.rules import ALL_RULES
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
@@ -271,19 +275,15 @@ class TestAllowlistPragma:
         findings = analyze_source("src/repro/core/m.py", source)
         assert any(f.rule == "R002" for f in findings)
 
-    def test_bare_pragma_suppresses_everything_but_warns(self):
-        source = "raise ValueError('x')  # lint: allow\n"
-        warnings: list[str] = []
-        findings = analyze_source("src/repro/core/m.py", source, warnings=warnings)
-        assert not any(f.rule == "R002" for f in findings)
-        assert len(warnings) == 1
-        assert "bare" in warnings[0] and "scope it" in warnings[0]
-
-    def test_scoped_pragma_emits_no_warning(self):
-        source = "raise ValueError('x')  # lint: allow R002 — reviewed\n"
-        warnings: list[str] = []
-        analyze_source("src/repro/core/m.py", source, warnings=warnings)
-        assert warnings == []
+    def test_bare_pragma_leaves_the_finding_standing(self):
+        # A pragma must name the codes it suppresses; one that names
+        # none suppresses nothing, on its own line or the next.
+        for source in (
+            "raise ValueError('x')  # lint: allow\n",
+            "# lint: allow — reviewed\nraise ValueError('x')\n",
+        ):
+            findings = analyze_source("src/repro/core/m.py", source)
+            assert [f.rule for f in findings] == ["R002"], source
 
     def test_pragma_inside_string_literal_does_not_register(self):
         # Only real comment tokens count: pragma text in a docstring or
@@ -300,36 +300,39 @@ class TestAllowlistPragma:
 class TestCli:
     def test_live_tree_is_clean(self):
         result = subprocess.run(
-            [sys.executable, "-m", "repro.analysis", "src/repro"],
+            [sys.executable, "-m", "repro_lint", "src/repro"],
             cwd=REPO_ROOT,
             capture_output=True,
             text=True,
         )
         assert result.returncode == 0, result.stdout + result.stderr
 
-    def test_json_output_is_machine_readable(self, tmp_path):
+    def test_sarif_output_is_machine_readable(self, tmp_path):
         bad = tmp_path / "src" / "repro" / "core" / "bad.py"
         bad.parent.mkdir(parents=True)
-        bad.write_text("raise ValueError('x')\n")
+        bad.write_text("raise ValueError('x')\nx = 1\nraise KeyError('y')\n")
         result = subprocess.run(
-            [sys.executable, "-m", "repro.analysis", "--json", str(bad)],
+            [sys.executable, "-m", "repro_lint", "--format", "sarif", str(bad)],
             cwd=REPO_ROOT,
             capture_output=True,
             text=True,
         )
         assert result.returncode == 1
-        report = json.loads(result.stdout)
-        assert report["count"] == 1
-        (finding,) = report["findings"]
-        assert finding["rule"] == "R002"
-        assert finding["line"] == 1
+        (run,) = json.loads(result.stdout)["runs"]
+        assert [
+            (
+                finding["ruleId"],
+                finding["locations"][0]["physicalLocation"]["region"]["startLine"],
+            )
+            for finding in run["results"]
+        ] == [("R002", 1), ("R002", 3)]
 
     def test_rules_filter(self, tmp_path):
         bad = tmp_path / "src" / "repro" / "core" / "bad.py"
         bad.parent.mkdir(parents=True)
         bad.write_text("raise ValueError('x')\n")
         result = subprocess.run(
-            [sys.executable, "-m", "repro.analysis", "--rules", "R003", str(bad)],
+            [sys.executable, "-m", "repro_lint", "--rules", "R003", str(bad)],
             cwd=REPO_ROOT,
             capture_output=True,
             text=True,
@@ -338,7 +341,7 @@ class TestCli:
 
     def test_unknown_rule_code_is_usage_error(self):
         result = subprocess.run(
-            [sys.executable, "-m", "repro.analysis", "--rules", "R999"],
+            [sys.executable, "-m", "repro_lint", "--rules", "R999"],
             cwd=REPO_ROOT,
             capture_output=True,
             text=True,
@@ -363,7 +366,7 @@ class TestCli:
             [
                 sys.executable,
                 "-m",
-                "repro.analysis",
+                "repro_lint",
                 "--format",
                 "sarif",
                 str(bad),
@@ -376,7 +379,7 @@ class TestCli:
         sarif = json.loads(result.stdout)
         assert sarif["version"] == "2.1.0"
         (run,) = sarif["runs"]
-        assert run["tool"]["driver"]["name"] == "repro.analysis"
+        assert run["tool"]["driver"]["name"] == "repro_lint"
         rule_ids = {r["id"] for r in run["tool"]["driver"]["rules"]}
         assert {"R001", "R010"} <= rule_ids
         (finding,) = run["results"]
@@ -384,106 +387,12 @@ class TestCli:
         location = finding["locations"][0]["physicalLocation"]
         assert location["region"]["startLine"] == 1
 
-    def test_baseline_suppresses_and_reports(self, tmp_path):
-        bad = self._bad_tree(tmp_path)
-        baseline = tmp_path / "baseline.json"
-        baseline.write_text(
-            json.dumps(
-                {
-                    "version": 1,
-                    "entries": [
-                        {
-                            "rule": "R002",
-                            "path": "core/bad.py",
-                            "contains": "ValueError",
-                            "reason": "fixture acknowledges the raise",
-                        }
-                    ],
-                }
-            )
-        )
-        result = subprocess.run(
-            [
-                sys.executable,
-                "-m",
-                "repro.analysis",
-                "--baseline",
-                str(baseline),
-                str(bad),
-            ],
-            cwd=REPO_ROOT,
-            capture_output=True,
-            text=True,
-        )
-        assert result.returncode == 0, result.stdout + result.stderr
-        assert "suppressed by baseline" in result.stderr
-
-    def test_unused_baseline_entry_warns(self, tmp_path):
-        clean = tmp_path / "m.py"
-        clean.write_text("x = 1\n")
-        baseline = tmp_path / "baseline.json"
-        baseline.write_text(
-            json.dumps(
-                {
-                    "version": 1,
-                    "entries": [
-                        {
-                            "rule": "R002",
-                            "path": "gone.py",
-                            "reason": "file was deleted",
-                        }
-                    ],
-                }
-            )
-        )
-        result = subprocess.run(
-            [
-                sys.executable,
-                "-m",
-                "repro.analysis",
-                "--baseline",
-                str(baseline),
-                str(clean),
-            ],
-            cwd=REPO_ROOT,
-            capture_output=True,
-            text=True,
-        )
-        assert result.returncode == 0
-        assert "matches nothing" in result.stderr
-
-    def test_baseline_entry_requires_a_reason(self, tmp_path):
-        baseline = tmp_path / "baseline.json"
-        baseline.write_text(
-            json.dumps(
-                {
-                    "version": 1,
-                    "entries": [{"rule": "R002", "path": "m.py"}],
-                }
-            )
-        )
-        result = subprocess.run(
-            [
-                sys.executable,
-                "-m",
-                "repro.analysis",
-                "--baseline",
-                str(baseline),
-                "src/repro/errors.py",
-            ],
-            cwd=REPO_ROOT,
-            capture_output=True,
-            text=True,
-        )
-        assert result.returncode == 1
-        assert "reason" in result.stderr
-
     def test_stats_prints_rule_counts_and_graph_sizes(self):
         result = subprocess.run(
             [
                 sys.executable,
                 "-m",
-                "repro.analysis",
+                "repro_lint",
                 "--stats",
                 "src/repro",
             ],
@@ -500,15 +409,40 @@ class TestCli:
 
     def test_list_rules_covers_both_registries(self):
         result = subprocess.run(
-            [sys.executable, "-m", "repro.analysis", "--list-rules"],
+            [sys.executable, "-m", "repro_lint", "--list-rules"],
             cwd=REPO_ROOT,
             capture_output=True,
             text=True,
         )
         assert result.returncode == 0
-        listed = {
-            line.split()[0]
-            for line in result.stdout.splitlines()
-            if line.strip()
-        }
-        assert listed == {f"R{n:03d}" for n in range(1, 11)}
+        assert result.stdout.splitlines() == [
+            "R001  repro.serve imports only the façade surface",
+            "R002  raise repro.errors exceptions, not bare builtins",
+            "R003  no bare/broad except that silently swallows",
+            "R004  no object.__setattr__ outside __post_init__",
+            "R005  no hidden randomness or wall clocks in the core pipeline",
+            "R006  no blocking calls reachable from async code",
+            "R007  locks via 'with' only, no await under a sync lock, stable order",
+            "R008  shared mutable state is written under a lock",
+            "R009  raises resolve through repro.errors; serve entries catch broadly",
+            "R010  eager imports respect the declared layer DAG, no cycles",
+        ]
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--json"], ["--format", "json"], ["--baseline", "b.json"], ["--output", "r"]],
+    )
+    def test_removed_options_are_usage_errors(self, flags):
+        # One suppression path (pragmas) and one machine format (SARIF
+        # on stdout): the baseline file, JSON output and --output are gone.
+        with pytest.raises(SystemExit) as exit_info:
+            main([*flags, "src/repro/errors.py"])
+        assert exit_info.value.code == 2
+
+    def test_the_linter_is_not_part_of_the_product(self):
+        # The linter lives in src/repro_lint, a development tool outside
+        # the installed distribution; the repro package carries no copy.
+        assert importlib.util.find_spec("repro.analysis") is None
+        assert importlib.util.find_spec("repro_lint") is not None
+        pyproject = (REPO_ROOT / "pyproject.toml").read_text(encoding="utf-8")
+        assert 'include = ["repro", "repro.*"]' in pyproject

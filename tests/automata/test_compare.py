@@ -1,5 +1,6 @@
 """Cross-representation language comparison (SOA vs RE)."""
 
+import pytest
 from hypothesis import given, settings
 
 from repro.automata.compare import (
@@ -40,6 +41,49 @@ class TestInclusion:
         assert soa.accepts_empty
         assert soa_included_in_regex(soa, parse_regex("a?"))
         assert not soa_included_in_regex(soa, parse_regex("a"))
+
+
+#: ``(soa expression, regex, alphabet) -> witness`` of
+#: :func:`soa_vs_regex_counterexample`: the first word of
+#: ``L(soa) \\ L(regex)`` in shortlex order over the sorted alphabet.
+SOA_VS_REGEX_PINS = [
+    ("(a + b)* c", "a* b* c", None, ("b", "a", "c")),
+    ("a (b + c)+ d?", "a b+ c* d?", None, ("a", "c")),
+    ("(a b)+ c?", "a b (a b)? c", None, ("a", "b")),
+    ("a? b* (c + d)", "a? b? (c + d)", None, ("b", "b", "c")),
+    ("(a + b + c)* d e? f", "(a + b)* c? d e? f", None, ("c", "a", "d", "f")),
+    ("(a + b)* c", "(a + b)* c", None, None),
+    ("(a + b)* c", "c", ["c"], None),
+    ("(a + b)* c", "a* c", ["b", "c"], ("b", "c")),
+]
+
+#: ``(regex, soa expression) -> witness`` of :func:`regex_vs_soa_counterexample`.
+REGEX_VS_SOA_PINS = [
+    ("(a b)+ c?", "a b c?", ("a", "b", "a", "b")),
+    ("a* b* c", "(a + b)* c", None),
+    ("a (b c)* d", "a (b + c)* d", None),
+    ("a (b c)* d", "a b c d", ("a", "d")),
+    ("(a + b)+ c", "a+ b* c", ("b", "c")),
+    ("a? b?", "a b", ()),
+    ("a & b", "a b", ("b", "a")),  # interleaving: the derivative engine
+]
+
+
+class TestWitnessPins:
+    """Both directions run one product search; the witnesses are pinned."""
+
+    @pytest.mark.parametrize(("soa", "regex", "alphabet", "witness"), SOA_VS_REGEX_PINS)
+    def test_soa_vs_regex(self, soa, regex, alphabet, witness):
+        automaton = SOA.from_regex(parse_regex(soa))
+        assert (
+            soa_vs_regex_counterexample(automaton, parse_regex(regex), alphabet)
+            == witness
+        )
+
+    @pytest.mark.parametrize(("regex", "soa", "witness"), REGEX_VS_SOA_PINS)
+    def test_regex_vs_soa(self, regex, soa, witness):
+        automaton = SOA.from_regex(parse_regex(soa))
+        assert regex_vs_soa_counterexample(parse_regex(regex), automaton) == witness
 
 
 class TestEquivalence:

@@ -1,6 +1,10 @@
 """Explicit DFAs: subset construction, minimisation, isomorphism."""
 
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from hypothesis import given, settings
 
@@ -10,8 +14,39 @@ from repro.regex.parser import parse_regex
 
 from ..conftest import sores
 
+_REPO_SRC = str(Path(__file__).resolve().parents[2] / "src")
+
+#: Print the transition tables of a DFA and its minimisation, built in a
+#: fresh interpreter, for comparison across hash seeds.
+_TABLE_SCRIPT = """
+from repro.automata.dfa import from_regex, minimize
+from repro.regex.parser import parse_regex
+
+dfa = from_regex(parse_regex("(a + b + c)* d e? f"))
+print(sorted(dfa.transitions.items()), sorted(dfa.accepting))
+minimal = minimize(dfa)
+print(sorted(minimal.transitions.items()), sorted(minimal.accepting))
+"""
+
+
+def _tables_under_seed(seed: str) -> str:
+    env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=_REPO_SRC)
+    result = subprocess.run(
+        [sys.executable, "-c", _TABLE_SCRIPT],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    return result.stdout
+
 
 class TestConstruction:
+    def test_state_numbering_is_independent_of_the_hash_seed(self):
+        # Discovery order follows the sorted alphabet, not frozenset
+        # iteration, so both tables are equal under any PYTHONHASHSEED.
+        assert _tables_under_seed("0") == _tables_under_seed("1")
+
     def test_accepts_agrees_with_matcher(self):
         expression = parse_regex("a (b + c)* d?")
         dfa = from_regex(expression)

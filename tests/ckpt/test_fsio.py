@@ -1,8 +1,8 @@
 """The atomic artifact writers every durable path now goes through.
 
 ``repro.fsio`` backs the checkpoint codec and manifest plus the
-artifact writers swept in the durability fix (obs traces, analysis
-reports, benchmark JSON).  The property under test: after any write —
+artifact writers swept in the durability fix (obs traces, benchmark
+JSON).  The property under test: after any write —
 including one that explodes mid-serialization — the destination holds
 either the complete old content or the complete new content, and no
 temp debris survives a successful write.
@@ -89,17 +89,3 @@ class TestSweptWriters:
         assert data["beta"] == {"value": 2}
         assert "_meta" in data
         assert os.listdir(tmp_path) == ["BENCH.json"]
-
-    def test_analysis_output_writes_report_atomically(self, tmp_path):
-        from repro.analysis.__main__ import main
-
-        source = tmp_path / "mod.py"
-        source.write_text("x = 1\n")
-        target = tmp_path / "report.sarif"
-        code = main(
-            ["--format", "sarif", "--output", str(target), str(source)]
-        )
-        assert code == 0
-        document = json.loads(target.read_text())
-        assert document["version"] == "2.1.0"
-        assert not list(tmp_path.glob("*.tmp.*"))
