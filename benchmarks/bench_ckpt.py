@@ -59,7 +59,7 @@ def checkpointed_config(state, jobs, resume=False, recorder=None):
         resume=resume,
         jobs=jobs,
         recorder=recorder or StatsRecorder(),
-        faults={},
+        faults=None,
     )
 
 
@@ -84,7 +84,7 @@ def test_incremental_rerun_speedup(tmp_path, scale, benchmark):
     for victim, replacement in zip(paths[::-1], replacements):
         shutil.copyfile(replacement, victim)
 
-    reference = infer(paths, config=InferenceConfig(faults={})).render()
+    reference = infer(paths, config=InferenceConfig(faults=None)).render()
     recorder = StatsRecorder()
     incremental = infer(
         paths,
@@ -152,7 +152,7 @@ def test_resume_after_interrupt_costs_only_remaining_shards(tmp_path, scale):
     state = tmp_path / "run"
     jobs = 6
 
-    full = infer(paths, config=InferenceConfig(faults={})).render()
+    full = infer(paths, config=InferenceConfig(faults=None)).render()
     half = paths[: count // 2]
     infer(half, config=checkpointed_config(state, jobs)).render()
 

@@ -47,7 +47,7 @@ import copy
 import os
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable
 from typing import TYPE_CHECKING
 
 from .contracts import contracts_enabled
@@ -83,6 +83,7 @@ __all__ = [
     "DiffConfig",
     "DiffResult",
     "DocumentValidation",
+    "FaultPlan",
     "InferenceConfig",
     "InferenceResult",
     "InferenceSession",
@@ -93,6 +94,24 @@ __all__ = [
     "infer",
     "validate",
 ]
+
+
+def __getattr__(name: str) -> object:
+    # FaultPlan, the type of InferenceConfig.faults, is the runtime's:
+    # it loads on first use, so importing the façade loads nothing more.
+    if name == "FaultPlan":
+        from .runtime.resilience import FaultPlan
+
+        return FaultPlan
+    # lint: allow R002 — module attribute protocol, getattr() catches it
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def _env_faults() -> FaultPlan | None:
+    """The ``faults`` default: the plan in ``REPRO_FAULTS``, if any."""
+    from .runtime.resilience import FaultPlan
+
+    return FaultPlan.from_env()
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -133,10 +152,10 @@ class InferenceConfig:
         on_error: ``"strict"`` (the default) aborts on the first bad
             document, exactly as inference always has; ``"skip"``
             quarantines unparseable documents (recording path, cause
-            and offset), infers a partial DTD from the rest, and
-            attaches a machine-readable
-            :class:`~repro.runtime.resilience.DegradationReport` to
-            the result.
+            and offset) and infers a partial DTD from the rest.  Either
+            way the result's
+            :class:`~repro.runtime.resilience.DegradationReport` says
+            what the run skipped, retried or weakened.
         max_quarantine: with ``on_error="skip"``, the most documents
             that may be quarantined before the run aborts with
             :class:`~repro.errors.QuarantineExceeded` (``None``: no
@@ -146,12 +165,13 @@ class InferenceConfig:
             the driver folds have none); breaches are retried and, in
             strict mode, eventually raise
             :class:`~repro.errors.ShardTimeout`.
-        faults: a deterministic fault-injection plan — a
-            :class:`~repro.runtime.resilience.FaultPlan`, a mapping or
-            JSON string of its fields, or ``None``.  When ``None``,
-            the ``REPRO_FAULTS`` environment variable is consulted
-            (same JSON shape), so whole test suites can run under a
-            canned plan.
+        faults: a deterministic fault-injection plan, a
+            :class:`~repro.runtime.resilience.FaultPlan` or ``None``
+            (no plan).  The default is the plan in the ``REPRO_FAULTS``
+            environment variable (JSON, see
+            :meth:`~repro.runtime.resilience.FaultPlan.from_json`), or
+            ``None`` when it is unset, so whole test suites can run
+            under a canned plan.
         state_dir: checkpoint the run into this directory
             (:mod:`repro.ckpt`): per-shard evidence is persisted
             durably as they complete, together with a content-hash
@@ -174,7 +194,7 @@ class InferenceConfig:
     on_error: str = "strict"
     max_quarantine: int | None = None
     shard_deadline: float | None = None
-    faults: "FaultPlan | Mapping[str, object] | str | None" = None
+    faults: FaultPlan | None = field(default_factory=_env_faults)
     state_dir: str | os.PathLike[str] | None = None
     resume: bool = False
 
@@ -211,21 +231,12 @@ class InferenceConfig:
             )
         from .runtime.resilience import FaultPlan
 
-        faults = self.faults
-        if faults is None:
-            faults = FaultPlan.from_env()
-        elif isinstance(faults, str):
-            faults = FaultPlan.from_json(faults)
-        elif isinstance(faults, Mapping):
-            faults = FaultPlan.from_mapping(faults)
-        elif not isinstance(faults, FaultPlan):
+        if self.faults is not None and not isinstance(self.faults, FaultPlan):
             raise UsageError(
-                f"faults must be a FaultPlan, a mapping, JSON text or None, "
-                f"got {type(faults).__name__}"
+                f"faults must be a FaultPlan or None, got "
+                f"{type(self.faults).__name__} (FaultPlan.from_mapping and "
+                "FaultPlan.from_json build one)"
             )
-        if faults is not None and not faults:
-            faults = None  # an all-empty plan injects nothing
-        object.__setattr__(self, "faults", faults)
         if self.resume and self.state_dir is None:
             raise UsageError(
                 "resume continues a checkpointed run: it requires state_dir "
@@ -237,37 +248,20 @@ class InferenceConfig:
         """Whether the run names a shard plan (``jobs`` or ``state_dir``)."""
         return self.jobs is not None or self.state_dir is not None
 
-    @property
-    def resilient(self) -> bool:
-        """Whether the run reports its degradation.
-
-        True for ``on_error="skip"``, an active fault plan, or a shard
-        deadline: the result then carries a
-        :class:`~repro.runtime.resilience.DegradationReport`.  When
-        False — the default — ``InferenceResult.degradation`` is None.
-        """
-        return (
-            self.on_error == "skip"
-            or self.faults is not None
-            or self.shard_deadline is not None
-        )
-
 
 @dataclass
 class InferenceResult:
     """What an inference run produced, plus how it got there.
 
-    ``degradation`` is ``None`` unless the resilient runtime ran
-    (``on_error="skip"``, a fault plan, or a shard deadline); when
-    present, ``degradation.degraded`` says whether anything was
-    actually skipped, retried or weakened.
+    ``degradation`` is the run's report of what it quarantined, retried
+    or weakened; ``degradation.degraded`` says whether anything was.
     """
 
     dtd: Dtd
     report: InferenceReport
     config: InferenceConfig
+    degradation: DegradationReport
     recorder: Recorder = field(default=NULL_RECORDER, repr=False)
-    degradation: "DegradationReport | None" = None
 
     def render(self) -> str:
         """The DTD as text."""
@@ -312,11 +306,9 @@ def _expand_source(source: Source) -> list[Document | str]:
     )
 
 
-def _require_surviving_documents(
-    degradation: "DegradationReport | None", total: int
-) -> None:
+def _require_surviving_documents(degradation: DegradationReport, total: int) -> None:
     """Quarantining *every* document is failure, not degradation."""
-    if degradation is not None and len(degradation.quarantined) >= total:
+    if len(degradation.quarantined) >= total:
         raise CorpusError(
             f"all {total} documents were quarantined "
             f"(first: {degradation.quarantined[0].path}: "
@@ -332,21 +324,18 @@ def _bounded(config: InferenceConfig) -> bool:
 def _evidence(
     items: list[Document | str],
     config: InferenceConfig,
-    *,
-    degradation: "DegradationReport | None",
-    fault_plan: "FaultPlan | None",
-    max_quarantine: int | None,
+    degradation: DegradationReport,
     index_offset: int = 0,
 ) -> StreamingEvidence:
-    """Fold ``items`` into evidence under ``config``.
+    """Fold ``items`` into evidence under ``config``, reporting to ``degradation``.
 
     The evidence half of :func:`infer`, shared with
     :meth:`InferenceSession.append`: one call into the shard runner
     (:func:`~repro.runtime.parallel.parallel_evidence`), through
-    :mod:`repro.ckpt` when checkpointing, under the config's bound.
-    Without ``jobs`` the run is one shard.  ``index_offset`` shifts
-    fault-plan document positions so a session's plan sees
-    corpus-global positions across appends.
+    :mod:`repro.ckpt` when checkpointing, under the config's bound,
+    fault plan and quarantine cap.  Without ``jobs`` the run is one
+    shard.  ``index_offset`` shifts fault-plan document positions so a
+    session's plan sees corpus-global positions across appends.
     """
     if config.state_dir is not None:
         paths = [
@@ -368,9 +357,9 @@ def _evidence(
             resume=config.resume,
             jobs=config.jobs,
             recorder=config.recorder,
-            fault_plan=fault_plan,
+            fault_plan=config.faults,
             on_error=config.on_error,
-            max_quarantine=max_quarantine,
+            max_quarantine=config.max_quarantine,
             deadline=config.shard_deadline,
             report=degradation,
             bounded=_bounded(config),
@@ -382,9 +371,9 @@ def _evidence(
         config.jobs or 1,
         config.recorder,
         index_offset=index_offset,
-        faults=fault_plan,
+        faults=config.faults,
         on_error=config.on_error,
-        max_quarantine=max_quarantine,
+        max_quarantine=config.max_quarantine,
         deadline=config.shard_deadline,
         report=degradation,
         bounded=_bounded(config),
@@ -394,8 +383,7 @@ def _evidence(
 def _result(
     config: InferenceConfig,
     evidence: StreamingEvidence,
-    fault_plan: "FaultPlan | None",
-    degradation: "DegradationReport | None",
+    degradation: DegradationReport,
 ) -> InferenceResult:
     """Finalize ``evidence`` into a result: the tail every run shares.
 
@@ -419,13 +407,13 @@ def _result(
         infer_attributes=config.infer_attributes,
         recorder=recorder,
         cache=content_model_cache,
-        fault_plan=fault_plan,
+        fault_plan=config.faults,
         # Strict mode fails hard on learner faults; only skip mode may
         # degrade content models down the SORE → CHARE → ANY ladder.
         degradation=degradation if config.on_error == "skip" else None,
     )
     dtd = inferencer.finalize(evidence)
-    if degradation is not None and contracts_enabled():
+    if contracts_enabled():
         from .contracts import check_degradation_report
 
         check_degradation_report(degradation, dtd)
@@ -450,26 +438,15 @@ def infer(
     """
     if config is None:
         config = InferenceConfig()
-    degradation: DegradationReport | None = None
-    fault_plan: FaultPlan | None = None
-    if config.resilient:
-        from .runtime.resilience import DegradationReport
-
-        degradation = DegradationReport()
-        # __post_init__ normalized faults to FaultPlan | None.
-        fault_plan = config.faults  # type: ignore[assignment]
     items = _expand_source(source)
     if not items:
         raise UsageError("no documents to infer from")
-    evidence = _evidence(
-        items,
-        config,
-        degradation=degradation,
-        fault_plan=fault_plan,
-        max_quarantine=config.max_quarantine,
-    )
+    from .runtime.resilience import DegradationReport
+
+    degradation = DegradationReport()
+    evidence = _evidence(items, config, degradation)
     _require_surviving_documents(degradation, len(items))
-    return _result(config, evidence, fault_plan, degradation)
+    return _result(config, evidence, degradation)
 
 
 def _language_cache_stats(recorder: Recorder) -> dict[str, dict[str, int]]:
@@ -784,15 +761,10 @@ class InferenceSession:
         self._evidence = StreamingEvidence(bounded=_bounded(config))
         self._documents = 0
         self._closed = False
-        self._degradation: DegradationReport | None = None
-        self._fault_plan: FaultPlan | None = None
-        self._shard_base = 0
-        if config.resilient:
-            from .runtime.resilience import DegradationReport
+        from .runtime.resilience import DegradationReport
 
-            self._degradation = DegradationReport()
-            # __post_init__ normalized faults to FaultPlan | None.
-            self._fault_plan = config.faults  # type: ignore[assignment]
+        self._degradation = DegradationReport()
+        self._shard_base = 0
 
     # -- lifecycle -------------------------------------------------------------
 
@@ -832,32 +804,21 @@ class InferenceSession:
         items = _expand_source(source)
         if not items:
             raise UsageError("no documents to append")
-        chunk_report: DegradationReport | None = None
-        remaining_quarantine = self.config.max_quarantine
-        if self._degradation is not None:
-            from .runtime.resilience import DegradationReport
+        from .runtime.resilience import DegradationReport
 
-            chunk_report = DegradationReport()
-            if remaining_quarantine is not None:
-                remaining_quarantine = max(
-                    0,
-                    remaining_quarantine - len(self._degradation.quarantined),
-                )
-        shard = _evidence(
-            items,
-            self.config,
-            degradation=chunk_report,
-            fault_plan=self._fault_plan,
-            max_quarantine=remaining_quarantine,
-            index_offset=self._documents,
-        )
+        chunk_report = DegradationReport()
+        config = self.config
+        if config.max_quarantine is not None:
+            # The cap is session-wide: this append gets what is left of it.
+            left = config.max_quarantine - len(self._degradation.quarantined)
+            config = replace(config, max_quarantine=max(0, left))
+        shard = _evidence(items, config, chunk_report, index_offset=self._documents)
         if contracts_enabled():
             from .contracts import check_merge_commutative
 
             check_merge_commutative(self._evidence, shard)
         self._evidence.merge(shard)
-        if chunk_report is not None:
-            self._fold_degradation(chunk_report)
+        self._fold_degradation(chunk_report)
         self._documents += len(items)
         return AppendReceipt(
             documents=len(items),
@@ -865,7 +826,7 @@ class InferenceSession:
             elements=len(self._evidence.elements),
         )
 
-    def _fold_degradation(self, chunk: "DegradationReport") -> None:
+    def _fold_degradation(self, chunk: DegradationReport) -> None:
         """Fold one append's degradation into the session-wide report.
 
         Entries are extended directly (their counters were already
@@ -873,7 +834,6 @@ class InferenceSession:
         session-global sequence so ``retried_shards`` stays unique
         across appends, as the report contract requires.
         """
-        assert self._degradation is not None
         self._degradation.quarantined.extend(chunk.quarantined)
         rebased = self._shard_base
         for retry in chunk.retried_shards:
@@ -900,9 +860,5 @@ class InferenceSession:
         # Finalize against a *copy* of the session report: learner
         # fallbacks belong to one derivation, and repeated queries must
         # not accumulate duplicates in the session-wide report.
-        degradation = (
-            copy.deepcopy(self._degradation)
-            if self._degradation is not None
-            else None
-        )
-        return _result(self.config, self._evidence, self._fault_plan, degradation)
+        degradation = copy.deepcopy(self._degradation)
+        return _result(self.config, self._evidence, degradation)

@@ -10,12 +10,14 @@ evidence.  That is enough to answer both durability questions:
 * *incremental re-run* — a shard is reusable iff its document list
   reappears, byte-for-byte and contiguously, in the new corpus.
 
-Version 2 adds each shard's quarantined documents (``on_error="skip"``
-runs), so a resumed run reproduces the degradation report along with
-the DTD.  Version-1 manifests still load, as shards with no quarantines.
-Version 3 records ``word_cap`` next to ``sample_cap``: the run's bag
-bound (``null`` for whole bags) and the reservoir cap shape the state
-bytes, so a run written under other values is re-parsed.
+Each shard entry also lists the documents it quarantined
+(``on_error="skip"`` runs), so a resumed run reproduces the degradation
+report along with the DTD.  ``word_cap`` sits next to ``sample_cap``:
+the run's bag bound (``null`` for whole bags) and the reservoir cap
+shape the state bytes, so a run written under other values is
+re-parsed.  Only version 3 loads: older manifests name states that
+predate the current codec, and :func:`load_manifest` refuses them with
+a :class:`~repro.ckpt.codec.StateDecodeError`.
 
 The manifest is rewritten atomically after every shard commit, and a
 state file is referenced only after its own bytes are durable, so a
@@ -163,7 +165,7 @@ def load_manifest(run_dir: str | os.PathLike[str]) -> Manifest | None:
             f"{path} lacks the repro-ckpt-manifest magic; refusing to use "
             "this directory as a state dir"
         )
-    if document.get("version") not in (1, 2, MANIFEST_VERSION):
+    if document.get("version") != MANIFEST_VERSION:
         raise StateDecodeError(
             f"unsupported manifest version {document.get('version')!r}"
         )

@@ -106,8 +106,6 @@ def _reusable_shards(
     if old.sample_cap != SAMPLE_CAP or old.word_cap != word_cap:
         # Reservoir truncation and bag spilling depend on the caps; states
         # folded under another bound cannot reproduce this run's bytes.
-        # (v1/v2 manifests load without a word_cap, but their states
-        # predate codec v3 and never decode.)
         recorder.count("ckpt.corrupt", len(old.shards))
         return []
     hashes = [entry.sha256 for entry in entries]
@@ -199,7 +197,7 @@ def checkpointed_evidence(
     prefix matches trivially) and incremental re-runs over edited
     corpora.  Either way the returned evidence is byte-identical to a
     fresh, uncached run over ``paths``, and ``report`` receives the
-    same quarantines.
+    same quarantines (``on_error="skip"`` needs one).
 
     The remaining keywords are the shard runner's policy and bound
     (:func:`~repro.runtime.parallel.parallel_evidence`), with
@@ -253,8 +251,6 @@ def checkpointed_evidence(
             if fault_plan is not None and fault_plan.kills_after(index):
                 os._exit(CRASH_EXIT_STATUS)
 
-        if report is None:
-            report = DegradationReport()
         merged = parallel_evidence(
             [entry.path for entry in entries],
             jobs,
@@ -275,6 +271,7 @@ def checkpointed_evidence(
         if contracts_enabled():
             check_checkpoint_roundtrip(merged)
             if reused:
-                skipped = {document.path for document in report.quarantined}
+                kept = report.quarantined if report is not None else ()
+                skipped = {document.path for document in kept}
                 check_checkpoint_resume(merged, [entry.path for entry in entries], skipped)
         return merged

@@ -21,7 +21,7 @@ from __future__ import annotations
 import argparse
 import sys
 from collections.abc import Sequence
-from typing import NoReturn
+from typing import Any, NoReturn
 
 from . import api
 from .api import METHODS, InferenceConfig, infer
@@ -77,11 +77,12 @@ def _cmd_infer(args: argparse.Namespace) -> int:
         os.environ["REPRO_CHECKS"] = "1"
         set_contracts(True)
     recorder = _stats_recorder(args)
-    faults = None
+    options: dict[str, Any] = {}
     if args.fault_plan is not None:
         from .runtime.resilience import FaultPlan
 
-        faults = FaultPlan.from_cli(args.fault_plan)
+        # Without --fault-plan the config's default reads REPRO_FAULTS.
+        options["faults"] = FaultPlan.from_cli(args.fault_plan)
     config = InferenceConfig(
         method=args.method,
         jobs=args.jobs,
@@ -93,16 +94,16 @@ def _cmd_infer(args: argparse.Namespace) -> int:
         on_error=args.on_error,
         max_quarantine=args.max_quarantine,
         shard_deadline=args.shard_deadline,
-        faults=faults,
         state_dir=args.state_dir,
         resume=args.resume,
+        **options,
     )
     result = infer(args.files, config=config)
     if args.format == "dtd":
         sys.stdout.write(result.render())
     else:
         sys.stdout.write(result.to_xsd())
-    if result.degradation is not None and result.degradation.degraded:
+    if result.degradation.degraded:
         from .obs.report import format_degradation
 
         print(format_degradation(result.degradation.to_dict()), file=sys.stderr)

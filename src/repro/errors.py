@@ -45,8 +45,8 @@ class CorpusError(ReproError, ValueError):
     """The input data is invalid or insufficient: malformed XML/DTDs,
     samples with no learnable content.
 
-    ``degradation`` is ``None`` except when the resilient runtime
-    aborted a run it had already partially degraded: then the raise
+    ``degradation`` is ``None`` except when the runtime aborted a run
+    it had already partially degraded: then the raise
     site attaches the partial
     :class:`~repro.runtime.resilience.DegradationReport`, so callers
     (the CLI's stderr summary, :mod:`repro.serve`'s 503 bodies) can

@@ -1,14 +1,13 @@
 """Crash-safe artifact writing: write-tmp + fsync + atomic rename.
 
-Several parts of the system persist JSON (or JSON-lines) artifacts
-that other tooling later *trusts*: benchmark baselines, obs traces,
-and — most critically — the checkpoint state
-files and manifests of :mod:`repro.ckpt`.  A plain ``open(path, "w")``
-+ ``json.dump`` leaves a truncated file behind if the process dies
-mid-write, and the next reader sees corrupt data where a file used to
-be good.
+Two parts of the system persist artifacts that other tooling later
+*trusts*: obs traces (:func:`repro.obs.report.write_trace_path`) and,
+most critically, the checkpoint state files and manifests of
+:mod:`repro.ckpt`.  A plain ``open(path, "w")`` + ``write`` leaves a
+truncated file behind if the process dies mid-write, and the next
+reader sees corrupt data where a file used to be good.
 
-Every writer here follows the same discipline:
+Both writers here follow the same discipline:
 
 1. write the full payload to a unique sibling temp file
    (``<name>.tmp.<pid>`` in the same directory, so the rename below
@@ -27,14 +26,11 @@ never a truncated destination.
 
 from __future__ import annotations
 
-import json
 import os
 from contextlib import suppress
-from typing import Any
 
 __all__ = [
     "atomic_write_bytes",
-    "atomic_write_json",
     "atomic_write_text",
 ]
 
@@ -74,17 +70,3 @@ def atomic_write_text(
     """Write ``text`` to ``path`` durably and atomically."""
     atomic_write_bytes(path, text.encode(encoding))
 
-
-def atomic_write_json(
-    path: str | os.PathLike[str],
-    payload: Any,
-    *,
-    indent: int | None = 2,
-) -> None:
-    """Serialize ``payload`` as JSON and write it atomically.
-
-    The rendered document always ends in a newline so shell tooling
-    (``diff``, ``cat``) treats the artifact as a well-formed text file.
-    """
-    text = json.dumps(payload, indent=indent, sort_keys=True)
-    atomic_write_text(path, text + "\n")

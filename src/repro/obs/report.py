@@ -117,7 +117,7 @@ def format_stats(snapshot: Snapshot) -> str:
 def format_degradation(degradation: dict[str, Any]) -> str:
     """A stderr summary of a :class:`DegradationReport`'s ``to_dict()``.
 
-    Rendered by the CLI after a resilient run so a human sees at a
+    Rendered by the CLI after a degraded run so a human sees at a
     glance what was skipped, retried and weakened; the full
     machine-readable detail stays on the report object.
     """

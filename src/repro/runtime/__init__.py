@@ -16,7 +16,7 @@
   exit (``shutdown_warm_pools``).
 * :mod:`repro.runtime.cache` — ``ContentModelCache``, the
   fingerprint-keyed LRU memoizing the per-element finalize step.
-* :mod:`repro.runtime.resilience` — ``FaultPlan`` / ``RetryPolicy`` /
+* :mod:`repro.runtime.resilience` — ``FaultPlan``, ``retry_delay`` and
   ``DegradationReport``, the fault-tolerance policies the runner
   applies: per-shard deadlines and retries, worker-crash recovery,
   document quarantine, deterministic fault injection.

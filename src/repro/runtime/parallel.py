@@ -29,9 +29,10 @@ shard, so it never holds more than one parsed tree.  Whether bags are
 capped (``bounded``) is the caller's choice, made from its config.  Every
 run gets the same worker body (paths, XML text and documents all load
 through :func:`~repro.runtime.resilience.load_document`), the same
-retry ladder (:data:`~repro.runtime.resilience.DEFAULT_RETRY_POLICY`,
-optional per-shard deadline, serial reshard in the driver as the last
-resort) and the same shard-order merge.  :mod:`repro.ckpt` hands in the
+retry ladder (:data:`~repro.runtime.resilience.MAX_ATTEMPTS` attempts
+after :func:`~repro.runtime.resilience.retry_delay`, optional per-shard
+deadline, serial reshard in the driver as the last resort) and the same
+shard-order merge.  :mod:`repro.ckpt` hands in the
 shards it reloaded from disk and an ``on_commit`` hook that persists
 each fresh shard.
 
@@ -79,7 +80,7 @@ from ..xmlio.parser import document_label
 from ..xmlio.tree import Document, ElementRecords
 from .resilience import (
     CRASH_EXIT_STATUS,
-    DEFAULT_RETRY_POLICY,
+    MAX_ATTEMPTS,
     DegradationReport,
     FaultPlan,
     InjectedShardTimeout,
@@ -87,6 +88,7 @@ from .resilience import (
     QuarantinedDocument,
     ShardRetry,
     load_document,
+    retry_delay,
 )
 
 if TYPE_CHECKING:
@@ -413,13 +415,15 @@ def parallel_evidence(
     shards; ``deadline`` bounds the wait per pooled shard (the driver's
     shards have none).  A failed shard attempt — a dead worker, an
     exceeded ``deadline``, an injected fault from ``faults`` — is
-    retried alone under :data:`DEFAULT_RETRY_POLICY`; a shard that
-    exhausts it is re-run in the driver, except that a strict run whose
-    shard keeps timing out raises :class:`~repro.errors.ShardTimeout`.
-    ``on_error="skip"`` quarantines unreadable documents (at most
-    ``max_quarantine``).  Retries and quarantines land in ``report``;
-    fault-plan document positions are ``index_offset`` plus the position
-    in ``paths``, and fault-plan shard indexes count fresh shards.
+    retried alone, up to :data:`~repro.runtime.resilience.MAX_ATTEMPTS`
+    attempts; a shard that exhausts them is re-run in the driver, except
+    that a strict run whose shard keeps timing out raises
+    :class:`~repro.errors.ShardTimeout`.  ``on_error="skip"``
+    quarantines unreadable documents (at most ``max_quarantine``) and
+    needs a ``report``.  Retries and quarantines land in ``report``; a
+    strict run without one keeps no record of its retries.  Fault-plan
+    document positions are ``index_offset`` plus the position in
+    ``paths``, and fault-plan shard indexes count fresh shards.
 
     Commit.  Shards merge strictly in corpus order, so retries change
     only *when* a shard's evidence lands, never the result.  As each
@@ -435,6 +439,8 @@ def parallel_evidence(
     items = list(paths)
     if on_error not in ("strict", "skip"):
         raise UsageError(f"unknown on_error mode {on_error!r}: expected 'strict' or 'skip'")
+    if on_error == "skip" and report is None:
+        raise UsageError("on_error='skip' needs a report to quarantine into")
     reuse = sorted(reuse, key=lambda shard: shard.start)
     gaps: list[tuple[int, int]] = []
     covered = 0
@@ -460,8 +466,6 @@ def parallel_evidence(
             fresh.append(Shard(offset, tuple(chunk)))
             offset += len(chunk)
 
-    if report is None:
-        report = DegradationReport()
     pooled = chosen == "process"
     attempts = [0] * len(fresh)
     failures: dict[int, str] = {}  # first failure reason per shard
@@ -496,7 +500,7 @@ def parallel_evidence(
             futures[index] = (future, slot, timeout)
 
     def settle(index: int, resharded: bool = False) -> None:
-        if attempts[index]:
+        if attempts[index] and report is not None:
             retried = ShardRetry(index, attempts[index] + 1, failures[index], resharded)
             report.add_retry(retried, recorder)
 
@@ -534,8 +538,8 @@ def parallel_evidence(
             attempts[index] += 1
             if recorder.enabled:
                 recorder.count(f"resilience.failures.{reason}")
-            if attempts[index] < DEFAULT_RETRY_POLICY.max_attempts:
-                delay = DEFAULT_RETRY_POLICY.delay(index, attempts[index])
+            if attempts[index] < MAX_ATTEMPTS:
+                delay = retry_delay(index, attempts[index])
                 if delay > 0:
                     sleep(delay)
                 submit(index)
@@ -580,6 +584,7 @@ def parallel_evidence(
                 recorder.count("shards")
         for document in quarantined:
             # The cap is enforced here: corpus-wide, in shard order.
+            assert report is not None  # only skip runs quarantine
             report.add_quarantine(
                 replace(document, shard=position), limit=max_quarantine, recorder=counter
             )

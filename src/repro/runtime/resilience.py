@@ -3,12 +3,10 @@
 Real-world XML corpora are exactly the "non-representative, noisy"
 samples the paper's repair rules exist for: crawled documents fail
 strict parsing, worker processes die, and the occasional pathological
-element can blow past any time budget.  Before this module, any one of
-those aborted the whole :func:`repro.api.infer` call.  This module
-holds the policies that make inference *degrade* instead of abort; the
-one shard runner, :func:`repro.runtime.parallel.parallel_evidence`,
-applies them to every sharded run, checkpointed ones included.  Four
-axes:
+element can blow past any time budget.  This module holds the policies
+that make inference *degrade* instead of abort; the one shard runner,
+:func:`repro.runtime.parallel.parallel_evidence`, applies them to every
+run, batch, sharded, checkpointed and session alike.  Four axes:
 
 * **document quarantine** — in ``on_error="skip"`` mode a document
   that cannot be parsed (malformed XML, bad encoding, missing file) is
@@ -24,21 +22,21 @@ axes:
   to per-document serial processing in the driver, so a single bad
   shard never takes down the run.
 * **per-shard deadlines and retries** — shard waits are bounded by
-  ``shard_deadline`` and failures retried under a bounded-exponential
-  :class:`RetryPolicy` whose jitter is *deterministic* (seeded from
-  ``(seed, shard, attempt)``), so retry schedules are reproducible.
+  ``shard_deadline`` and failures retried up to :data:`MAX_ATTEMPTS`
+  times after a bounded-exponential :func:`retry_delay` whose jitter is
+  *deterministic* (seeded from ``(shard, attempt)``), so retry
+  schedules are reproducible.
 * **deterministic fault injection** — a :class:`FaultPlan` (from
-  ``InferenceConfig(faults=...)``, ``--fault-plan``, or the
-  ``REPRO_FAULTS`` environment variable) injects worker crashes, shard
-  timeouts, corrupt documents and per-element learner failures at
-  chosen points.  The same hook drives the crash/timeout/quarantine
-  test suite (``tests/runtime/test_resilience.py``) and the CI
-  ``resilience`` job.
+  ``InferenceConfig(faults=...)``, ``--fault-plan``, the daemon's
+  ``"faults"`` object, or by default the ``REPRO_FAULTS`` environment
+  variable) injects worker crashes, shard timeouts, corrupt documents
+  and per-element learner failures at chosen points.  The same hook
+  drives the crash/timeout/quarantine test suite
+  (``tests/runtime/test_resilience.py``) and the CI ``resilience`` job.
 
-Everything observable about a degraded run lands in a machine-readable
-:class:`DegradationReport` (quarantined documents, retried shards,
-elements that fell back from SORE to CHARE to ``ANY`` under the
-paper's specificity ordering), surfaced on
+Every run keeps one :class:`DegradationReport` of everything it
+quarantined, retried or weakened (elements that fell back from SORE to
+CHARE to ``ANY`` under the paper's specificity ordering), surfaced on
 :class:`~repro.api.InferenceResult.degradation` and as
 ``resilience.*`` counters under ``--stats``.
 
@@ -57,6 +55,7 @@ import os
 from dataclasses import dataclass, field
 from random import Random
 from collections.abc import Iterable, Mapping
+from typing import Any
 
 from ..errors import CorpusError, InternalError, QuarantineExceeded, UsageError
 from ..obs.recorder import NULL_RECORDER, Recorder
@@ -64,7 +63,6 @@ from ..xmlio.parser import document_label, read_document
 from ..xmlio.tree import Document, ElementRecords
 
 __all__ = [
-    "DEFAULT_RETRY_POLICY",
     "DegradationReport",
     "ElementFallback",
     "FaultPlan",
@@ -72,9 +70,9 @@ __all__ = [
     "InjectedShardTimeout",
     "InjectedWorkerCrash",
     "QuarantinedDocument",
-    "RetryPolicy",
     "ShardRetry",
     "load_document",
+    "retry_delay",
 ]
 
 #: Exit status an injected process-worker crash dies with; chosen to be
@@ -113,42 +111,26 @@ class InjectedElementFailure(InternalError):
     """A :class:`FaultPlan`-injected per-element learner failure."""
 
 
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Bounded exponential backoff with deterministic, seedable jitter.
+#: The retry schedule: a failed shard gets up to ``MAX_ATTEMPTS``
+#: attempts, waiting a bounded exponential backoff between them.
+MAX_ATTEMPTS = 3
+BACKOFF_BASE = 0.05
+BACKOFF_CAP = 1.0
 
-    ``delay(shard, attempt)`` is a pure function of the policy and its
-    arguments: the jitter for attempt ``k`` of shard ``s`` comes from
-    ``Random(f"{seed}:{s}:{k}")``, so a retried run replays the exact
-    same schedule — flaky-looking timing differences cannot creep into
-    the fault-injection tests.
+
+def retry_delay(shard: int, attempt: int) -> float:
+    """Seconds to wait before retry number ``attempt`` (1-based) of ``shard``.
+
+    Bounded exponential backoff with deterministic jitter: the jitter
+    for attempt ``k`` of shard ``s`` comes from ``Random(f"0:{s}:{k}")``,
+    so a retried run replays the exact same schedule and flaky-looking
+    timing differences cannot creep into the fault-injection tests.
     """
-
-    max_attempts: int = 3
-    backoff_base: float = 0.05
-    backoff_cap: float = 1.0
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.max_attempts < 1:
-            raise UsageError(
-                f"retry max_attempts must be >= 1, got {self.max_attempts}"
-            )
-        if self.backoff_base < 0 or self.backoff_cap < 0:
-            raise UsageError("retry backoff must be >= 0")
-
-    def delay(self, shard: int, attempt: int) -> float:
-        """Seconds to wait before retry number ``attempt`` (1-based)."""
-        if attempt <= 0:
-            return 0.0
-        bounded = min(
-            self.backoff_cap, self.backoff_base * (2 ** (attempt - 1))
-        )
-        jitter = Random(f"{self.seed}:{shard}:{attempt}").random()
-        return bounded * (0.5 + 0.5 * jitter)
-
-
-DEFAULT_RETRY_POLICY = RetryPolicy()
+    if attempt <= 0:
+        return 0.0
+    bounded = min(BACKOFF_CAP, BACKOFF_BASE * (2 ** (attempt - 1)))
+    jitter = Random(f"0:{shard}:{attempt}").random()
+    return bounded * (0.5 + 0.5 * jitter)
 
 
 def _frozen_ints(values: Iterable[object], label: str) -> frozenset[int]:
@@ -233,20 +215,14 @@ class FaultPlan:
             "kill_after_shards",
             _frozen_ints(self.kill_after_shards, "kill_after_shards"),
         )
-        if not isinstance(self.attempts, int) or self.attempts < 1:
+        if (
+            isinstance(self.attempts, bool)
+            or not isinstance(self.attempts, int)
+            or self.attempts < 1
+        ):
             raise UsageError(
                 f"fault plan attempts must be >= 1, got {self.attempts!r}"
             )
-
-    def __bool__(self) -> bool:
-        return bool(
-            self.worker_crashes
-            or self.shard_timeouts
-            or self.corrupt_docs
-            or self.element_failures
-            or self.element_failures_hard
-            or self.kill_after_shards
-        )
 
     # -- queries (the runtime asks, the plan answers) -------------------------
 
@@ -303,48 +279,23 @@ class FaultPlan:
 
     @classmethod
     def from_mapping(cls, mapping: Mapping[str, object]) -> FaultPlan:
-        known = {
-            "worker_crashes",
-            "shard_timeouts",
-            "corrupt_docs",
-            "element_failures",
-            "element_failures_hard",
-            "kill_after_shards",
-            "attempts",
-        }
+        """A plan from a JSON-shaped mapping of its fields.
+
+        Checks the keys and that every set-valued field is a list;
+        :meth:`__post_init__` validates the values.
+        """
+        known = set(cls.__dataclass_fields__)
         unknown = set(mapping) - known
         if unknown:
             raise UsageError(
                 f"unknown fault plan keys {sorted(unknown)}; expected a "
                 f"subset of {sorted(known)}"
             )
-
-        def seq(key: str) -> Iterable[object]:
-            value = mapping.get(key, ())
-            if isinstance(value, (str, bytes)) or not isinstance(
-                value, Iterable
-            ):
+        for key, value in mapping.items():
+            if key != "attempts" and not isinstance(value, (list, tuple)):
                 raise UsageError(f"fault plan {key} must be a list")
-            return value
-
-        attempts = mapping.get("attempts", 1)
-        if not isinstance(attempts, int) or isinstance(attempts, bool):
-            raise UsageError(
-                f"fault plan attempts must be an integer, got {attempts!r}"
-            )
-        return cls(
-            worker_crashes=frozenset(_frozen_ints(seq("worker_crashes"), "worker_crashes")),
-            shard_timeouts=frozenset(_frozen_ints(seq("shard_timeouts"), "shard_timeouts")),
-            corrupt_docs=frozenset(_frozen_ints(seq("corrupt_docs"), "corrupt_docs")),
-            element_failures=_frozen_names(seq("element_failures"), "element_failures"),
-            element_failures_hard=_frozen_names(
-                seq("element_failures_hard"), "element_failures_hard"
-            ),
-            kill_after_shards=frozenset(
-                _frozen_ints(seq("kill_after_shards"), "kill_after_shards")
-            ),
-            attempts=attempts,
-        )
+        fields_given: dict[str, Any] = dict(mapping)
+        return cls(**fields_given)
 
     @classmethod
     def from_json(cls, text: str) -> FaultPlan:
@@ -440,13 +391,12 @@ class ElementFallback:
 
 @dataclass
 class DegradationReport:
-    """Everything a degraded run skipped, retried or weakened.
+    """Everything a run skipped, retried or weakened.
 
-    Attached to :class:`repro.api.InferenceResult` whenever the
-    resilient runtime ran (``on_error="skip"``, an active fault plan,
-    or a shard deadline).  ``degraded`` is False for a clean pass, so
-    callers can gate alerting on it; :meth:`to_dict` is the
-    machine-readable form the CLI and tests consume.
+    Every run builds one and attaches it to
+    :class:`repro.api.InferenceResult`.  ``degraded`` is False for a
+    clean pass, so callers can gate alerting on it; :meth:`to_dict` is
+    the machine-readable form the CLI and tests consume.
     """
 
     quarantined: list[QuarantinedDocument] = field(default_factory=list)
@@ -510,7 +460,6 @@ def load_document(
     plan: FaultPlan | None = None,
     on_error: str = "strict",
     report: DegradationReport | None = None,
-    max_quarantine: int | None = None,
     recorder: Recorder = NULL_RECORDER,
 ) -> Document | ElementRecords | None:
     """Read one corpus item under the error policy; ``None`` = skipped.
@@ -539,7 +488,6 @@ def load_document(
                 cause=str(cause).removeprefix(f"{path}: "),
                 position=getattr(exc, "position", None),
             ),
-            limit=max_quarantine,
             recorder=recorder,
         )
         return None

@@ -213,7 +213,9 @@ def _config_from(
 
     A request deadline maps onto the existing shard-deadline machinery
     unless the config sets its own (explicit wins: it is the more
-    deliberate choice).
+    deliberate choice).  ``faults`` must be a JSON object, read by
+    :meth:`~repro.runtime.resilience.FaultPlan.from_mapping`; absent or
+    ``null``, the config's default (``REPRO_FAULTS``) stands.
     """
     raw = body.get("config", {})
     if not isinstance(raw, dict):
@@ -227,6 +229,13 @@ def _config_from(
             f"(expected a subset of {', '.join(sorted(CONFIG_KEYS))})"
         )
     kwargs: dict[str, Any] = dict(raw)
+    faults = kwargs.pop("faults", None)
+    if faults is not None:
+        if not isinstance(faults, dict):
+            raise UsageError(
+                f"faults must be a JSON object, got {type(faults).__name__}"
+            )
+        kwargs["faults"] = api.FaultPlan.from_mapping(faults)
     if deadline is not None and "shard_deadline" not in kwargs:
         kwargs["shard_deadline"] = deadline
     if recorder is not None:
@@ -255,7 +264,7 @@ def _stats_payload(recorder: StatsRecorder | None) -> dict[str, Any] | None:
 def _degradation_payload(
     result: api.InferenceResult,
 ) -> dict[str, Any] | None:
-    if result.degradation is None or not result.degradation.degraded:
+    if not result.degradation.degraded:
         return None
     return result.degradation.to_dict()
 

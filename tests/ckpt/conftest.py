@@ -6,7 +6,7 @@ flakiness guard can replay the module under several different corpora.
 The ambient ``REPRO_FAULTS`` plan the CI resilience job exports stays
 in force: checkpointed runs must recover from its worker crash without
 changing a byte.  Tests that pin exact ``ckpt.*`` counters pass
-``faults={}`` to opt out, and the kill/resume subprocesses strip it.
+``faults=None`` to opt out, and the kill/resume subprocesses strip it.
 """
 
 from __future__ import annotations

@@ -147,7 +147,7 @@ class TestFileSha256:
 
 
 class TestManifestVersions:
-    """Version 2 records per-shard quarantines; version 1 still loads."""
+    """Version 3 records per-shard quarantines; older versions are refused."""
 
     def _manifest(self, quarantined):
         documents = (DocumentEntry("a.xml", "0" * 64), DocumentEntry("b.xml", "1" * 64))
@@ -159,13 +159,13 @@ class TestManifestVersions:
         (shard,) = load_manifest(tmp_path).shards
         assert shard.quarantined == ((1, "unterminated element", None),)
 
-    def test_version_one_loads_without_quarantines(self, tmp_path):
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_versions_before_three_are_refused(self, tmp_path, version):
         payload = self._manifest(()).to_document()
-        payload["version"] = 1
-        del payload["shards"][0]["quarantined"]
+        payload["version"] = version
         (tmp_path / MANIFEST_NAME).write_text(json.dumps(payload), encoding="utf-8")
-        (shard,) = load_manifest(tmp_path).shards
-        assert shard.quarantined == ()
+        with pytest.raises(StateDecodeError, match=f"unsupported manifest version {version}"):
+            load_manifest(tmp_path)
 
     @pytest.mark.parametrize("entry", [[2, "cause", None], [0, 7, None], "x", [0, "c"]])
     def test_malformed_quarantine_is_detected(self, tmp_path, entry):

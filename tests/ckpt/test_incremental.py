@@ -15,8 +15,11 @@ from __future__ import annotations
 import json
 import os
 
+import pytest
+
 from repro.api import InferenceConfig, infer
 from repro.ckpt import codec
+from repro.ckpt.codec import StateDecodeError
 from repro.ckpt.manifest import MANIFEST_NAME, load_manifest
 from repro.learning import evidence as evidence_module
 from repro.obs.recorder import StatsRecorder
@@ -38,14 +41,14 @@ def checkpointed(paths, state, resume=False):
             resume=resume,
             jobs=JOBS,
             recorder=recorder,
-            faults={},
+            faults=None,
         ),
     ).render()
     return rendered, recorder.snapshot()["counters"]
 
 
 def fresh_render(paths):
-    return infer(paths, config=InferenceConfig(faults={})).render()
+    return infer(paths, config=InferenceConfig(faults=None)).render()
 
 
 def first_run(tmp_path):
@@ -150,10 +153,11 @@ class TestDegradedCaches:
 
 class TestCodecUpgrade:
     """A run directory written under codec v2 — four learner states per
-    element, a version-2 manifest — resumes by re-parsing every shard,
-    and still renders the fresh bytes."""
+    element, a version-2 manifest — is refused on resume with the
+    manifest's version, whatever word_cap it records."""
 
-    def resume_v2_run(self, tmp_path, monkeypatch, word_cap):
+    @pytest.mark.parametrize("word_cap", [None, evidence_module.WORD_CAP])
+    def test_v2_run_dir_is_refused(self, tmp_path, monkeypatch, word_cap):
         paths = write_corpus(tmp_path, COUNT)
         state = tmp_path / "run"
         # A cap of 0 spills every element, which then dehydrates to the
@@ -169,15 +173,5 @@ class TestCodecUpgrade:
         with open(manifest_path, "w", encoding="utf-8") as handle:
             json.dump(payload, handle)
 
-        rendered, counters = checkpointed(paths, state, resume=True)
-        assert counters.get("ckpt.corrupt") == JOBS
-        assert counters.get("ckpt.hit") is None
-        assert counters.get("ckpt.write") == JOBS
-        assert rendered == fresh_render(paths)
-
-    def test_v2_run_dir_reparses_every_shard(self, tmp_path, monkeypatch):
-        # v2 manifests carry no word_cap, which never matches.
-        self.resume_v2_run(tmp_path, monkeypatch, word_cap=None)
-
-    def test_v2_states_rejected_under_a_matching_word_cap(self, tmp_path, monkeypatch):
-        self.resume_v2_run(tmp_path, monkeypatch, word_cap=evidence_module.WORD_CAP)
+        with pytest.raises(StateDecodeError, match="unsupported manifest version 2"):
+            checkpointed(paths, state, resume=True)

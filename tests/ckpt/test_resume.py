@@ -28,7 +28,7 @@ from repro.ckpt.manifest import load_manifest
 from repro.errors import CorpusError, UsageError
 from repro.obs.recorder import StatsRecorder
 from repro.runtime.parallel import PROCESS_CORPUS_FLOOR
-from repro.runtime.resilience import CRASH_EXIT_STATUS
+from repro.runtime.resilience import CRASH_EXIT_STATUS, FaultPlan
 
 from .conftest import write_corpus
 
@@ -91,7 +91,7 @@ class TestFreshEqualsPlain:
         for cpus in (1, 8):
             monkeypatch.setattr(os, "cpu_count", lambda cpus=cpus: cpus)
             state = tmp_path / f"run{cpus}"
-            config = InferenceConfig(state_dir=state, jobs=4, faults={})
+            config = InferenceConfig(state_dir=state, jobs=4, faults=None)
             infer(paths, config=config)
             manifest = load_manifest(state)
             assert manifest is not None and manifest.complete
@@ -256,10 +256,10 @@ class TestDegradedCheckpoints:
         "extra",
         [
             {"shard_deadline": 30.0},
-            {"faults": {"worker_crashes": [0]}},
-            {"faults": {"shard_timeouts": [1]}},
-            {"faults": {"corrupt_docs": [3]}},
-            {"faults": {"element_failures": ["item"]}},
+            {"faults": FaultPlan(worker_crashes=[0])},
+            {"faults": FaultPlan(shard_timeouts=[1])},
+            {"faults": FaultPlan(corrupt_docs=[3])},
+            {"faults": FaultPlan(element_failures=["item"])},
         ],
     )
     def test_every_policy_checkpoints(self, tmp_path, extra):

@@ -235,7 +235,7 @@ class TestUnreadableInput:
         source = ["<r><x/></r>", str(path)]
         with pytest.raises(CorpusError) as raised:
             if entry == "infer":
-                infer(source, config=InferenceConfig(faults={}))
+                infer(source, config=InferenceConfig(faults=None))
             else:
                 validate(source, self.DTD)
         assert str(raised.value).startswith(f"{path}: ")
@@ -265,9 +265,11 @@ class TestUnreadableInput:
         )
         run_fresh_interpreter(script)
 
-    def test_serial_infer_does_not_import_unused_modules(self, tmp_path):
+    def test_serial_infer_does_not_import_unused_modules(self, tmp_path, monkeypatch):
         # Comparison, rendering and trace-checking modules, the process
         # pool and the JSON codec load only when something calls them.
+        # An ambient REPRO_FAULTS plan is JSON the default config parses.
+        monkeypatch.delenv("REPRO_FAULTS", raising=False)
         path = tmp_path / "doc.xml"
         path.write_text("<r><x/></r>", encoding="utf-8")
         unused = [

@@ -27,6 +27,7 @@ class TestApiSurface:
             "DiffConfig",
             "DiffResult",
             "DocumentValidation",
+            "FaultPlan",
             "InferenceConfig",
             "InferenceResult",
             "InferenceSession",

@@ -15,6 +15,7 @@ from repro import api
 from repro.contracts import contracts_enabled, set_contracts
 from repro.errors import UsageError
 from repro.obs.recorder import StatsRecorder
+from repro.runtime.resilience import FaultPlan
 
 
 def corpus(count: int = 20) -> list[str]:
@@ -163,7 +164,7 @@ class TestResilientSessions:
             path = tmp_path / f"doc{index:02d}.xml"
             path.write_text(text)
             paths.append(str(path))
-        config = api.InferenceConfig(jobs=2, faults={"worker_crashes": [0]})
+        config = api.InferenceConfig(jobs=2, faults=FaultPlan(worker_crashes=[0]))
         session = api.InferenceSession(config)
         for chunk in chunks(paths, 3):
             session.append(chunk)
@@ -184,7 +185,7 @@ class TestResilientSessions:
         config = api.InferenceConfig(
             jobs=2,
             on_error="skip",
-            faults={"worker_crashes": [0]},
+            faults=FaultPlan(worker_crashes=[0]),
         )
         session = api.InferenceSession(config)
         for chunk in chunks(paths, 2):

@@ -80,5 +80,5 @@ def test_sharded_bags_equal_serial_fold_and_batch(case, cap, method):
             merged.merge(shard)
         assert _payload(merged) == _payload(serial)
         streamed = DTDInferencer(method=method).finalize(merged).render()
-    batch = infer(documents, config=InferenceConfig(method=method, faults={}))
+    batch = infer(documents, config=InferenceConfig(method=method, faults=None))
     assert streamed == batch.render()

@@ -70,7 +70,10 @@ _SRC = os.path.join(
 _CHILD = (
     "import json, sys\n"
     "from repro.api import InferenceConfig, infer\n"
-    "infer(json.loads(sys.argv[1]), config=InferenceConfig(**json.loads(sys.argv[2])))\n"
+    "from repro.runtime.resilience import FaultPlan\n"
+    "config = json.loads(sys.argv[2])\n"
+    "config['faults'] = FaultPlan.from_mapping(config['faults'])\n"
+    "infer(json.loads(sys.argv[1]), config=InferenceConfig(**config))\n"
 )
 
 
@@ -109,7 +112,7 @@ def noisy(corpus, tmp_path_factory):
 
 
 def reference(paths, method):
-    return infer(paths, config=InferenceConfig(method=method, faults={})).render()
+    return infer(paths, config=InferenceConfig(method=method, faults=None)).render()
 
 
 def quarantined(result):
@@ -165,7 +168,7 @@ def test_skip_mode_equals_batch_over_clean_remainder(corpus, tmp_path, shape, me
     paths, clean = corpus
     result = run(shape, paths, method, "skip", tmp_path / "run")
     assert result.render() == reference(clean, method)
-    batch = infer(paths, config=InferenceConfig(method=method, on_error="skip", faults={}))
+    batch = infer(paths, config=InferenceConfig(method=method, on_error="skip", faults=None))
     assert quarantined(result) == quarantined(batch)
     assert [path for path, _cause in quarantined(batch)] == [paths[CORRUPT]]
 
@@ -194,7 +197,7 @@ def test_numeric_equals_batch(corpus, tmp_path, shape, method):
 
     _paths, clean = corpus
     expected = outcome(
-        lambda: infer(clean, config=InferenceConfig(method=method, numeric=True, faults={}))
+        lambda: infer(clean, config=InferenceConfig(method=method, numeric=True, faults=None))
     )
     assert expected.startswith("UsageError") == (method == "kore")
     assert outcome(
@@ -207,7 +210,7 @@ def test_numeric_equals_batch(corpus, tmp_path, shape, method):
 def test_support_threshold_equals_batch(noisy, tmp_path, shape, method):
     """The support filter counts the same words in every shape."""
     expected = infer(
-        noisy, config=InferenceConfig(method=method, support_threshold=2, faults={})
+        noisy, config=InferenceConfig(method=method, support_threshold=2, faults=None)
     ).render()
     assert "gift" not in expected
     assert "gift" in reference(noisy, method)
@@ -227,10 +230,10 @@ def test_word_reading_options_keep_bags_whole(noisy, tmp_path, monkeypatch, shap
     read the words keep every bag whole, so no shape refuses them.  The
     killed shape resumes a shard its child folded whole: the reused
     shard becomes the merge accumulator and must not take the cap."""
-    expected = infer(noisy, config=InferenceConfig(method="idtd", faults={}, **option)).render()
+    expected = infer(noisy, config=InferenceConfig(method="idtd", faults=None, **option)).render()
     monkeypatch.setattr(evidence_module, "WORD_CAP", 1)
     recorder = StatsRecorder()
-    infer(noisy, config=InferenceConfig(method="idtd", recorder=recorder, faults={}))
+    infer(noisy, config=InferenceConfig(method="idtd", recorder=recorder, faults=None))
     assert recorder.counters["evidence.spills"] > 0
     result = run(shape, noisy, "idtd", "strict", tmp_path / "run", **option)
     assert result.render() == expected
@@ -240,7 +243,7 @@ def test_resume_turning_numeric_on_reparses_capped_shards(corpus, tmp_path, monk
     """Shards folded under the cap spilled; the manifest records the cap,
     so a whole-bag resume re-parses them instead of reusing them."""
     _paths, clean = corpus
-    expected = infer(clean, config=InferenceConfig(method="idtd", numeric=True, faults={}))
+    expected = infer(clean, config=InferenceConfig(method="idtd", numeric=True, faults=None))
     monkeypatch.setattr(evidence_module, "WORD_CAP", 1)
     state = tmp_path / "run"
     infer(clean, config=InferenceConfig(method="idtd", jobs=2, state_dir=str(state)))
@@ -255,7 +258,7 @@ def test_resume_turning_numeric_on_reparses_capped_shards(corpus, tmp_path, monk
             state_dir=str(state),
             resume=True,
             recorder=recorder,
-            faults={},
+            faults=None,
         ),
     )
     assert resumed.render() == expected.render()
@@ -270,7 +273,7 @@ def test_xml_literals_equal_paths(corpus, literals, tmp_path, shape, method):
     paths, clean = corpus
     skipped = run(shape, literals, method, "skip", tmp_path / "run")
     assert skipped.render() == reference(clean, method)
-    batch = infer(paths, config=InferenceConfig(method=method, on_error="skip", faults={}))
+    batch = infer(paths, config=InferenceConfig(method=method, on_error="skip", faults=None))
     ((_path, cause),) = quarantined(batch)
     assert quarantined(skipped) == [(f"<document #{CORRUPT}>", cause)]
     remainder = literals[:CORRUPT] + literals[CORRUPT + 1 :]

@@ -53,7 +53,7 @@ def test_skip_mode_equals_deleting_quarantined_documents(case):
     degraded = infer(
         documents,
         config=InferenceConfig(
-            on_error="skip", faults={"corrupt_docs": sorted(drops)}
+            on_error="skip", faults=FaultPlan(corrupt_docs=sorted(drops))
         ),
     )
     survivors = [
@@ -77,7 +77,7 @@ def test_property_holds_on_the_streaming_path(case):
         config=InferenceConfig(
             jobs=3,
             on_error="skip",
-            faults={"corrupt_docs": sorted(drops)},
+            faults=FaultPlan(corrupt_docs=sorted(drops)),
         ),
     )
     survivors = [

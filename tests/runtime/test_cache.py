@@ -226,9 +226,9 @@ class TestWarmPoolReuse:
             renders.append(
                 infer(
                     paths,
-                    # faults={}: an ambient crash plan would break the
+                    # faults=None: an ambient crash plan would break the
                     # pool and so replace the executor.
-                    config=InferenceConfig(jobs=2, recorder=recorder, faults={}),
+                    config=InferenceConfig(jobs=2, recorder=recorder, faults=None),
                 ).render()
             )
             snapshot = recorder.snapshot()

@@ -25,13 +25,15 @@ from repro.errors import (
 )
 from repro.obs.recorder import StatsRecorder
 from repro.runtime.resilience import (
-    DEFAULT_RETRY_POLICY,
+    BACKOFF_BASE,
+    BACKOFF_CAP,
+    MAX_ATTEMPTS,
     DegradationReport,
     FaultPlan,
     InjectedElementFailure,
     QuarantinedDocument,
-    RetryPolicy,
     load_document,
+    retry_delay,
 )
 from repro.runtime.parallel import PROCESS_CORPUS_FLOOR, parallel_evidence
 from repro.xmlio.dtd import parse_dtd
@@ -92,10 +94,6 @@ class TestFaultPlan:
         salted = FaultPlan(element_failures=frozenset({"item"}))
         assert salted.learner_salt() != ()
 
-    def test_empty_plan_is_falsy(self):
-        assert not FaultPlan()
-        assert FaultPlan(corrupt_docs=frozenset({0}))
-
     @pytest.mark.parametrize(
         "text",
         [
@@ -103,10 +101,12 @@ class TestFaultPlan:
             '{"worker_crashes": [-1]}',
             '{"worker_crashes": [true]}',
             '{"worker_crashes": "0"}',
+            '{"element_failures": {"item": 1}}',
             '{"element_failures": [""]}',
             '{"element_failures": [3]}',
             '{"attempts": 0}',
             '{"attempts": "two"}',
+            '{"attempts": true}',
             "[1, 2]",
             "{not json",
         ],
@@ -136,30 +136,34 @@ class TestFaultPlan:
 
 
 class TestRetryPolicy:
+    #: ``retry_delay(shard, attempt)`` for shards 0-3 x attempts 0-4, as
+    #: the schedule has always computed them (``Random("0:s:k")`` jitter).
+    PINNED = {
+        0: [0.0, 0.040328652794276956, 0.07272262892085964, 0.19216923468234137, 0.20836783224834832],
+        1: [0.0, 0.04386506166183427, 0.0870782852010041, 0.11910575730919892, 0.24221442478813865],
+        2: [0.0, 0.027679605152656474, 0.05425820762660108, 0.1642575559056649, 0.34582128817527746],
+        3: [0.0, 0.032251527857081, 0.052534060342056425, 0.1385113651459514, 0.3251379574241674],
+    }
+
+    def test_delay_matches_pinned_schedule(self):
+        for shard, delays in self.PINNED.items():
+            assert [retry_delay(shard, attempt) for attempt in range(5)] == delays
+
     def test_delay_is_deterministic(self):
-        one, two = RetryPolicy(seed=7), RetryPolicy(seed=7)
         for shard in range(3):
             for attempt in range(1, 5):
-                assert one.delay(shard, attempt) == two.delay(shard, attempt)
+                assert retry_delay(shard, attempt) == retry_delay(shard, attempt)
 
     def test_delay_bounds_and_growth(self):
-        policy = RetryPolicy(backoff_base=0.1, backoff_cap=0.3, seed=0)
-        assert policy.delay(0, 0) == 0.0
+        assert retry_delay(0, 0) == 0.0
         for attempt in range(1, 8):
-            delay = policy.delay(0, attempt)
+            bounded = min(BACKOFF_CAP, BACKOFF_BASE * 2 ** (attempt - 1))
             # jitter scales the bounded exponential into [0.5x, 1.0x]
-            assert 0.0 <= delay <= 0.3
+            assert 0.5 * bounded <= retry_delay(0, attempt) <= bounded
 
     def test_different_shards_get_different_jitter(self):
-        policy = RetryPolicy()
-        delays = {policy.delay(shard, 1) for shard in range(16)}
+        delays = {retry_delay(shard, 1) for shard in range(16)}
         assert len(delays) > 1
-
-    def test_validation(self):
-        with pytest.raises(UsageError):
-            RetryPolicy(max_attempts=0)
-        with pytest.raises(UsageError):
-            RetryPolicy(backoff_base=-1.0)
 
 
 class TestCrashRecovery:
@@ -181,7 +185,7 @@ class TestCrashRecovery:
             config=InferenceConfig(
                 jobs=jobs,
                 recorder=recorder,
-                faults={"worker_crashes": [0]},
+                faults=FaultPlan(worker_crashes=[0]),
             ),
         )
         assert recorder.snapshot()["counters"][f"parallel.backend.{backend}"] == 1
@@ -195,7 +199,10 @@ class TestCrashRecovery:
 
     @pytest.mark.parametrize(
         "faults, shard, reason",
-        [({"shard_timeouts": [1]}, 1, "timeout"), ({"worker_crashes": [3]}, 3, "worker-crash")],
+        [
+            (FaultPlan(shard_timeouts=[1]), 1, "timeout"),
+            (FaultPlan(worker_crashes=[3]), 3, "worker-crash"),
+        ],
         ids=["timeout", "crash"],
     )
     def test_fault_in_a_pool_group_retries_that_shard_alone(
@@ -220,7 +227,7 @@ class TestCrashRecovery:
 
     def test_batch_is_one_shard_that_retries(self, tmp_path):
         paths = write_corpus(tmp_path, 12)
-        faulty = infer(paths, config=InferenceConfig(faults={"worker_crashes": [0]}))
+        faulty = infer(paths, config=InferenceConfig(faults=FaultPlan(worker_crashes=[0])))
         assert faulty.dtd.render() == infer(paths).dtd.render()
         (retry,) = faulty.degradation.retried_shards
         assert (retry.shard, retry.reason, retry.attempts) == (0, "worker-crash", 2)
@@ -231,7 +238,7 @@ class TestCrashRecovery:
             paths,
             config=InferenceConfig(
                 jobs=2,
-                faults={"shard_timeouts": [1]},
+                faults=FaultPlan(shard_timeouts=[1]),
             ),
         )
         (retry,) = result.degradation.retried_shards
@@ -248,7 +255,7 @@ class TestCrashRecovery:
             paths,
             config=InferenceConfig(
                 jobs=2,
-                faults={"worker_crashes": [0], "attempts": 3},
+                faults=FaultPlan(worker_crashes=[0], attempts=3),
             ),
         )
         baseline = infer(paths, config=InferenceConfig(jobs=2))
@@ -264,7 +271,7 @@ class TestCrashRecovery:
                 paths,
                 config=InferenceConfig(
                     jobs=2,
-                    faults={"shard_timeouts": [0], "attempts": 3},
+                    faults=FaultPlan(shard_timeouts=[0], attempts=3),
                 ),
             )
 
@@ -275,7 +282,7 @@ class TestCrashRecovery:
             config=InferenceConfig(
                 jobs=2,
                 on_error="skip",
-                faults={"shard_timeouts": [0], "attempts": 3},
+                faults=FaultPlan(shard_timeouts=[0], attempts=3),
             ),
         )
         (retry,) = result.degradation.retried_shards
@@ -321,10 +328,11 @@ class TestQuarantine:
         with pytest.raises(CorpusError):
             infer(paths)  # batch path, same strictness
 
-    def test_strict_clean_run_has_no_degradation_report(self, tmp_path):
+    def test_strict_clean_run_reports_no_degradation(self, tmp_path):
         paths = write_corpus(tmp_path, 4)
         result = infer(paths)
-        assert result.degradation is None
+        assert isinstance(result.degradation, DegradationReport)
+        assert not result.degradation.degraded
 
     def test_max_quarantine_caps_skips(self, tmp_path):
         paths = write_corpus(tmp_path, 8)
@@ -332,7 +340,7 @@ class TestQuarantine:
             jobs=2,
             on_error="skip",
             max_quarantine=1,
-            faults={"corrupt_docs": [0, 3, 5]},
+            faults=FaultPlan(corrupt_docs=[0, 3, 5]),
         )
         with pytest.raises(QuarantineExceeded, match="max_quarantine=1"):
             infer(paths, config=config)
@@ -345,7 +353,7 @@ class TestQuarantine:
                 config=InferenceConfig(
                     on_error="skip",
                     max_quarantine=0,
-                    faults={"corrupt_docs": [2]},
+                    faults=FaultPlan(corrupt_docs=[2]),
                 ),
             )
 
@@ -364,7 +372,7 @@ class TestQuarantine:
         result = infer(
             docs,
             config=InferenceConfig(
-                on_error="skip", faults={"corrupt_docs": [1]}
+                on_error="skip", faults=FaultPlan(corrupt_docs=[1])
             ),
         )
         (doc,) = result.degradation.quarantined
@@ -455,7 +463,7 @@ class TestQuarantine:
             os.remove(bad)
         recorder = StatsRecorder()
         with pytest.raises(CorpusError) as raised:
-            infer(paths, config=InferenceConfig(recorder=recorder, faults={}, **options))
+            infer(paths, config=InferenceConfig(recorder=recorder, faults=None, **options))
         assert str(raised.value).startswith(f"{bad}: ")
         if kind == "latin-1":
             assert "codec can't decode" in str(raised.value)
@@ -498,7 +506,7 @@ class TestElementFallback:
                 # soft fault only hits the idtd learner
                 method="idtd",
                 on_error="skip",
-                faults={"element_failures": ["item"]},
+                faults=FaultPlan(element_failures=["item"]),
             ),
         )
         (fallback,) = result.degradation.fallbacks
@@ -513,7 +521,7 @@ class TestElementFallback:
             config=InferenceConfig(
                 method="idtd",
                 on_error="skip",
-                faults={"element_failures_hard": ["item"]},
+                faults=FaultPlan(element_failures_hard=["item"]),
             ),
         )
         steps = [
@@ -531,7 +539,7 @@ class TestElementFallback:
             config=InferenceConfig(
                 method="crx",
                 on_error="skip",
-                faults={"element_failures": ["item"]},
+                faults=FaultPlan(element_failures=["item"]),
             ),
         )
         assert result.degradation.fallbacks == []
@@ -542,7 +550,7 @@ class TestElementFallback:
             infer(
                 paths,
                 config=InferenceConfig(
-                    faults={"element_failures_hard": ["item"]}
+                    faults=FaultPlan(element_failures_hard=["item"])
                 ),
             )
 
@@ -551,7 +559,7 @@ class TestElementFallback:
         degraded = infer(
             paths,
             config=InferenceConfig(
-                on_error="skip", faults={"element_failures_hard": ["item"]}
+                on_error="skip", faults=FaultPlan(element_failures_hard=["item"])
             ),
         )
         assert "<!ELEMENT item ANY>" in degraded.dtd.render()
@@ -561,7 +569,7 @@ class TestElementFallback:
         again = infer(
             paths,
             config=InferenceConfig(
-                on_error="skip", faults={"element_failures_hard": ["item"]}
+                on_error="skip", faults=FaultPlan(element_failures_hard=["item"])
             ),
         )
         assert again.dtd.render() == degraded.dtd.render()
@@ -577,7 +585,7 @@ class TestCounters:
                 jobs=2,
                 on_error="skip",
                 recorder=recorder,
-                faults={"worker_crashes": [0], "corrupt_docs": [1, 6]},
+                faults=FaultPlan(worker_crashes=[0], corrupt_docs=[1, 6]),
             ),
         )
         assert len(result.degradation.quarantined) == 2
@@ -607,34 +615,34 @@ class TestConfigValidation:
         with pytest.raises(UsageError, match="faults"):
             InferenceConfig(faults=42)
 
-    def test_faults_accepts_mapping_json_and_plan(self):
-        for faults in (
-            {"corrupt_docs": [1]},
-            '{"corrupt_docs": [1]}',
-            FaultPlan(corrupt_docs=frozenset({1})),
-        ):
-            config = InferenceConfig(on_error="skip", faults=faults)
-            assert isinstance(config.faults, FaultPlan)
-            assert config.resilient
+    @pytest.mark.parametrize("faults", [{"corrupt_docs": [1]}, '{"corrupt_docs": [1]}'])
+    def test_faults_rejects_mappings_and_json(self, faults):
+        with pytest.raises(UsageError, match="faults must be a FaultPlan or None"):
+            InferenceConfig(faults=faults)
 
-    def test_empty_plan_normalizes_to_none(self):
-        config = InferenceConfig(faults={})
-        assert config.faults is None
-        assert not config.resilient
+    def test_faults_keeps_the_plan_it_is_given(self):
+        plan = FaultPlan(corrupt_docs=frozenset({1}))
+        assert InferenceConfig(on_error="skip", faults=plan).faults is plan
+        empty = FaultPlan()
+        assert InferenceConfig(faults=empty).faults is empty
 
-    def test_env_plan_is_picked_up(self, tmp_path, monkeypatch):
+    def test_env_plan_is_the_default(self, monkeypatch):
         monkeypatch.setenv("REPRO_FAULTS", '{"corrupt_docs": [0]}')
-        config = InferenceConfig(on_error="skip")
-        assert config.faults is not None and config.faults.corrupts(0)
-        # An explicit plan (even an empty one) beats the environment.
-        explicit = InferenceConfig(faults={"corrupt_docs": [5]})
+        assert InferenceConfig().faults == FaultPlan(corrupt_docs=[0])
+        # An explicit plan, or None for no plan, beats the environment.
+        assert InferenceConfig(faults=None).faults is None
+        explicit = InferenceConfig(faults=FaultPlan(corrupt_docs=[5]))
         assert not explicit.faults.corrupts(0)
+        monkeypatch.delenv("REPRO_FAULTS")
+        assert InferenceConfig().faults is None
 
     def test_resilient_evidence_validates_inputs(self):
         with pytest.raises(UsageError, match="jobs"):
             parallel_evidence([], jobs=0)
         with pytest.raises(UsageError, match="on_error"):
             parallel_evidence([], on_error="maybe")
+        with pytest.raises(UsageError, match="report"):
+            parallel_evidence([], on_error="skip")
 
 
 class TestCli:
@@ -692,6 +700,16 @@ class TestCli:
         assert code == 0
         assert "quarantined" in capsys.readouterr().err
 
+    def test_env_plan_is_the_default_and_an_empty_flag_opts_out(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        paths = write_corpus(tmp_path, 4)
+        monkeypatch.setenv("REPRO_FAULTS", '{"corrupt_docs": [1]}')
+        assert main(["infer", *paths, "--on-error", "skip"]) == 0
+        assert "injected fault: corrupt document #1" in capsys.readouterr().err
+        assert main(["infer", *paths, "--on-error", "skip", "--fault-plan", "{}"]) == 0
+        assert capsys.readouterr().err == ""
+
     def test_malformed_fault_plan_exits_one(self, tmp_path, capsys):
         paths = write_corpus(tmp_path, 2)
         code = main(["infer", *paths, "--fault-plan", '{"bogus": []}'])
@@ -730,7 +748,7 @@ class TestAcceptanceScenario:
             jobs=2,
             on_error="skip",
             recorder=recorder,
-            faults={"worker_crashes": [0], "corrupt_docs": [5, 17]},
+            faults=FaultPlan(worker_crashes=[0], corrupt_docs=[5, 17]),
         )
         result = infer(paths, config=config)
         assert isinstance(result, InferenceResult)
@@ -755,7 +773,7 @@ class TestAcceptanceScenario:
                 paths,
                 config=InferenceConfig(
                     jobs=2,
-                    faults={"worker_crashes": [0], "corrupt_docs": [5, 17]},
+                    faults=FaultPlan(worker_crashes=[0], corrupt_docs=[5, 17]),
                 ),
             )
         # Led by the document's label, like every real read failure.
@@ -771,11 +789,7 @@ class TestReportShape:
                 method="idtd",
                 jobs=2,
                 on_error="skip",
-                faults={
-                    "worker_crashes": [1],
-                    "corrupt_docs": [2],
-                    "element_failures": ["item"],
-                },
+                faults=FaultPlan(worker_crashes=[1], corrupt_docs=[2], element_failures=["item"]),
             ),
         )
         payload = json.loads(json.dumps(result.degradation.to_dict()))
@@ -793,5 +807,5 @@ class TestReportShape:
                 QuarantinedDocument(path="b.xml", cause="worse"), limit=1
             )
 
-    def test_default_retry_policy_is_shared(self):
-        assert DEFAULT_RETRY_POLICY.max_attempts == 3
+    def test_shards_get_three_attempts(self):
+        assert MAX_ATTEMPTS == 3

@@ -154,6 +154,29 @@ class TestInfer:
         assert response.payload["degradation"] is None
         assert response.payload["stats"] is None
 
+    def test_env_plan_is_the_default_and_an_empty_object_opts_out(
+        self, app, monkeypatch
+    ):
+        monkeypatch.setenv("REPRO_FAULTS", '{"worker_crashes": [0]}')
+        for config in ({}, {"faults": None}):
+            response = call(app, "POST", "/infer", {"documents": DOCS, "config": config})
+            assert response.status == 200
+            (retry,) = response.payload["degradation"]["retried_shards"]
+            assert retry["reason"] == "worker-crash"
+        response = call(
+            app, "POST", "/infer", {"documents": DOCS, "config": {"faults": {}}}
+        )
+        assert response.status == 200
+        assert response.payload["degradation"] is None
+
+    @pytest.mark.parametrize("faults", [[0], '{"corrupt_docs": [0]}', 3])
+    def test_faults_must_be_a_json_object(self, app, faults):
+        response = call(
+            app, "POST", "/infer", {"documents": DOCS, "config": {"faults": faults}}
+        )
+        assert response.status == 400
+        assert "faults must be a JSON object" in response.payload["error"]["message"]
+
     def test_xsd_format(self, app):
         response = call(
             app, "POST", "/infer", {"documents": DOCS, "format": "xsd"}
