@@ -43,7 +43,6 @@ give byte-identical DTDs (property-tested in
 
 from __future__ import annotations
 
-import copy
 import os
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -149,17 +148,19 @@ class InferenceConfig:
             fresh derivations; disable to force every derivation fresh.
         recorder: instrumentation sink (:mod:`repro.obs`); the default
             no-op recorder costs nearly nothing.
-        on_error: ``"strict"`` (the default) aborts on the first bad
-            document, exactly as inference always has; ``"skip"``
-            quarantines unparseable documents (recording path, cause
-            and offset) and infers a partial DTD from the rest.  Either
-            way the result's
+        max_quarantine: the run's error budget, the most unreadable
+            documents it may quarantine.  ``0`` (the default) is
+            strict: the first bad document raises its own error, a
+            learner failure propagates and a shard that keeps timing
+            out raises :class:`~repro.errors.ShardTimeout`.  ``N > 0``
+            quarantines bad documents (recording path, cause and
+            offset), infers a partial DTD from the rest and aborts with
+            :class:`~repro.errors.QuarantineExceeded` past ``N``; it
+            also lets failed learners fall back and timed-out shards
+            reshard.  ``None`` does the same with no cap.  Either way
+            the result's
             :class:`~repro.runtime.resilience.DegradationReport` says
             what the run skipped, retried or weakened.
-        max_quarantine: with ``on_error="skip"``, the most documents
-            that may be quarantined before the run aborts with
-            :class:`~repro.errors.QuarantineExceeded` (``None``: no
-            cap).
         shard_deadline: per-shard processing deadline in seconds,
             enforced only on shards folded on the process pool (shards
             the driver folds have none); breaches are retried and, in
@@ -191,8 +192,7 @@ class InferenceConfig:
     infer_attributes: bool = True
     cache: bool = True
     recorder: Recorder = NULL_RECORDER
-    on_error: str = "strict"
-    max_quarantine: int | None = None
+    max_quarantine: int | None = 0
     shard_deadline: float | None = None
     faults: FaultPlan | None = field(default_factory=_env_faults)
     state_dir: str | os.PathLike[str] | None = None
@@ -210,21 +210,11 @@ class InferenceConfig:
             raise UsageError(
                 f"sparse_threshold must be >= 0, got {self.sparse_threshold}"
             )
-        if self.on_error not in ("strict", "skip"):
+        cap = self.max_quarantine
+        if cap is not None and (type(cap) is not int or cap < 0):
             raise UsageError(
-                f"unknown on_error mode {self.on_error!r}: expected 'strict' "
-                "or 'skip'"
+                f"max_quarantine must be an integer >= 0 or None, got {cap!r}"
             )
-        if self.max_quarantine is not None:
-            if self.on_error != "skip":
-                raise UsageError(
-                    "max_quarantine caps quarantined documents, which only "
-                    "exist with on_error='skip'"
-                )
-            if self.max_quarantine < 0:
-                raise UsageError(
-                    f"max_quarantine must be >= 0, got {self.max_quarantine}"
-                )
         if self.shard_deadline is not None and self.shard_deadline <= 0:
             raise UsageError(
                 f"shard_deadline must be positive, got {self.shard_deadline}"
@@ -332,9 +322,9 @@ def _evidence(
     The evidence half of :func:`infer`, shared with
     :meth:`InferenceSession.append`: one call into the shard runner
     (:func:`~repro.runtime.parallel.parallel_evidence`), through
-    :mod:`repro.ckpt` when checkpointing, under the config's bound,
-    fault plan and quarantine cap.  Without ``jobs`` the run is one
-    shard.  ``index_offset`` shifts fault-plan document positions so a
+    :mod:`repro.ckpt` when checkpointing, under the config's bound and
+    fault plan and ``degradation``'s error budget.  Without ``jobs``
+    the run is one shard.  ``index_offset`` shifts fault-plan document positions so a
     session's plan sees corpus-global positions across appends.
     """
     if config.state_dir is not None:
@@ -358,8 +348,6 @@ def _evidence(
             jobs=config.jobs,
             recorder=config.recorder,
             fault_plan=config.faults,
-            on_error=config.on_error,
-            max_quarantine=config.max_quarantine,
             deadline=config.shard_deadline,
             report=degradation,
             bounded=_bounded(config),
@@ -372,8 +360,6 @@ def _evidence(
         config.recorder,
         index_offset=index_offset,
         faults=config.faults,
-        on_error=config.on_error,
-        max_quarantine=config.max_quarantine,
         deadline=config.shard_deadline,
         report=degradation,
         bounded=_bounded(config),
@@ -408,9 +394,9 @@ def _result(
         recorder=recorder,
         cache=content_model_cache,
         fault_plan=config.faults,
-        # Strict mode fails hard on learner faults; only skip mode may
-        # degrade content models down the SORE → CHARE → ANY ladder.
-        degradation=degradation if config.on_error == "skip" else None,
+        # Only a tolerant report lets content models degrade down the
+        # SORE → CHARE → ANY ladder; a strict one fails hard.
+        degradation=degradation,
     )
     dtd = inferencer.finalize(evidence)
     if contracts_enabled():
@@ -443,7 +429,7 @@ def infer(
         raise UsageError("no documents to infer from")
     from .runtime.resilience import DegradationReport
 
-    degradation = DegradationReport()
+    degradation = DegradationReport(max_quarantine=config.max_quarantine)
     evidence = _evidence(items, config, degradation)
     _require_surviving_documents(degradation, len(items))
     return _result(config, evidence, degradation)
@@ -763,7 +749,7 @@ class InferenceSession:
         self._closed = False
         from .runtime.resilience import DegradationReport
 
-        self._degradation = DegradationReport()
+        self._degradation = DegradationReport(max_quarantine=config.max_quarantine)
         self._shard_base = 0
 
     # -- lifecycle -------------------------------------------------------------
@@ -798,27 +784,23 @@ class InferenceSession:
 
         ``source`` accepts everything :func:`infer` accepts, and goes
         through the same shard runner (and error policy) as a one-shot
-        run.
+        run.  The error budget is session-wide: the append runs against
+        a copy of the session's report, which it replaces on success.
         """
         self._require_open()
         items = _expand_source(source)
         if not items:
             raise UsageError("no documents to append")
-        from .runtime.resilience import DegradationReport
-
-        chunk_report = DegradationReport()
-        config = self.config
-        if config.max_quarantine is not None:
-            # The cap is session-wide: this append gets what is left of it.
-            left = config.max_quarantine - len(self._degradation.quarantined)
-            config = replace(config, max_quarantine=max(0, left))
-        shard = _evidence(items, config, chunk_report, index_offset=self._documents)
+        report = self._degradation.copy()
+        known = len(report.retried_shards)
+        shard = _evidence(items, self.config, report, index_offset=self._documents)
         if contracts_enabled():
             from .contracts import check_merge_commutative
 
             check_merge_commutative(self._evidence, shard)
         self._evidence.merge(shard)
-        self._fold_degradation(chunk_report)
+        self._rebase_retries(report, known)
+        self._degradation = report
         self._documents += len(items)
         return AppendReceipt(
             documents=len(items),
@@ -826,23 +808,17 @@ class InferenceSession:
             elements=len(self._evidence.elements),
         )
 
-    def _fold_degradation(self, chunk: DegradationReport) -> None:
-        """Fold one append's degradation into the session-wide report.
+    def _rebase_retries(self, report: DegradationReport, known: int) -> None:
+        """Rebase an append's retries, those past ``known`` in ``report``.
 
-        Entries are extended directly (their counters were already
-        recorded when the chunk ran); shard indexes are rebased onto a
+        Each append numbers its shards from 0; the rebase puts them on a
         session-global sequence so ``retried_shards`` stays unique
         across appends, as the report contract requires.
         """
-        self._degradation.quarantined.extend(chunk.quarantined)
-        rebased = self._shard_base
-        for retry in chunk.retried_shards:
-            rebased = max(rebased, self._shard_base + retry.shard + 1)
-            self._degradation.retried_shards.append(
-                replace(retry, shard=self._shard_base + retry.shard)
-            )
-        self._shard_base = rebased
-        self._degradation.fallbacks.extend(chunk.fallbacks)
+        base = self._shard_base
+        fresh = report.retried_shards[known:]
+        report.retried_shards[known:] = [replace(r, shard=base + r.shard) for r in fresh]
+        self._shard_base = max([base, *(base + r.shard + 1 for r in fresh)])
 
     def current_dtd(self) -> InferenceResult:
         """The DTD for everything appended so far.
@@ -860,5 +836,4 @@ class InferenceSession:
         # Finalize against a *copy* of the session report: learner
         # fallbacks belong to one derivation, and repeated queries must
         # not accumulate duplicates in the session-wide report.
-        degradation = copy.deepcopy(self._degradation)
-        return _result(self.config, self._evidence, degradation)
+        return _result(self.config, self._evidence, self._degradation.copy())

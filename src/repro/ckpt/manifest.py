@@ -10,8 +10,8 @@ evidence.  That is enough to answer both durability questions:
 * *incremental re-run* — a shard is reusable iff its document list
   reappears, byte-for-byte and contiguously, in the new corpus.
 
-Each shard entry also lists the documents it quarantined
-(``on_error="skip"`` runs), so a resumed run reproduces the degradation
+Each shard entry also lists the documents it quarantined (runs with a
+nonzero ``max_quarantine``), so a resumed run reproduces the degradation
 report along with the DTD.  ``word_cap`` sits next to ``sample_cap``:
 the run's bag bound (``null`` for whole bags) and the reservoir cap
 shape the state bytes, so a run written under other values is
@@ -105,10 +105,12 @@ def _shard_from_document(raw: object) -> ShardEntry:
     raw_documents = raw.get("documents")
     state_file = raw.get("state_file")
     digest = raw.get("digest")
+    raw_quarantined = raw.get("quarantined")
     if (
         not isinstance(raw_documents, list)
         or not isinstance(state_file, str)
         or not isinstance(digest, str)
+        or not isinstance(raw_quarantined, list)
     ):
         raise StateDecodeError(f"manifest shard entry is malformed: {raw!r}")
     documents: list[DocumentEntry] = []
@@ -121,14 +123,14 @@ def _shard_from_document(raw: object) -> ShardEntry:
             raise StateDecodeError(f"manifest document entry is malformed: {entry!r}")
         documents.append(DocumentEntry(path=entry[0], sha256=entry[1]))
     quarantined: list[tuple[int, str, int | None]] = []
-    for entry in raw.get("quarantined", []):
+    for entry in raw_quarantined:
         if not (
             isinstance(entry, list)
             and len(entry) == 3
-            and isinstance(entry[0], int)
+            and type(entry[0]) is int
             and 0 <= entry[0] < len(documents)
             and isinstance(entry[1], str)
-            and (entry[2] is None or isinstance(entry[2], int))
+            and (entry[2] is None or type(entry[2]) is int)
         ):
             raise StateDecodeError(f"manifest quarantine entry is malformed: {entry!r}")
         quarantined.append((entry[0], entry[1], entry[2]))

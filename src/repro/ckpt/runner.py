@@ -89,7 +89,7 @@ def _reusable_shards(
     old: Manifest | None,
     entries: Sequence[DocumentEntry],
     recorder: Recorder,
-    on_error: str,
+    tolerant: bool,
     word_cap: int | None,
 ) -> list[tuple[Shard, ShardEntry]]:
     """Match old shards against the new corpus, loading cached states.
@@ -115,7 +115,7 @@ def _reusable_shards(
     reused: list[tuple[Shard, ShardEntry]] = []
     position = 0
     for shard in old.shards:
-        if shard.quarantined and on_error != "skip":
+        if shard.quarantined and not tolerant:
             continue
         needle = [document.sha256 for document in shard.documents]
         found = _find_run(hashes, starts, needle, position)
@@ -142,17 +142,17 @@ def _reusable_shards(
     return reused
 
 
-def _document_entry(path: str | os.PathLike[str], on_error: str) -> DocumentEntry:
+def _document_entry(path: str | os.PathLike[str], tolerant: bool) -> DocumentEntry:
     """The manifest's identity for one document: its path and content hash.
 
-    In skip mode an unreadable file hashes to a path-specific marker, so
+    In a tolerant run an unreadable file hashes to a path-specific marker, so
     its shard — and the quarantine it records — is reused for as long as
     the file stays unreadable.
     """
     try:
         digest = file_sha256(path)
     except OSError:
-        if on_error != "skip":
+        if not tolerant:
             raise
         digest = f"unreadable:{os.fspath(path)}"
     return DocumentEntry(path=os.fspath(path), sha256=digest)
@@ -181,8 +181,6 @@ def checkpointed_evidence(
     jobs: int | None = None,
     recorder: Recorder = NULL_RECORDER,
     fault_plan: FaultPlan | None = None,
-    on_error: str = "strict",
-    max_quarantine: int | None = None,
     deadline: float | None = None,
     report: DegradationReport | None = None,
     bounded: bool = True,
@@ -197,9 +195,10 @@ def checkpointed_evidence(
     prefix matches trivially) and incremental re-runs over edited
     corpora.  Either way the returned evidence is byte-identical to a
     fresh, uncached run over ``paths``, and ``report`` receives the
-    same quarantines (``on_error="skip"`` needs one).
+    same quarantines.  ``report``'s error budget is the run's policy;
+    without one the run is strict.
 
-    The remaining keywords are the shard runner's policy and bound
+    The remaining keywords are the shard runner's faults, deadline and bound
     (:func:`~repro.runtime.parallel.parallel_evidence`), with
     ``fault_plan`` as its ``faults``.  The manifest records the bound,
     so a resume never reuses a shard folded under the other one.  Its
@@ -208,6 +207,8 @@ def checkpointed_evidence(
     (exit status ``CRASH_EXIT_STATUS``) immediately after the named
     fresh shard commits — the hook the crash/resume property tests use.
     """
+    if report is None:
+        report = DegradationReport()
     run_dir = os.fspath(state_dir)
     os.makedirs(os.path.join(run_dir, SHARD_DIR), exist_ok=True)
     with RunLock(run_dir):
@@ -218,9 +219,9 @@ def checkpointed_evidence(
                 "pass resume=True (--resume) to continue it, or point "
                 "state_dir at a fresh directory"
             )
-        entries = [_document_entry(path, on_error) for path in paths]
+        entries = [_document_entry(path, report.tolerant) for path in paths]
         word_cap = evidence_module.WORD_CAP if bounded else None
-        reused = _reusable_shards(run_dir, old, entries, recorder, on_error, word_cap)
+        reused = _reusable_shards(run_dir, old, entries, recorder, report.tolerant, word_cap)
         durable = {shard.start: entry for shard, entry in reused}
         manifest = Manifest(sample_cap=SAMPLE_CAP, word_cap=word_cap)
 
@@ -257,8 +258,6 @@ def checkpointed_evidence(
             recorder,
             reuse=[shard for shard, _entry in reused],
             faults=fault_plan,
-            on_error=on_error,
-            max_quarantine=max_quarantine,
             deadline=deadline,
             report=report,
             on_commit=commit,
@@ -271,7 +270,6 @@ def checkpointed_evidence(
         if contracts_enabled():
             check_checkpoint_roundtrip(merged)
             if reused:
-                kept = report.quarantined if report is not None else ()
-                skipped = {document.path for document in kept}
+                skipped = {document.path for document in report.quarantined}
                 check_checkpoint_resume(merged, [entry.path for entry in entries], skipped)
         return merged

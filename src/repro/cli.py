@@ -91,7 +91,6 @@ def _cmd_infer(args: argparse.Namespace) -> int:
         infer_attributes=not args.no_attributes,
         cache=not args.no_cache,
         recorder=recorder,
-        on_error=args.on_error,
         max_quarantine=args.max_quarantine,
         shard_deadline=args.shard_deadline,
         state_dir=args.state_dir,
@@ -236,6 +235,16 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _budget(text: str) -> int | None:
+    """``--max-quarantine``: a document count, or ``all`` for no cap."""
+    if text == "all":
+        return None
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer or 'all'") from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _ArgumentParser(
         prog="repro-infer",
@@ -290,20 +299,14 @@ def build_parser() -> argparse.ArgumentParser:
         "derive every expression fresh",
     )
     infer.add_argument(
-        "--on-error",
-        choices=("strict", "skip"),
-        default="strict",
-        help="strict (default): abort on the first unreadable document; "
-        "skip: quarantine it, infer a partial DTD from the rest, and "
-        "report the degradation on stderr",
-    )
-    infer.add_argument(
         "--max-quarantine",
-        type=int,
-        default=None,
-        metavar="N",
-        help="with --on-error skip: abort (QuarantineExceeded, exit 1) "
-        "once more than N documents have been quarantined",
+        type=_budget,
+        default=0,
+        metavar="{N,all}",
+        help="the error budget: quarantine up to N unreadable documents "
+        "(all: no cap), infer a partial DTD from the rest and report the "
+        "degradation on stderr; past N, abort (QuarantineExceeded, exit "
+        "1).  0 (the default) aborts on the first unreadable document",
     )
     infer.add_argument(
         "--shard-deadline",
@@ -311,8 +314,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="SECONDS",
         help="per-shard processing deadline for shards folded on the "
-        "process pool; breaches are retried, then raise ShardTimeout (strict) or "
-        "reshard serially (skip)",
+        "process pool; breaches are retried, then raise ShardTimeout "
+        "(--max-quarantine 0) or reshard serially",
     )
     infer.add_argument(
         "--fault-plan",

@@ -540,7 +540,7 @@ def check_checkpoint_resume(
     """Evidence assembled from cached shards must equal a fresh pass.
 
     Re-extracts the corpus serially (expensive — this is why contracts
-    are opt-in), minus the ``quarantined`` paths a skip-mode run left
+    are opt-in), minus the ``quarantined`` paths a tolerant run left
     out, and compares canonical digests.  A mismatch means shard reuse
     changed the result: stale cache matching, wrong merge order, or
     reservoir divergence.

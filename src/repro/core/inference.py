@@ -145,10 +145,11 @@ class DTDInferencer:
             of, fault-free runs).
         degradation: an optional
             :class:`repro.runtime.resilience.DegradationReport`.  When
-            set, a failing learner *falls back* down the paper's
-            specificity ladder (SORE → CHARE → ``ANY``) and records
-            the fallback there; when ``None`` (strict), learner
-            failures propagate exactly as they always have.
+            it is tolerant (a nonzero error budget), a failing learner
+            *falls back* down the paper's specificity ladder (SORE →
+            CHARE → ``ANY``) and records the fallback there; when it is
+            strict or ``None``, learner failures propagate exactly as
+            they always have.
     """
 
     def __init__(
@@ -294,8 +295,8 @@ class DTDInferencer:
     ) -> tuple[Regex | None, str]:
         """Run the learner ladder for ``name``; ``None`` means ``ANY``.
 
-        With no degradation report attached (strict mode, the default)
-        this is exactly one ``learn(primary)`` call and failures
+        With no tolerant degradation report attached (strict mode, the
+        default) this is exactly one ``learn(primary)`` call and failures
         propagate untouched.  With one, a failing learner — injected
         via the fault plan or a genuine :class:`CorpusError` — falls
         down the paper's specificity ladder
@@ -326,7 +327,7 @@ class DTDInferencer:
                     )
                 return learn(method), method
             except (CorpusError, InjectedElementFailure) as exc:
-                if self.degradation is None:
+                if self.degradation is None or not self.degradation.tolerant:
                     raise
                 self.degradation.add_fallback(
                     ElementFallback(

@@ -60,9 +60,10 @@ class QuarantineExceeded(CorpusError):
     """Too much of the corpus was quarantined for graceful degradation.
 
     Raised by the resilient runtime (:mod:`repro.runtime.resilience`)
-    when ``on_error="skip"`` runs past ``max_quarantine=`` skipped
-    documents: at that point the sample is too broken for a partial
-    DTD to mean anything, which makes it an input problem (exit 1).
+    when a run quarantines more documents than its nonzero
+    ``max_quarantine=`` budget: at that point the sample is too broken
+    for a partial DTD to mean anything, which makes it an input problem
+    (exit 1).
     """
 
 
@@ -72,8 +73,9 @@ class ShardTimeout(CorpusError):
     In strict mode a shard that breaches ``shard_deadline`` on every
     retry surfaces as this error rather than completing arbitrarily
     late.  A pathological document that cannot be processed in time is
-    an input problem (exit 1), not an engine bug; ``on_error="skip"``
-    degrades by resharding in-driver instead of raising.
+    an input problem (exit 1), not an engine bug; a run with a nonzero
+    ``max_quarantine`` degrades by resharding in-driver instead of
+    raising.
     """
 
 

@@ -246,7 +246,7 @@ class _ShardTask:
     shard: Shard
     first: int  # fault-plan position of the shard's first document
     faults: FaultPlan | None
-    on_error: str
+    tolerant: bool
     bounded: bool
     recorded: bool
     crash: bool
@@ -265,24 +265,18 @@ def _extract_shard(task: _ShardTask, recorder: Recorder) -> _Result:
     driver (pool workers take the real exit first, in
     :func:`_pooled_shard`), so both reach the same retry path.
     Quarantines are counted here, on the recorder the shard runs
-    under; the driver enforces the corpus-wide cap.
+    under, into an uncapped report: the driver enforces the corpus-wide
+    cap.
     """
     if task.crash:
         raise InjectedWorkerCrash(f"injected fault: worker crash in shard {task.index}")
     if task.timeout:
         raise InjectedShardTimeout(f"injected fault: deadline breach in shard {task.index}")
     evidence = StreamingEvidence(bounded=task.bounded)
-    skipped = DegradationReport()
+    skipped = DegradationReport(max_quarantine=None if task.tolerant else 0)
     checking = contracts_enabled()
     for position, item in enumerate(task.shard.items, task.first):
-        loaded = load_document(
-            item,
-            position,
-            plan=task.faults,
-            on_error=task.on_error,
-            report=skipped,
-            recorder=recorder,
-        )
+        loaded = load_document(item, position, skipped, plan=task.faults, recorder=recorder)
         if loaded is None:
             continue
         with recorder.span("extract", file=document_label(item, position)):
@@ -387,8 +381,6 @@ def parallel_evidence(
     reuse: Sequence[Shard] = (),
     index_offset: int = 0,
     faults: FaultPlan | None = None,
-    on_error: str = "strict",
-    max_quarantine: int | None = None,
     deadline: float | None = None,
     report: DegradationReport | None = None,
     on_commit: Callable[[int, Shard], None] | None = None,
@@ -418,11 +410,11 @@ def parallel_evidence(
     retried alone, up to :data:`~repro.runtime.resilience.MAX_ATTEMPTS`
     attempts; a shard that exhausts them is re-run in the driver, except
     that a strict run whose shard keeps timing out raises
-    :class:`~repro.errors.ShardTimeout`.  ``on_error="skip"``
-    quarantines unreadable documents (at most ``max_quarantine``) and
-    needs a ``report``.  Retries and quarantines land in ``report``; a
-    strict run without one keeps no record of its retries.  Fault-plan
-    document positions are ``index_offset`` plus the position in
+    :class:`~repro.errors.ShardTimeout`.  Retries and quarantines land
+    in ``report``, whose error budget decides what is strict: a
+    tolerant report quarantines unreadable documents up to its cap.
+    Without a ``report`` the run is strict.  Fault-plan document
+    positions are ``index_offset`` plus the position in
     ``paths``, and fault-plan shard indexes count fresh shards.
 
     Commit.  Shards merge strictly in corpus order, so retries change
@@ -437,10 +429,8 @@ def parallel_evidence(
     index.
     """
     items = list(paths)
-    if on_error not in ("strict", "skip"):
-        raise UsageError(f"unknown on_error mode {on_error!r}: expected 'strict' or 'skip'")
-    if on_error == "skip" and report is None:
-        raise UsageError("on_error='skip' needs a report to quarantine into")
+    if report is None:
+        report = DegradationReport()
     reuse = sorted(reuse, key=lambda shard: shard.start)
     gaps: list[tuple[int, int]] = []
     covered = 0
@@ -477,7 +467,7 @@ def parallel_evidence(
             shard=fresh[index],
             first=index_offset + fresh[index].start,
             faults=faults,
-            on_error=on_error,
+            tolerant=report.tolerant,
             bounded=bounded,
             recorded=recorder.enabled,
             crash=faulty and faults is not None and faults.crashes(index, attempt),
@@ -500,7 +490,7 @@ def parallel_evidence(
             futures[index] = (future, slot, timeout)
 
     def settle(index: int, resharded: bool = False) -> None:
-        if attempts[index] and report is not None:
+        if attempts[index]:
             retried = ShardRetry(index, attempts[index] + 1, failures[index], resharded)
             report.add_retry(retried, recorder)
 
@@ -544,12 +534,12 @@ def parallel_evidence(
                     sleep(delay)
                 submit(index)
                 continue
-            if on_error != "skip" and failures[index] == "timeout":
+            if not report.tolerant and failures[index] == "timeout":
                 settle(index)
                 error = ShardTimeout(
                     f"shard {index} exceeded its deadline after {attempts[index]} "
-                    f"attempts (deadline={deadline}); rerun with on_error='skip' "
-                    "to degrade instead"
+                    f"attempts (deadline={deadline}); rerun with a nonzero "
+                    "max_quarantine to degrade instead"
                 )
                 # The report so far travels with the error, so the CLI
                 # and daemon can surface the partial picture.
@@ -584,10 +574,7 @@ def parallel_evidence(
                 recorder.count("shards")
         for document in quarantined:
             # The cap is enforced here: corpus-wide, in shard order.
-            assert report is not None  # only skip runs quarantine
-            report.add_quarantine(
-                replace(document, shard=position), limit=max_quarantine, recorder=counter
-            )
+            report.add_quarantine(replace(document, shard=position), recorder=counter)
         if index is not None and on_commit is not None:
             on_commit(index, replace(shard, evidence=evidence, quarantined=quarantined))
         if merged is None:

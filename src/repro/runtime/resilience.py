@@ -8,14 +8,16 @@ that make inference *degrade* instead of abort; the one shard runner,
 :func:`repro.runtime.parallel.parallel_evidence`, applies them to every
 run, batch, sharded, checkpointed and session alike.  Four axes:
 
-* **document quarantine** — in ``on_error="skip"`` mode a document
-  that cannot be parsed (malformed XML, bad encoding, missing file) is
-  recorded with its cause and offset, skipped, and reported; the run
-  returns a partial DTD that is byte-identical to inferring the corpus
-  *minus* the quarantined documents (degradation ≡ deletion, see
-  ``tests/property/test_degradation.py``).  A cap
-  (``max_quarantine=``) turns "too much of the corpus is broken" into
-  :class:`~repro.errors.QuarantineExceeded`.
+* **document quarantine** — under a nonzero error budget
+  (``max_quarantine=N`` or ``None`` for no cap) a document that cannot
+  be parsed (malformed XML, bad encoding, missing file) is recorded
+  with its cause and offset, skipped, and reported; the run returns a
+  partial DTD that is byte-identical to inferring the corpus *minus*
+  the quarantined documents (degradation ≡ deletion, see
+  ``tests/property/test_degradation.py``).  Quarantining more than
+  ``N`` turns "too much of the corpus is broken" into
+  :class:`~repro.errors.QuarantineExceeded`; the default budget, 0, is
+  strict: the first bad document raises its own error.
 * **worker-crash recovery** — a dead process-pool worker heals the
   warm pool and resubmits the shard instead of surfacing
   ``BrokenProcessPool``; a shard that keeps failing is re-sharded down
@@ -36,7 +38,10 @@ run, batch, sharded, checkpointed and session alike.  Four axes:
 
 Every run keeps one :class:`DegradationReport` of everything it
 quarantined, retried or weakened (elements that fell back from SORE to
-CHARE to ``ANY`` under the paper's specificity ordering), surfaced on
+CHARE to ``ANY`` under the paper's specificity ordering).  The report
+also holds the run's error budget, and :attr:`DegradationReport.tolerant`
+(a nonzero budget) is the one test every layer asks before it degrades
+instead of raising.  The report is surfaced on
 :class:`~repro.api.InferenceResult.degradation` and as
 ``resilience.*`` counters under ``--stats``.
 
@@ -391,32 +396,47 @@ class ElementFallback:
 
 @dataclass
 class DegradationReport:
-    """Everything a run skipped, retried or weakened.
+    """Everything a run skipped, retried or weakened, and its error budget.
 
     Every run builds one and attaches it to
     :class:`repro.api.InferenceResult`.  ``degraded`` is False for a
     clean pass, so callers can gate alerting on it; :meth:`to_dict` is
     the machine-readable form the CLI and tests consume.
+    ``max_quarantine`` is the most documents the run may quarantine
+    (``None``: no cap); the default, 0, makes the run strict.
     """
 
     quarantined: list[QuarantinedDocument] = field(default_factory=list)
     retried_shards: list[ShardRetry] = field(default_factory=list)
     fallbacks: list[ElementFallback] = field(default_factory=list)
+    max_quarantine: int | None = 0
 
     @property
     def degraded(self) -> bool:
         return bool(self.quarantined or self.retried_shards or self.fallbacks)
 
+    @property
+    def tolerant(self) -> bool:
+        """Whether the run degrades (quarantine, reshard, fall back) or raises."""
+        return self.max_quarantine != 0
+
+    def copy(self) -> DegradationReport:
+        """A report with the same budget and entries, whose lists are its own."""
+        return DegradationReport(
+            list(self.quarantined),
+            list(self.retried_shards),
+            list(self.fallbacks),
+            self.max_quarantine,
+        )
+
     def add_quarantine(
-        self,
-        document: QuarantinedDocument,
-        limit: int | None = None,
-        recorder: Recorder = NULL_RECORDER,
+        self, document: QuarantinedDocument, recorder: Recorder = NULL_RECORDER
     ) -> None:
         """Record a skipped document, enforcing the quarantine cap."""
         self.quarantined.append(document)
         if recorder.enabled:
             recorder.count("resilience.quarantined")
+        limit = self.max_quarantine
         if limit is not None and len(self.quarantined) > limit:
             error = QuarantineExceeded(
                 f"quarantined {len(self.quarantined)} documents, more than "
@@ -456,18 +476,17 @@ class DegradationReport:
 def load_document(
     item: Document | str,
     index: int,
+    report: DegradationReport,
     *,
     plan: FaultPlan | None = None,
-    on_error: str = "strict",
-    report: DegradationReport | None = None,
     recorder: Recorder = NULL_RECORDER,
 ) -> Document | ElementRecords | None:
-    """Read one corpus item under the error policy; ``None`` = skipped.
+    """Read one corpus item under ``report``'s budget; ``None`` = skipped.
 
     :func:`~repro.xmlio.parser.read_document` reads the item; this adds
     the fault plan and the quarantine.  Injected corruption
     (``plan.corrupts``) and real read failures behave identically: raise
-    in strict mode, else quarantine.  The entry's ``path`` names the
+    when ``report`` is strict, else quarantine.  The entry's ``path`` names the
     document, so its ``cause`` drops the reader's leading label; an
     ``OSError``'s cause is that error's own text.
     """
@@ -479,7 +498,7 @@ def load_document(
             raise CorpusError(f"{path}: injected fault: corrupt document #{index}")
         return read_document(item, index, recorder)
     except CorpusError as exc:
-        if on_error != "skip" or report is None:
+        if not report.tolerant:
             raise
         cause = exc.__cause__ if isinstance(exc.__cause__, OSError) else exc
         report.add_quarantine(

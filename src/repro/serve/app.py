@@ -47,7 +47,6 @@ CONFIG_KEYS = frozenset(
         "sparse_threshold",
         "infer_attributes",
         "cache",
-        "on_error",
         "max_quarantine",
         "shard_deadline",
         "faults",

@@ -174,3 +174,16 @@ class TestManifestVersions:
         (tmp_path / MANIFEST_NAME).write_text(json.dumps(payload), encoding="utf-8")
         with pytest.raises(StateDecodeError, match="quarantine"):
             load_manifest(tmp_path)
+
+    @pytest.mark.parametrize(
+        "quarantined", [None, 5, [[True, "c", None]], "missing"], ids=["null", "int", "bool", "missing"]
+    )
+    def test_quarantine_list_is_required(self, tmp_path, quarantined):
+        payload = self._manifest(()).to_document()
+        if quarantined == "missing":
+            del payload["shards"][0]["quarantined"]
+        else:
+            payload["shards"][0]["quarantined"] = quarantined
+        (tmp_path / MANIFEST_NAME).write_text(json.dumps(payload), encoding="utf-8")
+        with pytest.raises(StateDecodeError, match="malformed"):
+            load_manifest(tmp_path)

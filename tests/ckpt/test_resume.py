@@ -233,14 +233,14 @@ class TestDegradedCheckpoints:
         paths = write_corpus(tmp_path, 12)
         (tmp_path / "doc002.xml").write_text("<r><item>", encoding="utf-8")
         state = tmp_path / "run"
-        infer(paths, config=InferenceConfig(state_dir=state, on_error="skip"))
+        infer(paths, config=InferenceConfig(state_dir=state, max_quarantine=None))
         with pytest.raises(CorpusError):
             infer(paths, config=InferenceConfig(state_dir=state, resume=True))
 
     def test_missing_file_is_quarantined_and_its_shard_reused(self, tmp_path):
         paths = write_corpus(tmp_path, 12)
         os.unlink(paths[5])
-        skip = {"on_error": "skip", "state_dir": tmp_path / "run"}
+        skip = {"max_quarantine": None, "state_dir": tmp_path / "run"}
         first = infer(paths, config=InferenceConfig(**skip))
         recorder = StatsRecorder()
         resumed = infer(
@@ -264,7 +264,7 @@ class TestDegradedCheckpoints:
     )
     def test_every_policy_checkpoints(self, tmp_path, extra):
         paths = write_corpus(tmp_path, 12)
-        config = {"method": "idtd", "jobs": 2, "on_error": "skip", **extra}
+        config = {"method": "idtd", "jobs": 2, "max_quarantine": None, **extra}
         plain = infer(paths, config=InferenceConfig(**config))
         checkpointed = infer(paths, config=InferenceConfig(state_dir=tmp_path / "run", **config))
         assert checkpointed.render() == plain.render()

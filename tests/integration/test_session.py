@@ -13,7 +13,7 @@ import pytest
 
 from repro import api
 from repro.contracts import contracts_enabled, set_contracts
-from repro.errors import UsageError
+from repro.errors import QuarantineExceeded, UsageError
 from repro.obs.recorder import StatsRecorder
 from repro.runtime.resilience import FaultPlan
 
@@ -184,7 +184,7 @@ class TestResilientSessions:
             paths.append(str(path))
         config = api.InferenceConfig(
             jobs=2,
-            on_error="skip",
+            max_quarantine=None,
             faults=FaultPlan(worker_crashes=[0]),
         )
         session = api.InferenceSession(config)
@@ -209,7 +209,7 @@ class TestResilientSessions:
         good = corpus(9)
         texts = good[:4] + ["<broken><unclosed></broken>"] + good[4:]
         paths = self._write_paths(tmp_path, texts)
-        config = api.InferenceConfig(on_error="skip")
+        config = api.InferenceConfig(max_quarantine=None)
         session = api.InferenceSession(config)
         for chunk in chunks(paths, 5):
             session.append(chunk)
@@ -222,7 +222,7 @@ class TestResilientSessions:
 
     def test_skip_mode_quarantines_a_malformed_literal(self):
         good = corpus(9)
-        config = api.InferenceConfig(on_error="skip")
+        config = api.InferenceConfig(max_quarantine=None)
         session = api.InferenceSession(config)
         session.append(good[:4])
         session.append(["<broken><unclosed></broken>", *good[4:]])
@@ -236,11 +236,34 @@ class TestResilientSessions:
         paths = self._write_paths(
             tmp_path, ["<a/>", "<broken><unclosed>", "<also><broken>"]
         )
-        config = api.InferenceConfig(on_error="skip", max_quarantine=1)
+        config = api.InferenceConfig(max_quarantine=1)
         session = api.InferenceSession(config)
         session.append(paths[:2])
-        with pytest.raises(Exception, match="quarantine"):
+        before = session.current_dtd()
+        with pytest.raises(QuarantineExceeded) as raised:
             session.append(paths[2:])
+        assert str(raised.value).startswith(
+            "quarantined 2 documents, more than max_quarantine=1"
+        )
+        skipped = [entry.path for entry in raised.value.degradation.quarantined]
+        assert skipped == paths[1:]
+        # The failed append leaves the session where it was.
+        assert session.total_documents == 2
+        after = session.current_dtd()
+        assert after.render() == before.render()
+        assert after.degradation.to_dict() == before.degradation.to_dict()
+
+    def test_spent_budget_keeps_learner_fallbacks(self, tmp_path):
+        paths = self._write_paths(tmp_path, corpus(4) + ["<broken><unclosed>"])
+        config = api.InferenceConfig(
+            max_quarantine=1,
+            faults=FaultPlan(element_failures_hard=["line"]),
+        )
+        session = api.InferenceSession(config)
+        session.append(paths)
+        result = session.current_dtd()
+        assert len(result.degradation.quarantined) == 1
+        assert {f.element for f in result.degradation.fallbacks} == {"line"}
 
     def test_repeated_current_dtd_does_not_accumulate_degradation(
         self, tmp_path
@@ -248,12 +271,15 @@ class TestResilientSessions:
         paths = self._write_paths(
             tmp_path, corpus(6) + ["<broken><unclosed>"]
         )
-        config = api.InferenceConfig(on_error="skip")
+        config = api.InferenceConfig(
+            max_quarantine=None, faults=FaultPlan(element_failures_hard=["line"])
+        )
         session = api.InferenceSession(config)
         session.append(paths)
         first = session.current_dtd()
         second = session.current_dtd()
         assert first.render() == second.render()
+        assert first.degradation.fallbacks
         assert (
             first.degradation.to_dict() == second.degradation.to_dict()
         )

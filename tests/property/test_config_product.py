@@ -1,15 +1,21 @@
-"""The config product: every pipeline shape composes with every error mode.
+"""The config product: every pipeline shape composes with every error budget.
 
 Shapes {batch, ``jobs=2``, ``state_dir``, ``state_dir`` killed after its
 first shard and then resumed, a session fed in two appends} cross
-error modes {strict, skip} and every method.  One corpus holds a single
-corrupt document inside the first shard, so a skip-mode run killed
-after that shard must replay the quarantine from its manifest.
+error budgets ``max_quarantine`` {0, 1, None} and every method.  One
+corpus holds a single corrupt document inside the first shard, so a
+tolerant run killed after that shard must replay the quarantine from
+its manifest.
 
-* skip-mode runs render the bytes of a fresh batch run over the clean
-  remainder and quarantine exactly what the batch skip run does;
-* strict runs on the clean remainder render those same bytes, and on
-  the corrupt corpus raise :class:`~repro.errors.CorpusError`;
+* runs under budget 1 or ``None`` render the bytes of a fresh batch run
+  over the clean remainder and quarantine exactly what the batch run
+  under the same budget does;
+* strict runs (budget 0) on the clean remainder render those same
+  bytes, and on the corrupt corpus raise
+  :class:`~repro.errors.CorpusError`;
+* budget 1 over a corpus with a second corrupt document, in the other
+  shard of a two-shard run and in the other append of a session,
+  raises :class:`~repro.errors.QuarantineExceeded` naming both;
 * ``numeric=True`` renders the batch ``numeric=True`` bytes in every
   shape (kore, whose repeats take no numerical bounds, raises the batch
   run's :class:`~repro.errors.UsageError` in every shape);
@@ -21,8 +27,8 @@ after that shard must replay the quarantine from its manifest.
 * a resume that turns ``numeric`` on over shards folded under the cap
   re-parses them and renders the batch ``numeric=True`` bytes;
 * the same corpus given as XML text, in the shapes that accept it
-  {batch, ``jobs=2``, session}, renders the path runs' bytes in both
-  error modes and quarantines the corrupt literal at its corpus
+  {batch, ``jobs=2``, session}, renders the path runs' bytes under
+  every budget and quarantines the corrupt literal at its corpus
   position with the path run's cause.
 
 The ambient ``REPRO_FAULTS`` plan stays in force for the shapes under
@@ -44,7 +50,7 @@ from repro.api import InferenceConfig, InferenceSession, infer
 from repro.ckpt.manifest import load_manifest
 from repro.core.inference import METHODS
 from repro.datagen.xmlgen import XmlGenerator, serialize
-from repro.errors import CorpusError, UsageError
+from repro.errors import CorpusError, QuarantineExceeded, UsageError
 from repro.learning import evidence as evidence_module
 from repro.obs.recorder import StatsRecorder
 from repro.runtime.resilience import CRASH_EXIT_STATUS
@@ -57,6 +63,8 @@ DTD_SOURCE = (
 )
 COUNT = 12
 CORRUPT = 2  # inside shard 0 of a two-shard run
+SECOND = 9  # inside shard 1, and in a session's second append
+BUDGETS = [1, None]  # the tolerant budgets; 0 is strict
 
 SHAPES = ["batch", "jobs", "state_dir", "killed", "session"]
 LITERAL_SHAPES = ["batch", "jobs", "session"]  # state_dir needs files
@@ -89,6 +97,15 @@ def corpus(tmp_path_factory):
         path.write_text(text, encoding="utf-8")
         paths.append(str(path))
     return paths, paths[:CORRUPT] + paths[CORRUPT + 1 :]
+
+
+@pytest.fixture(scope="module")
+def twice_corrupt(corpus, tmp_path_factory):
+    """``corpus`` with a second corrupt document, at ``SECOND``."""
+    paths, _clean = corpus
+    path = tmp_path_factory.mktemp("second") / f"doc{SECOND:02d}.xml"
+    path.write_text("<r><item><name>cut", encoding="utf-8")
+    return [*paths[:SECOND], str(path), *paths[SECOND + 1 :]]
 
 
 @pytest.fixture(scope="module")
@@ -131,10 +148,11 @@ def kill_after_first_shard(paths, config):
     )
 
 
-def run(shape, paths, method, mode, state_dir, **options):
-    """One inference of ``paths`` in ``shape``; the killed shape resumes
-    and the session appends the two halves."""
-    config = {"method": method, "on_error": mode, **options}
+def run(shape, paths, method, budget, state_dir, **options):
+    """One inference of ``paths`` in ``shape`` under error budget
+    ``budget``; the killed shape resumes and the session appends the
+    two halves."""
+    config = {"method": method, "max_quarantine": budget, **options}
     if shape == "session":
         session = InferenceSession(InferenceConfig(**config))
         half = len(paths) // 2
@@ -148,8 +166,8 @@ def run(shape, paths, method, mode, state_dir, **options):
     elif shape == "killed":
         config.update(jobs=2, state_dir=str(state_dir))
         killed = kill_after_first_shard(paths, config)
-        if mode == "strict" and len(paths) == COUNT:
-            # Strict mode never commits the shard holding the corrupt
+        if budget == 0 and len(paths) == COUNT:
+            # A strict run never commits the shard holding the corrupt
             # document: the child dies of the CorpusError instead.
             assert killed.returncode == 1 and "XmlSyntaxError" in killed.stderr
         else:
@@ -157,30 +175,40 @@ def run(shape, paths, method, mode, state_dir, **options):
             # The one committed shard records its quarantine for resume.
             committed = load_manifest(state_dir).shards
             offsets = [[entry[0] for entry in shard.quarantined] for shard in committed]
-            assert offsets == [[CORRUPT] if mode == "skip" else []]
+            assert offsets == [[CORRUPT] if budget != 0 else []]
         config["resume"] = True
     return infer(paths, config=InferenceConfig(**config))
 
 
+@pytest.mark.parametrize("budget", BUDGETS)
 @pytest.mark.parametrize("method", METHODS)
 @pytest.mark.parametrize("shape", SHAPES)
-def test_skip_mode_equals_batch_over_clean_remainder(corpus, tmp_path, shape, method):
+def test_budget_equals_batch_over_clean_remainder(corpus, tmp_path, shape, method, budget):
     paths, clean = corpus
-    result = run(shape, paths, method, "skip", tmp_path / "run")
+    result = run(shape, paths, method, budget, tmp_path / "run")
     assert result.render() == reference(clean, method)
-    batch = infer(paths, config=InferenceConfig(method=method, on_error="skip", faults=None))
+    batch = infer(paths, config=InferenceConfig(method=method, max_quarantine=budget, faults=None))
     assert quarantined(result) == quarantined(batch)
     assert [path for path, _cause in quarantined(batch)] == [paths[CORRUPT]]
 
 
 @pytest.mark.parametrize("method", METHODS)
 @pytest.mark.parametrize("shape", SHAPES)
-def test_strict_mode_on_clean_and_corrupt_corpora(corpus, tmp_path, shape, method):
+def test_strict_budget_on_clean_and_corrupt_corpora(corpus, tmp_path, shape, method):
     paths, clean = corpus
-    result = run(shape, clean, method, "strict", tmp_path / "clean")
+    result = run(shape, clean, method, 0, tmp_path / "clean")
     assert result.render() == reference(clean, method)
     with pytest.raises(CorpusError):
-        run(shape, paths, method, "strict", tmp_path / "corrupt")
+        run(shape, paths, method, 0, tmp_path / "corrupt")
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_exceeded_budget_counts_across_shards_and_appends(twice_corrupt, tmp_path, shape):
+    with pytest.raises(QuarantineExceeded) as raised:
+        run(shape, twice_corrupt, "idtd", 1, tmp_path / "run")
+    assert str(raised.value).startswith("quarantined 2 documents, more than max_quarantine=1")
+    skipped = [doc.path for doc in raised.value.degradation.quarantined]
+    assert skipped == [twice_corrupt[CORRUPT], twice_corrupt[SECOND]]
 
 
 @pytest.mark.parametrize("method", METHODS)
@@ -201,7 +229,7 @@ def test_numeric_equals_batch(corpus, tmp_path, shape, method):
     )
     assert expected.startswith("UsageError") == (method == "kore")
     assert outcome(
-        lambda: run(shape, clean, method, "strict", tmp_path / "run", numeric=True)
+        lambda: run(shape, clean, method, 0, tmp_path / "run", numeric=True)
     ) == expected
 
 
@@ -214,7 +242,7 @@ def test_support_threshold_equals_batch(noisy, tmp_path, shape, method):
     ).render()
     assert "gift" not in expected
     assert "gift" in reference(noisy, method)
-    result = run(shape, noisy, method, "strict", tmp_path / "run", support_threshold=2)
+    result = run(shape, noisy, method, 0, tmp_path / "run", support_threshold=2)
     assert result.render() == expected
 
 
@@ -235,7 +263,7 @@ def test_word_reading_options_keep_bags_whole(noisy, tmp_path, monkeypatch, shap
     recorder = StatsRecorder()
     infer(noisy, config=InferenceConfig(method="idtd", recorder=recorder, faults=None))
     assert recorder.counters["evidence.spills"] > 0
-    result = run(shape, noisy, "idtd", "strict", tmp_path / "run", **option)
+    result = run(shape, noisy, "idtd", 0, tmp_path / "run", **option)
     assert result.render() == expected
 
 
@@ -267,17 +295,18 @@ def test_resume_turning_numeric_on_reparses_capped_shards(corpus, tmp_path, monk
     assert load_manifest(state).word_cap is None
 
 
+@pytest.mark.parametrize("budget", BUDGETS)
 @pytest.mark.parametrize("method", METHODS)
 @pytest.mark.parametrize("shape", LITERAL_SHAPES)
-def test_xml_literals_equal_paths(corpus, literals, tmp_path, shape, method):
+def test_xml_literals_equal_paths(corpus, literals, tmp_path, shape, method, budget):
     paths, clean = corpus
-    skipped = run(shape, literals, method, "skip", tmp_path / "run")
+    skipped = run(shape, literals, method, budget, tmp_path / "run")
     assert skipped.render() == reference(clean, method)
-    batch = infer(paths, config=InferenceConfig(method=method, on_error="skip", faults=None))
+    batch = infer(paths, config=InferenceConfig(method=method, max_quarantine=budget, faults=None))
     ((_path, cause),) = quarantined(batch)
     assert quarantined(skipped) == [(f"<document #{CORRUPT}>", cause)]
     remainder = literals[:CORRUPT] + literals[CORRUPT + 1 :]
-    strict = run(shape, remainder, method, "strict", tmp_path / "clean")
+    strict = run(shape, remainder, method, 0, tmp_path / "clean")
     assert strict.render() == reference(clean, method)
     with pytest.raises(CorpusError):
-        run(shape, literals, method, "strict", tmp_path / "corrupt")
+        run(shape, literals, method, 0, tmp_path / "corrupt")

@@ -1,7 +1,7 @@
 """Degradation ≡ deletion: skip-mode inference is corpus filtering.
 
 The central correctness property of the resilient runtime: inferring
-with ``on_error="skip"`` over a corpus where some documents are
+with ``max_quarantine=None`` over a corpus where some documents are
 quarantined must produce *byte-identical* output to inferring over the
 corpus with those documents removed.  Quarantine may only ever change
 which documents contribute — never how the survivors are interpreted.
@@ -53,7 +53,7 @@ def test_skip_mode_equals_deleting_quarantined_documents(case):
     degraded = infer(
         documents,
         config=InferenceConfig(
-            on_error="skip", faults=FaultPlan(corrupt_docs=sorted(drops))
+            max_quarantine=None, faults=FaultPlan(corrupt_docs=sorted(drops))
         ),
     )
     survivors = [
@@ -76,7 +76,7 @@ def test_property_holds_on_the_streaming_path(case):
         documents,
         config=InferenceConfig(
             jobs=3,
-            on_error="skip",
+            max_quarantine=None,
             faults=FaultPlan(corrupt_docs=sorted(drops)),
         ),
     )

@@ -281,7 +281,7 @@ class TestCrashRecovery:
             paths,
             config=InferenceConfig(
                 jobs=2,
-                on_error="skip",
+                max_quarantine=None,
                 faults=FaultPlan(shard_timeouts=[0], attempts=3),
             ),
         )
@@ -308,7 +308,7 @@ class TestQuarantine:
         result = infer(
             paths,
             config=InferenceConfig(
-                jobs=2, on_error="skip"
+                jobs=2, max_quarantine=None
             ),
         )
         (doc,) = result.degradation.quarantined
@@ -338,7 +338,6 @@ class TestQuarantine:
         paths = write_corpus(tmp_path, 8)
         config = InferenceConfig(
             jobs=2,
-            on_error="skip",
             max_quarantine=1,
             faults=FaultPlan(corrupt_docs=[0, 3, 5]),
         )
@@ -351,9 +350,8 @@ class TestQuarantine:
             infer(
                 docs,
                 config=InferenceConfig(
-                    on_error="skip",
-                    max_quarantine=0,
-                    faults=FaultPlan(corrupt_docs=[2]),
+                    max_quarantine=1,
+                    faults=FaultPlan(corrupt_docs=[1, 2]),
                 ),
             )
 
@@ -361,7 +359,7 @@ class TestQuarantine:
         path = tmp_path / "only.xml"
         path.write_text("<broken", encoding="utf-8")
         with pytest.raises(CorpusError, match="all 1 documents"):
-            infer([str(path)], config=InferenceConfig(on_error="skip"))
+            infer([str(path)], config=InferenceConfig(max_quarantine=None))
 
     def test_literal_documents_quarantine_by_index(self):
         docs = [
@@ -372,7 +370,7 @@ class TestQuarantine:
         result = infer(
             docs,
             config=InferenceConfig(
-                on_error="skip", faults=FaultPlan(corrupt_docs=[1])
+                max_quarantine=None, faults=FaultPlan(corrupt_docs=[1])
             ),
         )
         (doc,) = result.degradation.quarantined
@@ -396,7 +394,7 @@ class TestQuarantine:
         recorder = StatsRecorder()
         result = infer(
             docs,
-            config=InferenceConfig(on_error="skip", recorder=recorder, **options),
+            config=InferenceConfig(max_quarantine=None, recorder=recorder, **options),
         )
         counters = recorder.snapshot()["counters"]
         assert counters[f"parallel.backend.{backend}"] == 1
@@ -481,18 +479,15 @@ class TestQuarantine:
             handle.write("<r><item></r>")
         with pytest.raises(XmlSyntaxError) as syntax:
             parse_document("<r><item></r>")
-        result = infer(paths, config=InferenceConfig(on_error="skip"))
+        result = infer(paths, config=InferenceConfig(max_quarantine=None))
         (doc,) = result.degradation.quarantined
         assert (doc.path, doc.cause) == (paths[2], str(syntax.value))
         assert doc.position == syntax.value.position
 
     def test_load_document_passes_documents_through(self):
         document = parse_document("<r><item><name/></item></r>")
-        report = DegradationReport()
-        assert (
-            load_document(document, 0, on_error="skip", report=report)
-            is document
-        )
+        report = DegradationReport(max_quarantine=None)
+        assert load_document(document, 0, report) is document
         assert not report.degraded
 
 
@@ -505,7 +500,7 @@ class TestElementFallback:
                 # auto would pick crx on a corpus this small, and the
                 # soft fault only hits the idtd learner
                 method="idtd",
-                on_error="skip",
+                max_quarantine=None,
                 faults=FaultPlan(element_failures=["item"]),
             ),
         )
@@ -520,7 +515,7 @@ class TestElementFallback:
             paths,
             config=InferenceConfig(
                 method="idtd",
-                on_error="skip",
+                max_quarantine=None,
                 faults=FaultPlan(element_failures_hard=["item"]),
             ),
         )
@@ -538,7 +533,7 @@ class TestElementFallback:
             paths,
             config=InferenceConfig(
                 method="crx",
-                on_error="skip",
+                max_quarantine=None,
                 faults=FaultPlan(element_failures=["item"]),
             ),
         )
@@ -559,7 +554,7 @@ class TestElementFallback:
         degraded = infer(
             paths,
             config=InferenceConfig(
-                on_error="skip", faults=FaultPlan(element_failures_hard=["item"])
+                max_quarantine=None, faults=FaultPlan(element_failures_hard=["item"])
             ),
         )
         assert "<!ELEMENT item ANY>" in degraded.dtd.render()
@@ -569,7 +564,7 @@ class TestElementFallback:
         again = infer(
             paths,
             config=InferenceConfig(
-                on_error="skip", faults=FaultPlan(element_failures_hard=["item"])
+                max_quarantine=None, faults=FaultPlan(element_failures_hard=["item"])
             ),
         )
         assert again.dtd.render() == degraded.dtd.render()
@@ -583,7 +578,7 @@ class TestCounters:
             paths,
             config=InferenceConfig(
                 jobs=2,
-                on_error="skip",
+                max_quarantine=None,
                 recorder=recorder,
                 faults=FaultPlan(worker_crashes=[0], corrupt_docs=[1, 6]),
             ),
@@ -597,15 +592,11 @@ class TestCounters:
 
 
 class TestConfigValidation:
-    def test_rejects_unknown_on_error(self):
-        with pytest.raises(UsageError, match="on_error"):
-            InferenceConfig(on_error="ignore")
-
-    def test_max_quarantine_requires_skip_mode(self):
+    @pytest.mark.parametrize("budget", [-1, True, 1.5, "all"])
+    def test_max_quarantine_must_be_a_count_or_none(self, budget):
+        assert InferenceConfig(max_quarantine=3).max_quarantine == 3
         with pytest.raises(UsageError, match="max_quarantine"):
-            InferenceConfig(max_quarantine=3)
-        with pytest.raises(UsageError, match="max_quarantine"):
-            InferenceConfig(on_error="skip", max_quarantine=-1)
+            InferenceConfig(max_quarantine=budget)
 
     def test_shard_deadline_must_be_positive(self):
         with pytest.raises(UsageError, match="shard_deadline"):
@@ -622,7 +613,7 @@ class TestConfigValidation:
 
     def test_faults_keeps_the_plan_it_is_given(self):
         plan = FaultPlan(corrupt_docs=frozenset({1}))
-        assert InferenceConfig(on_error="skip", faults=plan).faults is plan
+        assert InferenceConfig(max_quarantine=None, faults=plan).faults is plan
         empty = FaultPlan()
         assert InferenceConfig(faults=empty).faults is empty
 
@@ -639,10 +630,6 @@ class TestConfigValidation:
     def test_resilient_evidence_validates_inputs(self):
         with pytest.raises(UsageError, match="jobs"):
             parallel_evidence([], jobs=0)
-        with pytest.raises(UsageError, match="on_error"):
-            parallel_evidence([], on_error="maybe")
-        with pytest.raises(UsageError, match="report"):
-            parallel_evidence([], on_error="skip")
 
 
 class TestCli:
@@ -653,7 +640,7 @@ class TestCli:
 
     def test_skip_mode_prints_partial_dtd_and_summary(self, tmp_path, capsys):
         paths = self._corpus_with_bad_doc(tmp_path)
-        code = main(["infer", *paths, "--on-error", "skip"])
+        code = main(["infer", *paths, "--max-quarantine", "all"])
         captured = capsys.readouterr()
         assert code == 0
         assert "<!ELEMENT item" in captured.out
@@ -668,11 +655,10 @@ class TestCli:
 
     def test_max_quarantine_exceeded_exits_one(self, tmp_path, capsys):
         paths = self._corpus_with_bad_doc(tmp_path)
-        code = main(
-            ["infer", *paths, "--on-error", "skip", "--max-quarantine", "0"]
-        )
+        (tmp_path / "doc003.xml").write_text("<r>", encoding="utf-8")
+        code = main(["infer", *paths, "--max-quarantine", "1"])
         assert code == 1
-        assert "max_quarantine=0" in capsys.readouterr().err
+        assert "max_quarantine=1" in capsys.readouterr().err
 
     def test_fault_plan_flag_injects(self, tmp_path, capsys):
         paths = write_corpus(tmp_path, 4)
@@ -680,8 +666,8 @@ class TestCli:
             [
                 "infer",
                 *paths,
-                "--on-error",
-                "skip",
+                "--max-quarantine",
+                "all",
                 "--fault-plan",
                 '{"corrupt_docs": [1]}',
             ]
@@ -695,7 +681,7 @@ class TestCli:
         plan = tmp_path / "plan.json"
         plan.write_text('{"corrupt_docs": [0]}', encoding="utf-8")
         code = main(
-            ["infer", *paths, "--on-error", "skip", "--fault-plan", f"@{plan}"]
+            ["infer", *paths, "--max-quarantine", "all", "--fault-plan", f"@{plan}"]
         )
         assert code == 0
         assert "quarantined" in capsys.readouterr().err
@@ -705,9 +691,9 @@ class TestCli:
     ):
         paths = write_corpus(tmp_path, 4)
         monkeypatch.setenv("REPRO_FAULTS", '{"corrupt_docs": [1]}')
-        assert main(["infer", *paths, "--on-error", "skip"]) == 0
+        assert main(["infer", *paths, "--max-quarantine", "all"]) == 0
         assert "injected fault: corrupt document #1" in capsys.readouterr().err
-        assert main(["infer", *paths, "--on-error", "skip", "--fault-plan", "{}"]) == 0
+        assert main(["infer", *paths, "--max-quarantine", "all", "--fault-plan", "{}"]) == 0
         assert capsys.readouterr().err == ""
 
     def test_malformed_fault_plan_exits_one(self, tmp_path, capsys):
@@ -733,7 +719,7 @@ class TestCli:
 
     def test_stats_include_resilience_counters(self, tmp_path, capsys):
         paths = self._corpus_with_bad_doc(tmp_path)
-        code = main(["infer", *paths, "--on-error", "skip", "--stats"])
+        code = main(["infer", *paths, "--max-quarantine", "all", "--stats"])
         captured = capsys.readouterr()
         assert code == 0
         assert "resilience.quarantined" in captured.err
@@ -746,7 +732,7 @@ class TestAcceptanceScenario:
         recorder = StatsRecorder()
         config = InferenceConfig(
             jobs=2,
-            on_error="skip",
+            max_quarantine=None,
             recorder=recorder,
             faults=FaultPlan(worker_crashes=[0], corrupt_docs=[5, 17]),
         )
@@ -788,7 +774,7 @@ class TestReportShape:
             config=InferenceConfig(
                 method="idtd",
                 jobs=2,
-                on_error="skip",
+                max_quarantine=None,
                 faults=FaultPlan(worker_crashes=[1], corrupt_docs=[2], element_failures=["item"]),
             ),
         )
@@ -798,14 +784,10 @@ class TestReportShape:
         assert payload["fallbacks"][0]["element"] == "item"
 
     def test_quarantine_cap_message_names_last_document(self):
-        report = DegradationReport()
-        report.add_quarantine(
-            QuarantinedDocument(path="a.xml", cause="bad"), limit=1
-        )
+        report = DegradationReport(max_quarantine=1)
+        report.add_quarantine(QuarantinedDocument(path="a.xml", cause="bad"))
         with pytest.raises(QuarantineExceeded, match="b.xml"):
-            report.add_quarantine(
-                QuarantinedDocument(path="b.xml", cause="worse"), limit=1
-            )
+            report.add_quarantine(QuarantinedDocument(path="b.xml", cause="worse"))
 
     def test_shards_get_three_attempts(self):
         assert MAX_ATTEMPTS == 3

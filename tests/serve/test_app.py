@@ -248,7 +248,7 @@ class TestInfer:
             app,
             "POST",
             "/infer",
-            {"documents": [*DOCS, "<a><b></a>"], "config": {"on_error": "skip"}},
+            {"documents": [*DOCS, "<a><b></a>"], "config": {"max_quarantine": None}},
         )
         assert response.status == 200
         assert response.payload["dtd"] == api.infer(DOCS).render()

@@ -47,11 +47,9 @@ def _write_latin1(tmp_path):
 
 
 def _skip(item, recorder=NULL_RECORDER):
-    """Read ``item`` in skip mode: its records, or its quarantine entry."""
-    report = DegradationReport()
-    loaded = load_document(
-        item, 0, on_error="skip", report=report, recorder=recorder
-    )
+    """Read ``item`` under an uncapped budget: its records, or its quarantine entry."""
+    report = DegradationReport(max_quarantine=None)
+    loaded = load_document(item, 0, report, recorder=recorder)
     if loaded is None:
         (entry,) = report.quarantined
         return entry
