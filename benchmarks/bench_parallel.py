@@ -85,7 +85,7 @@ def test_streaming_state_constant_in_corpus_size(corpus_paths):
         small_element = small.elements[name]
         assert len(element.soa.soa.edges) == len(small_element.soa.soa.edges)
         # distinct occurrence profiles may grow a little, but stay tiny
-        assert len(element.crx.state.profiles) <= 16
+        assert len(element.crx.profiles) <= 16
 
 
 def test_speedup_and_rss_report(corpus_paths, scale, benchmark):

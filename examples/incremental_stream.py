@@ -23,8 +23,9 @@ stream = sample_words(TRUE_SCHEMA, 400, rng)
 print("streaming 400 words, re-deriving only when evidence changes:\n")
 derivations = 0
 for index, word in enumerate(stream, start=1):
-    changed = learner.add(word)
-    if changed:
+    before = learner.soa.canonical_fingerprint()
+    learner.add(word)
+    if learner.soa.canonical_fingerprint() != before:
         derivations += 1
         current = learner.infer()
         print(

@@ -38,16 +38,13 @@ from .api import (
     infer,
     validate,
 )
-from .automata.elimination import state_elimination
 from .automata.soa import SOA
 from .core.crx import crx as infer_chare
 from .core.idtd import idtd as infer_sore
 from .core.idtd import idtd_from_soa
 from .core.inference import DTDInferencer
-from .core.numeric import annotate_numeric
 from .core.rewrite import rewrite
-from .learning.incremental import IncrementalCRX, IncrementalSOA
-from .learning.sampling import reservoir_sample
+from .learning.incremental import IncrementalSOA
 from .learning.tinf import tinf
 from .regex.ast import Regex
 from .regex.classify import is_chare, is_deterministic, is_sore
@@ -57,7 +54,6 @@ from .regex.printer import to_dtd_syntax, to_paper_syntax
 from .xmlio.dtd import Dtd, parse_dtd
 from .xmlio.parser import parse_document, parse_file
 from .xmlio.tree import Document
-from .xmlio.xsd import dtd_to_xsd
 
 __version__ = "1.0.0"
 
@@ -74,12 +70,9 @@ __all__ = [
     "ValidationResult",
     "diff",
     "infer",
-    "IncrementalCRX",
     "IncrementalSOA",
     "Regex",
     "SOA",
-    "annotate_numeric",
-    "dtd_to_xsd",
     "idtd_from_soa",
     "infer_chare",
     "infer_sore",
@@ -93,9 +86,7 @@ __all__ = [
     "parse_dtd",
     "parse_file",
     "parse_regex",
-    "reservoir_sample",
     "rewrite",
-    "state_elimination",
     "tinf",
     "to_dtd_syntax",
     "to_paper_syntax",

@@ -60,16 +60,15 @@ from .core.inference import (
 )
 from .errors import CorpusError, UsageError
 from .obs.recorder import NULL_RECORDER, Recorder
-from .xmlio.diff import ElementDiff, iter_diffs
 from .xmlio.dtd import Dtd, parse_dtd
 from .learning.evidence import StreamingEvidence
 from .xmlio.parser import document_label, is_xml_text, read_document, read_text
 from .xmlio.tree import Document
 from .xmlio.validate import CompiledDtd, Violation
-from .xmlio.xsd import dtd_to_xsd
 
 if TYPE_CHECKING:
     from .runtime.resilience import DegradationReport, FaultPlan
+    from .xmlio.diff import ElementDiff
 
 Source = Document | str | os.PathLike[str] | Iterable["Document | str | os.PathLike[str]"]
 
@@ -260,6 +259,8 @@ class InferenceResult:
 
     def to_xsd(self) -> str:
         """The schema as XSD, with sniffed simple types (Section 9)."""
+        from .xmlio.xsd import dtd_to_xsd
+
         with self.recorder.span("emit", format="xsd"):
             return dtd_to_xsd(self.dtd, text_types=self.report.text_types)
 
@@ -681,6 +682,8 @@ def diff(
     ``incomparable`` / ``missing-old`` / ``missing-new``) with witness
     words for each strict difference.
     """
+    from .xmlio.diff import iter_diffs
+
     if config is None:
         config = DiffConfig()
     recorder = config.recorder

@@ -64,13 +64,19 @@ from ..xmlio.dtd import Any as AnyContent
 from ..xmlio.dtd import AttributeDef, Children, Dtd, Empty, Mixed
 from .crx import CrxState
 from .idtd import idtd_from_soa
-from .numeric import annotate_numeric
 
 if TYPE_CHECKING:
     from ..runtime.cache import CacheKey, ContentModelCache
     from ..runtime.resilience import DegradationReport, FaultPlan
 
 Method = Literal["idtd", "crx", "kore", "sire", "auto"]
+
+#: The learner state each non-iDTD method folds a bag's words into.
+_STATES: dict[str, type[CrxState | IncrementalKore | IncrementalSire]] = {
+    "crx": CrxState,
+    "kore": IncrementalKore,
+    "sire": IncrementalSire,
+}
 
 #: Every accepted ``method=`` value, in the order help text shows them.
 METHODS: tuple[str, ...] = ("auto", "idtd", "crx", "kore", "sire")
@@ -272,12 +278,9 @@ class DTDInferencer:
         with recorder.span(method, element=name):
             state: CrxState | IncrementalKore | IncrementalSire
             if isinstance(sample, LearnerStates):
-                state = sample.crx.state if method == "crx" else getattr(sample, method)
-            elif method == "kore":
-                state = IncrementalKore()
-                state.add_all(sample.distinct_words())
+                state = getattr(sample, method)
             else:
-                state = CrxState() if method == "crx" else IncrementalSire()
+                state = _STATES[method]()
                 for word, count in sample.distinct():
                     state.add_counted(word, count)
             return self._memoized(
@@ -375,6 +378,8 @@ class DTDInferencer:
             # therefore always runs fresh, on top of the cached core.
             if isinstance(sample, LearnerStates):
                 raise _spilled_error("numeric", name)
+            from .numeric import annotate_numeric
+
             regex = annotate_numeric(regex, sample.distinct_words())
         regex = self._wrap_optional(regex, evidence.empty_count > 0)
         if contracts_enabled():

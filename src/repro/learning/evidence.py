@@ -32,14 +32,10 @@ from collections import Counter
 from collections.abc import Collection, Iterable, Iterator, Mapping
 from typing import TypeVar
 
+from ..core.crx import CrxState
 from ..errors import CorpusError
 from ..xmlio.tree import Document, ElementRecords
-from .incremental import (
-    IncrementalCRX,
-    IncrementalSOA,
-    _payload_int,
-    _payload_strings,
-)
+from .incremental import IncrementalSOA, _payload_int, _payload_strings
 from .kore import IncrementalKore
 from .sire import IncrementalSire
 
@@ -146,7 +142,7 @@ class LearnerStates:
         return self.kore.unmarked()
 
     @property
-    def crx(self) -> IncrementalCRX:
+    def crx(self) -> CrxState:
         return self.sire.crx
 
     def add_counted(self, word: Word, count: int) -> None:
@@ -179,7 +175,7 @@ class LearnerStates:
 
 
 _Learner = TypeVar(
-    "_Learner", IncrementalSOA, IncrementalCRX, IncrementalKore, IncrementalSire
+    "_Learner", IncrementalSOA, CrxState, IncrementalKore, IncrementalSire
 )
 
 
@@ -246,8 +242,8 @@ class ElementEvidence:
         return self._view("soa", IncrementalSOA())
 
     @property
-    def crx(self) -> IncrementalCRX:
-        return self._view("crx", IncrementalCRX())
+    def crx(self) -> CrxState:
+        return self._view("crx", CrxState())
 
     @property
     def kore(self) -> IncrementalKore:
@@ -266,7 +262,7 @@ class ElementEvidence:
         """All child names ever observed below this element."""
         alphabet = {name for word in self.child_sequences.counts for name in word}
         if self.spilled is not None:
-            alphabet |= self.spilled.crx.state.alphabet
+            alphabet |= self.spilled.crx.alphabet
         return alphabet
 
     def observe(

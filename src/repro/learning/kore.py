@@ -118,42 +118,31 @@ class IncrementalKore:
     for derivation.  Merge is the SOA union plus ``max``, so states
     built from disjoint shards combine into exactly the state of the
     whole sample (the same map-reduce property as the other learners).
+    Every :meth:`infer` derives; the content-model cache
+    (:mod:`repro.runtime.cache`) memoizes on :meth:`canonical_fingerprint`.
     """
 
     def __init__(self) -> None:
         self.soa = IncrementalSOA()
         self.max_dup = 1
-        self._cached: Regex | None = None
 
-    def add(self, word: Word) -> bool:
-        changed = self.soa.add(mark_word(word))
+    def add(self, word: Word) -> None:
+        self.soa.add(mark_word(word))
         if word:
-            duplication = max(Counter(word).values())
-            if duplication > self.max_dup:
-                self.max_dup = duplication
-                changed = True
-        if changed:
-            self._cached = None
-        return changed
+            self.max_dup = max(self.max_dup, *Counter(word).values())
 
-    def add_counted(self, word: Word, count: int) -> bool:
+    def add_counted(self, word: Word, count: int) -> None:
         """Fold ``count`` occurrences: marked SOA and max are multiplicity-blind."""
-        return count > 0 and self.add(word)
+        if count > 0:
+            self.add(word)
 
-    def add_all(self, words: Iterable[Word]) -> bool:
-        changed = False
+    def add_all(self, words: Iterable[Word]) -> None:
         for word in words:
-            changed = self.add(word) or changed
-        return changed
+            self.add(word)
 
-    def merge(self, other: "IncrementalKore") -> bool:
-        changed = self.soa.merge(other.soa)
-        if other.max_dup > self.max_dup:
-            self.max_dup = other.max_dup
-            changed = True
-        if changed:
-            self._cached = None
-        return changed
+    def merge(self, other: "IncrementalKore") -> None:
+        self.soa.merge(other.soa)
+        self.max_dup = max(self.max_dup, other.max_dup)
 
     def unmarked(self) -> IncrementalSOA:
         """The plain 2T-INF state of the words folded in (marks erased)."""
@@ -168,17 +157,13 @@ class IncrementalKore:
         )
 
     def infer(self, recorder: Recorder = NULL_RECORDER) -> Regex:
-        """The most duplication-aware deterministic k-ORE (cached).
+        """The most duplication-aware deterministic k-ORE.
 
         Candidates are derived for k from ``min(max_dup, K_CAP)`` down
         to 1; the first one-unambiguous expression wins.  k=1 is the
         plain SORE path and always succeeds, so the loop cannot fall
         through.
         """
-        if self._cached is not None:
-            recorder.count("cache.hits")
-            return self._cached
-        recorder.count("cache.misses")
         marked = self.soa.soa
         if not marked.symbols:
             raise CorpusError("no non-empty content seen yet")
@@ -188,7 +173,6 @@ class IncrementalKore:
             candidate = contract_repeats(simplify(_unmark(candidate)))
             if is_deterministic(candidate):
                 recorder.count("kore.k_used", k)
-                self._cached = candidate
                 return candidate
         raise CorpusError(  # pragma: no cover - k=1 always succeeds
             "no deterministic k-ORE candidate; k=1 SORE path failed"

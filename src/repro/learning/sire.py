@@ -11,8 +11,8 @@ with the shuffle operator ``&``.
 
 This implementation reuses the CRX substrate per block:
 
-* The state is an embedded :class:`IncrementalCRX` (arrow relation +
-  occurrence profiles) plus the witnessed *precedence* relation
+* The state is an embedded :class:`~repro.core.crx.CrxState` (arrow
+  relation + occurrence profiles) plus the witnessed *precedence* relation
   ``before`` (``a`` occurred somewhere before ``b`` in some word) —
   the sibling constraints of the factorization.
 * A pair ordered both ways in ``before`` is a *conflict*; greedy
@@ -47,7 +47,7 @@ from ..core.crx import CrxState
 from ..errors import CorpusError
 from ..obs.recorder import NULL_RECORDER, Recorder
 from ..regex.ast import Regex, inter
-from .incremental import IncrementalCRX, Word, _payload_pairs
+from .incremental import Word, _payload_pairs, dehydrate_crx, hydrate_crx
 
 
 def word_precedences(word: Word) -> set[tuple[str, str]]:
@@ -91,53 +91,44 @@ def _partition_blocks(
 class IncrementalSire:
     """Mergeable, dehydratable SIRE learner state.
 
-    Wraps an :class:`IncrementalCRX` plus the precedence relation.
+    Wraps a :class:`~repro.core.crx.CrxState` plus the precedence relation.
     Both components are unions / multiset sums under merge, so shard
-    states combine into exactly the whole-sample state.
+    states combine into exactly the whole-sample state.  Every
+    :meth:`infer` derives; the content-model cache
+    (:mod:`repro.runtime.cache`) memoizes on :meth:`canonical_fingerprint`.
     """
 
     def __init__(self) -> None:
-        self.crx = IncrementalCRX()
+        self.crx = CrxState()
         self.before: set[tuple[str, str]] = set()
-        self._cached: Regex | None = None
 
-    def add(self, word: Word) -> bool:
-        return self.add_counted(word, 1)
+    def add(self, word: Word) -> None:
+        self.add_counted(word, 1)
 
-    def add_counted(self, word: Word, count: int) -> bool:
+    def add_counted(self, word: Word, count: int) -> None:
         """Fold ``count`` occurrences of ``word`` in one call.
 
         Precedence pairs are a set (multiplicity-blind); only the CRX
         profiles carry the count, mirroring the batch CRX idiom so a
         batch-built state fingerprints identically to a streaming one.
         """
-        if count <= 0:
-            return False
-        changed = self.crx.add_counted(word, count)
-        precedences = word_precedences(word)
-        if not precedences <= self.before:
-            self.before |= precedences
-            changed = True
-        if changed:
-            self._cached = None
-        return changed
+        if count > 0:
+            self.crx.add_counted(word, count)
+            self.before |= word_precedences(word)
 
-    def add_all(self, words: Iterable[Word]) -> bool:
-        changed = False
+    def add_all(self, words: Iterable[Word]) -> None:
         for word in words:
-            changed = self.add(word) or changed
-        return changed
+            self.add(word)
 
     def merge(self, other: "IncrementalSire") -> None:
         self.crx.merge(other.crx)
         self.before |= other.before
-        self._cached = None
 
     def canonical_fingerprint(self) -> tuple[object, ...]:
         """Sorted-tuple digest, stable across ``PYTHONHASHSEED``."""
         return (
             "sire",
-            self.crx.state.canonical_fingerprint(),
+            self.crx.canonical_fingerprint(),
             tuple(sorted(self.before)),
         )
 
@@ -149,23 +140,17 @@ class IncrementalSire:
         }
 
     def infer(self, recorder: Recorder = NULL_RECORDER) -> Regex:
-        """The interleaving of per-block CHAREs (cached).
+        """The interleaving of per-block CHAREs.
 
         With no witnessed conflict the plain CHARE is returned — the
         chare degeneration the fallback ladder documents.
         """
-        if self._cached is not None:
-            recorder.count("cache.hits")
-            return self._cached
-        recorder.count("cache.misses")
-        state = self.crx.state
+        state = self.crx
         if not state.alphabet:
             raise CorpusError("cannot infer an expression from empty content only")
         conflicts = self._conflicts()
         if not conflicts:
-            expression = self.crx.infer(recorder=recorder)
-            self._cached = expression
-            return expression
+            return state.infer(recorder=recorder)
         blocks = _partition_blocks(state.alphabet, conflicts)
         recorder.count("sire.blocks", len(blocks))
         branches: list[Regex] = []
@@ -187,14 +172,12 @@ class IncrementalSire:
             projected.profiles = profiles
             projected.word_count = state.word_count
             branches.append(projected.infer(recorder=recorder))
-        expression = inter(*branches)
-        self._cached = expression
-        return expression
+        return inter(*branches)
 
     def dehydrate(self) -> dict[str, object]:
         """CRX payload plus the sorted precedence pairs, JSON-ready."""
         return {
-            "crx": self.crx.dehydrate(),
+            "crx": dehydrate_crx(self.crx),
             "before": [list(pair) for pair in sorted(self.before)],
         }
 
@@ -204,11 +187,11 @@ class IncrementalSire:
         raw_crx = payload.get("crx")
         if not isinstance(raw_crx, Mapping):
             raise CorpusError("sire state field 'crx' is not a mapping")
-        learner.crx = IncrementalCRX.hydrate(raw_crx)
+        learner.crx = hydrate_crx(raw_crx)
         learner.before = set(_payload_pairs(payload, "before"))
         unknown = {
             symbol for pair in learner.before for symbol in pair
-        } - learner.crx.state.alphabet
+        } - learner.crx.alphabet
         if unknown:
             raise CorpusError(
                 f"sire state precedence uses unknown symbols: {sorted(unknown)}"

@@ -4,16 +4,12 @@ The whole pipeline is threaded with a :class:`Recorder`: parsing,
 evidence extraction, 2T-INF SOA construction, the Section-5 rewrite
 rules, CRX equivalence-classing and DTD emission each open a *span*
 (``recorder.span("rewrite", element="book")``) or bump a monotonic
-*counter* (``recorder.count("repair.firings")``).  Three properties
+*counter* (``recorder.count("repair.firings")``).  Two properties
 drive the design:
 
 * **near-zero cost when off** — the default :data:`NULL_RECORDER`
   returns a shared no-op context manager and exposes ``enabled =
   False`` so hot loops can skip instrumentation entirely;
-* **aggregation for hot paths** — per-call spans would swamp the trace
-  inside per-child-sequence loops, so :meth:`Recorder.add_time`
-  accumulates ``(name, attributes)`` buckets that surface as one
-  synthetic span each;
 * **shard mergeability** — :meth:`StatsRecorder.snapshot` produces a
   plain picklable dict and :meth:`StatsRecorder.merge_snapshot` folds
   worker snapshots back in with a ``shard`` tag, mirroring how the
@@ -21,7 +17,8 @@ drive the design:
 
 Span timestamps are offsets from each recorder's construction, so
 durations are comparable across processes even though absolute starts
-are not.
+are not.  A :class:`StatsRecorder` samples peak RSS itself whenever a
+top-level span closes.
 """
 
 from __future__ import annotations
@@ -30,14 +27,13 @@ import resource
 import sys
 import time
 from collections import Counter
-from collections.abc import Iterator
 from typing import Any, ContextManager, Protocol, runtime_checkable
 
 #: A picklable plain-dict dump of a recorder: ``{"spans": [...],
 #: "counters": {...}, "memory": [...]}``.  See :meth:`StatsRecorder.snapshot`.
 Snapshot = dict[str, Any]
 
-#: Auto memory samples are rate-limited to one per this many seconds.
+#: Memory samples are rate-limited to one per this many seconds.
 MEMORY_SAMPLE_INTERVAL = 0.05
 
 
@@ -67,14 +63,6 @@ class Recorder(Protocol):
         """Bump a monotonic counter."""
         ...
 
-    def add_time(self, name: str, seconds: float, **attributes: Any) -> None:
-        """Accumulate time into an aggregated span bucket (hot paths)."""
-        ...
-
-    def sample_memory(self) -> None:
-        """Record a peak-RSS sample (rate-limited when automatic)."""
-        ...
-
 
 class _NullSpan:
     __slots__ = ()
@@ -101,12 +89,6 @@ class NullRecorder:
     def count(self, name: str, amount: int = 1) -> None:
         pass
 
-    def add_time(self, name: str, seconds: float, **attributes: Any) -> None:
-        pass
-
-    def sample_memory(self) -> None:
-        pass
-
 
 #: The default recorder everywhere a ``recorder`` parameter is omitted.
 NULL_RECORDER = NullRecorder()
@@ -130,7 +112,7 @@ class _SpanContext:
 
 
 class StatsRecorder:
-    """Collects spans, counters, aggregated timings and memory samples.
+    """Collects spans, counters and memory samples.
 
     Single-threaded by design: one recorder per process/shard, merged
     afterwards (:meth:`merge_snapshot`), exactly like the evidence
@@ -145,7 +127,6 @@ class StatsRecorder:
         self.counters: Counter[str] = Counter()
         self.memory_samples: list[dict[str, Any]] = []
         self._stack: list[dict[str, Any]] = []
-        self._accumulated: dict[tuple[object, ...], list[float]] = {}
         self._last_memory_sample = -1.0
 
     # -- clock ----------------------------------------------------------------
@@ -176,25 +157,16 @@ class StatsRecorder:
         if self._stack and self._stack[-1] is record:
             self._stack.pop()
         if not self._stack:
-            self.sample_memory(auto=True)
-
-    def add_time(self, name: str, seconds: float, **attributes: Any) -> None:
-        key = (name, tuple(sorted(attributes.items())))
-        bucket = self._accumulated.get(key)
-        if bucket is None:
-            self._accumulated[key] = [seconds, 1]
-        else:
-            bucket[0] += seconds
-            bucket[1] += 1
+            self._sample_memory()
 
     # -- counters & memory ----------------------------------------------------
 
     def count(self, name: str, amount: int = 1) -> None:
         self.counters[name] += amount
 
-    def sample_memory(self, auto: bool = False) -> None:
+    def _sample_memory(self) -> None:
         now = self._now()
-        if auto and now - self._last_memory_sample < MEMORY_SAMPLE_INTERVAL:
+        if now - self._last_memory_sample < MEMORY_SAMPLE_INTERVAL:
             return
         self._last_memory_sample = now
         self.memory_samples.append(
@@ -203,32 +175,10 @@ class StatsRecorder:
 
     # -- snapshots and merging -------------------------------------------------
 
-    def _aggregate_spans(self) -> Iterator[dict[str, Any]]:
-        for (name, attributes), (total, calls) in sorted(
-            self._accumulated.items()
-        ):
-            yield {
-                "type": "span",
-                "id": None,
-                "parent": None,
-                "name": name,
-                "attrs": dict(attributes),
-                "start": None,
-                "duration": total,
-                "count": int(calls),
-                "shard": None,
-            }
-
     def snapshot(self) -> Snapshot:
-        """A picklable dump of everything recorded so far.
-
-        Aggregated :meth:`add_time` buckets are flushed as synthetic
-        spans (``id`` is ``None``, ``count`` is the number of calls
-        folded in).
-        """
+        """A picklable dump of everything recorded so far."""
         return {
-            "spans": [dict(span) for span in self.spans]
-            + list(self._aggregate_spans()),
+            "spans": [dict(span) for span in self.spans],
             "counters": dict(self.counters),
             "memory": [dict(sample) for sample in self.memory_samples],
         }

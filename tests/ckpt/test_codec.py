@@ -35,6 +35,7 @@ from repro.ckpt.manifest import (
 from repro.core.inference import DTDInferencer
 from repro.learning import evidence as evidence_module
 from repro.learning.evidence import StreamingEvidence
+from repro.learning.incremental import dehydrate_crx
 from repro.runtime.parallel import parallel_evidence
 
 from .conftest import write_corpus
@@ -82,7 +83,7 @@ class TestRoundtrip:
         for element, entry in zip(evidence.elements.values(), payload["elements"]):
             assert element.spilled is not None
             entry["soa"] = element.spilled.soa.dehydrate()
-            entry["crx"] = element.spilled.crx.dehydrate()
+            entry["crx"] = dehydrate_crx(element.spilled.crx)
         restored = StreamingEvidence.hydrate(json.loads(canonical_json(payload)))
         assert evidence_digest(restored) == evidence_digest(evidence)
         assert render(restored) == render(evidence)

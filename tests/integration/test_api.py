@@ -276,8 +276,13 @@ class TestUnreadableInput:
             "repro.automata.compare",
             "repro.automata.dfa",
             "repro.automata.dot",
+            "repro.automata.elimination",
+            "repro.core.numeric",
+            "repro.learning.sampling",
             "repro.obs.check_trace",
             "repro.obs.report",
+            "repro.xmlio.diff",
+            "repro.xmlio.xsd",
             "concurrent.futures.process",
             "concurrent.futures",
             "logging",

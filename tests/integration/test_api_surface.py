@@ -78,12 +78,9 @@ class TestApiSurface:
             "ValidationResult",
             "diff",
             "infer",
-            "IncrementalCRX",
             "IncrementalSOA",
             "Regex",
             "SOA",
-            "annotate_numeric",
-            "dtd_to_xsd",
             "idtd_from_soa",
             "infer_chare",
             "infer_sore",
@@ -97,9 +94,7 @@ class TestApiSurface:
             "parse_dtd",
             "parse_file",
             "parse_regex",
-            "reservoir_sample",
             "rewrite",
-            "state_elimination",
             "tinf",
             "to_dtd_syntax",
             "to_paper_syntax",

@@ -12,9 +12,12 @@ from __future__ import annotations
 import pytest
 
 from repro import api
-from repro.contracts import contracts_enabled, set_contracts
+from repro.contracts import contracts_active, contracts_enabled, set_contracts
 from repro.errors import QuarantineExceeded, UsageError
+from repro.learning import evidence as evidence_module
 from repro.obs.recorder import StatsRecorder
+from repro.runtime.cache import reset_global_content_model_cache
+from repro.runtime.parallel import PROCESS_CORPUS_FLOOR
 from repro.runtime.resilience import FaultPlan
 
 
@@ -346,3 +349,58 @@ class TestLifecycle:
         expected = api.infer(noisy_corpus(), config=config).render()
         assert "<!ELEMENT rare" not in expected
         assert session.current_dtd().render() == expected
+
+
+class TestSpilledStatesDeriveFresh:
+    """A spilled element's content model comes from its state, every time.
+
+    With :data:`~repro.learning.evidence.WORD_CAP` at 1 the root's bag
+    spills into learner states that outlive each ``current_dtd``.  The
+    learner counters show whether a query derived: ``kore.k_used`` and
+    ``sire.blocks`` are counted only by a derivation.
+    """
+
+    WORDS = {
+        "kore": ("<r><a/><b/><a/></r>", "<r><a/><b/></r>"),
+        "sire": ("<r><a/><b/></r>", "<r><b/><a/></r>"),
+    }
+    COUNTER = {"kore": "kore.k_used", "sire": "sire.blocks"}
+
+    @staticmethod
+    def _session(method, cache, monkeypatch):
+        monkeypatch.setattr(evidence_module, "WORD_CAP", 1)
+        documents = TestSpilledStatesDeriveFresh.WORDS[method]
+        assert len(documents) < PROCESS_CORPUS_FLOOR
+        recorder = StatsRecorder()
+        session = api.InferenceSession(api.InferenceConfig(
+            method=method, cache=cache, recorder=recorder, faults=None,
+        ))
+        session.append(list(documents))
+        assert session._evidence.elements["r"].spilled is not None
+        return session, recorder
+
+    @pytest.mark.parametrize("method", ["kore", "sire"])
+    def test_uncached_queries_each_derive(self, method, monkeypatch):
+        session, recorder = self._session(method, False, monkeypatch)
+        first = session.current_dtd().render()
+        derived = recorder.snapshot()["counters"][self.COUNTER[method]]
+        assert derived > 0
+        assert session.current_dtd().render() == first
+        counters = recorder.snapshot()["counters"]
+        assert counters[self.COUNTER[method]] == 2 * derived
+        assert not any(name.startswith("cache.") for name in counters)
+
+    @pytest.mark.parametrize("method", ["kore", "sire"])
+    def test_first_cache_hit_rederives_under_contracts(self, method, monkeypatch):
+        reset_global_content_model_cache()
+        session, recorder = self._session(method, True, monkeypatch)
+        with contracts_active(True):
+            first = session.current_dtd().render()  # a miss: derives
+            derived = recorder.snapshot()["counters"][self.COUNTER[method]]
+            session.current_dtd()  # the first hit: checked against a fresh derivation
+            session.current_dtd()  # a verified hit: no derivation
+        assert session.current_dtd().render() == first
+        counters = recorder.snapshot()["counters"]
+        assert counters[self.COUNTER[method]] == 2 * derived
+        assert counters["cache.content_model.hits"] == 3
+        assert "cache.hits" not in counters

@@ -4,7 +4,7 @@ import random
 
 from repro.core.crx import CrxState, crx
 from repro.core.idtd import idtd
-from repro.learning.incremental import IncrementalCRX, IncrementalSOA
+from repro.learning.incremental import IncrementalSOA
 from repro.learning.tinf import tinf
 from repro.regex.language import language_equivalent
 
@@ -28,21 +28,6 @@ class TestIncrementalSOA:
         incremental.add_all(words)
         assert incremental.infer() == idtd(words)
 
-    def test_add_reports_new_evidence(self):
-        incremental = IncrementalSOA()
-        assert incremental.add(("a", "b"))
-        assert not incremental.add(("a", "b"))
-        assert incremental.add(("a", "b", "b"))  # new gram (b, b)
-        assert incremental.add(())  # empty word is new evidence
-        assert not incremental.add(())
-
-    def test_cached_result_reused(self):
-        incremental = IncrementalSOA()
-        incremental.add(("a",))
-        first = incremental.infer()
-        incremental.add(("a",))  # no new evidence
-        assert incremental.infer() is first
-
     def test_soa_is_quadratic_not_corpus_sized(self):
         incremental = IncrementalSOA()
         for _ in range(1000):
@@ -61,26 +46,19 @@ class TestIncrementalSOA:
         assert incremental.soa.language_equal(tinf(words))
 
 
-class TestIncrementalCRX:
+class TestIncrementalCrxState:
     def test_matches_batch_inference(self):
         words = [tuple(w) for w in ["abccde", "cccad", "bfegg", "bfehi"]]
-        incremental = IncrementalCRX()
+        incremental = CrxState()
         incremental.add_all(words)
         assert incremental.infer() == crx(words)
 
-    def test_change_detection(self):
-        incremental = IncrementalCRX()
+    def test_quantifier_flip(self):
+        incremental = CrxState()
         incremental.add(("a", "b"))
         incremental.infer()
-        assert not incremental.add(("a", "b"))  # nothing new
-        assert incremental.add(("b", "a"))  # new arrow: classes change
-
-    def test_quantifier_flip_detected(self):
-        incremental = IncrementalCRX()
-        incremental.add(("a", "b"))
-        incremental.infer()
-        # same arrows, but b's count profile changes 1 -> 2: b becomes b+
-        assert incremental.add(("a", "b", "b")) or True  # (b,b) is new arrow
+        # b's count profile changes 1 -> 2 (and (b, b) is a new arrow): b becomes b+
+        incremental.add(("a", "b", "b"))
         incremental.infer()
         incremental.add(("a", "b", "b"))
         result = incremental.infer()
@@ -95,7 +73,7 @@ class TestIncrementalCRX:
         ]
         if not any(words):
             words.append(("p",))
-        incremental = IncrementalCRX()
+        incremental = CrxState()
         for word in words:
             incremental.add(word)
         assert incremental.infer() == crx(words)
@@ -119,7 +97,7 @@ class TestRandomizedEquivalence:
     def test_incremental_crx_equivalent_to_batch(self):
         for seed in range(12):
             words = random_words(100 + seed, ["p", "q", "r", "s"], 25)
-            incremental = IncrementalCRX()
+            incremental = CrxState()
             incremental.add_all(words)
             assert language_equivalent(incremental.infer(), crx(words))
 
@@ -140,9 +118,9 @@ class TestRandomizedEquivalence:
         for seed in range(12):
             words = random_words(300 + seed, ["x", "y", "z"], 30)
             cut = len(words) // 2
-            merged = IncrementalCRX()
+            merged = CrxState()
             for shard in (words[:cut], words[cut:]):
-                part = IncrementalCRX()
+                part = CrxState()
                 part.add_all(shard)
                 merged.merge(part)
             assert merged.infer() == crx(words)
@@ -151,8 +129,8 @@ class TestRandomizedEquivalence:
     def test_merge_order_is_immaterial(self):
         words = random_words(7, ["a", "b"], 20)
         cut = len(words) // 2
-        forward, backward = IncrementalCRX(), IncrementalCRX()
-        first, second = IncrementalCRX(), IncrementalCRX()
+        forward, backward = CrxState(), CrxState()
+        first, second = CrxState(), CrxState()
         first.add_all(words[:cut])
         second.add_all(words[cut:])
         forward.merge(first)
@@ -163,22 +141,14 @@ class TestRandomizedEquivalence:
 
 
 class TestMerge:
-    def test_soa_merge_reports_new_evidence(self):
+    def test_soa_merge_folds_new_evidence(self):
         left, right = IncrementalSOA(), IncrementalSOA()
         left.add(("a", "b"))
         right.add(("a", "b"))
-        assert not left.merge(right)  # same evidence: nothing new
-        right.add(("b", "c"))
-        assert left.merge(right)
-        assert left.soa.accepts(("a", "b", "c"))
-
-    def test_soa_merge_invalidates_cache_only_on_change(self):
-        left, right = IncrementalSOA(), IncrementalSOA()
-        left.add(("a",))
-        right.add(("a",))
-        cached = left.infer()
         left.merge(right)
-        assert left.infer() is cached
+        right.add(("b", "c"))
+        left.merge(right)
+        assert left.soa.accepts(("a", "b", "c"))
 
     def test_crx_state_counted_add_equals_repetition(self):
         counted, repeated = CrxState(), CrxState()

@@ -85,13 +85,6 @@ class TestInference:
         with pytest.raises(CorpusError):
             IncrementalKore().infer()
 
-    def test_inference_is_cached_until_state_changes(self):
-        learner = learner_for([("a", "b", "a")])
-        first = learner.infer()
-        assert learner.infer() is first
-        assert learner.add(("a", "c", "a"))
-        assert learner.infer() is not first
-
 
 class TestMergeMonoid:
     def test_merge_equals_batch(self):

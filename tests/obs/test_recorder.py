@@ -23,10 +23,8 @@ class TestNullRecorder:
         with NULL_RECORDER.span("parse", file="x.xml"):
             pass
 
-    def test_count_and_add_time_are_noops(self):
+    def test_count_is_a_noop(self):
         NULL_RECORDER.count("documents")
-        NULL_RECORDER.add_time("soa", 0.1, element="book")
-        NULL_RECORDER.sample_memory()
 
     def test_satisfies_the_protocol(self):
         assert isinstance(NullRecorder(), Recorder)
@@ -73,20 +71,6 @@ class TestCountersAndAggregates:
         recorder.count("child_sequences", 7)
         assert recorder.counters["documents"] == 2
         assert recorder.counters["child_sequences"] == 7
-
-    def test_add_time_flushes_as_aggregate_spans(self):
-        recorder = StatsRecorder()
-        recorder.add_time("soa", 0.25, element="book")
-        recorder.add_time("soa", 0.50, element="book")
-        recorder.add_time("crx", 0.10, element="book")
-        spans = recorder.snapshot()["spans"]
-        soa = next(span for span in spans if span["name"] == "soa")
-        assert soa["id"] is None
-        assert soa["count"] == 2
-        assert abs(soa["duration"] - 0.75) < 1e-9
-        assert soa["attrs"] == {"element": "book"}
-        crx = next(span for span in spans if span["name"] == "crx")
-        assert crx["count"] == 1
 
 
 class TestSnapshotsAndMerging:
@@ -139,15 +123,18 @@ class TestReports:
             pass
         with recorder.span("extract"):
             pass
-        recorder.add_time("soa", 0.01, element="r")
+        with recorder.span("soa", element="r"):
+            pass
         recorder.count("documents")
         return recorder.snapshot()
 
-    def test_phase_totals_fold_aggregates(self):
-        totals = phase_totals(self._snapshot())
+    def test_phase_totals_sum_spans(self):
+        snapshot = self._snapshot()
+        totals = phase_totals(snapshot)
         assert totals["parse"]["calls"] == 1
         assert totals["soa"]["calls"] == 1
-        assert totals["soa"]["seconds"] == 0.01
+        (soa,) = [span for span in snapshot["spans"] if span["name"] == "soa"]
+        assert totals["soa"]["seconds"] == soa["duration"]
 
     def test_format_stats_mentions_phases_and_counters(self):
         text = format_stats(self._snapshot())

@@ -138,7 +138,7 @@ class TestStreamingEvidence:
         assert element.nonempty_count == 300
         # no per-occurrence storage: one SOA edge, one CRX profile
         assert len(element.soa.soa.edges) == 1
-        assert len(element.crx.state.profiles) == 1
+        assert len(element.crx.profiles) == 1
 
     def test_counters_and_alphabet(self):
         corpus = docs("<r><a/><b/></r>", "<r/>", "<r>text</r>")
@@ -160,7 +160,7 @@ class TestStreamingEvidence:
             one, two = left.elements[name], whole.elements[name]
             assert one.occurrences == two.occurrences
             assert one.soa.soa == two.soa.soa
-            assert one.crx.state.profiles == two.crx.state.profiles
+            assert one.crx.profiles == two.crx.profiles
             assert one.attribute_presence == two.attribute_presence
 
     def test_reservoirs_capped(self):
